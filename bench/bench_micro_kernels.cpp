@@ -135,64 +135,81 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
           k::matmul(ctx, out.data(), a.data(), b.data(), kM, kK, kN);
         }));
   }
-  {  // linear forward / backward
-    constexpr int kBt = 256, kC = 192, kOc = 768;
+  // Linear and attention run at two shapes each: a wide one, and
+  // local_heavy's (ModelConfig::small() at batch 2).  There, width 80 is
+  // not a multiple of the 64-column dx/dW register tile, and head size 20
+  // leaves a 4-lane tail on every attention dot product.
+  const auto add_linear = [&](const std::string& suffix, int bt, int c,
+                              int oc) {
     Rng r2(7);
-    const auto inp = gaussian(r2, static_cast<std::size_t>(kBt) * kC);
-    const auto w = gaussian(r2, static_cast<std::size_t>(kOc) * kC);
-    const auto bias = gaussian(r2, kOc);
-    const auto dout = gaussian(r2, static_cast<std::size_t>(kBt) * kOc);
-    std::vector<float> out(static_cast<std::size_t>(kBt) * kOc);
+    const auto inp = gaussian(r2, static_cast<std::size_t>(bt) * c);
+    const auto w = gaussian(r2, static_cast<std::size_t>(oc) * c);
+    const auto bias = gaussian(r2, oc);
+    const auto dout = gaussian(r2, static_cast<std::size_t>(bt) * oc);
+    std::vector<float> out(static_cast<std::size_t>(bt) * oc);
+    const std::string shape = "bt=" + std::to_string(bt) +
+                              ",c=" + std::to_string(c) +
+                              ",oc=" + std::to_string(oc);
+    const double mm = 2.0 * bt * c * oc;
     reports.push_back(run_scaling(
-        pool, "linear_forward", "bt=256,c=192,oc=768",
-        2.0 * kBt * kC * kOc, [&](const k::KernelContext& ctx) {
+        pool, "linear_forward" + suffix, shape, mm,
+        [&](const k::KernelContext& ctx) {
           k::linear_forward(ctx, out.data(), inp.data(), w.data(), bias.data(),
-                            kBt, kC, kOc);
+                            bt, c, oc);
         }));
-    std::vector<float> dinp(inp.size()), dw(w.size()), db(kOc);
+    std::vector<float> dinp(inp.size()), dw(w.size()), db(oc);
     reports.push_back(run_scaling(
-        pool, "linear_backward", "bt=256,c=192,oc=768",
-        4.0 * kBt * kC * kOc, [&](const k::KernelContext& ctx) {
+        pool, "linear_backward" + suffix, shape, 2.0 * mm,
+        [&](const k::KernelContext& ctx) {
           std::memset(dinp.data(), 0, dinp.size() * sizeof(float));
           std::memset(dw.data(), 0, dw.size() * sizeof(float));
           std::memset(db.data(), 0, db.size() * sizeof(float));
           k::linear_backward(ctx, dinp.data(), dw.data(), db.data(),
-                             dout.data(), inp.data(), w.data(), kBt, kC, kOc);
+                             dout.data(), inp.data(), w.data(), bt, c, oc);
         }));
-  }
-  {  // attention forward / backward
-    constexpr int kB = 8, kT = 64, kC = 192, kNh = 6;
-    constexpr int kHs = kC / kNh;
+  };
+  add_linear("", 256, 192, 768);
+  add_linear("_c80", 128, 80, 320);
+
+  const auto add_attention = [&](const std::string& suffix, int b, int t,
+                                 int c, int nh) {
+    const int hs = c / nh;
     Rng r2(11);
-    const auto qkv = gaussian(r2, static_cast<std::size_t>(kB) * kT * 3 * kC,
-                              0.5f);
-    std::vector<float> slopes(kNh);
-    k::alibi_slopes(slopes.data(), kNh);
-    std::vector<float> out(static_cast<std::size_t>(kB) * kT * kC);
-    std::vector<float> pre(static_cast<std::size_t>(kB) * kNh * kT * kT),
+    const auto qkv =
+        gaussian(r2, static_cast<std::size_t>(b) * t * 3 * c, 0.5f);
+    std::vector<float> slopes(nh);
+    k::alibi_slopes(slopes.data(), nh);
+    std::vector<float> out(static_cast<std::size_t>(b) * t * c);
+    std::vector<float> pre(static_cast<std::size_t>(b) * nh * t * t),
         att(pre.size());
+    const std::string shape = "b=" + std::to_string(b) +
+                              ",t=" + std::to_string(t) +
+                              ",c=" + std::to_string(c) +
+                              ",nh=" + std::to_string(nh);
     // ~half the (t, t2) pairs survive the causal mask; q.k and att.v are
     // 2*hs flops each.
-    const double flops = 0.5 * kB * kNh * kT * kT * 4.0 * kHs;
+    const double flops = 0.5 * b * nh * t * t * 4.0 * hs;
     reports.push_back(run_scaling(
-        pool, "attention_forward", "b=8,t=64,c=192,nh=6", flops,
+        pool, "attention_forward" + suffix, shape, flops,
         [&](const k::KernelContext& ctx) {
           k::attention_forward(ctx, out.data(), pre.data(), att.data(),
-                               qkv.data(), slopes.data(), kB, kT, kC, kNh);
+                               qkv.data(), slopes.data(), b, t, c, nh);
         }));
     const auto dout = gaussian(r2, out.size());
     std::vector<float> dqkv(qkv.size()), dpre(pre.size()), datt(att.size());
     reports.push_back(run_scaling(
-        pool, "attention_backward", "b=8,t=64,c=192,nh=6", 2.0 * flops,
+        pool, "attention_backward" + suffix, shape, 2.0 * flops,
         [&](const k::KernelContext& ctx) {
           std::memset(dqkv.data(), 0, dqkv.size() * sizeof(float));
           std::memset(dpre.data(), 0, dpre.size() * sizeof(float));
           std::memset(datt.data(), 0, datt.size() * sizeof(float));
           k::attention_backward(ctx, dqkv.data(), dpre.data(), datt.data(),
-                                dout.data(), qkv.data(), att.data(), kB, kT,
-                                kC, kNh);
+                                dout.data(), qkv.data(), att.data(), b, t, c,
+                                nh);
         }));
-  }
+  };
+  add_attention("", 8, 64, 192, 6);
+  add_attention("_hs20", 2, 64, 80, 4);
   {  // layernorm forward / backward
     constexpr int kBt = 4096, kC = 256;
     Rng r2(13);

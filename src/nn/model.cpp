@@ -255,8 +255,8 @@ float GptModel::forward(const int* tokens, const int* targets, int batch,
                          p(layout_.ln2_g, l), p(layout_.ln2_b, l), bt, c);
     // MLP up-projection with the bias folded into the GELU pass: fch holds
     // the bias-FREE pre-activation and bias_gelu applies gelu(fch + b) in
-    // the same sweep.  Because k_linear_row adds the bias after its dot
-    // fold, gelu(dot + b) here is bit-identical to the unfused
+    // the same sweep.  Because the linear forward adds the bias after its
+    // dot fold, gelu(dot + b) here is bit-identical to the unfused
     // linear-with-bias followed by gelu.
     k::linear_forward(kc, fch, ln2, p(layout_.fc_w, l), nullptr, bt, c, ec);
     k::bias_gelu_forward(kc, fch_gelu, fch, p(layout_.fc_b, l), bt, ec);
@@ -407,7 +407,8 @@ void GptModel::backward(const int* tokens, const int* targets, int batch,
     }
   }
 
-  k::embedding_backward(g(layout_.wte), tokens, a.d_encoded.data(), bt, c);
+  k::embedding_backward(kc, g(layout_.wte), tokens, a.d_encoded.data(), bt,
+                        c);
 }
 
 float GptModel::train_step_fb(std::span<const int> tokens,

@@ -86,10 +86,8 @@ void linear_forward(const KernelContext& ctx, float* out, const float* inp,
   const std::size_t ocs = static_cast<std::size_t>(oc);
   ctx.parallel_shards(static_cast<std::size_t>(bt), ctx.grain_rows(cs * ocs),
                       [&](int, std::size_t i0, std::size_t i1) {
-                        for (std::size_t i = i0; i < i1; ++i) {
-                          ops.linear_row(out + i * ocs, inp + i * cs, weight,
-                                         bias, cs, ocs);
-                        }
+                        ops.linear_fwd_rows(out + i0 * ocs, inp + i0 * cs,
+                                            weight, bias, i1 - i0, cs, ocs);
                       });
 }
 
@@ -117,11 +115,9 @@ void linear_backward(const KernelContext& ctx, float* dinp, float* dweight,
     // owned by exactly one shard: race-free and bit-exact.
     ctx.parallel_shards(bts, ctx.grain_rows(cs * ocs),
                         [&](int, std::size_t i0, std::size_t i1) {
-                          for (std::size_t i = i0; i < i1; ++i) {
-                            ops.linear_bwd_dx_row(dinp + i * cs,
-                                                  dout + i * ocs, weight, cs,
-                                                  ocs);
-                          }
+                          ops.linear_bwd_dx_rows(dinp + i0 * cs,
+                                                 dout + i0 * ocs, weight,
+                                                 i1 - i0, cs, ocs);
                         });
   }
   if (dweight != nullptr) {
@@ -388,11 +384,11 @@ void embedding_forward(const KernelContext& ctx, float* out, const int* tokens,
       });
 }
 
-void embedding_backward(float* dtable, const int* tokens, const float* dout,
-                        int bt, int c) {
+void embedding_backward(const KernelContext& ctx, float* dtable,
+                        const int* tokens, const float* dout, int bt, int c) {
   // Scatter-add: different rows can hit the same token id, so this stays
   // serial (it is a tiny fraction of the step anyway).
-  const simd::Ops& ops = simd::ops();
+  const simd::Ops& ops = ctx.simd();
   for (int i = 0; i < bt; ++i) {
     float* drow = dtable + static_cast<std::size_t>(tokens[i]) * c;
     const float* dy = dout + static_cast<std::size_t>(i) * c;
@@ -566,6 +562,11 @@ void attention_backward(float* dqkv, float* dpreatt, float* datt,
 void embedding_forward(float* out, const int* tokens, const float* table,
                        int bt, int c) {
   embedding_forward(default_context(), out, tokens, table, bt, c);
+}
+
+void embedding_backward(float* dtable, const int* tokens, const float* dout,
+                        int bt, int c) {
+  embedding_backward(default_context(), dtable, tokens, dout, bt, c);
 }
 
 void softmax_xent_forward(float* losses, float* probs, const float* logits,

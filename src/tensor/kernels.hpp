@@ -153,7 +153,10 @@ void embedding_forward(const KernelContext& ctx, float* out, const int* tokens,
                        const float* table, int bt, int c);
 void embedding_forward(float* out, const int* tokens, const float* table,
                        int bt, int c);
-/// Scatter-add with possible token collisions across rows; stays serial.
+/// Scatter-add with possible token collisions across rows; stays serial
+/// (the context supplies only the SIMD table).
+void embedding_backward(const KernelContext& ctx, float* dtable,
+                        const int* tokens, const float* dout, int bt, int c);
 void embedding_backward(float* dtable, const int* tokens, const float* dout,
                         int bt, int c);
 

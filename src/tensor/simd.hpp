@@ -20,7 +20,12 @@
 //     s2[0]+s2[1] — never a variant-width shuffle.
 //   * Final partial blocks are padded with the op identity (0 for sums,
 //     -inf for max) or masked after the transform where the identity does
-//     not survive it (exp, squared deviation).
+//     not survive it (exp, squared deviation).  Each variant TU supplies
+//     the tail primitives: masked loads/stores on AVX-512 and AVX2 (they
+//     never touch memory past the live lanes), a lane-buffer copy on scalar.
+//   * Linear kernels are register-tiled with per-variant tile shapes;
+//     tiling only changes which outputs share a load, never the op sequence
+//     of one output, so every shape yields the same bits.
 //   * No FMA: every variant TU and kernels.cpp compile with
 //     -ffp-contract=off and the vector paths use explicit mul+add
 //     intrinsics, so scalar and vector rounding agree.
@@ -61,12 +66,16 @@ struct Ops {
   double (*sumsq_dev_pd)(const float* x, std::size_t n, double mean);
 
   // ------------------------------------------------------------ linear ----
-  // y[o] = (bias ? bias[o] : 0) + dot(x, w + o*c) for o in [0, oc)
-  void (*linear_row)(float* y, const float* x, const float* w,
-                     const float* bias, std::size_t c, std::size_t oc);
-  // dx[p] += sum over o of dy[o] * w[o*c + p] (o ascending per element)
-  void (*linear_bwd_dx_row)(float* dx, const float* dy, const float* w,
-                            std::size_t c, std::size_t oc);
+  // Row range [0, rows): y[r*oc+o] = (bias ? bias[o] : 0) + dot(x_r, w_o)
+  // with x_r = x + r*c, w_o = w + o*c — each output is exactly dot()'s
+  // sequence, whatever register tile computes it.
+  void (*linear_fwd_rows)(float* y, const float* x, const float* w,
+                          const float* bias, std::size_t rows, std::size_t c,
+                          std::size_t oc);
+  // Row range [0, rows): dx[r*c+p] += dy[r*oc+o] * w[o*c+p], one rounded
+  // add per o, o ascending for every element.
+  void (*linear_bwd_dx_rows)(float* dx, const float* dy, const float* w,
+                             std::size_t rows, std::size_t c, std::size_t oc);
   // Column-sharded dW/db: for o in [o0, o1): dw[o*c+p] += dy[t*oc+o]*x[t*c+p]
   // and db[o] += dy[t*oc+o], accumulating t = 0..bt-1 in order for every
   // output — bit-identical for any [o0, o1) split.  db may be nullptr.

@@ -167,6 +167,59 @@ inline vf d_narrow(vd x) {
   return {_mm256_set_m128(lo1, lo0), _mm256_set_m128(hi1, hi0)};
 }
 
+// Tails: per 8-lane half, a mask whose lane j has its sign bit set when
+// j < cnt drives maskload/maskstore (masked-off lanes never fault, so memory
+// past cnt is never touched) and the pad blend.  A half with no live lane
+// is not accessed at all.
+inline __m256i half_mask(std::size_t cnt) {  // cnt in [0, 8]
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cnt)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline __m256 load_half(const float* p, std::size_t cnt, __m256 pad) {
+  const __m256i m = half_mask(cnt);
+  return _mm256_blendv_ps(pad, _mm256_maskload_ps(p, m),
+                          _mm256_castsi256_ps(m));
+}
+inline vf f_load_partial(const float* p, std::size_t cnt, float pad) {
+  const __m256 vpad = _mm256_set1_ps(pad);
+  if (cnt <= 8) return {load_half(p, cnt, vpad), vpad};
+  return {_mm256_loadu_ps(p), load_half(p + 8, cnt - 8, vpad)};
+}
+inline void f_store_partial(float* p, vf v, std::size_t cnt) {
+  if (cnt <= 8) {
+    _mm256_maskstore_ps(p, half_mask(cnt), v.a);
+    return;
+  }
+  _mm256_storeu_ps(p, v.a);
+  _mm256_maskstore_ps(p + 8, half_mask(cnt - 8), v.b);
+}
+inline vf f_keep(vf v, std::size_t cnt) {
+  if (cnt <= 8) {
+    return {_mm256_and_ps(v.a, _mm256_castsi256_ps(half_mask(cnt))),
+            _mm256_setzero_ps()};
+  }
+  return {v.a, _mm256_and_ps(v.b, _mm256_castsi256_ps(half_mask(cnt - 8)))};
+}
+inline vd d_keep(vd v, std::size_t cnt) {
+  const __m256i n = _mm256_set1_epi64x(static_cast<long long>(cnt));
+  const auto keep = [n](__m256d x, long long base) {
+    const __m256i idx = _mm256_setr_epi64x(base, base + 1, base + 2, base + 3);
+    return _mm256_and_pd(x, _mm256_castsi256_pd(_mm256_cmpgt_epi64(n, idx)));
+  };
+  return {keep(v.r0, 0), keep(v.r1, 4), keep(v.r2, 8), keep(v.r3, 12)};
+}
+
+// Linear tiles (16 ymm registers; one 16-lane vf is two of them): forward
+// 4 rows x 1 output, dx 4 rows x 16 columns, dW 4 outputs x 16 columns —
+// 8 accumulator registers plus the streamed operands.  Timed at
+// local_heavy's shapes, 2x2, 1x4 and 3x2 tiles all ran slower.
+constexpr int kLinFwdRows = 4;
+constexpr int kLinFwdOuts = 1;
+constexpr int kLinDxRows = 4;
+constexpr int kLinDxChunks = 1;
+constexpr int kLinDwOuts = 4;
+constexpr int kLinDwChunks = 1;
+
 #include "simd_kernels.inl"
 
 }  // namespace

@@ -127,6 +127,36 @@ inline vf d_narrow(vd x) {
   return {_mm512_insertf32x8(_mm512_castps256_ps512(lo), hi, 1)};
 }
 
+// Tails: one mask register selects lanes [0, cnt).  Masked-off lanes of a
+// masked load or store never fault, so memory past cnt is never touched.
+inline __mmask16 lane_mask(std::size_t cnt) {
+  return static_cast<__mmask16>((1u << cnt) - 1u);
+}
+inline vf f_load_partial(const float* p, std::size_t cnt, float pad) {
+  return {_mm512_mask_loadu_ps(_mm512_set1_ps(pad), lane_mask(cnt), p)};
+}
+inline void f_store_partial(float* p, vf v, std::size_t cnt) {
+  _mm512_mask_storeu_ps(p, lane_mask(cnt), v.v);
+}
+inline vf f_keep(vf v, std::size_t cnt) {
+  return {_mm512_maskz_mov_ps(lane_mask(cnt), v.v)};
+}
+inline vd d_keep(vd v, std::size_t cnt) {
+  const __mmask16 m = lane_mask(cnt);
+  return {_mm512_maskz_mov_pd(static_cast<__mmask8>(m), v.lo),
+          _mm512_maskz_mov_pd(static_cast<__mmask8>(m >> 8), v.hi)};
+}
+
+// Linear tiles (32 zmm registers): forward 4 rows x 4 outputs = 16
+// accumulators plus 4 x blocks and one w block; dx/dW 4 rows x 4 chunks
+// (64 columns) = 16 accumulators plus 4 streamed chunks and a broadcast.
+constexpr int kLinFwdRows = 4;
+constexpr int kLinFwdOuts = 4;
+constexpr int kLinDxRows = 4;
+constexpr int kLinDxChunks = 4;
+constexpr int kLinDwOuts = 4;
+constexpr int kLinDwChunks = 4;
+
 #include "simd_kernels.inl"
 
 }  // namespace

@@ -182,6 +182,34 @@ inline vf d_narrow(vd a) {
   return r;
 }
 
+// Tails copy the live lanes through the vector's own lane array, so only
+// elements [0, cnt) of memory are read or written.
+inline vf f_load_partial(const float* p, std::size_t cnt, float pad) {
+  vf v = f_set1(pad);
+  std::memcpy(v.l, p, cnt * sizeof(float));
+  return v;
+}
+inline void f_store_partial(float* p, vf v, std::size_t cnt) {
+  std::memcpy(p, v.l, cnt * sizeof(float));
+}
+inline vf f_keep(vf v, std::size_t cnt) {
+  for (std::size_t j = cnt; j < 16; ++j) v.l[j] = 0.0f;
+  return v;
+}
+inline vd d_keep(vd v, std::size_t cnt) {
+  for (std::size_t j = cnt; j < 16; ++j) v.l[j] = 0.0;
+  return v;
+}
+
+// Linear tiles: registers do not constrain the lane-array emulation, so the
+// shapes mirror the AVX-512 ones and the reference runs the same walk.
+constexpr int kLinFwdRows = 4;
+constexpr int kLinFwdOuts = 4;
+constexpr int kLinDxRows = 4;
+constexpr int kLinDxChunks = 4;
+constexpr int kLinDwOuts = 4;
+constexpr int kLinDwChunks = 4;
+
 #include "simd_kernels.inl"
 
 }  // namespace

@@ -57,44 +57,371 @@ bool bytes_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 // ----------------------------------------------- cross-variant op identity --
 
-TEST(SimdVariants, OpsBitIdenticalToScalar) {
-  // Odd length exercises the masked 16-lane tail in every op.
-  const std::size_t n = 4099;
-  const auto x = gaussian_vec(n, 11);
-  const auto y = gaussian_vec(n, 12);
-  const auto& ref = simd::ops(simd::Variant::kScalar);
+template <class T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
 
+// Every op that consumes a partial 16-lane block, on every variant against
+// scalar, at every tail width: each width alone (n < 16), behind two full
+// blocks, and behind 256 full blocks (n = 4099).  Buffers are exact-size,
+// so a sanitizer build reports any access past the live lanes — the scalar
+// path copies tails with memcpy, which ASan checks.
+TEST(SimdVariants, OpsBitIdenticalToScalar) {
+  std::vector<std::size_t> lengths{4099};
+  for (std::size_t tail = 1; tail < 16; ++tail) {
+    lengths.push_back(tail);
+    lengths.push_back(32 + tail);
+  }
+  const auto& ref = simd::ops(simd::Variant::kScalar);
+  constexpr std::size_t kRows = 3;  // rows of the row-batched ops
   for (auto v : supported_variants()) {
-    SCOPED_TRACE(simd::variant_name(v));
     const auto& ops = simd::ops(v);
     EXPECT_EQ(ops.variant, v);
+    for (const std::size_t n : lengths) {
+      SCOPED_TRACE(std::string(simd::variant_name(v)) +
+                   " n=" + std::to_string(n));
+      const auto x = gaussian_vec(n, 100 + n);
+      const auto y = gaussian_vec(n, 200 + n);
+      const auto z = gaussian_vec(n, 300 + n);
 
-    auto a_ref = x, a_v = x;
-    ref.axpy(a_ref.data(), y.data(), n, 0.37f);
-    ops.axpy(a_v.data(), y.data(), n, 0.37f);
-    EXPECT_TRUE(bytes_equal(a_ref, a_v)) << "axpy";
+      // Runs the same in-place op on a copy per table and memcmps.
+      const auto same_inplace = [&](const std::vector<float>& init,
+                                    const char* what, const auto& fn) {
+        auto a = init, b = init;
+        fn(ref, a.data());
+        fn(ops, b.data());
+        EXPECT_TRUE(bytes_equal(a, b)) << what;
+      };
 
-    auto s_ref = x, s_v = x;
-    ref.scale(s_ref.data(), n, 1.0f / 3.0f);
-    ops.scale(s_v.data(), n, 1.0f / 3.0f);
-    EXPECT_TRUE(bytes_equal(s_ref, s_v)) << "scale";
+      // ---- elementwise (partial stores) ----
+      same_inplace(x, "add", [&](const simd::Ops& o, float* out) {
+        o.add(out, y.data(), z.data(), n);
+      });
+      same_inplace(x, "sub", [&](const simd::Ops& o, float* out) {
+        o.sub(out, y.data(), z.data(), n);
+      });
+      same_inplace(x, "acc", [&](const simd::Ops& o, float* out) {
+        o.acc(out, y.data(), n);
+      });
+      same_inplace(x, "scale", [&](const simd::Ops& o, float* out) {
+        o.scale(out, n, 0.37f);
+      });
+      same_inplace(x, "axpy", [&](const simd::Ops& o, float* out) {
+        o.axpy(out, y.data(), n, -1.7f);
+      });
 
-    // Reductions: the fixed 16-lane fold tree makes these exact equalities.
-    EXPECT_EQ(ref.dot(x.data(), y.data(), n), ops.dot(x.data(), y.data(), n));
-    EXPECT_EQ(ref.sum_pd(x.data(), n), ops.sum_pd(x.data(), n));
-    EXPECT_EQ(ref.sumsq_pd(x.data(), n), ops.sumsq_pd(x.data(), n));
-    EXPECT_EQ(ref.max_abs(x.data(), n), ops.max_abs(x.data(), n));
-    EXPECT_EQ(ref.reduce_max(x.data(), n), ops.reduce_max(x.data(), n));
+      // ---- reductions (0 / -inf pads, d_keep) ----
+      EXPECT_TRUE(same_bits(ref.dot(x.data(), y.data(), n),
+                            ops.dot(x.data(), y.data(), n)))
+          << "dot";
+      // All-negative input: a 0 pad instead of -inf would win the max.
+      std::vector<float> neg(n);
+      for (std::size_t i = 0; i < n; ++i) neg[i] = -1.0f - std::fabs(x[i]);
+      const float max_ref = ref.reduce_max(neg.data(), n);
+      EXPECT_TRUE(same_bits(max_ref, ops.reduce_max(neg.data(), n)))
+          << "reduce_max";
+      float max_expect = neg[0];
+      for (const float e : neg) max_expect = e > max_expect ? e : max_expect;
+      EXPECT_TRUE(same_bits(max_expect, max_ref)) << "reduce_max pad";
+      EXPECT_TRUE(same_bits(ref.max_abs(x.data(), n),
+                            ops.max_abs(x.data(), n)))
+          << "max_abs";
+      EXPECT_TRUE(same_bits(ref.sum_pd(x.data(), n), ops.sum_pd(x.data(), n)))
+          << "sum_pd";
+      EXPECT_TRUE(same_bits(ref.sumsq_pd(x.data(), n),
+                            ops.sumsq_pd(x.data(), n)))
+          << "sumsq_pd";
+      // Non-zero mean: (0 - mean)^2 in a dead lane is not the identity.
+      EXPECT_TRUE(same_bits(ref.sumsq_dev_pd(x.data(), n, 0.3),
+                            ops.sumsq_dev_pd(x.data(), n, 0.3)))
+          << "sumsq_dev_pd";
 
-    std::vector<std::int8_t> q_ref(n), q_v(n);
-    ref.quant_i8(q_ref.data(), x.data(), n, 127.0f / 3.0f);
-    ops.quant_i8(q_v.data(), x.data(), n, 127.0f / 3.0f);
-    EXPECT_EQ(0, std::memcmp(q_ref.data(), q_v.data(), n)) << "quant_i8";
+      // ---- layernorm ----
+      same_inplace(x, "ln_apply_row", [&](const simd::Ops& o, float* out) {
+        o.ln_apply_row(out, y.data(), z.data(), x.data(), n, 0.1f, 1.3f);
+      });
+      double s1_ref = 0, s2_ref = 0, s1 = 0, s2 = 0;
+      ref.ln_bwd_reduce_row(x.data(), y.data(), z.data(), n, 0.1f, 1.3f,
+                            &s1_ref, &s2_ref);
+      ops.ln_bwd_reduce_row(x.data(), y.data(), z.data(), n, 0.1f, 1.3f, &s1,
+                            &s2);
+      EXPECT_TRUE(same_bits(s1_ref, s1) && same_bits(s2_ref, s2))
+          << "ln_bwd_reduce_row";
+      same_inplace(x, "ln_bwd_dx_row", [&](const simd::Ops& o, float* out) {
+        o.ln_bwd_dx_row(out, y.data(), z.data(), x.data(), n, 0.1f, 1.3f,
+                        0.2f, -0.4f);
+      });
+      {
+        const auto dy = gaussian_vec(kRows * n, 400 + n);
+        const auto xs = gaussian_vec(kRows * n, 500 + n);
+        const std::vector<float> means{0.1f, -0.2f, 0.3f};
+        const std::vector<float> rstds{1.1f, 0.9f, 1.4f};
+        auto g_ref = x, b_ref = y, g = x, b = y;
+        // Columns [1, n): a shard whose chunks start mid-row.
+        ref.ln_bwd_dgb_cols(g_ref.data(), b_ref.data(), dy.data(), xs.data(),
+                            means.data(), rstds.data(), kRows, n, 1, n);
+        ops.ln_bwd_dgb_cols(g.data(), b.data(), dy.data(), xs.data(),
+                            means.data(), rstds.data(), kRows, n, 1, n);
+        EXPECT_TRUE(bytes_equal(g_ref, g) && bytes_equal(b_ref, b))
+            << "ln_bwd_dgb_cols";
+      }
 
-    std::vector<float> d_ref(n), d_v(n);
-    ref.dequant_i8(d_ref.data(), q_ref.data(), n, 3.0f / 127.0f);
-    ops.dequant_i8(d_v.data(), q_ref.data(), n, 3.0f / 127.0f);
-    EXPECT_TRUE(bytes_equal(d_ref, d_v)) << "dequant_i8";
+      // ---- activations ----
+      same_inplace(x, "gelu_fwd", [&](const simd::Ops& o, float* out) {
+        o.gelu_fwd(out, y.data(), n);
+      });
+      same_inplace(x, "gelu_bwd", [&](const simd::Ops& o, float* out) {
+        o.gelu_bwd(out, y.data(), z.data(), n);
+      });
+      {
+        const auto pre = gaussian_vec(kRows * n, 600 + n);
+        const auto dy = gaussian_vec(kRows * n, 700 + n);
+        same_inplace(pre, "bias_gelu_fwd", [&](const simd::Ops& o,
+                                               float* out) {
+          o.bias_gelu_fwd(out, dy.data(), x.data(), kRows, n);
+        });
+        same_inplace(pre, "bias_gelu_bwd", [&](const simd::Ops& o,
+                                               float* out) {
+          o.bias_gelu_bwd(out, pre.data(), x.data(), dy.data(), kRows, n);
+        });
+      }
+
+      // ---- softmax (f_keep) ----
+      const float maxv = ref.reduce_max(x.data(), n);
+      {
+        auto a = x, b = x;
+        const float sum_ref = ref.exp_sum_f(a.data(), n, maxv);
+        const float sum = ops.exp_sum_f(b.data(), n, maxv);
+        EXPECT_TRUE(bytes_equal(a, b) && same_bits(sum_ref, sum))
+            << "exp_sum_f";
+      }
+      {
+        std::vector<float> a(n), b(n);
+        const double sum_ref = ref.exp_sum_pd(a.data(), x.data(), n, maxv);
+        const double sum = ops.exp_sum_pd(b.data(), x.data(), n, maxv);
+        EXPECT_TRUE(bytes_equal(a, b) && same_bits(sum_ref, sum))
+            << "exp_sum_pd";
+      }
+      same_inplace(x, "softmax_bwd_row", [&](const simd::Ops& o,
+                                             float* out) {
+        o.softmax_bwd_row(out, y.data(), z.data(), n);
+      });
+
+      // ---- attention rows: head size n, rows packed back to back ----
+      {
+        const std::size_t hs = n;
+        const auto kv = gaussian_vec(kRows * hs, 800 + n);
+        const auto att = gaussian_vec(kRows, 900 + n);
+        std::vector<float> pre_ref(kRows), pre(kRows);
+        const float m_ref =
+            ref.attn_scores_row(pre_ref.data(), x.data(), kv.data(), hs, hs,
+                                kRows, 0.25f, 0.5f, kRows - 1);
+        const float m = ops.attn_scores_row(pre.data(), x.data(), kv.data(),
+                                            hs, hs, kRows, 0.25f, 0.5f,
+                                            kRows - 1);
+        EXPECT_TRUE(bytes_equal(pre_ref, pre) && same_bits(m_ref, m))
+            << "attn_scores_row";
+        same_inplace(x, "attn_av_row", [&](const simd::Ops& o, float* out) {
+          o.attn_av_row(out, att.data(), kv.data(), hs, hs, kRows);
+        });
+        const auto dv0 = gaussian_vec(kRows * hs, 1000 + n);
+        auto datt_ref = att, datt = att, dv_ref = dv0, dv = dv0;
+        ref.attn_bwd_av_row(datt_ref.data(), dv_ref.data(), att.data(),
+                            kv.data(), x.data(), hs, hs, kRows);
+        ops.attn_bwd_av_row(datt.data(), dv.data(), att.data(), kv.data(),
+                            x.data(), hs, hs, kRows);
+        EXPECT_TRUE(bytes_equal(datt_ref, datt) && bytes_equal(dv_ref, dv))
+            << "attn_bwd_av_row";
+        auto dq_ref = y, dq = y, dk_ref = dv0, dk = dv0;
+        ref.attn_bwd_qk_row(dq_ref.data(), dk_ref.data(), att.data(),
+                            kv.data(), x.data(), hs, hs, kRows, 0.25f);
+        ops.attn_bwd_qk_row(dq.data(), dk.data(), att.data(), kv.data(),
+                            x.data(), hs, hs, kRows, 0.25f);
+        EXPECT_TRUE(bytes_equal(dq_ref, dq) && bytes_equal(dk_ref, dk))
+            << "attn_bwd_qk_row";
+      }
+
+      // ---- optimizers ----
+      {
+        std::vector<float> m0(n), v0(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          m0[i] = 0.1f * y[i];
+          v0[i] = 0.01f * z[i] * z[i];
+        }
+        auto p_ref = x, p = x, m_ref = m0, m = m0, vv_ref = v0, vv = v0;
+        ref.adamw(p_ref.data(), m_ref.data(), vv_ref.data(), y.data(), n,
+                  0.5f, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f);
+        ops.adamw(p.data(), m.data(), vv.data(), y.data(), n, 0.5f, 1e-3f,
+                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f);
+        EXPECT_TRUE(bytes_equal(p_ref, p) && bytes_equal(m_ref, m) &&
+                    bytes_equal(vv_ref, vv))
+            << "adamw";
+        auto q_ref = x, q = x, buf_ref = m0, buf = m0;
+        ref.momentum(q_ref.data(), buf_ref.data(), y.data(), n, 0.1f, 0.9f);
+        ops.momentum(q.data(), buf.data(), y.data(), n, 0.1f, 0.9f);
+        EXPECT_TRUE(bytes_equal(q_ref, q) && bytes_equal(buf_ref, buf))
+            << "momentum";
+        ref.nesterov(q_ref.data(), buf_ref.data(), z.data(), n, 0.1f, 0.9f,
+                     1);
+        ops.nesterov(q.data(), buf.data(), z.data(), n, 0.1f, 0.9f, 1);
+        EXPECT_TRUE(bytes_equal(q_ref, q) && bytes_equal(buf_ref, buf))
+            << "nesterov";
+      }
+
+      // ---- aggregation ----
+      {
+        const float* rows[] = {x.data(), y.data(), z.data()};
+        std::vector<float> s_ref(n), s(n);
+        ref.sum_rows_pd(s_ref.data(), rows, 3, n);
+        ops.sum_rows_pd(s.data(), rows, 3, n);
+        EXPECT_TRUE(bytes_equal(s_ref, s)) << "sum_rows_pd";
+        auto a0 = x, a1 = y, b0 = x, b1 = y;
+        float* ra[] = {a0.data(), a1.data()};
+        float* rb[] = {b0.data(), b1.data()};
+        ref.mean_rows_pd(ra, 2, n, 0.5);
+        ops.mean_rows_pd(rb, 2, n, 0.5);
+        EXPECT_TRUE(bytes_equal(a0, b0) && bytes_equal(a1, b1))
+            << "mean_rows_pd";
+      }
+
+      // ---- quantization ----
+      {
+        std::vector<std::int8_t> c_ref(n), c(n);
+        ref.quant_i8(c_ref.data(), x.data(), n, 40.0f);
+        ops.quant_i8(c.data(), x.data(), n, 40.0f);
+        EXPECT_EQ(c_ref, c) << "quant_i8";
+        std::vector<float> d_ref(n), d(n);
+        ref.dequant_i8(d_ref.data(), c_ref.data(), n, 0.025f);
+        ops.dequant_i8(d.data(), c_ref.data(), n, 0.025f);
+        EXPECT_TRUE(bytes_equal(d_ref, d)) << "dequant_i8";
+        std::vector<float> r_ref(n), r(n);
+        ref.quant_i8_ef(c_ref.data(), r_ref.data(), x.data(), n, 40.0f,
+                        0.025f);
+        ops.quant_i8_ef(c.data(), r.data(), x.data(), n, 40.0f, 0.025f);
+        EXPECT_TRUE(c_ref == c && bytes_equal(r_ref, r)) << "quant_i8_ef";
+        ref.quant_i8_sr(c_ref.data(), x.data(), n, 40.0f, 7, 3);
+        ops.quant_i8_sr(c.data(), x.data(), n, 40.0f, 7, 3);
+        EXPECT_EQ(c_ref, c) << "quant_i8_sr";
+      }
+    }
+  }
+}
+
+// ------------------------------------- tiled linears vs plain loops ----
+
+// Plain-loop reference for the linear kernels, one output element at a
+// time.  The SIMD layer's register tiles must reproduce it bit for bit.
+// Cross-variant tests cannot catch a reordered sum (every variant would
+// reorder alike), so this is the guard on the per-output op order.
+// (This file compiles with -ffp-contract=off: no FMA contraction here.)
+
+// Fixed fold tree of simd.hpp.
+float ref_fold16(const float* l) {
+  float s8[8], s4[4], s2[2];
+  for (int j = 0; j < 8; ++j) s8[j] = l[j] + l[j + 8];
+  for (int j = 0; j < 4; ++j) s4[j] = s8[j] + s8[j + 4];
+  for (int j = 0; j < 2; ++j) s2[j] = s4[j] + s4[j + 2];
+  return s2[0] + s2[1];
+}
+
+// Element i accumulates into lane i % 16 from zero; the zero-padded tail
+// block adds 0*0 to its dead lanes; then the fold.
+float ref_dot16(const float* a, const float* b, std::size_t n) {
+  float lane[16] = {};
+  for (std::size_t i = 0; i < n; ++i) lane[i % 16] = lane[i % 16] + a[i] * b[i];
+  if (n % 16 != 0) {
+    for (std::size_t j = n % 16; j < 16; ++j) lane[j] = lane[j] + 0.0f * 0.0f;
+  }
+  return ref_fold16(lane);
+}
+
+void ref_linear_forward(float* y, const float* x, const float* w,
+                        const float* bias, int rows, int c, int oc) {
+  for (int r = 0; r < rows; ++r) {
+    for (int o = 0; o < oc; ++o) {
+      y[r * oc + o] = (bias != nullptr ? bias[o] : 0.0f) +
+                      ref_dot16(x + r * c, w + o * c, c);
+    }
+  }
+}
+
+// dx = dx + dy[o]*w[o] for o ascending; dW = dW + dy[t,o]*x[t] and
+// db = db + dy[t,o] for t ascending.
+void ref_linear_backward(float* dx, float* dw, float* db, const float* dy,
+                         const float* x, const float* w, int rows, int c,
+                         int oc) {
+  for (int r = 0; r < rows; ++r) {
+    for (int o = 0; o < oc; ++o) {
+      for (int p = 0; p < c; ++p) {
+        dx[r * c + p] = dx[r * c + p] + dy[r * oc + o] * w[o * c + p];
+      }
+    }
+  }
+  for (int o = 0; o < oc; ++o) {
+    for (int t = 0; t < rows; ++t) {
+      for (int p = 0; p < c; ++p) {
+        dw[o * c + p] = dw[o * c + p] + dy[t * oc + o] * x[t * c + p];
+      }
+      db[o] = db[o] + dy[t * oc + o];
+    }
+  }
+}
+
+TEST(SimdVariants, TiledLinearsMatchPlainLoopReference) {
+  ThreadPool pool(8);
+  for (const int rows : {1, 3, 4, 5, 7, 9}) {
+    for (const int c : {12, 16, 20, 80, 83}) {
+      for (const int oc : {1, 3, 4, 7, 240}) {
+        const std::uint64_t seed = 1000u + 97u * rows + 13u * c + oc;
+        const auto x = gaussian_vec(rows * c, seed);
+        const auto w = gaussian_vec(oc * c, seed + 1);
+        const auto bias = gaussian_vec(oc, seed + 2);
+        const auto dy = gaussian_vec(rows * oc, seed + 3);
+        // Backward accumulates: start from non-zero grads.
+        const auto dx0 = gaussian_vec(rows * c, seed + 4);
+        const auto dw0 = gaussian_vec(oc * c, seed + 5);
+        const auto db0 = gaussian_vec(oc, seed + 6);
+
+        std::vector<float> y_ref(rows * oc), y_nb_ref(rows * oc);
+        ref_linear_forward(y_ref.data(), x.data(), w.data(), bias.data(), rows,
+                           c, oc);
+        ref_linear_forward(y_nb_ref.data(), x.data(), w.data(), nullptr, rows,
+                           c, oc);
+        auto dx_ref = dx0, dw_ref = dw0, db_ref = db0;
+        ref_linear_backward(dx_ref.data(), dw_ref.data(), db_ref.data(),
+                            dy.data(), x.data(), w.data(), rows, c, oc);
+
+        for (auto v : supported_variants()) {
+          for (const int threads : {1, 8}) {
+            SCOPED_TRACE(std::string(simd::variant_name(v)) + " threads=" +
+                         std::to_string(threads) + " rows=" +
+                         std::to_string(rows) + " c=" + std::to_string(c) +
+                         " oc=" + std::to_string(oc));
+            // Grain 64 makes shards a few rows/outputs wide, so shard
+            // boundaries cut through register tiles.
+            k::KernelContext ctx(threads > 1 ? &pool : nullptr, threads,
+                                 /*grain=*/64);
+            ctx.set_simd(&simd::ops(v));
+
+            std::vector<float> y(rows * oc), y_nb(rows * oc);
+            k::linear_forward(ctx, y.data(), x.data(), w.data(), bias.data(),
+                              rows, c, oc);
+            k::linear_forward(ctx, y_nb.data(), x.data(), w.data(), nullptr,
+                              rows, c, oc);
+            EXPECT_TRUE(bytes_equal(y_ref, y)) << "forward";
+            EXPECT_TRUE(bytes_equal(y_nb_ref, y_nb)) << "forward, no bias";
+
+            auto dx = dx0, dw = dw0, db = db0;
+            k::linear_backward(ctx, dx.data(), dw.data(), db.data(), dy.data(),
+                               x.data(), w.data(), rows, c, oc);
+            EXPECT_TRUE(bytes_equal(dx_ref, dx)) << "dx";
+            EXPECT_TRUE(bytes_equal(dw_ref, dw)) << "dW";
+            EXPECT_TRUE(bytes_equal(db_ref, db)) << "db";
+          }
+        }
+      }
+    }
   }
 }
 
@@ -273,11 +600,9 @@ TEST(Crc32, MatchesBitwiseReference) {
 
 // ------------------------------------- end-to-end training determinism ----
 
-// Train the same tiny model under every (variant, thread count) combination
-// through the real hot path — forward/backward, fused clip+AdamW — and
-// demand byte-identical final parameters and optimizer momenta.
-TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
-  const ModelConfig mc = ModelConfig::nano();
+// Trains `mc` under every (variant, thread count) combination and memcmps
+// final parameters, momenta and losses against the first combination.
+void check_model_state_across_variants(const ModelConfig& mc) {
   constexpr int kBatch = 2, kSteps = 3;
   const int seq = mc.seq_len;
 
@@ -331,6 +656,20 @@ TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
       EXPECT_TRUE(bytes_equal(ref_m, m)) << "momenta diverged";
       EXPECT_TRUE(bytes_equal(ref_losses, losses)) << "losses diverged";
     }
+  }
+}
+
+// Train the same tiny model under every (variant, thread count) combination
+// through the real hot path — forward/backward, fused clip+AdamW — and
+// demand byte-identical final parameters and optimizer momenta.  nano()'s
+// head size 16 and width 32 never take a partial lane, so two configs add
+// tails: small()'s width 80 with head size 20, and head size 12.
+TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
+  for (const ModelConfig& mc :
+       {ModelConfig::nano(), ModelConfig{2, 80, 4, 256, 32, 4},
+        ModelConfig{2, 96, 8, 2048, 16, 4}}) {
+    SCOPED_TRACE(mc.describe());
+    check_model_state_across_variants(mc);
   }
 }
 

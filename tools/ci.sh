@@ -64,6 +64,14 @@ echo "==> [tier-1/scalar] ctest with PHOTON_SIMD=scalar"
 PHOTON_SIMD=scalar ctest --test-dir "$ROOT/build" --output-on-failure \
       -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
 
+# Same again on the AVX2 table, whose masked-tail primitives and register
+# tiles differ from AVX-512's: on an AVX-512 host the default run never
+# dispatches to it outside the cross-variant tests.  (Without AVX2 the
+# request degrades to the best supported table.)
+echo "==> [tier-1/avx2] ctest with PHOTON_SIMD=avx2"
+PHOTON_SIMD=avx2 ctest --test-dir "$ROOT/build" --output-on-failure \
+      -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
+
 # Quantized-wire cross-check (DESIGN.md §11): re-run tier-1 with every
 # default-codec link forced to the q8 blockwise wire codec.  Exercises the
 # streamed dequantize-and-accumulate fan-in and client error feedback under
