@@ -58,8 +58,7 @@ int main() {
       x = rng.next_bool(0.2) ? 0.0f : rng.gaussian(0.0f, 1e-3f);
     }
     const double payload_kb = m.payload.size() * sizeof(float) / 1024.0;
-    // Only wire-enabled codecs (lzss is demoted to diagnostic-only; see
-    // enabled_wire_codecs()).
+    // Every wire-enabled codec (enabled_wire_codecs()).
     for (const std::string& codec : enabled_wire_codecs()) {
       m.codec = codec;
       const double wire_kb = static_cast<double>(m.encoded_size()) / 1024.0;

@@ -467,9 +467,7 @@ BENCHMARK(BM_Collective)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Codec(benchmark::State& state) {
-  // lzss rides along here for diagnostics only — it is demoted from every
-  // default wire path (see enabled_wire_codecs()).
-  const char* names[] = {"rle0", "lzss"};
+  const char* names[] = {"rle0"};
   const Codec* codec = codec_by_name(names[state.range(0)]);
   Rng rng(5);
   std::vector<std::uint8_t> input(1 << 16);
@@ -482,7 +480,7 @@ void BM_Codec(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * (1 << 16));
 }
-BENCHMARK(BM_Codec)->Arg(0)->Arg(1);
+BENCHMARK(BM_Codec)->Arg(0);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
   Message m;

@@ -976,9 +976,8 @@ int main(int argc, char** argv) {
     // PR claims.
     cases.push_back({"headline_10M_K8_q8_rar", 10'000'000, 8, "q8",
                      Topology::kRingAllReduce});
-    // Sweep every codec enabled for default wire paths (lzss is demoted to
-    // diagnostic-only: its dense-zero worst case cannot hold the encode
-    // floor asserted below).  Identity is already the headline case.
+    // Sweep every codec enabled for default wire paths (each must hold the
+    // encode floor asserted below).  Identity is already the headline case.
     for (const std::string& codec : enabled_wire_codecs()) {
       if (codec.empty()) continue;
       cases.push_back({"codec_1M_K4_" + codec + "_rar", 1'000'000, 4, codec,
@@ -1008,7 +1007,7 @@ int main(int argc, char** argv) {
   }
 
   // Regression floors: every codec on the default wire path must encode at
-  // >= 0.3 GB/s on the half-zero payload (the case that demoted lzss);
+  // >= 0.3 GB/s on the half-zero payload;
   // quantized codecs are SIMD kernels and must hold >= 1.0 GB/s.
   constexpr double kMinEncodeGbps = 0.3;
   constexpr double kMinQuantEncodeGbps = 1.0;

@@ -38,8 +38,6 @@ int main() {
   ctc.clip_update_norm = 5.0;        // post-process: clip the update
   ctc.dp_noise_multiplier = 1e-3;    // post-process: DP noise
   ctc.link_codec = "rle0";           // post-process: lossless compression
-                                     // (lzss is diagnostic-only: too slow
-                                     // for the wire encode floor)
 
   std::vector<std::unique_ptr<LLMClient>> clients;
   std::vector<std::shared_ptr<const MarkovSource>> corpora;

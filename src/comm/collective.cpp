@@ -17,10 +17,6 @@ void validate(const std::vector<std::span<float>>& buffers) {
   }
 }
 
-double seconds_for(std::uint64_t bytes, double bandwidth_mbps) {
-  return static_cast<double>(bytes) / (bandwidth_mbps * 1024.0 * 1024.0);
-}
-
 // Element-wise mean written back to every buffer, fused into a single pass
 // (no O(n) double accumulator buffer).  Per element: accumulate the buffers
 // in index order into a double, then write float(acc / k) to all of them —
@@ -46,48 +42,58 @@ void mean_into_all(std::vector<std::span<float>>& buffers,
 
 }  // namespace
 
+CollectiveReport collective_cost(Topology topology, int workers,
+                                 std::uint64_t bytes, double bandwidth_mbps) {
+  if (workers < 1) throw std::invalid_argument("collective_cost: no workers");
+  const auto k = static_cast<std::uint64_t>(workers);
+  CollectiveReport r;
+  r.topology = topology;
+  r.workers = workers;
+  switch (topology) {
+    case Topology::kParameterServer:
+      // Server moves K*S inbound (upload phase is the Eq. 2 bottleneck).
+      r.bottleneck_bytes = k * bytes;
+      r.total_bytes = 2ull * k * bytes;
+      break;
+    case Topology::kAllReduce:
+      // Eq. 3: each worker sends its model to K-1 peers through its uplink.
+      r.bottleneck_bytes = (k - 1) * bytes;
+      r.total_bytes = k * (k - 1) * bytes;
+      break;
+    case Topology::kRingAllReduce:
+      // Eq. 4: 2 * (K-1) chunk transfers of ~S/K each per worker.
+      r.bottleneck_bytes = 2ull * bytes * (k - 1) / k;
+      r.total_bytes = r.bottleneck_bytes * k;
+      break;
+  }
+  r.seconds = static_cast<double>(r.bottleneck_bytes) /
+              (bandwidth_mbps * 1024.0 * 1024.0);
+  return r;
+}
+
 CollectiveReport ps_all_reduce_mean(std::vector<std::span<float>> buffers,
                                     double bandwidth_mbps,
                                     const kernels::KernelContext& ctx) {
   validate(buffers);
-  const int k = static_cast<int>(buffers.size());
-  const std::size_t n = buffers.front().size();
-  const std::uint64_t buf_bytes = static_cast<std::uint64_t>(n) * sizeof(float);
-
   // Server accumulates all K updates and broadcasts the mean back.
   mean_into_all(buffers, ctx);
-
-  CollectiveReport r;
-  r.topology = Topology::kParameterServer;
-  r.workers = k;
-  // Server moves K*S inbound (upload phase is the Eq. 2 bottleneck: K*S/B).
-  r.bottleneck_bytes = static_cast<std::uint64_t>(k) * buf_bytes;
-  r.total_bytes = 2ull * static_cast<std::uint64_t>(k) * buf_bytes;
-  r.seconds = seconds_for(r.bottleneck_bytes, bandwidth_mbps);
-  return r;
+  return collective_cost(Topology::kParameterServer,
+                         static_cast<int>(buffers.size()),
+                         buffers.front().size() * sizeof(float),
+                         bandwidth_mbps);
 }
 
 CollectiveReport all_reduce_mean(std::vector<std::span<float>> buffers,
                                  double bandwidth_mbps,
                                  const kernels::KernelContext& ctx) {
   validate(buffers);
-  const int k = static_cast<int>(buffers.size());
-  const std::size_t n = buffers.front().size();
-  const std::uint64_t buf_bytes = static_cast<std::uint64_t>(n) * sizeof(float);
-
   // Every worker receives every other worker's buffer and reduces locally;
   // all workers compute the identical mean.
   mean_into_all(buffers, ctx);
-
-  CollectiveReport r;
-  r.topology = Topology::kAllReduce;
-  r.workers = k;
-  // Eq. 3: each worker sends its model to K-1 peers -> (K-1)*S through its
-  // uplink, which is the per-worker bottleneck.
-  r.bottleneck_bytes = static_cast<std::uint64_t>(k - 1) * buf_bytes;
-  r.total_bytes = static_cast<std::uint64_t>(k) * (k - 1) * buf_bytes;
-  r.seconds = seconds_for(r.bottleneck_bytes, bandwidth_mbps);
-  return r;
+  return collective_cost(Topology::kAllReduce,
+                         static_cast<int>(buffers.size()),
+                         buffers.front().size() * sizeof(float),
+                         bandwidth_mbps);
 }
 
 CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
@@ -97,14 +103,9 @@ CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
   const int k = static_cast<int>(buffers.size());
   const std::size_t n = buffers.front().size();
 
-  CollectiveReport r;
-  r.topology = Topology::kRingAllReduce;
-  r.workers = k;
-
-  if (k == 1) {
-    r.seconds = 0.0;
-    return r;
-  }
+  const CollectiveReport r = collective_cost(
+      Topology::kRingAllReduce, k, n * sizeof(float), bandwidth_mbps);
+  if (k == 1) return r;  // the mean of one buffer is itself
 
   // Chunk boundaries: chunk c covers [starts[c], starts[c+1]).
   std::vector<std::size_t> starts(static_cast<std::size_t>(k) + 1);
@@ -171,14 +172,6 @@ CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
                           ctx.simd().scale(b.data() + begin, end - begin, inv);
                         }
                       });
-
-  // Per-worker traffic: 2 * (k-1) chunk transfers of ~S/k each.
-  const std::uint64_t buf_bytes = static_cast<std::uint64_t>(n) * sizeof(float);
-  r.bottleneck_bytes =
-      2ull * buf_bytes * static_cast<std::uint64_t>(k - 1) /
-      static_cast<std::uint64_t>(k);
-  r.total_bytes = r.bottleneck_bytes * static_cast<std::uint64_t>(k);
-  r.seconds = seconds_for(r.bottleneck_bytes, bandwidth_mbps);
   return r;
 }
 

@@ -34,6 +34,17 @@ struct CollectiveReport {
   double seconds = 0.0;
 };
 
+/// Traffic and simulated time of one `topology` collective over `workers`
+/// buffers of `bytes` each at `bandwidth_mbps` — the paper's Eqs. 2-4, and
+/// the only place the PS/AR/RAR byte formulas live:
+///   PS  bottleneck K*S (server inbound), total 2*K*S;
+///   AR  bottleneck (K-1)*S per worker,   total K*(K-1)*S;
+///   RAR bottleneck 2*S*(K-1)/K,          total K times that.
+/// Callers pass whatever a buffer is on the wire: fp32 bytes for the mean
+/// collectives, quantized chunk bytes for the streamed fan-in.
+CollectiveReport collective_cost(Topology topology, int workers,
+                                 std::uint64_t bytes, double bandwidth_mbps);
+
 /// In-place mean over `buffers` via a parameter server.  All buffers end
 /// holding the mean.  Buffers must be equal length and non-empty.
 ///

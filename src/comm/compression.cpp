@@ -2,8 +2,6 @@
 
 #include "comm/quantization.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -16,13 +14,6 @@ namespace {
 //   0x01 <count:u8> <bytes> -> `count` literal bytes (count >= 1)
 constexpr std::uint8_t kOpZeros = 0x00;
 constexpr std::uint8_t kOpLiteral = 0x01;
-
-// ------------------------------- LZSS --------------------------------
-// Greedy LZSS: flag byte groups 8 items; bit set = (offset:u16, len:u8)
-// match into a 4 KiB sliding window, bit clear = literal byte.
-constexpr std::size_t kWindow = 4096;
-constexpr std::size_t kMinMatch = 4;
-constexpr std::size_t kMaxMatch = 255;
 
 }  // namespace
 
@@ -98,175 +89,6 @@ std::vector<std::uint8_t> Rle0Codec::decompress(
   return out;
 }
 
-void LzssCodec::compress_into(std::span<const std::uint8_t> input,
-                              std::vector<std::uint8_t>& out) const {
-  out.clear();
-  out.reserve(input.size() + input.size() / 8 + 16);
-
-  // Hash chain over 4-byte prefixes, windowed: `prev` is a kWindow ring
-  // (zlib-style) instead of a whole-input array, so the encoder's working
-  // set is ~80 KiB regardless of payload size.  A slot can be overwritten
-  // by an aliasing newer position, so chain walks stop whenever the link
-  // does not strictly decrease.  Positions are inserted only at search
-  // anchors and match starts (LZ4-style), never per byte — that, plus the
-  // skip-ahead below, is what moved encode from 0.065 GB/s to copy-bound.
-  constexpr std::size_t kHashSize = 1 << 14;
-  constexpr std::size_t kWinMask = kWindow - 1;
-  std::vector<std::int32_t> head(kHashSize, -1);
-  std::vector<std::int32_t> prev(kWindow, -1);
-  auto hash4 = [&](std::size_t pos) {
-    std::uint32_t x;
-    std::memcpy(&x, input.data() + pos, 4);
-    return static_cast<std::size_t>((x * 2654435761u) >> 18);
-  };
-  auto insert = [&](std::size_t pos) {
-    const std::size_t h = hash4(pos);
-    prev[pos & kWinMask] = head[h];
-    head[h] = static_cast<std::int32_t>(pos);
-  };
-
-  // Word-wise match extension: compare 8 bytes at a time and locate the
-  // first mismatching byte with countr_zero.
-  auto match_len = [&](std::size_t c, std::size_t pos, std::size_t limit) {
-    std::size_t len = 0;
-    while (len + 8 <= limit) {
-      std::uint64_t a;
-      std::uint64_t b;
-      std::memcpy(&a, input.data() + c + len, 8);
-      std::memcpy(&b, input.data() + pos + len, 8);
-      const std::uint64_t x = a ^ b;
-      if (x != 0) {
-        return len + (static_cast<std::size_t>(std::countr_zero(x)) >> 3);
-      }
-      len += 8;
-    }
-    while (len < limit && input[c + len] == input[pos + len]) ++len;
-    return len;
-  };
-
-  std::size_t i = 0;
-  std::size_t miss_run = 0;      // consecutive failed searches
-  std::size_t next_search = 0;   // skip-ahead point on incompressible data
-  while (i < input.size()) {
-    // Fast path: when acceleration has pushed the next probe beyond this
-    // whole group and 8 literals remain, emit flag 0 + 8 raw bytes in one
-    // copy.  Incompressible payloads (random float deltas) spend nearly
-    // all their time here, at copy speed.
-    if (next_search >= i + 8 && i + 8 <= input.size()) {
-      out.push_back(0);
-      out.insert(out.end(), input.begin() + static_cast<std::ptrdiff_t>(i),
-                 input.begin() + static_cast<std::ptrdiff_t>(i + 8));
-      i += 8;
-      continue;
-    }
-    std::size_t flag_pos = out.size();
-    out.push_back(0);
-    std::uint8_t flags = 0;
-    for (int bit = 0; bit < 8 && i < input.size(); ++bit) {
-      std::size_t best_len = 0;
-      std::size_t best_off = 0;
-      // LZ4-style acceleration: after 32 consecutive misses, probe only
-      // every (miss_run >> 5)-th position; matches reset the counter, so
-      // compressible data is still searched densely.
-      if (i + kMinMatch <= input.size() && i >= next_search) {
-        const std::size_t limit = std::min(kMaxMatch, input.size() - i);
-        const std::size_t h = hash4(i);
-        std::int32_t cand = head[h];
-        int probes = 4;
-        while (cand >= 0 && probes-- > 0) {
-          const auto c = static_cast<std::size_t>(cand);
-          if (i - c > kWindow) break;
-          // Good enough — deeper probes rarely beat a 32-byte match and
-          // cost a full chain walk on dense buckets (zero runs).
-          if (best_len >= 32 || best_len >= limit) break;
-          // Cheap reject: a longer match must at least agree at best_len.
-          if (input[c + best_len] == input[i + best_len]) {
-            const std::size_t len = match_len(c, i, limit);
-            if (len >= kMinMatch && len > best_len) {
-              best_len = len;
-              best_off = i - c;
-            }
-          }
-          const std::int32_t nxt = prev[c & kWinMask];
-          if (nxt >= cand) break;  // ring slot was overwritten (aliasing)
-          cand = nxt;
-        }
-        insert(i);
-        if (best_len >= kMinMatch) {
-          miss_run = 0;
-          next_search = i + best_len;  // re-anchor right after the match
-        } else {
-          ++miss_run;
-          next_search = i + 1 + (miss_run >> 5);
-        }
-      }
-      if (best_len >= kMinMatch) {
-        flags |= static_cast<std::uint8_t>(1u << bit);
-        out.push_back(static_cast<std::uint8_t>(best_off & 0xff));
-        out.push_back(static_cast<std::uint8_t>(best_off >> 8));
-        out.push_back(static_cast<std::uint8_t>(best_len));
-        i += best_len;
-      } else {
-        out.push_back(input[i]);
-        ++i;
-      }
-    }
-    out[flag_pos] = flags;
-  }
-}
-
-void LzssCodec::decompress_into(std::span<const std::uint8_t> input,
-                                std::span<std::uint8_t> out) const {
-  std::size_t i = 0;
-  std::size_t o = 0;
-  while (i < input.size()) {
-    const std::uint8_t flags = input[i++];
-    for (int bit = 0; bit < 8 && i < input.size(); ++bit) {
-      if (flags & (1u << bit)) {
-        if (i + 3 > input.size()) throw std::runtime_error("lzss: truncated match");
-        const std::size_t off = static_cast<std::size_t>(input[i]) |
-                                (static_cast<std::size_t>(input[i + 1]) << 8);
-        const std::size_t len = input[i + 2];
-        i += 3;
-        if (off == 0 || off > o) throw std::runtime_error("lzss: bad offset");
-        if (o + len > out.size()) throw std::runtime_error("lzss: output overflow");
-        const std::size_t start = o - off;
-        // Byte-by-byte: matches may overlap their own output.
-        for (std::size_t j = 0; j < len; ++j) out[o + j] = out[start + j];
-        o += len;
-      } else {
-        if (o + 1 > out.size()) throw std::runtime_error("lzss: output overflow");
-        out[o++] = input[i++];
-      }
-    }
-  }
-  if (o != out.size()) throw std::runtime_error("lzss: output underflow");
-}
-
-std::vector<std::uint8_t> LzssCodec::decompress(
-    std::span<const std::uint8_t> input) const {
-  std::vector<std::uint8_t> out;
-  std::size_t i = 0;
-  while (i < input.size()) {
-    const std::uint8_t flags = input[i++];
-    for (int bit = 0; bit < 8 && i < input.size(); ++bit) {
-      if (flags & (1u << bit)) {
-        if (i + 3 > input.size()) throw std::runtime_error("lzss: truncated match");
-        const std::size_t off = static_cast<std::size_t>(input[i]) |
-                                (static_cast<std::size_t>(input[i + 1]) << 8);
-        const std::size_t len = input[i + 2];
-        i += 3;
-        if (off == 0 || off > out.size()) throw std::runtime_error("lzss: bad offset");
-        const std::size_t start = out.size() - off;
-        for (std::size_t j = 0; j < len; ++j) out.push_back(out[start + j]);
-      } else {
-        out.push_back(input[i++]);
-      }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// Identity codec used when message.codec == "".  The chunked Message path
@@ -298,12 +120,10 @@ class IdentityCodec final : public Codec {
 const Codec* codec_by_name(const std::string& name) {
   static const IdentityCodec identity;
   static const Rle0Codec rle0;
-  static const LzssCodec lzss;
   static const QuantCodec q8{8};
   static const QuantCodec q4{4};
   if (name.empty()) return &identity;
   if (name == "rle0") return &rle0;
-  if (name == "lzss") return &lzss;
   if (name == "q8") return &q8;
   if (name == "q4") return &q4;
   return nullptr;

@@ -1,19 +1,11 @@
 #pragma once
-// Lossless payload codecs for the Link post-processing pipeline (paper §4:
-// "By default, Photon uses lossless compression techniques without
-// pruning").
+// Payload codecs for the Link post-processing pipeline (paper §4: "By
+// default, Photon uses lossless compression techniques without pruning").
 //
-// Two real codecs are provided:
 //  * rle0  — run-length encodes zero bytes; effective on clipped/sparse
-//            pseudo-gradients and on padded buffers.
-//  * lzss  — greedy LZSS with a 4 KiB window; general-purpose lossless.
-// Both round-trip bit-exactly on arbitrary input (property-tested).
-//
-// lzss is *diagnostic-only*: even with the hash-chain/skip-ahead encoder
-// its worst case (dense zero runs from clipped updates) sits well below
-// the 0.3 GB/s wire floor that bench_round_path enforces for every codec
-// in enabled_wire_codecs(), so no default config or bench sweep selects
-// it.  It stays registered for explicit opt-in and correctness tests.
+//            pseudo-gradients and on padded buffers.  Round-trips
+//            bit-exactly on arbitrary input (property-tested).
+//  * q8/q4 — lossy blockwise-quantized wire codecs (quantization.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -73,25 +65,13 @@ class Rle0Codec final : public Codec {
       std::span<const std::uint8_t> input) const override;
 };
 
-class LzssCodec final : public Codec {
- public:
-  std::string name() const override { return "lzss"; }
-  void compress_into(std::span<const std::uint8_t> input,
-                     std::vector<std::uint8_t>& out) const override;
-  void decompress_into(std::span<const std::uint8_t> input,
-                       std::span<std::uint8_t> out) const override;
-  std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> input) const override;
-};
-
 /// Codec registry; returns nullptr for unknown names, and an identity for "".
 const Codec* codec_by_name(const std::string& name);
 
 /// Codecs eligible for default wire paths: "" identity, lossless "rle0",
 /// and the lossy blockwise-quantized "q8"/"q4" (see quantization.hpp).
 /// Every lossless entry must sustain >= 0.3 GB/s encode and every quantized
-/// entry >= 1 GB/s on adversarial payloads — enforced by bench_round_path —
-/// which is why lzss is not in the list.
+/// entry >= 1 GB/s on adversarial payloads — enforced by bench_round_path.
 const std::vector<std::string>& enabled_wire_codecs();
 
 }  // namespace photon

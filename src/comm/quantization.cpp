@@ -10,77 +10,6 @@
 
 namespace photon {
 
-Int8Quantizer::Int8Quantizer(std::uint32_t chunk_size, bool stochastic,
-                             std::uint64_t seed)
-    : chunk_size_(chunk_size), stochastic_(stochastic), seed_(seed) {
-  if (chunk_size == 0) {
-    throw std::invalid_argument("Int8Quantizer: chunk_size == 0");
-  }
-}
-
-QuantizedUpdate Int8Quantizer::quantize(std::span<const float> update) {
-  QuantizedUpdate q;
-  q.count = update.size();
-  q.chunk_size = chunk_size_;
-  q.codes.resize(update.size());
-  const std::size_t chunks =
-      (update.size() + chunk_size_ - 1) / chunk_size_;
-  q.scales.resize(chunks);
-
-  // One draw-space per quantize() call: repeated calls on the same data get
-  // independent rounding (unbiasedness averages out across calls/clients),
-  // while a fresh same-seed instance replays call-for-call.
-  const std::uint64_t call_seed = hash_combine(seed_, calls_++);
-
-  const auto& ops = simd::ops();
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size_;
-    const std::size_t end = std::min(begin + chunk_size_, update.size());
-    const float max_abs = ops.max_abs(update.data() + begin, end - begin);
-    const float scale = max_abs > 0.0f ? max_abs : 1.0f;
-    q.scales[c] = scale;
-    const float inv = 127.0f / scale;
-    if (stochastic_) {
-      // Counter-based per-element hash rng: stateless, so the kernel shards
-      // across SIMD lanes and threads with bit-identical codes.
-      ops.quant_i8_sr(q.codes.data() + begin, update.data() + begin,
-                      end - begin, inv, call_seed, begin);
-    } else {
-      // Fused scale+round+clamp+narrow (round-to-nearest-even, identical
-      // across SIMD variants).
-      ops.quant_i8(q.codes.data() + begin, update.data() + begin, end - begin,
-                   inv);
-    }
-  }
-  return q;
-}
-
-std::vector<float> Int8Quantizer::dequantize(const QuantizedUpdate& q) const {
-  if (q.codes.size() != q.count) {
-    throw std::invalid_argument("Int8Quantizer: corrupt update");
-  }
-  std::vector<float> out(q.count);
-  if (q.count != 0 && q.chunk_size == 0) {
-    throw std::invalid_argument("Int8Quantizer: corrupt update");
-  }
-  const std::size_t chunks =
-      q.count == 0 ? 0 : (q.count + q.chunk_size - 1) / q.chunk_size;
-  if (chunks > q.scales.size()) {
-    throw std::invalid_argument("Int8Quantizer: missing scale");
-  }
-  const auto& ops = simd::ops();
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * q.chunk_size;
-    const std::size_t end =
-        std::min<std::size_t>(begin + q.chunk_size, q.count);
-    // out = code * (scale/127): one multiply per element; reassociating the
-    // divide into the per-chunk factor moves results by at most one ulp.
-    ops.dequant_i8(out.data() + begin, q.codes.data() + begin, end - begin,
-                   q.scales[c] / 127.0f);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // wire_quant: blockwise q8/q4 chunk transforms.
 

@@ -2,65 +2,20 @@
 // Lossy update quantization (paper §6 "Cross-device Federated Scenarios":
 // Photon "can be extended with existing methods ... such as quantization").
 //
-// Two layers live here:
-//
-//  * Int8Quantizer — standalone symmetric per-chunk int8 quantization of
-//    pseudo-gradients (one fp32 scale + int8 codes per chunk, ~3.9x).  The
-//    stochastic-rounding mode draws a counter-based per-element hash rng
-//    (u01(hash(seed, call, element))) instead of a sequential stream, so it
-//    is SIMD-safe, shardable, and bit-identical at any thread count while
-//    staying unbiased across repeated calls.
-//
-//  * wire_quant + QuantCodec — the q8/q4 blockwise *wire* codecs: per-block
-//    (256-float) fp32 scales + int8/int4 codes, deterministic
-//    round-to-nearest-even so the client's error-feedback residual can
-//    reproduce the server's reconstruction bit for bit.  Registered in
-//    enabled_wire_codecs() and held to the ≥1 GB/s encode floor by
-//    bench_round_path.
+// wire_quant + QuantCodec are the q8/q4 blockwise *wire* codecs: per-block
+// (256-float) fp32 scales + int8/int4 codes, deterministic
+// round-to-nearest-even so the client's error-feedback residual can
+// reproduce the server's reconstruction bit for bit.  Registered in
+// enabled_wire_codecs() and held to the ≥1 GB/s encode floor by
+// bench_round_path.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "comm/compression.hpp"
-#include "util/rng.hpp"
 
 namespace photon {
-
-struct QuantizedUpdate {
-  std::uint64_t count = 0;       // original element count
-  std::uint32_t chunk_size = 0;
-  std::vector<float> scales;     // one per chunk
-  std::vector<std::int8_t> codes;
-
-  std::size_t wire_bytes() const {
-    return sizeof(count) + sizeof(chunk_size) + scales.size() * sizeof(float) +
-           codes.size();
-  }
-};
-
-class Int8Quantizer {
- public:
-  /// stochastic = true uses unbiased stochastic rounding (recommended for
-  /// aggregation: errors average out across clients and rounds).  Draws are
-  /// counter-based — hash(seed, quantize-call index, element index) — so a
-  /// given (instance, call) pair reproduces exactly regardless of sharding,
-  /// while successive calls stay independent.
-  explicit Int8Quantizer(std::uint32_t chunk_size = 1024,
-                         bool stochastic = false, std::uint64_t seed = 0x9'7e5);
-
-  QuantizedUpdate quantize(std::span<const float> update);
-  std::vector<float> dequantize(const QuantizedUpdate& q) const;
-
-  /// Max absolute reconstruction error for a given chunk scale.
-  static float max_error(float scale) { return scale / 127.0f; }
-
- private:
-  std::uint32_t chunk_size_;
-  bool stochastic_;
-  std::uint64_t seed_;
-  std::uint64_t calls_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Blockwise wire quantization (the q8/q4 codec core).

@@ -369,91 +369,4 @@ void SecAggSession::decode_mean(std::span<const std::uint64_t> acc, int n_agg,
                       });
 }
 
-// --------------------------------------------------- legacy float helper --
-
-SecureAggregator::SecureAggregator(int num_clients, std::uint64_t session_seed,
-                                   int fixed_point_bits)
-    : session_(
-          [&] {
-            if (num_clients < 2) {
-              throw std::invalid_argument(
-                  "SecureAggregator: need >= 2 clients");
-            }
-            std::vector<int> cohort(static_cast<std::size_t>(num_clients));
-            for (int i = 0; i < num_clients; ++i) cohort[i] = i;
-            return cohort;
-          }(),
-          SecAggConfig{fixed_point_bits, 0.5, session_seed}) {}
-
-void SecureAggregator::mask_update(int idx, std::span<const float> update,
-                                   std::span<std::uint64_t> out,
-                                   const kernels::KernelContext& ctx) const {
-  std::fill(out.begin(), out.end(), 0ULL);
-  session_.mask_update_into(idx, update, out, ctx);
-}
-
-void SecureAggregator::unmask_mean(
-    std::span<const std::span<const std::uint64_t>> masked,
-    std::span<float> out, const kernels::KernelContext& ctx) const {
-  if (masked.empty()) {
-    throw std::invalid_argument("unmask_mean: empty");
-  }
-  for (const auto& m : masked) {
-    if (m.size() != out.size()) {
-      throw std::invalid_argument("unmask_mean: size mismatch");
-    }
-  }
-  std::vector<std::uint64_t> acc(out.size(), 0ULL);
-  for (const auto& m : masked) {
-    for (std::size_t e = 0; e < acc.size(); ++e) acc[e] += m[e];  // wrapping
-  }
-  session_.decode_mean(acc, static_cast<int>(masked.size()), out, ctx);
-}
-
-void SecureAggregator::sum_into(std::span<const std::span<const float>> masked,
-                                std::span<float> out,
-                                const kernels::KernelContext& ctx) {
-  if (masked.empty()) throw std::invalid_argument("sum_into: empty");
-  for (const auto& m : masked) {
-    if (m.size() != out.size()) {
-      throw std::invalid_argument("sum_into: size mismatch");
-    }
-  }
-  // Vectorized row-sum: element i accumulates rows in order into a double
-  // (16-lane), matching the scalar per-element accumulation bit for bit.
-  std::vector<const float*> rows(masked.size());
-  for (std::size_t r = 0; r < masked.size(); ++r) rows[r] = masked[r].data();
-  const auto& ops = ctx.simd();
-  ctx.parallel_shards(
-      out.size(), ctx.grain_rows(2 * masked.size()),
-      [&](int, std::size_t begin, std::size_t end) {
-        std::vector<const float*> shifted(rows.size());
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          shifted[r] = rows[r] + begin;
-        }
-        ops.sum_rows_pd(out.data() + begin, shifted.data(), shifted.size(),
-                        end - begin);
-      });
-}
-
-void SecureAggregator::sum_into(const std::vector<std::vector<float>>& masked,
-                                std::span<float> out) {
-  std::vector<std::span<const float>> views;
-  views.reserve(masked.size());
-  for (const auto& m : masked) views.emplace_back(m);
-  sum_into(views, out);
-}
-
-std::vector<float> SecureAggregator::sum(
-    const std::vector<std::vector<float>>& masked,
-    const kernels::KernelContext& ctx) {
-  if (masked.empty()) throw std::invalid_argument("sum: empty");
-  std::vector<float> out(masked.front().size());
-  std::vector<std::span<const float>> views;
-  views.reserve(masked.size());
-  for (const auto& m : masked) views.emplace_back(m);
-  sum_into(views, out, ctx);
-  return out;
-}
-
 }  // namespace photon

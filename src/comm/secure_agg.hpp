@@ -180,53 +180,4 @@ class SecAggSession {
   std::uint64_t seed_from_secret(std::uint64_t secret, int other_pos) const;
 };
 
-/// Float-domain sum helper kept from the original API plus a convenience
-/// whole-cohort wrapper (a session over the contiguous cohort {0..n-1})
-/// used by tests and benches.
-class SecureAggregator {
- public:
-  SecureAggregator(int num_clients, std::uint64_t session_seed,
-                   int fixed_point_bits = 32);
-
-  int num_clients() const { return session_.cohort_size(); }
-  const SecAggSession& session() const { return session_; }
-  std::uint64_t pair_seed(int a, int b) const {
-    return session_.pair_seed(a, b);
-  }
-
-  /// Mask client `idx`'s update into `out` (zeroed first).
-  void mask_update(int idx, std::span<const float> update,
-                   std::span<std::uint64_t> out,
-                   const kernels::KernelContext& ctx =
-                       kernels::default_context()) const;
-
-  /// Decode the wrapped element-wise sum of all `masked` updates into the
-  /// mean over `masked.size()` members.
-  void unmask_mean(std::span<const std::span<const std::uint64_t>> masked,
-                   std::span<float> out,
-                   const kernels::KernelContext& ctx =
-                       kernels::default_context()) const;
-
-  /// Element-wise float sum of equal-length updates into `out`.  Throws
-  /// std::invalid_argument on an empty set or ragged span lengths.  Shards
-  /// element ranges over `ctx`; per-element reduction order is fixed
-  /// (buffer index order), so results are bit-identical serial vs parallel.
-  static void sum_into(std::span<const std::span<const float>> masked,
-                       std::span<float> out,
-                       const kernels::KernelContext& ctx =
-                           kernels::default_context());
-
-  /// Convenience overload over owned buffers.
-  static void sum_into(const std::vector<std::vector<float>>& masked,
-                       std::span<float> out);
-
-  /// sum_into into a freshly sized buffer (sized from the first update).
-  static std::vector<float> sum(
-      const std::vector<std::vector<float>>& masked,
-      const kernels::KernelContext& ctx = kernels::default_context());
-
- private:
-  SecAggSession session_;
-};
-
 }  // namespace photon

@@ -211,40 +211,436 @@ void Aggregator::set_tracer(obs::Tracer* tracer) {
   }
 }
 
-RoundRecord Aggregator::run_round_sync() {
-  const auto t_round = std::chrono::steady_clock::now();
+// ===== shared round core ===================================================
+// Both engines dispatch clients through dispatch(), count outcomes with
+// tally(), aggregate through one fp64 weighted sum (fold_weighted /
+// narrow_mean) and one secagg helper, and close with one epilogue.  What
+// stays engine-specific is kept apart on purpose (DESIGN.md §15): the sync
+// fp32 path's float-ring collective_mean, the arrival-time summation order
+// in dispatch(), and the mean-loss arithmetic.
+
+Aggregator::RoundStart Aggregator::begin_round() const {
+  const bool tracing =
+      config_.tracer != nullptr && config_.tracer->sampled(round_);
+  return {std::chrono::steady_clock::now(), obs::RealTimer(tracing), sim_now_,
+          tracing, link_totals()};
+}
+
+LinkStats Aggregator::link_totals() const {
+  LinkStats total;
+  for (const auto& link : links_) {
+    const LinkStats& s = link.stats();
+    total.wire_bytes += s.wire_bytes;
+    total.retries += s.retries;
+    total.corrupt_chunks += s.corrupt_chunks;
+    total.backoff_seconds += s.backoff_seconds;
+  }
+  return total;
+}
+
+void Aggregator::arm(InFlight& slot, int client, double t) const {
+  slot.client = client;
+  slot.dispatch_time = t;
+  slot.arrive_time = t;
+  slot.sim_seconds = 0.0;
+  slot.dispatch_version = round_;
+  slot.wave_id = 0;
+  slot.outcome = kOk;
+  slot.trained = false;
+  slot.streamed = false;
+  slot.train_sim_seconds = 0.0;
+  slot.train_wall_seconds = 0.0;
+}
+
+void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
+                          std::uint32_t attempt, double deadline,
+                          bool tracing) {
   obs::Tracer* tracer = config_.tracer;
-  const bool tracing = tracer != nullptr && tracer->sampled(round_);
-  const obs::RealTimer round_timer(tracing);
-  const double t0 = sim_now_;  // sim timestamp this round starts at
+  const int id = slot.client;
+  SimLink& link = links_[static_cast<std::size_t>(id)];
+  LLMClient& client = *clients_[static_cast<std::size_t>(id)];
+  const double t = slot.dispatch_time;
+  const LinkStats before = link.stats();
+  // Simulated seconds this client has spent on its link since dispatch
+  // (transfers + retry backoff).
+  const auto sim_elapsed = [&]() {
+    const LinkStats& now = link.stats();
+    return (now.transfer_seconds - before.transfer_seconds) +
+           (now.backoff_seconds - before.backoff_seconds);
+  };
+  const auto mark = [&](obs::SpanKind kind, double begin, double end,
+                        std::uint64_t real_ns) {
+    tracer->record({kind, round_, id, static_cast<std::int32_t>(attempt),
+                    begin, end, real_ns});
+  };
+  // The outcome reaches the server `train_s` sim seconds of local training
+  // after the link time so far.  A sync round measures each client from
+  // the round's dispatch barrier, t + (link + train); the async engine
+  // stamps arrivals on the absolute clock, (t + link) + train.  The two
+  // orders round differently, and both are pinned by the golden digests.
+  const auto settle = [&](double train_s) {
+    const double link_s = sim_elapsed();
+    slot.sim_seconds = link_s + train_s;
+    slot.arrive_time = config_.async.enabled ? (t + link_s) + train_s
+                                             : t + slot.sim_seconds;
+  };
+  // Every fault decision is a pure function of (round, client, attempt),
+  // and failures only write this slot, so fan-outs are bit-identical
+  // serial vs parallel.
+  ClientRoundFault fault;
+  if (fault_hook_) fault = fault_hook_(round_, id, attempt);
+  const double straggle = std::max(1.0, fault.straggle_factor);
+  const double train_sim = straggle *
+                           static_cast<double>(config_.local_steps) /
+                           config_.sim_throughput_bps;
+  slot.train_sim_seconds = train_sim;
+
+  link.set_trace_sim_base(t);
+  const obs::RealTimer bcast_timer(tracing);
+  try {
+    link.transmit(broadcast, slot.header);
+  } catch (const TransmitError&) {
+    slot.outcome = kLinkFailed;
+    settle(0.0);
+    if (tracing) {
+      mark(obs::SpanKind::kBroadcast, t, slot.arrive_time, bcast_timer.ns());
+    }
+    return;
+  }
+  const double bcast_end = t + sim_elapsed();
+  if (tracing) {
+    mark(obs::SpanKind::kBroadcast, t, bcast_end, bcast_timer.ns());
+  }
+  if (fault.crash) {
+    // Client dies holding the broadcast, before training starts: its data
+    // stream does not advance and no update comes back.
+    slot.outcome = kCrashed;
+    settle(0.0);
+    if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
+    return;
+  }
+  if (deadline > 0.0 && sim_elapsed() + train_sim > deadline) {
+    // Known-too-slow straggler is cut before training (no data used).  The
+    // span covers the sim interval the round still charges to the cut
+    // client, so trace attribution of round time stays complete.
+    slot.outcome = kLate;
+    settle(train_sim);
+    if (tracing) {
+      mark(obs::SpanKind::kStragglerCut, bcast_end, slot.arrive_time, 0);
+    }
+    return;
+  }
+  client.set_trace({tracing ? tracer : nullptr, round_, bcast_end,
+                    train_sim / static_cast<double>(config_.local_steps)});
+  const auto t_train = std::chrono::steady_clock::now();
+  const obs::RealTimer train_timer(tracing);
+  client.run_round(slot.header.payload, round_, config_.local_steps,
+                   schedule_step_base_, slot.update);
+  slot.trained = true;
+  slot.train_wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    t_train)
+          .count();
+  const double train_end = bcast_end + train_sim;
+  if (tracing) {
+    mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
+  }
+  Message up;
+  up.type = MessageType::kClientUpdate;
+  up.round = round_;
+  up.sender = static_cast<std::uint32_t>(id);
+  up.codec = slot.update.post.codec;
+  up.payload_view = slot.update.delta;
+  up.metadata = slot.update.metrics;
+  // A quantized update's wire CRC covers the *compressed* chunk bytes, so
+  // the return transfer is validated without decompressing: the wire image
+  // is retained and the server dequantizes-and-accumulates it chunk by
+  // chunk.  Secure aggregation masks fp32 payloads and must materialize;
+  // lossless codecs keep the classic decode path.
+  const Codec* up_codec = codec_by_name(up.codec);
+  const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
+                      up_codec->quant_bits() != 0;
+  link.set_trace_sim_base(train_end);
+  const obs::RealTimer up_timer(tracing);
+  try {
+    if (stream) {
+      link.transmit_wire(up, slot.header, slot.wire);
+      slot.streamed = true;
+    } else {
+      link.transmit(up, slot.header);  // header now holds the update
+    }
+  } catch (const TransmitError&) {
+    slot.outcome = kLinkFailed;
+  }
+  settle(train_sim);
+  if (tracing) {
+    mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
+         up_timer.ns());
+  }
+  if (slot.outcome == kOk && deadline > 0.0 && slot.sim_seconds > deadline) {
+    slot.outcome = kLate;  // update arrived past the deadline
+    if (tracing) {
+      mark(obs::SpanKind::kStragglerCut, slot.arrive_time, slot.arrive_time,
+           0);
+    }
+  }
+}
+
+bool Aggregator::tally(const InFlight& slot, RoundRecord& record) {
+  switch (slot.outcome) {
+    case kCrashed:
+      ++record.crashed_clients;
+      obs_.crashes.add();
+      return false;
+    case kLinkFailed:
+      ++record.link_failed_clients;
+      obs_.link_failures.add();
+      return false;
+    case kLate:
+      ++record.straggler_drops;
+      obs_.straggler_cuts.add();
+      return false;
+    case kOk:
+      break;
+  }
+  if (membership_[static_cast<std::size_t>(slot.client)] !=
+      MembershipState::kActive) {
+    // The client departed while its update was in flight: discard.  (Sync
+    // cohorts only ever hold active clients.)
+    ++record.discarded_updates;
+    ++async_discarded_total_;
+    obs_.async_discarded.add();
+    return false;
+  }
+  return true;
+}
+
+namespace {
+
+/// The fp64 weighted sum every aggregation path folds into:
+/// acc[e] += w * x[e].  Narrowed once by narrow_mean.
+void fold_weighted(double* acc, const float* x, std::size_t n, double w) {
+  for (std::size_t e = 0; e < n; ++e) acc[e] += w * static_cast<double>(x[e]);
+}
+
+/// out[e] = float(acc[e] * (1 / weight_sum)); an empty sum (weight_sum 0)
+/// yields zeros.
+void narrow_mean(const double* acc, float* out, std::size_t n,
+                 double weight_sum) {
+  const double inv = weight_sum > 0.0 ? 1.0 / weight_sum : 0.0;
+  for (std::size_t e = 0; e < n; ++e) out[e] = static_cast<float>(acc[e] * inv);
+}
+
+/// fn(i) for every i < n: on the global pool when `parallel` and n > 1,
+/// else serially in index order.
+template <typename Fn>
+void fan_out(bool parallel, std::size_t n, Fn&& fn) {
+  if (parallel && n > 1) {
+    global_pool().parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+}  // namespace
+
+// Streamed dequantize-and-accumulate (DESIGN.md §11): walk the retained
+// wire images chunk by chunk on the pool.  Each task decodes chunk c of
+// every view in `from` into task-local scratch and folds it with weight w
+// while that range is in cache, so no update's full fp32 form is ever
+// materialized.  With close_weight > 0 the views are the whole sum (a sync
+// round): the chunk accumulates in task-local fp64 and is narrowed to its
+// mean in pseudo_grad_ right away — per element the views add in `from`
+// order, the exact arithmetic of mean_rows_pd, so the mean is bit-identical
+// to the materialized collective at any thread count.  Otherwise (an async
+// accept) chunks fold into the drain accumulator acc_.
+std::vector<std::uint64_t> Aggregator::fold_streamed(
+    std::span<const std::size_t> from, double w, double close_weight,
+    bool tracing) {
+  const WireView& head = slots_[from.front()].wire;
+  for (const std::size_t s : from) {
+    if (slots_[s].wire.elems != global_params_.size()) {
+      throw std::runtime_error("Aggregator: update size mismatch");
+    }
+  }
+  std::vector<std::uint64_t> chunk_ns(head.n_chunks(), 0);
+  fan_out(config_.parallel_clients, head.n_chunks(), [&](std::size_t c) {
+    const obs::RealTimer chunk_timer(tracing);
+    const std::size_t off = head.raw_off(c) / sizeof(float);
+    const std::size_t len = head.raw_len(c) / sizeof(float);
+    std::vector<float> tmp(len);
+    std::vector<double> local(close_weight > 0.0 ? len : 0, 0.0);
+    double* acc = close_weight > 0.0 ? local.data() : acc_.data() + off;
+    for (const std::size_t s : from) {
+      const WireView& v = slots_[s].wire;
+      codec_by_name(v.codec)->decompress_into(
+          v.chunk(c),
+          {reinterpret_cast<std::uint8_t*>(tmp.data()), len * sizeof(float)});
+      fold_weighted(acc, tmp.data(), len, w);
+    }
+    if (close_weight > 0.0) {
+      narrow_mean(acc, pseudo_grad_.data() + off, len, close_weight);
+    }
+    chunk_ns[c] = chunk_timer.ns();
+  });
+  return chunk_ns;
+}
+
+void Aggregator::secagg_mean(const SecAggSession& session,
+                             std::span<const std::size_t> member_slots,
+                             std::span<const int> surv_pos,
+                             std::span<const int> drop_pos, double sim_time,
+                             std::span<float> mean, RoundRecord& record,
+                             bool tracing) {
+  // Ring-encode + mask every survivor's update into one mod-2^64
+  // accumulator (wrapping adds commute, so the order never matters),
+  // reconstruct dropped members' pair masks from survivor shares, then
+  // decode.  The server only ever combines masked words; pairwise masks
+  // cancel in the wrapped sum bit-exactly.
+  const auto& ctx = kernels::default_context();
+  secagg_acc_.assign(mean.size(), 0);
+  for (const int pos : surv_pos) {
+    const auto& payload =
+        slots_[member_slots[static_cast<std::size_t>(pos)]].header.payload;
+    if (payload.size() != mean.size()) {
+      throw std::runtime_error("Aggregator: secagg update size mismatch");
+    }
+    session.mask_update_into(pos, payload, secagg_acc_, ctx);
+  }
+  session.recover_dropouts(surv_pos, drop_pos, secagg_acc_, ctx,
+                           config_.tracer, round_, sim_time, tracing);
+  session.decode_mean(secagg_acc_, static_cast<int>(surv_pos.size()), mean,
+                      ctx);
+  record.secagg_dropouts_recovered += static_cast<int>(drop_pos.size());
+  shares_reconstructed_total_ += drop_pos.size();
+  obs_.secagg_rounds.add();
+  if (!drop_pos.empty()) obs_.share_recoveries.add(drop_pos.size());
+}
+
+void Aggregator::step_server(std::span<const float> pseudo_grad,
+                             RoundRecord& record, bool tracing) {
+  record.update_norm =
+      kernels::l2_norm(pseudo_grad.data(), pseudo_grad.size());
+  // ServerOpt (Alg. 1 L9), bracketed by the write-ahead journal: `begin` is
+  // durable before the global model mutates, `commit` only once this
+  // round's checkpoint is.  A crash between the two leaves a dangling
+  // begin, and recovery restarts from the last commit — so ServerOpt is
+  // applied exactly once per round of the final timeline.
+  const obs::RealTimer server_opt_timer(tracing);
+  checkpoints_.journal_begin(round_);
+  server_opt_->apply(global_params_, pseudo_grad);
+  if (tracing) {
+    // Server-side compute is not simulated, so ServerOpt and Checkpoint are
+    // sim-zero-width marks at round end carrying measured real durations.
+    config_.tracer->record({obs::SpanKind::kServerOpt, round_,
+                            obs::kAggregatorActor, -1, sim_now_, sim_now_,
+                            server_opt_timer.ns()});
+  }
+}
+
+void Aggregator::finish_record(RoundRecord& record,
+                               const RoundStart& start) const {
+  // Wire bytes: broadcast + update message bytes through Agg links (all
+  // attempts, including retransmissions) on top of any collective fabric
+  // traffic already in comm_bytes; the other deltas surface the round's
+  // fault telemetry.
+  const LinkStats after = link_totals();
+  record.comm_bytes += after.wire_bytes - start.links.wire_bytes;
+  record.link_retries = after.retries - start.links.retries;
+  record.corrupt_chunks = after.corrupt_chunks - start.links.corrupt_chunks;
+  record.backoff_seconds =
+      after.backoff_seconds - start.links.backoff_seconds;
+  record.sim_local_seconds =
+      static_cast<double>(config_.local_steps) / config_.sim_throughput_bps;
+  record.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start.wall)
+                            .count();
+}
+
+void Aggregator::save_checkpoint(const RoundRecord& record, bool tracing) {
+  // Runs after the record is complete (but before the closing spans) so a
+  // state extension can fold the finished round into the state it is about
+  // to capture — the contract that makes tuned crash recovery bit-identical
+  // to an uninterrupted run.
+  if (config_.checkpoint_every == 0 ||
+      round_ % static_cast<std::uint32_t>(config_.checkpoint_every) != 0) {
+    return;
+  }
+  const obs::RealTimer ckpt_timer(tracing);
+  Checkpoint ckpt;
+  ckpt.round = round_;
+  ckpt.params = global_params_;
+  ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
+  ckpt.client_trained_rounds = client_rounds_;
+  BinaryWriter w;
+  server_opt_->save_state(w);
+  ckpt.server_opt_state = w.take();
+  // Error-feedback residuals are part of the deterministic client state:
+  // recovery must hand each client the exact residual it carried, or the
+  // post-restore timeline diverges from an uninterrupted run.
+  ckpt.client_ef_residuals.reserve(clients_.size());
+  for (const auto& c : clients_) {
+    ckpt.client_ef_residuals.push_back(c->ef_residual());
+  }
+  if (config_.async.enabled) {
+    // The drain boundary is the async save point: the accumulator is empty
+    // here, so the buffer's durable form is the pending in-flight updates
+    // plus the admission/membership counters and the sim clock.
+    ckpt.async_state = capture_async_state();
+  }
+  if (accountant_ != nullptr || config_.secure_aggregation) {
+    ckpt.privacy_state = capture_privacy_state();
+  }
+  if (state_ext_ != nullptr) {
+    state_ext_->on_checkpoint(record);
+    ckpt.tuner_state = state_ext_->capture_state();
+  }
+  checkpoints_.save(std::move(ckpt));
+  checkpoints_.journal_commit(round_);
+  if (tracing) {
+    config_.tracer->record({obs::SpanKind::kCheckpoint, round_,
+                            obs::kAggregatorActor, -1, sim_now_, sim_now_,
+                            ckpt_timer.ns()});
+  }
+}
+
+RoundRecord Aggregator::close_round(RoundRecord& record,
+                                    const RoundStart& start,
+                                    std::int32_t detail) {
+  if (start.tracing) {
+    config_.tracer->record({obs::SpanKind::kRound, round_,
+                            obs::kAggregatorActor, detail, start.t0, sim_now_,
+                            start.timer.ns()});
+  }
+  obs_.rounds.add();
+  obs_.tokens.add(record.tokens_this_round);
+  if (!record.skipped && sim_now_ > start.t0) {
+    obs_.tokens_per_sim_second.set(
+        static_cast<double>(record.tokens_this_round) /
+        (sim_now_ - start.t0));
+  }
+  history_.add(record);
+  ++round_;
+  schedule_step_base_ += config_.local_steps;
+  return record;
+}
+
+// ===== synchronous rounds ===================================================
+
+RoundRecord Aggregator::run_round_sync() {
+  const RoundStart start = begin_round();
+  const bool tracing = start.tracing;
+  const double t0 = start.t0;
   const int k = config_.clients_per_round > 0
                     ? config_.clients_per_round
                     : static_cast<int>(clients_.size());
-
-  LinkStats agg_before;  // summed link stats at round start, for deltas
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_before.wire_bytes += s.wire_bytes;
-    agg_before.retries += s.retries;
-    agg_before.corrupt_chunks += s.corrupt_chunks;
-    agg_before.backoff_seconds += s.backoff_seconds;
-  }
 
   RoundRecord record;
   record.round = round_;
   apply_membership(record);
 
-  // Per-slot outcome of one cohort attempt.  kOk slots are the survivors
-  // whose updates aggregate; everything else is dropped from the round.
-  enum class SlotStatus { kOk, kCrashed, kLinkFailed, kLate };
-
   std::vector<int> cohort;
-  std::vector<SlotStatus> status;
-  std::vector<char> trained;           // local training ran (data consumed)
-  std::vector<char> streamed;          // update held as a wire view, not fp32
-  std::vector<double> train_seconds;   // measured wall time in training
-  std::vector<double> sim_seconds;     // simulated per-client round time
-  std::vector<std::size_t> survivors;  // cohort slots with status kOk
+  std::vector<std::size_t> survivors;  // cohort slots whose updates aggregate
 
   // Pairwise-masking session for the current cohort attempt (DESIGN.md
   // §14); outlives the attempt loop because the surviving attempt's
@@ -266,14 +662,7 @@ RoundRecord Aggregator::run_round_sync() {
     if (cohort.empty()) {
       throw std::runtime_error("Aggregator::run_round: no available clients");
     }
-    if (rx_.size() < cohort.size()) rx_.resize(cohort.size());
-    if (wire_rx_.size() < cohort.size()) wire_rx_.resize(cohort.size());
-    if (updates_.size() < cohort.size()) updates_.resize(cohort.size());
-    status.assign(cohort.size(), SlotStatus::kOk);
-    trained.assign(cohort.size(), 0);
-    streamed.assign(cohort.size(), 0);
-    train_seconds.assign(cohort.size(), 0.0);
-    sim_seconds.assign(cohort.size(), 0.0);
+    if (slots_.size() < cohort.size()) slots_.resize(cohort.size());
 
     // Secagg phase 1: simulated key agreement + Shamir share distribution
     // over the cohort's links, BEFORE the broadcast — the fan-out below
@@ -293,15 +682,19 @@ RoundRecord Aggregator::run_round_sync() {
       for (std::size_t i = 0; i < cohort.size(); ++i) {
         ke_links[i] = &links_[static_cast<std::size_t>(cohort[i])];
       }
-      ke = secagg->run_key_exchange(ke_links, tracer, round_, t0, tracing);
-      for (const int pos : ke.failed) {
-        const auto p = static_cast<std::size_t>(pos);
-        status[p] = SlotStatus::kLinkFailed;
-        sim_seconds[p] = ke.member_seconds[p];
-      }
+      ke = secagg->run_key_exchange(ke_links, config_.tracer, round_, t0,
+                                    tracing);
       record.sim_privacy_seconds += ke.sim_seconds;
     }
     const double t_start = t0 + ke.sim_seconds;
+    for (std::size_t i = 0; i < cohort.size(); ++i) {
+      arm(slots_[i], cohort[i], t_start);
+    }
+    for (const int pos : ke.failed) {
+      InFlight& slot = slots_[static_cast<std::size_t>(pos)];
+      slot.outcome = kLinkFailed;
+      slot.sim_seconds = ke.member_seconds[static_cast<std::size_t>(pos)];
+    }
 
     // One broadcast message borrows the global parameters; every client
     // link encodes straight from that buffer, so broadcasting to K clients
@@ -313,165 +706,21 @@ RoundRecord Aggregator::run_round_sync() {
     broadcast.payload_view = global_params_;
     broadcast.metadata["local_steps"] = config_.local_steps;
 
-    // Broadcast + local training + update return (Alg. 1 L5-7), clients in
-    // parallel.  Every fault decision is a pure function of
-    // (round, client, attempt), and failures only write this slot's state,
-    // so the fan-out is bit-identical serial vs parallel.
-    auto run_client = [&](std::size_t i) {
-      if (status[i] != SlotStatus::kOk) return;  // dropped at key exchange
-      const int id = cohort[i];
-      SimLink& link = links_[static_cast<std::size_t>(id)];
-      Message& rx = rx_[i];
-      const LinkStats before = link.stats();
-      ClientRoundFault fault;
-      if (fault_hook_) fault = fault_hook_(round_, id, attempt);
-      const double straggle = std::max(1.0, fault.straggle_factor);
-      const double train_sim = straggle *
-                               static_cast<double>(config_.local_steps) /
-                               config_.sim_throughput_bps;
-      // Simulated seconds this client has spent on its link since the slot
-      // started (transfers + retry backoff).
-      const auto sim_elapsed = [&]() {
-        const LinkStats& now = link.stats();
-        return (now.transfer_seconds - before.transfer_seconds) +
-               (now.backoff_seconds - before.backoff_seconds);
-      };
-      const auto mark = [&](obs::SpanKind kind, double begin, double end,
-                            std::uint64_t real_ns) {
-        tracer->record({kind, round_, id, static_cast<std::int32_t>(attempt),
-                        begin, end, real_ns});
-      };
-      link.set_trace_sim_base(t_start);
-      const obs::RealTimer bcast_timer(tracing);
-      try {
-        link.transmit(broadcast, rx);
-      } catch (const TransmitError&) {
-        status[i] = SlotStatus::kLinkFailed;
-        sim_seconds[i] = sim_elapsed();
-        if (tracing) {
-          mark(obs::SpanKind::kBroadcast, t_start, t_start + sim_seconds[i],
-               bcast_timer.ns());
-        }
-        return;
-      }
-      const double bcast_end = t_start + sim_elapsed();
-      if (tracing) {
-        mark(obs::SpanKind::kBroadcast, t_start, bcast_end, bcast_timer.ns());
-      }
-      if (fault.crash) {
-        // Client dies holding the broadcast, before training starts: its
-        // data stream does not advance and no update comes back.
-        status[i] = SlotStatus::kCrashed;
-        sim_seconds[i] = sim_elapsed();
-        if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
-        return;
-      }
-      if (config_.round_deadline_s > 0.0 &&
-          sim_elapsed() + train_sim > config_.round_deadline_s) {
-        // Known-too-slow straggler is cut before training (no data used).
-        // The span covers the sim interval the round still charges to the
-        // cut client, so trace attribution of round time stays complete.
-        status[i] = SlotStatus::kLate;
-        sim_seconds[i] = sim_elapsed() + train_sim;
-        if (tracing) {
-          mark(obs::SpanKind::kStragglerCut, bcast_end,
-               t_start + sim_seconds[i], 0);
-        }
-        return;
-      }
-      clients_[static_cast<std::size_t>(id)]->set_trace(
-          {tracing ? tracer : nullptr, round_, bcast_end,
-           train_sim / static_cast<double>(config_.local_steps)});
-      const auto t_train = std::chrono::steady_clock::now();
-      const obs::RealTimer train_timer(tracing);
-      clients_[static_cast<std::size_t>(id)]->run_round(
-          rx.payload, round_, config_.local_steps, schedule_step_base_,
-          updates_[i]);
-      trained[i] = 1;
-      train_seconds[i] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        t_train)
-              .count();
-      const double train_end = bcast_end + train_sim;
-      if (tracing) {
-        mark(obs::SpanKind::kLocalTrain, bcast_end, train_end,
-             train_timer.ns());
-      }
-      Message up;
-      up.type = MessageType::kClientUpdate;
-      up.round = round_;
-      up.sender = static_cast<std::uint32_t>(id);
-      up.codec = updates_[i].post.codec;
-      up.payload_view = updates_[i].delta;
-      up.metadata = updates_[i].metrics;
-      // A quantized update's wire CRC covers the *compressed* chunk bytes,
-      // so the return transfer is validated without decompressing: the wire
-      // image is retained and the fan-in below dequantizes-and-accumulates
-      // it chunk by chunk.  Secure aggregation masks fp32 payloads and must
-      // materialize; lossless codecs keep the classic decode path.
-      const Codec* up_codec = codec_by_name(up.codec);
-      const bool stream = !config_.secure_aggregation &&
-                          up_codec != nullptr && up_codec->quant_bits() != 0;
-      link.set_trace_sim_base(train_end);
-      const obs::RealTimer up_timer(tracing);
-      try {
-        if (stream) {
-          link.transmit_wire(up, rx, wire_rx_[i]);
-          streamed[i] = 1;
-        } else {
-          link.transmit(up, rx);  // rx now holds the received update
-        }
-      } catch (const TransmitError&) {
-        status[i] = SlotStatus::kLinkFailed;
-        sim_seconds[i] = sim_elapsed() + train_sim;
-        if (tracing) {
-          mark(obs::SpanKind::kUpdateReturn, train_end,
-               t_start + sim_seconds[i], up_timer.ns());
-        }
-        return;
-      }
-      sim_seconds[i] = sim_elapsed() + train_sim;
-      if (tracing) {
-        mark(obs::SpanKind::kUpdateReturn, train_end, t_start + sim_seconds[i],
-             up_timer.ns());
-      }
-      if (config_.round_deadline_s > 0.0 &&
-          sim_seconds[i] > config_.round_deadline_s) {
-        status[i] = SlotStatus::kLate;  // update arrived past the deadline
-        if (tracing) {
-          mark(obs::SpanKind::kStragglerCut, t_start + sim_seconds[i],
-               t_start + sim_seconds[i], 0);
-        }
-      }
-    };
-    if (config_.parallel_clients && cohort.size() > 1) {
-      global_pool().parallel_for(cohort.size(), run_client);
-    } else {
-      for (std::size_t i = 0; i < cohort.size(); ++i) run_client(i);
-    }
+    fan_out(config_.parallel_clients, cohort.size(), [&](std::size_t i) {
+      if (slots_[i].outcome != kOk) return;  // dropped at key exchange
+      dispatch(slots_[i], broadcast, attempt, config_.round_deadline_s,
+               tracing);
+    });
 
     // Serial bookkeeping in cohort order keeps everything deterministic.
     survivors.clear();
     for (std::size_t i = 0; i < cohort.size(); ++i) {
+      const InFlight& slot = slots_[i];
       // Data-stream position advances whenever training ran, even if the
       // update was then dropped — recovery must replay the same reads.
-      if (trained[i]) ++client_rounds_[static_cast<std::size_t>(cohort[i])];
-      switch (status[i]) {
-        case SlotStatus::kOk: survivors.push_back(i); break;
-        case SlotStatus::kCrashed:
-          ++record.crashed_clients;
-          obs_.crashes.add();
-          break;
-        case SlotStatus::kLinkFailed:
-          ++record.link_failed_clients;
-          obs_.link_failures.add();
-          break;
-        case SlotStatus::kLate:
-          ++record.straggler_drops;
-          obs_.straggler_cuts.add();
-          break;
-      }
-      obs_.client_sim_seconds.observe(sim_seconds[i]);
+      if (slot.trained) ++client_rounds_[static_cast<std::size_t>(slot.client)];
+      if (tally(slot, record)) survivors.push_back(i);
+      obs_.client_sim_seconds.observe(slot.sim_seconds);
     }
 
     auto quorum = std::max<std::size_t>(
@@ -496,53 +745,23 @@ RoundRecord Aggregator::run_round_sync() {
         record.survivors = 0;
         for (std::size_t i = 0; i < cohort.size(); ++i) {
           record.dropped_clients.push_back(cohort[i]);
-          record.sim_slowest_client_seconds =
-              std::max(record.sim_slowest_client_seconds, sim_seconds[i]);
+          record.sim_slowest_client_seconds = std::max(
+              record.sim_slowest_client_seconds, slots_[i].sim_seconds);
         }
         // Client critical paths start at the key-exchange barrier, and a
         // prior attempt's stragglers can outlast this final one.
         record.sim_slowest_client_seconds += ke.sim_seconds;
         record.sim_slowest_client_seconds =
             std::max(record.sim_slowest_client_seconds, retry_slowest);
-        record.sim_local_seconds =
-            static_cast<double>(config_.local_steps) /
-            config_.sim_throughput_bps;
-        LinkStats skip_after;
-        for (const auto& link : links_) {
-          const LinkStats& s = link.stats();
-          skip_after.wire_bytes += s.wire_bytes;
-          skip_after.retries += s.retries;
-          skip_after.corrupt_chunks += s.corrupt_chunks;
-          skip_after.backoff_seconds += s.backoff_seconds;
-        }
-        record.comm_bytes = skip_after.wire_bytes - agg_before.wire_bytes;
-        record.link_retries = skip_after.retries - agg_before.retries;
-        record.corrupt_chunks =
-            skip_after.corrupt_chunks - agg_before.corrupt_chunks;
-        record.backoff_seconds =
-            skip_after.backoff_seconds - agg_before.backoff_seconds;
-        record.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t_round)
-                .count();
-        const double t_skip_end = t0 + record.sim_slowest_client_seconds;
-        if (tracing) {
-          tracer->record({obs::SpanKind::kRound, round_,
-                          obs::kAggregatorActor, 0, t0, t_skip_end,
-                          round_timer.ns()});
-        }
-        obs_.rounds.add();
-        sim_now_ = t_skip_end;
+        finish_record(record, start);
+        sim_now_ = t0 + record.sim_slowest_client_seconds;
         // Clients still trained and transmitted noisy updates this round,
         // so the mechanism released and the accountant must compose it.
         account_privacy(record);
         PHOTON_LOG_WARN("aggregator",
                         "round %u skipped: quorum lost after %u attempt(s)",
                         round_, attempt + 1);
-        history_.add(record);
-        ++round_;
-        schedule_step_base_ += config_.local_steps;
-        return record;
+        return close_round(record, start, 0);
       }
       throw std::runtime_error(
           "Aggregator::run_round: quorum lost in round " +
@@ -551,8 +770,9 @@ RoundRecord Aggregator::run_round_sync() {
     }
     ++record.cohort_retries;
     obs_.cohort_retries.add();
-    for (const double s : sim_seconds) {
-      retry_slowest = std::max(retry_slowest, ke.sim_seconds + s);
+    for (std::size_t i = 0; i < cohort.size(); ++i) {
+      retry_slowest =
+          std::max(retry_slowest, ke.sim_seconds + slots_[i].sim_seconds);
     }
     PHOTON_LOG_WARN("aggregator",
                     "round %u attempt %u: %zu/%zu survivors below quorum "
@@ -563,11 +783,9 @@ RoundRecord Aggregator::run_round_sync() {
   record.participants = cohort;
   record.survivors = static_cast<int>(survivors.size());
   for (std::size_t i = 0; i < cohort.size(); ++i) {
-    if (status[i] != SlotStatus::kOk) {
-      record.dropped_clients.push_back(cohort[i]);
-    }
+    if (slots_[i].outcome != kOk) record.dropped_clients.push_back(cohort[i]);
     record.sim_slowest_client_seconds =
-        std::max(record.sim_slowest_client_seconds, sim_seconds[i]);
+        std::max(record.sim_slowest_client_seconds, slots_[i].sim_seconds);
   }
   // Under secagg every client's critical path starts at the key-exchange
   // barrier, so the exchange window is charged to the slowest client; a
@@ -582,13 +800,17 @@ RoundRecord Aggregator::run_round_sync() {
   const std::size_t n_agg = survivors.size();
   std::vector<MetricDict> client_metrics(n_agg);
   std::vector<double> weights(n_agg);
+  bool any_streamed = false;
+  bool all_streamed = n_agg > 0;
   for (std::size_t j = 0; j < n_agg; ++j) {
-    const std::size_t i = survivors[j];
-    client_metrics[j] = rx_[i].metadata;
-    weights[j] = static_cast<double>(updates_[i].tokens);
-    record.tokens_this_round += updates_[i].tokens;
+    const InFlight& slot = slots_[survivors[j]];
+    client_metrics[j] = slot.header.metadata;
+    weights[j] = static_cast<double>(slot.update.tokens);
+    record.tokens_this_round += slot.update.tokens;
     record.mean_train_loss +=
-        updates_[i].mean_train_loss / static_cast<double>(n_agg);
+        slot.update.mean_train_loss / static_cast<double>(n_agg);
+    any_streamed = any_streamed || slot.streamed;
+    all_streamed = all_streamed && slot.streamed;
   }
 
   // A partial cohort breaks the static ring schedule AR/RAR assume (a dead
@@ -605,23 +827,14 @@ RoundRecord Aggregator::run_round_sync() {
   // retained quantized wire image.  A mixed cohort (possible only with
   // heterogeneous per-client codecs) materializes the streamed survivors
   // into fp32 first and takes the classic collective below.
-  bool all_streamed = n_agg > 0;
-  bool any_streamed = false;
-  for (std::size_t j = 0; j < n_agg; ++j) {
-    if (streamed[survivors[j]]) {
-      any_streamed = true;
-    } else {
-      all_streamed = false;
-    }
-  }
   if (any_streamed && !all_streamed) {
-    for (std::size_t j = 0; j < n_agg; ++j) {
-      const std::size_t i = survivors[j];
-      if (!streamed[i]) continue;
-      const WireView& v = wire_rx_[i];
+    for (const std::size_t i : survivors) {
+      if (!slots_[i].streamed) continue;
+      const WireView& v = slots_[i].wire;
       const Codec* codec = codec_by_name(v.codec);
-      rx_[i].payload.resize(static_cast<std::size_t>(v.elems));
-      auto* out8 = reinterpret_cast<std::uint8_t*>(rx_[i].payload.data());
+      auto& payload = slots_[i].header.payload;
+      payload.resize(static_cast<std::size_t>(v.elems));
+      auto* out8 = reinterpret_cast<std::uint8_t*>(payload.data());
       for (std::size_t c = 0; c < v.n_chunks(); ++c) {
         codec->decompress_into(v.chunk(c),
                                {out8 + v.raw_off(c), v.raw_len(c)});
@@ -631,194 +844,99 @@ RoundRecord Aggregator::run_round_sync() {
 
   // Aggregate (Alg. 1 L8): element-wise mean of surviving pseudo-gradients
   // through the (possibly degraded) topology; secure aggregation masks
-  // first.  The mean is computed in place over the received payloads, and
-  // `pseudo_grad` is a view — no full-model copy on this path.
+  // first.  The fp32 mean is computed in place over the received payloads,
+  // and `pseudo_grad` is a view — no full-model copy on that path.
+  const std::size_t n = global_params_.size();
   std::span<const float> pseudo_grad;
-  double sim_comm_seconds = 0.0;
-  std::uint64_t collective_bytes = 0;
+  CollectiveReport collective;
   std::vector<std::uint64_t> dequant_real_ns;  // per chunk, streamed path
+  std::uint64_t wire_sum = 0;                  // streamed: one update's bytes
   const obs::RealTimer collective_timer(tracing);
-  if (secagg.has_value() && n_agg > 0) {
-    // Secagg phases 2+3 (DESIGN.md §14): ring-encode + mask every
-    // surviving update into a shared mod-2^64 accumulator (wrapping adds
-    // commute, so the shard order never matters), reconstruct dropped
-    // members' pair masks from survivor shares, then decode the mean.  The
-    // server only ever combines masked words; pairwise masks cancel in the
-    // wrapped sum bit-exactly.
-    const std::size_t n = rx_[survivors.front()].payload.size();
-    secagg_acc_.assign(n, 0);
+  if (secagg.has_value()) {
+    // Secagg phases 2+3 (DESIGN.md §14) over cohort positions.
+    std::vector<std::size_t> member_slots(cohort.size());
     std::vector<int> surv_pos;
     std::vector<int> drop_pos;
     surv_pos.reserve(n_agg);
     for (std::size_t i = 0; i < cohort.size(); ++i) {
-      if (status[i] == SlotStatus::kOk) {
-        surv_pos.push_back(static_cast<int>(i));
-      } else {
-        drop_pos.push_back(static_cast<int>(i));
-      }
+      member_slots[i] = i;
+      (slots_[i].outcome == kOk ? surv_pos : drop_pos)
+          .push_back(static_cast<int>(i));
     }
-    for (const int pos : surv_pos) {
-      const auto& payload = rx_[static_cast<std::size_t>(pos)].payload;
-      if (payload.size() != n) {
-        throw std::runtime_error(
-            "Aggregator::run_round: secagg update size mismatch");
-      }
-      secagg->mask_update_into(pos, payload, secagg_acc_,
-                               kernels::default_context());
-    }
-    secagg->recover_dropouts(surv_pos, drop_pos, secagg_acc_,
-                             kernels::default_context(), tracer, round_,
-                             t0 + record.sim_slowest_client_seconds, tracing);
     pseudo_grad_.resize(n);
-    secagg->decode_mean(secagg_acc_, static_cast<int>(n_agg), pseudo_grad_,
-                        kernels::default_context());
+    secagg_mean(*secagg, member_slots, surv_pos, drop_pos,
+                t0 + record.sim_slowest_client_seconds, pseudo_grad_, record,
+                tracing);
     pseudo_grad = pseudo_grad_;
     record.secure_round = true;
-    record.secagg_dropouts_recovered = static_cast<int>(drop_pos.size());
-    shares_reconstructed_total_ += drop_pos.size();
-    obs_.secagg_rounds.add();
-    if (!drop_pos.empty()) obs_.share_recoveries.add(drop_pos.size());
-    const auto report = CollectiveReport{
-        Topology::kParameterServer, static_cast<int>(n_agg),
-        static_cast<std::uint64_t>(n_agg) * n * sizeof(float),
-        2ull * n_agg * n * sizeof(float), 0.0};
-    collective_bytes = report.total_bytes;
-    sim_comm_seconds = static_cast<double>(report.bottleneck_bytes) /
-                       (config_.bandwidth_mbps * 1024.0 * 1024.0);
+    collective = collective_cost(Topology::kParameterServer,
+                                 static_cast<int>(n_agg), n * sizeof(float),
+                                 config_.bandwidth_mbps);
   } else if (all_streamed) {
-    // Streamed dequantize-and-accumulate (DESIGN.md §11): the fan-in walks
-    // the retained wire images chunk by chunk on the pool — each chunk is
-    // dequantized into thread-local scratch and folded into the mean as it
-    // "arrives", so no survivor's full fp32 update is ever materialized.
-    // Per element the survivors accumulate in cohort order into a double
-    // and narrow once — the exact arithmetic of mean_rows_pd — so the mean
-    // is bit-identical to the materialized collective at any thread count.
-    const WireView& head = wire_rx_[survivors.front()];
-    const std::size_t n = static_cast<std::size_t>(head.elems);
-    const std::size_t n_chunks = head.n_chunks();
     pseudo_grad_.resize(n);
-    dequant_real_ns.assign(n_chunks, 0);
-    const double inv = 1.0 / static_cast<double>(n_agg);
-    auto accum_chunk = [&](std::size_t c) {
-      const obs::RealTimer chunk_timer(tracing);
-      const std::size_t len = head.raw_len(c) / sizeof(float);
-      std::vector<float> tmp(len);
-      std::vector<double> acc(len, 0.0);
-      for (std::size_t j = 0; j < n_agg; ++j) {
-        const WireView& v = wire_rx_[survivors[j]];
-        const Codec* codec = codec_by_name(v.codec);
-        codec->decompress_into(
-            v.chunk(c), {reinterpret_cast<std::uint8_t*>(tmp.data()),
-                         len * sizeof(float)});
-        for (std::size_t e = 0; e < len; ++e) {
-          acc[e] += static_cast<double>(tmp[e]);
-        }
-      }
-      float* out = pseudo_grad_.data() + head.raw_off(c) / sizeof(float);
-      for (std::size_t e = 0; e < len; ++e) {
-        out[e] = static_cast<float>(acc[e] * inv);
-      }
-      dequant_real_ns[c] = chunk_timer.ns();
-    };
-    if (config_.parallel_clients && n_chunks > 1) {
-      global_pool().parallel_for(n_chunks, accum_chunk);
-    } else {
-      for (std::size_t c = 0; c < n_chunks; ++c) accum_chunk(c);
-    }
+    dequant_real_ns = fold_streamed(survivors, 1.0,
+                                    static_cast<double>(n_agg), tracing);
     pseudo_grad = pseudo_grad_;
+    for (const std::uint64_t len : slots_[survivors.front()].wire.lens) {
+      wire_sum += len;
+    }
     if (n_agg > 1) {
       // Topology accounting on the *quantized* bytes: the collective moves
       // q8/q4 wire chunks, not fp32 buffers, which is where the wall-time
       // win over the B.1 cost model comes from.
-      std::uint64_t wire_sum = 0;
-      for (const std::uint64_t l : head.lens) wire_sum += l;
-      const auto k64 = static_cast<std::uint64_t>(n_agg);
-      std::uint64_t bottleneck = 0;
-      switch (topology) {
-        case Topology::kParameterServer:
-          bottleneck = k64 * wire_sum;
-          collective_bytes = 2ull * k64 * wire_sum;
-          break;
-        case Topology::kAllReduce:
-          bottleneck = (k64 - 1) * wire_sum;
-          collective_bytes = k64 * (k64 - 1) * wire_sum;
-          break;
-        case Topology::kRingAllReduce:
-          bottleneck = 2ull * wire_sum * (k64 - 1) / k64;
-          collective_bytes = bottleneck * k64;
-          break;
-      }
-      sim_comm_seconds = static_cast<double>(bottleneck) /
-                         (config_.bandwidth_mbps * 1024.0 * 1024.0);
+      collective = collective_cost(topology, static_cast<int>(n_agg),
+                                   wire_sum, config_.bandwidth_mbps);
     }
   } else if (n_agg > 1) {
     std::vector<std::span<float>> spans;
     spans.reserve(n_agg);
-    for (std::size_t j = 0; j < n_agg; ++j) {
-      spans.emplace_back(rx_[survivors[j]].payload);
+    for (const std::size_t i : survivors) {
+      spans.emplace_back(slots_[i].header.payload);
     }
-    const CollectiveReport report =
-        collective_mean(topology, spans, config_.bandwidth_mbps);
-    pseudo_grad = rx_[survivors.front()].payload;  // buffers hold the mean
-    sim_comm_seconds = report.seconds;
-    collective_bytes = report.total_bytes;
+    collective = collective_mean(topology, spans, config_.bandwidth_mbps);
+    pseudo_grad = spans.front();  // buffers hold the mean
   } else {
-    pseudo_grad = rx_[survivors.front()].payload;
+    pseudo_grad = slots_[survivors.front()].header.payload;
   }
-
   const std::uint64_t collective_real_ns = collective_timer.ns();
+  const double sim_comm_seconds = collective.seconds;
 
   // The collective starts once the slowest surviving client is in; the
   // round's sim end is its completion.  The sim clock advances whether or
-  // not tracing is on — it is part of the deterministic round state.
+  // not tracing is on — it is part of the deterministic round state, and a
+  // state extension that persists it (the autotuner does: post-restore span
+  // arithmetic must run at the exact pre-crash epoch or durations drift by
+  // an ULP) captures the clock this round ends at.
   const double t_collective = t0 + record.sim_slowest_client_seconds;
-  const double t_round_end = t_collective + sim_comm_seconds;
+  sim_now_ = t_collective + sim_comm_seconds;
   if (tracing) {
-    tracer->record({obs::SpanKind::kCollective, round_, obs::kAggregatorActor,
-                    static_cast<std::int32_t>(n_agg), t_collective,
-                    t_round_end, collective_real_ns});
-  }
-  if (tracing && !dequant_real_ns.empty()) {
+    config_.tracer->record({obs::SpanKind::kCollective, round_,
+                            obs::kAggregatorActor,
+                            static_cast<std::int32_t>(n_agg), t_collective,
+                            sim_now_, collective_real_ns});
     // Streamed chunks pipeline inside the collective transfer window: each
     // chunk's dequant+accumulate span sits at that chunk's byte share of
     // the quantized collective, so trace viewers show decode work
     // overlapping the transfer instead of serialized after it.  Sim
     // placement is a pure function of the chunk lengths — deterministic.
-    const WireView& head = wire_rx_[survivors.front()];
-    std::uint64_t wire_sum = 0;
-    for (const std::uint64_t l : head.lens) wire_sum += l;
+    const WireView& head = slots_[survivors.front()].wire;
     double cum = 0.0;
     for (std::size_t c = 0; c < dequant_real_ns.size(); ++c) {
-      const double share =
-          wire_sum > 0 ? static_cast<double>(head.lens[c]) /
-                             static_cast<double>(wire_sum)
-                       : 0.0;
+      const double share = wire_sum > 0
+                               ? static_cast<double>(head.lens[c]) /
+                                     static_cast<double>(wire_sum)
+                               : 0.0;
       const double begin = t_collective + sim_comm_seconds * cum;
       cum += share;
       const double end = t_collective + sim_comm_seconds * cum;
-      tracer->record({obs::SpanKind::kDequantAccum, round_,
-                      obs::kAggregatorActor, static_cast<std::int32_t>(c),
-                      begin, end, dequant_real_ns[c]});
+      config_.tracer->record({obs::SpanKind::kDequantAccum, round_,
+                              obs::kAggregatorActor,
+                              static_cast<std::int32_t>(c), begin, end,
+                              dequant_real_ns[c]});
     }
   }
 
-  record.update_norm =
-      kernels::l2_norm(pseudo_grad.data(), pseudo_grad.size());
-
-  // ServerOpt (Alg. 1 L9), bracketed by the write-ahead journal: `begin` is
-  // durable before the global model mutates, `commit` only once this
-  // round's checkpoint is.  A crash between the two leaves a dangling
-  // begin, and recovery restarts from the last commit — so ServerOpt is
-  // applied exactly once per round of the final timeline.
-  const obs::RealTimer server_opt_timer(tracing);
-  checkpoints_.journal_begin(round_);
-  server_opt_->apply(global_params_, pseudo_grad);
-  if (tracing) {
-    // Server-side compute is not simulated, so ServerOpt and Checkpoint are
-    // sim-zero-width marks at round end carrying measured real durations.
-    tracer->record({obs::SpanKind::kServerOpt, round_, obs::kAggregatorActor,
-                    -1, t_round_end, t_round_end, server_opt_timer.ns()});
-  }
+  step_server(pseudo_grad, record, tracing);
 
   // AggMetrics (L10).
   record.client_metrics = aggregate_metrics(client_metrics, weights);
@@ -827,97 +945,19 @@ RoundRecord Aggregator::run_round_sync() {
   // accountant already includes this round's mechanism.
   account_privacy(record);
 
-  // Wire bytes: broadcast + update message bytes through Agg links (all
-  // attempts, including retransmissions) plus the collective's fabric
-  // traffic; the other deltas surface the round's fault telemetry.
-  LinkStats agg_after;
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_after.wire_bytes += s.wire_bytes;
-    agg_after.retries += s.retries;
-    agg_after.corrupt_chunks += s.corrupt_chunks;
-    agg_after.backoff_seconds += s.backoff_seconds;
-  }
-  record.comm_bytes =
-      (agg_after.wire_bytes - agg_before.wire_bytes) + collective_bytes;
-  record.link_retries = agg_after.retries - agg_before.retries;
-  record.corrupt_chunks = agg_after.corrupt_chunks - agg_before.corrupt_chunks;
-  record.backoff_seconds =
-      agg_after.backoff_seconds - agg_before.backoff_seconds;
-
+  record.comm_bytes = collective.total_bytes;
   record.sim_comm_seconds = sim_comm_seconds;
-  record.sim_local_seconds =
-      static_cast<double>(config_.local_steps) / config_.sim_throughput_bps;
-  for (const double s : train_seconds) record.wall_train_seconds += s;
-  record.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_round)
-          .count();
-
-  // Advance the sim clock before checkpointing so a state extension that
-  // persists it (the autotuner does: post-restore span arithmetic must run
-  // at the exact pre-crash epoch or durations drift by an ULP) captures the
-  // clock this round ends at.
-  sim_now_ = t_round_end;
-
-  // Checkpoint (L11) with recovery metadata.  Runs after the record is
-  // complete (but before the kRound span) so a state extension can fold the
-  // finished round into the state it is about to capture — the contract
-  // that makes tuned crash recovery bit-identical to an uninterrupted run.
-  if (config_.checkpoint_every > 0 &&
-      round_ % static_cast<std::uint32_t>(config_.checkpoint_every) == 0) {
-    const obs::RealTimer ckpt_timer(tracing);
-    Checkpoint ckpt;
-    ckpt.round = round_;
-    ckpt.params = global_params_;
-    ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
-    ckpt.client_trained_rounds = client_rounds_;
-    BinaryWriter w;
-    server_opt_->save_state(w);
-    ckpt.server_opt_state = w.take();
-    // Error-feedback residuals are part of the deterministic client state:
-    // recovery must hand each client the exact residual it carried, or the
-    // post-restore timeline diverges from an uninterrupted run.
-    ckpt.client_ef_residuals.reserve(clients_.size());
-    for (const auto& c : clients_) {
-      ckpt.client_ef_residuals.push_back(c->ef_residual());
-    }
-    if (accountant_ != nullptr || config_.secure_aggregation) {
-      ckpt.privacy_state = capture_privacy_state();
-    }
-    if (state_ext_ != nullptr) {
-      state_ext_->on_checkpoint(record);
-      ckpt.tuner_state = state_ext_->capture_state();
-    }
-    checkpoints_.save(std::move(ckpt));
-    checkpoints_.journal_commit(round_);
-    if (tracing) {
-      tracer->record({obs::SpanKind::kCheckpoint, round_,
-                      obs::kAggregatorActor, -1, t_round_end, t_round_end,
-                      ckpt_timer.ns()});
-    }
+  for (std::size_t i = 0; i < cohort.size(); ++i) {
+    record.wall_train_seconds += slots_[i].train_wall_seconds;
   }
-
-  if (tracing) {
-    tracer->record({obs::SpanKind::kRound, round_, obs::kAggregatorActor,
-                    static_cast<std::int32_t>(record.survivors), t0,
-                    t_round_end, round_timer.ns()});
-  }
-  obs_.rounds.add();
-  obs_.tokens.add(record.tokens_this_round);
-  if (t_round_end > t0) {
-    obs_.tokens_per_sim_second.set(
-        static_cast<double>(record.tokens_this_round) / (t_round_end - t0));
-  }
+  finish_record(record, start);
+  save_checkpoint(record, tracing);
 
   PHOTON_LOG_INFO("aggregator",
                   "round %u: K=%zu survivors=%zu loss %.4f update-norm %.4f",
                   round_, cohort.size(), survivors.size(),
                   record.mean_train_loss, record.update_norm);
-
-  history_.add(record);
-  ++round_;
-  schedule_step_base_ += config_.local_steps;
-  return record;
+  return close_round(record, start, record.survivors);
 }
 
 // ===== elastic async federation (DESIGN.md §12) ===========================
@@ -1020,119 +1060,10 @@ double Aggregator::defer_backoff(int client, std::uint32_t count) const {
   return std::max(b, 1e-9);  // strictly positive: a defer must advance time
 }
 
-void Aggregator::async_dispatch(InFlight& slot, int id,
-                                const Message& broadcast,
-                                std::uint32_t dispatch_seq, bool tracing) {
-  obs::Tracer* tracer = config_.tracer;
-  SimLink& link = links_[static_cast<std::size_t>(id)];
-  const double t_dispatch = slot.dispatch_time;
-  const LinkStats before = link.stats();
-  const auto sim_elapsed = [&]() {
-    const LinkStats& now = link.stats();
-    return (now.transfer_seconds - before.transfer_seconds) +
-           (now.backoff_seconds - before.backoff_seconds);
-  };
-  const auto mark = [&](obs::SpanKind kind, double begin, double end,
-                        std::uint64_t real_ns) {
-    tracer->record({kind, round_, id, static_cast<std::int32_t>(dispatch_seq),
-                    begin, end, real_ns});
-  };
-  // Fault decisions key on the dispatch sequence number within this drain,
-  // the async analogue of the sync engine's cohort-attempt salt.
-  ClientRoundFault fault;
-  if (fault_hook_) fault = fault_hook_(round_, id, dispatch_seq);
-  const double straggle = std::max(1.0, fault.straggle_factor);
-  const double train_sim = straggle *
-                           static_cast<double>(config_.local_steps) /
-                           config_.sim_throughput_bps;
-  slot.train_sim_seconds = train_sim;
-  link.set_trace_sim_base(t_dispatch);
-  const obs::RealTimer bcast_timer(tracing);
-  try {
-    link.transmit(broadcast, slot.header);
-  } catch (const TransmitError&) {
-    slot.failure_kind = 2;
-    slot.arrive_time = t_dispatch + sim_elapsed();
-    if (tracing) {
-      mark(obs::SpanKind::kBroadcast, t_dispatch, slot.arrive_time,
-           bcast_timer.ns());
-    }
-    return;
-  }
-  const double bcast_end = t_dispatch + sim_elapsed();
-  if (tracing) {
-    mark(obs::SpanKind::kBroadcast, t_dispatch, bcast_end, bcast_timer.ns());
-  }
-  if (fault.crash) {
-    slot.failure_kind = 1;
-    slot.arrive_time = bcast_end;
-    if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
-    return;
-  }
-  clients_[static_cast<std::size_t>(id)]->set_trace(
-      {tracing ? tracer : nullptr, round_, bcast_end,
-       train_sim / static_cast<double>(config_.local_steps)});
-  const obs::RealTimer train_timer(tracing);
-  clients_[static_cast<std::size_t>(id)]->run_round(
-      slot.header.payload, round_, config_.local_steps, schedule_step_base_,
-      slot.update);
-  slot.trained = true;
-  const double train_end = bcast_end + train_sim;
-  if (tracing) {
-    mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
-  }
-  Message up;
-  up.type = MessageType::kClientUpdate;
-  up.round = round_;
-  up.sender = static_cast<std::uint32_t>(id);
-  up.codec = slot.update.post.codec;
-  up.payload_view = slot.update.delta;
-  up.metadata = slot.update.metrics;
-  const Codec* up_codec = codec_by_name(up.codec);
-  // Secagg masks fp32 ring words server-side, so quantized wire images
-  // must materialize through the classic decode path first.
-  const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
-                      up_codec->quant_bits() != 0;
-  link.set_trace_sim_base(train_end);
-  const obs::RealTimer up_timer(tracing);
-  try {
-    if (stream) {
-      link.transmit_wire(up, slot.header, slot.wire);
-      slot.streamed = true;
-    } else {
-      link.transmit(up, slot.header);
-    }
-  } catch (const TransmitError&) {
-    slot.failure_kind = 2;
-    slot.arrive_time = t_dispatch + sim_elapsed() + train_sim;
-    if (tracing) {
-      mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
-           up_timer.ns());
-    }
-    return;
-  }
-  slot.arrive_time = t_dispatch + sim_elapsed() + train_sim;
-  if (tracing) {
-    mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
-         up_timer.ns());
-  }
-}
-
 RoundRecord Aggregator::run_round_async() {
-  const auto t_round = std::chrono::steady_clock::now();
+  const RoundStart start = begin_round();
+  const bool tracing = start.tracing;
   obs::Tracer* tracer = config_.tracer;
-  const bool tracing = tracer != nullptr && tracer->sampled(round_);
-  const obs::RealTimer round_timer(tracing);
-  const double t0 = sim_now_;
-
-  LinkStats agg_before;
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_before.wire_bytes += s.wire_bytes;
-    agg_before.retries += s.retries;
-    agg_before.corrupt_chunks += s.corrupt_chunks;
-    agg_before.backoff_seconds += s.backoff_seconds;
-  }
 
   RoundRecord record;
   record.round = round_;
@@ -1149,8 +1080,7 @@ RoundRecord Aggregator::run_round_async() {
   std::fill(dispatch_seq_.begin(), dispatch_seq_.end(), 0u);
 
   const std::size_t n = global_params_.size();
-  if (async_acc_.size() != n) async_acc_.resize(n);
-  std::fill(async_acc_.begin(), async_acc_.end(), 0.0);
+  acc_.assign(n, 0.0);
   double weight_sum = 0.0;
   int accepted = 0;
   double staleness_sum = 0.0;
@@ -1161,6 +1091,22 @@ RoundRecord Aggregator::run_round_async() {
   accepted_metrics.reserve(static_cast<std::size_t>(goal));
   accepted_weights.reserve(static_cast<std::size_t>(goal));
   double first_dispatch = -1.0;
+  // Buffer one accepted update whose weighted delta is already folded into
+  // acc_.
+  const auto accept = [&](const InFlight& s, std::uint32_t staleness) {
+    ++accepted;
+    ++async_accepted_total_;
+    staleness_sum += static_cast<double>(staleness);
+    record.max_staleness = std::max(record.max_staleness, staleness);
+    obs_.async_accepted.add();
+    obs_.async_staleness.observe(static_cast<double>(staleness));
+    record.tokens_this_round += s.update.tokens;
+    record.mean_train_loss += s.update.mean_train_loss;
+    accepted_clients.push_back(s.client);
+    accepted_metrics.push_back(s.header.metadata);
+    accepted_weights.push_back(static_cast<double>(s.update.tokens));
+    obs_.client_sim_seconds.observe(s.arrive_time - s.dispatch_time);
+  };
 
   // One broadcast borrows the global parameters for the whole drain: the
   // model only mutates at drain boundaries, so every dispatch wave in this
@@ -1172,7 +1118,6 @@ RoundRecord Aggregator::run_round_async() {
   broadcast.payload_view = global_params_;
   broadcast.metadata["local_steps"] = config_.local_steps;
 
-  std::vector<int> wave;
   std::vector<std::size_t> wave_slots;
   std::vector<std::uint32_t> wave_seq;
   std::vector<std::pair<std::uint64_t, int>> candidates;
@@ -1200,28 +1145,18 @@ RoundRecord Aggregator::run_round_async() {
         candidates.emplace_back(key, c);
       }
       std::sort(candidates.begin(), candidates.end());
-      wave.clear();
       wave_slots.clear();
       wave_seq.clear();
       std::size_t next_free = 0;
       for (const auto& [key, c] : candidates) {
         const auto ci = static_cast<std::size_t>(c);
-        if (wave.size() < free) {
+        if (wave_slots.size() < free) {
           while (slots_[next_free].busy) ++next_free;
           InFlight& slot = slots_[next_free];
+          arm(slot, c, sim_now_);
           slot.busy = true;
-          slot.client = c;
-          slot.dispatch_time = sim_now_;
-          slot.arrive_time = sim_now_;
-          slot.dispatch_version = round_;
-          slot.wave_id = 0;
-          slot.failure_kind = 0;
-          slot.trained = false;
-          slot.streamed = false;
-          slot.train_sim_seconds = 0.0;
           client_slot_[ci] = static_cast<int>(next_free);
           defer_counts_[ci] = 0;
-          wave.push_back(c);
           wave_slots.push_back(next_free);
           wave_seq.push_back(dispatch_seq_[ci]++);
           ++next_free;
@@ -1241,7 +1176,7 @@ RoundRecord Aggregator::run_round_async() {
           }
         }
       }
-      if (!wave.empty() && config_.secure_aggregation) {
+      if (!wave_slots.empty() && config_.secure_aggregation) {
         // Every member of a dispatch wave trains against the same server
         // version, so the wave is the async secagg cohort: one session per
         // wave, seeded by the persisted wave counter (key agreement
@@ -1249,21 +1184,15 @@ RoundRecord Aggregator::run_round_async() {
         const std::uint64_t wid = ++secagg_wave_counter_;
         for (const std::size_t si : wave_slots) slots_[si].wave_id = wid;
       }
-      if (!wave.empty()) {
-        auto dispatch_one = [&](std::size_t i) {
-          async_dispatch(slots_[wave_slots[i]], wave[i], broadcast,
-                         wave_seq[i], tracing);
-        };
-        if (config_.parallel_clients && wave.size() > 1) {
-          global_pool().parallel_for(wave.size(), dispatch_one);
-        } else {
-          for (std::size_t i = 0; i < wave.size(); ++i) dispatch_one(i);
-        }
-        // Serial bookkeeping: data-stream positions advance in wave order.
-        for (std::size_t i = 0; i < wave.size(); ++i) {
-          if (slots_[wave_slots[i]].trained) {
-            ++client_rounds_[static_cast<std::size_t>(wave[i])];
-          }
+      // Fault decisions key on the dispatch sequence number within this
+      // drain, the async analogue of the sync engine's cohort attempt.
+      fan_out(config_.parallel_clients, wave_slots.size(), [&](std::size_t i) {
+        dispatch(slots_[wave_slots[i]], broadcast, wave_seq[i], 0.0, tracing);
+      });
+      // Serial bookkeeping: data-stream positions advance in wave order.
+      for (const std::size_t si : wave_slots) {
+        if (slots_[si].trained) {
+          ++client_rounds_[static_cast<std::size_t>(slots_[si].client)];
         }
       }
     }
@@ -1327,34 +1256,17 @@ RoundRecord Aggregator::run_round_async() {
                   return slots_[a].client < slots_[b].client;
                 });
       std::vector<int> cohort;
-      cohort.reserve(member_slots.size());
-      for (const std::size_t si : member_slots) {
-        cohort.push_back(slots_[si].client);
-      }
       std::vector<int> surv_pos;
       std::vector<int> drop_pos;
-      for (int pos = 0; pos < static_cast<int>(cohort.size()); ++pos) {
-        const InFlight& s = slots_[member_slots[static_cast<std::size_t>(pos)]];
-        if (s.failure_kind == 1) {
-          ++record.crashed_clients;
-          obs_.crashes.add();
-          drop_pos.push_back(pos);
-        } else if (s.failure_kind == 2) {
-          ++record.link_failed_clients;
-          obs_.link_failures.add();
-          drop_pos.push_back(pos);
-        } else if (membership_[static_cast<std::size_t>(s.client)] !=
-                   MembershipState::kActive) {
-          // Departed while masked and in flight: the update is discarded,
-          // but its pair masks are woven into the survivors' contributions,
-          // so it is a dropout — survivors reconstruct its seed from shares.
-          ++record.discarded_updates;
-          ++async_discarded_total_;
-          obs_.async_discarded.add();
-          drop_pos.push_back(pos);
-        } else {
-          surv_pos.push_back(pos);
-        }
+      cohort.reserve(member_slots.size());
+      for (std::size_t pos = 0; pos < member_slots.size(); ++pos) {
+        const InFlight& s = slots_[member_slots[pos]];
+        cohort.push_back(s.client);
+        // A member that departed while masked and in flight is discarded,
+        // but its pair masks are woven into the survivors' contributions,
+        // so it is a dropout — survivors reconstruct its seed from shares.
+        (tally(s, record) ? surv_pos : drop_pos)
+            .push_back(static_cast<int>(pos));
       }
       SecAggConfig scfg;
       scfg.fixed_point_bits = config_.privacy.secagg_fixed_point_bits;
@@ -1371,59 +1283,22 @@ RoundRecord Aggregator::run_round_async() {
         async_discarded_total_ += surv_pos.size();
         if (!surv_pos.empty()) obs_.async_discarded.add(surv_pos.size());
       } else {
-        if (secagg_acc_.size() != n) secagg_acc_.resize(n);
-        std::fill(secagg_acc_.begin(), secagg_acc_.end(),
-                  std::uint64_t{0});
-        for (const int pos : surv_pos) {
-          const InFlight& s =
-              slots_[member_slots[static_cast<std::size_t>(pos)]];
-          if (s.header.payload.size() != n) {
-            throw std::runtime_error(
-                "Aggregator::run_round_async: update size mismatch");
-          }
-          session.mask_update_into(pos, s.header.payload, secagg_acc_,
-                                   kernels::default_context());
-        }
-        if (!drop_pos.empty()) {
-          session.recover_dropouts(surv_pos, drop_pos, secagg_acc_,
-                                   kernels::default_context(), tracer, round_,
-                                   sim_now_, tracing);
-          record.secagg_dropouts_recovered +=
-              static_cast<int>(drop_pos.size());
-          shares_reconstructed_total_ += drop_pos.size();
-          obs_.share_recoveries.add(drop_pos.size());
-        }
-        const int n_ok = static_cast<int>(surv_pos.size());
-        std::vector<float> wave_mean(n);
-        session.decode_mean(secagg_acc_, n_ok, wave_mean,
-                            kernels::default_context());
-        // All wave members trained the same dispatch version, so one
+        // pseudo_grad_ is free until the drain closes: it holds the wave's
+        // mean.  All wave members trained the same dispatch version, so one
         // staleness weight covers the wave: fold w * n_ok * mean — exactly
         // the sum the per-member path would have accumulated.
+        pseudo_grad_.resize(n);
+        secagg_mean(session, member_slots, surv_pos, drop_pos, sim_now_,
+                    pseudo_grad_, record, tracing);
         const std::uint32_t staleness =
             round_ - slots_[member_slots[0]].dispatch_version;
-        const double w = staleness_weight(staleness);
-        const double scale = w * static_cast<double>(n_ok);
-        for (std::size_t e = 0; e < n; ++e) {
-          async_acc_[e] += scale * static_cast<double>(wave_mean[e]);
-        }
+        const double scale = staleness_weight(staleness) *
+                             static_cast<double>(surv_pos.size());
+        fold_weighted(acc_.data(), pseudo_grad_.data(), n, scale);
         weight_sum += scale;
-        obs_.secagg_rounds.add();
         for (const int pos : surv_pos) {
-          const InFlight& s =
-              slots_[member_slots[static_cast<std::size_t>(pos)]];
-          ++accepted;
-          ++async_accepted_total_;
-          staleness_sum += static_cast<double>(staleness);
-          record.max_staleness = std::max(record.max_staleness, staleness);
-          obs_.async_accepted.add();
-          obs_.async_staleness.observe(static_cast<double>(staleness));
-          record.tokens_this_round += s.update.tokens;
-          record.mean_train_loss += s.update.mean_train_loss;
-          accepted_clients.push_back(s.client);
-          accepted_metrics.push_back(s.header.metadata);
-          accepted_weights.push_back(static_cast<double>(s.update.tokens));
-          obs_.client_sim_seconds.observe(s.arrive_time - s.dispatch_time);
+          accept(slots_[member_slots[static_cast<std::size_t>(pos)]],
+                 staleness);
         }
       }
       for (const std::size_t si : member_slots) {
@@ -1448,82 +1323,34 @@ RoundRecord Aggregator::run_round_async() {
     }
     InFlight& slot = slots_[pick];
     sim_now_ = std::max(sim_now_, slot.arrive_time);
-    const int id = slot.client;
-    if (slot.failure_kind == 1) {
-      ++record.crashed_clients;
-      obs_.crashes.add();
-    } else if (slot.failure_kind == 2) {
-      ++record.link_failed_clients;
-      obs_.link_failures.add();
-    } else if (membership_[static_cast<std::size_t>(id)] !=
-               MembershipState::kActive) {
-      // The client departed while its update was in flight: discard.
-      ++record.discarded_updates;
-      ++async_discarded_total_;
-      obs_.async_discarded.add();
-    } else {
+    if (tally(slot, record)) {
       // Accept into the buffer: staleness-weighted fp64 accumulate,
       // streamed chunk-wise from the retained wire image — the full fp32
       // update of a quantized client is never materialized.
       const std::uint32_t staleness = round_ - slot.dispatch_version;
       const double w = staleness_weight(staleness);
       if (slot.streamed) {
-        const WireView& v = slot.wire;
-        if (static_cast<std::size_t>(v.elems) != n) {
-          throw std::runtime_error(
-              "Aggregator::run_round_async: update size mismatch");
-        }
-        const Codec* codec = codec_by_name(v.codec);
-        auto accum_chunk = [&](std::size_t c) {
-          const obs::RealTimer chunk_timer(tracing);
-          const std::size_t len = v.raw_len(c) / sizeof(float);
-          std::vector<float> tmp(len);
-          codec->decompress_into(v.chunk(c),
-                                 {reinterpret_cast<std::uint8_t*>(tmp.data()),
-                                  len * sizeof(float)});
-          double* acc = async_acc_.data() + v.raw_off(c) / sizeof(float);
-          for (std::size_t e = 0; e < len; ++e) {
-            acc[e] += w * static_cast<double>(tmp[e]);
-          }
-          if (tracing) {
-            tracer->record({obs::SpanKind::kDequantAccum, round_,
-                            obs::kAggregatorActor,
-                            static_cast<std::int32_t>(c), sim_now_, sim_now_,
-                            chunk_timer.ns()});
-          }
-        };
-        if (config_.parallel_clients && v.n_chunks() > 1) {
-          global_pool().parallel_for(v.n_chunks(), accum_chunk);
-        } else {
-          for (std::size_t c = 0; c < v.n_chunks(); ++c) accum_chunk(c);
+        const std::size_t from[] = {pick};
+        const std::vector<std::uint64_t> chunk_ns =
+            fold_streamed(from, w, 0.0, tracing);
+        for (std::size_t c = 0; tracing && c < chunk_ns.size(); ++c) {
+          tracer->record({obs::SpanKind::kDequantAccum, round_,
+                          obs::kAggregatorActor, static_cast<std::int32_t>(c),
+                          sim_now_, sim_now_, chunk_ns[c]});
         }
       } else {
         const std::vector<float>& p = slot.header.payload;
         if (p.size() != n) {
-          throw std::runtime_error(
-              "Aggregator::run_round_async: update size mismatch");
+          throw std::runtime_error("Aggregator: update size mismatch");
         }
-        for (std::size_t e = 0; e < n; ++e) {
-          async_acc_[e] += w * static_cast<double>(p[e]);
-        }
+        fold_weighted(acc_.data(), p.data(), n, w);
       }
       weight_sum += w;
-      ++accepted;
-      ++async_accepted_total_;
-      staleness_sum += static_cast<double>(staleness);
-      record.max_staleness = std::max(record.max_staleness, staleness);
-      obs_.async_accepted.add();
-      obs_.async_staleness.observe(static_cast<double>(staleness));
-      record.tokens_this_round += slot.update.tokens;
-      record.mean_train_loss += slot.update.mean_train_loss;
-      accepted_clients.push_back(id);
-      accepted_metrics.push_back(slot.header.metadata);
-      accepted_weights.push_back(static_cast<double>(slot.update.tokens));
-      obs_.client_sim_seconds.observe(slot.arrive_time - slot.dispatch_time);
+      accept(slot, staleness);
     }
     // Free the slot; the client may request admission again immediately.
     slot.busy = false;
-    client_slot_[static_cast<std::size_t>(id)] = -1;
+    client_slot_[static_cast<std::size_t>(slot.client)] = -1;
   }
 
   // --- drain: staleness-weighted server step ----------------------------
@@ -1534,109 +1361,31 @@ RoundRecord Aggregator::run_round_async() {
   record.mean_staleness =
       accepted > 0 ? staleness_sum / static_cast<double>(accepted) : 0.0;
   pseudo_grad_.resize(n);
-  const double inv = weight_sum > 0.0 ? 1.0 / weight_sum : 0.0;
-  for (std::size_t e = 0; e < n; ++e) {
-    pseudo_grad_[e] = static_cast<float>(async_acc_[e] * inv);
-  }
-  record.update_norm = kernels::l2_norm(pseudo_grad_.data(), n);
-
-  const obs::RealTimer server_opt_timer(tracing);
-  checkpoints_.journal_begin(round_);
-  server_opt_->apply(global_params_, pseudo_grad_);
-  if (tracing) {
-    tracer->record({obs::SpanKind::kServerOpt, round_, obs::kAggregatorActor,
-                    -1, sim_now_, sim_now_, server_opt_timer.ns()});
-  }
+  narrow_mean(acc_.data(), pseudo_grad_.data(), n, weight_sum);
+  step_server(pseudo_grad_, record, tracing);
   record.client_metrics =
       aggregate_metrics(accepted_metrics, accepted_weights);
   record.secure_round = config_.secure_aggregation;
   account_privacy(record);
-
-  LinkStats agg_after;
-  for (const auto& link : links_) {
-    const LinkStats& s = link.stats();
-    agg_after.wire_bytes += s.wire_bytes;
-    agg_after.retries += s.retries;
-    agg_after.corrupt_chunks += s.corrupt_chunks;
-    agg_after.backoff_seconds += s.backoff_seconds;
-  }
-  record.comm_bytes = agg_after.wire_bytes - agg_before.wire_bytes;
-  record.link_retries = agg_after.retries - agg_before.retries;
-  record.corrupt_chunks = agg_after.corrupt_chunks - agg_before.corrupt_chunks;
-  record.backoff_seconds =
-      agg_after.backoff_seconds - agg_before.backoff_seconds;
-  record.sim_local_seconds =
-      static_cast<double>(config_.local_steps) / config_.sim_throughput_bps;
-  record.sim_slowest_client_seconds = sim_now_ - t0;
-  record.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_round)
-          .count();
-
-  // Checkpoint at the drain boundary, after the record is complete (but
-  // before the kBufferDrain / kRound spans) so a state extension folds the
-  // finished drain into what it captures — same contract as the sync path.
-  if (config_.checkpoint_every > 0 &&
-      round_ % static_cast<std::uint32_t>(config_.checkpoint_every) == 0) {
-    const obs::RealTimer ckpt_timer(tracing);
-    Checkpoint ckpt;
-    ckpt.round = round_;
-    ckpt.params = global_params_;
-    ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
-    ckpt.client_trained_rounds = client_rounds_;
-    BinaryWriter w;
-    server_opt_->save_state(w);
-    ckpt.server_opt_state = w.take();
-    ckpt.client_ef_residuals.reserve(clients_.size());
-    for (const auto& c : clients_) {
-      ckpt.client_ef_residuals.push_back(c->ef_residual());
-    }
-    // The drain boundary is the async save point: the accumulator is empty
-    // here, so the buffer's durable form is the pending in-flight updates
-    // plus the admission/membership counters and the sim clock.
-    ckpt.async_state = capture_async_state();
-    if (state_ext_ != nullptr) {
-      state_ext_->on_checkpoint(record);
-      ckpt.tuner_state = state_ext_->capture_state();
-    }
-    if (accountant_ != nullptr || config_.secure_aggregation) {
-      ckpt.privacy_state = capture_privacy_state();
-    }
-    checkpoints_.save(std::move(ckpt));
-    checkpoints_.journal_commit(round_);
-    if (tracing) {
-      tracer->record({obs::SpanKind::kCheckpoint, round_,
-                      obs::kAggregatorActor, -1, sim_now_, sim_now_,
-                      ckpt_timer.ns()});
-    }
-  }
+  record.sim_slowest_client_seconds = sim_now_ - start.t0;
+  finish_record(record, start);
+  save_checkpoint(record, tracing);
 
   if (tracing) {
-    const double drain_begin = first_dispatch >= 0.0 ? first_dispatch : t0;
+    const double drain_begin =
+        first_dispatch >= 0.0 ? first_dispatch : start.t0;
     tracer->record({obs::SpanKind::kBufferDrain, round_, obs::kAggregatorActor,
                     accepted, drain_begin, sim_now_, 0});
-    tracer->record({obs::SpanKind::kRound, round_, obs::kAggregatorActor,
-                    accepted, t0, sim_now_, round_timer.ns()});
   }
-  obs_.rounds.add();
   obs_.async_drains.add();
-  obs_.tokens.add(record.tokens_this_round);
   obs_.async_in_flight.set(static_cast<double>(async_in_flight()));
-  if (sim_now_ > t0) {
-    obs_.tokens_per_sim_second.set(
-        static_cast<double>(record.tokens_this_round) / (sim_now_ - t0));
-  }
-
   PHOTON_LOG_INFO("aggregator",
                   "drain %u: accepted=%d staleness mean %.2f max %u "
                   "deferred=%u loss %.4f",
                   round_, accepted, record.mean_staleness,
                   record.max_staleness, record.admission_deferred,
                   record.mean_train_loss);
-
-  history_.add(record);
-  ++round_;
-  schedule_step_base_ += config_.local_steps;
-  return record;
+  return close_round(record, start, accepted);
 }
 
 AsyncAggregatorState Aggregator::capture_async_state() const {
@@ -1668,12 +1417,12 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
     u.arrive_time = slot->arrive_time;
     u.dispatch_version = slot->dispatch_version;
     u.wave_id = slot->wave_id;
-    u.failure_kind = slot->failure_kind;
+    u.failure_kind = slot->outcome;
     u.tokens = slot->update.tokens;
     u.mean_train_loss = slot->update.mean_train_loss;
     u.train_sim_seconds = slot->train_sim_seconds;
     u.metrics = slot->header.metadata;
-    if (slot->failure_kind == 0) {
+    if (slot->outcome == kOk) {
       if (slot->streamed) {
         const WireView& v = slot->wire;
         u.codec = v.codec;
@@ -1704,13 +1453,47 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
   return s;
 }
 
-void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
+void Aggregator::validate_async_state(const AsyncAggregatorState& st) const {
+  // Checkpoints carry no checksum, so a snapshot is replayed only once its
+  // shape matches this engine: the drain copies and decodes these bytes.
+  const auto bad = [](const std::string& what) {
+    throw std::runtime_error("Aggregator: async checkpoint " + what);
+  };
   if (st.membership.size() != clients_.size() ||
       st.defer_counts.size() != clients_.size() ||
       st.next_eligible.size() != clients_.size()) {
-    throw std::runtime_error(
-        "Aggregator: async checkpoint population mismatch");
+    bad("population mismatch");
   }
+  const std::uint64_t n = global_params_.size();
+  for (const AsyncInFlightSnapshot& u : st.in_flight) {
+    if (u.client < 0 || u.client >= population()) bad("bad client id");
+    if (u.failure_kind > kLinkFailed) bad("bad failure kind");
+    if (u.failure_kind != kOk) continue;  // failed slots carry no update
+    if (u.elems != n) bad("update size mismatch");
+    if (u.codec.empty()) {
+      if (u.chunk_bytes.size() != n * sizeof(float)) bad("fp32 payload size");
+      continue;
+    }
+    const Codec* codec = codec_by_name(u.codec);
+    if (codec == nullptr || codec->quant_bits() == 0) {
+      bad("unknown streamed codec " + u.codec);
+    }
+    const std::uint64_t raw = n * sizeof(float);
+    const std::uint64_t per = u.chunk_raw_bytes;
+    if (per == 0 ||
+        u.chunk_lens.size() != raw / per + (raw % per != 0 ? 1 : 0)) {
+      bad("chunk count mismatch");
+    }
+    std::uint64_t left = u.chunk_bytes.size();
+    for (const std::uint64_t len : u.chunk_lens) {
+      if (len > left) bad("chunk lengths exceed stored bytes");
+      left -= len;
+    }
+    if (left != 0) bad("chunk lengths short of stored bytes");
+  }
+}
+
+void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
   sim_now_ = st.sim_now;
   async_accepted_total_ = st.accepted_total;
   async_discarded_total_ = st.discarded_total;
@@ -1732,25 +1515,21 @@ void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
   std::fill(client_slot_.begin(), client_slot_.end(), -1);
   for (std::size_t i = 0; i < st.in_flight.size(); ++i) {
     const AsyncInFlightSnapshot& u = st.in_flight[i];
-    if (u.client < 0 || u.client >= population()) {
-      throw std::runtime_error("Aggregator: async checkpoint bad client id");
-    }
     InFlight& slot = slots_[i];
+    arm(slot, u.client, u.arrive_time - u.train_sim_seconds);
     slot.busy = true;
-    slot.client = u.client;
-    slot.dispatch_time = u.arrive_time - u.train_sim_seconds;
     slot.arrive_time = u.arrive_time;
     slot.dispatch_version = u.dispatch_version;
     slot.wave_id = u.wave_id;
-    slot.failure_kind = u.failure_kind;
-    slot.trained = false;  // its stream advance is already in the ckpt
+    slot.outcome = static_cast<Outcome>(u.failure_kind);
     slot.train_sim_seconds = u.train_sim_seconds;
+    // trained stays false: its stream advance is already in the checkpoint.
     slot.update.tokens = u.tokens;
     slot.update.mean_train_loss = u.mean_train_loss;
     slot.header.metadata = u.metrics;
     slot.header.sender = static_cast<std::uint32_t>(u.client);
     slot.header.round = u.dispatch_version;
-    slot.streamed = u.failure_kind == 0 && !u.codec.empty();
+    slot.streamed = u.failure_kind == kOk && !u.codec.empty();
     if (slot.streamed) {
       WireView& v = slot.wire;
       v.bytes = u.chunk_bytes;
@@ -1765,7 +1544,7 @@ void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
         v.offs.push_back(off);
         off += len;
       }
-    } else if (u.failure_kind == 0) {
+    } else if (u.failure_kind == kOk) {
       slot.header.payload.resize(static_cast<std::size_t>(u.elems));
       std::memcpy(slot.header.payload.data(), u.chunk_bytes.data(),
                   u.chunk_bytes.size());
@@ -1814,6 +1593,7 @@ bool Aggregator::restore_latest_checkpoint() {
   if (!ckpt.has_value()) ckpt = checkpoints_.latest();
   if (!ckpt.has_value()) return false;
   if (ckpt->params.size() != global_params_.size()) return false;
+  if (ckpt->async_state.valid) validate_async_state(ckpt->async_state);
 
   global_params_ = ckpt->params;
   round_ = ckpt->round + 1;

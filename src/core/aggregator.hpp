@@ -18,6 +18,7 @@
 // metadata make crash recovery exact: ServerOpt is applied exactly once per
 // completed round and the LR schedule resumes bit-identically.
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -40,6 +41,8 @@
 #include "obs/trace.hpp"
 
 namespace photon {
+
+class SecAggSession;
 
 struct AggregatorConfig {
   /// K: clients sampled per round; 0 = full participation.
@@ -281,28 +284,54 @@ class Aggregator {
   }
 
  private:
-  /// One occupied admission slot: a dispatched update in flight between the
-  /// server and a client.  Slots are reused across the whole run (their
-  /// message/wire/update buffers keep capacity), so async resident memory
-  /// is bounded by max_in_flight regardless of population.
+  /// What the server learns about one dispatched client.  kOk..kLinkFailed
+  /// are persisted as AsyncInFlightSnapshot::failure_kind; kLate (a round
+  /// deadline cut) only exists inside a sync round.
+  enum Outcome : std::uint8_t {
+    kOk = 0,
+    kCrashed = 1,
+    kLinkFailed = 2,
+    kLate = 3
+  };
+
+  /// One dispatch slot: a client between its broadcast and the server's use
+  /// of its update.  A sync round uses slot i for cohort position i; the
+  /// async engine's slots are its admission pool (busy while in flight).
+  /// Slots are reused across the whole run (their message/wire/update
+  /// buffers keep capacity), so resident memory is bounded by the slot
+  /// count regardless of population.
   struct InFlight {
-    bool busy = false;
+    bool busy = false;                   // async: holds an admission slot
     int client = -1;
-    double dispatch_time = 0.0;
+    double dispatch_time = 0.0;          // sim time the broadcast starts
     double arrive_time = 0.0;            // when the outcome reaches the server
+    double sim_seconds = 0.0;            // link + train sim time since dispatch
     std::uint32_t dispatch_version = 0;  // server version trained against
     std::uint64_t wave_id = 0;           // secagg dispatch wave (0 = plain)
-    std::uint8_t failure_kind = 0;       // 0 ok, 1 crash, 2 link failure
+    Outcome outcome = kOk;
     bool trained = false;                // local data stream advanced
     bool streamed = false;               // update retained as a wire image
     double train_sim_seconds = 0.0;
+    double train_wall_seconds = 0.0;     // measured wall time in training
     Message header;       // received update header (metadata = metrics)
     WireView wire;        // retained quantized wire image when streamed
     ClientUpdate update;  // reused delta/metric storage
   };
 
+  /// What a round's epilogue needs from its start.
+  struct RoundStart {
+    std::chrono::steady_clock::time_point wall;
+    obs::RealTimer timer;
+    double t0 = 0.0;  // sim time the round starts at
+    bool tracing = false;
+    LinkStats links;  // link stats summed over every client at round start
+  };
+
   RoundRecord run_round_sync();
   RoundRecord run_round_async();
+  RoundStart begin_round() const;
+  /// Link stats summed over every client link.
+  LinkStats link_totals() const;
   /// Apply the membership plan's arrivals/departures for round_ (client-id
   /// order; pure given (plan, round, states)).
   void apply_membership(RoundRecord& record);
@@ -314,11 +343,51 @@ class Aggregator {
   /// consecutive defer; keyed on (retry.jitter_seed, client, count) so a
   /// restored run reproduces the exact deferral timeline.
   double defer_backoff(int client, std::uint32_t count) const;
-  /// Train + transmit one admitted client into `slot` (parallel-safe: only
-  /// this slot, this client, and this client's link are touched).
-  void async_dispatch(InFlight& slot, int client, const Message& broadcast,
-                      std::uint32_t dispatch_seq, bool tracing);
+  /// Reset `slot` for a fresh dispatch of `client` at sim time `t`.
+  void arm(InFlight& slot, int client, double t) const;
+  /// Broadcast + local training + update return for the client armed in
+  /// `slot` (Alg. 1 L5-7).  `attempt` salts the fault hook (the sync cohort
+  /// attempt, the async dispatch sequence); `deadline` > 0 cuts stragglers
+  /// (sync rounds).  Parallel-safe: only this slot, this client, and this
+  /// client's link are touched.
+  void dispatch(InFlight& slot, const Message& broadcast, std::uint32_t attempt,
+                double deadline, bool tracing);
+  /// Count a resolved slot's failure (crash, link failure, deadline cut, or
+  /// a client that departed while in flight) into `record` and the metrics;
+  /// true when its update is usable.
+  bool tally(const InFlight& slot, RoundRecord& record);
+  /// Streamed dequantize-and-accumulate of the wire images held by slots
+  /// `from`, each weighted `w`.  With close_weight > 0 they are a whole
+  /// sync round's sum, narrowed chunk by chunk into pseudo_grad_;
+  /// otherwise they fold into the drain accumulator acc_.  Returns each
+  /// chunk's measured real time.
+  std::vector<std::uint64_t> fold_streamed(std::span<const std::size_t> from,
+                                           double w, double close_weight,
+                                           bool tracing);
+  /// Secure aggregation of one masked cohort (a sync round or an async
+  /// wave): mask each survivor's fp32 update into the mod-2^64 ring, strip
+  /// dropped members' masks from survivor shares, decode the mean.
+  /// `member_slots[pos]` is the slot of cohort position pos.
+  void secagg_mean(const SecAggSession& session,
+                   std::span<const std::size_t> member_slots,
+                   std::span<const int> surv_pos, std::span<const int> drop_pos,
+                   double sim_time, std::span<float> mean, RoundRecord& record,
+                   bool tracing);
+  /// ServerOpt (Alg. 1 L9) under the write-ahead journal's `begin`.
+  void step_server(std::span<const float> pseudo_grad, RoundRecord& record,
+                   bool tracing);
+  /// Link-stat deltas since the round started, local sim time, wall time.
+  void finish_record(RoundRecord& record, const RoundStart& start) const;
+  /// Checkpoint (Alg. 1 L11) when this round is due, then journal `commit`.
+  void save_checkpoint(const RoundRecord& record, bool tracing);
+  /// kRound span over [t0, sim_now_], round counters, history; advances the
+  /// round index and the LR-schedule base.
+  RoundRecord close_round(RoundRecord& record, const RoundStart& start,
+                          std::int32_t detail);
   AsyncAggregatorState capture_async_state() const;
+  /// Throws std::runtime_error unless every pending snapshot can be replayed
+  /// safely into this engine; checked before restore mutates anything.
+  void validate_async_state(const AsyncAggregatorState& state) const;
   void restore_async_state(const AsyncAggregatorState& state);
   /// Compose this round into the accountant and publish eps on the record.
   void account_privacy(RoundRecord& record);
@@ -368,14 +437,8 @@ class Aggregator {
   /// forward every client's stream to the exact token it would have read.
   std::vector<std::uint32_t> client_rounds_;
 
-  // Per-cohort-slot buffers reused across rounds: received messages (their
-  // payload capacity persists), client updates (delta buffers persist),
-  // retained wire images for the streamed quantized fan-in (their byte
-  // capacity persists), and the aggregation sum.  Round 1 allocates; later
-  // rounds don't.
-  std::vector<Message> rx_;
-  std::vector<WireView> wire_rx_;
-  std::vector<ClientUpdate> updates_;
+  /// Pseudo-gradient of the round; async drains also use it as scratch for
+  /// each secagg wave's mean.
   std::vector<float> pseudo_grad_;
 
   // --- elastic async engine state (DESIGN.md §12) -----------------------
@@ -384,11 +447,11 @@ class Aggregator {
   std::vector<std::uint32_t> defer_counts_;   // consecutive admission defers
   std::vector<double> next_eligible_;         // sim time a defer expires
   std::vector<std::uint32_t> dispatch_seq_;   // dispatches per client per drain
-  std::vector<InFlight> slots_;               // sized max_in_flight, reused
+  std::vector<InFlight> slots_;               // sync cohort / async pool
   std::vector<int> client_slot_;              // client -> slot, -1 = idle
   std::uint64_t async_accepted_total_ = 0;
   std::uint64_t async_discarded_total_ = 0;
-  std::vector<double> async_acc_;  // fp64 staleness-weighted accumulator
+  std::vector<double> acc_;  // fp64 staleness-weighted drain accumulator
 
   // --- privacy engine state (DESIGN.md §14) -----------------------------
   /// RDP accountant (built when any client adds DP noise); composes one

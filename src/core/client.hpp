@@ -55,7 +55,7 @@ struct ClientTrainConfig {
   double clip_update_norm = 0.0;     // 0 = no update clipping
   double dp_noise_multiplier = 0.0;  // 0 = no DP noise
   /// Wire codec for the update return: "" / "rle0" (lossless), "q8" / "q4"
-  /// (lossy blockwise quantization), "lzss" (diagnostic-only).  When empty,
+  /// (lossy blockwise quantization).  When empty,
   /// the PHOTON_WIRE_CODEC environment variable (read at construction)
   /// overrides it — used by tools/ci.sh to rerun tier-1 over the quantized
   /// wire path.

@@ -160,9 +160,6 @@ struct Ops {
                    float lr, float mu, int initialized);
 
   // -------------------------------------------------------- aggregation --
-  // out[i] = float(sum over r of double(rows[r][i]))
-  void (*sum_rows_pd)(float* out, const float* const* rows, std::size_t k,
-                      std::size_t n);
   // m = float(sum_r double(rows[r][i]) * inv) written back to every row
   void (*mean_rows_pd)(float* const* rows, std::size_t k, std::size_t n,
                        double inv);
@@ -182,13 +179,6 @@ struct Ops {
   // round's pseudo-gradient.
   void (*quant_i8_ef)(std::int8_t* codes, float* res, const float* x,
                       std::size_t n, float inv, float factor);
-  // Stochastic-rounding quantize with a counter-based per-element hash rng:
-  //   v = x[i]*inv; u = u01(hash(seed, base+i))
-  //   codes[i] = int8(clamp(floor(v) + (u < frac(v) ? 1 : 0), -127, 127))
-  // Stateless per element, so it shards across threads and SIMD lanes with
-  // bit-identical output at any concurrency (hash = photon::hash_combine).
-  void (*quant_i8_sr)(std::int8_t* codes, const float* x, std::size_t n,
-                      float inv, std::uint64_t seed, std::uint64_t base);
 
   // -------------------------------------------- secure aggregation ring --
   // Fixed-point encode + pairwise-mask accumulate (DESIGN.md §14):

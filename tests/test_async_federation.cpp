@@ -431,6 +431,104 @@ TEST(AsyncFederation, RestoreUnderDifferentMembershipPlanKeepsSavedStates) {
   std::filesystem::remove_all(base);
 }
 
+// ------------------------------------------ restore input validation ---
+// Checkpoints carry no checksum, so restore must refuse an in-flight
+// snapshot it cannot replay safely — before touching any engine state —
+// instead of copying or decoding out of bounds in the next drain.
+void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
+  AggregatorConfig ac;
+  ac.privacy.ignore_env = true;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  auto agg = build_async_aggregator(ac);
+  const std::vector<float> before(agg->global_params().begin(),
+                                  agg->global_params().end());
+  Checkpoint ckpt;
+  ckpt.round = 4;
+  ckpt.params.assign(before.size(), 0.5f);
+  ckpt.async_state.valid = true;
+  const auto pop = static_cast<std::size_t>(agg->population());
+  ckpt.async_state.membership.assign(
+      pop, static_cast<std::uint8_t>(MembershipState::kActive));
+  ckpt.async_state.defer_counts.assign(pop, 0);
+  ckpt.async_state.next_eligible.assign(pop, 0.0);
+  ckpt.async_state.in_flight = {pending};
+  agg->checkpoints().journal_begin(4);
+  agg->checkpoints().save(std::move(ckpt));
+  agg->checkpoints().journal_commit(4);
+  EXPECT_THROW(agg->restore_latest_checkpoint(), std::runtime_error);
+  EXPECT_EQ(agg->round(), 0u);
+  EXPECT_EQ(0, std::memcmp(before.data(), agg->global_params().data(),
+                           before.size() * sizeof(float)));
+  EXPECT_EQ(agg->async_in_flight(), 0);
+}
+
+AsyncInFlightSnapshot pending_update(std::size_t elems) {
+  AsyncInFlightSnapshot u;
+  u.client = 1;
+  u.arrive_time = 2.0;
+  u.train_sim_seconds = 1.0;
+  u.elems = elems;
+  return u;
+}
+
+TEST(AsyncFederation, RestoreRejectsOversizedFp32Snapshot) {
+  const std::size_t n = tiny_model().num_params();
+  AsyncInFlightSnapshot u = pending_update(n);
+  u.chunk_raw_bytes = n * sizeof(float);
+  u.chunk_lens = {n * sizeof(float)};
+  u.chunk_bytes.assign(n * sizeof(float) + 64, 0);  // longer than elems * 4
+  expect_restore_rejects(u);
+}
+
+TEST(AsyncFederation, RestoreRejectsUnknownStreamedCodec) {
+  const std::size_t n = tiny_model().num_params();
+  AsyncInFlightSnapshot u = pending_update(n);
+  u.codec = "lzss";  // not registered
+  u.chunk_raw_bytes = n * sizeof(float);
+  u.chunk_lens = {n * sizeof(float) + 1};
+  u.chunk_bytes.assign(n * sizeof(float) + 1, 0);
+  u.chunk_bytes[0] = 1;  // raw passthrough chunk
+  expect_restore_rejects(u);
+}
+
+TEST(AsyncFederation, RestoreRejectsChunkLengthsPastStoredBytes) {
+  // A raw-mode q8 chunk whose length claims more bytes than are stored.
+  const std::size_t n = tiny_model().num_params();
+  AsyncInFlightSnapshot u = pending_update(n);
+  u.codec = "q8";
+  u.chunk_raw_bytes = n * sizeof(float);
+  u.chunk_lens = {n * sizeof(float) + 1 + 22000};
+  u.chunk_bytes.assign(n * sizeof(float) + 1, 0);
+  u.chunk_bytes[0] = 1;
+  expect_restore_rejects(u);
+}
+
+TEST(AsyncFederation, RestoreRejectsMalformedSnapshotShapes) {
+  const std::size_t n = tiny_model().num_params();
+  AsyncInFlightSnapshot kind = pending_update(0);
+  kind.failure_kind = 3;  // 0 ok, 1 crash, 2 link failure
+  expect_restore_rejects(kind);
+
+  AsyncInFlightSnapshot size = pending_update(n + 1);  // not the model size
+  size.chunk_bytes.assign((n + 1) * sizeof(float), 0);
+  expect_restore_rejects(size);
+
+  AsyncInFlightSnapshot chunks = pending_update(n);  // 2 chunk lens, 1 chunk
+  chunks.codec = "q8";
+  chunks.chunk_raw_bytes = n * sizeof(float);
+  chunks.chunk_lens = {4, 4};
+  chunks.chunk_bytes.assign(8, 1);
+  expect_restore_rejects(chunks);
+
+  AsyncInFlightSnapshot wrap = pending_update(n);  // lens wrap to the total
+  wrap.codec = "q8";
+  wrap.chunk_raw_bytes = (n * sizeof(float) + 1) / 2;
+  wrap.chunk_lens = {~std::uint64_t{0}, 9};
+  wrap.chunk_bytes.assign(8, 1);
+  expect_restore_rejects(wrap);
+}
+
 TEST(AsyncFederation, SyncCheckpointsStayByteStableWithoutAsyncState) {
   // The async-state field is a trailing optional: a sync engine writes
   // nothing new, and its checkpoints restore with async_state invalid.

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "comm/collective.hpp"
 #include "comm/compression.hpp"
@@ -50,7 +52,7 @@ TEST_P(CodecRoundTrip, ArbitraryInputsRoundTripExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecRoundTrip,
-                         ::testing::Values("", "rle0", "lzss"));
+                         ::testing::Values("", "rle0"));
 
 TEST(Rle0Codec, CompressesZeroRuns) {
   Rle0Codec codec;
@@ -58,17 +60,9 @@ TEST(Rle0Codec, CompressesZeroRuns) {
   EXPECT_LT(codec.compress(zeros).size(), 20u);
 }
 
-TEST(LzssCodec, CompressesRepetitiveData) {
-  LzssCodec codec;
-  std::vector<std::uint8_t> rep;
-  for (int i = 0; i < 200; ++i) {
-    rep.insert(rep.end(), {'p', 'h', 'o', 't', 'o', 'n', '-'});
-  }
-  EXPECT_LT(codec.compress(rep).size(), rep.size() / 3);
-}
-
 TEST(CodecRegistry, UnknownNameIsNull) {
   EXPECT_EQ(codec_by_name("zstd"), nullptr);
+  EXPECT_EQ(codec_by_name("lzss"), nullptr);
 }
 
 // -------------------------------------------------------------- messages --
@@ -77,7 +71,7 @@ TEST(Message, RoundTripWithMetadataAndCompression) {
   m.type = MessageType::kClientUpdate;
   m.round = 42;
   m.sender = 7;
-  m.codec = "lzss";
+  m.codec = "rle0";
   m.payload = {1.0f, -2.0f, 0.0f, 0.0f, 0.0f, 3.5f};
   m.metadata["train_loss"] = 2.5;
   m.metadata["tokens"] = 4096.0;
@@ -90,6 +84,29 @@ TEST(Message, RoundTripWithMetadataAndCompression) {
   EXPECT_EQ(back.payload, m.payload);
   EXPECT_DOUBLE_EQ(back.metadata.at("train_loss"), 2.5);
   EXPECT_DOUBLE_EQ(back.metadata.at("tokens"), 4096.0);
+}
+
+TEST(Message, DecodeRejectsUnregisteredCodec) {
+  // A PHO2 message naming a codec this build does not register fails with a
+  // typed error before any chunk is decoded.
+  Message m;
+  m.codec = "rle0";
+  m.payload = {1.0f, 0.0f, 0.0f, 2.5f};
+  auto wire = m.encode();
+  const std::string from = "rle0";
+  const std::string to = "lzss";
+  const auto at =
+      std::search(wire.begin(), wire.end(), from.begin(), from.end());
+  ASSERT_NE(at, wire.end());
+  std::copy(to.begin(), to.end(), at);
+  try {
+    (void)Message::decode(wire);
+    FAIL() << "decode accepted an unregistered codec";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown codec lzss"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Message, CrcDetectsCorruption) {
@@ -230,6 +247,60 @@ TEST(Collective, ValidatesBuffers) {
   EXPECT_THROW(ps_all_reduce_mean(none, 1.0), std::invalid_argument);
 }
 
+TEST(Collective, CostMatchesEveryMeanCollectiveReport) {
+  // collective_cost is the one home of the byte formulas: every mean
+  // collective reports exactly what it returns for the fp32 buffer size.
+  const std::size_t n = 257;
+  for (const int k : {1, 2, 3, 5, 8}) {
+    for (const Topology topo : {Topology::kParameterServer,
+                                Topology::kAllReduce,
+                                Topology::kRingAllReduce}) {
+      std::vector<std::vector<float>> bufs(static_cast<std::size_t>(k),
+                                           std::vector<float>(n, 0.5f));
+      std::vector<std::span<float>> spans(bufs.begin(), bufs.end());
+      const auto mean = collective_mean(topo, spans, 40.0);
+      const auto cost = collective_cost(topo, k, n * sizeof(float), 40.0);
+      EXPECT_EQ(mean.topology, cost.topology);
+      EXPECT_EQ(mean.workers, cost.workers);
+      EXPECT_EQ(mean.bottleneck_bytes, cost.bottleneck_bytes)
+          << topology_name(topo) << " k=" << k;
+      EXPECT_EQ(mean.total_bytes, cost.total_bytes)
+          << topology_name(topo) << " k=" << k;
+      EXPECT_EQ(mean.seconds, cost.seconds)
+          << topology_name(topo) << " k=" << k;
+    }
+  }
+}
+
+TEST(Collective, CostTimesTheBottleneckAtTheBandwidth) {
+  // 1 MiB buffers at 1 MiB/s: seconds equal bottleneck MiB (Eqs. 2-4).
+  constexpr std::uint64_t kMiB = 1024 * 1024;
+  const auto ps = collective_cost(Topology::kParameterServer, 2, kMiB, 1.0);
+  EXPECT_EQ(ps.bottleneck_bytes, 2 * kMiB);
+  EXPECT_EQ(ps.total_bytes, 4 * kMiB);
+  EXPECT_DOUBLE_EQ(ps.seconds, 2.0);
+  const auto ar = collective_cost(Topology::kAllReduce, 3, kMiB, 1.0);
+  EXPECT_EQ(ar.bottleneck_bytes, 2 * kMiB);
+  EXPECT_EQ(ar.total_bytes, 6 * kMiB);
+  EXPECT_DOUBLE_EQ(ar.seconds, 2.0);
+  const auto rar = collective_cost(Topology::kRingAllReduce, 4, kMiB, 1.0);
+  EXPECT_EQ(rar.bottleneck_bytes, 3 * kMiB / 2);
+  EXPECT_EQ(rar.total_bytes, 6 * kMiB);
+  EXPECT_DOUBLE_EQ(rar.seconds, 1.5);
+  // A ring of one moves nothing.
+  const auto solo = collective_cost(Topology::kRingAllReduce, 1, kMiB, 1.0);
+  EXPECT_EQ(solo.total_bytes, 0u);
+  EXPECT_DOUBLE_EQ(solo.seconds, 0.0);
+}
+
+TEST(Collective, CostRejectsNoWorkers) {
+  for (const Topology topo : {Topology::kParameterServer, Topology::kAllReduce,
+                              Topology::kRingAllReduce}) {
+    EXPECT_THROW(collective_cost(topo, 0, 64, 1.0), std::invalid_argument);
+    EXPECT_THROW(collective_cost(topo, -3, 64, 1.0), std::invalid_argument);
+  }
+}
+
 // ------------------------------------------------------------ secure agg --
 TEST(SecureAgg, MasksCancelInTheSum) {
   const int k = 5;
@@ -245,16 +316,17 @@ TEST(SecureAgg, MasksCancelInTheSum) {
     plain_mean[i] /= static_cast<float>(k);
   }
 
-  SecureAggregator sec(k, 0xFEED);
+  const SecAggSession sec({0, 1, 2, 3, 4}, SecAggConfig{32, 0.5, 0xFEED});
   std::vector<std::vector<std::uint64_t>> masked(
-      k, std::vector<std::uint64_t>(n));
+      k, std::vector<std::uint64_t>(n, 0));
   for (int c = 0; c < k; ++c) {
-    sec.mask_update(c, updates[static_cast<std::size_t>(c)],
-                    masked[static_cast<std::size_t>(c)]);
+    sec.mask_update_into(c, updates[static_cast<std::size_t>(c)],
+                         masked[static_cast<std::size_t>(c)],
+                         kernels::default_context());
   }
 
   // Individual masked updates decode to garbage...
-  const double scale = sec.session().fixed_point_scale();
+  const double scale = sec.fixed_point_scale();
   double distortion = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double decoded =
@@ -265,23 +337,28 @@ TEST(SecureAgg, MasksCancelInTheSum) {
 
   // ...but the decoded mean of the wrapped sum matches the plain mean up
   // to fixed-point rounding.
-  std::vector<std::span<const std::uint64_t>> views(masked.begin(),
-                                                    masked.end());
+  std::vector<std::uint64_t> sum(n, 0);
+  for (const auto& m : masked) {
+    for (std::size_t i = 0; i < n; ++i) sum[i] += m[i];  // wrapping
+  }
   std::vector<float> mean(n, 0.0f);
-  sec.unmask_mean(views, mean);
+  sec.decode_mean(sum, k, mean, kernels::default_context());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(mean[i], plain_mean[i], 1e-6f);
   }
 }
 
 TEST(SecureAgg, Validation) {
-  EXPECT_THROW(SecureAggregator(1, 1), std::invalid_argument);
-  SecureAggregator sec(3, 1);
+  EXPECT_THROW(SecAggSession({}, SecAggConfig{}), std::invalid_argument);
+  const SecAggSession sec({0, 1, 2}, SecAggConfig{32, 0.5, 1});
+  const auto& ctx = kernels::default_context();
   std::vector<float> buf(4, 0.0f);
   std::vector<std::uint64_t> out(4, 0);
-  EXPECT_THROW(sec.mask_update(3, buf, out), std::out_of_range);
+  EXPECT_THROW(sec.mask_update_into(3, buf, out, ctx), std::out_of_range);
+  EXPECT_THROW(sec.mask_update_into(-1, buf, out, ctx), std::out_of_range);
   std::vector<std::uint64_t> ragged(3, 0);
-  EXPECT_THROW(sec.mask_update(0, buf, ragged), std::invalid_argument);
+  EXPECT_THROW(sec.mask_update_into(0, buf, ragged, ctx),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------- cost model --
@@ -481,7 +558,7 @@ TEST_P(ChunkedMessage, EncodedSizeIsExactWithoutEncoding) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, ChunkedMessage,
-                         ::testing::Values("", "rle0", "lzss"));
+                         ::testing::Values("", "rle0"));
 
 TEST(Message, PayloadViewEncodesIdenticallyToOwnedPayload) {
   const auto data = sparse_floats(5000, 41);
@@ -749,6 +826,9 @@ TEST(SimLink, RetryTimelineIsDeterministic) {
 }
 
 TEST(SecureAgg, ParallelSumIntoMatchesSerialBitExactly) {
+  // The server's secure sum -- every survivor masked into one accumulator,
+  // a dropped member's masks stripped, the ring sum decoded -- is
+  // bit-identical serial vs pooled.
   ThreadPool pool(4);
   const kernels::KernelContext par(&pool, 4, /*grain=*/1);
   const kernels::KernelContext ser;
@@ -759,11 +839,29 @@ TEST(SecureAgg, ParallelSumIntoMatchesSerialBitExactly) {
     u.resize(n);
     for (auto& x : u) x = rng.gaussian(0.0f, 2.0f);
   }
-  std::vector<std::span<const float>> views(updates.begin(), updates.end());
-  std::vector<float> serial(n), parallel(n);
-  SecureAggregator::sum_into(views, serial, ser);
-  SecureAggregator::sum_into(views, parallel, par);
+  const SecAggSession sec({0, 1, 2, 3, 4}, SecAggConfig{32, 0.5, 0x5EC});
+  const std::vector<int> survivors{0, 1, 3, 4};
+  const std::vector<int> dropped{2};
+  auto secure_mean = [&](const kernels::KernelContext& ctx) {
+    std::vector<std::uint64_t> acc(n, 0);
+    for (const int c : survivors) {
+      sec.mask_update_into(c, updates[static_cast<std::size_t>(c)], acc, ctx);
+    }
+    sec.recover_dropouts(survivors, dropped, acc, ctx);
+    std::vector<float> mean(n, 0.0f);
+    sec.decode_mean(acc, static_cast<int>(survivors.size()), mean, ctx);
+    return mean;
+  };
+  const auto serial = secure_mean(ser);
+  const auto parallel = secure_mean(par);
   EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(), n * sizeof(float)));
+  for (std::size_t i = 0; i < n; ++i) {
+    double plain = 0.0;
+    for (const int c : survivors) {
+      plain += updates[static_cast<std::size_t>(c)][i];
+    }
+    ASSERT_NEAR(serial[i], plain / 4.0, 1e-5) << "i=" << i;
+  }
 }
 
 }  // namespace

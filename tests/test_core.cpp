@@ -173,12 +173,12 @@ TEST(PostProcess, StagesRunInOrder) {
   PostProcessPipeline pipe;
   pipe.add(std::make_unique<ClipStage>(1.0));
   pipe.add(std::make_unique<DpNoiseStage>(0.1, 1.0, 3));
-  pipe.add(std::make_unique<CompressStage>("lzss"));
+  pipe.add(std::make_unique<CompressStage>("rle0"));
   EXPECT_EQ(pipe.num_stages(), 3u);
   std::vector<float> update{10.0f, 0.0f};
   const auto report = pipe.run(update);
   EXPECT_TRUE(report.clipped);
-  EXPECT_EQ(report.codec, "lzss");
+  EXPECT_EQ(report.codec, "rle0");
   // Clip happened before noise: ||update|| ~ 1 + small noise, << 10.
   EXPECT_LT(std::hypot(update[0], update[1]), 2.0);
 }

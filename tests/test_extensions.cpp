@@ -1,10 +1,15 @@
 // Extension features from paper §6: client selection strategies and update
-// quantization.
+// quantization.  The int8 update quantizer is the q8 wire codec
+// (QuantCodec(8)); its wire-path contracts (error feedback, streamed
+// fan-in) are in test_wire_quant.cpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "comm/quantization.hpp"
 #include "core/selection.hpp"
@@ -81,86 +86,85 @@ TEST(SelectionStrategies, KLargerThanPoolReturnsEveryone) {
 }
 
 // ----------------------------------------------------------- quantizer --
+// The tests below read the q8 chunk layout documented in quantization.hpp:
+// u8 mode, u32 n_floats, f32 scale[ceil(n / kBlockFloats)], int8 codes.
+
+std::span<const std::uint8_t> float_bytes(const std::vector<float>& v) {
+  return {reinterpret_cast<const std::uint8_t*>(v.data()),
+          v.size() * sizeof(float)};
+}
+
+std::vector<float> q8_round_trip(const std::vector<float>& x,
+                                 std::vector<std::uint8_t>& wire) {
+  const QuantCodec q8(8);
+  q8.compress_into(float_bytes(x), wire);
+  std::vector<float> back(x.size());
+  q8.decompress_into(wire, {reinterpret_cast<std::uint8_t*>(back.data()),
+                            back.size() * sizeof(float)});
+  return back;
+}
+
+float block_scale(const std::vector<std::uint8_t>& wire, std::size_t block) {
+  float scale;
+  std::memcpy(&scale, wire.data() + 5 + 4 * block, sizeof(scale));
+  return scale;
+}
+
+// Round-to-nearest lands within half a grid step (scale / 127) of the
+// input; 1% covers the fp32 rounding of the scale factors.
+float max_error(float scale) { return scale / 127.0f * 0.5f * 1.01f + 1e-7f; }
+
 TEST(Int8Quantizer, ErrorBoundedByScale) {
   Rng rng(5);
   std::vector<float> update(5000);
   for (auto& x : update) x = rng.gaussian(0.0f, 0.01f);
-  Int8Quantizer quant(256);
-  const QuantizedUpdate q = quant.quantize(update);
-  const auto back = quant.dequantize(q);
-  ASSERT_EQ(back.size(), update.size());
+  std::vector<std::uint8_t> wire;
+  const auto back = q8_round_trip(update, wire);
+  ASSERT_EQ(wire[0], 0);  // quantized, not raw passthrough
   for (std::size_t i = 0; i < update.size(); ++i) {
-    const float scale = q.scales[i / q.chunk_size];
-    EXPECT_LE(std::abs(back[i] - update[i]),
-              Int8Quantizer::max_error(scale) + 1e-7f);
+    const float scale = block_scale(wire, i / wire_quant::kBlockFloats);
+    EXPECT_LE(std::abs(back[i] - update[i]), max_error(scale));
   }
 }
 
 TEST(Int8Quantizer, WireBytesRoughlyQuartered) {
-  std::vector<float> update(4096, 0.5f);
-  Int8Quantizer quant(1024);
-  const QuantizedUpdate q = quant.quantize(update);
-  EXPECT_LT(q.wire_bytes(), update.size() * sizeof(float) / 3.5);
-}
-
-TEST(Int8Quantizer, StochasticRoundingIsUnbiased) {
-  // Quantize the same constant many times; the mean reconstruction must
-  // approach the true value even though single samples round up/down.
-  std::vector<float> update(1, 0.003f);
-  // Scale is set by the chunk max = 0.003 -> code is +/-127 exactly; use a
-  // second element to force a non-trivial grid.
-  update.push_back(1.0f);
-  Int8Quantizer quant(2, /*stochastic=*/true, 9);
-  double sum = 0.0;
-  constexpr int kTrials = 3000;
-  for (int i = 0; i < kTrials; ++i) {
-    sum += quant.dequantize(quant.quantize(update))[0];
-  }
-  EXPECT_NEAR(sum / kTrials, 0.003, 5e-4);
+  const std::vector<float> update(4096, 0.5f);
+  std::vector<std::uint8_t> wire;
+  QuantCodec(8).compress_into(float_bytes(update), wire);
+  EXPECT_LT(wire.size(), update.size() * sizeof(float) / 3.5);
 }
 
 TEST(Int8Quantizer, ZeroAndHugeValuesSurvive) {
-  std::vector<float> update{0.0f, 0.0f, 1e6f, -1e6f};
-  Int8Quantizer quant(4);
-  const auto back = quant.dequantize(quant.quantize(update));
+  const std::vector<float> update{0.0f, 0.0f, 1e6f, -1e6f};
+  std::vector<std::uint8_t> wire;
+  const auto back = q8_round_trip(update, wire);
   EXPECT_FLOAT_EQ(back[0], 0.0f);
+  EXPECT_FLOAT_EQ(back[1], 0.0f);
   EXPECT_NEAR(back[2], 1e6f, 1e6f / 127.0f);
   EXPECT_NEAR(back[3], -1e6f, 1e6f / 127.0f);
 }
 
 TEST(Int8Quantizer, PartialFinalChunkRoundTripsWithinBound) {
-  // 1000 elements over chunk_size 256 leaves a 232-element final chunk;
-  // its scale and codes must cover exactly the remainder.
+  // 1000 floats over 256-float blocks leaves a 232-float final block; its
+  // scale and codes must cover exactly the remainder.
   Rng rng(21);
   std::vector<float> update(1000);
   for (auto& x : update) x = rng.gaussian(0.0f, 0.5f);
-  Int8Quantizer quant(256);
-  const QuantizedUpdate q = quant.quantize(update);
-  EXPECT_EQ(q.count, update.size());
-  EXPECT_EQ(q.scales.size(), 4u);  // ceil(1000/256)
-  EXPECT_EQ(q.codes.size(), update.size());
-  const auto back = quant.dequantize(q);
-  ASSERT_EQ(back.size(), update.size());
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    const float scale = q.scales[i / q.chunk_size];
-    EXPECT_LE(std::abs(back[i] - update[i]),
-              Int8Quantizer::max_error(scale) + 1e-7f);
+  std::vector<std::uint8_t> wire;
+  const auto back = q8_round_trip(update, wire);
+  EXPECT_EQ(wire.size(), 5u + 4u * 4u + update.size());  // 4 = ceil(1000/256)
+  EXPECT_EQ(wire_quant::decoded_bytes(wire), update.size() * sizeof(float));
+  for (std::size_t b = 0; b < 4; ++b) {
+    float max_abs = 0.0f;
+    const std::size_t end = std::min<std::size_t>(update.size(), b * 256 + 256);
+    for (std::size_t i = b * 256; i < end; ++i) {
+      max_abs = std::max(max_abs, std::abs(update[i]));
+    }
+    EXPECT_EQ(block_scale(wire, b), max_abs) << "block " << b;
   }
-}
-
-TEST(Int8Quantizer, StochasticErrorStaysWithinOneGridStep) {
-  // Stochastic rounding moves to one of the two adjacent grid points, so
-  // the per-element bound is the same scale/127 as deterministic rounding.
-  Rng rng(22);
-  std::vector<float> update(2048);
-  for (auto& x : update) x = rng.gaussian(0.0f, 0.01f);
-  Int8Quantizer quant(512, /*stochastic=*/true, 77);
-  const QuantizedUpdate q = quant.quantize(update);
-  const auto back = quant.dequantize(q);
   for (std::size_t i = 0; i < update.size(); ++i) {
-    const float scale = q.scales[i / q.chunk_size];
     EXPECT_LE(std::abs(back[i] - update[i]),
-              Int8Quantizer::max_error(scale) + 1e-7f);
+              max_error(block_scale(wire, i / 256)));
   }
 }
 
@@ -168,48 +172,55 @@ TEST(Int8Quantizer, DeterministicModeIsReproducibleAcrossInstances) {
   Rng rng(23);
   std::vector<float> update(700);
   for (auto& x : update) x = rng.gaussian(0.0f, 1.0f);
-  Int8Quantizer a(128), b(128);
-  const QuantizedUpdate qa = a.quantize(update);
-  const QuantizedUpdate qb = b.quantize(update);
-  EXPECT_EQ(qa.scales, qb.scales);
-  EXPECT_EQ(qa.codes, qb.codes);
-  // Same-seed stochastic quantizers also agree (the rng is the only state).
-  Int8Quantizer s1(128, true, 5), s2(128, true, 5);
-  EXPECT_EQ(s1.quantize(update).codes, s2.quantize(update).codes);
+  std::vector<std::uint8_t> wa, wb, wr;
+  QuantCodec(8).compress_into(float_bytes(update), wa);
+  QuantCodec(8).compress_into(float_bytes(update), wb);
+  codec_by_name("q8")->compress_into(float_bytes(update), wr);
+  EXPECT_EQ(wa, wb);
+  EXPECT_EQ(wa, wr);
 }
 
 TEST(Int8Quantizer, ValidatesInput) {
-  EXPECT_THROW(Int8Quantizer(0), std::invalid_argument);
-  Int8Quantizer quant(8);
-  QuantizedUpdate corrupt;
-  corrupt.count = 10;
-  corrupt.chunk_size = 8;
-  corrupt.codes.resize(4);  // wrong size
-  EXPECT_THROW(quant.dequantize(corrupt), std::invalid_argument);
+  EXPECT_THROW(QuantCodec(0), std::invalid_argument);
+  EXPECT_THROW(QuantCodec(16), std::invalid_argument);
+  const QuantCodec q8(8);
+  const std::vector<float> update(10, 0.25f);
+  std::vector<std::uint8_t> wire;
+  q8.compress_into(float_bytes(update), wire);
+  std::vector<std::uint8_t> out(update.size() * sizeof(float));
+  auto truncated = wire;
+  truncated.resize(truncated.size() - 4);  // codes cut short
+  EXPECT_THROW(q8.decompress_into(truncated, out), std::runtime_error);
+  std::vector<std::uint8_t> short_out(out.size() - sizeof(float));
+  EXPECT_THROW(q8.decompress_into(wire, short_out), std::runtime_error);
+  auto bad_mode = wire;
+  bad_mode[0] = 7;
+  EXPECT_THROW(q8.decompress_into(bad_mode, out), std::runtime_error);
 }
 
 TEST(Int8Quantizer, AggregationErrorSmallerThanIndividual) {
-  // Mean of K quantized updates has ~sqrt(K) lower error than one — the
-  // property that makes lossy updates viable in federated averaging.
+  // The mean of K quantized client updates carries ~sqrt(K) less error than
+  // one update: rounding errors of distinct updates are independent, which
+  // is what makes lossy updates viable in federated averaging.
   Rng rng(7);
-  std::vector<float> truth(2048);
-  for (auto& x : truth) x = rng.gaussian(0.0f, 0.01f);
-  Int8Quantizer quant(256, /*stochastic=*/true, 11);
   constexpr int kClients = 16;
-  std::vector<double> mean(truth.size(), 0.0);
+  constexpr std::size_t kN = 2048;
+  std::vector<double> exact(kN, 0.0), approx(kN, 0.0);
   double single_err = 0.0;
   for (int c = 0; c < kClients; ++c) {
-    const auto back = quant.dequantize(quant.quantize(truth));
-    if (c == 0) {
-      for (std::size_t i = 0; i < truth.size(); ++i) {
-        single_err += std::abs(back[i] - truth[i]);
-      }
+    std::vector<float> update(kN);
+    for (auto& x : update) x = rng.gaussian(0.0f, 0.01f);
+    std::vector<std::uint8_t> wire;
+    const auto back = q8_round_trip(update, wire);
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (c == 0) single_err += std::abs(back[i] - update[i]);
+      exact[i] += update[i];
+      approx[i] += back[i];
     }
-    for (std::size_t i = 0; i < truth.size(); ++i) mean[i] += back[i];
   }
   double mean_err = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    mean_err += std::abs(mean[i] / kClients - truth[i]);
+  for (std::size_t i = 0; i < kN; ++i) {
+    mean_err += std::abs(approx[i] - exact[i]) / kClients;
   }
   EXPECT_LT(mean_err, single_err * 0.6);
 }

@@ -131,14 +131,14 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
 
 TEST(LLMClient, PostProcessingCodecPropagates) {
   auto cfg = tiny_client_config();
-  cfg.link_codec = "lzss";
+  cfg.link_codec = "rle0";
   cfg.clip_update_norm = 1e-3;  // aggressive clip -> report.clipped
   LLMClient client(0, cfg, tiny_stream(7), 23);
   GptModel global(tiny_model(), 29);
   const ClientUpdate up = client.run_round(
       std::vector<float>(global.params().begin(), global.params().end()), 0,
       4, 0);
-  EXPECT_EQ(up.post.codec, "lzss");
+  EXPECT_EQ(up.post.codec, "rle0");
   EXPECT_TRUE(up.post.clipped);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;

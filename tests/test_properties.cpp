@@ -127,7 +127,7 @@ TEST_P(CodecProperty, RoundTripOnStructuredPayloads) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsAllPayloads, CodecProperty,
-    ::testing::Combine(::testing::Values("rle0", "lzss"),
+    ::testing::Combine(::testing::Values("", "rle0"),
                        ::testing::Range(0, 8)));
 
 // ----------------------------------------------- secure agg properties --
@@ -146,17 +146,18 @@ TEST_P(SecureAggProperty, SumPreservedForAnyCohortSize) {
       plain[i] += u[i];
     }
   }
-  SecureAggregator sec(k, 0xABC + static_cast<std::uint64_t>(k));
-  std::vector<std::vector<std::uint64_t>> masked(
-      static_cast<std::size_t>(k), std::vector<std::uint64_t>(n));
+  std::vector<int> cohort(static_cast<std::size_t>(k));
+  for (int c = 0; c < k; ++c) cohort[static_cast<std::size_t>(c)] = c;
+  const SecAggSession sec(
+      cohort, SecAggConfig{32, 0.5, 0xABC + static_cast<std::uint64_t>(k)});
+  // Every member masks into the one server accumulator (wrapping adds).
+  std::vector<std::uint64_t> acc(n, 0);
   for (int c = 0; c < k; ++c) {
-    sec.mask_update(c, updates[static_cast<std::size_t>(c)],
-                    masked[static_cast<std::size_t>(c)]);
+    sec.mask_update_into(c, updates[static_cast<std::size_t>(c)], acc,
+                         kernels::default_context());
   }
-  std::vector<std::span<const std::uint64_t>> views(masked.begin(),
-                                                    masked.end());
   std::vector<float> mean(n, 0.0f);
-  sec.unmask_mean(views, mean);
+  sec.decode_mean(acc, k, mean, kernels::default_context());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(mean[i] * static_cast<float>(k), plain[i], 1e-5f * k);
   }

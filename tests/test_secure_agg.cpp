@@ -618,16 +618,22 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
 }
 
 TEST(SecAggFederation, SumIntoRejectsRaggedSpans) {
-  // Regression (satellite): sum_into must validate per-span lengths, not
-  // just the first one.
-  std::vector<float> a(8, 1.0f), b(7, 1.0f), out(8, 0.0f);
-  const std::vector<std::span<const float>> ragged{a, b};
-  EXPECT_THROW(SecureAggregator::sum_into(ragged, out), std::invalid_argument);
-  const std::vector<std::span<const float>> empty;
-  EXPECT_THROW(SecureAggregator::sum_into(empty, out), std::invalid_argument);
-  const std::vector<std::span<const float>> ok{a, a};
-  SecureAggregator::sum_into(ok, out);
-  for (const float v : out) EXPECT_FLOAT_EQ(v, 2.0f);
+  // Regression: every member's span is checked against the server
+  // accumulator, not just the first one, and decoding checks its output.
+  const SecAggSession sec({0, 1}, SecAggConfig{32, 0.5, 3});
+  const auto& ctx = kernels::default_context();
+  std::vector<float> a(8, 1.0f), b(7, 1.0f);
+  std::vector<std::uint64_t> acc(8, 0);
+  sec.mask_update_into(0, a, acc, ctx);
+  EXPECT_THROW(sec.mask_update_into(1, b, acc, ctx), std::invalid_argument);
+  std::vector<float> out(8, 0.0f), short_out(7, 0.0f);
+  EXPECT_THROW(sec.decode_mean(acc, 2, short_out, ctx), std::invalid_argument);
+  EXPECT_THROW(sec.decode_mean(acc, 0, out, ctx), std::invalid_argument);
+  EXPECT_THROW(SecAggSession({}, SecAggConfig{}), std::invalid_argument);
+  // The rejected span left the accumulator untouched.
+  sec.mask_update_into(1, a, acc, ctx);
+  sec.decode_mean(acc, 2, out, ctx);
+  for (const float v : out) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST(SecAggFederation, SyncSecureRoundIsBitIdenticalSerialVsParallel) {

@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "comm/cost_model.hpp"
-#include "comm/quantization.hpp"
+#include "comm/message.hpp"
 #include "core/runner.hpp"
 #include "data/corpus.hpp"
 #include "data/stream.hpp"
@@ -17,6 +17,7 @@
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "sim/mfu.hpp"
+#include "util/rng.hpp"
 
 namespace photon {
 namespace {
@@ -73,7 +74,7 @@ TEST(RunnerIntegration, LinkCodecExercisedThroughTheStack) {
   rc.eval_every = 2;
   rc.eval_batches = 1;
   rc.eval_batch_size = 2;
-  rc.link_codec = "lzss";
+  rc.link_codec = "rle0";
   rc.warmup_steps = 2;
   rc.seed = 9;
   PhotonRunner runner(rc);
@@ -151,31 +152,34 @@ TEST(WallTime, Table2ReconstructionFed7B) {
 }
 
 TEST(QuantizedAggregation, FederatedMeanSurvivesInt8) {
-  // Quantize per-client updates, aggregate, compare with the exact mean:
-  // the end-to-end error stays tiny relative to the update magnitude.
+  // Send per-client updates as q8 (int8 blockwise) wire messages, average
+  // what the server decodes, compare with the exact mean: the end-to-end
+  // error stays tiny relative to the update magnitude.
   Rng rng(11);
   constexpr int kClients = 8;
   constexpr std::size_t kN = 4096;
-  std::vector<std::vector<float>> updates(kClients, std::vector<float>(kN));
-  std::vector<double> exact(kN, 0.0);
-  for (auto& u : updates) {
+  std::vector<double> exact(kN, 0.0), approx(kN, 0.0);
+  for (int c = 0; c < kClients; ++c) {
+    Message m;
+    m.type = MessageType::kClientUpdate;
+    m.sender = static_cast<std::uint32_t>(c);
+    m.codec = "q8";
+    m.payload.resize(kN);
+    for (auto& x : m.payload) x = rng.gaussian(0.0f, 0.02f);
+    const Message back = Message::decode(m.encode());
+    ASSERT_EQ(back.payload.size(), kN);
     for (std::size_t i = 0; i < kN; ++i) {
-      u[i] = rng.gaussian(0.0f, 0.02f);
-      exact[i] += u[i] / kClients;
+      exact[i] += m.payload[i] / kClients;
+      approx[i] += back.payload[i] / kClients;
     }
-  }
-  Int8Quantizer quant(512, /*stochastic=*/true, 17);
-  std::vector<double> approx(kN, 0.0);
-  for (const auto& u : updates) {
-    const auto deq = quant.dequantize(quant.quantize(u));
-    for (std::size_t i = 0; i < kN; ++i) approx[i] += deq[i] / kClients;
   }
   double err = 0.0, mag = 0.0;
   for (std::size_t i = 0; i < kN; ++i) {
     err += std::abs(approx[i] - exact[i]);
     mag += std::abs(exact[i]);
   }
-  EXPECT_LT(err / mag, 0.05);  // < 5% relative L1 error on the mean
+  EXPECT_GT(err, 0.0);        // q8 is lossy...
+  EXPECT_LT(err / mag, 0.05);  // ...but < 5% relative L1 error on the mean
 }
 
 TEST(Corpus, SeparateStyleStreamsYieldDifferentPerplexityUnderOneModel) {

@@ -214,7 +214,7 @@ bool comm_race_free(ThreadPool& pool) {
   return true;
 }
 
-// Parallel collectives and masked sums must match the serial context
+// Parallel collectives must match the serial context
 // bit-for-bit while TSan watches the sharded element ranges.
 bool collectives_race_free(ThreadPool& pool) {
   const k::KernelContext par(&pool, 4, /*grain=*/1);
@@ -242,14 +242,6 @@ bool collectives_race_free(ThreadPool& pool) {
           return false;
         }
       }
-    }
-    std::vector<std::span<const float>> views(base.begin(), base.end());
-    std::vector<float> sum_s(n), sum_p(n);
-    photon::SecureAggregator::sum_into(views, sum_s, ser);
-    photon::SecureAggregator::sum_into(views, sum_p, par);
-    if (std::memcmp(sum_s.data(), sum_p.data(), n * sizeof(float)) != 0) {
-      std::fprintf(stderr, "FAIL sum_into\n");
-      return false;
     }
   }
   return true;

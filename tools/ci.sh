@@ -91,6 +91,14 @@ echo "==> [tier-1/secagg] ctest with PHOTON_SECAGG=1"
 PHOTON_SECAGG=1 ctest --test-dir "$ROOT/build" --output-on-failure \
       -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
 
+# The three env lanes together: secagg then materializes q8 updates on the
+# scalar table, which drives the shared dispatch, masking and weighted-sum
+# paths of both round engines in a combination no single lane reaches.
+echo "==> [tier-1/combined] ctest with PHOTON_SIMD=scalar PHOTON_WIRE_CODEC=q8 PHOTON_SECAGG=1"
+PHOTON_SIMD=scalar PHOTON_WIRE_CODEC=q8 PHOTON_SECAGG=1 \
+  ctest --test-dir "$ROOT/build" --output-on-failure \
+      -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
+
 if [[ "$FAST" -eq 0 ]]; then
   # Elastic-churn TSan rerun (DESIGN.md §12): tier-1 ctest already runs the
   # async churn scenario twice inside tsan_kernel_threadpool_stress; rerun
