@@ -1,12 +1,15 @@
 // Golden engine digests: a fixed matrix of small federations, each reduced
-// to one FNV-1a digest over everything the round engines produce
-// deterministically — final global parameters, every RoundRecord field but
-// the two wall-clock ones, every drained trace event's deterministic fields,
-// the checkpoint directory's file bytes, and the autotuner's captured state.
+// to two FNV-1a digests.  The engine digest covers everything the round
+// engines produce deterministically — final global parameters, every
+// RoundRecord field but the two wall-clock ones, every drained trace event's
+// deterministic fields, and the autotuner's captured state.  The checkpoint
+// digest covers the checkpoint directory's file bytes.
 //
 // The constants pin the engines' outputs across refactors: a change to how
 // rounds dispatch, aggregate, trace or checkpoint that moves a single bit
-// (an arrival time summed in a different order, say) changes a digest.
+// (an arrival time summed in a different order, say) changes a digest.  A
+// change to the checkpoint file format moves only the checkpoint digests,
+// so the engine digests still prove the engines' outputs unchanged.
 // Every codec is pinned ("rle0", never the env-overridable "") and every
 // config sets privacy.ignore_env, so the PHOTON_WIRE_CODEC and PHOTON_SECAGG
 // CI lanes run the same federations as the default lane.  SIMD variants and
@@ -226,10 +229,24 @@ std::filesystem::path fresh_dir(const std::string& name) {
   return dir;
 }
 
+struct Digests {
+  std::uint64_t engine = 0;
+  std::uint64_t ckpt = 0;
+};
+
+/// Digests of the checkpoint directory, which is then removed.
+std::uint64_t take_dir(const std::filesystem::path& dir) {
+  Fnv1a h;
+  hash_dir(h, dir);
+  std::filesystem::remove_all(dir);
+  return h.value();
+}
+
 /// Run `rounds` rounds of `f` (optionally killing the server after
 /// `crash_after` rounds and finishing on a fresh process restored from
-/// disk) and digest the surviving engine, its trace and its checkpoints.
-std::uint64_t run_plain(const std::string& name, Federation f, int rounds,
+/// disk) and digest the surviving engine with its trace, and its
+/// checkpoints.
+Digests run_plain(const std::string& name, Federation f, int rounds,
                         int crash_after = -1) {
   const auto dir = fresh_dir(name);
   f.ac.checkpoint_dir = dir;
@@ -250,12 +267,10 @@ std::uint64_t run_plain(const std::string& name, Federation f, int rounds,
   Fnv1a h;
   hash_engine(h, *agg);
   hash_events(h, tracer.drain());
-  hash_dir(h, dir);
-  std::filesystem::remove_all(dir);
-  return h.value();
+  return {h.value(), take_dir(dir)};
 }
 
-std::uint64_t run_tuned(const std::string& name, Federation f, int rounds) {
+Digests run_tuned(const std::string& name, Federation f, int rounds) {
   const auto dir = fresh_dir(name);
   f.ac.checkpoint_dir = dir;
   FaultInjector injector(f.faults);
@@ -268,9 +283,7 @@ std::uint64_t run_tuned(const std::string& name, Federation f, int rounds) {
   Fnv1a h;
   hash_engine(h, *agg);
   h.vec(session.tuner().capture_state());
-  hash_dir(h, dir);
-  std::filesystem::remove_all(dir);
-  return h.value();
+  return {h.value(), take_dir(dir)};
 }
 
 FaultPlan chaos(double crash, double straggle, double drop, double corrupt) {
@@ -313,17 +326,20 @@ Federation async_base() {
 
 struct GoldenCase {
   const char* name;
-  std::uint64_t digest;
-  std::function<std::uint64_t()> run;
+  std::uint64_t engine;
+  std::uint64_t ckpt;
+  std::function<Digests()> run;
 };
 
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
-  cases.push_back({"sync_rar_fp32_disk", 0x8ec219b9a01357c7ULL, [] {
+  cases.push_back({"sync_rar_fp32_disk", 0x88c8eb6bac493dd5ULL,
+                   0x6a7bcb14b4d0bd37ULL, [] {
                      return run_plain("sync_rar_fp32_disk",
                                       sync_base(Topology::kRingAllReduce), 4);
                    }});
-  cases.push_back({"sync_ps_faults_deadline_skip", 0x66ab83e2f1eb4509ULL, [] {
+  cases.push_back({"sync_ps_faults_deadline_skip", 0x52b91edb4267199fULL,
+                   0x620c5399d49fde37ULL, [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.faults = chaos(0.2, 0.3, 0.05, 0.05);
                      f.inject_faults = true;
@@ -333,7 +349,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.ac.skip_on_quorum_loss = true;
                      return run_plain("sync_ps_faults_deadline_skip", f, 6);
                    }});
-  cases.push_back({"sync_ar_quorum_skip", 0x77ec1a9aab4a1de9ULL, [] {
+  cases.push_back({"sync_ar_quorum_skip", 0xe6e8a7e72f8670c6ULL,
+                   0xf8b868a9615dd890ULL, [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.faults = chaos(0.3, 0.0, 0.0, 0.0);
                      f.inject_faults = true;
@@ -342,19 +359,22 @@ std::vector<GoldenCase> golden_cases() {
                      f.ac.skip_on_quorum_loss = true;
                      return run_plain("sync_ar_quorum_skip", f, 5);
                    }});
-  cases.push_back({"sync_q8_streamed_ar", 0x965f521b6b895bccULL, [] {
+  cases.push_back({"sync_q8_streamed_ar", 0x6aaa92e357b5259bULL,
+                   0x1f33e8bec213b69aULL, [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.codec = [](int) { return "q8"; };
                      f.chunk_bytes = 4096;
                      return run_plain("sync_q8_streamed_ar", f, 4);
                    }});
-  cases.push_back({"sync_mixed_q4_fp32_rar", 0x65c081d85b2171c3ULL, [] {
+  cases.push_back({"sync_mixed_q4_fp32_rar", 0xaad693328f14fe86ULL,
+                   0x8d9e74eaa62cfceeULL, [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int i) { return i % 2 == 0 ? "q4" : "rle0"; };
                      f.chunk_bytes = 8192;
                      return run_plain("sync_mixed_q4_fp32_rar", f, 4);
                    }});
-  cases.push_back({"sync_secagg_dp_faults", 0x3c03546a41345901ULL, [] {
+  cases.push_back({"sync_secagg_dp_faults", 0x57d63b97462d51eaULL,
+                   0xa858f1f62ddbfeceULL, [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.secure_aggregation = true;
                      f.ac.clients_per_round = 5;
@@ -366,14 +386,16 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("sync_secagg_dp_faults", f, 5);
                    }});
-  cases.push_back({"sync_crash_restore", 0x78adfd72dcf0e852ULL, [] {
+  cases.push_back({"sync_crash_restore", 0x812149e513aab14bULL,
+                   0x753b04bbdd066b40ULL, [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int) { return "q8"; };
                      f.faults = chaos(0.1, 0.2, 0.05, 0.0);
                      f.inject_faults = true;
                      return run_plain("sync_crash_restore", f, 6, 3);
                    }});
-  cases.push_back({"async_fp32_churn_faults", 0x55b447a2b8118d08ULL, [] {
+  cases.push_back({"async_fp32_churn_faults", 0xa2692450d409548dULL,
+                   0x5df5509c8a7a0280ULL, [] {
                      Federation f = async_base();
                      f.faults = chaos(0.1, 0.2, 0.05, 0.05);
                      f.faults.membership.initial_population = 6;
@@ -382,7 +404,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_fp32_churn_faults", f, 6);
                    }});
-  cases.push_back({"async_q8_ephemeral_constant", 0x3335c797f77d3946ULL, [] {
+  cases.push_back({"async_q8_ephemeral_constant", 0xcf5fcbccb48b0f97ULL,
+                   0x9608fccdb74a1cacULL, [] {
                      Federation f = async_base();
                      f.server_opt = "fedavg";
                      f.ephemeral = true;
@@ -394,7 +417,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_q8_ephemeral_constant", f, 6);
                    }});
-  cases.push_back({"async_secagg_dp_leaves", 0x577940d73c1d7686ULL, [] {
+  cases.push_back({"async_secagg_dp_leaves", 0x1db3b8998c075402ULL,
+                   0xd990a9b37358bd37ULL, [] {
                      Federation f = async_base();
                      f.ac.secure_aggregation = true;
                      f.dp_noise = 0.5;
@@ -403,7 +427,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_secagg_dp_leaves", f, 6);
                    }});
-  cases.push_back({"async_crash_restore", 0x135142452b41401aULL, [] {
+  cases.push_back({"async_crash_restore", 0xfc33f8e48ee4ee99ULL,
+                   0xeceb80abcd9a766ULL, [] {
                      Federation f = async_base();
                      f.codec = [](int i) { return i % 3 == 0 ? "rle0" : "q8"; };
                      f.chunk_bytes = 4096;
@@ -413,7 +438,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_crash_restore", f, 6, 3);
                    }});
-  cases.push_back({"tuned_sync", 0x8bf3e705fba8af8fULL, [] {
+  cases.push_back({"tuned_sync", 0x271ceca84ad2cd0dULL,
+                   0x3894bb535680e7d7ULL, [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.bandwidth_mbps = 1.25;
                      f.ac.link_bandwidth_gbps = 0.01;
@@ -422,7 +448,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_tuned("tuned_sync", f, 6);
                    }});
-  cases.push_back({"tuned_async", 0x73c03655e2269767ULL, [] {
+  cases.push_back({"tuned_async", 0xe8a7738802bc03f3ULL,
+                   0xefddca75706a69adULL, [] {
                      Federation f = async_base();
                      f.ac.bandwidth_mbps = 1.25;
                      f.ac.link_bandwidth_gbps = 0.01;
@@ -440,9 +467,11 @@ TEST(EngineGolden, DigestsMatchRecordedConstants) {
   GlobalKnobs knobs;
   for (const GoldenCase& c : golden_cases()) {
     knobs.reset();
-    const std::uint64_t got = c.run();
-    EXPECT_EQ(got, c.digest) << c.name << ": got 0x" << std::hex << got
-                             << "ULL";
+    const Digests got = c.run();
+    EXPECT_EQ(got.engine, c.engine)
+        << c.name << ": engine digest 0x" << std::hex << got.engine << "ULL";
+    EXPECT_EQ(got.ckpt, c.ckpt)
+        << c.name << ": checkpoint digest 0x" << std::hex << got.ckpt << "ULL";
   }
 }
 
