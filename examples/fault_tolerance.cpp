@@ -11,7 +11,7 @@
 //     caps how many clients may cook concurrently;
 //  2. the server process "crashes" mid-run — with updates still sitting
 //     in flight — and a fresh process restores from the write-ahead
-//     journal + v2 checkpoint (global model, membership states, deferral
+//     journal + checkpoint (global model, membership states, deferral
 //     backoffs, and the in-flight buffer itself), resuming under the SAME
 //     live fault and membership plans to finish with a global model
 //     bit-identical to a reference run that never crashed.
@@ -149,7 +149,7 @@ int main() {
 
   // Fresh process: restore from disk — global model, membership lifecycle
   // states, admission backoffs, and the mid-buffer in-flight updates all
-  // come back from the v2 checkpoint's trailing async-state field — and
+  // come back from the checkpoint's async-state section — and
   // finish the schedule under the same live plans.
   auto recovered = make_aggregator(model, base / "crash");
   injector.install(*recovered);

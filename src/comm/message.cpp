@@ -73,6 +73,65 @@ const Codec* require_codec(const std::string& name, const char* who) {
   return codec_ptr;
 }
 
+/// The one PHO2 frame parser: the header goes into `out` (metadata
+/// replaced, payload untouched), the chunk table into `view` (offsets into
+/// `wire`, `bytes` untouched).  Returns the CRC the chunk bytes must fold
+/// to.  Throws std::runtime_error on a bad magic, an unknown codec, or a
+/// chunk table that does not fit the payload size or the wire.
+std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
+                          WireView& view) {
+  BinaryReader r(wire);
+  if (r.read<std::uint32_t>() != kMagic) {
+    throw std::runtime_error("Message::decode: bad magic");
+  }
+  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
+  out.round = r.read<std::uint32_t>();
+  out.sender = r.read<std::uint32_t>();
+  out.codec = r.read_string();
+  out.metadata.clear();
+  const auto n_meta = r.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < n_meta; ++i) {
+    const std::string key = r.read_string();
+    out.metadata[key] = r.read<double>();
+  }
+  const auto elems = r.read<std::uint64_t>();
+  const auto chunk_bytes = r.read<std::uint64_t>();
+  const auto n_chunks = r.read<std::uint32_t>();
+
+  // No codec expands a wire byte into more than 128 raw bytes (rle0 tops
+  // out at 255 raw per 2-byte op), so this bound rejects corrupted element
+  // counts before any payload resize without overflowing elems * 4.
+  if (elems / 128 > wire.size()) {
+    throw std::runtime_error("Message::decode: implausible payload size");
+  }
+  const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
+  const ChunkPlan plan = plan_chunks(raw_bytes, chunk_bytes);
+  if (plan.n_chunks != n_chunks ||
+      (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
+    throw std::runtime_error("Message::decode: bad chunk table");
+  }
+  view.lens.resize(n_chunks);
+  view.offs.resize(n_chunks);
+  std::size_t total = 0;
+  for (std::uint32_t c = 0; c < n_chunks; ++c) {
+    view.lens[c] = r.read<std::uint64_t>();
+    view.offs[c] = total;
+    if (view.lens[c] > r.remaining()) {
+      throw std::runtime_error("Message::decode: truncated chunk table");
+    }
+    total += view.lens[c];
+  }
+  const auto data = r.view_raw(total);
+  const auto data_off = static_cast<std::size_t>(data.data() - wire.data());
+  for (std::uint64_t& off : view.offs) off += data_off;
+  require_codec(out.codec, "Message::decode");
+  view.codec = out.codec;
+  view.elems = elems;
+  view.raw_bytes = raw_bytes;
+  view.chunk_raw_bytes = plan.chunk_bytes;
+  return r.read<std::uint32_t>();
+}
+
 void write_header(BinaryWriter& w, const Message& m, const ChunkPlan& plan) {
   w.write(kMagic);
   w.write(static_cast<std::uint8_t>(m.type));
@@ -168,71 +227,26 @@ std::vector<std::uint8_t> Message::encode() const {
 
 void Message::decode_into(std::span<const std::uint8_t> wire, Message& out,
                           ThreadPool* pool) {
-  BinaryReader r(wire);
-  if (r.read<std::uint32_t>() != kMagic) {
-    throw std::runtime_error("Message::decode: bad magic");
-  }
-  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
-  out.round = r.read<std::uint32_t>();
-  out.sender = r.read<std::uint32_t>();
-  out.codec = r.read_string();
-  out.metadata.clear();
-  const auto n_meta = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n_meta; ++i) {
-    const std::string key = r.read_string();
-    out.metadata[key] = r.read<double>();
-  }
-  const auto elems = r.read<std::uint64_t>();
-  const auto chunk_bytes = r.read<std::uint64_t>();
-  const auto n_chunks = r.read<std::uint32_t>();
-
-  // No codec expands a wire byte into more than 128 raw bytes (rle0 tops
-  // out at 255 raw per 2-byte op), so this bound rejects corrupted element
-  // counts before the payload resize below without overflowing elems * 4.
-  if (elems / 128 > wire.size()) {
-    throw std::runtime_error("Message::decode: implausible payload size");
-  }
-  const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
-  const ChunkPlan plan = plan_chunks(raw_bytes, chunk_bytes);
-  if (plan.n_chunks != n_chunks ||
-      (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
-    throw std::runtime_error("Message::decode: bad chunk table");
-  }
-
-  std::vector<std::uint64_t> lens(n_chunks);
-  std::vector<std::uint64_t> offs(n_chunks);
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    lens[c] = r.read<std::uint64_t>();
-    offs[c] = total;
-    if (lens[c] > r.remaining()) {
-      throw std::runtime_error("Message::decode: truncated chunk table");
-    }
-    total += lens[c];
-  }
-  const auto data = r.view_raw(total);
-  const auto expected_crc = r.read<std::uint32_t>();
-
+  WireView v;
+  const std::uint32_t expected_crc = parse_frame(wire, out, v);
   out.payload_view = {};
-  out.payload.resize(elems);
+  out.payload.resize(v.elems);
   auto* raw_out = reinterpret_cast<std::uint8_t*>(out.payload.data());
-  const Codec* codec_ptr = require_codec(out.codec, "Message::decode");
-
-  std::vector<std::uint32_t> crcs(n_chunks);
+  const Codec* codec_ptr = codec_by_name(v.codec);
+  std::vector<std::uint32_t> crcs(v.n_chunks());
   const bool identity = codec_ptr->is_identity();
-  for_chunks(pool, n_chunks, [&](std::size_t c) {
-    const auto comp = data.subspan(offs[c], lens[c]);
-    if (identity && comp.size() == plan.raw_len(c)) {
+  for_chunks(pool, v.n_chunks(), [&](std::size_t c) {
+    const auto comp = wire.subspan(v.offs[c], v.lens[c]);
+    if (identity && comp.size() == v.raw_len(c)) {
       // Fused copy+CRC; a size mismatch falls through to decompress_into,
       // which raises the usual corrupt-chunk error.
-      crcs[c] = crc32_copy(raw_out + plan.raw_off(c), comp);
+      crcs[c] = crc32_copy(raw_out + v.raw_off(c), comp);
     } else {
       crcs[c] = crc32(comp);
-      codec_ptr->decompress_into(comp,
-                                 {raw_out + plan.raw_off(c), plan.raw_len(c)});
+      codec_ptr->decompress_into(comp, {raw_out + v.raw_off(c), v.raw_len(c)});
     }
   });
-  if (fold_crcs(crcs, lens) != expected_crc) {
+  if (fold_crcs(crcs, v.lens) != expected_crc) {
     throw std::runtime_error("Message::decode: CRC mismatch");
   }
 }
@@ -245,72 +259,18 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
 
 void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool) {
-  BinaryReader r(wire);
-  if (r.read<std::uint32_t>() != kMagic) {
-    throw std::runtime_error("Message::decode: bad magic");
-  }
-  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
-  out.round = r.read<std::uint32_t>();
-  out.sender = r.read<std::uint32_t>();
-  out.codec = r.read_string();
-  out.metadata.clear();
-  const auto n_meta = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n_meta; ++i) {
-    const std::string key = r.read_string();
-    out.metadata[key] = r.read<double>();
-  }
-  const auto elems = r.read<std::uint64_t>();
-  const auto chunk_bytes = r.read<std::uint64_t>();
-  const auto n_chunks = r.read<std::uint32_t>();
-
-  if (elems / 128 > wire.size()) {
-    throw std::runtime_error("Message::decode: implausible payload size");
-  }
-  const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
-  const ChunkPlan plan = plan_chunks(raw_bytes, chunk_bytes);
-  if (plan.n_chunks != n_chunks ||
-      (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
-    throw std::runtime_error("Message::decode: bad chunk table");
-  }
-
-  std::vector<std::uint64_t> lens(n_chunks);
-  std::vector<std::uint64_t> rel(n_chunks);
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    lens[c] = r.read<std::uint64_t>();
-    rel[c] = total;
-    if (lens[c] > r.remaining()) {
-      throw std::runtime_error("Message::decode: truncated chunk table");
-    }
-    total += lens[c];
-  }
-  const auto data = r.view_raw(total);
-  const auto expected_crc = r.read<std::uint32_t>();
-  require_codec(out.codec, "Message::validate_wire");
-
+  const std::uint32_t expected_crc = parse_frame(wire, out, view);
   // The wire CRC is folded over the *compressed* chunk bytes, so integrity
   // is fully checked here without touching the codec.
-  std::vector<std::uint32_t> crcs(n_chunks);
-  for_chunks(pool, n_chunks, [&](std::size_t c) {
-    crcs[c] = crc32(data.subspan(rel[c], lens[c]));
+  std::vector<std::uint32_t> crcs(view.n_chunks());
+  for_chunks(pool, view.n_chunks(), [&](std::size_t c) {
+    crcs[c] = crc32(wire.subspan(view.offs[c], view.lens[c]));
   });
-  if (fold_crcs(crcs, lens) != expected_crc) {
+  if (fold_crcs(crcs, view.lens) != expected_crc) {
     throw std::runtime_error("Message::decode: CRC mismatch");
   }
-
   out.payload.clear();
   out.payload_view = {};
-
-  const auto data_off = static_cast<std::size_t>(data.data() - wire.data());
-  view.codec = out.codec;
-  view.elems = elems;
-  view.raw_bytes = raw_bytes;
-  view.chunk_raw_bytes = plan.chunk_bytes;
-  view.lens = std::move(lens);
-  view.offs.resize(n_chunks);
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    view.offs[c] = data_off + rel[c];
-  }
   view.bytes.assign(wire.begin(), wire.end());
 }
 

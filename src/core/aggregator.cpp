@@ -442,6 +442,22 @@ void fan_out(bool parallel, std::size_t n, Fn&& fn) {
   }
 }
 
+/// Decode a persisted in-flight update image into `header`; a quantized
+/// image is also kept in `view`, which the streamed fan-in folds chunk by
+/// chunk (returns true).  Throws std::runtime_error unless the image is a
+/// well-formed update of `n` parameters.
+bool load_update(std::span<const std::uint8_t> wire, std::size_t n,
+                 Message& header, WireView& view) {
+  Message::decode_into(wire, header);
+  if (header.payload.size() != n) {
+    throw std::runtime_error(
+        "Aggregator: async checkpoint update size mismatch");
+  }
+  const bool streamed = codec_by_name(header.codec)->quant_bits() != 0;
+  if (streamed) Message::validate_wire(wire, header, view);
+  return streamed;
+}
+
 }  // namespace
 
 // Streamed dequantize-and-accumulate (DESIGN.md §11): walk the retained
@@ -1390,7 +1406,6 @@ RoundRecord Aggregator::run_round_async() {
 
 AsyncAggregatorState Aggregator::capture_async_state() const {
   AsyncAggregatorState s;
-  s.valid = true;
   s.sim_now = sim_now_;
   s.accepted_total = async_accepted_total_;
   s.discarded_total = async_discarded_total_;
@@ -1421,32 +1436,18 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
     u.tokens = slot->update.tokens;
     u.mean_train_loss = slot->update.mean_train_loss;
     u.train_sim_seconds = slot->train_sim_seconds;
-    u.metrics = slot->header.metadata;
-    if (slot->outcome == kOk) {
-      if (slot->streamed) {
-        const WireView& v = slot->wire;
-        u.codec = v.codec;
-        u.elems = v.elems;
-        u.chunk_raw_bytes = v.chunk_raw_bytes;
-        u.chunk_lens = v.lens;
-        std::uint64_t total = 0;
-        for (const std::uint64_t len : v.lens) total += len;
-        u.chunk_bytes.reserve(static_cast<std::size_t>(total));
-        for (std::size_t c = 0; c < v.n_chunks(); ++c) {
-          const auto chunk = v.chunk(c);
-          u.chunk_bytes.insert(u.chunk_bytes.end(), chunk.begin(),
-                               chunk.end());
-        }
-      } else {
-        // Lossless/raw update: persist the decoded fp32 payload directly
-        // (codec stays empty, marking the non-streamed replay path).
-        const std::vector<float>& p = slot->header.payload;
-        u.elems = p.size();
-        u.chunk_raw_bytes = p.size() * sizeof(float);
-        u.chunk_lens = {static_cast<std::uint64_t>(p.size() * sizeof(float))};
-        const auto* bytes = reinterpret_cast<const std::uint8_t*>(p.data());
-        u.chunk_bytes.assign(bytes, bytes + p.size() * sizeof(float));
-      }
+    if (slot->outcome == kOk && slot->streamed) {
+      u.wire = slot->wire.bytes;
+    } else if (slot->outcome == kOk) {
+      // A materialized update goes back on the wire with the identity
+      // codec, which restores its fp32 payload and metrics exactly.
+      Message m;
+      m.type = slot->header.type;
+      m.round = slot->header.round;
+      m.sender = slot->header.sender;
+      m.metadata = slot->header.metadata;
+      m.payload_view = slot->header.payload;
+      u.wire = m.encode();
     }
     s.in_flight.push_back(std::move(u));
   }
@@ -1454,8 +1455,8 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
 }
 
 void Aggregator::validate_async_state(const AsyncAggregatorState& st) const {
-  // Checkpoints carry no checksum, so a snapshot is replayed only once its
-  // shape matches this engine: the drain copies and decodes these bytes.
+  // A snapshot is replayed only once its shape matches this engine and each
+  // pending update decodes as one fresh off the wire would.
   const auto bad = [](const std::string& what) {
     throw std::runtime_error("Aggregator: async checkpoint " + what);
   };
@@ -1464,32 +1465,14 @@ void Aggregator::validate_async_state(const AsyncAggregatorState& st) const {
       st.next_eligible.size() != clients_.size()) {
     bad("population mismatch");
   }
-  const std::uint64_t n = global_params_.size();
+  Message header;
+  WireView view;
   for (const AsyncInFlightSnapshot& u : st.in_flight) {
     if (u.client < 0 || u.client >= population()) bad("bad client id");
     if (u.failure_kind > kLinkFailed) bad("bad failure kind");
-    if (u.failure_kind != kOk) continue;  // failed slots carry no update
-    if (u.elems != n) bad("update size mismatch");
-    if (u.codec.empty()) {
-      if (u.chunk_bytes.size() != n * sizeof(float)) bad("fp32 payload size");
-      continue;
+    if (u.failure_kind == kOk) {
+      load_update(u.wire, global_params_.size(), header, view);
     }
-    const Codec* codec = codec_by_name(u.codec);
-    if (codec == nullptr || codec->quant_bits() == 0) {
-      bad("unknown streamed codec " + u.codec);
-    }
-    const std::uint64_t raw = n * sizeof(float);
-    const std::uint64_t per = u.chunk_raw_bytes;
-    if (per == 0 ||
-        u.chunk_lens.size() != raw / per + (raw % per != 0 ? 1 : 0)) {
-      bad("chunk count mismatch");
-    }
-    std::uint64_t left = u.chunk_bytes.size();
-    for (const std::uint64_t len : u.chunk_lens) {
-      if (len > left) bad("chunk lengths exceed stored bytes");
-      left -= len;
-    }
-    if (left != 0) bad("chunk lengths short of stored bytes");
   }
 }
 
@@ -1526,29 +1509,9 @@ void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
     // trained stays false: its stream advance is already in the checkpoint.
     slot.update.tokens = u.tokens;
     slot.update.mean_train_loss = u.mean_train_loss;
-    slot.header.metadata = u.metrics;
-    slot.header.sender = static_cast<std::uint32_t>(u.client);
-    slot.header.round = u.dispatch_version;
-    slot.streamed = u.failure_kind == kOk && !u.codec.empty();
-    if (slot.streamed) {
-      WireView& v = slot.wire;
-      v.bytes = u.chunk_bytes;
-      v.codec = u.codec;
-      v.elems = u.elems;
-      v.raw_bytes = static_cast<std::size_t>(u.elems) * sizeof(float);
-      v.chunk_raw_bytes = static_cast<std::size_t>(u.chunk_raw_bytes);
-      v.lens = u.chunk_lens;
-      v.offs.clear();
-      std::uint64_t off = 0;
-      for (const std::uint64_t len : u.chunk_lens) {
-        v.offs.push_back(off);
-        off += len;
-      }
-    } else if (u.failure_kind == kOk) {
-      slot.header.payload.resize(static_cast<std::size_t>(u.elems));
-      std::memcpy(slot.header.payload.data(), u.chunk_bytes.data(),
-                  u.chunk_bytes.size());
-    }
+    slot.streamed = u.failure_kind == kOk &&
+                    load_update(u.wire, global_params_.size(), slot.header,
+                                slot.wire);
     client_slot_[static_cast<std::size_t>(u.client)] = static_cast<int>(i);
   }
 }
@@ -1562,7 +1525,6 @@ void Aggregator::account_privacy(RoundRecord& record) {
 
 PrivacyCheckpointState Aggregator::capture_privacy_state() const {
   PrivacyCheckpointState s;
-  s.valid = true;
   if (accountant_ != nullptr) {
     s.accounted_rounds = accountant_->accounted_rounds();
     s.noise_multiplier = accountant_->noise_multiplier();
@@ -1593,16 +1555,11 @@ bool Aggregator::restore_latest_checkpoint() {
   if (!ckpt.has_value()) ckpt = checkpoints_.latest();
   if (!ckpt.has_value()) return false;
   if (ckpt->params.size() != global_params_.size()) return false;
-  if (ckpt->async_state.valid) validate_async_state(ckpt->async_state);
+  if (ckpt->async_state) validate_async_state(*ckpt->async_state);
 
   global_params_ = ckpt->params;
   round_ = ckpt->round + 1;
-  // Legacy checkpoints (no metadata) ran with this fixed cadence, so the
-  // fallback reconstruction is exact for them.
-  schedule_step_base_ =
-      ckpt->schedule_step_base >= 0
-          ? ckpt->schedule_step_base
-          : static_cast<std::int64_t>(round_) * config_.local_steps;
+  schedule_step_base_ = ckpt->schedule_step_base;
   server_opt_->reset();
   if (!ckpt->server_opt_state.empty()) {
     BinaryReader r(ckpt->server_opt_state);
@@ -1623,17 +1580,17 @@ bool Aggregator::restore_latest_checkpoint() {
     }
   }
   // Restore each client's error-feedback residual (empty vectors for
-  // clients that had none, or a legacy checkpoint without the field).
+  // clients that had none).
   if (ckpt->client_ef_residuals.size() == clients_.size()) {
     for (std::size_t c = 0; c < clients_.size(); ++c) {
       clients_[c]->set_ef_residual(std::move(ckpt->client_ef_residuals[c]));
     }
   }
-  if (ckpt->async_state.valid) {
+  if (ckpt->async_state) {
     // Async engine: resume mid-buffer.  Membership, admission counters, the
     // sim clock, and every pending in-flight update come back exactly as the
     // drain boundary saved them.
-    restore_async_state(ckpt->async_state);
+    restore_async_state(*ckpt->async_state);
   } else if (membership_plan_.enabled()) {
     // Sync checkpoint under an elastic plan: replay the plan's lifecycle
     // actions for every completed round so membership matches what the
@@ -1659,18 +1616,17 @@ bool Aggregator::restore_latest_checkpoint() {
                                     MembershipState::kActive);
     }
   }
-  if (ckpt->privacy_state.valid) {
+  if (const auto& privacy = ckpt->privacy_state) {
     // The wave counter must keep monotonically increasing across the crash
     // so post-recovery waves never reuse a pre-crash session seed, and the
     // accountant resumes mid-composition (epsilon is recomputed, not
     // trusted from the snapshot).
-    secagg_wave_counter_ = ckpt->privacy_state.wave_counter;
-    shares_reconstructed_total_ =
-        ckpt->privacy_state.shares_reconstructed_total;
-    if (accountant_ != nullptr && ckpt->privacy_state.delta > 0.0) {
+    secagg_wave_counter_ = privacy->wave_counter;
+    shares_reconstructed_total_ = privacy->shares_reconstructed_total;
+    if (accountant_ != nullptr && privacy->delta > 0.0) {
       accountant_ = std::make_unique<privacy::RdpAccountant>(
-          ckpt->privacy_state.noise_multiplier, ckpt->privacy_state.delta);
-      accountant_->account_rounds(ckpt->privacy_state.accounted_rounds);
+          privacy->noise_multiplier, privacy->delta);
+      accountant_->account_rounds(privacy->accounted_rounds);
       obs_.dp_epsilon.set(accountant_->epsilon());
     }
   }

@@ -157,8 +157,8 @@ struct ClientRoundFault {
 using ClientFaultHook = std::function<ClientRoundFault(
     std::uint32_t round, int client, std::uint32_t attempt)>;
 
-/// Opaque per-round state extension serialized into checkpoints as the
-/// third trailing v2 field (the trace-driven autotuner, src/tune).  The
+/// Opaque per-round state extension serialized into checkpoints as their
+/// tuner section (the trace-driven autotuner, src/tune).  The
 /// aggregator never interprets the bytes; it captures them at every
 /// checkpoint save and hands them back on restore, which is what makes a
 /// tuned run's crash recovery bit-identical to an uninterrupted one.

@@ -1,7 +1,15 @@
 #include "core/checkpoint.hpp"
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <stdexcept>
 
 #include "util/serialization.hpp"
@@ -9,29 +17,32 @@
 namespace photon {
 namespace {
 
-// v2 on-disk checkpoint magic ("PCK2"); legacy files (no magic) start with
-// the raw round counter, which for any plausible run is far below this.
-constexpr std::uint32_t kCkptMagic = 0x324B4350;
+// The magic and the section tags are four ASCII bytes read as a
+// little-endian u32, so they show up as text in a hex dump.
+constexpr std::uint32_t kCkptMagic = 0x334B4350;  // "PCK3"
+constexpr std::uint32_t kMeta = 0x4154454D;       // "META"
+constexpr std::uint32_t kParams = 0x4D524150;     // "PARM"
+constexpr std::uint32_t kResiduals = 0x53524645;  // "EFRS"
+constexpr std::uint32_t kAsync = 0x4E595341;      // "ASYN"
+constexpr std::uint32_t kTuner = 0x454E5554;      // "TUNE"
+constexpr std::uint32_t kPrivacy = 0x56495250;    // "PRIV"
 
 constexpr const char* kJournalFile = "round.journal";
 
-void write_metric_dict(BinaryWriter& w,
-                       const std::map<std::string, double>& metrics) {
-  w.write(static_cast<std::uint64_t>(metrics.size()));
-  for (const auto& [key, value] : metrics) {
-    w.write_string(key);
-    w.write(value);
-  }
+[[noreturn]] void corrupt(const std::string& what) {
+  throw std::runtime_error("decode_checkpoint: " + what);
 }
 
-std::map<std::string, double> read_metric_dict(BinaryReader& r) {
-  std::map<std::string, double> metrics;
-  const auto n = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key = r.read_string();
-    metrics[std::move(key)] = r.read<double>();
-  }
-  return metrics;
+/// Appends one section: its tag, its body's length, then the body `fill`
+/// writes into `w`.
+template <typename Fill>
+void write_section(BinaryWriter& w, std::uint32_t tag, Fill&& fill) {
+  w.write(tag);
+  const std::size_t len_at = w.size();
+  w.write(std::uint64_t{0});  // patched once the body is written
+  fill();
+  w.write_at(len_at, static_cast<std::uint64_t>(w.size() - len_at -
+                                                sizeof(std::uint64_t)));
 }
 
 void write_async_state(BinaryWriter& w, const AsyncAggregatorState& s) {
@@ -51,27 +62,23 @@ void write_async_state(BinaryWriter& w, const AsyncAggregatorState& s) {
     w.write(u.tokens);
     w.write(u.mean_train_loss);
     w.write(u.train_sim_seconds);
-    write_metric_dict(w, u.metrics);
-    w.write_string(u.codec);
-    w.write(u.elems);
-    w.write(u.chunk_raw_bytes);
-    w.write_vector(u.chunk_lens);
-    w.write_vector(u.chunk_bytes);
+    w.write_vector(u.wire);
   }
 }
 
 AsyncAggregatorState read_async_state(BinaryReader& r) {
   AsyncAggregatorState s;
-  s.valid = true;
   s.sim_now = r.read<double>();
   s.accepted_total = r.read<std::uint64_t>();
   s.discarded_total = r.read<std::uint64_t>();
   s.membership = r.read_vector<std::uint8_t>();
   s.defer_counts = r.read_vector<std::uint32_t>();
   s.next_eligible = r.read_vector<double>();
+  // Grown one record at a time: a count the bytes cannot back fails on a
+  // truncated read, never on a huge allocation.
   const auto n = r.read<std::uint64_t>();
-  s.in_flight.resize(n);
-  for (AsyncInFlightSnapshot& u : s.in_flight) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    AsyncInFlightSnapshot& u = s.in_flight.emplace_back();
     u.client = r.read<int>();
     u.arrive_time = r.read<double>();
     u.dispatch_version = r.read<std::uint32_t>();
@@ -80,50 +87,154 @@ AsyncAggregatorState read_async_state(BinaryReader& r) {
     u.tokens = r.read<std::uint64_t>();
     u.mean_train_loss = r.read<double>();
     u.train_sim_seconds = r.read<double>();
-    u.metrics = read_metric_dict(r);
-    u.codec = r.read_string();
-    u.elems = r.read<std::uint64_t>();
-    u.chunk_raw_bytes = r.read<std::uint64_t>();
-    u.chunk_lens = r.read_vector<std::uint64_t>();
-    u.chunk_bytes = r.read_vector<std::uint8_t>();
+    u.wire = r.read_vector<std::uint8_t>();
   }
   return s;
 }
 
+[[noreturn]] void io_failure(const std::filesystem::path& path) {
+  throw std::runtime_error("CheckpointStore: I/O error on " + path.string() +
+                           ": " + std::strerror(errno));
+}
+
+using FilePtr =
+    std::unique_ptr<std::FILE, decltype([](std::FILE* f) { std::fclose(f); })>;
+
+/// Write `bytes` to `path` opened with fopen `mode`, then fsync it when
+/// `sync`; throws std::runtime_error on any failure.
+void write_file(const std::filesystem::path& path, const char* mode,
+                std::span<const std::uint8_t> bytes, bool sync) {
+  const FilePtr f(std::fopen(path.c_str(), mode));
+  if (!f ||
+      std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size() ||
+      std::fflush(f.get()) != 0 || (sync && ::fsync(::fileno(f.get())) != 0)) {
+    io_failure(path);
+  }
+}
+
+/// fsync directory `dir`, making a rename inside it durable.
+void sync_dir(const std::filesystem::path& dir) {
+  const std::unique_ptr<DIR, int (*)(DIR*)> d(::opendir(dir.c_str()),
+                                              &::closedir);
+  if (!d || ::fsync(::dirfd(d.get())) != 0) io_failure(dir);
+}
+
 }  // namespace
 
-CheckpointStore::CheckpointStore(std::filesystem::path dir,
-                                 std::size_t keep_last)
-    : dir_(std::move(dir)), keep_last_(std::max<std::size_t>(1, keep_last)) {
+std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt) {
+  BinaryWriter w;
+  w.write(kCkptMagic);
+  write_section(w, kMeta, [&] {
+    w.write(ckpt.round);
+    w.write(ckpt.schedule_step_base);
+    w.write_vector(ckpt.client_trained_rounds);
+    w.write_vector(ckpt.server_opt_state);
+  });
+  write_section(w, kParams, [&] { w.write_vector(ckpt.params); });
+  if (!ckpt.client_ef_residuals.empty()) {
+    write_section(w, kResiduals, [&] {
+      w.write(static_cast<std::uint64_t>(ckpt.client_ef_residuals.size()));
+      for (const auto& residual : ckpt.client_ef_residuals) {
+        w.write_vector(residual);
+      }
+    });
+  }
+  if (ckpt.async_state) {
+    write_section(w, kAsync, [&] { write_async_state(w, *ckpt.async_state); });
+  }
+  if (!ckpt.tuner_state.empty()) {
+    write_section(w, kTuner, [&] { w.write_vector(ckpt.tuner_state); });
+  }
+  if (ckpt.privacy_state) {
+    write_section(w, kPrivacy, [&] {
+      const PrivacyCheckpointState& p = *ckpt.privacy_state;
+      w.write(p.accounted_rounds);
+      w.write(p.noise_multiplier);
+      w.write(p.delta);
+      w.write(p.wave_counter);
+      w.write(p.shares_reconstructed_total);
+      w.write(p.epsilon);
+    });
+  }
+  w.write(crc32(w.bytes()));
+  return w.take();
+}
+
+Checkpoint decode_checkpoint(std::span<const std::uint8_t> image) {
+  constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
+  if (image.size() < sizeof(kCkptMagic) + kCrcBytes) corrupt("truncated image");
+  const auto body = image.first(image.size() - kCrcBytes);
+  const auto crc = BinaryReader(image.last(kCrcBytes)).read<std::uint32_t>();
+  BinaryReader r(body);
+  if (r.read<std::uint32_t>() != kCkptMagic) corrupt("bad magic");
+  if (crc32(body) != crc) corrupt("CRC mismatch");
+
+  Checkpoint ckpt;
+  std::set<std::uint32_t> seen;
+  while (!r.exhausted()) {
+    const auto tag = r.read<std::uint32_t>();
+    BinaryReader s(r.view_raw(r.read<std::uint64_t>()));
+    if (!seen.insert(tag).second) corrupt("repeated section");
+    if (tag == kMeta) {
+      ckpt.round = s.read<std::uint32_t>();
+      ckpt.schedule_step_base = s.read<std::int64_t>();
+      ckpt.client_trained_rounds = s.read_vector<std::uint32_t>();
+      ckpt.server_opt_state = s.read_vector<std::uint8_t>();
+    } else if (tag == kParams) {
+      ckpt.params = s.read_vector<float>();
+    } else if (tag == kResiduals) {
+      const auto n = s.read<std::uint64_t>();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        ckpt.client_ef_residuals.push_back(s.read_vector<float>());
+      }
+    } else if (tag == kAsync) {
+      ckpt.async_state = read_async_state(s);
+    } else if (tag == kTuner) {
+      ckpt.tuner_state = s.read_vector<std::uint8_t>();
+    } else if (tag == kPrivacy) {
+      PrivacyCheckpointState& p = ckpt.privacy_state.emplace();
+      p.accounted_rounds = s.read<std::uint64_t>();
+      p.noise_multiplier = s.read<double>();
+      p.delta = s.read<double>();
+      p.wave_counter = s.read<std::uint64_t>();
+      p.shares_reconstructed_total = s.read<std::uint64_t>();
+      p.epsilon = s.read<double>();
+    } else {
+      corrupt("unknown section");
+    }
+    if (!s.exhausted()) corrupt("section body not consumed exactly");
+  }
+  if (!seen.contains(kMeta) || !seen.contains(kParams)) {
+    corrupt("missing metadata or params section");
+  }
+  return ckpt;
+}
+
+CheckpointStore::CheckpointStore(std::filesystem::path dir)
+    : dir_(std::move(dir)) {
   if (!dir_.empty()) {
     std::filesystem::create_directories(dir_);
     replay_journal();
   }
 }
 
-void CheckpointStore::save(std::uint32_t round, std::span<const float> params,
-                           double eval_perplexity) {
-  Checkpoint ckpt;
-  ckpt.round = round;
-  ckpt.params.assign(params.begin(), params.end());
-  ckpt.eval_perplexity = eval_perplexity;
-  save(std::move(ckpt));
-}
-
 void CheckpointStore::save(Checkpoint ckpt) {
-  if (!dir_.empty()) write_to_disk(ckpt);
-  memory_.push_back(std::move(ckpt));
-  if (memory_.size() > keep_last_) {
-    memory_.erase(memory_.begin(),
-                  memory_.begin() +
-                      static_cast<std::ptrdiff_t>(memory_.size() - keep_last_));
+  if (dir_.empty()) {
+    memory_ = std::move(ckpt);
+    return;
   }
+  // tmp -> fsync -> rename -> fsync(dir).  latest() skips the .tmp that a
+  // crash mid-write leaves behind.
+  const auto path = dir_ / ("ckpt_" + std::to_string(ckpt.round) + ".bin");
+  auto tmp = path;
+  tmp += ".tmp";
+  write_file(tmp, "wb", encode_checkpoint(ckpt), true);
+  std::filesystem::rename(tmp, path);
+  sync_dir(dir_);
 }
 
 std::optional<Checkpoint> CheckpointStore::latest() const {
-  if (!memory_.empty()) return memory_.back();
-  // Fresh process after a crash: scan the directory for the newest round.
-  if (dir_.empty() || !std::filesystem::exists(dir_)) return std::nullopt;
+  if (dir_.empty() || !std::filesystem::exists(dir_)) return memory_;
   std::int64_t best = -1;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
@@ -141,10 +252,8 @@ std::optional<Checkpoint> CheckpointStore::latest() const {
 }
 
 std::optional<Checkpoint> CheckpointStore::at_round(std::uint32_t round) const {
-  for (auto it = memory_.rbegin(); it != memory_.rend(); ++it) {
-    if (it->round == round) return *it;
-  }
   if (!dir_.empty()) return read_from_disk(round);
+  if (memory_ && memory_->round == round) return memory_;
   return std::nullopt;
 }
 
@@ -155,12 +264,12 @@ void CheckpointStore::journal_append(char tag, std::uint32_t round) {
   entry += std::to_string(round);
   journal_.push_back(entry);
   if (!dir_.empty()) {
-    std::ofstream os(dir_ / kJournalFile, std::ios::app);
-    if (!os) {
-      throw std::runtime_error("CheckpointStore: cannot append journal in " +
-                               dir_.string());
-    }
-    os << entry << '\n' << std::flush;
+    entry += '\n';
+    // A commit vouches for a durable checkpoint, so it must be durable too.
+    write_file(dir_ / kJournalFile, "ab",
+               {reinterpret_cast<const std::uint8_t*>(entry.data()),
+                entry.size()},
+               tag == 'C');
   }
 }
 
@@ -197,103 +306,14 @@ void CheckpointStore::replay_journal() {
   }
 }
 
-void CheckpointStore::write_to_disk(const Checkpoint& ckpt) const {
-  BinaryWriter w;
-  w.write(kCkptMagic);
-  w.write(ckpt.round);
-  w.write(ckpt.eval_perplexity);
-  w.write(ckpt.schedule_step_base);
-  w.write_vector(ckpt.params);
-  w.write_vector(ckpt.client_trained_rounds);
-  w.write_vector(ckpt.server_opt_state);
-  // Trailing v2 field (readers tolerate its absence): error-feedback
-  // residuals, one vector per client.
-  w.write(static_cast<std::uint64_t>(ckpt.client_ef_residuals.size()));
-  for (const auto& residual : ckpt.client_ef_residuals) {
-    w.write_vector(residual);
-  }
-  // Second trailing field: elastic async engine state.  Sync-mode saves
-  // write nothing here, keeping their byte layout identical to before —
-  // unless a later trailing field follows, in which case the async flag
-  // byte must be present (as 0) so readers can tell the fields apart.
-  const bool has_privacy = ckpt.privacy_state.valid;
-  const bool has_tuner = !ckpt.tuner_state.empty();
-  if (ckpt.async_state.valid) {
-    w.write(static_cast<std::uint8_t>(1));
-    write_async_state(w, ckpt.async_state);
-  } else if (has_tuner || has_privacy) {
-    w.write(static_cast<std::uint8_t>(0));
-  }
-  // Third trailing field: opaque autotuner state (flag-prefixed).
-  if (has_tuner) {
-    w.write(static_cast<std::uint8_t>(1));
-    w.write_vector(ckpt.tuner_state);
-  } else if (has_privacy) {
-    w.write(static_cast<std::uint8_t>(0));
-  }
-  // Fourth trailing field: privacy engine state (flag-prefixed).
-  if (has_privacy) {
-    w.write(static_cast<std::uint8_t>(1));
-    w.write(ckpt.privacy_state.accounted_rounds);
-    w.write(ckpt.privacy_state.noise_multiplier);
-    w.write(ckpt.privacy_state.delta);
-    w.write(ckpt.privacy_state.wave_counter);
-    w.write(ckpt.privacy_state.shares_reconstructed_total);
-    w.write(ckpt.privacy_state.epsilon);
-  }
-  const auto path = dir_ / ("ckpt_" + std::to_string(ckpt.round) + ".bin");
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("CheckpointStore: cannot write " + path.string());
-  os.write(reinterpret_cast<const char*>(w.bytes().data()),
-           static_cast<std::streamsize>(w.size()));
-}
-
 std::optional<Checkpoint> CheckpointStore::read_from_disk(
     std::uint32_t round) const {
   const auto path = dir_ / ("ckpt_" + std::to_string(round) + ".bin");
   std::ifstream is(path, std::ios::binary);
   if (!is) return std::nullopt;
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  BinaryReader r(bytes);
-  Checkpoint ckpt;
-  const auto first = r.read<std::uint32_t>();
-  if (first == kCkptMagic) {
-    ckpt.round = r.read<std::uint32_t>();
-    ckpt.eval_perplexity = r.read<double>();
-    ckpt.schedule_step_base = r.read<std::int64_t>();
-    ckpt.params = r.read_vector<float>();
-    ckpt.client_trained_rounds = r.read_vector<std::uint32_t>();
-    ckpt.server_opt_state = r.read_vector<std::uint8_t>();
-    if (r.remaining() > 0) {
-      const auto n = r.read<std::uint64_t>();
-      ckpt.client_ef_residuals.resize(n);
-      for (auto& residual : ckpt.client_ef_residuals) {
-        residual = r.read_vector<float>();
-      }
-    }
-    if (r.remaining() > 0 && r.read<std::uint8_t>() != 0) {
-      ckpt.async_state = read_async_state(r);
-    }
-    if (r.remaining() > 0 && r.read<std::uint8_t>() != 0) {
-      ckpt.tuner_state = r.read_vector<std::uint8_t>();
-    }
-    if (r.remaining() > 0 && r.read<std::uint8_t>() != 0) {
-      ckpt.privacy_state.valid = true;
-      ckpt.privacy_state.accounted_rounds = r.read<std::uint64_t>();
-      ckpt.privacy_state.noise_multiplier = r.read<double>();
-      ckpt.privacy_state.delta = r.read<double>();
-      ckpt.privacy_state.wave_counter = r.read<std::uint64_t>();
-      ckpt.privacy_state.shares_reconstructed_total = r.read<std::uint64_t>();
-      ckpt.privacy_state.epsilon = r.read<double>();
-    }
-  } else {
-    // Legacy (pre-journal) layout: round, perplexity, params.
-    ckpt.round = first;
-    ckpt.eval_perplexity = r.read<double>();
-    ckpt.params = r.read_vector<float>();
-  }
-  return ckpt;
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
+                                        std::istreambuf_iterator<char>());
+  return decode_checkpoint(bytes);
 }
 
 }  // namespace photon

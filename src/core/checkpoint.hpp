@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -15,9 +14,8 @@
 
 namespace photon {
 
-/// One in-flight async update pending at a drain boundary, retained as its
-/// compressed wire image so a restored run replays it through the exact
-/// dequantize-accumulate path the uninterrupted run would have used.
+/// One in-flight async update pending at a drain boundary.  Restore replays
+/// it through the exact path the uninterrupted run would have used.
 struct AsyncInFlightSnapshot {
   int client = -1;
   double arrive_time = 0.0;          // absolute sim time the update lands
@@ -33,21 +31,17 @@ struct AsyncInFlightSnapshot {
   std::uint64_t tokens = 0;
   double mean_train_loss = 0.0;
   double train_sim_seconds = 0.0;
-  std::map<std::string, double> metrics;
-  // --- retained wire image (empty for failed slots) ---
-  std::string codec;
-  std::uint64_t elems = 0;
-  std::uint64_t chunk_raw_bytes = 0;
-  std::vector<std::uint64_t> chunk_lens;
-  std::vector<std::uint8_t> chunk_bytes;  // compressed chunks, concatenated
+  /// The update as a PHO2 wire image (empty for failed slots), its metadata
+  /// holding the client's metrics: a quantized update exactly as received,
+  /// which the streamed fan-in dequantizes chunk by chunk; any other update
+  /// re-encoded with the identity codec.
+  std::vector<std::uint8_t> wire;
 };
 
 /// Async engine state captured at a FedBuff drain boundary (the fp64
 /// accumulator is always empty there, so "buffer contents" = the in-flight
-/// updates plus the per-client counters that gate admission).  Trailing v2
-/// checkpoint field; absent for sync-mode saves and older snapshots.
+/// updates plus the per-client counters that gate admission).
 struct AsyncAggregatorState {
-  bool valid = false;
   /// Async rounds consume sim time across drain boundaries, so unlike the
   /// sync engine the clock itself is part of the restart state.
   double sim_now = 0.0;
@@ -64,7 +58,6 @@ struct AsyncAggregatorState {
 /// SecAgg wave counter that seeds per-dispatch-wave mask sessions.  A
 /// restored run continues both exactly where the crashed run left off.
 struct PrivacyCheckpointState {
-  bool valid = false;
   std::uint64_t accounted_rounds = 0;   // RDP compositions so far
   double noise_multiplier = 0.0;        // sigma the accountant was built with
   double delta = 0.0;                   // target delta; 0 = DP disabled
@@ -76,13 +69,12 @@ struct PrivacyCheckpointState {
 struct Checkpoint {
   std::uint32_t round = 0;
   std::vector<float> params;
-  double eval_perplexity = -1.0;
 
-  // --- recovery metadata (defaults = "not recorded", for legacy saves) ---
+  // --- recovery metadata ---
   /// Cumulative schedule step count *after* completing `round`; restoring
   /// it makes the post-recovery cosine LR schedule identical to an
   /// uninterrupted run.
-  std::int64_t schedule_step_base = -1;
+  std::int64_t schedule_step_base = 0;
   /// Per-client count of rounds whose local training actually ran, used to
   /// fast-forward fresh client data streams to their pre-crash positions.
   std::vector<std::uint32_t> client_trained_rounds;
@@ -90,54 +82,56 @@ struct Checkpoint {
   /// this round's apply; empty for stateless optimizers.
   std::vector<std::uint8_t> server_opt_state;
   /// Per-client error-feedback residuals under quantized wire codecs
-  /// (empty vectors for clients that have not hit a lossy codec yet, the
-  /// whole list empty when the wire path is lossless).  Restoring them
-  /// keeps the post-recovery wire stream bit-identical to an uninterrupted
-  /// run.  Trailing v2 field: absent in older snapshots, read only when
-  /// bytes remain.
+  /// (empty vectors for clients that have not hit a lossy codec yet).
+  /// Restoring them keeps the post-recovery wire stream bit-identical to
+  /// an uninterrupted run.
   std::vector<std::vector<float>> client_ef_residuals;
-  /// Elastic async engine state (valid only for async-mode saves); second
-  /// trailing field, written after the residuals and skipped entirely for
-  /// sync saves so their byte layout is unchanged.
-  AsyncAggregatorState async_state;
-  /// Opaque autotuner state (src/tune decision history + trace digests);
-  /// third trailing field, flag-prefixed, written only when a tuner is
-  /// attached so untuned saves keep their exact historical byte layout.
-  /// Restoring it replays the tuner's knob decisions bit-identically.
+  /// Elastic async engine state; async-mode saves only.
+  std::optional<AsyncAggregatorState> async_state;
+  /// Opaque autotuner state (src/tune decision history + trace digests),
+  /// non-empty only when a tuner is attached.  Restoring it replays the
+  /// tuner's knob decisions bit-identically.
   std::vector<std::uint8_t> tuner_state;
   /// Privacy engine state (DESIGN.md §14): DP accountant composition and
-  /// the SecAgg wave counter.  Fourth trailing field, flag-prefixed,
-  /// written only when secure aggregation or DP accounting is active so
-  /// plain saves keep their exact historical byte layout.
-  PrivacyCheckpointState privacy_state;
+  /// the SecAgg wave counter; saved only when secure aggregation or DP
+  /// accounting is active.
+  std::optional<PrivacyCheckpointState> privacy_state;
 };
+
+/// The checkpoint image: the magic "PCK3", then one section per part that
+/// is present, each (u32 tag, u64 body length, body), then the CRC32 of
+/// every byte before it.  The metadata and params sections are mandatory.
+std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt);
+/// Inverse of encode_checkpoint.  Throws std::runtime_error on a bad magic
+/// or CRC, and on a truncated, repeated, unknown or missing mandatory
+/// section or one whose body its decoder does not consume exactly.
+Checkpoint decode_checkpoint(std::span<const std::uint8_t> image);
 
 class CheckpointStore {
  public:
-  /// `dir` empty = memory-only store (tests, sweeps); otherwise snapshots
-  /// are also written as <dir>/ckpt_<round>.bin and the round journal as
-  /// <dir>/round.journal (replayed on construction for crash recovery).
-  explicit CheckpointStore(std::filesystem::path dir = {},
-                           std::size_t keep_last = 3);
+  /// `dir` empty = memory-only store (tests, sweeps) holding the latest
+  /// save; otherwise checkpoints live only on disk, as
+  /// <dir>/ckpt_<round>.bin, and the round journal as <dir>/round.journal
+  /// (replayed on construction for crash recovery).
+  explicit CheckpointStore(std::filesystem::path dir = {});
 
-  void save(std::uint32_t round, std::span<const float> params,
-            double eval_perplexity = -1.0);
-  /// Full save including recovery metadata.
+  /// Keep `ckpt`.  On disk a reader sees the old ckpt_<round>.bin or the
+  /// new one, never a torn one, and the new one survives power loss.
   void save(Checkpoint ckpt);
 
-  /// Most recent checkpoint: the newest in memory, else (fresh process) the
+  /// Most recent checkpoint: the latest save in memory, or the
   /// highest-round ckpt_*.bin on disk.
   std::optional<Checkpoint> latest() const;
 
-  /// Checkpoint for an exact round (memory first, then disk).
+  /// Checkpoint for an exact round.
   std::optional<Checkpoint> at_round(std::uint32_t round) const;
 
-  std::size_t num_in_memory() const { return memory_.size(); }
   const std::filesystem::path& dir() const { return dir_; }
 
   // --- write-ahead round journal ---------------------------------------
-  // Protocol per round r: `begin r` is appended (and flushed) BEFORE the
-  // ServerOpt apply; `commit r` AFTER the round's checkpoint is durable.
+  // Protocol per round r: `begin r` is appended BEFORE the ServerOpt
+  // apply; `commit r` AFTER the round's checkpoint is durable, and is
+  // fsynced itself.
   // On recovery the last committed round is the restore point: a round
   // with a dangling `begin` may have mutated the in-memory model but never
   // produced a durable checkpoint, so re-running it from the last commit
@@ -160,12 +154,12 @@ class CheckpointStore {
  private:
   void journal_append(char tag, std::uint32_t round);
   void replay_journal();
-  void write_to_disk(const Checkpoint& ckpt) const;
   std::optional<Checkpoint> read_from_disk(std::uint32_t round) const;
 
   std::filesystem::path dir_;
-  std::size_t keep_last_;
-  std::vector<Checkpoint> memory_;  // ring of the last keep_last_ snapshots
+  /// Memory-only stores: the latest save, as an object rather than its
+  /// encoded image (freeing an image per save inflates RSS; DESIGN.md §8).
+  std::optional<Checkpoint> memory_;
   std::vector<std::string> journal_;
   std::int64_t last_begun_ = -1;
   std::int64_t last_committed_ = -1;

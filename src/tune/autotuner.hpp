@@ -22,8 +22,8 @@
 // Every decision is a pure function of (seed, round, prior-trace digests):
 // no wall clock, no RNG draws, no hardware probes.  Serial and parallel
 // twins therefore produce bit-identical decision histories, and the whole
-// tuner state serializes into the v2 checkpoint's third trailing field so
-// a crash-restored run continues the exact decision timeline.
+// tuner state serializes into the checkpoint's tuner section so a
+// crash-restored run continues the exact decision timeline.
 
 #include <cstdint>
 #include <span>
@@ -141,7 +141,7 @@ class RoundAutotuner final : public RoundStateExtension {
   /// exists.
   std::uint32_t last_decision_change() const;
 
-  // --- RoundStateExtension (v2 checkpoint third trailing field) ----------
+  // --- RoundStateExtension (the checkpoint's tuner section) --------------
   std::vector<std::uint8_t> capture_state() const override;
   void restore_state(std::span<const std::uint8_t> bytes) override;
 

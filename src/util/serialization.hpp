@@ -62,6 +62,17 @@ class BinaryWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
+  /// Overwrite sizeof(T) already-written bytes at `offset`, e.g. a length
+  /// field reserved before the body it measures was written.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void write_at(std::size_t offset, const T& value) {
+    if (offset > buf_.size() || sizeof(T) > buf_.size() - offset) {
+      throw std::out_of_range("BinaryWriter::write_at past the end");
+    }
+    std::memcpy(buf_.data() + offset, &value, sizeof(T));
+  }
+
  private:
   std::vector<std::uint8_t> buf_;
 };
@@ -95,7 +106,10 @@ class BinaryReader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    require(n * sizeof(T));
+    // Compared as an element count: n * sizeof(T) could wrap.
+    if (n > remaining() / sizeof(T)) {
+      throw std::runtime_error("BinaryReader: truncated buffer");
+    }
     std::vector<T> v(n);
     if (n != 0) {  // empty vector's data() is null; memcpy requires nonnull
       std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
@@ -122,8 +136,9 @@ class BinaryReader {
   }
 
  private:
+  // Compared against what remains: pos_ + n could wrap.
   void require(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       throw std::runtime_error("BinaryReader: truncated buffer");
     }
   }

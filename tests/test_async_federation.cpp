@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/link.hpp"
@@ -59,13 +63,15 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
 
 std::unique_ptr<Aggregator> build_async_aggregator(
     AggregatorConfig ac, int population = 4,
-    const std::string& opt = "fedavg", bool ephemeral = false) {
+    const std::string& opt = "fedavg", bool ephemeral = false,
+    const std::string& codec = "") {
   ac.async.enabled = true;
   ac.seed = 33;
   std::vector<std::unique_ptr<LLMClient>> clients;
   for (int i = 0; i < population; ++i) {
     auto cfg = tiny_client_config();
     cfg.ephemeral = ephemeral;
+    cfg.link_codec = codec;
     clients.push_back(std::make_unique<LLMClient>(
         i, cfg, tiny_stream(100 + static_cast<std::uint64_t>(i)), 7));
   }
@@ -432,9 +438,10 @@ TEST(AsyncFederation, RestoreUnderDifferentMembershipPlanKeepsSavedStates) {
 }
 
 // ------------------------------------------ restore input validation ---
-// Checkpoints carry no checksum, so restore must refuse an in-flight
-// snapshot it cannot replay safely — before touching any engine state —
-// instead of copying or decoding out of bounds in the next drain.
+// Restore must refuse an in-flight update it cannot replay safely — before
+// touching any engine state — instead of copying or decoding out of bounds
+// in the next drain.  Each update is a PHO2 wire image, checked exactly as
+// one fresh off the wire.
 void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
   AggregatorConfig ac;
   ac.privacy.ignore_env = true;
@@ -446,13 +453,13 @@ void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
   Checkpoint ckpt;
   ckpt.round = 4;
   ckpt.params.assign(before.size(), 0.5f);
-  ckpt.async_state.valid = true;
+  AsyncAggregatorState& st = ckpt.async_state.emplace();
   const auto pop = static_cast<std::size_t>(agg->population());
-  ckpt.async_state.membership.assign(
-      pop, static_cast<std::uint8_t>(MembershipState::kActive));
-  ckpt.async_state.defer_counts.assign(pop, 0);
-  ckpt.async_state.next_eligible.assign(pop, 0.0);
-  ckpt.async_state.in_flight = {pending};
+  st.membership.assign(pop,
+                       static_cast<std::uint8_t>(MembershipState::kActive));
+  st.defer_counts.assign(pop, 0);
+  st.next_eligible.assign(pop, 0.0);
+  st.in_flight = {pending};
   agg->checkpoints().journal_begin(4);
   agg->checkpoints().save(std::move(ckpt));
   agg->checkpoints().journal_commit(4);
@@ -463,75 +470,156 @@ void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
   EXPECT_EQ(agg->async_in_flight(), 0);
 }
 
-AsyncInFlightSnapshot pending_update(std::size_t elems) {
+/// A client update of `elems` floats encoded with `codec`.
+std::vector<std::uint8_t> update_image(const std::string& codec,
+                                       std::size_t elems) {
+  Message m;
+  m.type = MessageType::kClientUpdate;
+  m.codec = codec;
+  m.payload.assign(elems, 0.25f);
+  return m.encode();
+}
+
+AsyncInFlightSnapshot pending_update(std::vector<std::uint8_t> wire) {
   AsyncInFlightSnapshot u;
   u.client = 1;
   u.arrive_time = 2.0;
   u.train_sim_seconds = 1.0;
-  u.elems = elems;
+  u.wire = std::move(wire);
   return u;
+}
+
+/// Offset of the chunk-length field in an identity-codec image of `elems`
+/// floats in one chunk: the payload and the 4-byte CRC follow it, and the
+/// u32 chunk count precedes it.
+std::size_t length_field(const std::vector<std::uint8_t>& wire,
+                         std::size_t elems) {
+  return wire.size() - 4 - elems * sizeof(float) - 8;
 }
 
 TEST(AsyncFederation, RestoreRejectsOversizedFp32Snapshot) {
   const std::size_t n = tiny_model().num_params();
-  AsyncInFlightSnapshot u = pending_update(n);
-  u.chunk_raw_bytes = n * sizeof(float);
-  u.chunk_lens = {n * sizeof(float)};
-  u.chunk_bytes.assign(n * sizeof(float) + 64, 0);  // longer than elems * 4
-  expect_restore_rejects(u);
+  expect_restore_rejects(pending_update(update_image("", n + 16)));
 }
 
 TEST(AsyncFederation, RestoreRejectsUnknownStreamedCodec) {
   const std::size_t n = tiny_model().num_params();
-  AsyncInFlightSnapshot u = pending_update(n);
-  u.codec = "lzss";  // not registered
-  u.chunk_raw_bytes = n * sizeof(float);
-  u.chunk_lens = {n * sizeof(float) + 1};
-  u.chunk_bytes.assign(n * sizeof(float) + 1, 0);
-  u.chunk_bytes[0] = 1;  // raw passthrough chunk
-  expect_restore_rejects(u);
+  std::vector<std::uint8_t> wire = update_image("rle0", n);
+  const std::string from = "rle0";
+  const auto at = std::search(wire.begin(), wire.end(), from.begin(), from.end());
+  ASSERT_NE(at, wire.end());
+  std::memcpy(&*at, "lzss", 4);  // not registered
+  expect_restore_rejects(pending_update(wire));
 }
 
 TEST(AsyncFederation, RestoreRejectsChunkLengthsPastStoredBytes) {
-  // A raw-mode q8 chunk whose length claims more bytes than are stored.
+  // The image ends before its chunk table says the chunk bytes do.
   const std::size_t n = tiny_model().num_params();
-  AsyncInFlightSnapshot u = pending_update(n);
-  u.codec = "q8";
-  u.chunk_raw_bytes = n * sizeof(float);
-  u.chunk_lens = {n * sizeof(float) + 1 + 22000};
-  u.chunk_bytes.assign(n * sizeof(float) + 1, 0);
-  u.chunk_bytes[0] = 1;
-  expect_restore_rejects(u);
+  std::vector<std::uint8_t> wire = update_image("q8", n);
+  wire.erase(wire.end() - 5, wire.end());
+  expect_restore_rejects(pending_update(wire));
 }
 
 TEST(AsyncFederation, RestoreRejectsMalformedSnapshotShapes) {
   const std::size_t n = tiny_model().num_params();
-  AsyncInFlightSnapshot kind = pending_update(0);
+  AsyncInFlightSnapshot kind = pending_update({});
   kind.failure_kind = 3;  // 0 ok, 1 crash, 2 link failure
   expect_restore_rejects(kind);
 
-  AsyncInFlightSnapshot size = pending_update(n + 1);  // not the model size
-  size.chunk_bytes.assign((n + 1) * sizeof(float), 0);
-  expect_restore_rejects(size);
+  // Not the model size, streamed or materialized.
+  expect_restore_rejects(pending_update(update_image("q8", n + 1)));
+  expect_restore_rejects(pending_update(update_image("rle0", n - 1)));
 
-  AsyncInFlightSnapshot chunks = pending_update(n);  // 2 chunk lens, 1 chunk
-  chunks.codec = "q8";
-  chunks.chunk_raw_bytes = n * sizeof(float);
-  chunks.chunk_lens = {4, 4};
-  chunks.chunk_bytes.assign(8, 1);
-  expect_restore_rejects(chunks);
+  std::vector<std::uint8_t> flipped = update_image("q8", n);  // CRC mismatch
+  flipped[flipped.size() - 9] ^= 1;
+  expect_restore_rejects(pending_update(flipped));
 
-  AsyncInFlightSnapshot wrap = pending_update(n);  // lens wrap to the total
-  wrap.codec = "q8";
-  wrap.chunk_raw_bytes = (n * sizeof(float) + 1) / 2;
-  wrap.chunk_lens = {~std::uint64_t{0}, 9};
-  wrap.chunk_bytes.assign(8, 1);
-  expect_restore_rejects(wrap);
+  expect_restore_rejects(pending_update({}));  // an ok slot with no image
+
+  std::vector<std::uint8_t> wrap = update_image("", n);  // length wraps
+  const std::uint64_t wrapping = ~std::uint64_t{0};
+  std::memcpy(wrap.data() + length_field(wrap, n), &wrapping, sizeof(wrapping));
+  expect_restore_rejects(pending_update(wrap));
+
+  std::vector<std::uint8_t> chunks = update_image("", n);  // 2 chunks, 1 len
+  const std::uint32_t two = 2;
+  std::memcpy(chunks.data() + length_field(chunks, n) - sizeof(two), &two,
+              sizeof(two));
+  expect_restore_rejects(pending_update(chunks));
+}
+
+TEST(AsyncFederation, RestoreRejectsCheckpointTruncatedAtAnySectionBoundary) {
+  // Crash-point test: the committed checkpoint of an async q8 run with
+  // updates in flight, cut where a section starts (or where the CRC does),
+  // must fail restore loudly and leave the fresh engine untouched.
+  const auto base =
+      std::filesystem::temp_directory_path() / "photon_async_torn";
+  std::filesystem::remove_all(base);
+  AggregatorConfig ac;
+  ac.privacy.ignore_env = true;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.async.buffer_goal = 2;
+  ac.async.max_in_flight = 4;
+  ac.checkpoint_dir = base;
+  std::uint32_t committed = 0;
+  {
+    auto agg = build_async_aggregator(ac, /*population=*/6, "nesterov",
+                                      false, "q8");
+    for (int r = 0; r < 3; ++r) agg->run_round();
+    ASSERT_GT(agg->async_in_flight(), 0);
+    committed = static_cast<std::uint32_t>(
+        agg->checkpoints().journal_last_committed());
+  }
+  const auto path = base / ("ckpt_" + std::to_string(committed) + ".bin");
+  std::vector<std::uint8_t> image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // Section starts: past the u32 magic, each is a u32 tag and a u64 length
+  // ahead of its body; the CRC's 4 bytes close the image.
+  std::vector<std::size_t> cuts;
+  for (std::size_t at = 4; at < image.size(); ) {
+    cuts.push_back(at);
+    if (at + 4 == image.size()) break;
+    std::uint64_t len = 0;
+    std::memcpy(&len, image.data() + at + 4, sizeof(len));
+    at += 12 + len;
+  }
+  ASSERT_EQ(cuts.size(), 5u);  // meta, params, residuals, async, CRC
+  for (const std::size_t cut : cuts) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(image.data()),
+                static_cast<std::streamsize>(cut));
+    }
+    auto fresh = build_async_aggregator(ac, 6, "nesterov", false, "q8");
+    const std::vector<float> before(fresh->global_params().begin(),
+                                    fresh->global_params().end());
+    EXPECT_THROW(fresh->restore_latest_checkpoint(), std::runtime_error)
+        << "cut at " << cut;
+    EXPECT_EQ(fresh->round(), 0u);
+    EXPECT_EQ(0, std::memcmp(before.data(), fresh->global_params().data(),
+                             before.size() * sizeof(float)));
+    EXPECT_EQ(fresh->async_in_flight(), 0);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  auto whole = build_async_aggregator(ac, 6, "nesterov", false, "q8");
+  ASSERT_TRUE(whole->restore_latest_checkpoint());
+  EXPECT_EQ(whole->round(), committed + 1);
+  EXPECT_GT(whole->async_in_flight(), 0);
+  std::filesystem::remove_all(base);
 }
 
 TEST(AsyncFederation, SyncCheckpointsStayByteStableWithoutAsyncState) {
-  // The async-state field is a trailing optional: a sync engine writes
-  // nothing new, and its checkpoints restore with async_state invalid.
+  // A sync engine writes no async section, and its checkpoints restore
+  // with no async state.
   const auto base =
       std::filesystem::temp_directory_path() / "photon_sync_ckpt_compat";
   std::filesystem::remove_all(base);
@@ -552,7 +640,7 @@ TEST(AsyncFederation, SyncCheckpointsStayByteStableWithoutAsyncState) {
   CheckpointStore mgr(base);
   const auto ckpt = mgr.latest();
   ASSERT_TRUE(ckpt.has_value());
-  EXPECT_FALSE(ckpt->async_state.valid);
+  EXPECT_FALSE(ckpt->async_state.has_value());
   std::filesystem::remove_all(base);
 }
 

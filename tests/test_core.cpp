@@ -3,16 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <span>
 
+#include "comm/message.hpp"
 #include "core/checkpoint.hpp"
 #include "core/metrics.hpp"
 #include "core/postprocess.hpp"
 #include "core/sampler.hpp"
 #include "core/server_opt.hpp"
 #include "util/rng.hpp"
+#include "util/serialization.hpp"
 
 namespace photon {
 namespace {
@@ -222,53 +227,65 @@ TEST(Metrics, HistoryQueries) {
 }
 
 // -------------------------------------------------------------- checkpoint --
-TEST(CheckpointStore, MemoryRingKeepsLastN) {
-  CheckpointStore store({}, /*keep_last=*/2);
-  const std::vector<float> p{1.0f, 2.0f};
-  store.save(0, p);
-  store.save(1, p);
-  store.save(2, p);
-  EXPECT_EQ(store.num_in_memory(), 2u);
-  EXPECT_EQ(store.latest()->round, 2u);
-  EXPECT_FALSE(store.at_round(0).has_value());
-  EXPECT_TRUE(store.at_round(1).has_value());
+Checkpoint params_checkpoint(std::uint32_t round, std::vector<float> params) {
+  Checkpoint ckpt;
+  ckpt.round = round;
+  ckpt.params = std::move(params);
+  return ckpt;
+}
+
+std::filesystem::path fresh_dir(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(CheckpointStore, MemoryStoreKeepsOnlyTheLatestSave) {
+  CheckpointStore memory;
+  memory.save(params_checkpoint(0, {1.0f}));
+  memory.save(params_checkpoint(1, {2.0f}));
+  EXPECT_EQ(memory.latest()->round, 1u);
+  EXPECT_FALSE(memory.at_round(0).has_value());
+  EXPECT_TRUE(memory.at_round(1).has_value());
+  // With a directory the file is the only copy.
+  const auto dir = fresh_dir("photon_ckpt_one_copy");
+  CheckpointStore disk(dir);
+  disk.save(params_checkpoint(2, {3.0f}));
+  std::filesystem::remove(dir / "ckpt_2.bin");
+  EXPECT_FALSE(disk.latest().has_value());
+  EXPECT_FALSE(disk.at_round(2).has_value());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointStore, DiskRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "photon_ckpt_test";
-  std::filesystem::remove_all(dir);
+  const auto dir = fresh_dir("photon_ckpt_test");
   {
-    CheckpointStore store(dir, 1);
-    store.save(0, std::vector<float>{1.5f, -2.5f}, 33.0);
-    store.save(7, std::vector<float>{9.0f}, 21.0);
+    CheckpointStore store(dir);
+    store.save(params_checkpoint(0, {1.5f, -2.5f}));
+    store.save(params_checkpoint(7, {9.0f}));
   }
-  CheckpointStore reader(dir, 1);
-  // Memory is empty in the new store; round 0 must come from disk.
+  CheckpointStore reader(dir);
   const auto ckpt = reader.at_round(0);
   ASSERT_TRUE(ckpt.has_value());
   EXPECT_EQ(ckpt->params, (std::vector<float>{1.5f, -2.5f}));
-  EXPECT_DOUBLE_EQ(ckpt->eval_perplexity, 33.0);
+  EXPECT_EQ(reader.latest()->round, 7u);
   EXPECT_FALSE(reader.at_round(3).has_value());
   std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointStore, RecoveryMetadataRoundTripsThroughDisk) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "photon_ckpt_meta_test";
-  std::filesystem::remove_all(dir);
+  const auto dir = fresh_dir("photon_ckpt_meta_test");
   Checkpoint ckpt;
   ckpt.round = 4;
   ckpt.params = {0.5f, 1.5f, 2.5f};
-  ckpt.eval_perplexity = 12.0;
   ckpt.schedule_step_base = 40;
   ckpt.client_trained_rounds = {5, 0, 4, 5};
   ckpt.server_opt_state = {0xAB, 0xCD, 0x01};
   {
-    CheckpointStore store(dir, 1);
+    CheckpointStore store(dir);
     store.save(ckpt);
   }
-  CheckpointStore reader(dir, 1);
+  CheckpointStore reader(dir);
   const auto back = reader.latest();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->round, 4u);
@@ -279,52 +296,46 @@ TEST(CheckpointStore, RecoveryMetadataRoundTripsThroughDisk) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CheckpointStore, LegacyDiskFormatStillReadable) {
-  // Pre-journal checkpoints were (round, perplexity, params) with no magic;
-  // a store must read them with "not recorded" metadata defaults.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "photon_ckpt_legacy_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  {
-    BinaryWriter w;
-    w.write(static_cast<std::uint32_t>(6));  // round, far below the magic
-    w.write(17.5);
-    w.write_vector(std::vector<float>{3.0f, 4.0f});
-    std::ofstream os(dir / "ckpt_6.bin", std::ios::binary);
-    os.write(reinterpret_cast<const char*>(w.bytes().data()),
-             static_cast<std::streamsize>(w.size()));
-  }
-  CheckpointStore reader(dir, 1);
-  const auto ckpt = reader.latest();
-  ASSERT_TRUE(ckpt.has_value());
-  EXPECT_EQ(ckpt->round, 6u);
-  EXPECT_DOUBLE_EQ(ckpt->eval_perplexity, 17.5);
-  EXPECT_EQ(ckpt->params, (std::vector<float>{3.0f, 4.0f}));
-  EXPECT_EQ(ckpt->schedule_step_base, -1);
-  EXPECT_TRUE(ckpt->client_trained_rounds.empty());
-  EXPECT_TRUE(ckpt->server_opt_state.empty());
+TEST(CheckpointStore, SaveReplacesTheFileAtomically) {
+  // A reader that opened ckpt_3.bin before round 3 is saved again keeps
+  // reading the complete old image, and temporaries left by a crash
+  // mid-write never change what loads.
+  const auto dir = fresh_dir("photon_ckpt_atomic");
+  CheckpointStore store(dir);
+  store.save(params_checkpoint(3, {1.0f, 2.0f}));
+  std::ifstream old_reader(dir / "ckpt_3.bin", std::ios::binary);
+  store.save(params_checkpoint(3, std::vector<float>(4096, 7.0f)));
+  const std::vector<std::uint8_t> old_bytes(
+      (std::istreambuf_iterator<char>(old_reader)),
+      std::istreambuf_iterator<char>());
+  EXPECT_EQ(decode_checkpoint(old_bytes).params,
+            (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_FALSE(std::filesystem::exists(dir / "ckpt_3.bin.tmp"));
+
+  std::ofstream(dir / "ckpt_3.bin.tmp", std::ios::binary) << "torn";
+  std::ofstream(dir / "ckpt_9.bin.tmp", std::ios::binary) << "torn";
+  CheckpointStore reader(dir);
+  EXPECT_EQ(reader.latest()->round, 3u);
+  EXPECT_EQ(reader.at_round(3)->params.size(), 4096u);
   std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointStore, JournalTracksBeginAndCommitAcrossProcesses) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "photon_journal_test";
-  std::filesystem::remove_all(dir);
+  const auto dir = fresh_dir("photon_journal_test");
   {
-    CheckpointStore store(dir, 2);
+    CheckpointStore store(dir);
     EXPECT_EQ(store.journal_last_committed(), -1);
     store.journal_begin(0);
-    store.save(0, std::vector<float>{1.0f});
+    store.save(params_checkpoint(0, {1.0f}));
     store.journal_commit(0);
     store.journal_begin(1);
-    store.save(1, std::vector<float>{2.0f});
+    store.save(params_checkpoint(1, {2.0f}));
     store.journal_commit(1);
     store.journal_begin(2);  // crash before round 2's commit
   }
   // A fresh store (fresh process) replays the journal: round 2 began but
   // never committed, so the recovery point is round 1.
-  CheckpointStore recovered(dir, 2);
+  CheckpointStore recovered(dir);
   EXPECT_EQ(recovered.journal_last_begun(), 2);
   EXPECT_EQ(recovered.journal_last_committed(), 1);
   const auto ckpt = recovered.at_round(1);
@@ -333,6 +344,187 @@ TEST(CheckpointStore, JournalTracksBeginAndCommitAcrossProcesses) {
   recovered.journal_recovered(2);
   EXPECT_EQ(recovered.journal().back(), "R 2");
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------- image format --
+/// A checkpoint with every section present: residuals, async state with a
+/// q8 in-flight image and a failed slot, tuner and privacy state.
+Checkpoint full_checkpoint() {
+  Checkpoint c = params_checkpoint(5, {0.5f, -1.5f, 2.5f});
+  c.schedule_step_base = 24;
+  c.client_trained_rounds = {5, 3};
+  c.server_opt_state = {0xAB, 0xCD};
+  c.client_ef_residuals = {{0.25f, -0.125f, 0.0f}, {}};
+  AsyncAggregatorState& a = c.async_state.emplace();
+  a.sim_now = 12.5;
+  a.accepted_total = 9;
+  a.discarded_total = 1;
+  a.membership = {1, 2};
+  a.defer_counts = {0, 3};
+  a.next_eligible = {0.0, 13.0};
+  Message update;
+  update.type = MessageType::kClientUpdate;
+  update.codec = "q8";
+  update.payload = {0.5f, -0.25f, 1.0f};
+  update.metadata["loss"] = 3.5;
+  AsyncInFlightSnapshot& u = a.in_flight.emplace_back();
+  u.client = 1;
+  u.arrive_time = 13.0;
+  u.dispatch_version = 4;
+  u.wave_id = 2;
+  u.tokens = 32;
+  u.mean_train_loss = 3.5;
+  u.train_sim_seconds = 1.0;
+  u.wire = update.encode();
+  a.in_flight.emplace_back().failure_kind = 1;  // crashed: no image
+  c.tuner_state = {1, 2, 3};
+  PrivacyCheckpointState& p = c.privacy_state.emplace();
+  p.accounted_rounds = 6;
+  p.noise_multiplier = 0.5;
+  p.delta = 1e-5;
+  p.wave_counter = 2;
+  p.shares_reconstructed_total = 1;
+  p.epsilon = 2.0;
+  return c;
+}
+
+TEST(CheckpointImage, EverySectionRoundTrips) {
+  const Checkpoint c = full_checkpoint();
+  const Checkpoint back = decode_checkpoint(encode_checkpoint(c));
+  EXPECT_EQ(back.round, c.round);
+  EXPECT_EQ(back.params, c.params);
+  EXPECT_EQ(back.schedule_step_base, c.schedule_step_base);
+  EXPECT_EQ(back.client_trained_rounds, c.client_trained_rounds);
+  EXPECT_EQ(back.server_opt_state, c.server_opt_state);
+  EXPECT_EQ(back.client_ef_residuals, c.client_ef_residuals);
+  ASSERT_TRUE(back.async_state.has_value());
+  EXPECT_EQ(back.async_state->sim_now, c.async_state->sim_now);
+  EXPECT_EQ(back.async_state->accepted_total, c.async_state->accepted_total);
+  EXPECT_EQ(back.async_state->discarded_total, c.async_state->discarded_total);
+  EXPECT_EQ(back.async_state->membership, c.async_state->membership);
+  EXPECT_EQ(back.async_state->defer_counts, c.async_state->defer_counts);
+  EXPECT_EQ(back.async_state->next_eligible, c.async_state->next_eligible);
+  ASSERT_EQ(back.async_state->in_flight.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const AsyncInFlightSnapshot& x = c.async_state->in_flight[i];
+    const AsyncInFlightSnapshot& y = back.async_state->in_flight[i];
+    EXPECT_EQ(y.client, x.client);
+    EXPECT_EQ(y.arrive_time, x.arrive_time);
+    EXPECT_EQ(y.dispatch_version, x.dispatch_version);
+    EXPECT_EQ(y.wave_id, x.wave_id);
+    EXPECT_EQ(y.failure_kind, x.failure_kind);
+    EXPECT_EQ(y.tokens, x.tokens);
+    EXPECT_EQ(y.mean_train_loss, x.mean_train_loss);
+    EXPECT_EQ(y.train_sim_seconds, x.train_sim_seconds);
+    EXPECT_EQ(y.wire, x.wire);
+  }
+  EXPECT_EQ(back.tuner_state, c.tuner_state);
+  ASSERT_TRUE(back.privacy_state.has_value());
+  EXPECT_EQ(back.privacy_state->accounted_rounds, 6u);
+  EXPECT_EQ(back.privacy_state->noise_multiplier, 0.5);
+  EXPECT_EQ(back.privacy_state->delta, 1e-5);
+  EXPECT_EQ(back.privacy_state->wave_counter, 2u);
+  EXPECT_EQ(back.privacy_state->shares_reconstructed_total, 1u);
+  EXPECT_EQ(back.privacy_state->epsilon, 2.0);
+
+  // Absent parts have no section and come back absent.
+  const Checkpoint bare =
+      decode_checkpoint(encode_checkpoint(params_checkpoint(1, {4.0f})));
+  EXPECT_EQ(bare.params, (std::vector<float>{4.0f}));
+  EXPECT_TRUE(bare.client_ef_residuals.empty());
+  EXPECT_FALSE(bare.async_state.has_value());
+  EXPECT_TRUE(bare.tuner_state.empty());
+  EXPECT_FALSE(bare.privacy_state.has_value());
+}
+
+TEST(CheckpointImage, EveryTruncationAndBitFlipThrows) {
+  // A torn write or a flipped bit anywhere must fail loudly and typed,
+  // never load as a checkpoint silently missing a part.
+  const std::vector<std::uint8_t> image = encode_checkpoint(full_checkpoint());
+  const std::span<const std::uint8_t> whole(image);
+  for (std::size_t len = 0; len < image.size(); ++len) {
+    EXPECT_THROW(decode_checkpoint(whole.first(len)), std::runtime_error)
+        << "truncated to " << len;
+  }
+  for (std::size_t bit = 0; bit < image.size() * 8; ++bit) {
+    std::vector<std::uint8_t> flipped = image;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_THROW(decode_checkpoint(flipped), std::runtime_error)
+        << "bit " << bit;
+  }
+}
+
+/// Each section of a checkpoint image verbatim: u32 tag, u64 length, body.
+using Section = std::vector<std::uint8_t>;
+constexpr std::size_t kSectionHeader = 12;
+
+std::vector<Section> split_sections(const std::vector<std::uint8_t>& image) {
+  std::vector<Section> out;
+  std::size_t at = sizeof(std::uint32_t);  // past the magic
+  while (at + sizeof(std::uint32_t) < image.size()) {  // up to the CRC
+    std::uint64_t len = 0;
+    std::memcpy(&len, image.data() + at + 4, sizeof(len));
+    const std::size_t end = at + kSectionHeader + len;
+    out.emplace_back(image.begin() + static_cast<std::ptrdiff_t>(at),
+                     image.begin() + static_cast<std::ptrdiff_t>(end));
+    at = end;
+  }
+  return out;
+}
+
+/// `magic`, `sections`, then their CRC: a well-formed envelope, so only the
+/// structural checks behind the CRC can reject it.
+std::vector<std::uint8_t> assemble(std::uint32_t magic,
+                                   const std::vector<Section>& sections) {
+  BinaryWriter w;
+  w.write(magic);
+  for (const Section& s : sections) w.write_raw(s);
+  w.write(crc32(w.bytes()));
+  return w.take();
+}
+
+Section with_body_size(Section s, std::size_t body) {
+  s.resize(kSectionHeader + body);
+  const auto len = static_cast<std::uint64_t>(body);
+  std::memcpy(s.data() + 4, &len, sizeof(len));
+  return s;
+}
+
+TEST(CheckpointImage, MalformedSectionsThrowBehindAValidCrc) {
+  const std::vector<std::uint8_t> image = encode_checkpoint(full_checkpoint());
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, image.data(), sizeof(magic));
+  const std::vector<Section> sections = split_sections(image);
+  ASSERT_EQ(sections.size(), 6u);  // meta, params, residuals, async, tuner, privacy
+  ASSERT_EQ(assemble(magic, sections), image);
+  const auto rejects = [&](const std::vector<Section>& s, std::uint32_t m,
+                           const char* what) {
+    EXPECT_THROW(decode_checkpoint(assemble(m, s)), std::runtime_error)
+        << what;
+  };
+  rejects(sections, magic ^ 1u, "bad magic");
+  std::vector<Section> repeated = sections;
+  repeated.push_back(sections[4]);
+  rejects(repeated, magic, "repeated section");
+  std::vector<Section> unknown = sections;
+  unknown[4][0] ^= 0x20;  // "TUNE" -> "tUNE"
+  rejects(unknown, magic, "unknown section");
+  for (const std::size_t required : {0u, 1u}) {
+    std::vector<Section> missing = sections;
+    missing.erase(missing.begin() + static_cast<std::ptrdiff_t>(required));
+    rejects(missing, magic, "missing metadata or params");
+  }
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const std::size_t body = sections[i].size() - kSectionHeader;
+    std::vector<Section> longer = sections;
+    longer[i] = with_body_size(sections[i], body + 1);
+    rejects(longer, magic, "body not consumed");
+    std::vector<Section> shorter = sections;
+    shorter[i] = with_body_size(sections[i], body - 1);
+    rejects(shorter, magic, "body too short");
+  }
+  // Only the metadata and params sections are mandatory.
+  EXPECT_NO_THROW(decode_checkpoint(assemble(magic, {sections[0], sections[1]})));
 }
 
 TEST(ServerOpt, StateSaveLoadRestoresMomentumExactly) {

@@ -6,6 +6,8 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "comm/collective.hpp"
 #include "comm/compression.hpp"
@@ -25,8 +27,10 @@ namespace photon {
 namespace {
 
 // ------------------------------------------------ collective properties --
+// Both fields are 8 bytes wide so the struct has no padding: gtest prints a
+// parameter without a PrintTo as its raw bytes, and those bytes name the test.
 struct CollectiveCase {
-  int workers;
+  std::size_t workers;
   std::size_t n;
 };
 
@@ -36,8 +40,7 @@ class CollectiveProperties
 TEST_P(CollectiveProperties, MeanIsPermutationInvariant) {
   const auto [k, n] = GetParam();
   Rng rng(static_cast<std::uint64_t>(k * 1000 + n));
-  std::vector<std::vector<float>> bufs(static_cast<std::size_t>(k),
-                                       std::vector<float>(n));
+  std::vector<std::vector<float>> bufs(k, std::vector<float>(n));
   for (auto& b : bufs) {
     for (auto& x : b) x = rng.gaussian(0, 1);
   }
@@ -60,7 +63,7 @@ TEST_P(CollectiveProperties, MeanOfIdenticalBuffersIsIdentity) {
   Rng rng(3);
   std::vector<float> base(n);
   for (auto& x : base) x = rng.gaussian(0, 1);
-  std::vector<std::vector<float>> bufs(static_cast<std::size_t>(k), base);
+  std::vector<std::vector<float>> bufs(k, base);
   std::vector<std::span<float>> spans;
   for (auto& b : bufs) spans.emplace_back(b);
   all_reduce_mean(spans, 100.0);
@@ -72,8 +75,7 @@ TEST_P(CollectiveProperties, MeanOfIdenticalBuffersIsIdentity) {
 TEST_P(CollectiveProperties, RarTrafficIsBandwidthOptimal) {
   const auto [k, n] = GetParam();
   if (k < 2) GTEST_SKIP();
-  std::vector<std::vector<float>> bufs(static_cast<std::size_t>(k),
-                                       std::vector<float>(n, 1.0f));
+  std::vector<std::vector<float>> bufs(k, std::vector<float>(n, 1.0f));
   auto spans_of = [&]() {
     std::vector<std::span<float>> s;
     for (auto& b : bufs) s.emplace_back(b);
@@ -91,8 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CollectiveCase{16, 257}));
 
 // ----------------------------------------------------- codec properties --
+// The name is a std::string, not a const char*: gtest prints a pointer with
+// its address, which would make the test's name differ on every run.
 class CodecProperty
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(CodecProperty, RoundTripOnStructuredPayloads) {
   const auto [name, kind] = GetParam();

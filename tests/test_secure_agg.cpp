@@ -502,15 +502,15 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
                      probe->global_params().end());
   ckpt.schedule_step_base = ac.local_steps;
   ckpt.client_trained_rounds.assign(4, 1);
-  ckpt.async_state.valid = true;
-  ckpt.async_state.sim_now = 10.0;
-  ckpt.async_state.membership = {
+  AsyncAggregatorState& st = ckpt.async_state.emplace();
+  st.sim_now = 10.0;
+  st.membership = {
       static_cast<std::uint8_t>(MembershipState::kActive),
       static_cast<std::uint8_t>(MembershipState::kActive),
       static_cast<std::uint8_t>(MembershipState::kActive),
       static_cast<std::uint8_t>(MembershipState::kLeft)};
-  ckpt.async_state.defer_counts.assign(4, 0);
-  ckpt.async_state.next_eligible.assign(4, 0.0);
+  st.defer_counts.assign(4, 0);
+  st.next_eligible.assign(4, 0.0);
   for (int c = 1; c <= 3; ++c) {
     AsyncInFlightSnapshot u;
     u.client = c;
@@ -519,16 +519,15 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
     u.wave_id = 7;
     u.tokens = 16;
     u.mean_train_loss = 4.0;
-    const std::vector<float> payload(n, 0.01f * static_cast<float>(c));
-    u.elems = n;
-    u.chunk_raw_bytes = n * sizeof(float);
-    u.chunk_lens = {static_cast<std::uint64_t>(n * sizeof(float))};
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(payload.data());
-    u.chunk_bytes.assign(bytes, bytes + n * sizeof(float));
-    ckpt.async_state.in_flight.push_back(std::move(u));
+    // Masked updates materialize, so they persist identity-encoded.
+    Message update;
+    update.type = MessageType::kClientUpdate;
+    update.sender = static_cast<std::uint32_t>(c);
+    update.payload.assign(n, 0.01f * static_cast<float>(c));
+    u.wire = update.encode();
+    st.in_flight.push_back(std::move(u));
   }
-  ckpt.privacy_state.valid = true;
-  ckpt.privacy_state.wave_counter = 7;
+  ckpt.privacy_state.emplace().wave_counter = 7;
   {
     CheckpointStore store(base);
     store.journal_begin(0);
@@ -583,25 +582,25 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
     Checkpoint ckpt;
     ckpt.round = 9;
     ckpt.params = {1.0f, 2.0f};
-    ckpt.privacy_state.valid = true;
-    ckpt.privacy_state.accounted_rounds = 10;
-    ckpt.privacy_state.noise_multiplier = 0.7;
-    ckpt.privacy_state.delta = 1e-6;
-    ckpt.privacy_state.wave_counter = 42;
-    ckpt.privacy_state.shares_reconstructed_total = 5;
-    ckpt.privacy_state.epsilon = 3.25;
+    PrivacyCheckpointState& p = ckpt.privacy_state.emplace();
+    p.accounted_rounds = 10;
+    p.noise_multiplier = 0.7;
+    p.delta = 1e-6;
+    p.wave_counter = 42;
+    p.shares_reconstructed_total = 5;
+    p.epsilon = 3.25;
     store.save(std::move(ckpt));
   }
   CheckpointStore fresh(base);
   const auto back = fresh.latest();
   ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->privacy_state.valid);
-  EXPECT_EQ(back->privacy_state.accounted_rounds, 10u);
-  EXPECT_DOUBLE_EQ(back->privacy_state.noise_multiplier, 0.7);
-  EXPECT_DOUBLE_EQ(back->privacy_state.delta, 1e-6);
-  EXPECT_EQ(back->privacy_state.wave_counter, 42u);
-  EXPECT_EQ(back->privacy_state.shares_reconstructed_total, 5u);
-  EXPECT_DOUBLE_EQ(back->privacy_state.epsilon, 3.25);
+  ASSERT_TRUE(back->privacy_state.has_value());
+  EXPECT_EQ(back->privacy_state->accounted_rounds, 10u);
+  EXPECT_DOUBLE_EQ(back->privacy_state->noise_multiplier, 0.7);
+  EXPECT_DOUBLE_EQ(back->privacy_state->delta, 1e-6);
+  EXPECT_EQ(back->privacy_state->wave_counter, 42u);
+  EXPECT_EQ(back->privacy_state->shares_reconstructed_total, 5u);
+  EXPECT_DOUBLE_EQ(back->privacy_state->epsilon, 3.25);
   // A plain checkpoint round-trips with the field absent.
   {
     CheckpointStore store(base);
@@ -613,7 +612,7 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
   CheckpointStore fresh2(base);
   const auto plain_back = fresh2.latest();
   ASSERT_TRUE(plain_back.has_value());
-  EXPECT_FALSE(plain_back->privacy_state.valid);
+  EXPECT_FALSE(plain_back->privacy_state.has_value());
   std::filesystem::remove_all(base);
 }
 

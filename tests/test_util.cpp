@@ -113,6 +113,35 @@ TEST(Serialization, TruncationThrows) {
   EXPECT_THROW(r.read<std::uint64_t>(), std::runtime_error);
 }
 
+TEST(Serialization, LengthsThatWouldWrapThrowWithoutMoving) {
+  // Lengths come from files and the wire: ones whose position or byte
+  // arithmetic would wrap past 2^64 must fail as truncation, not move the
+  // read position or reach the allocator.
+  for (const std::uint64_t n : {~std::uint64_t{0}, std::uint64_t{1} << 63,
+                                std::uint64_t{1} << 62}) {
+    BinaryWriter w;
+    w.write(n);
+    w.write(std::uint64_t{0});
+    const auto prefixed = [&](auto read) {
+      BinaryReader r(w.bytes());
+      EXPECT_THROW(read(r), std::runtime_error) << n;
+      EXPECT_EQ(r.remaining(), 8u) << n;
+    };
+    prefixed([](BinaryReader& r) { r.read_string(); });
+    prefixed([](BinaryReader& r) { r.read_vector<std::uint8_t>(); });
+    prefixed([](BinaryReader& r) { r.read_vector<float>(); });
+    prefixed([](BinaryReader& r) { r.read_vector<double>(); });
+    const auto raw = [&](auto read) {
+      BinaryReader r(w.bytes());
+      r.read<std::uint64_t>();
+      EXPECT_THROW(read(r), std::runtime_error) << n;
+      EXPECT_EQ(r.remaining(), 8u) << n;
+    };
+    raw([&](BinaryReader& r) { r.read_raw(n); });
+    raw([&](BinaryReader& r) { r.view_raw(n); });
+  }
+}
+
 TEST(Crc32, KnownVectorAndSensitivity) {
   const std::string s = "123456789";
   const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
