@@ -47,25 +47,6 @@ Message SimLink::transmit(const Message& message) {
   return received;
 }
 
-void SimLink::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    counters_ = {};
-    return;
-  }
-  counters_.messages = registry->counter("link.messages");
-  counters_.payload_bytes = registry->counter("link.payload_bytes");
-  counters_.wire_bytes = registry->counter("link.wire_bytes");
-  counters_.retries = registry->counter("link.retries");
-  // "link.retransmits" is the canonical alias churn soaks assert on (every
-  // retry IS a retransmission); "link.retries" is kept for the registry ==
-  // sum-of-LinkStats invariant the obs integration test pins.
-  counters_.retransmits = registry->counter("link.retransmits");
-  counters_.send_failures = registry->counter("link.send_failures");
-  counters_.corrupt_chunks = registry->counter("link.corrupt_chunks");
-  counters_.aborted_messages = registry->counter("link.aborted_messages");
-  counters_.deadline_misses = registry->counter("link.deadline_misses");
-}
-
 void SimLink::transmit(const Message& message, Message& out) {
   transmit_impl(message, [&](std::span<const std::uint8_t> wire) {
     Message::decode_into(wire, out, pool_);
@@ -86,21 +67,16 @@ template <typename Receive>
 void SimLink::transmit_impl(const Message& message, Receive&& receive) {
   const int max_attempts = std::max(1, retry_.max_attempts);
   ++stats_.messages;
-  counters_.messages.add();
-  const std::uint64_t payload_bytes = message.view().size() * sizeof(float);
-  stats_.payload_bytes += payload_bytes;
-  counters_.payload_bytes.add(payload_bytes);
+  stats_.payload_bytes += message.view().size() * sizeof(float);
 
   // Tracing: spans walk a deterministic sim-time cursor from the context's
   // base over the same transfer/backoff arithmetic the stats record, so
   // the emitted timeline is bit-identical at any thread count.
-  const bool tracing =
-      trace_.tracer != nullptr && trace_.tracer->sampled(message.round);
+  const obs::RoundTrace& trace = trace_.trace;
   double cursor = trace_.sim_base;
   const auto mark = [&](obs::SpanKind kind, double begin, double end,
                         int attempt, std::uint64_t real_ns) {
-    trace_.tracer->record({kind, message.round, trace_.actor, attempt, begin,
-                           end, real_ns});
+    trace.record(kind, trace_.actor, attempt, begin, end, real_ns);
   };
 
   double spent = 0.0;  // simulated seconds consumed by this message
@@ -112,17 +88,13 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
       // Transient send failure: nothing reaches the peer, but noticing the
       // failure still burns the propagation delay.
       ++stats_.send_failures;
-      counters_.send_failures.add();
       stats_.transfer_seconds += latency_s_;
       spent += latency_s_;
       cursor += latency_s_;
     } else {
-      const obs::RealTimer encode_timer(tracing);
+      const obs::RealTimer encode_timer = trace.timer();
       const auto wire = message.encode_into(scratch_, pool_);
-      if (tracing) {
-        mark(obs::SpanKind::kEncode, cursor, cursor, attempt,
-             encode_timer.ns());
-      }
+      mark(obs::SpanKind::kEncode, cursor, cursor, attempt, encode_timer.ns());
       if (fault.corrupt != 0 && !scratch_.wire.empty()) {
         // Flip one bit inside the CRC-protected region (chunk bytes + CRC
         // field) — the receiver is guaranteed to be able to detect it.
@@ -134,12 +106,11 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
             static_cast<std::uint8_t>(1u << ((fault.corrupt >> 32) % 8));
       }
       stats_.wire_bytes += wire.size();
-      counters_.wire_bytes.add(wire.size());
       const double t = transfer_time(wire.size());
       stats_.transfer_seconds += t;
       spent += t;
       cursor += t;
-      const obs::RealTimer decode_timer(tracing);
+      const obs::RealTimer decode_timer = trace.timer();
       try {
         receive(wire);
         delivered = true;
@@ -147,19 +118,14 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
         // Corrupted on the wire; every injected flip lands in CRC-covered
         // bytes, so decode always rejects rather than returning garbage.
         ++stats_.corrupt_chunks;
-        counters_.corrupt_chunks.add();
       }
-      if (tracing) {
-        mark(obs::SpanKind::kDecode, cursor, cursor, attempt,
-             decode_timer.ns());
-      }
+      mark(obs::SpanKind::kDecode, cursor, cursor, attempt, decode_timer.ns());
     }
     if (delivered) return;
 
     if (attempt >= max_attempts) {
       ++stats_.aborted_messages;
-      counters_.aborted_messages.add();
-      if (tracing) mark(obs::SpanKind::kLinkFail, cursor, cursor, attempt, 0);
+      mark(obs::SpanKind::kLinkFail, cursor, cursor, attempt, 0);
       throw TransmitError(name_ + ": message abandoned after " +
                           std::to_string(attempt) + " attempts");
     }
@@ -171,22 +137,16 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
     if (retry_.message_deadline_s > 0.0 &&
         spent + backoff > retry_.message_deadline_s) {
       ++stats_.aborted_messages;
-      counters_.aborted_messages.add();
       ++stats_.deadline_misses;
-      counters_.deadline_misses.add();
-      if (tracing) mark(obs::SpanKind::kLinkFail, cursor, cursor, attempt, 0);
+      mark(obs::SpanKind::kLinkFail, cursor, cursor, attempt, 0);
       throw TransmitError(name_ + ": message deadline exceeded after " +
                           std::to_string(attempt) + " attempts");
     }
-    if (tracing) {
-      mark(obs::SpanKind::kRetryWait, cursor, cursor + backoff, attempt, 0);
-    }
+    mark(obs::SpanKind::kRetryWait, cursor, cursor + backoff, attempt, 0);
     spent += backoff;
     cursor += backoff;
     stats_.backoff_seconds += backoff;
     ++stats_.retries;
-    counters_.retries.add();
-    counters_.retransmits.add();
   }
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "comm/message.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace photon {
@@ -76,15 +75,16 @@ class TransmitError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Sim-time coordinate for the spans a SimLink emits.  The round engine
-/// sets it before each transmit: `sim_base` is the absolute sim timestamp
-/// the next transmit starts at; the link walks a local cursor forward over
-/// its deterministic transfer and backoff times, so every emitted span
-/// (encode/decode instants, retry_wait intervals, link_fail marks) lands
-/// on the global round timeline without the link knowing about rounds.
+/// Where the spans a SimLink emits go.  The round engine sets it before
+/// each transmit: `trace` is the round's trace handle (off by default),
+/// `sim_base` the absolute sim timestamp the next transmit starts at; the
+/// link walks a local cursor forward over its deterministic transfer and
+/// backoff times, so every emitted span (encode/decode instants,
+/// retry_wait intervals, link_fail marks) lands on the global round
+/// timeline without the link knowing about rounds.
 struct LinkTraceContext {
-  obs::Tracer* tracer = nullptr;  // nullptr = no tracing (the default)
-  std::int32_t actor = -1;        // peer client id for emitted spans
+  obs::RoundTrace trace;
+  std::int32_t actor = -1;  // peer client id for emitted spans
   double sim_base = 0.0;
 };
 
@@ -145,15 +145,6 @@ class SimLink {
 
   /// Install the tracing context for subsequent transmits (copy; cheap).
   void set_trace_context(const LinkTraceContext& ctx) { trace_ = ctx; }
-  /// Move only the sim-time origin (e.g. past a client's local training).
-  void set_trace_sim_base(double sim_base) { trace_.sim_base = sim_base; }
-  const LinkTraceContext& trace_context() const { return trace_; }
-
-  /// Register this link's counters on `registry` (nullptr = none).  Names
-  /// are shared across links ("link.wire_bytes", "link.retries", ...), so
-  /// registry totals equal the sum of every link's LinkStats — the
-  /// invariant the obs integration test pins.
-  void set_metrics(obs::MetricsRegistry* registry);
 
  private:
   template <typename Receive>
@@ -168,17 +159,6 @@ class SimLink {
   RetryPolicy retry_;
   LinkFaultHook fault_hook_;
   LinkTraceContext trace_;
-  struct {
-    obs::CounterHandle messages;
-    obs::CounterHandle payload_bytes;
-    obs::CounterHandle wire_bytes;
-    obs::CounterHandle retries;
-    obs::CounterHandle retransmits;
-    obs::CounterHandle send_failures;
-    obs::CounterHandle corrupt_chunks;
-    obs::CounterHandle aborted_messages;
-    obs::CounterHandle deadline_misses;
-  } counters_;
 };
 
 /// Directed bandwidth matrix between named sites, used to model the

@@ -204,8 +204,8 @@ void push_u64(std::vector<float>& payload, std::uint64_t v) {
 }  // namespace
 
 KeyExchangeResult SecAggSession::run_key_exchange(
-    std::span<SimLink* const> links, obs::Tracer* tracer, std::uint32_t round,
-    double sim_base, bool tracing) const {
+    std::span<SimLink* const> links, double sim_base,
+    const obs::RoundTrace& trace) const {
   const int n = cohort_size();
   KeyExchangeResult result;
   result.member_seconds.assign(static_cast<std::size_t>(n), 0.0);
@@ -214,7 +214,7 @@ KeyExchangeResult SecAggSession::run_key_exchange(
   // Server -> member: the roster of public keys.  Shared by every member.
   Message roster;
   roster.type = MessageType::kControl;
-  roster.round = round;
+  roster.round = trace.round();
   roster.codec = "";  // keys must survive the wire bit-exactly
   roster.metadata["secagg.key_exchange"] = 1.0;
   for (int i = 0; i < n; ++i) {
@@ -226,17 +226,17 @@ KeyExchangeResult SecAggSession::run_key_exchange(
         i < static_cast<int>(links.size()) ? links[static_cast<std::size_t>(i)]
                                            : nullptr;
     if (link == nullptr) continue;  // compute-only member
-    const obs::RealTimer ke_timer(tracing);
+    const obs::RealTimer ke_timer = trace.timer();
     const double before_s = link->stats().transfer_seconds;
     const std::uint64_t before_b = link->stats().wire_bytes;
-    link->set_trace_sim_base(sim_base);
+    link->set_trace_context({trace, cohort_[i], sim_base});
     try {
       Message rx;
       link->transmit(roster, rx);
       // Member -> server: its Shamir shares for every peer.
       Message shares;
       shares.type = MessageType::kControl;
-      shares.round = round;
+      shares.round = trace.round();
       shares.sender = static_cast<std::uint32_t>(cohort_[i]);
       shares.codec = "";
       shares.metadata["secagg.shares"] = 1.0;
@@ -256,10 +256,8 @@ KeyExchangeResult SecAggSession::run_key_exchange(
     result.member_seconds[static_cast<std::size_t>(i)] = member_s;
     result.sim_seconds = std::max(result.sim_seconds, member_s);
     result.wire_bytes += link->stats().wire_bytes - before_b;
-    if (tracing && tracer != nullptr) {
-      tracer->record({obs::SpanKind::kKeyExchange, round, cohort_[i], n,
-                      sim_base, sim_base + member_s, ke_timer.ns()});
-    }
+    trace.record(obs::SpanKind::kKeyExchange, cohort_[i], n, sim_base,
+                 sim_base + member_s, ke_timer.ns());
   }
   return result;
 }
@@ -298,8 +296,8 @@ void SecAggSession::recover_dropouts(std::span<const int> survivors,
                                      std::span<const int> dropped,
                                      std::span<std::uint64_t> acc,
                                      const kernels::KernelContext& ctx,
-                                     obs::Tracer* tracer, std::uint32_t round,
-                                     double sim_time, bool tracing) const {
+                                     const obs::RoundTrace& trace,
+                                     double sim_time) const {
   if (dropped.empty()) return;
   if (static_cast<int>(survivors.size()) < threshold_) {
     throw SecAggAbort("SecAggSession: survivors below share threshold (" +
@@ -315,7 +313,7 @@ void SecAggSession::recover_dropouts(std::span<const int> survivors,
   std::vector<Strip> strips;
   strips.reserve(dropped.size() * survivors.size());
   for (const int d : dropped) {
-    const obs::RealTimer rec_timer(tracing);
+    const obs::RealTimer rec_timer = trace.timer();
     std::vector<secagg::Share> quorum;
     quorum.reserve(static_cast<std::size_t>(threshold_));
     for (int k = 0; k < threshold_; ++k) {
@@ -331,12 +329,10 @@ void SecAggSession::recover_dropouts(std::span<const int> survivors,
           hash_combine(config_.session_seed, hash_combine(lo, hi)));
       strips.push_back({seed, static_cast<std::int8_t>(s < d ? 1 : -1)});
     }
-    if (tracing && tracer != nullptr) {
-      tracer->record({obs::SpanKind::kShareRecovery, round,
-                      cohort_[static_cast<std::size_t>(d)],
-                      static_cast<std::int32_t>(survivors.size()), sim_time,
-                      sim_time, rec_timer.ns()});
-    }
+    trace.record(obs::SpanKind::kShareRecovery,
+                 cohort_[static_cast<std::size_t>(d)],
+                 static_cast<std::int32_t>(survivors.size()), sim_time,
+                 sim_time, rec_timer.ns());
   }
   const auto& ops = ctx.simd();
   ctx.parallel_shards(

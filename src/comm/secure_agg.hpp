@@ -128,10 +128,12 @@ class SecAggSession {
   /// messages over the member's link.  Entries in `links` may be null
   /// (compute-only, zero sim time) and `links` itself may be empty (all
   /// compute-only).  Members whose transmits exhaust their retry budget
-  /// are reported in `failed`; the caller treats them as dropouts.
+  /// are reported in `failed`; the caller treats them as dropouts.  The
+  /// messages carry `trace.round()`, and each member's link records its
+  /// spans into `trace` from `sim_base`.
   KeyExchangeResult run_key_exchange(std::span<SimLink* const> links,
-                                     obs::Tracer* tracer, std::uint32_t round,
-                                     double sim_base, bool tracing) const;
+                                     double sim_base,
+                                     const obs::RoundTrace& trace) const;
 
   /// Fixed-point-encode member `idx`'s update and add its pairwise masks:
   ///   acc[e] += encode(update[e]) + sum_j sign(idx,j) * prg(seed_ij, e)
@@ -144,13 +146,13 @@ class SecAggSession {
   /// Strip the unresolved mask halves survivors added towards dropped
   /// members, reconstructing each dropped secret from the survivors'
   /// Shamir shares.  Throws SecAggAbort when survivors < threshold().
-  /// Records a kShareRecovery span per dropped member when tracing.
+  /// Records a kShareRecovery span per dropped member into `trace`.
   void recover_dropouts(std::span<const int> survivors,
                         std::span<const int> dropped,
                         std::span<std::uint64_t> acc,
                         const kernels::KernelContext& ctx,
-                        obs::Tracer* tracer = nullptr, std::uint32_t round = 0,
-                        double sim_time = 0.0, bool tracing = false) const;
+                        const obs::RoundTrace& trace = {},
+                        double sim_time = 0.0) const;
 
   /// Decode the ring sum of `n_agg` masked updates into their mean.
   void decode_mean(std::span<const std::uint64_t> acc, int n_agg,

@@ -109,9 +109,6 @@ Aggregator::Aggregator(const ModelConfig& model, AggregatorConfig config,
     // policy) and the bits are identical either way.
     links_.back().set_thread_pool(&global_pool());
     links_.back().set_retry_policy(config_.retry);
-    links_.back().set_metrics(config_.metrics);
-    links_.back().set_trace_context(
-        {config_.tracer, static_cast<std::int32_t>(i), 0.0});
   }
   client_rounds_.assign(clients_.size(), 0);
   membership_.assign(clients_.size(), MembershipState::kActive);
@@ -126,28 +123,14 @@ Aggregator::Aggregator(const ModelConfig& model, AggregatorConfig config,
     // Publishes the kernels.simd_variant gauge (resolved SIMD dispatch:
     // 0=scalar, 1=avx2, 2=avx512) plus the per-kernel FLOPs counters.
     kernels::set_kernel_metrics(config_.metrics);
-    obs_.straggler_cuts = config_.metrics->counter("round.straggler_cuts");
-    obs_.crashes = config_.metrics->counter("round.crashes");
-    obs_.link_failures = config_.metrics->counter("round.link_failures");
-    obs_.cohort_retries = config_.metrics->counter("round.cohort_retries");
-    obs_.tokens = config_.metrics->counter("round.tokens");
-    obs_.rounds = config_.metrics->counter("round.completed");
     obs_.tokens_per_sim_second =
         config_.metrics->gauge("round.tokens_per_sim_second");
     obs_.client_sim_seconds =
         config_.metrics->histogram("client.sim_round_seconds");
-    obs_.async_drains = config_.metrics->counter("round.async.drains");
-    obs_.async_accepted = config_.metrics->counter("round.async.accepted");
-    obs_.async_discarded = config_.metrics->counter("round.async.discarded");
-    obs_.async_deferred = config_.metrics->counter("round.async.deferred");
-    obs_.arrivals = config_.metrics->counter("round.async.arrivals");
-    obs_.departures = config_.metrics->counter("round.async.departures");
     obs_.async_in_flight = config_.metrics->gauge("round.async.in_flight");
     obs_.async_staleness =
         config_.metrics->histogram("round.async.staleness");
     obs_.secagg_rounds = config_.metrics->counter("privacy.secagg_rounds");
-    obs_.share_recoveries =
-        config_.metrics->counter("privacy.share_recoveries");
     obs_.dp_epsilon = config_.metrics->gauge("privacy.dp_epsilon");
   }
 
@@ -202,15 +185,6 @@ void Aggregator::set_async_limits(int buffer_goal, int max_in_flight) {
   }
 }
 
-void Aggregator::set_tracer(obs::Tracer* tracer) {
-  config_.tracer = tracer;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    LinkTraceContext ctx = links_[i].trace_context();
-    ctx.tracer = tracer;
-    links_[i].set_trace_context(ctx);
-  }
-}
-
 // ===== shared round core ===================================================
 // Both engines dispatch clients through dispatch(), count outcomes with
 // tally(), aggregate through one fp64 weighted sum (fold_weighted /
@@ -219,20 +193,25 @@ void Aggregator::set_tracer(obs::Tracer* tracer) {
 // fp32 path's float-ring collective_mean, the arrival-time summation order
 // in dispatch(), and the mean-loss arithmetic.
 
-Aggregator::RoundStart Aggregator::begin_round() const {
-  const bool tracing =
-      config_.tracer != nullptr && config_.tracer->sampled(round_);
-  return {std::chrono::steady_clock::now(), obs::RealTimer(tracing), sim_now_,
-          tracing, link_totals()};
+Aggregator::RoundStart Aggregator::begin_round() {
+  trace_ = obs::RoundTrace(config_.tracer, round_);
+  return {std::chrono::steady_clock::now(), trace_.timer(), sim_now_,
+          link_totals()};
 }
 
 LinkStats Aggregator::link_totals() const {
   LinkStats total;
   for (const auto& link : links_) {
     const LinkStats& s = link.stats();
+    total.messages += s.messages;
+    total.payload_bytes += s.payload_bytes;
     total.wire_bytes += s.wire_bytes;
+    total.transfer_seconds += s.transfer_seconds;
     total.retries += s.retries;
+    total.send_failures += s.send_failures;
     total.corrupt_chunks += s.corrupt_chunks;
+    total.aborted_messages += s.aborted_messages;
+    total.deadline_misses += s.deadline_misses;
     total.backoff_seconds += s.backoff_seconds;
   }
   return total;
@@ -253,9 +232,7 @@ void Aggregator::arm(InFlight& slot, int client, double t) const {
 }
 
 void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
-                          std::uint32_t attempt, double deadline,
-                          bool tracing) {
-  obs::Tracer* tracer = config_.tracer;
+                          std::uint32_t attempt, double deadline) {
   const int id = slot.client;
   SimLink& link = links_[static_cast<std::size_t>(id)];
   LLMClient& client = *clients_[static_cast<std::size_t>(id)];
@@ -270,8 +247,8 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   };
   const auto mark = [&](obs::SpanKind kind, double begin, double end,
                         std::uint64_t real_ns) {
-    tracer->record({kind, round_, id, static_cast<std::int32_t>(attempt),
-                    begin, end, real_ns});
+    trace_.record(kind, id, static_cast<std::int32_t>(attempt), begin, end,
+                  real_ns);
   };
   // The outcome reaches the server `train_s` sim seconds of local training
   // after the link time so far.  A sync round measures each client from
@@ -295,28 +272,24 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
                            config_.sim_throughput_bps;
   slot.train_sim_seconds = train_sim;
 
-  link.set_trace_sim_base(t);
-  const obs::RealTimer bcast_timer(tracing);
+  link.set_trace_context({trace_, id, t});
+  const obs::RealTimer bcast_timer = trace_.timer();
   try {
     link.transmit(broadcast, slot.header);
   } catch (const TransmitError&) {
     slot.outcome = kLinkFailed;
     settle(0.0);
-    if (tracing) {
-      mark(obs::SpanKind::kBroadcast, t, slot.arrive_time, bcast_timer.ns());
-    }
+    mark(obs::SpanKind::kBroadcast, t, slot.arrive_time, bcast_timer.ns());
     return;
   }
   const double bcast_end = t + sim_elapsed();
-  if (tracing) {
-    mark(obs::SpanKind::kBroadcast, t, bcast_end, bcast_timer.ns());
-  }
+  mark(obs::SpanKind::kBroadcast, t, bcast_end, bcast_timer.ns());
   if (fault.crash) {
     // Client dies holding the broadcast, before training starts: its data
     // stream does not advance and no update comes back.
     slot.outcome = kCrashed;
     settle(0.0);
-    if (tracing) mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
+    mark(obs::SpanKind::kCrash, bcast_end, bcast_end, 0);
     return;
   }
   if (deadline > 0.0 && sim_elapsed() + train_sim > deadline) {
@@ -325,15 +298,13 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
     // client, so trace attribution of round time stays complete.
     slot.outcome = kLate;
     settle(train_sim);
-    if (tracing) {
-      mark(obs::SpanKind::kStragglerCut, bcast_end, slot.arrive_time, 0);
-    }
+    mark(obs::SpanKind::kStragglerCut, bcast_end, slot.arrive_time, 0);
     return;
   }
-  client.set_trace({tracing ? tracer : nullptr, round_, bcast_end,
+  client.set_trace({trace_, bcast_end,
                     train_sim / static_cast<double>(config_.local_steps)});
   const auto t_train = std::chrono::steady_clock::now();
-  const obs::RealTimer train_timer(tracing);
+  const obs::RealTimer train_timer = trace_.timer();
   client.run_round(slot.header.payload, round_, config_.local_steps,
                    schedule_step_base_, slot.update);
   slot.trained = true;
@@ -342,9 +313,7 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
                                     t_train)
           .count();
   const double train_end = bcast_end + train_sim;
-  if (tracing) {
-    mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
-  }
+  mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
   Message up;
   up.type = MessageType::kClientUpdate;
   up.round = round_;
@@ -360,8 +329,8 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   const Codec* up_codec = codec_by_name(up.codec);
   const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
                       up_codec->quant_bits() != 0;
-  link.set_trace_sim_base(train_end);
-  const obs::RealTimer up_timer(tracing);
+  link.set_trace_context({trace_, id, train_end});
+  const obs::RealTimer up_timer = trace_.timer();
   try {
     if (stream) {
       link.transmit_wire(up, slot.header, slot.wire);
@@ -373,16 +342,11 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
     slot.outcome = kLinkFailed;
   }
   settle(train_sim);
-  if (tracing) {
-    mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
-         up_timer.ns());
-  }
+  mark(obs::SpanKind::kUpdateReturn, train_end, slot.arrive_time,
+       up_timer.ns());
   if (slot.outcome == kOk && deadline > 0.0 && slot.sim_seconds > deadline) {
     slot.outcome = kLate;  // update arrived past the deadline
-    if (tracing) {
-      mark(obs::SpanKind::kStragglerCut, slot.arrive_time, slot.arrive_time,
-           0);
-    }
+    mark(obs::SpanKind::kStragglerCut, slot.arrive_time, slot.arrive_time, 0);
   }
 }
 
@@ -390,15 +354,12 @@ bool Aggregator::tally(const InFlight& slot, RoundRecord& record) {
   switch (slot.outcome) {
     case kCrashed:
       ++record.crashed_clients;
-      obs_.crashes.add();
       return false;
     case kLinkFailed:
       ++record.link_failed_clients;
-      obs_.link_failures.add();
       return false;
     case kLate:
       ++record.straggler_drops;
-      obs_.straggler_cuts.add();
       return false;
     case kOk:
       break;
@@ -409,7 +370,6 @@ bool Aggregator::tally(const InFlight& slot, RoundRecord& record) {
     // cohorts only ever hold active clients.)
     ++record.discarded_updates;
     ++async_discarded_total_;
-    obs_.async_discarded.add();
     return false;
   }
   return true;
@@ -471,8 +431,7 @@ bool load_update(std::span<const std::uint8_t> wire, std::size_t n,
 // to the materialized collective at any thread count.  Otherwise (an async
 // accept) chunks fold into the drain accumulator acc_.
 std::vector<std::uint64_t> Aggregator::fold_streamed(
-    std::span<const std::size_t> from, double w, double close_weight,
-    bool tracing) {
+    std::span<const std::size_t> from, double w, double close_weight) {
   const WireView& head = slots_[from.front()].wire;
   for (const std::size_t s : from) {
     if (slots_[s].wire.elems != global_params_.size()) {
@@ -481,7 +440,7 @@ std::vector<std::uint64_t> Aggregator::fold_streamed(
   }
   std::vector<std::uint64_t> chunk_ns(head.n_chunks(), 0);
   fan_out(config_.parallel_clients, head.n_chunks(), [&](std::size_t c) {
-    const obs::RealTimer chunk_timer(tracing);
+    const obs::RealTimer chunk_timer = trace_.timer();
     const std::size_t off = head.raw_off(c) / sizeof(float);
     const std::size_t len = head.raw_len(c) / sizeof(float);
     std::vector<float> tmp(len);
@@ -506,8 +465,7 @@ void Aggregator::secagg_mean(const SecAggSession& session,
                              std::span<const std::size_t> member_slots,
                              std::span<const int> surv_pos,
                              std::span<const int> drop_pos, double sim_time,
-                             std::span<float> mean, RoundRecord& record,
-                             bool tracing) {
+                             std::span<float> mean, RoundRecord& record) {
   // Ring-encode + mask every survivor's update into one mod-2^64
   // accumulator (wrapping adds commute, so the order never matters),
   // reconstruct dropped members' pair masks from survivor shares, then
@@ -523,18 +481,17 @@ void Aggregator::secagg_mean(const SecAggSession& session,
     }
     session.mask_update_into(pos, payload, secagg_acc_, ctx);
   }
-  session.recover_dropouts(surv_pos, drop_pos, secagg_acc_, ctx,
-                           config_.tracer, round_, sim_time, tracing);
+  session.recover_dropouts(surv_pos, drop_pos, secagg_acc_, ctx, trace_,
+                           sim_time);
   session.decode_mean(secagg_acc_, static_cast<int>(surv_pos.size()), mean,
                       ctx);
   record.secagg_dropouts_recovered += static_cast<int>(drop_pos.size());
   shares_reconstructed_total_ += drop_pos.size();
   obs_.secagg_rounds.add();
-  if (!drop_pos.empty()) obs_.share_recoveries.add(drop_pos.size());
 }
 
 void Aggregator::step_server(std::span<const float> pseudo_grad,
-                             RoundRecord& record, bool tracing) {
+                             RoundRecord& record) {
   record.update_norm =
       kernels::l2_norm(pseudo_grad.data(), pseudo_grad.size());
   // ServerOpt (Alg. 1 L9), bracketed by the write-ahead journal: `begin` is
@@ -542,16 +499,13 @@ void Aggregator::step_server(std::span<const float> pseudo_grad,
   // round's checkpoint is.  A crash between the two leaves a dangling
   // begin, and recovery restarts from the last commit — so ServerOpt is
   // applied exactly once per round of the final timeline.
-  const obs::RealTimer server_opt_timer(tracing);
+  const obs::RealTimer server_opt_timer = trace_.timer();
   checkpoints_.journal_begin(round_);
   server_opt_->apply(global_params_, pseudo_grad);
-  if (tracing) {
-    // Server-side compute is not simulated, so ServerOpt and Checkpoint are
-    // sim-zero-width marks at round end carrying measured real durations.
-    config_.tracer->record({obs::SpanKind::kServerOpt, round_,
-                            obs::kAggregatorActor, -1, sim_now_, sim_now_,
-                            server_opt_timer.ns()});
-  }
+  // Server-side compute is not simulated, so ServerOpt and Checkpoint are
+  // sim-zero-width marks at round end carrying measured real durations.
+  trace_.record(obs::SpanKind::kServerOpt, obs::kAggregatorActor, -1,
+                sim_now_, sim_now_, server_opt_timer.ns());
 }
 
 void Aggregator::finish_record(RoundRecord& record,
@@ -573,7 +527,7 @@ void Aggregator::finish_record(RoundRecord& record,
                             .count();
 }
 
-void Aggregator::save_checkpoint(const RoundRecord& record, bool tracing) {
+void Aggregator::save_checkpoint(const RoundRecord& record) {
   // Runs after the record is complete (but before the closing spans) so a
   // state extension can fold the finished round into the state it is about
   // to capture — the contract that makes tuned crash recovery bit-identical
@@ -582,7 +536,7 @@ void Aggregator::save_checkpoint(const RoundRecord& record, bool tracing) {
       round_ % static_cast<std::uint32_t>(config_.checkpoint_every) != 0) {
     return;
   }
-  const obs::RealTimer ckpt_timer(tracing);
+  const obs::RealTimer ckpt_timer = trace_.timer();
   Checkpoint ckpt;
   ckpt.round = round_;
   ckpt.params = global_params_;
@@ -613,23 +567,52 @@ void Aggregator::save_checkpoint(const RoundRecord& record, bool tracing) {
   }
   checkpoints_.save(std::move(ckpt));
   checkpoints_.journal_commit(round_);
-  if (tracing) {
-    config_.tracer->record({obs::SpanKind::kCheckpoint, round_,
-                            obs::kAggregatorActor, -1, sim_now_, sim_now_,
-                            ckpt_timer.ns()});
-  }
+  trace_.record(obs::SpanKind::kCheckpoint, obs::kAggregatorActor, -1,
+                sim_now_, sim_now_, ckpt_timer.ns());
 }
 
 RoundRecord Aggregator::close_round(RoundRecord& record,
                                     const RoundStart& start,
                                     std::int32_t detail) {
-  if (start.tracing) {
-    config_.tracer->record({obs::SpanKind::kRound, round_,
-                            obs::kAggregatorActor, detail, start.t0, sim_now_,
-                            start.timer.ns()});
+  trace_.record(obs::SpanKind::kRound, obs::kAggregatorActor, detail,
+                start.t0, sim_now_, start.timer.ns());
+  if (obs::MetricsRegistry* reg = config_.metrics; reg != nullptr) {
+    // Every round and link count already lives in the record or in the
+    // links' LinkStats; the registry gets this round's share of them once,
+    // here, so link.* equals summed LinkStats by construction.
+    const LinkStats now = link_totals();
+    const LinkStats& then = start.links;
+    const auto add = [reg](const char* name, std::uint64_t n) {
+      reg->counter(name).add(n);
+    };
+    add("round.completed", 1);
+    add("round.tokens", record.tokens_this_round);
+    add("round.crashes", static_cast<std::uint64_t>(record.crashed_clients));
+    add("round.link_failures",
+        static_cast<std::uint64_t>(record.link_failed_clients));
+    add("round.straggler_cuts",
+        static_cast<std::uint64_t>(record.straggler_drops));
+    add("round.cohort_retries", record.cohort_retries);
+    add("round.async.drains", record.async_drain ? 1 : 0);
+    add("round.async.accepted",
+        record.async_drain ? static_cast<std::uint64_t>(record.survivors) : 0);
+    add("round.async.discarded", record.discarded_updates);
+    add("round.async.deferred", record.admission_deferred);
+    add("round.async.arrivals", record.arrivals);
+    add("round.async.departures", record.departures);
+    add("privacy.share_recoveries",
+        static_cast<std::uint64_t>(record.secagg_dropouts_recovered));
+    add("link.messages", now.messages - then.messages);
+    add("link.payload_bytes", now.payload_bytes - then.payload_bytes);
+    add("link.wire_bytes", now.wire_bytes - then.wire_bytes);
+    add("link.retries", now.retries - then.retries);
+    // Every retry is a retransmission; both names are kept.
+    add("link.retransmits", now.retries - then.retries);
+    add("link.send_failures", now.send_failures - then.send_failures);
+    add("link.corrupt_chunks", now.corrupt_chunks - then.corrupt_chunks);
+    add("link.aborted_messages", now.aborted_messages - then.aborted_messages);
+    add("link.deadline_misses", now.deadline_misses - then.deadline_misses);
   }
-  obs_.rounds.add();
-  obs_.tokens.add(record.tokens_this_round);
   if (!record.skipped && sim_now_ > start.t0) {
     obs_.tokens_per_sim_second.set(
         static_cast<double>(record.tokens_this_round) /
@@ -645,7 +628,6 @@ RoundRecord Aggregator::close_round(RoundRecord& record,
 
 RoundRecord Aggregator::run_round_sync() {
   const RoundStart start = begin_round();
-  const bool tracing = start.tracing;
   const double t0 = start.t0;
   const int k = config_.clients_per_round > 0
                     ? config_.clients_per_round
@@ -698,8 +680,7 @@ RoundRecord Aggregator::run_round_sync() {
       for (std::size_t i = 0; i < cohort.size(); ++i) {
         ke_links[i] = &links_[static_cast<std::size_t>(cohort[i])];
       }
-      ke = secagg->run_key_exchange(ke_links, config_.tracer, round_, t0,
-                                    tracing);
+      ke = secagg->run_key_exchange(ke_links, t0, trace_);
       record.sim_privacy_seconds += ke.sim_seconds;
     }
     const double t_start = t0 + ke.sim_seconds;
@@ -724,8 +705,7 @@ RoundRecord Aggregator::run_round_sync() {
 
     fan_out(config_.parallel_clients, cohort.size(), [&](std::size_t i) {
       if (slots_[i].outcome != kOk) return;  // dropped at key exchange
-      dispatch(slots_[i], broadcast, attempt, config_.round_deadline_s,
-               tracing);
+      dispatch(slots_[i], broadcast, attempt, config_.round_deadline_s);
     });
 
     // Serial bookkeeping in cohort order keeps everything deterministic.
@@ -785,7 +765,6 @@ RoundRecord Aggregator::run_round_sync() {
           " cohort attempt(s)");
     }
     ++record.cohort_retries;
-    obs_.cohort_retries.add();
     for (std::size_t i = 0; i < cohort.size(); ++i) {
       retry_slowest =
           std::max(retry_slowest, ke.sim_seconds + slots_[i].sim_seconds);
@@ -867,7 +846,7 @@ RoundRecord Aggregator::run_round_sync() {
   CollectiveReport collective;
   std::vector<std::uint64_t> dequant_real_ns;  // per chunk, streamed path
   std::uint64_t wire_sum = 0;                  // streamed: one update's bytes
-  const obs::RealTimer collective_timer(tracing);
+  const obs::RealTimer collective_timer = trace_.timer();
   if (secagg.has_value()) {
     // Secagg phases 2+3 (DESIGN.md §14) over cohort positions.
     std::vector<std::size_t> member_slots(cohort.size());
@@ -881,8 +860,7 @@ RoundRecord Aggregator::run_round_sync() {
     }
     pseudo_grad_.resize(n);
     secagg_mean(*secagg, member_slots, surv_pos, drop_pos,
-                t0 + record.sim_slowest_client_seconds, pseudo_grad_, record,
-                tracing);
+                t0 + record.sim_slowest_client_seconds, pseudo_grad_, record);
     pseudo_grad = pseudo_grad_;
     record.secure_round = true;
     collective = collective_cost(Topology::kParameterServer,
@@ -890,8 +868,8 @@ RoundRecord Aggregator::run_round_sync() {
                                  config_.bandwidth_mbps);
   } else if (all_streamed) {
     pseudo_grad_.resize(n);
-    dequant_real_ns = fold_streamed(survivors, 1.0,
-                                    static_cast<double>(n_agg), tracing);
+    dequant_real_ns =
+        fold_streamed(survivors, 1.0, static_cast<double>(n_agg));
     pseudo_grad = pseudo_grad_;
     for (const std::uint64_t len : slots_[survivors.front()].wire.lens) {
       wire_sum += len;
@@ -925,11 +903,10 @@ RoundRecord Aggregator::run_round_sync() {
   // an ULP) captures the clock this round ends at.
   const double t_collective = t0 + record.sim_slowest_client_seconds;
   sim_now_ = t_collective + sim_comm_seconds;
-  if (tracing) {
-    config_.tracer->record({obs::SpanKind::kCollective, round_,
-                            obs::kAggregatorActor,
-                            static_cast<std::int32_t>(n_agg), t_collective,
-                            sim_now_, collective_real_ns});
+  trace_.record(obs::SpanKind::kCollective, obs::kAggregatorActor,
+                static_cast<std::int32_t>(n_agg), t_collective, sim_now_,
+                collective_real_ns);
+  if (trace_.on()) {
     // Streamed chunks pipeline inside the collective transfer window: each
     // chunk's dequant+accumulate span sits at that chunk's byte share of
     // the quantized collective, so trace viewers show decode work
@@ -945,14 +922,13 @@ RoundRecord Aggregator::run_round_sync() {
       const double begin = t_collective + sim_comm_seconds * cum;
       cum += share;
       const double end = t_collective + sim_comm_seconds * cum;
-      config_.tracer->record({obs::SpanKind::kDequantAccum, round_,
-                              obs::kAggregatorActor,
-                              static_cast<std::int32_t>(c), begin, end,
-                              dequant_real_ns[c]});
+      trace_.record(obs::SpanKind::kDequantAccum, obs::kAggregatorActor,
+                    static_cast<std::int32_t>(c), begin, end,
+                    dequant_real_ns[c]);
     }
   }
 
-  step_server(pseudo_grad, record, tracing);
+  step_server(pseudo_grad, record);
 
   // AggMetrics (L10).
   record.client_metrics = aggregate_metrics(client_metrics, weights);
@@ -967,7 +943,7 @@ RoundRecord Aggregator::run_round_sync() {
     record.wall_train_seconds += slots_[i].train_wall_seconds;
   }
   finish_record(record, start);
-  save_checkpoint(record, tracing);
+  save_checkpoint(record);
 
   PHOTON_LOG_INFO("aggregator",
                   "round %u: K=%zu survivors=%zu loss %.4f update-norm %.4f",
@@ -1010,8 +986,6 @@ int Aggregator::async_in_flight() const {
 
 void Aggregator::apply_membership(RoundRecord& record) {
   if (!membership_plan_.enabled()) return;
-  obs::Tracer* tracer = config_.tracer;
-  const bool tracing = tracer != nullptr && tracer->sampled(round_);
   for (int c = 0; c < population(); ++c) {
     const auto i = static_cast<std::size_t>(c);
     const MembershipAction action =
@@ -1025,20 +999,12 @@ void Aggregator::apply_membership(RoundRecord& record) {
       defer_counts_[i] = 0;
       next_eligible_[i] = sim_now_;
       ++record.arrivals;
-      obs_.arrivals.add();
-      if (tracing) {
-        tracer->record({obs::SpanKind::kClientArrive, round_, c, 0, sim_now_,
-                        sim_now_, 0});
-      }
+      trace_.record(obs::SpanKind::kClientArrive, c, 0, sim_now_, sim_now_);
     } else if (action == MembershipAction::kLeave) {
       membership_[i] = MembershipState::kLeft;
       sampler_.set_available(c, false);
       ++record.departures;
-      obs_.departures.add();
-      if (tracing) {
-        tracer->record({obs::SpanKind::kClientLeave, round_, c, 0, sim_now_,
-                        sim_now_, 0});
-      }
+      trace_.record(obs::SpanKind::kClientLeave, c, 0, sim_now_, sim_now_);
     }
   }
 }
@@ -1078,8 +1044,6 @@ double Aggregator::defer_backoff(int client, std::uint32_t count) const {
 
 RoundRecord Aggregator::run_round_async() {
   const RoundStart start = begin_round();
-  const bool tracing = start.tracing;
-  obs::Tracer* tracer = config_.tracer;
 
   RoundRecord record;
   record.round = round_;
@@ -1114,7 +1078,6 @@ RoundRecord Aggregator::run_round_async() {
     ++async_accepted_total_;
     staleness_sum += static_cast<double>(staleness);
     record.max_staleness = std::max(record.max_staleness, staleness);
-    obs_.async_accepted.add();
     obs_.async_staleness.observe(static_cast<double>(staleness));
     record.tokens_this_round += s.update.tokens;
     record.mean_train_loss += s.update.mean_train_loss;
@@ -1184,12 +1147,9 @@ RoundRecord Aggregator::run_round_async() {
           ++defer_counts_[ci];
           next_eligible_[ci] = sim_now_ + defer_backoff(c, defer_counts_[ci]);
           ++record.admission_deferred;
-          obs_.async_deferred.add();
-          if (tracing) {
-            tracer->record({obs::SpanKind::kAdmissionDefer, round_, c,
-                            static_cast<std::int32_t>(defer_counts_[ci]),
-                            sim_now_, sim_now_, 0});
-          }
+          trace_.record(obs::SpanKind::kAdmissionDefer, c,
+                        static_cast<std::int32_t>(defer_counts_[ci]),
+                        sim_now_, sim_now_);
         }
       }
       if (!wave_slots.empty() && config_.secure_aggregation) {
@@ -1203,7 +1163,7 @@ RoundRecord Aggregator::run_round_async() {
       // Fault decisions key on the dispatch sequence number within this
       // drain, the async analogue of the sync engine's cohort attempt.
       fan_out(config_.parallel_clients, wave_slots.size(), [&](std::size_t i) {
-        dispatch(slots_[wave_slots[i]], broadcast, wave_seq[i], 0.0, tracing);
+        dispatch(slots_[wave_slots[i]], broadcast, wave_seq[i], 0.0);
       });
       // Serial bookkeeping: data-stream positions advance in wave order.
       for (const std::size_t si : wave_slots) {
@@ -1297,7 +1257,6 @@ RoundRecord Aggregator::run_round_async() {
         // whole — the protocol never reveals a partial sum.
         record.discarded_updates += static_cast<int>(surv_pos.size());
         async_discarded_total_ += surv_pos.size();
-        if (!surv_pos.empty()) obs_.async_discarded.add(surv_pos.size());
       } else {
         // pseudo_grad_ is free until the drain closes: it holds the wave's
         // mean.  All wave members trained the same dispatch version, so one
@@ -1305,7 +1264,7 @@ RoundRecord Aggregator::run_round_async() {
         // the sum the per-member path would have accumulated.
         pseudo_grad_.resize(n);
         secagg_mean(session, member_slots, surv_pos, drop_pos, sim_now_,
-                    pseudo_grad_, record, tracing);
+                    pseudo_grad_, record);
         const std::uint32_t staleness =
             round_ - slots_[member_slots[0]].dispatch_version;
         const double scale = staleness_weight(staleness) *
@@ -1348,11 +1307,11 @@ RoundRecord Aggregator::run_round_async() {
       if (slot.streamed) {
         const std::size_t from[] = {pick};
         const std::vector<std::uint64_t> chunk_ns =
-            fold_streamed(from, w, 0.0, tracing);
-        for (std::size_t c = 0; tracing && c < chunk_ns.size(); ++c) {
-          tracer->record({obs::SpanKind::kDequantAccum, round_,
-                          obs::kAggregatorActor, static_cast<std::int32_t>(c),
-                          sim_now_, sim_now_, chunk_ns[c]});
+            fold_streamed(from, w, 0.0);
+        for (std::size_t c = 0; trace_.on() && c < chunk_ns.size(); ++c) {
+          trace_.record(obs::SpanKind::kDequantAccum, obs::kAggregatorActor,
+                        static_cast<std::int32_t>(c), sim_now_, sim_now_,
+                        chunk_ns[c]);
         }
       } else {
         const std::vector<float>& p = slot.header.payload;
@@ -1378,22 +1337,17 @@ RoundRecord Aggregator::run_round_async() {
       accepted > 0 ? staleness_sum / static_cast<double>(accepted) : 0.0;
   pseudo_grad_.resize(n);
   narrow_mean(acc_.data(), pseudo_grad_.data(), n, weight_sum);
-  step_server(pseudo_grad_, record, tracing);
+  step_server(pseudo_grad_, record);
   record.client_metrics =
       aggregate_metrics(accepted_metrics, accepted_weights);
   record.secure_round = config_.secure_aggregation;
   account_privacy(record);
   record.sim_slowest_client_seconds = sim_now_ - start.t0;
   finish_record(record, start);
-  save_checkpoint(record, tracing);
+  save_checkpoint(record);
 
-  if (tracing) {
-    const double drain_begin =
-        first_dispatch >= 0.0 ? first_dispatch : start.t0;
-    tracer->record({obs::SpanKind::kBufferDrain, round_, obs::kAggregatorActor,
-                    accepted, drain_begin, sim_now_, 0});
-  }
-  obs_.async_drains.add();
+  trace_.record(obs::SpanKind::kBufferDrain, obs::kAggregatorActor, accepted,
+                first_dispatch >= 0.0 ? first_dispatch : start.t0, sim_now_);
   obs_.async_in_flight.set(static_cast<double>(async_in_flight()));
   PHOTON_LOG_INFO("aggregator",
                   "drain %u: accepted=%d staleness mean %.2f max %u "

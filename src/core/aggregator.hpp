@@ -250,8 +250,8 @@ class Aggregator {
   /// slots when the cap is lowered; the admission cap applies immediately.
   void set_async_limits(int buffer_goal, int max_in_flight);
   /// Late tracer attachment (the tuner needs spans even when the caller
-  /// did not configure a tracer); rewires every client link's span sink.
-  void set_tracer(obs::Tracer* tracer);
+  /// did not configure a tracer); the next round's trace handle uses it.
+  void set_tracer(obs::Tracer* tracer) { config_.tracer = tracer; }
   obs::Tracer* tracer() const { return config_.tracer; }
   /// Attach the opaque checkpoint state extension (nullptr = detach).
   /// Not owned; must outlive the aggregator.
@@ -323,14 +323,14 @@ class Aggregator {
     std::chrono::steady_clock::time_point wall;
     obs::RealTimer timer;
     double t0 = 0.0;  // sim time the round starts at
-    bool tracing = false;
     LinkStats links;  // link stats summed over every client at round start
   };
 
   RoundRecord run_round_sync();
   RoundRecord run_round_async();
-  RoundStart begin_round() const;
-  /// Link stats summed over every client link.
+  /// Also builds the round's trace handle trace_.
+  RoundStart begin_round();
+  /// Every LinkStats field summed over every client link.
   LinkStats link_totals() const;
   /// Apply the membership plan's arrivals/departures for round_ (client-id
   /// order; pure given (plan, round, states)).
@@ -351,10 +351,10 @@ class Aggregator {
   /// (sync rounds).  Parallel-safe: only this slot, this client, and this
   /// client's link are touched.
   void dispatch(InFlight& slot, const Message& broadcast, std::uint32_t attempt,
-                double deadline, bool tracing);
+                double deadline);
   /// Count a resolved slot's failure (crash, link failure, deadline cut, or
-  /// a client that departed while in flight) into `record` and the metrics;
-  /// true when its update is usable.
+  /// a client that departed while in flight) into `record`; true when its
+  /// update is usable.
   bool tally(const InFlight& slot, RoundRecord& record);
   /// Streamed dequantize-and-accumulate of the wire images held by slots
   /// `from`, each weighted `w`.  With close_weight > 0 they are a whole
@@ -362,8 +362,7 @@ class Aggregator {
   /// otherwise they fold into the drain accumulator acc_.  Returns each
   /// chunk's measured real time.
   std::vector<std::uint64_t> fold_streamed(std::span<const std::size_t> from,
-                                           double w, double close_weight,
-                                           bool tracing);
+                                           double w, double close_weight);
   /// Secure aggregation of one masked cohort (a sync round or an async
   /// wave): mask each survivor's fp32 update into the mod-2^64 ring, strip
   /// dropped members' masks from survivor shares, decode the mean.
@@ -371,17 +370,16 @@ class Aggregator {
   void secagg_mean(const SecAggSession& session,
                    std::span<const std::size_t> member_slots,
                    std::span<const int> surv_pos, std::span<const int> drop_pos,
-                   double sim_time, std::span<float> mean, RoundRecord& record,
-                   bool tracing);
+                   double sim_time, std::span<float> mean, RoundRecord& record);
   /// ServerOpt (Alg. 1 L9) under the write-ahead journal's `begin`.
-  void step_server(std::span<const float> pseudo_grad, RoundRecord& record,
-                   bool tracing);
+  void step_server(std::span<const float> pseudo_grad, RoundRecord& record);
   /// Link-stat deltas since the round started, local sim time, wall time.
   void finish_record(RoundRecord& record, const RoundStart& start) const;
   /// Checkpoint (Alg. 1 L11) when this round is due, then journal `commit`.
-  void save_checkpoint(const RoundRecord& record, bool tracing);
-  /// kRound span over [t0, sim_now_], round counters, history; advances the
-  /// round index and the LR-schedule base.
+  void save_checkpoint(const RoundRecord& record);
+  /// kRound span over [t0, sim_now_], the round's counters (from the record
+  /// and the link-stat deltas since `start`), history; advances the round
+  /// index and the LR-schedule base.
   RoundRecord close_round(RoundRecord& record, const RoundStart& start,
                           std::int32_t detail);
   AsyncAggregatorState capture_async_state() const;
@@ -407,29 +405,20 @@ class Aggregator {
   double sim_now_ = 0.0;
   ClientFaultHook fault_hook_;
   RoundStateExtension* state_ext_ = nullptr;
-  /// Typed metric handles resolved once at construction; null (no-op) when
-  /// config_.metrics is null, so hot-path increments cost one branch.
+  /// The current round's trace handle, built by begin_round(); every span
+  /// of the round (links, clients and secagg included) records through it.
+  obs::RoundTrace trace_;
+  /// Metric handles resolved once at construction; null (no-op) when
+  /// config_.metrics is null.  Round and link counters have no handles:
+  /// close_round() publishes them from the record and the link stats.
   struct {
-    obs::CounterHandle straggler_cuts;
-    obs::CounterHandle crashes;
-    obs::CounterHandle link_failures;
-    obs::CounterHandle cohort_retries;
-    obs::CounterHandle tokens;
-    obs::CounterHandle rounds;
     obs::GaugeHandle tokens_per_sim_second;
     obs::HistogramHandle client_sim_seconds;
-    // elastic async engine
-    obs::CounterHandle async_drains;
-    obs::CounterHandle async_accepted;
-    obs::CounterHandle async_discarded;
-    obs::CounterHandle async_deferred;
-    obs::CounterHandle arrivals;
-    obs::CounterHandle departures;
     obs::GaugeHandle async_in_flight;
     obs::HistogramHandle async_staleness;
-    // privacy engine
+    // One per masked mean (a sync round or an async wave); no record field
+    // holds it.
     obs::CounterHandle secagg_rounds;
-    obs::CounterHandle share_recoveries;
     obs::GaugeHandle dp_epsilon;
   } obs_;
   /// Rounds of local training each client has run (== its data-stream

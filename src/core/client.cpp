@@ -78,10 +78,8 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
   double loss_sum = 0.0;
   std::uint64_t tokens = 0;
   double grad_norm_sum = 0.0;
-  const bool tracing =
-      trace_.tracer != nullptr && trace_.tracer->sampled(trace_.round);
   for (int step = 0; step < local_steps; ++step) {
-    const obs::RealTimer step_timer(tracing);
+    const obs::RealTimer step_timer = trace_.trace.timer();
     const Batch b = data_->next_batch(batch, seq);
     model_->zero_grad();
     const float loss = model_->train_step_fb(b.tokens, b.targets, batch, seq);
@@ -96,13 +94,10 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
     loss_sum += loss;
     grad_norm_sum += norm;
     tokens += static_cast<std::uint64_t>(batch) * seq;
-    if (tracing) {
-      trace_.tracer->record(
-          {obs::SpanKind::kLocalStep, trace_.round, id_, step,
-           trace_.sim_begin + step * trace_.sim_per_step,
-           trace_.sim_begin + (step + 1) * trace_.sim_per_step,
-           step_timer.ns()});
-    }
+    trace_.trace.record(obs::SpanKind::kLocalStep, id_, step,
+                        trace_.sim_begin + step * trace_.sim_per_step,
+                        trace_.sim_begin + (step + 1) * trace_.sim_per_step,
+                        step_timer.ns());
   }
   last_grad_norm_ = local_steps > 0 ? grad_norm_sum / local_steps : 0.0;
   return {local_steps > 0 ? loss_sum / local_steps : 0.0, tokens};

@@ -32,8 +32,7 @@ namespace photon {
 /// so step k spans [begin + k*per_step, begin + (k+1)*per_step] regardless
 /// of which worker thread runs the client.
 struct ClientTraceContext {
-  obs::Tracer* tracer = nullptr;  // nullptr = no tracing (the default)
-  std::uint32_t round = 0;
+  obs::RoundTrace trace;  // off by default
   double sim_begin = 0.0;
   double sim_per_step = 0.0;
 };

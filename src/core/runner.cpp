@@ -157,16 +157,14 @@ const TrainingHistory& PhotonRunner::run() {
     const bool eval_round =
         (r + 1) % config_.eval_every == 0 || r + 1 == config_.rounds;
     if (eval_round) {
-      const bool tracing = tracer != nullptr && tracer->sampled(record.round);
-      const obs::RealTimer eval_timer(tracing);
+      const obs::RoundTrace trace(tracer, record.round);
+      const obs::RealTimer eval_timer = trace.timer();
       const double ppl = evaluate_now();
-      if (tracing) {
-        // Server-side eval is not simulated: a sim-zero-width mark at the
-        // round boundary carrying the measured real duration.
-        tracer->record({obs::SpanKind::kEval, record.round,
-                        obs::kAggregatorActor, -1, aggregator_->sim_now(),
-                        aggregator_->sim_now(), eval_timer.ns()});
-      }
+      // Server-side eval is not simulated: a sim-zero-width mark at the
+      // round boundary carrying the measured real duration.
+      trace.record(obs::SpanKind::kEval, obs::kAggregatorActor, -1,
+                   aggregator_->sim_now(), aggregator_->sim_now(),
+                   eval_timer.ns());
       aggregator_->record_eval(ppl);
       PHOTON_LOG_INFO("runner", "round %d eval ppl %.3f", r, ppl);
       if (config_.target_perplexity > 0.0 &&

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -103,7 +104,25 @@ std::vector<TraceEvent> Tracer::drain() {
       ring->count.store(0, std::memory_order_relaxed);
     }
   }
-  std::sort(out.begin(), out.end(), trace_event_before);
+  std::stable_sort(out.begin(), out.end(), trace_event_before);
+  return out;
+}
+
+std::vector<TraceEvent> Tracer::round_events(std::uint32_t round) const {
+  std::vector<TraceEvent> out;
+  {
+    std::scoped_lock lock(rings_mu_);
+    for (const auto& ring : rings_) {
+      const std::size_t n = ring->count.load(std::memory_order_acquire);
+      std::copy_if(ring->slots.begin(),
+                   ring->slots.begin() + static_cast<std::ptrdiff_t>(n),
+                   std::back_inserter(out),
+                   [round](const TraceEvent& e) { return e.round == round; });
+    }
+  }
+  // A stable sort of the ring-order subsequence equals the round's slice of
+  // a stable drain(), ties included.
+  std::stable_sort(out.begin(), out.end(), trace_event_before);
   return out;
 }
 

@@ -23,8 +23,9 @@
 //
 // Cost when off: a compile-time PHOTON_TRACE=OFF build (see the top-level
 // CMake option) turns Tracer::compiled_in() into a constant false so every
-// instrumentation site folds to nothing; at runtime, a null tracer pointer
-// costs one branch and a disabled tracer one relaxed atomic load.  A bench
+// instrumentation site folds to nothing; at runtime, a null tracer is the
+// off switch and set_sample_every() thins rounds, both resolved once per
+// round into a RoundTrace, so an unsampled span costs one branch.  A bench
 // guard (bench/bench_obs_overhead) verifies the disabled cost stays within
 // noise of the un-instrumented round path.
 
@@ -124,12 +125,6 @@ class Tracer {
   /// False in a PHOTON_TRACE=OFF build: every call site folds away.
   static constexpr bool compiled_in() { return PHOTON_TRACE_ENABLED != 0; }
 
-  bool enabled() const {
-    if constexpr (!compiled_in()) return false;
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
   /// Runtime sampling knob: keep only rounds where round % n == 0 (n >= 1).
   /// Deterministic — a pure function of the round number.
   void set_sample_every(std::uint32_t n);
@@ -137,18 +132,23 @@ class Tracer {
 
   /// True when spans of `round` should be recorded under the sampling knob.
   bool sampled(std::uint32_t round) const {
-    return enabled() && round % sample_every_ == 0;
+    return compiled_in() && round % sample_every_ == 0;
   }
 
   /// Append one event to the calling thread's ring.  Lock-free after the
-  /// thread's first record.  No-op when disabled or the round is sampled
-  /// out.
+  /// thread's first record.  No-op when the round is sampled out.
   void record(const TraceEvent& event);
 
   /// Merge every thread ring into one deterministically ordered stream and
   /// reset the rings.  Must run at a quiescent point (no concurrent
-  /// record) — e.g. between rounds, after parallel_for has joined.
+  /// record) — e.g. between rounds, after parallel_for has joined.  Events
+  /// whose sort identity ties keep ring order.
   std::vector<TraceEvent> drain();
+
+  /// Copy of `round`'s events in drain() order; the rings are left
+  /// untouched, so readers that do not own the tracer (the autotuner) never
+  /// take spans from its owner.  Same quiescence rule as drain().
+  std::vector<TraceEvent> round_events(std::uint32_t round) const;
 
   /// Events dropped because a ring filled (cumulative; 0 in healthy runs).
   std::uint64_t dropped() const;
@@ -165,7 +165,6 @@ class Tracer {
 
   const std::size_t capacity_;
   const std::uint64_t id_;  // process-unique, for thread-local ring lookup
-  std::atomic<bool> enabled_{true};
   std::uint32_t sample_every_ = 1;
   mutable std::mutex rings_mu_;  // ring registration + drain only
   std::vector<std::unique_ptr<Ring>> rings_;
@@ -190,6 +189,38 @@ class RealTimer {
  private:
   bool armed_;
   std::chrono::steady_clock::time_point start_;
+};
+
+/// One round's view of a tracer: the tracer when it samples the round,
+/// nothing otherwise, plus the round number.  The round engine builds one
+/// per round and hands it to every component that records spans (links,
+/// clients, secagg), so the sampling test runs once, here.  Not a scope
+/// guard: most spans learn their sim end only after the work is done, so
+/// each span is one explicit record() call.
+class RoundTrace {
+ public:
+  RoundTrace() = default;
+  RoundTrace(Tracer* tracer, std::uint32_t round)
+      : tracer_(tracer != nullptr && tracer->sampled(round) ? tracer
+                                                             : nullptr),
+        round_(round) {}
+
+  bool on() const { return tracer_ != nullptr; }
+  std::uint32_t round() const { return round_; }
+  /// Stopwatch for a span's real_ns, armed only when on().
+  RealTimer timer() const { return RealTimer(on()); }
+  void record(SpanKind kind, std::int32_t actor, std::int32_t detail,
+              double sim_begin, double sim_end,
+              std::uint64_t real_ns = 0) const {
+    if (tracer_ != nullptr) {
+      tracer_->record(
+          {kind, round_, actor, detail, sim_begin, sim_end, real_ns});
+    }
+  }
+
+ private:
+  Tracer* tracer_ = nullptr;
+  std::uint32_t round_ = 0;
 };
 
 /// Process-wide tracer enabled by the PHOTON_TRACE environment variable

@@ -13,27 +13,36 @@ namespace {
 
 constexpr std::uint32_t kStateMagic = 0x314E5554;  // 'TUN1'
 
+// --- knob bounds ------------------------------------------------------------
+constexpr int kMaxInFlightCap = 256;
+constexpr std::size_t kMinGrain = 4096;
+constexpr std::size_t kMaxGrain = std::size_t{1} << 20;
+/// Chunk bounds stay multiples of 1 KiB (256 floats) so the quantizer's
+/// 256-float block grid is unchanged by chunk moves — retuning the chunk
+/// size changes wire framing and parallelism, never dequantized values.
+constexpr std::size_t kMinChunkBytes = 64 * 1024;
+constexpr std::size_t kMaxChunkBytes = 1024 * 1024;
+
+// --- decision thresholds ----------------------------------------------------
+constexpr double kQ8Occupancy = 0.25;    ///< fp32-equiv wire share for q8
+constexpr double kQ4Occupancy = 0.55;    ///< ... and q4
+constexpr double kFp32Occupancy = 0.10;  ///< de-escalate to fp32 below this
+constexpr double kTailGrow = 1.2;        ///< grow cohort at tail_ratio <= this
+constexpr double kCollectiveHeadroom = 0.35;  ///< no growth past this share
+constexpr double kTopologyGain = 1.05;  ///< model-predicted gain to switch
+constexpr double kDeferHigh = 1.0;      ///< defers/accept raising in-flight
+constexpr double kStalenessMax = 2.0;   ///< mean staleness that lowers it
+
 /// Nominal wire compression ratio per codec (measured end-to-end payload
-/// ratios from BENCH_kernels; q8/q4 carry per-block scales so they land
-/// under the ideal 4x/8x).  Used to normalize the *observed* wire time to
-/// its fp32-equivalent before comparing against the occupancy thresholds —
+/// ratios; q8/q4 carry per-block scales so they land under the ideal
+/// 4x/8x).  Used to normalize the *observed* wire time to its
+/// fp32-equivalent before comparing against the occupancy thresholds —
 /// otherwise switching to q8 shrinks the observed wire share below the
 /// escalation threshold and the codec decision oscillates forever.
 double compression_ratio(const std::string& codec) {
   if (codec == "q8") return 3.94;
   if (codec == "q4") return 7.8;
-  if (codec == "q8z" || codec == "q4z") return 8.0;
   return 1.0;
-}
-
-/// Nominal single-thread encode throughput (GB/s) per codec, matching the
-/// floors BENCH_kernels asserts.  A codec whose encode floor sits below
-/// TunerConfig::min_encode_gbps is never selected: compressing slower than
-/// the link moves bytes is a net loss.
-double encode_floor_gbps(const std::string& codec) {
-  if (codec.empty()) return 1e9;  // identity: memcpy, effectively free
-  if (codec == "q8" || codec == "q4") return 1.0;
-  return 0.3;  // lossless / hybrid codecs (zstd-class floor)
 }
 
 /// Relative collective cost factors from the Appendix B.1 model (Eqs. 2-4),
@@ -95,11 +104,7 @@ TunerDecision TunerDecision::deserialize(BinaryReader& r) {
   return d;
 }
 
-RoundAutotuner::RoundAutotuner(TunerConfig config)
-    : config_(std::move(config)) {
-  if (config_.codec_ladder.empty()) {
-    throw std::invalid_argument("RoundAutotuner: empty codec ladder");
-  }
+RoundAutotuner::RoundAutotuner(TunerConfig config) : config_(config) {
   if (config_.min_cohort < 1 || config_.max_cohort < config_.min_cohort) {
     throw std::invalid_argument("RoundAutotuner: bad cohort bounds");
   }
@@ -166,7 +171,7 @@ const TunerDecision& RoundAutotuner::observe(
 
 void RoundAutotuner::on_checkpoint(const RoundRecord& record) {
   if (!bound_ || tracer_ == nullptr) return;
-  (void)observe(record, tracer_->drain());
+  (void)observe(record, tracer_->round_events(record.round));
 }
 
 TunerDecision RoundAutotuner::decide(const TraceDigest& d,
@@ -175,29 +180,23 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
   const double round_s = std::max(d.round_s, 1e-12);
 
   // --- wire codec: fp32-equivalent link occupancy ------------------------
-  if (config_.tune_codec && !secure_agg_) {
+  if (!secure_agg_) {
     const double wire_s =
         (d.client_bcast_s + d.client_update_s + d.client_retry_s +
          d.collective_s) *
         compression_ratio(prev.codec);
     const double occupancy = wire_s / round_s;
-    std::string want = prev.codec;
-    if (occupancy >= config_.q4_occupancy) {
-      want = "q4";
-    } else if (occupancy >= config_.q8_occupancy) {
-      want = "q8";
-    } else if (occupancy < config_.fp32_occupancy) {
-      want = "";
+    if (occupancy >= kQ4Occupancy) {
+      next.codec = "q4";
+    } else if (occupancy >= kQ8Occupancy) {
+      next.codec = "q8";
+    } else if (occupancy < kFp32Occupancy) {
+      next.codec = "";
     }
-    const auto& ladder = config_.codec_ladder;
-    const bool allowed =
-        std::find(ladder.begin(), ladder.end(), want) != ladder.end() &&
-        encode_floor_gbps(want) >= config_.min_encode_gbps;
-    if (allowed) next.codec = want;
   }
 
   // --- topology: cost-model argmin with hysteresis -----------------------
-  if (config_.tune_topology && !secure_agg_) {
+  if (!secure_agg_) {
     if (d.topology_fallback != 0) {
       // The fabric already degraded AR/RAR to PS mid-round; pin PS until
       // a clean round shows otherwise.
@@ -220,7 +219,7 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
       // collective span is worth optimizing (cross-check: a model win on a
       // negligible span is not worth a reconfiguration).
       const double cur_f = topology_factor(prev.topology, k);
-      if (best != prev.topology && cur_f / best_f >= config_.topology_gain &&
+      if (best != prev.topology && cur_f / best_f >= kTopologyGain &&
           d.collective_s / round_s >= 0.01) {
         next.topology = best;
       }
@@ -228,14 +227,14 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
   }
 
   // --- cohort size: straggler tail vs collective headroom ----------------
-  if (config_.tune_cohort && !async_mode_) {
+  if (!async_mode_) {
     const int k = prev.clients_per_round;
     const int step = std::max(1, k / 4);
     if (d.binding == BindingResource::kStragglerTail) {
       next.clients_per_round = std::max(config_.min_cohort, k - step);
-    } else if (!tail_seen_ && d.tail_ratio() <= config_.tail_grow &&
+    } else if (!tail_seen_ && d.tail_ratio() <= kTailGrow &&
                d.crashes == 0 && d.link_fails == 0 &&
-               d.collective_s / round_s <= config_.collective_headroom) {
+               d.collective_s / round_s <= kCollectiveHeadroom) {
       // Growth is gated on never having seen a tail-bound round: straggler
       // mixes are stochastic per round, and without the sticky gate the
       // cohort oscillates (grow on a lucky round, shrink right back),
@@ -245,12 +244,11 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
   }
 
   // --- async admission: defer pressure vs staleness ----------------------
-  if (config_.tune_async && async_mode_) {
-    if (d.defer_pressure >= config_.defer_high) {
-      next.max_in_flight = std::min(config_.max_in_flight_cap,
+  if (async_mode_) {
+    if (d.defer_pressure >= kDeferHigh) {
+      next.max_in_flight = std::min(kMaxInFlightCap,
                                     prev.max_in_flight + prev.max_in_flight / 2);
-    } else if (d.defer_pressure == 0.0 &&
-               d.mean_staleness > config_.staleness_max) {
+    } else if (d.defer_pressure == 0.0 && d.mean_staleness > kStalenessMax) {
       next.max_in_flight =
           std::max(prev.buffer_goal, prev.max_in_flight -
                                          std::max(1, prev.max_in_flight / 4));
@@ -261,22 +259,19 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
   const auto params = static_cast<std::size_t>(std::max<std::int64_t>(
       model_params_, 1));
   const auto threads = static_cast<std::size_t>(std::max(config_.threads, 1));
-  if (config_.tune_grain &&
-      d.binding == BindingResource::kClientCompute) {
+  if (d.binding == BindingResource::kClientCompute) {
     // Target: ~4 shards per thread so the pool can load-balance without
     // drowning in dispatch overhead.
     const std::size_t target = params / (4 * threads);
-    next.kernel_grain = step_toward(prev.kernel_grain, target,
-                                    config_.min_grain, config_.max_grain);
+    next.kernel_grain =
+        step_toward(prev.kernel_grain, target, kMinGrain, kMaxGrain);
   }
-  if (config_.tune_chunk &&
-      d.binding == BindingResource::kWireBandwidth) {
+  if (d.binding == BindingResource::kWireBandwidth) {
     // Target: ~2 chunks per thread of fp32 payload, so encode/decode of a
     // single tensor saturates the pool.
     const std::size_t target = 4 * params / (2 * threads);
-    next.wire_chunk_bytes =
-        step_toward(prev.wire_chunk_bytes, target, config_.min_chunk_bytes,
-                    config_.max_chunk_bytes);
+    next.wire_chunk_bytes = step_toward(prev.wire_chunk_bytes, target,
+                                        kMinChunkBytes, kMaxChunkBytes);
   }
 
   return next;
@@ -285,16 +280,17 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
 void RoundAutotuner::apply(Aggregator& agg) const {
   if (!config_.enabled || !bound_) return;
   const TunerDecision& d = history_.back();
-  if (config_.tune_topology && !secure_agg_) agg.set_topology(d.topology);
-  if (config_.tune_codec && !secure_agg_) agg.set_wire_codec(d.codec);
-  if (config_.tune_cohort && !async_mode_) {
+  if (!secure_agg_) {
+    agg.set_topology(d.topology);
+    agg.set_wire_codec(d.codec);
+  }
+  if (async_mode_) {
+    agg.set_async_limits(d.buffer_goal, d.max_in_flight);
+  } else {
     agg.set_clients_per_round(d.clients_per_round);
   }
-  if (config_.tune_async && async_mode_) {
-    agg.set_async_limits(d.buffer_goal, d.max_in_flight);
-  }
-  if (config_.tune_grain) kernels::set_default_grain(d.kernel_grain);
-  if (config_.tune_chunk) set_wire_chunk_bytes(d.wire_chunk_bytes);
+  kernels::set_default_grain(d.kernel_grain);
+  set_wire_chunk_bytes(d.wire_chunk_bytes);
 }
 
 std::uint32_t RoundAutotuner::last_decision_change() const {

@@ -7,8 +7,7 @@
 // straggler tail / server drain), and the next round's knobs are chosen
 // through the Aggregator's typed decision interface:
 //
-//   * wire codec      fp32 -> q8 -> q4 by fp32-equivalent link occupancy,
-//                     restricted to codecs above the static encode floor
+//   * wire codec      fp32 -> q8 -> q4 by fp32-equivalent link occupancy
 //   * topology        PS / AR / RAR by the Appendix B.1 cost model,
 //                     cross-checked against the observed collective span
 //                     (a mid-round ring fallback pins PS)
@@ -35,6 +34,8 @@
 
 namespace photon::tune {
 
+/// What a caller sets.  The knob bounds and decision thresholds are fixed
+/// constants in autotuner.cpp; the straggler-tail bound is the digest's.
 struct TunerConfig {
   /// Master switch: disabled, observe() still digests but every decision
   /// echoes the initial configuration and apply() is a no-op — the round
@@ -45,41 +46,9 @@ struct TunerConfig {
   /// explicit value keeps decisions machine-independent; 0 = the kernel
   /// default context's thread count.
   int threads = 0;
-
-  // --- knob enables ------------------------------------------------------
-  bool tune_codec = true;
-  bool tune_topology = true;
-  bool tune_cohort = true;
-  bool tune_async = true;
-  bool tune_grain = true;
-  bool tune_chunk = true;
-
-  // --- bounds ------------------------------------------------------------
+  /// Sync cohort bounds; max_cohort is clamped to the population.
   int min_cohort = 2;
-  int max_cohort = 64;                       // clamped to the population
-  int max_in_flight_cap = 256;
-  std::size_t min_grain = 4096;
-  std::size_t max_grain = std::size_t{1} << 20;
-  /// Chunk bounds stay multiples of 1 KiB (256 floats) so the quantizer's
-  /// 256-float block grid is unchanged by chunk moves — retuning the chunk
-  /// size changes wire framing and parallelism, never dequantized values.
-  std::size_t min_chunk_bytes = 64 * 1024;
-  std::size_t max_chunk_bytes = 1024 * 1024;
-  /// Codec ladder in escalation order; entries below min_encode_gbps (per
-  /// the BENCH-asserted encode floors) are never selected.
-  std::vector<std::string> codec_ladder {"", "q8", "q4"};
-  double min_encode_gbps = 1.0;
-
-  // --- decision thresholds ----------------------------------------------
-  double q8_occupancy = 0.25;   ///< fp32-equiv wire share that justifies q8
-  double q4_occupancy = 0.55;   ///< ... and q4
-  double fp32_occupancy = 0.10; ///< de-escalate to fp32 below this
-  double tail_cut = 1.5;        ///< shrink cohort at tail_ratio >= this
-  double tail_grow = 1.2;       ///< grow cohort at tail_ratio <= this
-  double collective_headroom = 0.35;  ///< no growth past this round share
-  double topology_gain = 1.05;  ///< model-predicted gain needed to switch
-  double defer_high = 1.0;      ///< defers/accept that raise max_in_flight
-  double staleness_max = 2.0;   ///< mean staleness that lowers it
+  int max_cohort = 64;
 };
 
 /// One round's knob decision.  `round` is the round the decision applies
@@ -111,16 +80,18 @@ class RoundAutotuner final : public RoundStateExtension {
   /// run before the first observe()/apply().
   void bind_initial(Aggregator& agg);
 
-  /// Digest one finished round (events: the tracer drain covering it) and
-  /// append the next round's decision.  Returns that decision.  Idempotent
+  /// Digest one finished round (events: its trace, e.g.
+  /// Tracer::round_events; other rounds' events are ignored) and append the
+  /// next round's decision.  Returns that decision.  Idempotent
   /// per round: a second call for an already-observed round (the boundary
-  /// drain after on_checkpoint already folded it) is a no-op.
+  /// read after on_checkpoint already folded it) is a no-op.
   const TunerDecision& observe(const RoundRecord& record,
                                const std::vector<obs::TraceEvent>& events);
 
-  /// RoundStateExtension checkpoint fold: drains the aggregator's tracer
-  /// and observes the finishing round so the decision it produces is part
-  /// of the captured state.  Checkpointed rounds are therefore digested
+  /// RoundStateExtension checkpoint fold: reads the finishing round's
+  /// events from the aggregator's tracer (a copy; the rings are left to
+  /// their owner) and observes the round so the decision it produces is
+  /// part of the captured state.  Checkpointed rounds are therefore digested
   /// WITHOUT their kCheckpoint / kRound spans — deterministically so on
   /// both sides of a crash, which is the point.  (Decisions are pure in
   /// seed, config — including checkpoint cadence — and the trace.)
@@ -149,7 +120,7 @@ class RoundAutotuner final : public RoundStateExtension {
   TunerDecision decide(const TraceDigest& d, const TunerDecision& prev) const;
 
   TunerConfig config_;
-  obs::Tracer* tracer_ = nullptr;  ///< for the on_checkpoint drain
+  obs::Tracer* tracer_ = nullptr;  ///< for the on_checkpoint read
   /// Bound aggregator: capture_state persists its sim clock and
   /// restore_state reinstates it (sync checkpoints do not carry the clock,
   /// and span durations are epoch-sensitive at the ULP level).

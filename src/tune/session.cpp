@@ -7,7 +7,7 @@ TunedSession::TunedSession(Aggregator& agg, TunerConfig config)
   tracer_ = agg_.tracer();
   if (tracer_ == nullptr) {
     // No observability opted in: install a private tracer so the tuner has
-    // spans to digest.  Per-round drains keep the ring bounded.
+    // spans to digest.  Per-round drains keep its rings bounded.
     owned_tracer_ = std::make_unique<obs::Tracer>();
     tracer_ = owned_tracer_.get();
     agg_.set_tracer(tracer_);
@@ -28,8 +28,8 @@ RoundRecord TunedSession::step() {
 
 void TunedSession::on_round(const RoundRecord& record) {
   // Round boundaries are quiescent: every worker the round used has joined.
-  const std::vector<obs::TraceEvent> events = tracer_->drain();
-  tuner_.observe(record, events);
+  tuner_.observe(record, tracer_->round_events(record.round));
+  if (owned_tracer_ != nullptr) (void)owned_tracer_->drain();
   tuner_.apply(agg_);
 }
 

@@ -2,13 +2,15 @@
 // TunedSession: owns the observe -> decide -> apply loop around an
 // Aggregator, plus attach_tuner() for PhotonRunner-driven experiments.
 //
-// The session drains the tracer at each round boundary (a quiescent point),
-// feeds the spans to the RoundAutotuner, and pushes the resulting decision
-// before the next round starts.  If the aggregator has no tracer, the
-// session installs a private one so tuning works without the caller opting
-// into observability.  Under PHOTON_TRACE=OFF builds the tracer records
-// nothing, digests come back empty, and the tuner deterministically holds
-// its initial (static) configuration — tuning degrades, nothing breaks.
+// At each round boundary (a quiescent point) the session reads the round's
+// events from the tracer, feeds them to the RoundAutotuner, and pushes the
+// resulting decision before the next round starts.  Reading copies: a
+// caller's tracer keeps every span for the caller.  If the aggregator has
+// no tracer, the session installs a private one so tuning works without
+// the caller opting into observability, and drains only that one, after
+// observing.  Under PHOTON_TRACE=OFF builds the tracer records nothing,
+// digests come back empty, and the tuner deterministically holds its
+// initial (static) configuration — tuning degrades, nothing breaks.
 
 #include <memory>
 #include <vector>
@@ -28,12 +30,12 @@ class TunedSession {
   TunedSession(const TunedSession&) = delete;
   TunedSession& operator=(const TunedSession&) = delete;
 
-  /// Run one autotuned round: run_round() + drain + observe + apply.
+  /// Run one autotuned round: run_round() + observe + apply.
   RoundRecord step();
 
   /// Tuning half of step() for rounds run elsewhere (the PhotonRunner
-  /// RoundHook path): drain the tracer, digest `record`, apply the next
-  /// decision.
+  /// RoundHook path): read the round's events, digest `record`, apply the
+  /// next decision.
   void on_round(const RoundRecord& record);
 
   /// Re-apply the current decision after the aggregator restored a

@@ -5,7 +5,7 @@ namespace photon::tune {
 namespace {
 
 // Attribution thresholds are fixed semantics of the digest (the *decision*
-// thresholds live in TunerConfig): a round is tail-bound when the slowest
+// thresholds live in autotuner.cpp): a round is tail-bound when the slowest
 // client runs 1.5x past the median or the deadline actually cut someone,
 // and drain-bound when the async engine issued more defers than accepts.
 constexpr double kTailBound = 1.5;

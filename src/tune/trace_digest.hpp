@@ -77,10 +77,10 @@ struct TraceDigest {
   static TraceDigest deserialize(BinaryReader& r);
 };
 
-/// Build the digest for `record.round` from a drained event stream (other
-/// rounds' events are ignored).  Returns a digest with clients == 0 when
-/// the stream holds no spans for the round (tracer disabled or sampled
-/// out) — callers should then keep their previous decision.
+/// Build the digest for `record.round` from a drain() or round_events()
+/// stream (other rounds' events are ignored).  Returns a digest with
+/// clients == 0 when the stream holds no spans for the round (no tracer,
+/// or sampled out) — callers should then keep their previous decision.
 TraceDigest digest_round(const RoundRecord& record,
                          const std::vector<obs::TraceEvent>& events);
 

@@ -205,39 +205,85 @@ TEST(Autotune, CrashRestoreContinuesExactDecisionTimeline) {
 TEST(Autotune, DisabledTunerKeepsRoundPathByteIdentical) {
   // enabled=false still digests every round, but apply() is a no-op and
   // every decision echoes the initial configuration: params, sim clock,
-  // and per-round telemetry match an aggregator with no tuner at all.
+  // per-round telemetry, and the spans a caller's tracer holds match an
+  // aggregator with no tuner at all.  checkpoint_every = 1 also runs the
+  // tuner's on_checkpoint read every round.
   GlobalKnobReset knobs;
-  AggregatorConfig ac = base_config();
-  ac.parallel_clients = false;
+  for (const int checkpoint_every : {0, 1}) {
+    SCOPED_TRACE(checkpoint_every);
+    AggregatorConfig ac = base_config();
+    ac.parallel_clients = false;
+    ac.checkpoint_every = checkpoint_every;
 
-  knobs.reset();
-  auto plain = build_aggregator(ac);
-  std::vector<RoundRecord> plain_records;
-  for (int r = 0; r < 4; ++r) plain_records.push_back(plain->run_round());
+    knobs.reset();
+    obs::Tracer plain_tracer;
+    ac.tracer = &plain_tracer;
+    auto plain = build_aggregator(ac);
+    std::vector<RoundRecord> plain_records;
+    for (int r = 0; r < 4; ++r) plain_records.push_back(plain->run_round());
 
-  knobs.reset();
-  auto tuned = build_aggregator(ac);
-  TunerConfig tc = tuner_config();
-  tc.enabled = false;
-  TunedSession session(*tuned, tc);
-  std::vector<RoundRecord> tuned_records;
-  for (int r = 0; r < 4; ++r) tuned_records.push_back(session.step());
+    knobs.reset();
+    obs::Tracer tuned_tracer;
+    ac.tracer = &tuned_tracer;
+    auto tuned = build_aggregator(ac);
+    TunerConfig tc = tuner_config();
+    tc.enabled = false;
+    TunedSession session(*tuned, tc);
+    std::vector<RoundRecord> tuned_records;
+    for (int r = 0; r < 4; ++r) tuned_records.push_back(session.step());
 
-  EXPECT_EQ(0, std::memcmp(plain->global_params().data(),
-                           tuned->global_params().data(),
-                           plain->global_params().size() * sizeof(float)));
-  EXPECT_DOUBLE_EQ(plain->sim_now(), tuned->sim_now());
-  for (std::size_t r = 0; r < plain_records.size(); ++r) {
-    EXPECT_EQ(plain_records[r].participants, tuned_records[r].participants);
-    EXPECT_EQ(plain_records[r].comm_bytes, tuned_records[r].comm_bytes);
-    EXPECT_DOUBLE_EQ(plain_records[r].update_norm,
-                     tuned_records[r].update_norm);
+    EXPECT_EQ(0, std::memcmp(plain->global_params().data(),
+                             tuned->global_params().data(),
+                             plain->global_params().size() * sizeof(float)));
+    EXPECT_DOUBLE_EQ(plain->sim_now(), tuned->sim_now());
+    for (std::size_t r = 0; r < plain_records.size(); ++r) {
+      EXPECT_EQ(plain_records[r].participants, tuned_records[r].participants);
+      EXPECT_EQ(plain_records[r].comm_bytes, tuned_records[r].comm_bytes);
+      EXPECT_DOUBLE_EQ(plain_records[r].update_norm,
+                       tuned_records[r].update_norm);
+    }
+    for (const TunerDecision& d : session.tuner().history()) {
+      EXPECT_EQ(d.codec, session.tuner().history().front().codec);
+      EXPECT_EQ(d.topology, session.tuner().history().front().topology);
+      EXPECT_EQ(d.clients_per_round,
+                session.tuner().history().front().clients_per_round);
+    }
+    EXPECT_EQ(obs::to_jsonl(plain_tracer.drain()),
+              obs::to_jsonl(tuned_tracer.drain()));
   }
-  for (const TunerDecision& d : session.tuner().history()) {
-    EXPECT_EQ(d.codec, session.tuner().history().front().codec);
-    EXPECT_EQ(d.topology, session.tuner().history().front().topology);
-    EXPECT_EQ(d.clients_per_round,
-              session.tuner().history().front().clients_per_round);
+}
+
+TEST(Autotune, CallerTracerKeepsEveryTunedRound) {
+  // The tuner reads each round's events as a copy, so a caller's tracer
+  // beside an enabled tuner still holds every round: checkpointed rounds
+  // (read in on_checkpoint) and the rest (read at the round boundary).
+  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "PHOTON_TRACE=OFF";
+  GlobalKnobReset knobs;
+  constexpr int kRounds = 5;
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    knobs.reset();
+    obs::Tracer tracer;
+    AggregatorConfig ac = base_config();
+    ac.checkpoint_every = 2;
+    ac.async.enabled = async;
+    ac.tracer = &tracer;
+    auto agg = build_aggregator(ac);
+    TunedSession session(*agg, tuner_config());
+    for (int r = 0; r < kRounds; ++r) session.step();
+
+    std::vector<int> round_spans(kRounds, 0);
+    for (const obs::TraceEvent& e : tracer.drain()) {
+      if (e.kind == obs::SpanKind::kRound) ++round_spans.at(e.round);
+    }
+    EXPECT_EQ(round_spans, std::vector<int>(kRounds, 1));
+    EXPECT_EQ(tracer.dropped(), 0u);
+    // And the tuner still saw every round's spans.
+    ASSERT_EQ(session.tuner().digests().size(),
+              static_cast<std::size_t>(kRounds));
+    for (const TraceDigest& d : session.tuner().digests()) {
+      EXPECT_GT(d.clients, 0) << "round " << d.round;
+    }
   }
 }
 

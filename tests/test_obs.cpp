@@ -117,15 +117,66 @@ TEST(Tracer, ParallelAndSerialRecordingDrainIdentically) {
 }
 
 TEST(Tracer, DisabledTracerRecordsNothing) {
+  // A null tracer is the off switch and sampling thins rounds; both resolve
+  // into the round's trace handle, which then records nothing and never
+  // reads the clock.
   Tracer tracer;
-  tracer.set_enabled(false);
-  EXPECT_FALSE(tracer.sampled(0));
-  tracer.record(ev(SpanKind::kRound, 0, -1, 0.0, 1.0));
+  tracer.set_sample_every(2);
+  const obs::RoundTrace off[] = {obs::RoundTrace(), obs::RoundTrace(nullptr, 2),
+                                 obs::RoundTrace(&tracer, 1)};
+  for (const obs::RoundTrace& trace : off) {
+    EXPECT_FALSE(trace.on());
+    EXPECT_EQ(trace.timer().ns(), 0u);
+    trace.record(SpanKind::kRound, -1, 0, 0.0, 1.0);
+  }
   EXPECT_TRUE(tracer.drain().empty());
   EXPECT_EQ(tracer.dropped(), 0u);
-  tracer.set_enabled(true);
-  tracer.record(ev(SpanKind::kRound, 0, -1, 0.0, 1.0));
-  EXPECT_EQ(tracer.drain().size(), Tracer::compiled_in() ? 1u : 0u);
+
+  const obs::RoundTrace sampled(&tracer, 2);
+  EXPECT_EQ(sampled.on(), Tracer::compiled_in());
+  EXPECT_EQ(sampled.round(), 2u);
+  sampled.record(SpanKind::kRound, -1, 0, 0.0, 1.0);
+  const std::vector<TraceEvent> events = tracer.drain();
+  ASSERT_EQ(events.size(), Tracer::compiled_in() ? 1u : 0u);
+  if (!events.empty()) {
+    EXPECT_EQ(events[0].round, 2u);
+  }
+}
+
+TEST(Tracer, RoundEventsLeaveTheRingsUntouched) {
+  if (!Tracer::compiled_in()) GTEST_SKIP() << "PHOTON_TRACE=OFF build";
+  Tracer tracer;
+  // Two rounds from four pool workers; every event is recorded twice with
+  // a different real_ns, so the sort identity ties and only ring order
+  // places the pair.
+  constexpr int kActors = 4;
+  global_pool().parallel_for(kActors, [&](std::size_t a) {
+    const auto actor = static_cast<std::int32_t>(a);
+    for (int s = 0; s < 8; ++s) {
+      for (const std::uint32_t round : {3u, 4u}) {
+        for (std::uint64_t copy = 0; copy < 2; ++copy) {
+          TraceEvent e = ev(SpanKind::kLocalStep, round, actor, s, s + 1, s);
+          e.real_ns = 1000 * a + 10 * static_cast<std::uint64_t>(s) + copy;
+          tracer.record(e);
+        }
+      }
+    }
+  });
+  const obs::JsonlOptions with_real{.include_real = true};
+  const std::string r3 = obs::to_jsonl(tracer.round_events(3), with_real);
+  const std::string r4 = obs::to_jsonl(tracer.round_events(4), with_real);
+  EXPECT_EQ(tracer.round_events(3).size(), 2u * 8 * kActors);
+  EXPECT_TRUE(tracer.round_events(5).empty());
+  EXPECT_EQ(obs::to_jsonl(tracer.round_events(3), with_real), r3);
+
+  const std::vector<TraceEvent> all = tracer.drain();
+  ASSERT_EQ(all.size(), 2u * 2 * 8 * kActors);
+  std::vector<TraceEvent> slice3;
+  std::vector<TraceEvent> slice4;
+  for (const TraceEvent& e : all) (e.round == 3 ? slice3 : slice4).push_back(e);
+  EXPECT_EQ(obs::to_jsonl(slice3, with_real), r3);
+  EXPECT_EQ(obs::to_jsonl(slice4, with_real), r4);
+  EXPECT_TRUE(tracer.round_events(3).empty());  // drain() did take them
 }
 
 TEST(Tracer, SampleEveryKeepsOnlyMatchingRounds) {
@@ -480,6 +531,7 @@ TEST(ObsIntegration, RegistryCountersEqualSummedLinkStats) {
     sum.send_failures += s.send_failures;
     sum.corrupt_chunks += s.corrupt_chunks;
     sum.aborted_messages += s.aborted_messages;
+    sum.deadline_misses += s.deadline_misses;
   }
   EXPECT_EQ(reg.counter_value("link.messages"), sum.messages);
   EXPECT_EQ(reg.counter_value("link.payload_bytes"), sum.payload_bytes);
@@ -488,6 +540,8 @@ TEST(ObsIntegration, RegistryCountersEqualSummedLinkStats) {
   EXPECT_EQ(reg.counter_value("link.send_failures"), sum.send_failures);
   EXPECT_EQ(reg.counter_value("link.corrupt_chunks"), sum.corrupt_chunks);
   EXPECT_EQ(reg.counter_value("link.aborted_messages"), sum.aborted_messages);
+  EXPECT_EQ(reg.counter_value("link.retransmits"), sum.retries);
+  EXPECT_EQ(reg.counter_value("link.deadline_misses"), sum.deadline_misses);
   EXPECT_GT(sum.retries, 0u);  // the plan actually exercised the retry path
 }
 

@@ -1,66 +1,17 @@
 #!/usr/bin/env python3
-"""Splice rerun bench results into the main results file.
+"""Splice rerun bench results into the main BENCH_all.json.
 
-BENCH_all.json (photon.bench_all.v1, the committed perf baseline) is the
-primary mode: when both files carry the unified schema, suites from the
-rerun are merged case-by-case into the main document — a partial rerun
-(one suite, or a few cases of one suite) refreshes just its own entries
-and leaves the rest of the baseline untouched.  Bench modes (quick/full)
-must match; the perf gate refuses cross-mode comparisons and so does the
-splice.
+BENCH_all.json (photon.bench_all.v1) is the only committed bench record.
+Suites from the rerun are merged case-by-case into the main document — a
+partial rerun (one suite, or a few cases of one suite) refreshes just its
+own entries and leaves the rest of the baseline untouched.  Bench modes
+(quick/full) must match; the perf gate refuses cross-mode comparisons and
+so does the splice.  A missing main file starts a fresh document.
 
-Legacy modes (DEPRECATED — the per-suite files they operate on are
-superseded by tools/bench.sh folding everything into BENCH_all.json):
-
-Text logs: each section of bench_output.txt is delimited by
-'### RUN <path>' ... '### EXIT <code> <path>'.  Sections present in the
-rerun log replace their counterparts in the main log in place; new
-sections are appended.
-
-Per-suite JSON (e.g. BENCH_round.json): top-level keys of the rerun
-object replace their counterparts in the main object; other keys are
-preserved.
-
-Usage: splice_bench_output.py <main_file> <rerun_file>
+Usage: splice_bench_output.py <main.json> <rerun.json>
 """
 import json
-import re
 import sys
-
-
-def warn_deprecated(mode):
-    print(f"splice_bench_output: WARNING: {mode} mode is deprecated — "
-          "fold suites into BENCH_all.json with tools/bench.sh and splice "
-          "that instead", file=sys.stderr)
-
-
-def parse_sections(text):
-    sections = {}
-    pattern = re.compile(
-        r"^### RUN (\S+)$(.*?)^### EXIT \d+ \1$", re.M | re.S)
-    for match in pattern.finditer(text):
-        sections[match.group(1)] = match.group(0)
-    return sections
-
-
-def splice_text(main_path, rerun_path):
-    warn_deprecated("text-log")
-    with open(main_path) as f:
-        main_text = f.read()
-    with open(rerun_path) as f:
-        rerun_text = f.read()
-    for name, body in parse_sections(rerun_text).items():
-        pattern = re.compile(
-            r"^### RUN " + re.escape(name) + r"$.*?^### EXIT \d+ " +
-            re.escape(name) + r"$", re.M | re.S)
-        if pattern.search(main_text):
-            main_text = pattern.sub(lambda _: body, main_text, count=1)
-            print(f"spliced {name}")
-        else:
-            main_text += "\n" + body + "\n"
-            print(f"appended {name}")
-    with open(main_path, "w") as f:
-        f.write(main_text)
 
 
 def is_bench_all(obj):
@@ -85,43 +36,25 @@ def splice_bench_all(main_path, main_obj, rerun_path, rerun_obj):
         f.write("\n")
 
 
-def splice_json(main_path, rerun_path):
+def main():
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main_path, rerun_path = sys.argv[1], sys.argv[2]
     try:
         with open(main_path) as f:
             main_obj = json.load(f)
     except FileNotFoundError:
         main_obj = {}
-    if not isinstance(main_obj, dict):
-        sys.exit(f"{main_path}: top level must be a JSON object")
     with open(rerun_path) as f:
         rerun_obj = json.load(f)
-    if not isinstance(rerun_obj, dict):
-        sys.exit(f"{rerun_path}: top level must be a JSON object")
-
-    if is_bench_all(rerun_obj) and (is_bench_all(main_obj) or not main_obj):
-        if not main_obj:
-            main_obj = {"schema": "photon.bench_all.v1",
-                        "mode": rerun_obj.get("mode"), "suites": {}}
-        splice_bench_all(main_path, main_obj, rerun_path, rerun_obj)
-        return
-
-    warn_deprecated("per-suite JSON")
-    for key, value in rerun_obj.items():
-        print(f"{'spliced' if key in main_obj else 'appended'} {key}")
-        main_obj[key] = value
-    with open(main_path, "w") as f:
-        json.dump(main_obj, f, indent=2)
-        f.write("\n")
-
-
-def main():
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
-    main_path, rerun_path = sys.argv[1], sys.argv[2]
-    if main_path.endswith(".json") and rerun_path.endswith(".json"):
-        splice_json(main_path, rerun_path)
-    else:
-        splice_text(main_path, rerun_path)
+    if not is_bench_all(rerun_obj):
+        sys.exit(f"{rerun_path}: not a photon.bench_all.v1 document")
+    if not main_obj:
+        main_obj = {"schema": "photon.bench_all.v1",
+                    "mode": rerun_obj.get("mode"), "suites": {}}
+    elif not is_bench_all(main_obj):
+        sys.exit(f"{main_path}: not a photon.bench_all.v1 document")
+    splice_bench_all(main_path, main_obj, rerun_path, rerun_obj)
 
 
 if __name__ == "__main__":
