@@ -208,29 +208,21 @@ struct JsonCase {
   double value;
   std::string unit;
   double floor = 0.0;  // 0 = no floor
-  bool det = true;
 };
 
-bool write_json(const std::string& path, const std::vector<JsonCase>& cases) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  // Native BENCH_all fragment: { suite: { case: {value, unit, dir, floor,
-  // det} } }.  dir tells the perf gate which direction is a regression:
-  // s/Mtok shrinks when we get faster, ratio cases grow.
-  std::fprintf(f, "{\n  \"autotune\": {\n");
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const JsonCase& c = cases[i];
-    const char* dir = c.unit == "s/Mtok" ? "lower" : "higher";
-    std::fprintf(f, "    \"%s\": {\"value\": %.9g, \"unit\": \"%s\"",
-                 c.name.c_str(), c.value, c.unit.c_str());
-    std::fprintf(f, ", \"dir\": \"%s\"", dir);
-    if (c.floor > 0.0) std::fprintf(f, ", \"floor\": %.6g", c.floor);
-    std::fprintf(f, ", \"det\": %s}%s\n", c.det ? "true" : "false",
-                 i + 1 < cases.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  return true;
+void write_json(const std::string& path, const std::vector<JsonCase>& cases) {
+  // Native BENCH_all fragment: { suite: { case: {value, unit, floor?} } }.
+  bench::write_report(path, [&](std::FILE* f) {
+    std::fprintf(f, "{\n  \"autotune\": {\n");
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const JsonCase& c = cases[i];
+      std::fprintf(f, "    \"%s\": {\"value\": %.9g, \"unit\": \"%s\"",
+                   c.name.c_str(), c.value, c.unit.c_str());
+      if (c.floor > 0.0) std::fprintf(f, ", \"floor\": %.6g", c.floor);
+      std::fprintf(f, "}%s\n", i + 1 < cases.size() ? "," : "");
+    }
+    std::fprintf(f, "  }\n}\n");
+  });
 }
 
 int run_smoke() {
@@ -351,10 +343,6 @@ int main(int argc, char** argv) {
                      "s/Mtok"});
   }
 
-  if (!write_json(json_path, cases)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
+  write_json(json_path, cases);
   return ok ? 0 : 1;
 }

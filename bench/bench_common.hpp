@@ -9,9 +9,11 @@
 // throughputs.  Headline shape — who wins, by what factor, where the
 // crossovers sit — is the reproduction target, not absolute numbers.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,8 +21,65 @@
 #include "core/runner.hpp"
 #include "nn/config.hpp"
 #include "sim/mfu.hpp"
+#include "util/stats.hpp"
 
 namespace photon::bench {
+
+/// Median wall seconds per call of each arm.  Each arm runs once to warm
+/// up, then its reps are calibrated until one sample takes at least 20 ms.
+/// Nine samples follow, the arms alternating order from sample to sample,
+/// so arms compared with each other see the same host conditions.  Wall
+/// time, not CPU time: the real-time floors the benches assert were set on
+/// the wall clock with the thread pool running.
+inline std::vector<double> median_seconds_per_call(
+    const std::vector<std::function<void()>>& arms) {
+  using clock = std::chrono::steady_clock;
+  constexpr double kMinSampleSeconds = 0.02;
+  constexpr int kSamples = 9;
+  constexpr int kMaxReps = 1 << 20;
+  const auto time_reps = [](const std::function<void()>& fn, int reps) {
+    const auto t0 = clock::now();
+    for (int r = 0; r < reps; ++r) fn();
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  for (const auto& fn : arms) fn();
+  std::vector<int> reps(arms.size(), 1);
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    while (reps[a] < kMaxReps &&
+           time_reps(arms[a], reps[a]) < kMinSampleSeconds) {
+      reps[a] *= 2;
+    }
+  }
+  std::vector<std::vector<double>> samples(arms.size());
+  for (int s = 0; s < kSamples; ++s) {
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      const std::size_t a = s % 2 == 0 ? i : arms.size() - 1 - i;
+      samples[a].push_back(time_reps(arms[a], reps[a]) / reps[a]);
+    }
+  }
+  std::vector<double> medians;
+  for (auto& xs : samples) medians.push_back(quantile(std::move(xs), 0.5));
+  return medians;
+}
+
+/// Writes a bench report to `path` through `emit`.  A report that cannot
+/// be opened, written or closed exits the bench with status 1, so no
+/// harness folds a stale file in its place.
+inline void write_report(const std::string& path,
+                         const std::function<void(std::FILE*)>& emit) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    emit(f);
+    ok = std::ferror(f) == 0;
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::printf("wrote %s\n", path.c_str());
+}
 
 /// Shared command-line contract for every bench binary (tools/bench.sh
 /// depends on it): --smoke, --rounds=N, --samples=N, --threads=N, --seed=N,

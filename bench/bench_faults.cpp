@@ -336,8 +336,7 @@ int churn_soak(int drains, const std::string& json_path) {
       staleness_sum / std::max(1, drains), max_staleness,
       serial->active_population(), last_loss, hwm_mb);
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f != nullptr) {
+  bench::write_report(json_path, [&](std::FILE* f) {
     std::fprintf(
         f,
         "{\n  \"population\": %d,\n  \"drains\": %d,\n"
@@ -355,8 +354,7 @@ int churn_soak(int drains, const std::string& json_path) {
         static_cast<unsigned long long>(departures),
         staleness_sum / std::max(1, drains), max_staleness,
         serial->active_population(), last_loss, hwm_mb);
-    std::fclose(f);
-  }
+  });
   return 0;
 }
 
@@ -458,8 +456,7 @@ int main(int argc, char** argv) {
       totals.backoff_seconds, static_cast<unsigned long long>(link_retries),
       static_cast<unsigned long long>(link_corrupt));
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f != nullptr) {
+  photon::bench::write_report(json_path, [&](std::FILE* f) {
     std::fprintf(
         f,
         "{\n  \"rounds\": %d,\n  \"crashed\": %d,\n  \"link_failed\": %d,\n"
@@ -476,7 +473,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(totals.corrupt_chunks),
         static_cast<unsigned long long>(totals.topology_fallbacks),
         totals.backoff_seconds);
-    std::fclose(f);
-  }
+  });
   return 0;
 }

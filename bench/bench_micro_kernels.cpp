@@ -1,29 +1,27 @@
 // Microbenchmarks for the compute and communication substrate.
 //
-// Default mode runs the kernel thread-scaling harness: every hot kernel is
-// timed under a serial KernelContext and at 1/2/4/N threads, and the
-// results — seconds per call, GFLOP/s, and speedup vs the serial baseline —
-// are written as machine-readable JSON (BENCH_kernels.json) so later PRs
-// have a perf trajectory to compare against.
+// Default mode times every hot kernel at one thread, the way each client
+// runs them inside the round's client fan-out, and prints seconds per call
+// and GFLOP/s per kernel shape, then the train-step MFU before and after
+// SIMD.  Timings come from bench_common.hpp's sampler; the real-clock
+// record of a workload's kernels is bench_e2e's per-layer view.
 //
-//   bench_micro_kernels [--json=PATH] [--gbench [google-benchmark args...]]
+//   bench_micro_kernels [--gbench [google-benchmark args...]]
 //
-// --json=PATH   where to write the JSON report (default: BENCH_kernels.json)
 // --gbench      additionally run the google-benchmark suites (train step,
 //               collectives, codecs, message framing)
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "comm/collective.hpp"
 #include "comm/compression.hpp"
 #include "comm/message.hpp"
@@ -36,83 +34,13 @@
 #include "tensor/kernel_context.hpp"
 #include "tensor/kernels.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
 using namespace photon;
 namespace k = kernels;
 
-// ------------------------------------------------------- scaling harness --
-
-struct ThreadResult {
-  int threads = 1;
-  double seconds_per_call = 0.0;
-  double gflops = 0.0;
-  double speedup_vs_serial = 1.0;
-};
-
-struct KernelReport {
-  std::string name;
-  std::string shape;
-  double flops_per_call = 0.0;
-  std::vector<ThreadResult> results;
-};
-
-/// Median-of-3 timing; each sample repeats the kernel until >= 20 ms.
-double time_seconds_per_call(const std::function<void()>& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up (faults pages, warms caches)
-  std::vector<double> samples;
-  for (int s = 0; s < 3; ++s) {
-    int reps = 1;
-    for (;;) {
-      const auto t0 = clock::now();
-      for (int r = 0; r < reps; ++r) fn();
-      const double secs =
-          std::chrono::duration<double>(clock::now() - t0).count();
-      if (secs >= 0.02 || reps >= (1 << 20)) {
-        samples.push_back(secs / reps);
-        break;
-      }
-      reps *= 2;
-    }
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[1];
-}
-
-std::vector<int> thread_counts() {
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<int> counts{1, 2, 4, hw};
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  return counts;
-}
-
-KernelReport run_scaling(
-    ThreadPool& pool, const std::string& name, const std::string& shape,
-    double flops_per_call,
-    const std::function<void(const k::KernelContext&)>& fn) {
-  KernelReport report{name, shape, flops_per_call, {}};
-  double serial_secs = 0.0;
-  for (const int threads : thread_counts()) {
-    const k::KernelContext ctx(&pool, threads);
-    const double secs = time_seconds_per_call([&] { fn(ctx); });
-    if (threads == 1) serial_secs = secs;
-    ThreadResult r;
-    r.threads = threads;
-    r.seconds_per_call = secs;
-    r.gflops = flops_per_call > 0 ? flops_per_call / secs * 1e-9 : 0.0;
-    r.speedup_vs_serial = serial_secs > 0 ? serial_secs / secs : 1.0;
-    report.results.push_back(r);
-    std::printf("  %-22s %-28s t=%-2d %10.3f ms  %8.2f GFLOP/s  %5.2fx\n",
-                name.c_str(), shape.c_str(), threads, secs * 1e3, r.gflops,
-                r.speedup_vs_serial);
-  }
-  return report;
-}
+// ------------------------------------------------------- kernel timings --
 
 std::vector<float> gaussian(Rng& rng, std::size_t n, float stddev = 1.0f) {
   std::vector<float> v(n);
@@ -120,20 +48,32 @@ std::vector<float> gaussian(Rng& rng, std::size_t n, float stddev = 1.0f) {
   return v;
 }
 
-std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
+/// Times every kernel; returns the best GFLOP/s, the MFU peak proxy.
+double run_kernels() {
   Rng rng(42);
-  std::vector<KernelReport> reports;
+  double peak = 0.0;
+  // Times one kernel under the serial context and prints its line.
+  const auto run = [&](const std::string& name, const std::string& shape,
+                       double flops,
+                       const std::function<void(const k::KernelContext&)>&
+                           fn) {
+    const double secs = bench::median_seconds_per_call(
+        {[&] { fn(k::KernelContext::serial()); }})[0];
+    const double gflops = flops / secs * 1e-9;
+    std::printf("  %-22s %-28s %10.3f ms  %8.2f GFLOP/s\n", name.c_str(),
+                shape.c_str(), secs * 1e3, gflops);
+    peak = std::max(peak, gflops);
+  };
 
   {  // matmul
     constexpr int kM = 192, kK = 192, kN = 192;
     const auto a = gaussian(rng, static_cast<std::size_t>(kM) * kK);
     const auto b = gaussian(rng, static_cast<std::size_t>(kK) * kN);
     std::vector<float> out(static_cast<std::size_t>(kM) * kN);
-    reports.push_back(run_scaling(
-        pool, "matmul", "m=192,k=192,n=192", 2.0 * kM * kK * kN,
+    run("matmul", "m=192,k=192,n=192", 2.0 * kM * kK * kN,
         [&](const k::KernelContext& ctx) {
           k::matmul(ctx, out.data(), a.data(), b.data(), kM, kK, kN);
-        }));
+        });
   }
   // Linear and attention run at two shapes each: a wide one, and
   // local_heavy's (ModelConfig::small() at batch 2).  There, width 80 is
@@ -151,22 +91,20 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
                               ",c=" + std::to_string(c) +
                               ",oc=" + std::to_string(oc);
     const double mm = 2.0 * bt * c * oc;
-    reports.push_back(run_scaling(
-        pool, "linear_forward" + suffix, shape, mm,
+    run("linear_forward" + suffix, shape, mm,
         [&](const k::KernelContext& ctx) {
           k::linear_forward(ctx, out.data(), inp.data(), w.data(), bias.data(),
                             bt, c, oc);
-        }));
+        });
     std::vector<float> dinp(inp.size()), dw(w.size()), db(oc);
-    reports.push_back(run_scaling(
-        pool, "linear_backward" + suffix, shape, 2.0 * mm,
+    run("linear_backward" + suffix, shape, 2.0 * mm,
         [&](const k::KernelContext& ctx) {
           std::memset(dinp.data(), 0, dinp.size() * sizeof(float));
           std::memset(dw.data(), 0, dw.size() * sizeof(float));
           std::memset(db.data(), 0, db.size() * sizeof(float));
           k::linear_backward(ctx, dinp.data(), dw.data(), db.data(),
                              dout.data(), inp.data(), w.data(), bt, c, oc);
-        }));
+        });
   };
   add_linear("", 256, 192, 768);
   add_linear("_c80", 128, 80, 320);
@@ -189,16 +127,14 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
     // ~half the (t, t2) pairs survive the causal mask; q.k and att.v are
     // 2*hs flops each.
     const double flops = 0.5 * b * nh * t * t * 4.0 * hs;
-    reports.push_back(run_scaling(
-        pool, "attention_forward" + suffix, shape, flops,
+    run("attention_forward" + suffix, shape, flops,
         [&](const k::KernelContext& ctx) {
           k::attention_forward(ctx, out.data(), pre.data(), att.data(),
                                qkv.data(), slopes.data(), b, t, c, nh);
-        }));
+        });
     const auto dout = gaussian(r2, out.size());
     std::vector<float> dqkv(qkv.size()), dpre(pre.size()), datt(att.size());
-    reports.push_back(run_scaling(
-        pool, "attention_backward" + suffix, shape, 2.0 * flops,
+    run("attention_backward" + suffix, shape, 2.0 * flops,
         [&](const k::KernelContext& ctx) {
           std::memset(dqkv.data(), 0, dqkv.size() * sizeof(float));
           std::memset(dpre.data(), 0, dpre.size() * sizeof(float));
@@ -206,7 +142,7 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
           k::attention_backward(ctx, dqkv.data(), dpre.data(), datt.data(),
                                 dout.data(), qkv.data(), att.data(), b, t, c,
                                 nh);
-        }));
+        });
   };
   add_attention("", 8, 64, 192, 6);
   add_attention("_hs20", 2, 64, 80, 4);
@@ -217,15 +153,13 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
     const auto gamma = gaussian(r2, kC), beta = gaussian(r2, kC);
     const auto dout = gaussian(r2, inp.size());
     std::vector<float> out(inp.size()), mean(kBt), rstd(kBt);
-    reports.push_back(run_scaling(
-        pool, "layernorm_forward", "bt=4096,c=256", 5.0 * kBt * kC,
+    run("layernorm_forward", "bt=4096,c=256", 5.0 * kBt * kC,
         [&](const k::KernelContext& ctx) {
           k::layernorm_forward(ctx, out.data(), mean.data(), rstd.data(),
                                inp.data(), gamma.data(), beta.data(), kBt, kC);
-        }));
+        });
     std::vector<float> dinp(inp.size()), dg(kC), db(kC);
-    reports.push_back(run_scaling(
-        pool, "layernorm_backward", "bt=4096,c=256", 9.0 * kBt * kC,
+    run("layernorm_backward", "bt=4096,c=256", 9.0 * kBt * kC,
         [&](const k::KernelContext& ctx) {
           std::memset(dinp.data(), 0, dinp.size() * sizeof(float));
           std::memset(dg.data(), 0, dg.size() * sizeof(float));
@@ -233,7 +167,7 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
           k::layernorm_backward(ctx, dinp.data(), dg.data(), db.data(),
                                 dout.data(), inp.data(), gamma.data(),
                                 mean.data(), rstd.data(), kBt, kC);
-        }));
+        });
   }
   {  // fused softmax cross-entropy
     constexpr int kBt = 256, kV = 2048;
@@ -242,38 +176,33 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
     std::vector<int> targets(kBt);
     for (int i = 0; i < kBt; ++i) targets[i] = i % kV;
     std::vector<float> losses(kBt), probs(logits.size());
-    reports.push_back(run_scaling(
-        pool, "softmax_xent_forward", "bt=256,v=2048", 4.0 * kBt * kV,
+    run("softmax_xent_forward", "bt=256,v=2048", 4.0 * kBt * kV,
         [&](const k::KernelContext& ctx) {
           k::softmax_xent_forward(ctx, losses.data(), probs.data(),
                                   logits.data(), targets.data(), kBt, kV);
-        }));
+        });
   }
   {  // elementwise + reductions
     const std::size_t n = 1 << 21;
     Rng r2(19);
     const auto a = gaussian(r2, n), b = gaussian(r2, n);
     std::vector<float> out(n);
-    reports.push_back(run_scaling(
-        pool, "gelu_forward", "n=2097152", 8.0 * static_cast<double>(n),
+    run("gelu_forward", "n=2097152", 8.0 * static_cast<double>(n),
         [&](const k::KernelContext& ctx) {
           k::gelu_forward(ctx, out.data(), a.data(), n);
-        }));
-    reports.push_back(run_scaling(
-        pool, "residual_forward", "n=2097152", static_cast<double>(n),
+        });
+    run("residual_forward", "n=2097152", static_cast<double>(n),
         [&](const k::KernelContext& ctx) {
           k::residual_forward(ctx, out.data(), a.data(), b.data(), n);
-        }));
-    reports.push_back(run_scaling(
-        pool, "axpy", "n=2097152", 2.0 * static_cast<double>(n),
+        });
+    run("axpy", "n=2097152", 2.0 * static_cast<double>(n),
         [&](const k::KernelContext& ctx) {
           k::axpy(ctx, out.data(), 0.5f, a.data(), n);
-        }));
-    reports.push_back(run_scaling(
-        pool, "l2_norm", "n=2097152", 2.0 * static_cast<double>(n),
+        });
+    run("l2_norm", "n=2097152", 2.0 * static_cast<double>(n),
         [&](const k::KernelContext& ctx) {
           benchmark::DoNotOptimize(k::l2_norm(ctx, a.data(), n));
-        }));
+        });
   }
   {  // fused clip + AdamW step (the optimizer hot path)
     const std::size_t n = 1 << 21;
@@ -282,13 +211,12 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
     auto params = gaussian(r2, n);
     AdamW opt(n);
     // ~2n for the global norm + ~14n for the moment/step arithmetic.
-    reports.push_back(run_scaling(
-        pool, "adamw_step_clipped", "n=2097152", 16.0 * static_cast<double>(n),
+    run("adamw_step_clipped", "n=2097152", 16.0 * static_cast<double>(n),
         [&](const k::KernelContext& ctx) {
           opt.step_clipped(ctx, params, grads, 1e-4f, 1.0);
-        }));
+        });
   }
-  return reports;
+  return peak;
 }
 
 // ------------------------------------------------------ MFU before/after --
@@ -298,15 +226,7 @@ std::vector<KernelReport> run_kernel_scaling(ThreadPool& pool) {
 // than estimated, against the measured dense-matmul rate as the peak proxy.
 // Run once with the SIMD dispatch pinned to scalar ("before" — the
 // pre-SIMD arithmetic) and once with the best supported variant ("after").
-struct MfuPoint {
-  std::string variant;
-  double seconds_per_step = 0.0;
-  double gflops = 0.0;
-  double mfu = 0.0;
-};
-
-MfuPoint measure_train_mfu(ThreadPool& pool, simd::Variant v,
-                           double peak_gflops, double* flops_per_step_out) {
+void print_train_mfu(simd::Variant v, double peak_gflops) {
   const simd::Variant prev = simd::active_variant();
   const simd::Variant installed = simd::set_active_variant(v);
   obs::MetricsRegistry reg;
@@ -314,7 +234,7 @@ MfuPoint measure_train_mfu(ThreadPool& pool, simd::Variant v,
 
   const ModelConfig cfg = ModelConfig::micro();
   GptModel model(cfg, 1);
-  const k::KernelContext ctx(&pool, 1);
+  const k::KernelContext& ctx = k::KernelContext::serial();
   model.set_kernel_context(&ctx);
   CorpusConfig cc;
   cc.vocab_size = cfg.vocab_size;
@@ -338,70 +258,14 @@ MfuPoint measure_train_mfu(ThreadPool& pool, simd::Variant v,
   const double flops_before = counted();
   step();
   const double flops_per_step = counted() - flops_before;
-  const double secs = time_seconds_per_call(step);
+  const double secs = bench::median_seconds_per_call({step})[0];
   k::set_kernel_metrics(nullptr);
   simd::set_active_variant(prev);
 
-  MfuPoint p;
-  p.variant = simd::variant_name(installed);
-  p.seconds_per_step = secs;
-  p.gflops = flops_per_step / secs * 1e-9;
-  p.mfu = peak_gflops > 0 ? p.gflops / peak_gflops : 0.0;
-  if (flops_per_step_out != nullptr) *flops_per_step_out = flops_per_step;
+  const double gflops = flops_per_step / secs * 1e-9;
   std::printf("  mfu[%-7s] %8.3f ms/step  %6.2f GFLOP/s  mfu %.3f\n",
-              p.variant.c_str(), secs * 1e3, p.gflops, p.mfu);
-  return p;
-}
-
-bool write_json(const std::string& path,
-                const std::vector<KernelReport>& reports,
-                const MfuPoint& mfu_before, const MfuPoint& mfu_after,
-                double peak_gflops, double mfu_flops_per_step) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"schema\": \"photon.bench_kernels.v2\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"default_grain\": %zu,\n",
-               k::KernelContext::kDefaultGrain);
-  std::fprintf(f, "  \"simd_variant\": \"%s\",\n",
-               simd::variant_name(simd::active_variant()));
-  auto mfu_entry = [&](const char* key, const MfuPoint& p, const char* tail) {
-    std::fprintf(f,
-                 "    \"%s\": {\"variant\": \"%s\", "
-                 "\"seconds_per_step\": %.9g, \"gflops\": %.4g, "
-                 "\"mfu\": %.4g}%s\n",
-                 key, p.variant.c_str(), p.seconds_per_step, p.gflops, p.mfu,
-                 tail);
-  };
-  std::fprintf(f,
-               "  \"mfu\": {\n    \"model\": \"micro\", \"batch\": 4, "
-               "\"counted_flops_per_step\": %.0f, "
-               "\"peak_gflops_ref\": %.4g,\n",
-               mfu_flops_per_step, peak_gflops);
-  mfu_entry("before", mfu_before, ",");
-  mfu_entry("after", mfu_after, "");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"kernels\": [\n");
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const auto& kr = reports[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"flops_per_call\": %.0f, \"results\": [\n",
-                 kr.name.c_str(), kr.shape.c_str(), kr.flops_per_call);
-    for (std::size_t j = 0; j < kr.results.size(); ++j) {
-      const auto& r = kr.results[j];
-      std::fprintf(f,
-                   "      {\"threads\": %d, \"seconds_per_call\": %.9g, "
-                   "\"gflops\": %.4g, \"speedup_vs_serial\": %.4g}%s\n",
-                   r.threads, r.seconds_per_call, r.gflops,
-                   r.speedup_vs_serial, j + 1 < kr.results.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+              simd::variant_name(installed), secs * 1e3, gflops,
+              peak_gflops > 0 ? gflops / peak_gflops : 0.0);
 }
 
 // ----------------------------------------------- google-benchmark suites --
@@ -498,48 +362,25 @@ BENCHMARK(BM_MessageRoundTrip);
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_kernels.json";
   bool gbench = false;
   std::vector<char*> gbench_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--gbench") == 0) {
+    if (std::strcmp(argv[i], "--gbench") == 0) {
       gbench = true;
     } else {
       gbench_args.push_back(argv[i]);
     }
   }
 
-  std::printf("kernel thread-scaling (hardware_concurrency=%u)\n",
-              std::thread::hardware_concurrency());
-  const auto counts = thread_counts();
-  ThreadPool pool(static_cast<std::size_t>(counts.back()));
-  const auto reports = run_kernel_scaling(pool);
-
-  // Peak proxy: the best measured serial GFLOP/s across the kernel sweep
-  // with the active (best) SIMD variant — not a theoretical number, so MFU
-  // compares like with like on this host.
-  double peak_gflops = 0.0;
-  for (const auto& kr : reports) {
-    if (!kr.results.empty()) {
-      peak_gflops = std::max(peak_gflops, kr.results.front().gflops);
-    }
-  }
+  std::printf("kernels at one thread\n");
+  // Peak proxy: the best measured GFLOP/s across the kernel sweep with the
+  // active (best) SIMD variant — not a theoretical number, so MFU compares
+  // like with like on this host.
+  const double peak_gflops = run_kernels();
   std::printf("train-step MFU (model=micro, peak ref %.2f GFLOP/s)\n",
               peak_gflops);
-  double mfu_flops = 0.0;
-  const MfuPoint mfu_before =
-      measure_train_mfu(pool, simd::Variant::kScalar, peak_gflops, &mfu_flops);
-  const MfuPoint mfu_after =
-      measure_train_mfu(pool, simd::active_variant(), peak_gflops, nullptr);
-
-  if (!write_json(json_path, reports, mfu_before, mfu_after, peak_gflops,
-                  mfu_flops)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
+  print_train_mfu(simd::Variant::kScalar, peak_gflops);
+  print_train_mfu(simd::active_variant(), peak_gflops);
 
   if (gbench) {
     int gargc = static_cast<int>(gbench_args.size());

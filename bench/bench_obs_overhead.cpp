@@ -159,8 +159,7 @@ int main(int argc, char** argv) {
       rounds, samples, disabled_s, enabled_s, enabled_over, sampled_s,
       sampled_over);
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f != nullptr) {
+  photon::bench::write_report(json_path, [&](std::FILE* f) {
     std::fprintf(f,
                  "{\n  \"trace_compiled_in\": %s,\n  \"rounds\": %d,\n"
                  "  \"samples\": %d,\n  \"disabled_round_s\": %.9f,\n"
@@ -170,7 +169,6 @@ int main(int argc, char** argv) {
                  obs::Tracer::compiled_in() ? "true" : "false", rounds,
                  samples, disabled_s / rounds, enabled_s / rounds,
                  sampled_s / rounds, enabled_over);
-    std::fclose(f);
-  }
+  });
   return 0;
 }

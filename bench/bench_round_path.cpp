@@ -3,7 +3,8 @@
 // CRC, and the aggregation collective — swept over cohort size K, codec,
 // and topology.
 //
-// Each comm-path case is timed twice:
+// Each comm-path case times two arms as one interleaved pair
+// (bench_common.hpp's median_seconds_per_call):
 //   ref — an inline reproduction of the pre-zero-copy round path (payload
 //         copied into every message, whole-buffer encode through a
 //         length-prefixed vector, full decode copies, per-client deltas
@@ -12,8 +13,9 @@
 //   new — the production path: one borrowed broadcast payload, chunked
 //         encode/decode into per-link scratch reused across rounds, the
 //         collective run in place over the received buffers.
-// Both produce bit-identical aggregation results; the ratio is the
-// overhead drop this PR claims.
+// Both produce bit-identical aggregation results.  The ratio ref/new is
+// asserted >= 1.0: the production path must not be slower than the one it
+// replaced.
 //
 // Quantized codecs (q8/q4) never existed on the pre-zero-copy path, so for
 // them the two timed variants are instead:
@@ -41,7 +43,6 @@
 // --smoke       one tiny case + a 1-round federation (CI smoke)
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -70,28 +71,6 @@
 namespace {
 
 using namespace photon;
-
-double seconds_of(const std::function<void()>& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  std::vector<double> samples;
-  for (int s = 0; s < 3; ++s) {
-    int reps = 1;
-    for (;;) {
-      const auto t0 = clock::now();
-      for (int r = 0; r < reps; ++r) fn();
-      const double secs =
-          std::chrono::duration<double>(clock::now() - t0).count();
-      if (secs >= 0.02 || reps >= (1 << 16)) {
-        samples.push_back(secs / reps);
-        break;
-      }
-      reps *= 2;
-    }
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[1];
-}
 
 // ------------------------------------------------- pre-PR reference path --
 
@@ -388,26 +367,26 @@ CommResult run_comm_case(const CommCase& c) {
   const std::size_t raw = c.n * sizeof(float);
 
   NewRoundState st;
+  NewRoundState mat;
+  std::uint64_t ignored = 0;
+  std::function<void()> ref_arm;
+  std::function<void()> new_arm;
   if (res.quantized) {
     // No pre-zero-copy quantized path existed; compare the two production
     // fan-ins instead: materialized (full dequant + collective) vs streamed.
-    res.new_seconds = seconds_of([&] {
+    ref_arm = [&] { new_round(params, c.k, c.codec, c.topo, mat, &ignored); };
+    new_arm = [&] {
       streamed_round(params, c.k, c.codec, st, &res.wire_bytes);
-    });
-    NewRoundState mat;
-    res.ref_seconds = seconds_of([&] {
-      std::uint64_t ignored = 0;
-      new_round(params, c.k, c.codec, c.topo, mat, &ignored);
-    });
+    };
   } else {
-    res.new_seconds = seconds_of([&] {
+    ref_arm = [&] { ref_round(params, c.k, c.codec, c.topo, &ignored); };
+    new_arm = [&] {
       new_round(params, c.k, c.codec, c.topo, st, &res.wire_bytes);
-    });
-    res.ref_seconds = seconds_of([&] {
-      std::uint64_t ignored = 0;
-      ref_round(params, c.k, c.codec, c.topo, &ignored);
-    });
+    };
   }
+  const auto secs = bench::median_seconds_per_call({ref_arm, new_arm});
+  res.ref_seconds = secs[0];
+  res.new_seconds = secs[1];
 
   // Bytes written to memory per round by each path's transmit machinery
   // (2K transmits; excludes what the collective itself touches).  ref:
@@ -435,10 +414,11 @@ CommResult run_comm_case(const CommCase& c) {
   m.codec = c.codec;
   m.payload_view = params;
   WireScratch scratch;
-  const double enc = seconds_of([&] { m.encode_into(scratch, &global_pool()); });
+  const double enc = bench::median_seconds_per_call(
+      {[&] { m.encode_into(scratch, &global_pool()); }})[0];
   Message out;
-  const double dec = seconds_of(
-      [&] { Message::decode_into(scratch.wire, out, &global_pool()); });
+  const double dec = bench::median_seconds_per_call(
+      {[&] { Message::decode_into(scratch.wire, out, &global_pool()); }})[0];
   res.encode_gbps = static_cast<double>(raw) / enc / 1e9;
   res.decode_gbps = static_cast<double>(raw) / dec / 1e9;
   return res;
@@ -714,7 +694,7 @@ std::vector<BiasTrack> run_bias_loop(int rounds) {
 // {none, secagg, dp, secagg+dp} x {faults off, crash faults on}.  Every
 // reported number — final loss, comm bytes, per-round epsilon, dropouts
 // recovered, simulated seconds — is a pure function of (seed, config), so
-// the fold marks them det/exact and the perf gate pins the protocol's
+// the fold records each one and the perf gate pins the protocol's
 // observable behavior: mask cancellation staying bit-exact, key-exchange
 // sim cost, Shamir recovery counts under the seeded crash plan, and the
 // accountant's epsilon curve.
@@ -783,8 +763,8 @@ std::vector<PrivacyArm> run_privacy_matrix(int rounds) {
 // Masking-encode throughput: the per-element cost of the SecAgg hot loop —
 // counter-mode PRG, fixed-point encode, wrapping accumulate — measured on
 // a 2-member session (one pair mask live, the worst per-element mask
-// count per peer).  Real time, never baseline-diffed, but floor-checked:
-// masking must not become the round bottleneck.
+// count per peer).  Real time, so it is not folded into BENCH_all; the
+// floor asserted in main keeps masking from becoming the round bottleneck.
 double run_mask_encode_gbps(bool smoke) {
   const std::size_t n = smoke ? (std::size_t{1} << 20) : (std::size_t{1} << 23);
   SecAggConfig cfg;
@@ -795,10 +775,10 @@ double run_mask_encode_gbps(bool smoke) {
   for (auto& x : update) x = rng.gaussian(0.0f, 1.0f);
   std::vector<std::uint64_t> acc(n, 0);
   const auto& ctx = kernels::default_context();
-  const double sec = seconds_of([&] {
+  const double sec = bench::median_seconds_per_call({[&] {
     std::fill(acc.begin(), acc.end(), 0);
     session.mask_update_into(0, update, acc, ctx);
-  });
+  }})[0];
   return static_cast<double>(n) * sizeof(float) / sec / 1e9;
 }
 
@@ -809,15 +789,13 @@ struct WanModelResult {
   double q8_s = 0.0;
 };
 
-bool write_json(const std::string& path, const std::vector<CommResult>& comm,
+void write_json(std::FILE* f, const std::vector<CommResult>& comm,
                 const std::vector<RoundResult>& rounds,
                 const std::vector<SyncAsyncArm>& sync_async,
                 const std::vector<PrivacyArm>& privacy,
                 double mask_encode_gbps,
                 const std::vector<AblationArm>& ablation,
                 const std::vector<BiasTrack>& bias, const WanModelResult* wan) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"comm_path\": [\n");
   for (std::size_t i = 0; i < comm.size(); ++i) {
     const auto& r = comm[i];
@@ -932,8 +910,6 @@ bool write_json(const std::string& path, const std::vector<CommResult>& comm,
     std::fprintf(f, "]}%s\n", a + 1 < bias.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace
@@ -1008,9 +984,11 @@ int main(int argc, char** argv) {
 
   // Regression floors: every codec on the default wire path must encode at
   // >= 0.3 GB/s on the half-zero payload;
-  // quantized codecs are SIMD kernels and must hold >= 1.0 GB/s.
+  // quantized codecs are SIMD kernels and must hold >= 1.0 GB/s.  Every
+  // case's new path must be at least as fast as its ref path.
   constexpr double kMinEncodeGbps = 0.3;
   constexpr double kMinQuantEncodeGbps = 1.0;
+  constexpr double kMinCommSpeedup = 1.0;
   bool floor_ok = true;
   for (const auto& r : comm) {
     const double floor = r.quantized ? kMinQuantEncodeGbps : kMinEncodeGbps;
@@ -1020,6 +998,14 @@ int main(int argc, char** argv) {
                    "%.1f GB/s wire floor\n",
                    r.c.codec.empty() ? "identity" : r.c.codec.c_str(),
                    r.c.label.c_str(), r.encode_gbps, floor);
+      floor_ok = false;
+    }
+    if (r.ref_seconds / r.new_seconds < kMinCommSpeedup) {
+      std::fprintf(stderr,
+                   "FAIL: %s comm path runs at %.3fx its ref path, below "
+                   "the %.1fx floor\n",
+                   r.c.label.c_str(), r.ref_seconds / r.new_seconds,
+                   kMinCommSpeedup);
       floor_ok = false;
     }
   }
@@ -1184,11 +1170,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!write_json(json_path, comm, rounds, sync_async, privacy, mask_gbps,
-                  ablation, bias, have_wan ? &wan : nullptr)) {
-    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", json_path.c_str());
+  photon::bench::write_report(json_path, [&](std::FILE* f) {
+    write_json(f, comm, rounds, sync_async, privacy, mask_gbps, ablation, bias,
+               have_wan ? &wan : nullptr);
+  });
   return floor_ok ? 0 : 1;
 }

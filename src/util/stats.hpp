@@ -1,96 +1,12 @@
 #pragma once
-// Small statistics helpers used by metric aggregation and benches.
+// Statistics helpers shared by the benches.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace photon {
-
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Streaming mean/variance (Welford) — numerically stable for long runs.
-class RunningStat {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = (n_ == 1) ? x : std::min(min_, x);
-    max_ = (n_ == 1) ? x : std::max(max_, x);
-  }
-
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
-  Summary summary() const { return {n_, mean_, stddev(), min_, max_}; }
-
-  /// Merge two streams (parallel Welford / Chan's algorithm).
-  void merge(const RunningStat& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto n = static_cast<double>(n_ + other.n_);
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / n;
-    mean_ += delta * static_cast<double>(other.n_) / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
-  }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Exponentially weighted moving average (used for smoothed loss curves).
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {
-    if (alpha <= 0.0 || alpha > 1.0) throw std::invalid_argument("Ewma alpha");
-  }
-  void add(double x) {
-    value_ = seen_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-    seen_ = true;
-  }
-  bool has_value() const { return seen_; }
-  double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seen_ = false;
-};
-
-inline double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
 
 /// Linear-interpolated quantile, q in [0, 1].
 inline double quantile(std::vector<double> xs, double q) {

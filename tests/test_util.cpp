@@ -45,10 +45,16 @@ TEST(Rng, UniformBounds) {
 
 TEST(Rng, GaussianMoments) {
   Rng rng(7);
-  RunningStat stat;
-  for (int i = 0; i < 20000; ++i) stat.add(rng.next_gaussian());
-  EXPECT_NEAR(stat.mean(), 0.0, 0.03);
-  EXPECT_NEAR(stat.stddev(), 1.0, 0.03);
+  constexpr int kN = 20000;
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    const double x = rng.next_gaussian();
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / kN;
+  EXPECT_NEAR(mean, 0.0, 0.03);
+  EXPECT_NEAR(std::sqrt((sum_sq - kN * mean * mean) / (kN - 1)), 1.0, 0.03);
 }
 
 TEST(Rng, SampleWithoutReplacementIsUniformAndDistinct) {
@@ -149,35 +155,6 @@ TEST(Crc32, KnownVectorAndSensitivity) {
   std::vector<std::uint8_t> v(p, p + s.size());
   v[3] ^= 1;
   EXPECT_NE(crc32(v), 0xCBF43926u);
-}
-
-TEST(RunningStat, MatchesClosedForm) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, MergeEqualsSingleStream) {
-  RunningStat a, b, whole;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_gaussian();
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-}
-
-TEST(Ewma, ConvergesToConstant) {
-  Ewma e(0.5);
-  for (int i = 0; i < 30; ++i) e.add(4.0);
-  EXPECT_NEAR(e.value(), 4.0, 1e-6);
 }
 
 TEST(Quantile, Interpolates) {

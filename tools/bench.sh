@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Unified bench harness: run every bench suite serially and fold their
-# outputs into one BENCH_all.json (schema photon.bench_all.v1; see
+# Unified bench harness: run the engine bench suites serially and fold
+# their reports into one BENCH_all.json (schema photon.bench_all.v2; see
 # tools/fold_bench.py for the case layout).
 #
 #   tools/bench.sh                 # full suites -> build/BENCH_all.json
@@ -9,11 +9,17 @@
 #   tools/bench.sh --out=PATH      # write the folded document elsewhere
 #   tools/bench.sh --skip-build    # reuse existing binaries
 #
-# Suites run serially on purpose: the round-path and kernel numbers are
-# real-time measurements, and sharing cores between benches makes them
-# noise.  The deterministic cases (sim seconds, counters, losses) feed the
-# CI perf gate (tools/ci.sh --perf-gate); the committed baseline at the
-# repo root is BENCH_all.json, generated with --quick to match the gate.
+# Every folded case is a pure function of (seed, config): sim seconds,
+# counters, losses, wire bytes.  They feed the CI perf gate
+# (tools/ci.sh --perf-gate), which compares them exactly with the committed
+# baseline at the repo root, BENCH_all.json, generated with --quick to
+# match the gate.  The suites also assert their own real-time floors, so
+# they run serially: sharing cores between benches makes timings noise.
+#
+# Each suite's report is deleted before the suite runs, so a suite that
+# writes nothing is never folded from a previous run.  Every report that
+# was written is folded; then the script names each suite that failed and
+# exits 1.
 
 set -euo pipefail
 
@@ -38,55 +44,47 @@ if [[ "$SKIP_BUILD" -eq 0 ]]; then
   echo "==> bench.sh: build ($BUILD)"
   cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "$BUILD" -j "$JOBS" --target \
-        bench_micro_kernels bench_round_path bench_faults \
-        bench_obs_overhead bench_autotune >/dev/null
+        bench_round_path bench_faults bench_autotune >/dev/null
 fi
 
 WORK="$BUILD/bench_out"
 mkdir -p "$WORK"
 cd "$WORK"
 
-run() {  # run <label> <binary> [args...]
-  local label="$1"; shift
-  echo "==> bench.sh [$MODE] $label: $*"
-  "$@"
+FAILED=()
+REPORTS=()
+run() {  # run <suite> <binary> [args...]; writes $WORK/BENCH_<suite>.json
+  local suite="$1"; shift
+  local report="$WORK/BENCH_$suite.json"
+  rm -f "$report"
+  echo "==> bench.sh [$MODE] $suite: $*"
+  "$@" --json="$report" >/dev/null || FAILED+=("$suite")
+  if [[ -f "$report" ]]; then
+    REPORTS+=("$suite=$report")
+  fi
 }
 
-run kernels "$BUILD/bench/bench_micro_kernels" \
-    --json="$WORK/BENCH_kernels.json" >/dev/null
-
 if [[ "$MODE" == "quick" ]]; then
-  run round "$BUILD/bench/bench_round_path" --smoke \
-      --json="$WORK/BENCH_round.json" >/dev/null
-  run faults "$BUILD/bench/bench_faults" --smoke \
-      --json="$WORK/BENCH_faults.json" >/dev/null
-  run churn "$BUILD/bench/bench_faults" --churn --smoke \
-      --json="$WORK/BENCH_churn.json" >/dev/null
-  run obs "$BUILD/bench/bench_obs_overhead" --smoke \
-      --json="$WORK/BENCH_obs.json" >/dev/null
+  run round "$BUILD/bench/bench_round_path" --smoke
+  run faults "$BUILD/bench/bench_faults" --smoke
+  run churn "$BUILD/bench/bench_faults" --churn --smoke
 else
-  run round "$BUILD/bench/bench_round_path" \
-      --json="$WORK/BENCH_round.json" >/dev/null
-  run faults "$BUILD/bench/bench_faults" --rounds=50 \
-      --json="$WORK/BENCH_faults.json" >/dev/null
-  run churn "$BUILD/bench/bench_faults" --churn \
-      --json="$WORK/BENCH_churn.json" >/dev/null
-  run obs "$BUILD/bench/bench_obs_overhead" --rounds=12 --samples=3 \
-      --json="$WORK/BENCH_obs.json" >/dev/null
+  run round "$BUILD/bench/bench_round_path"
+  run faults "$BUILD/bench/bench_faults" --rounds=50
+  run churn "$BUILD/bench/bench_faults" --churn
 fi
 
 # The autotuned-vs-static grid always runs at full size: its deterministic
 # s/Mtok cells and never-worse-than-static floors are the headline content
 # of the perf gate, and quick-sized cells would not be comparable.
-run autotune "$BUILD/bench/bench_autotune" \
-    --json="$WORK/BENCH_autotune.json"
+run autotune "$BUILD/bench/bench_autotune"
 
 python3 "$ROOT/tools/fold_bench.py" --mode="$MODE" --out="$OUT" \
-    kernels="$WORK/BENCH_kernels.json" \
-    round="$WORK/BENCH_round.json" \
-    faults="$WORK/BENCH_faults.json" \
-    churn="$WORK/BENCH_churn.json" \
-    obs="$WORK/BENCH_obs.json" \
-    autotune="$WORK/BENCH_autotune.json"
+    "${REPORTS[@]}" || FAILED+=(fold)
 
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+  echo "==> bench.sh: FAILED suites: ${FAILED[*]} (folded what was written" \
+       "into $OUT)" >&2
+  exit 1
+fi
 echo "==> bench.sh: done ($OUT)"

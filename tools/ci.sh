@@ -7,8 +7,8 @@
 #   tools/ci.sh --coverage  # additionally build with gcov instrumentation,
 #                           # ctest it, and summarize via gcovr if installed
 #   tools/ci.sh --perf-gate # additionally run tools/bench.sh --quick and
-#                           # diff the deterministic cases against the
-#                           # committed BENCH_all.json baseline (>5% fails;
+#                           # compare every case exactly with the committed
+#                           # BENCH_all.json baseline (any change fails;
 #                           # add --update-baseline to refresh it instead)
 #
 # The obs gate (DESIGN.md §9) builds a PHOTON_TRACE=OFF comparison tree and
@@ -167,21 +167,28 @@ if [[ "$SOAK_ROUNDS" -gt 0 ]]; then
 fi
 
 if [[ "$PERF_GATE" -eq 1 ]]; then
-  # Perf-regression gate (DESIGN.md §13): quick bench run, then diff the
-  # deterministic cases against the committed baseline.  The self-test
-  # first proves the gate actually trips on an injected 10% slowdown.
+  # Perf gate (DESIGN.md §13): quick bench run, then an exact comparison of
+  # every case with the committed baseline (the gate's self-test runs in
+  # tier-1 ctest).  The comparison runs even when a suite failed, say on a
+  # real-time floor, so the case diff is always reported; either failure
+  # fails the pipeline.
   echo "==> [perf-gate] tools/bench.sh --quick"
+  BENCH_OK=1
   "$ROOT/tools/bench.sh" --quick --skip-build \
-      --out="$ROOT/build/BENCH_all.quick.json"
-  if [[ "$UPDATE_BASELINE" -eq 1 ]]; then
+      --out="$ROOT/build/BENCH_all.quick.json" || BENCH_OK=0
+  if [[ "$UPDATE_BASELINE" -eq 1 && "$BENCH_OK" -eq 1 ]]; then
     cp "$ROOT/build/BENCH_all.quick.json" "$ROOT/BENCH_all.json"
     echo "==> [perf-gate] baseline refreshed: BENCH_all.json"
   fi
-  echo "==> [perf-gate] self-test (injected-slowdown detection)"
-  python3 "$ROOT/tools/perf_gate.py" --self-test "$ROOT/BENCH_all.json"
-  echo "==> [perf-gate] diff vs committed baseline"
+  echo "==> [perf-gate] exact comparison with the committed baseline"
+  GATE_OK=1
   python3 "$ROOT/tools/perf_gate.py" "$ROOT/BENCH_all.json" \
-      "$ROOT/build/BENCH_all.quick.json"
+      "$ROOT/build/BENCH_all.quick.json" || GATE_OK=0
+  if [[ "$BENCH_OK" -eq 0 || "$GATE_OK" -eq 0 ]]; then
+    echo "==> [perf-gate] FAILED (bench suites ok=$BENCH_OK," \
+         "gate ok=$GATE_OK)" >&2
+    exit 1
+  fi
 fi
 
 echo "==> ci.sh: all green"

@@ -2,114 +2,69 @@
 """Fold per-suite bench JSON outputs into one BENCH_all.json.
 
 Unified schema (consumed by tools/perf_gate.py and committed at the repo
-root as the perf-regression baseline):
+root as the perf-gate baseline):
 
     {
-      "schema": "photon.bench_all.v1",
+      "schema": "photon.bench_all.v2",
       "mode": "quick" | "full",
       "suites": {
         "<suite>": {
           "<case>": {
             "value": <number>,
             "unit": "<unit>",
-            "dir": "lower" | "higher" | "exact",
-            "det": true | false,       # deterministic (sim-time / counter)
             "floor": <number>          # optional absolute floor
           }
         }
       }
     }
 
-`det` cases are pure functions of (seed, config): sim-clock seconds,
-token counts, fault counters, loss values.  They are bit-stable across
-machines and thread counts, so the perf gate diffs them against the
-committed baseline.  Non-det cases (wall time, GB/s) are recorded for
-humans and floor checks but never gated against the baseline.
+Every case is a pure function of (seed, config): sim-clock seconds, token
+and byte counts, fault counters, loss values, and bit-identity bools.
+They are bit-stable across machines and thread counts, so the perf gate
+compares them exactly.  Real-clock numbers are not folded: each bench
+asserts its own real-time floors, and bench_e2e measures throughput.
 
 Usage: fold_bench.py --mode=quick|full --out=BENCH_all.json \
-           [kernels=PATH] [round=PATH] [faults=PATH] [churn=PATH] \
-           [obs=PATH] [autotune=PATH]
+           [round=PATH] [faults=PATH] [churn=PATH] [autotune=PATH]
 
-Each suite argument is optional; missing files are skipped with a note so
-a partial rerun can still fold (splice into the committed baseline with
-tools/splice_bench_output.py).
+A suite whose report is missing is skipped with a note; the perf gate
+then fails on each of its cases.
 """
 import json
 import sys
 
 
-def case(value, unit, direction, det, floor=None):
-    c = {"value": value, "unit": unit, "dir": direction, "det": det}
+def case(value, unit, floor=None):
+    c = {"value": value, "unit": unit}
     if floor is not None:
         c["floor"] = floor
     return c
 
 
-def fold_kernels(doc):
-    """photon.bench_kernels.v2: keep each kernel's best-thread GFLOP/s."""
-    out = {}
-    for k in doc.get("kernels", []):
-        results = k.get("results", [])
-        if not results:
-            continue
-        best = max(r.get("gflops", 0.0) for r in results)
-        out[f"{k['name']}_gflops"] = case(best, "GFLOP/s", "higher", False)
-        multi = [r for r in results if r.get("threads", 1) > 1]
-        if multi:
-            speedup = max(r.get("speedup_vs_serial", 1.0) for r in multi)
-            out[f"{k['name']}_thread_speedup"] = case(speedup, "x", "higher",
-                                                     False)
-    return out
-
-
-# Codec encode floors asserted by bench_round_path (GB/s); quantizers have
-# a higher budget because they do arithmetic per element, identity and the
-# byte-level codecs must stream.
-def encode_floor(codec):
-    return 1.0 if codec.startswith("q") else 0.3
-
-
 def fold_round(doc):
-    """bench_round_path output: comm-path speedups + round-0 telemetry."""
+    """bench_round_path output: wire bytes + round-0 telemetry + privacy."""
     out = {}
     for r in doc.get("comm_path", []):
-        label = r["label"]
-        out[f"{label}_speedup"] = case(r["speedup"], "x", "higher", False,
-                                       floor=1.0)
-        out[f"{label}_encode_gbps"] = case(
-            r["encode_gbps"], "GB/s", "higher", False,
-            floor=encode_floor(r.get("codec", "")))
         # Wire bytes are a pure function of (n, K, codec, topology): a
         # change means the wire format or chunking moved.
-        out[f"{label}_wire_bytes"] = case(
-            float(r["wire_bytes"]), "B", "exact", True)
+        out[f"{r['label']}_wire_bytes"] = case(float(r["wire_bytes"]), "B")
     for r in doc.get("rounds", []):
         i = r["round"]
-        out[f"round{i}_comm_bytes"] = case(
-            float(r["comm_bytes"]), "B", "exact", True)
-        out[f"round{i}_train_loss"] = case(
-            r["mean_train_loss"], "loss", "exact", True)
+        out[f"round{i}_comm_bytes"] = case(float(r["comm_bytes"]), "B")
+        out[f"round{i}_train_loss"] = case(r["mean_train_loss"], "loss")
     # Privacy matrix (DESIGN.md §14): every arm metric is a pure function
     # of (seed, config) — loss, sim clock, recovery counts, and the RDP
-    # accountant's epsilon are all pinned exactly.  The masking-encode
-    # throughput is real time: floor-checked, never baseline-diffed.
-    privacy = doc.get("privacy", {})
-    for arm in privacy.get("arms", []):
+    # accountant's epsilon are all pinned exactly.
+    for arm in doc.get("privacy", {}).get("arms", []):
         label = arm["arm"]
-        out[f"privacy_{label}_final_loss"] = case(
-            arm["final_loss"], "loss", "exact", True)
-        out[f"privacy_{label}_sim_s"] = case(
-            arm["sim_seconds"], "s", "exact", True)
+        out[f"privacy_{label}_final_loss"] = case(arm["final_loss"], "loss")
+        out[f"privacy_{label}_sim_s"] = case(arm["sim_seconds"], "s")
         out[f"privacy_{label}_comm_bytes"] = case(
-            float(arm["comm_bytes"]), "B", "exact", True)
+            float(arm["comm_bytes"]), "B")
         out[f"privacy_{label}_dropouts_recovered"] = case(
-            float(arm["dropouts_recovered"]), "count", "exact", True)
+            float(arm["dropouts_recovered"]), "count")
         if arm.get("dp_epsilon", -1.0) >= 0.0:
-            out[f"privacy_{label}_epsilon"] = case(
-                arm["dp_epsilon"], "eps", "exact", True)
-    if "mask_encode_gbps" in privacy:
-        out["secagg_mask_encode_gbps"] = case(
-            privacy["mask_encode_gbps"], "GB/s", "higher", False, floor=1.0)
+            out[f"privacy_{label}_epsilon"] = case(arm["dp_epsilon"], "eps")
     return out
 
 
@@ -120,15 +75,13 @@ def fold_faults(doc):
                 "cohort_retries", "link_retries", "corrupt_chunks",
                 "topology_fallbacks"):
         if key in doc:
-            out[key] = case(float(doc[key]), "count", "exact", True)
+            out[key] = case(float(doc[key]), "count")
     if "backoff_seconds" in doc:
-        out["backoff_sim_s"] = case(doc["backoff_seconds"], "s", "exact",
-                                    True)
+        out["backoff_sim_s"] = case(doc["backoff_seconds"], "s")
     for key in ("serial_parallel_bit_identical",
                 "link_faults_bit_identical_to_fault_free"):
         if key in doc:
-            out[key] = case(1.0 if doc[key] else 0.0, "bool", "exact", True,
-                            floor=1.0)
+            out[key] = case(1.0 if doc[key] else 0.0, "bool", floor=1.0)
     return out
 
 
@@ -138,31 +91,15 @@ def fold_churn(doc):
     for key in ("admission_deferred", "discarded_updates", "arrivals",
                 "departures", "active_population", "max_staleness"):
         if key in doc:
-            out[key] = case(float(doc[key]), "count", "exact", True)
+            out[key] = case(float(doc[key]), "count")
     if "mean_staleness" in doc:
-        out["mean_staleness"] = case(doc["mean_staleness"], "rounds",
-                                     "exact", True)
+        out["mean_staleness"] = case(doc["mean_staleness"], "rounds")
     if "final_train_loss" in doc:
-        out["final_train_loss"] = case(doc["final_train_loss"], "loss",
-                                       "exact", True)
-    if "peak_rss_mb" in doc:
-        out["peak_rss_mb"] = case(doc["peak_rss_mb"], "MB", "lower", False)
+        out["final_train_loss"] = case(doc["final_train_loss"], "loss")
     if "serial_parallel_bit_identical" in doc:
         out["serial_parallel_bit_identical"] = case(
             1.0 if doc["serial_parallel_bit_identical"] else 0.0, "bool",
-            "exact", True, floor=1.0)
-    return out
-
-
-def fold_obs(doc):
-    """bench_obs_overhead: tracing cost ratios (real time, not gated)."""
-    out = {}
-    for key in ("disabled_round_s", "enabled_round_s", "sampled_round_s"):
-        if key in doc:
-            out[key] = case(doc[key], "s", "lower", False)
-    if "enabled_over_disabled" in doc:
-        out["enabled_over_disabled"] = case(doc["enabled_over_disabled"],
-                                            "x", "lower", False)
+            floor=1.0)
     return out
 
 
@@ -172,11 +109,9 @@ def fold_autotune(doc):
 
 
 FOLDERS = {
-    "kernels": fold_kernels,
     "round": fold_round,
     "faults": fold_faults,
     "churn": fold_churn,
-    "obs": fold_obs,
     "autotune": fold_autotune,
 }
 
@@ -216,13 +151,12 @@ def main():
             print(f"fold_bench: {suite}: {len(cases)} cases from {path}")
 
     with open(out_path, "w") as f:
-        json.dump({"schema": "photon.bench_all.v1", "mode": mode,
+        json.dump({"schema": "photon.bench_all.v2", "mode": mode,
                    "suites": suites}, f, indent=1, sort_keys=True)
         f.write("\n")
     total = sum(len(c) for c in suites.values())
-    det = sum(1 for c in suites.values() for v in c.values() if v["det"])
     print(f"fold_bench: wrote {out_path}: {len(suites)} suites, "
-          f"{total} cases ({det} deterministic)")
+          f"{total} cases")
 
 
 if __name__ == "__main__":
