@@ -61,7 +61,7 @@ int main() {
     // Every wire-enabled codec (enabled_wire_codecs()).
     for (const std::string& codec : enabled_wire_codecs()) {
       m.codec = codec;
-      const double wire_kb = static_cast<double>(m.encoded_size()) / 1024.0;
+      const double wire_kb = static_cast<double>(m.encode().size()) / 1024.0;
       t.add_row({codec.empty() ? "(none)" : codec,
                  TablePrinter::fmt(payload_kb, 1),
                  TablePrinter::fmt(wire_kb, 1),
@@ -86,9 +86,9 @@ int main() {
       x = rng.next_bool(0.2) ? 0.0f : rng.gaussian(0.0f, 1e-3f);
     }
     m.codec = "";
-    const double fp32_wire = static_cast<double>(m.encoded_size());
+    const double fp32_wire = static_cast<double>(m.encode().size());
     m.codec = "q8";
-    const double ratio = fp32_wire / static_cast<double>(m.encoded_size());
+    const double ratio = fp32_wire / static_cast<double>(m.encode().size());
 
     TablePrinter t({"Model", "B [MB/s]", "topo", "fp32 s/round", "q8 s/round",
                     "speedup"});

@@ -150,15 +150,6 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
   }
 }
 
-double SimLink::account_raw(std::uint64_t bytes) {
-  ++stats_.messages;
-  stats_.payload_bytes += bytes;
-  stats_.wire_bytes += bytes;
-  const double t = transfer_time(bytes);
-  stats_.transfer_seconds += t;
-  return t;
-}
-
 NetworkFabric::NetworkFabric(std::vector<std::string> sites)
     : sites_(std::move(sites)),
       bandwidth_(sites_.size() * sites_.size(), 0.0) {

@@ -137,11 +137,7 @@ class SimLink {
   /// the link; the closure must outlive it.
   void set_fault_hook(LinkFaultHook hook) { fault_hook_ = std::move(hook); }
 
-  /// Account a raw transfer without message framing (e.g. data streaming).
-  double account_raw(std::uint64_t bytes);
-
   const LinkStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Install the tracing context for subsequent transmits (copy; cheap).
   void set_trace_context(const LinkTraceContext& ctx) { trace_ = ctx; }

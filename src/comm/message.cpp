@@ -274,32 +274,4 @@ void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
   view.bytes.assign(wire.begin(), wire.end());
 }
 
-std::size_t Message::encoded_size() const {
-  const Codec* codec_ptr = require_codec(codec, "Message");
-  const auto pv = view();
-  const ChunkPlan plan = plan_chunks(pv.size() * sizeof(float), g_chunk_bytes);
-
-  std::size_t size = sizeof(kMagic) + sizeof(std::uint8_t) + 2 * sizeof(std::uint32_t);
-  size += sizeof(std::uint64_t) + codec.size();  // codec string
-  size += sizeof(std::uint64_t);                 // n_meta
-  for (const auto& [key, value] : metadata) {
-    size += sizeof(std::uint64_t) + key.size() + sizeof(value);
-  }
-  size += 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);  // elems, chunk, n
-  size += plan.n_chunks * sizeof(std::uint64_t);              // length table
-  size += sizeof(std::uint32_t);                              // crc
-
-  if (codec_ptr->is_identity()) return size + plan.raw_bytes;
-
-  // Compressed sizes require running the codec, but only ever through one
-  // chunk-sized scratch buffer — never a full wire image.
-  const auto* raw = reinterpret_cast<const std::uint8_t*>(pv.data());
-  std::vector<std::uint8_t> scratch;
-  for (std::size_t c = 0; c < plan.n_chunks; ++c) {
-    codec_ptr->compress_into({raw + plan.raw_off(c), plan.raw_len(c)}, scratch);
-    size += scratch.size();
-  }
-  return size;
-}
-
 }  // namespace photon

@@ -142,11 +142,6 @@ struct Message {
   /// detection, none of the dequantization cost.
   static void validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool = nullptr);
-
-  /// Exact wire size without materializing the encode.  O(1) for the
-  /// identity codec; compressed codecs scan chunk-by-chunk through one
-  /// reused scratch buffer (never the whole wire image).
-  std::size_t encoded_size() const;
 };
 
 }  // namespace photon

@@ -318,7 +318,7 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   up.type = MessageType::kClientUpdate;
   up.round = round_;
   up.sender = static_cast<std::uint32_t>(id);
-  up.codec = slot.update.post.codec;
+  up.codec = client.config().link_codec;
   up.payload_view = slot.update.delta;
   up.metadata = slot.update.metrics;
   // A quantized update's wire CRC covers the *compressed* chunk bytes, so
@@ -1508,7 +1508,19 @@ bool Aggregator::restore_latest_checkpoint() {
   }
   if (!ckpt.has_value()) ckpt = checkpoints_.latest();
   if (!ckpt.has_value()) return false;
-  if (ckpt->params.size() != global_params_.size()) return false;
+  // A checkpoint of another federation is refused before anything is
+  // restored.  The EF residual section is optional, so it may be empty.
+  if (ckpt->params.size() != global_params_.size()) {
+    throw std::runtime_error("Aggregator: checkpoint holds " +
+                             std::to_string(ckpt->params.size()) +
+                             " params, the model has " +
+                             std::to_string(global_params_.size()));
+  }
+  if (ckpt->client_trained_rounds.size() != clients_.size() ||
+      (!ckpt->client_ef_residuals.empty() &&
+       ckpt->client_ef_residuals.size() != clients_.size())) {
+    throw std::runtime_error("Aggregator: checkpoint population mismatch");
+  }
   if (ckpt->async_state) validate_async_state(*ckpt->async_state);
 
   global_params_ = ckpt->params;
@@ -1523,22 +1535,18 @@ bool Aggregator::restore_latest_checkpoint() {
   // post-recovery rounds read the exact tokens an uninterrupted run would.
   // Streams cannot rewind, so only positive deltas apply (an in-process
   // restore that already advanced past the checkpoint keeps its position).
-  if (ckpt->client_trained_rounds.size() == clients_.size()) {
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-      const std::uint32_t target = ckpt->client_trained_rounds[c];
-      if (target > client_rounds_[c]) {
-        clients_[c]->fast_forward(target - client_rounds_[c],
-                                  config_.local_steps);
-        client_rounds_[c] = target;
-      }
+  for (std::size_t c = 0; c < clients_.size(); ++c) {
+    const std::uint32_t target = ckpt->client_trained_rounds[c];
+    if (target > client_rounds_[c]) {
+      clients_[c]->fast_forward(target - client_rounds_[c],
+                                config_.local_steps);
+      client_rounds_[c] = target;
     }
   }
   // Restore each client's error-feedback residual (empty vectors for
   // clients that had none).
-  if (ckpt->client_ef_residuals.size() == clients_.size()) {
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-      clients_[c]->set_ef_residual(std::move(ckpt->client_ef_residuals[c]));
-    }
+  for (std::size_t c = 0; c < ckpt->client_ef_residuals.size(); ++c) {
+    clients_[c]->set_ef_residual(std::move(ckpt->client_ef_residuals[c]));
   }
   if (ckpt->async_state) {
     // Async engine: resume mid-buffer.  Membership, admission counters, the

@@ -33,7 +33,7 @@
 #include "core/metrics.hpp"
 #include "core/privacy.hpp"
 #include "core/sampler.hpp"
-#include "core/selection.hpp"
+#include "core/membership.hpp"
 #include "core/server_opt.hpp"
 #include "nn/config.hpp"
 #include "nn/model.hpp"
@@ -211,6 +211,11 @@ class Aggregator {
   const std::vector<std::uint32_t>& client_trained_rounds() const {
     return client_rounds_;
   }
+  /// Effective FedBuff buffer goal (async.buffer_goal, else
+  /// clients_per_round, else the population) and in-flight cap
+  /// (async.max_in_flight, else twice the goal) for this config.
+  int async_buffer_goal() const;
+  int async_max_in_flight() const;
 
   /// Install the deterministic per-client fault schedule (nullptr = none).
   void set_client_fault_hook(ClientFaultHook hook) {
@@ -272,6 +277,9 @@ class Aggregator {
   /// In async mode this also restores the mid-buffer engine state (pending
   /// in-flight updates, membership, admission counters, the sim clock), so
   /// the recovered timeline is bit-identical to an uninterrupted run.
+  /// Returns false only when there is no checkpoint; throws
+  /// std::runtime_error, before restoring anything, on a checkpoint whose
+  /// param count or client population differs from this engine's.
   bool restore_latest_checkpoint();
 
   // --- privacy engine introspection (DESIGN.md §14) ----------------------
@@ -335,9 +343,6 @@ class Aggregator {
   /// Apply the membership plan's arrivals/departures for round_ (client-id
   /// order; pure given (plan, round, states)).
   void apply_membership(RoundRecord& record);
-  /// Effective FedBuff buffer goal / in-flight cap for this config.
-  int async_buffer_goal() const;
-  int async_max_in_flight() const;
   double staleness_weight(std::uint32_t staleness) const;
   /// Deterministic admission-deferral backoff for a client's count'th
   /// consecutive defer; keyed on (retry.jitter_seed, client, count) so a

@@ -42,18 +42,20 @@ LLMClient::LLMClient(int id, ClientTrainConfig config,
       config_.link_codec = env;
     }
   }
+  if (codec_by_name(config_.link_codec) == nullptr) {
+    throw std::invalid_argument("LLMClient: unknown link codec " +
+                                config_.link_codec);
+  }
   if (config_.clip_update_norm > 0.0) {
-    post_.add(std::make_unique<ClipStage>(config_.clip_update_norm));
+    clip_.emplace(config_.clip_update_norm);
   }
   if (config_.dp_noise_multiplier > 0.0) {
     const double clip = config_.clip_update_norm > 0.0
                             ? config_.clip_update_norm
                             : 1.0;
-    post_.add(std::make_unique<DpNoiseStage>(
-        config_.dp_noise_multiplier, clip,
-        hash_combine(seed, 0xD9ULL + static_cast<std::uint64_t>(id))));
+    noise_.emplace(config_.dp_noise_multiplier, clip,
+                   hash_combine(seed, 0xD9ULL + static_cast<std::uint64_t>(id)));
   }
-  post_.add(std::make_unique<CompressStage>(config_.link_codec));
 }
 
 void LLMClient::set_link_codec(const std::string& codec) {
@@ -62,7 +64,6 @@ void LLMClient::set_link_codec(const std::string& codec) {
                                 codec);
   }
   config_.link_codec = codec;
-  post_.set_codec(codec);
 }
 
 void LLMClient::ensure_replica() {
@@ -160,8 +161,9 @@ void LLMClient::run_round(std::span<const float> global_params,
     mean_loss = loss;
     tokens = toks;
   } else {
-    // Nested sub-federation (Alg. 1 L19-25): train `sub_nodes` replicas on
-    // sub-partitioned data (IID default) and average their parameters.
+    // Nested sub-federation (Alg. 1 L19-25): train `sub_nodes` replicas in
+    // turn, each on the next batches of this client's stream, and average
+    // their parameters.
     std::vector<double> param_sum(model_->num_params(), 0.0);
     for (int node = 0; node < config_.sub_nodes; ++node) {
       model_->load_params(global_params);
@@ -192,17 +194,18 @@ void LLMClient::run_round(std::span<const float> global_params,
   kernels::sub(update.delta.data(), global_params.data(), params.data(),
                params.size());
 
-  // Post-processing (Alg. 1 L28): clip / DP noise / codec selection.  The
-  // (round, client) context keys the stateless DP noise stream.
-  update.post = post_.run(update.delta, PostProcessContext{round, id_});
+  // Post-processing (Alg. 1 L28): clip, then DP noise; the wire codec is
+  // applied when the update is encoded.  The (round, client) context keys
+  // the stateless DP noise stream.
+  if (clip_) clip_->apply(update.delta, update.post);
+  if (noise_) noise_->apply(update.delta, update.post, {round, id_});
 
   // Error feedback for lossy wire codecs (DESIGN.md §11): fold the previous
   // round's quantization residual into this update before it hits the wire,
   // then record the residual the codec will leave this round.  The fused
   // quant_i8_ef kernel replicates the codec's chunk/block scales exactly, so
   // residual_of computes precisely delta_sent - dequant(quant(delta_sent)).
-  const Codec* wire_codec = codec_by_name(update.post.codec);
-  const int qbits = wire_codec != nullptr ? wire_codec->quant_bits() : 0;
+  const int qbits = codec_by_name(config_.link_codec)->quant_bits();
   if (qbits != 0 && config_.quant_error_feedback) {
     const std::size_t n = update.delta.size();
     if (ef_residual_.size() != n) ef_residual_.assign(n, 0.0f);

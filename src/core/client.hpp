@@ -2,7 +2,7 @@
 // LLM Client (LLM-C): the local training pipeline of paper Alg. 1, L13-28.
 //
 // Each client owns a model replica, an AdamW ClientOpt, a bound DataSource
-// stream, and a post-processing pipeline.  Per round it: receives global
+// stream, and its post-processing stages.  Per round it: receives global
 // parameters, trains `local_steps` with its hardware batch size under the
 // stretched cosine schedule, optionally runs a nested sub-federation across
 // its nodes (L19-25), checkpoints locally (L27), post-processes the update
@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -47,8 +49,9 @@ struct ClientTrainConfig {
   /// "stateless local optimization procedure").  DiLoCo keeps state.
   bool stateless_optimizer = true;
   /// > 1 enables the nested sub-federation path (Alg. 1 L19-25): the round
-  /// is trained as `sub_nodes` independent replicas over sub-partitioned
-  /// data, locally averaged before returning.
+  /// is trained as `sub_nodes` independent replicas, one after another, each
+  /// on the next batches of the client's one stream, then locally averaged
+  /// before returning.
   int sub_nodes = 1;
   /// Post-processing (Alg. 1 L28).
   double clip_update_norm = 0.0;     // 0 = no update clipping
@@ -125,11 +128,10 @@ class LLMClient {
   void set_trace(const ClientTraceContext& ctx) { trace_ = ctx; }
 
   /// Runtime wire-codec knob (the autotuner's decision interface): retarget
-  /// the post-processing pipeline's compression stage for subsequent
-  /// rounds.  The error-feedback residual is deliberately kept across
-  /// switches — it folds into the next lossy round deterministically in
-  /// both the live and any crash-restored timeline.  Throws on an unknown
-  /// codec name.
+  /// config().link_codec for subsequent rounds.  The error-feedback
+  /// residual is deliberately kept across switches — it folds into the next
+  /// lossy round deterministically in both the live and any crash-restored
+  /// timeline.  Throws on an unknown codec name.
   void set_link_codec(const std::string& codec);
 
   /// Error-feedback residual carried from the last quantized-codec round
@@ -158,7 +160,8 @@ class LLMClient {
   std::unique_ptr<GptModel> model_;  // lazily built; freed when ephemeral
   std::unique_ptr<AdamW> opt_;
   CosineSchedule schedule_;
-  PostProcessPipeline post_;
+  std::optional<ClipStage> clip_;      // set when clip_update_norm > 0
+  std::optional<DpNoiseStage> noise_;  // set when dp_noise_multiplier > 0
   std::vector<float> checkpoint_;
   std::vector<float> ef_residual_;
   double last_grad_norm_ = 0.0;

@@ -2,9 +2,9 @@
 
 #include <stdexcept>
 
-#include "comm/compression.hpp"
 #include "core/privacy.hpp"
 #include "tensor/kernels.hpp"
+#include "util/rng.hpp"
 
 namespace photon {
 
@@ -12,8 +12,8 @@ ClipStage::ClipStage(double max_norm) : max_norm_(max_norm) {
   if (max_norm <= 0.0) throw std::invalid_argument("ClipStage: max_norm <= 0");
 }
 
-void ClipStage::apply(std::span<float> update, PostProcessReport& report,
-                      const PostProcessContext& /*ctx*/) {
+void ClipStage::apply(std::span<float> update,
+                      PostProcessReport& report) const {
   const double norm = kernels::l2_norm(update.data(), update.size());
   report.preclip_norm = norm;
   if (norm > max_norm_ && norm > 0.0) {
@@ -33,7 +33,7 @@ DpNoiseStage::DpNoiseStage(double noise_multiplier, double max_norm,
 }
 
 void DpNoiseStage::apply(std::span<float> update, PostProcessReport& report,
-                         const PostProcessContext& ctx) {
+                         const PostProcessContext& ctx) const {
   report.dp_noise_stddev = stddev_;
   if (stddev_ == 0.0) return;
   // Key the stream on (stage seed, round, client): stateless per element,
@@ -46,52 +46,6 @@ void DpNoiseStage::apply(std::span<float> update, PostProcessReport& report,
     update[i] += static_cast<float>(stddev_ *
                                     privacy::stateless_gaussian(key, i));
   }
-}
-
-CompressStage::CompressStage(std::string codec) : codec_(std::move(codec)) {
-  if (codec_by_name(codec_) == nullptr) {
-    throw std::invalid_argument("CompressStage: unknown codec " + codec_);
-  }
-}
-
-void CompressStage::apply(std::span<float> /*update*/,
-                          PostProcessReport& report,
-                          const PostProcessContext& /*ctx*/) {
-  report.codec = codec_;
-}
-
-void CompressStage::set_codec(std::string codec) {
-  if (codec_by_name(codec) == nullptr) {
-    throw std::invalid_argument("CompressStage: unknown codec " + codec);
-  }
-  codec_ = std::move(codec);
-}
-
-PostProcessPipeline& PostProcessPipeline::add(
-    std::unique_ptr<UpdateStage> stage) {
-  if (stage == nullptr) {
-    throw std::invalid_argument("PostProcessPipeline::add: null stage");
-  }
-  stages_.push_back(std::move(stage));
-  return *this;
-}
-
-bool PostProcessPipeline::set_codec(const std::string& codec) {
-  bool found = false;
-  for (auto& stage : stages_) {
-    if (auto* compress = dynamic_cast<CompressStage*>(stage.get())) {
-      compress->set_codec(codec);
-      found = true;
-    }
-  }
-  return found;
-}
-
-PostProcessReport PostProcessPipeline::run(std::span<float> update,
-                                           const PostProcessContext& ctx) {
-  PostProcessReport report;
-  for (auto& stage : stages_) stage->apply(update, report, ctx);
-  return report;
 }
 
 }  // namespace photon

@@ -1,26 +1,21 @@
 #pragma once
-// Client-update post-processing pipeline (paper Alg. 1 L28: "gradient
-// clipping, compression, or differential privacy noise injection" before
-// returning updates to Agg; §4: Link's "extensible post-processing
-// pipeline").
+// Client-update post-processing (paper Alg. 1 L28: "gradient clipping,
+// compression, or differential privacy noise injection" before returning
+// updates to Agg).
 //
-// Stages run in order over the pseudo-gradient; the compression stage only
-// *selects* the Link codec (compression itself is lossless and happens at
-// the Message layer so the server decodes transparently).
+// LLMClient runs one fixed sequence over the pseudo-gradient: ClipStage,
+// then DpNoiseStage, then the wire codec named by
+// ClientTrainConfig::link_codec, which the Message layer applies when it
+// encodes the update.
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace photon {
 
-/// Identifies the (round, client) a pipeline run belongs to, so stages that
-/// draw randomness (DP noise) can derive it statelessly: replays, crash
-/// recovery, and re-ordered execution reproduce identical bytes.
+/// Identifies the (round, client) an update belongs to, so DP noise can
+/// derive its randomness statelessly: replays, crash recovery, and
+/// re-ordered execution reproduce identical bytes.
 struct PostProcessContext {
   std::uint32_t round = 0;
   int client = -1;
@@ -30,24 +25,13 @@ struct PostProcessReport {
   double preclip_norm = 0.0;
   bool clipped = false;
   double dp_noise_stddev = 0.0;
-  std::string codec;
-};
-
-class UpdateStage {
- public:
-  virtual ~UpdateStage() = default;
-  virtual std::string name() const = 0;
-  virtual void apply(std::span<float> update, PostProcessReport& report,
-                     const PostProcessContext& ctx) = 0;
 };
 
 /// L2-norm clipping of the whole update (pseudo-gradient).
-class ClipStage final : public UpdateStage {
+class ClipStage {
  public:
   explicit ClipStage(double max_norm);
-  std::string name() const override { return "clip"; }
-  void apply(std::span<float> update, PostProcessReport& report,
-             const PostProcessContext& ctx) override;
+  void apply(std::span<float> update, PostProcessReport& report) const;
 
  private:
   double max_norm_;
@@ -57,49 +41,15 @@ class ClipStage final : public UpdateStage {
 /// preceding ClipStage for (eps, delta)-DP accounting).  Draws are
 /// stateless per (seed, round, client, element) — see core/privacy.hpp —
 /// so the same (round, client) always injects the same noise bytes.
-class DpNoiseStage final : public UpdateStage {
+class DpNoiseStage {
  public:
   DpNoiseStage(double noise_multiplier, double max_norm, std::uint64_t seed);
-  std::string name() const override { return "dp-noise"; }
   void apply(std::span<float> update, PostProcessReport& report,
-             const PostProcessContext& ctx) override;
+             const PostProcessContext& ctx) const;
 
  private:
   double stddev_;
   std::uint64_t seed_;
-};
-
-/// Select the lossless Link codec for the outgoing message.
-class CompressStage final : public UpdateStage {
- public:
-  explicit CompressStage(std::string codec);
-  std::string name() const override { return "compress"; }
-  void apply(std::span<float> update, PostProcessReport& report,
-             const PostProcessContext& ctx) override;
-  /// Retarget the codec (autotuner knob); throws on an unknown name.
-  void set_codec(std::string codec);
-  const std::string& codec() const { return codec_; }
-
- private:
-  std::string codec_;
-};
-
-class PostProcessPipeline {
- public:
-  PostProcessPipeline() = default;
-
-  PostProcessPipeline& add(std::unique_ptr<UpdateStage> stage);
-  std::size_t num_stages() const { return stages_.size(); }
-
-  /// Retarget every compression stage's codec (the autotuner's wire-codec
-  /// knob); returns false when the pipeline has no compression stage.
-  bool set_codec(const std::string& codec);
-
-  PostProcessReport run(std::span<float> update,
-                        const PostProcessContext& ctx = {});
-
- private:
-  std::vector<std::unique_ptr<UpdateStage>> stages_;
 };
 
 }  // namespace photon

@@ -1,6 +1,5 @@
 #include "core/server_opt.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "tensor/kernel_context.hpp"
@@ -68,40 +67,11 @@ void NesterovOpt::apply(std::span<float> params,
 
 void NesterovOpt::reset() { buf_.clear(); }
 
-void FedAdamOpt::apply(std::span<float> params,
-                       std::span<const float> pseudo_grad) {
-  check_sizes(params, pseudo_grad);
-  if (m_.size() != params.size()) {
-    m_.assign(params.size(), 0.0f);
-    v_.assign(params.size(), 0.0f);
-    t_ = 0;
-  }
-  ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  // The fused op computes lr*(mhat/denom) rather than (lr*mhat)/denom;
-  // that reassociation moves the update by at most one ulp and stays
-  // deterministic across variants and thread counts.
-  const auto& ops = kernels::default_context().simd();
-  for_shards(params.size(), [&](std::size_t i0, std::size_t i1) {
-    ops.adamw(params.data() + i0, m_.data() + i0, v_.data() + i0,
-              pseudo_grad.data() + i0, i1 - i0, /*gscale=*/1.0f, lr_, beta1_,
-              beta2_, bc1, bc2, eps_, /*wd=*/0.0f);
-  });
-}
-
-void FedAdamOpt::reset() {
-  m_.clear();
-  v_.clear();
-  t_ = 0;
-}
-
 std::unique_ptr<ServerOpt> make_server_opt(const std::string& name, float lr,
                                            float momentum) {
   if (name == "fedavg") return std::make_unique<FedAvgOpt>(lr);
   if (name == "fedmom") return std::make_unique<FedMomOpt>(lr, momentum);
   if (name == "nesterov") return std::make_unique<NesterovOpt>(lr, momentum);
-  if (name == "fedadam") return std::make_unique<FedAdamOpt>(lr);
   throw std::invalid_argument("make_server_opt: unknown optimizer " + name);
 }
 

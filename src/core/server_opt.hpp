@@ -10,8 +10,6 @@
 //    Table 5.
 //  * Nesterov — SGD with Nesterov momentum; DiLoCo's recommended OuterOpt
 //    (eta_s in {0.1..0.7}, mu = 0.9 per Fig. 8).
-//  * FedAdam — adaptive server optimizer (Reddi et al. 2021), provided as
-//    the extension hook §6 calls for.
 
 #include <memory>
 #include <span>
@@ -87,38 +85,8 @@ class NesterovOpt final : public ServerOpt {
   std::vector<float> buf_;
 };
 
-class FedAdamOpt final : public ServerOpt {
- public:
-  FedAdamOpt(float lr, float beta1 = 0.9f, float beta2 = 0.99f,
-             float eps = 1e-8f)
-      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-  std::string name() const override { return "fedadam"; }
-  void apply(std::span<float> params,
-             std::span<const float> pseudo_grad) override;
-  void reset() override;
-  void save_state(BinaryWriter& w) const override {
-    w.write(static_cast<std::uint64_t>(t_));
-    w.write_vector(m_);
-    w.write_vector(v_);
-  }
-  void load_state(BinaryReader& r) override {
-    t_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-    m_ = r.read_vector<float>();
-    v_ = r.read_vector<float>();
-  }
-
- private:
-  float lr_;
-  float beta1_;
-  float beta2_;
-  float eps_;
-  std::vector<float> m_;
-  std::vector<float> v_;
-  std::size_t t_ = 0;
-};
-
-/// Factory used by experiment configs: "fedavg", "fedmom", "nesterov",
-/// "fedadam" with (lr, momentum) where applicable.
+/// Factory used by experiment configs: "fedavg", "fedmom" or "nesterov"
+/// with (lr, momentum) where applicable.
 std::unique_ptr<ServerOpt> make_server_opt(const std::string& name, float lr,
                                            float momentum);
 

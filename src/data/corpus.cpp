@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "data/tokenizer.hpp"
-
 namespace photon {
 
 MarkovSource::MarkovSource(const CorpusConfig& config, const CorpusStyle& style)

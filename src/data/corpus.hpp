@@ -20,6 +20,15 @@
 
 namespace photon {
 
+/// Reserved token ids shared by the corpora and the evaluation probes.
+struct SpecialTokens {
+  static constexpr int kPad = 0;
+  static constexpr int kBos = 1;
+  static constexpr int kEos = 2;
+  static constexpr int kSep = 3;
+  static constexpr int kFirstContent = 4;
+};
+
 struct CorpusStyle {
   std::string name;          // e.g. "web", "academic", "prose", "wiki"
   std::uint64_t style_seed = 1;

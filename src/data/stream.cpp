@@ -3,8 +3,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "data/tokenizer.hpp"
-
 namespace photon {
 
 Batch DataSource::next_batch(int batch, int seq) {
@@ -114,41 +112,6 @@ std::uint64_t StreamMixer::bytes_streamed() const {
   std::uint64_t total = 0;
   for (const auto& s : sources_) total += s->bytes_streamed();
   return total;
-}
-
-PartitionStream::PartitionStream(std::unique_ptr<DataSource> parent,
-                                 std::size_t index, std::size_t num_parts,
-                                 std::size_t granularity)
-    : parent_(std::move(parent)),
-      name_(parent_->name() + "-part" + std::to_string(index)),
-      index_(index),
-      num_parts_(num_parts),
-      granularity_(granularity) {
-  if (num_parts_ == 0 || index_ >= num_parts_) {
-    throw std::invalid_argument("PartitionStream: bad index/num_parts");
-  }
-  if (granularity_ == 0) {
-    throw std::invalid_argument("PartitionStream: granularity == 0");
-  }
-}
-
-void PartitionStream::next_tokens(std::size_t n, std::vector<int>& out) {
-  // Deal chunks round-robin and keep only this node's share, so sibling
-  // partitions driven by cloned parents see disjoint data.
-  std::vector<int> chunk;
-  std::size_t remaining = n;
-  while (remaining > 0) {
-    for (std::size_t part = 0; part < num_parts_; ++part) {
-      chunk.clear();
-      const std::size_t take = std::min(remaining, granularity_);
-      parent_->next_tokens(take, chunk);
-      if (part == index_) {
-        out.insert(out.end(), chunk.begin(), chunk.end());
-        remaining -= take;
-        if (remaining == 0) break;
-      }
-    }
-  }
 }
 
 TokenDataset materialize(DataSource& source, std::size_t n) {

@@ -5,9 +5,7 @@
 //  * a DataSource produces a continuous token stream bound to one LLM-C;
 //  * sources can be private (one client) or public (shared);
 //  * StreamMixer mixes arbitrary streams with precise sampling control;
-//  * CachedSource adds the pre-tokenization/caching optimization;
-//  * PartitionStream sub-partitions a client stream across intra-client
-//    nodes for the nested sub-federation path (Alg. 1, L22).
+//  * CachedSource adds the pre-tokenization/caching optimization.
 // Sources account bytes delivered, so benches can report DS traffic.
 
 #include <cstdint>
@@ -123,29 +121,6 @@ class StreamMixer final : public DataSource {
   std::vector<std::uint64_t> drawn_;
   std::string name_ = "mixer";
   Rng rng_;
-  std::size_t granularity_;
-};
-
-/// View over a parent stream that deals every `granularity` tokens round-
-/// robin across `num_parts` nodes; part `index` keeps its share.  Models
-/// PartitionStream (Alg. 1, L22) for sub-federations.  All parts must be
-/// driven by separate PartitionStream instances over source clones.
-class PartitionStream final : public DataSource {
- public:
-  PartitionStream(std::unique_ptr<DataSource> parent, std::size_t index,
-                  std::size_t num_parts, std::size_t granularity = 64);
-
-  const std::string& name() const override { return name_; }
-  void next_tokens(std::size_t n, std::vector<int>& out) override;
-  std::uint64_t bytes_streamed() const override {
-    return parent_->bytes_streamed();
-  }
-
- private:
-  std::unique_ptr<DataSource> parent_;
-  std::string name_;
-  std::size_t index_;
-  std::size_t num_parts_;
   std::size_t granularity_;
 };
 

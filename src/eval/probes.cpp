@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "data/tokenizer.hpp"
-
 namespace photon {
 namespace {
 

@@ -234,24 +234,4 @@ std::string render_round_table(const std::vector<TraceEvent>& events) {
   return table.render();
 }
 
-std::string render_metrics_table(const MetricsRegistry& registry) {
-  TablePrinter table({"metric", "type", "value", "count", "min", "max"});
-  for (const std::string& name : registry.counter_names()) {
-    table.add_row({name, "counter",
-                   std::to_string(registry.counter_value(name)), "", "", ""});
-  }
-  for (const std::string& name : registry.gauge_names()) {
-    table.add_row({name, "gauge", TablePrinter::fmt(registry.gauge_value(name), 4),
-                   "", "", ""});
-  }
-  for (const std::string& name : registry.histogram_names()) {
-    const HistogramData h = registry.histogram_snapshot(name);
-    table.add_row({name, "hist", TablePrinter::fmt(h.mean(), 4),
-                   std::to_string(h.total),
-                   h.total > 0 ? TablePrinter::fmt(h.min, 4) : "",
-                   h.total > 0 ? TablePrinter::fmt(h.max, 4) : ""});
-  }
-  return table.render();
-}
-
 }  // namespace photon::obs

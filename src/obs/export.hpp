@@ -1,5 +1,5 @@
 #pragma once
-// Trace and metrics exporters (DESIGN.md §9).
+// Trace exporters (DESIGN.md §9).
 //
 // Three output formats from one drained event stream:
 //
@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace photon::obs {
@@ -89,8 +88,5 @@ std::vector<RoundAttribution> attribute_rounds(
 /// fault-event counts.  One row per round present in `events`.  Rendered
 /// from attribute_rounds().
 std::string render_round_table(const std::vector<TraceEvent>& events);
-
-/// Aligned dump of every registered counter, gauge, and histogram summary.
-std::string render_metrics_table(const MetricsRegistry& registry);
 
 }  // namespace photon::obs

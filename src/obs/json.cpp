@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace photon::obs::json {
 
@@ -77,6 +78,8 @@ namespace {
 
 class Parser {
  public:
+  static constexpr int kMaxDepth = 512;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value parse_document() {
@@ -120,8 +123,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each container level recurses once; the cap bounds the stack.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -261,6 +272,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open objects and arrays around pos_
 };
 
 }  // namespace

@@ -51,6 +51,8 @@ class Value {
 };
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.
+/// Throws std::runtime_error on malformed input and on objects or arrays
+/// nested more than 512 levels deep.
 Value parse(std::string_view text);
 
 }  // namespace photon::obs::json

@@ -126,12 +126,4 @@ void FaultInjector::install(Aggregator& agg) const {
   }
 }
 
-void FaultInjector::uninstall(Aggregator& agg) {
-  agg.set_client_fault_hook(nullptr);
-  for (int id = 0; id < agg.population(); ++id) {
-    agg.link(id).set_fault_hook(nullptr);
-  }
-  agg.set_membership_plan(MembershipPlan{});
-}
-
 }  // namespace photon

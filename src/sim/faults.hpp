@@ -19,7 +19,7 @@
 
 #include "comm/link.hpp"
 #include "core/aggregator.hpp"
-#include "core/selection.hpp"
+#include "core/membership.hpp"
 #include "obs/metrics.hpp"
 
 namespace photon {
@@ -75,11 +75,8 @@ class FaultInjector {
 
   /// Install the client hook on `agg` and a per-link hook on every client
   /// link.  The hooks capture `this`: the injector must outlive the
-  /// aggregator (or be uninstalled first).
+  /// aggregator.
   void install(Aggregator& agg) const;
-
-  /// Remove all hooks this injector installed on `agg`.
-  static void uninstall(Aggregator& agg);
 
   /// Count every injected fault on `registry` ("faults.injected.crash",
   /// ".straggle", ".drop", ".corrupt"); nullptr disables.  The counters are

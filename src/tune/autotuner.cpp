@@ -92,9 +92,14 @@ void TunerDecision::serialize(BinaryWriter& w) const {
 TunerDecision TunerDecision::deserialize(BinaryReader& r) {
   TunerDecision d;
   d.round = r.read<std::uint32_t>();
-  d.binding = static_cast<BindingResource>(r.read<std::uint8_t>());
+  d.binding = read_binding(r);
   d.codec = r.read_string();
-  d.topology = static_cast<Topology>(r.read<std::uint8_t>());
+  const auto topology = r.read<std::uint8_t>();
+  if (topology > static_cast<std::uint8_t>(Topology::kRingAllReduce)) {
+    throw std::runtime_error("RoundAutotuner: bad topology byte " +
+                             std::to_string(topology));
+  }
+  d.topology = static_cast<Topology>(topology);
   d.clients_per_round = r.read<int>();
   d.buffer_goal = r.read<int>();
   d.max_in_flight = r.read<int>();
@@ -128,11 +133,8 @@ void RoundAutotuner::bind_initial(Aggregator& agg) {
   d.clients_per_round =
       ac.clients_per_round > 0 ? ac.clients_per_round : population_;
   d.codec = population_ > 0 ? agg.client(0).config().link_codec : "";
-  const int goal = ac.async.buffer_goal > 0 ? ac.async.buffer_goal
-                                            : d.clients_per_round;
-  d.buffer_goal = goal;
-  d.max_in_flight =
-      ac.async.max_in_flight > 0 ? ac.async.max_in_flight : 2 * goal;
+  d.buffer_goal = agg.async_buffer_goal();
+  d.max_in_flight = agg.async_max_in_flight();
   d.kernel_grain = kernels::default_context().grain();
   d.wire_chunk_bytes = wire_chunk_bytes();
   d.digest_hash = 0;
@@ -335,25 +337,26 @@ void RoundAutotuner::restore_state(std::span<const std::uint8_t> bytes) {
     throw std::runtime_error("RoundAutotuner: tuner-state seed mismatch");
   }
   const double sim_clock = r.read<double>();
-  if (agg_ != nullptr) agg_->set_sim_clock(sim_clock);
-  const auto nh = r.read<std::uint64_t>();
-  history_.clear();
-  history_.reserve(static_cast<std::size_t>(nh));
-  for (std::uint64_t i = 0; i < nh; ++i) {
-    history_.push_back(TunerDecision::deserialize(r));
+  // Both lists grow one record at a time, so a count the bytes cannot back
+  // fails on a truncated read, never on a huge allocation.  Nothing is
+  // committed until every record has parsed.
+  std::vector<TunerDecision> history;
+  for (auto n = r.read<std::uint64_t>(); n > 0; --n) {
+    history.push_back(TunerDecision::deserialize(r));
   }
-  const auto nd = r.read<std::uint64_t>();
-  digests_.clear();
-  digests_.reserve(static_cast<std::size_t>(nd));
-  tail_seen_ = false;
-  for (std::uint64_t i = 0; i < nd; ++i) {
-    digests_.push_back(TraceDigest::deserialize(r));
-    tail_seen_ =
-        tail_seen_ || digests_.back().binding == BindingResource::kStragglerTail;
+  std::vector<TraceDigest> digests;
+  for (auto n = r.read<std::uint64_t>(); n > 0; --n) {
+    digests.push_back(TraceDigest::deserialize(r));
   }
-  if (history_.empty()) {
+  if (history.empty()) {
     throw std::runtime_error("RoundAutotuner: restored empty history");
   }
+  if (agg_ != nullptr) agg_->set_sim_clock(sim_clock);
+  history_ = std::move(history);
+  digests_ = std::move(digests);
+  tail_seen_ = std::any_of(digests_.begin(), digests_.end(), [](const auto& d) {
+    return d.binding == BindingResource::kStragglerTail;
+  });
   last_observed_ = digests_.empty()
                        ? -1
                        : static_cast<std::int64_t>(digests_.back().round);

@@ -1,5 +1,8 @@
 #include "tune/trace_digest.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace photon::tune {
 
 namespace {
@@ -38,6 +41,15 @@ const char* binding_resource_name(BindingResource r) {
     case BindingResource::kPrivacy: return "privacy";
   }
   return "?";
+}
+
+BindingResource read_binding(BinaryReader& r) {
+  const auto b = r.read<std::uint8_t>();
+  if (b > static_cast<std::uint8_t>(BindingResource::kPrivacy)) {
+    throw std::runtime_error("tune: bad binding-resource byte " +
+                             std::to_string(b));
+  }
+  return static_cast<BindingResource>(b);
 }
 
 std::uint64_t TraceDigest::hash() const {
@@ -99,7 +111,7 @@ TraceDigest TraceDigest::deserialize(BinaryReader& r) {
   d.async_drain = r.read<std::uint8_t>();
   d.comm_bytes = r.read<std::uint64_t>();
   d.tokens = r.read<std::uint64_t>();
-  d.binding = static_cast<BindingResource>(r.read<std::uint8_t>());
+  d.binding = read_binding(r);
   return d;
 }
 

@@ -31,6 +31,10 @@ enum class BindingResource : std::uint8_t {
 
 const char* binding_resource_name(BindingResource r);
 
+/// Reads a serialized BindingResource byte; throws std::runtime_error on a
+/// byte that names no resource.
+BindingResource read_binding(BinaryReader& r);
+
 /// Deterministic per-round condensation of the span tree + round record.
 struct TraceDigest {
   std::uint32_t round = 0;

@@ -23,7 +23,7 @@
 #include "core/aggregator.hpp"
 #include "core/checkpoint.hpp"
 #include "core/client.hpp"
-#include "core/selection.hpp"
+#include "core/membership.hpp"
 #include "core/server_opt.hpp"
 #include "data/corpus.hpp"
 #include "data/stream.hpp"
@@ -455,6 +455,7 @@ void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
   ckpt.params.assign(before.size(), 0.5f);
   AsyncAggregatorState& st = ckpt.async_state.emplace();
   const auto pop = static_cast<std::size_t>(agg->population());
+  ckpt.client_trained_rounds.assign(pop, 0);
   st.membership.assign(pop,
                        static_cast<std::uint8_t>(MembershipState::kActive));
   st.defer_counts.assign(pop, 0);

@@ -341,6 +341,24 @@ TEST(Autotune, TunerStateRejectsForeignBytes) {
   RoundAutotuner reseeded(other);
   reseeded.bind_initial(*agg);
   EXPECT_THROW(reseeded.restore_state(good), std::runtime_error);
+
+  // A decision count the bytes cannot back fails on a truncated read, not
+  // on a huge allocation.  The count follows the magic, seed and sim clock.
+  const std::size_t count_at = 4 + 8 + 8;
+  for (const std::uint64_t claim : {std::uint64_t{1} << 62,
+                                    std::uint64_t{1} << 36}) {
+    std::vector<std::uint8_t> huge = good;
+    std::memcpy(huge.data() + count_at, &claim, sizeof(claim));
+    EXPECT_THROW(tuner.restore_state(huge), std::runtime_error) << claim;
+  }
+  // The first decision's topology byte names no topology.  It follows the
+  // decision's round, binding byte and codec string.
+  const std::size_t codec_at = count_at + 8 + 4 + 1;
+  std::uint64_t codec_len = 0;
+  std::memcpy(&codec_len, good.data() + codec_at, sizeof(codec_len));
+  std::vector<std::uint8_t> topology = good;
+  topology[codec_at + 8 + codec_len] = 3;
+  EXPECT_THROW(tuner.restore_state(topology), std::runtime_error);
   agg->set_state_extension(nullptr);
 }
 

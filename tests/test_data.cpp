@@ -1,5 +1,5 @@
-// data/: tokenizers, Markov corpora (incl. heterogeneity control), sharding,
-// batching, and the DS streaming stack.
+// data/: Markov corpora (incl. heterogeneity control), sharding, batching,
+// and the DS streaming stack.
 
 #include <gtest/gtest.h>
 
@@ -9,40 +9,10 @@
 #include "data/corpus.hpp"
 #include "data/dataset.hpp"
 #include "data/stream.hpp"
-#include "data/tokenizer.hpp"
 #include "util/rng.hpp"
 
 namespace photon {
 namespace {
-
-// ----------------------------------------------------------- tokenizers --
-TEST(ByteTokenizer, RoundTripsAscii) {
-  ByteTokenizer tok(256);
-  const std::string text = "hello Photon 123";
-  const auto ids = tok.encode(text);
-  EXPECT_EQ(ids.size(), text.size());
-  EXPECT_EQ(tok.decode(ids), text);
-  for (int id : ids) {
-    EXPECT_GE(id, SpecialTokens::kFirstContent);
-    EXPECT_LT(id, 256);
-  }
-}
-
-TEST(ByteTokenizer, RejectsTinyVocab) {
-  EXPECT_THROW(ByteTokenizer(3), std::invalid_argument);
-}
-
-TEST(WordTokenizer, TrainsFrequencyVocab) {
-  const std::vector<std::string> docs{"the cat sat", "the cat ran",
-                                      "the dog sat"};
-  const WordTokenizer tok = WordTokenizer::train(docs, 8);
-  EXPECT_TRUE(tok.contains("the"));
-  EXPECT_TRUE(tok.contains("cat"));
-  const auto ids = tok.encode("the cat flew");
-  EXPECT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[2], tok.unk_id());
-  EXPECT_EQ(tok.decode({ids[0], ids[1]}), "the cat");
-}
 
 // --------------------------------------------------------------- corpora --
 TEST(MarkovSource, DeterministicForSeed) {
@@ -240,25 +210,6 @@ TEST(StreamMixer, RespectsWeights) {
 TEST(StreamMixer, ValidatesArguments) {
   std::vector<std::unique_ptr<DataSource>> empty;
   EXPECT_THROW(StreamMixer(std::move(empty), {}, 1), std::invalid_argument);
-}
-
-TEST(PartitionStream, PartsAreDisjointSlicesOfParent) {
-  auto corpus = test_corpus();
-  // Two partitions driven by identically seeded parents: interleaved chunks.
-  PartitionStream part0(std::make_unique<CorpusStreamSource>(corpus, 5), 0, 2,
-                        /*granularity=*/8);
-  PartitionStream part1(std::make_unique<CorpusStreamSource>(corpus, 5), 1, 2,
-                        /*granularity=*/8);
-  std::vector<int> a, b, whole;
-  part0.next_tokens(16, a);
-  part1.next_tokens(16, b);
-  CorpusStreamSource raw(corpus, 5);
-  raw.next_tokens(32, whole);
-  // part0 takes chunks 0,2; part1 takes chunks 1,3.
-  EXPECT_TRUE(std::equal(a.begin(), a.begin() + 8, whole.begin()));
-  EXPECT_TRUE(std::equal(b.begin(), b.begin() + 8, whole.begin() + 8));
-  EXPECT_TRUE(std::equal(a.begin() + 8, a.end(), whole.begin() + 16));
-  EXPECT_TRUE(std::equal(b.begin() + 8, b.end(), whole.begin() + 24));
 }
 
 TEST(Materialize, BuildsDatasetOfRequestedSize) {

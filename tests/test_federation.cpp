@@ -130,19 +130,48 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
 }
 
 TEST(LLMClient, PostProcessingCodecPropagates) {
+  // Alg. 1 L28 is one fixed sequence: clip, then DP noise, then the wire
+  // codec named by config().link_codec.
   auto cfg = tiny_client_config();
   cfg.link_codec = "rle0";
   cfg.clip_update_norm = 1e-3;  // aggressive clip -> report.clipped
-  LLMClient client(0, cfg, tiny_stream(7), 23);
   GptModel global(tiny_model(), 29);
-  const ClientUpdate up = client.run_round(
-      std::vector<float>(global.params().begin(), global.params().end()), 0,
-      4, 0);
-  EXPECT_EQ(up.post.codec, "rle0");
+  const std::vector<float> params(global.params().begin(),
+                                  global.params().end());
+  LLMClient clipped(0, cfg, tiny_stream(7), 23);
+  const ClientUpdate up = clipped.run_round(params, 0, 4, 0);
   EXPECT_TRUE(up.post.clipped);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;
   EXPECT_NEAR(std::sqrt(norm), 1e-3, 1e-4);
+  EXPECT_TRUE(clipped.ef_residual().empty());  // lossless: no residual
+
+  // DP noise lands on the clipped update: the noisy twin's delta is the
+  // clipped delta plus the noise a DpNoiseStage with the client's seed
+  // draws for (round 0, client 0), byte for byte.
+  cfg.dp_noise_multiplier = 1.0;
+  LLMClient noisy(0, cfg, tiny_stream(7), 23);
+  const ClientUpdate loud = noisy.run_round(params, 0, 4, 0);
+  EXPECT_TRUE(loud.post.clipped);
+  EXPECT_DOUBLE_EQ(loud.post.dp_noise_stddev, 1e-3);
+  std::vector<float> expected = up.delta;
+  PostProcessReport report;
+  DpNoiseStage(1.0, 1e-3, hash_combine(23, 0xD9ULL)).apply(expected, report,
+                                                           {0, 0});
+  ASSERT_EQ(loud.delta.size(), expected.size());
+  EXPECT_EQ(0, std::memcmp(loud.delta.data(), expected.data(),
+                           expected.size() * sizeof(float)));
+
+  // set_link_codec retargets the one codec copy: the next round runs the
+  // q8 error feedback, and an unknown name changes nothing.
+  clipped.set_link_codec("q8");
+  EXPECT_EQ(clipped.config().link_codec, "q8");
+  (void)clipped.run_round(params, 1, 4, 4);
+  EXPECT_EQ(clipped.ef_residual().size(), params.size());
+  EXPECT_THROW(clipped.set_link_codec("gzip"), std::invalid_argument);
+  EXPECT_EQ(clipped.config().link_codec, "q8");
+  cfg.link_codec = "gzip";
+  EXPECT_THROW(LLMClient(1, cfg, tiny_stream(8), 23), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- aggregator --
@@ -271,6 +300,50 @@ TEST(Aggregator, CheckpointRestoreRestartsFromLatest) {
   for (std::size_t i = 0; i < at2.size(); i += 211) {
     EXPECT_FLOAT_EQ(agg->global_params()[i], at2[i]);
   }
+}
+
+TEST(Aggregator, RestoreRejectsAnotherFederationsCheckpoint) {
+  // A checkpoint fits only the federation that wrote it.  Restoring it into
+  // another population or another model throws before anything changes;
+  // false means only that there is no checkpoint.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "photon_foreign_ckpt";
+  std::filesystem::remove_all(dir);
+  const auto make = [&](int population, const ModelConfig& model) {
+    std::vector<std::unique_ptr<LLMClient>> clients;
+    for (int i = 0; i < population; ++i) {
+      auto cfg = tiny_client_config();
+      cfg.model = model;
+      clients.push_back(std::make_unique<LLMClient>(
+          i, cfg, tiny_stream(100 + static_cast<std::uint64_t>(i)), 7));
+    }
+    AggregatorConfig ac;
+    ac.local_steps = 1;
+    ac.parallel_clients = false;
+    ac.checkpoint_dir = dir;
+    return std::make_unique<Aggregator>(model, ac,
+                                        make_server_opt("fedavg", 1.0f, 0.0f),
+                                        std::move(clients), 55);
+  };
+  const auto expect_refused = [](Aggregator& agg) {
+    const std::vector<float> before(agg.global_params().begin(),
+                                    agg.global_params().end());
+    EXPECT_THROW(agg.restore_latest_checkpoint(), std::runtime_error);
+    EXPECT_EQ(agg.round(), 0u);
+    EXPECT_EQ(0, std::memcmp(before.data(), agg.global_params().data(),
+                             before.size() * sizeof(float)));
+    for (const std::uint32_t r : agg.client_trained_rounds()) EXPECT_EQ(r, 0u);
+  };
+  EXPECT_FALSE(make(6, tiny_model())->restore_latest_checkpoint());
+  make(6, tiny_model())->run_round();
+  expect_refused(*make(5, tiny_model()));
+  ModelConfig wider = tiny_model();
+  wider.d_model = 32;
+  expect_refused(*make(6, wider));
+  auto same = make(6, tiny_model());
+  EXPECT_TRUE(same->restore_latest_checkpoint());
+  EXPECT_EQ(same->round(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Aggregator, ParallelAndSequentialClientsAgreeBitExactly) {

@@ -316,6 +316,12 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(obs::json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(obs::json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(obs::json::parse("nul"), std::runtime_error);
+  // Nesting is capped before the parser's recursion exhausts the stack.
+  EXPECT_THROW(obs::json::parse(std::string(100000, '[')), std::runtime_error);
+  EXPECT_EQ(obs::json::parse(std::string(512, '[') + std::string(512, ']'))
+                .as_array()
+                .size(),
+            1u);
 }
 
 // --------------------------------------------------------------- exporters --
@@ -380,18 +386,6 @@ TEST(Export, RoundTableAttributesPhases) {
   EXPECT_NE(table.find("round"), std::string::npos);
   EXPECT_NE(table.find("collective_s"), std::string::npos);
   EXPECT_NE(table.find("crashes"), std::string::npos);
-}
-
-TEST(Export, MetricsTableListsEveryRegisteredMetric) {
-  obs::MetricsRegistry reg;
-  reg.counter("wire.bytes").add(42);
-  reg.gauge("tokens_per_s").set(7.0);
-  reg.histogram("client.seconds").observe(3.0);
-  const std::string table = obs::render_metrics_table(reg);
-  EXPECT_NE(table.find("wire.bytes"), std::string::npos);
-  EXPECT_NE(table.find("42"), std::string::npos);
-  EXPECT_NE(table.find("tokens_per_s"), std::string::npos);
-  EXPECT_NE(table.find("client.seconds"), std::string::npos);
 }
 
 // ------------------------------------------------------ kernel attribution --

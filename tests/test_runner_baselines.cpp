@@ -1,13 +1,12 @@
 // End-to-end runs: PhotonRunner federated training improves perplexity and
-// honors its controls; centralized / DDP / DiLoCo baselines behave as the
-// paper describes.
+// honors its controls; centralized and DiLoCo baselines behave as the paper
+// describes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "baselines/centralized.hpp"
-#include "baselines/ddp.hpp"
 #include "baselines/diloco.hpp"
 #include "core/runner.hpp"
 
@@ -120,47 +119,6 @@ TEST(CentralizedTrainer, DetectsDivergenceAtAbsurdLr) {
   const CentralizedResult result = CentralizedTrainer(cc).run();
   EXPECT_TRUE(result.diverged);
   EXPECT_LT(result.steps_run, 200);
-}
-
-TEST(DdpTrainer, MatchesCentralizedWithEquivalentBatch) {
-  // DDP with K workers x batch b is numerically a batch K*b centralized
-  // step (same gradient expectation); check both *learn* to similar loss.
-  DdpConfig dc;
-  dc.model = ModelConfig::nano();
-  dc.workers = 2;
-  dc.worker_batch = 2;
-  dc.steps = 64;
-  dc.eval_every = 64;
-  dc.eval_batches = 2;
-  dc.eval_batch_size = 4;
-  dc.max_lr = 8e-3f;
-  dc.warmup_steps = 8;
-  dc.seed = 9;
-  DdpTrainer ddp(dc);
-  const DdpResult result = ddp.run();
-  EXPECT_EQ(result.steps_run, 64);
-  EXPECT_GT(result.total_comm_bytes, 0u);
-  EXPECT_GT(result.total_comm_seconds, 0.0);
-  const double final_ppl = result.history.final_perplexity();
-  EXPECT_LT(final_ppl, 100.0);  // vocab 128 -> untrained ppl ~ 100+
-}
-
-TEST(DdpTrainer, CommunicatesEveryStep) {
-  DdpConfig dc;
-  dc.model = ModelConfig::nano();
-  dc.workers = 4;
-  dc.worker_batch = 1;
-  dc.steps = 8;
-  dc.warmup_steps = 2;
-  dc.eval_every = 8;
-  dc.eval_batches = 1;
-  dc.eval_batch_size = 2;
-  dc.seed = 3;
-  const DdpResult result = DdpTrainer(dc).run();
-  // Per-step RAR traffic: K * 2*S*(K-1)/K bytes = 2*S*(K-1).
-  const std::uint64_t model_bytes =
-      static_cast<std::uint64_t>(ModelConfig::nano().num_params()) * 4;
-  EXPECT_EQ(result.total_comm_bytes, 8ull * 2ull * model_bytes * 3ull / 1ull);
 }
 
 TEST(DiLoCo, ConfigTransformsRecipeOnly) {

@@ -1,7 +1,7 @@
 // Cross-module integration: sub-federation through the runner, text ->
-// tokenizer -> model round trips, DS cache + mixer + client pipelines,
-// wall-time model against the Table-2 reconstruction, and quantized-update
-// aggregation end to end.
+// model round trips, DS cache + mixer + client pipelines, wall-time model
+// against the Table-2 reconstruction, and quantized-update aggregation end
+// to end.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/runner.hpp"
 #include "data/corpus.hpp"
 #include "data/stream.hpp"
-#include "data/tokenizer.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "sim/mfu.hpp"
@@ -84,15 +83,20 @@ TEST(RunnerIntegration, LinkCodecExercisedThroughTheStack) {
 }
 
 TEST(TextPipeline, ByteTokenizedTextTrainsTheModel) {
-  // Real strings through ByteTokenizer into the transformer: a repetitive
+  // Real strings, one token per byte, into the transformer: a repetitive
   // text should be learnable to low loss quickly.
-  ByteTokenizer tok(128);
+  const int vocab = 128;
   std::string text;
   for (int i = 0; i < 100; ++i) text += "the photon system trains llms. ";
-  const std::vector<int> ids = tok.encode(text);
+  std::vector<int> ids;
+  for (const unsigned char ch : text) {
+    ids.push_back(SpecialTokens::kFirstContent +
+                  ch % (vocab - SpecialTokens::kFirstContent));
+  }
   TokenDataset ds(ids);
 
   ModelConfig mc = ModelConfig::nano();
+  ASSERT_EQ(mc.vocab_size, vocab);
   mc.seq_len = 24;
   GptModel model(mc, 1);
   AdamW opt(model.num_params());

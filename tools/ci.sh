@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate plus a hardened sanitizer pass.
 #
-#   tools/ci.sh             # tier-1 (Release) + ASan/UBSan build + obs gate
-#   tools/ci.sh --fast      # tier-1 only
+#   tools/ci.sh             # tier-1 (Release) + bench_e2e smoke + ASan/UBSan
+#                           # build + obs gate
+#   tools/ci.sh --fast      # tier-1 + bench_e2e smoke only
 #   tools/ci.sh --soak N    # additionally run an N-round chaos soak (default 200)
 #   tools/ci.sh --coverage  # additionally build with gcov instrumentation,
 #                           # ctest it, and summarize via gcovr if installed
@@ -98,6 +99,18 @@ echo "==> [tier-1/combined] ctest with PHOTON_SIMD=scalar PHOTON_WIRE_CODEC=q8 P
 PHOTON_SIMD=scalar PHOTON_WIRE_CODEC=q8 PHOTON_SECAGG=1 \
   ctest --test-dir "$ROOT/build" --output-on-failure \
       -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
+
+# The end-to-end benchmark (bench_e2e/README.md) compiles against src/ but
+# sits outside the default build, so a src/ change that breaks it would
+# otherwise fail only in the benchmark pipeline.  Build it the way
+# bench_e2e/run.sh does and run its smoke test.
+echo "==> [bench_e2e] configure + build (build-e2e)"
+cmake -S "$ROOT" -B "$ROOT/build-e2e" -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_PROJECT_photon_INCLUDE="$ROOT/bench_e2e/CMakeLists.txt" >/dev/null
+cmake --build "$ROOT/build-e2e" -j "$JOBS" --target bench_e2e
+echo "==> [bench_e2e] ctest -R bench_e2e_smoke"
+ctest --test-dir "$ROOT/build-e2e" --output-on-failure -R '^bench_e2e_smoke$' \
+      --timeout "$PER_TEST_TIMEOUT"
 
 if [[ "$FAST" -eq 0 ]]; then
   # Elastic-churn TSan rerun (DESIGN.md §12): tier-1 ctest already runs the
