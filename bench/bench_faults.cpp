@@ -22,7 +22,7 @@
 // --rounds=N    soak length (default 50)
 // --json=PATH   JSON report path (default: BENCH_faults.json)
 // --churn       elastic async soak instead: a 10k-simulated-client
-//               federation (ephemeral replicas) under join/leave churn,
+//               federation (ephemeral clients) under join/leave churn,
 //               admission control, and the transient fault mix, with a
 //               hard peak-RSS bound and a serial-vs-parallel twin check
 
@@ -221,12 +221,12 @@ std::unique_ptr<Aggregator> build_churn_federation(bool parallel) {
   ctc.schedule.max_lr = 5e-3f;
   ctc.schedule.warmup_steps = 2;
   ctc.schedule.total_steps = 4000;
-  // Ephemeral replicas are the whole point at this scale: 10k resident
-  // micro models + AdamW moments would be tens of GB; released replicas
-  // leave an idle client costing only its data stream.  The wire codec is
-  // pinned (q8, no error feedback) so the streamed dequant-accumulate path
-  // is exercised and no per-client residual buffer accumulates — with EF
-  // on, 10k residuals would be params-sized each and unbounded again.
+  // Every client trains on its thread's replica shell, and an ephemeral
+  // one also skips the local checkpoint copy, so an idle client costs only
+  // its data stream.  The wire codec is pinned (q8, no error feedback) so
+  // the streamed dequant-accumulate path is exercised and no per-client
+  // residual buffer accumulates — with EF on, 10k residuals would be
+  // params-sized each and unbounded again.
   ctc.ephemeral = true;
   ctc.stateless_optimizer = true;
   ctc.link_codec = "q8";

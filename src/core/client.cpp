@@ -13,12 +13,57 @@
 
 namespace photon {
 
+namespace {
+
+/// A thread's training scratch: a shape-only model replica and a stateless
+/// AdamW, keyed by the configs they were built for.  Every client round
+/// loads the broadcast into the params and resets the optimizer, the step
+/// zeroes the grads and the forward pass overwrites the activation tape, so
+/// nothing a round leaves behind reaches the next one.
+struct Shell {
+  Shell(const ModelConfig& model_config, const AdamWConfig& adamw_config)
+      : model(model_config),
+        opt(model.num_params(), adamw_config),
+        adamw(adamw_config) {}
+  GptModel model;
+  AdamW opt;
+  AdamWConfig adamw;
+};
+
+// One shell per thread that runs clients, freed at thread exit.
+thread_local std::unique_ptr<Shell> t_shell;
+
+/// Borrows the calling thread's shell for one round and returns it on every
+/// exit path.  A shell built for another key is replaced.  A nested borrow
+/// on the same thread finds the slot empty and builds its own shell, so two
+/// borrowers never share one.
+class ShellLease {
+ public:
+  ShellLease(const ModelConfig& model, const AdamWConfig& adamw)
+      : shell_(std::move(t_shell)) {
+    if (shell_ == nullptr || shell_->model.config() != model ||
+        shell_->adamw != adamw) {
+      shell_.reset();  // free the old shell before building its successor
+      shell_ = std::make_unique<Shell>(model, adamw);
+    }
+  }
+  ~ShellLease() { t_shell = std::move(shell_); }
+  ShellLease(const ShellLease&) = delete;
+  ShellLease& operator=(const ShellLease&) = delete;
+
+  Shell* operator->() const { return shell_.get(); }
+
+ private:
+  std::unique_ptr<Shell> shell_;
+};
+
+}  // namespace
+
 LLMClient::LLMClient(int id, ClientTrainConfig config,
                      std::unique_ptr<DataSource> data, std::uint64_t seed)
     : id_(id),
       config_(std::move(config)),
       data_(std::move(data)),
-      replica_seed_(hash_combine(seed, static_cast<std::uint64_t>(id))),
       schedule_(config_.schedule) {
   if (data_ == nullptr) {
     throw std::invalid_argument("LLMClient: null data source");
@@ -31,8 +76,8 @@ LLMClient::LLMClient(int id, ClientTrainConfig config,
   }
   if (config_.ephemeral && !config_.stateless_optimizer) {
     throw std::invalid_argument(
-        "LLMClient: ephemeral requires stateless_optimizer (optimizer state "
-        "cannot survive the post-round release)");
+        "LLMClient: ephemeral requires stateless_optimizer (a stateful "
+        "client keeps its optimizer moments between rounds)");
   }
   if (config_.link_codec.empty()) {
     // tools/ci.sh reruns tier-1 with PHOTON_WIRE_CODEC=q8 to sweep the
@@ -45,6 +90,10 @@ LLMClient::LLMClient(int id, ClientTrainConfig config,
   if (codec_by_name(config_.link_codec) == nullptr) {
     throw std::invalid_argument("LLMClient: unknown link codec " +
                                 config_.link_codec);
+  }
+  if (!config_.stateless_optimizer) {
+    opt_.emplace(static_cast<std::size_t>(config_.model.num_params()),
+                 config_.adamw);
   }
   if (config_.clip_update_norm > 0.0) {
     clip_.emplace(config_.clip_update_norm);
@@ -66,14 +115,8 @@ void LLMClient::set_link_codec(const std::string& codec) {
   config_.link_codec = codec;
 }
 
-void LLMClient::ensure_replica() {
-  if (model_ != nullptr) return;
-  model_ = std::make_unique<GptModel>(config_.model, replica_seed_);
-  opt_ = std::make_unique<AdamW>(model_->num_params(), config_.adamw);
-}
-
 std::pair<double, std::uint64_t> LLMClient::train_replica(
-    int local_steps, std::int64_t step_base) {
+    GptModel& model, AdamW& opt, int local_steps, std::int64_t step_base) {
   const int batch = config_.local_batch;
   const int seq = config_.model.seq_len;
   double loss_sum = 0.0;
@@ -82,16 +125,16 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
   for (int step = 0; step < local_steps; ++step) {
     const obs::RealTimer step_timer = trace_.trace.timer();
     const Batch b = data_->next_batch(batch, seq);
-    model_->zero_grad();
-    const float loss = model_->train_step_fb(b.tokens, b.targets, batch, seq);
+    model.zero_grad();
+    const float loss = model.train_step_fb(b.tokens, b.targets, batch, seq);
     // Fused schedule + clip + AdamW: the cosine LR is evaluated inside the
     // step call and the clip folds into the per-element grad read — one
     // optimizer call, one pass over the grads.  Grads are left unscaled,
     // which is fine — zero_grad() clears them before the next step reads
     // them.
     const double norm =
-        opt_->step_clipped(model_->params(), model_->grads(), schedule_,
-                           step_base + step, config_.max_grad_norm);
+        opt.step_clipped(model.params(), model.grads(), schedule_,
+                         step_base + step, config_.max_grad_norm);
     loss_sum += loss;
     grad_norm_sum += norm;
     tokens += static_cast<std::uint64_t>(batch) * seq;
@@ -135,8 +178,8 @@ void LLMClient::run_round(std::span<const float> global_params,
                           std::uint32_t round, int local_steps,
                           std::int64_t schedule_step_base,
                           ClientUpdate& update) {
-  ensure_replica();
-  if (global_params.size() != model_->num_params()) {
+  const auto n = static_cast<std::size_t>(config_.model.num_params());
+  if (global_params.size() != n) {
     throw std::invalid_argument("LLMClient::run_round: param size mismatch");
   }
   if (local_steps <= 0) {
@@ -147,7 +190,10 @@ void LLMClient::run_round(std::span<const float> global_params,
   update.tokens = 0;
   update.mean_train_loss = 0.0;
   update.metrics.clear();
-  update.post = {};
+
+  const ShellLease shell(config_.model, config_.adamw);
+  GptModel& model = shell->model;
+  AdamW& opt = opt_ ? *opt_ : shell->opt;
 
   double mean_loss = 0.0;
   std::uint64_t tokens = 0;
@@ -155,50 +201,48 @@ void LLMClient::run_round(std::span<const float> global_params,
   if (config_.sub_nodes == 1) {
     // Fast interconnect path (Alg. 1 L16-18): one logical replica at the
     // autotuned device batch.
-    model_->load_params(global_params);
-    if (config_.stateless_optimizer) opt_->reset();
-    auto [loss, toks] = train_replica(local_steps, schedule_step_base);
+    model.load_params(global_params);
+    if (config_.stateless_optimizer) opt.reset();
+    auto [loss, toks] = train_replica(model, opt, local_steps,
+                                      schedule_step_base);
     mean_loss = loss;
     tokens = toks;
   } else {
     // Nested sub-federation (Alg. 1 L19-25): train `sub_nodes` replicas in
     // turn, each on the next batches of this client's stream, and average
     // their parameters.
-    std::vector<double> param_sum(model_->num_params(), 0.0);
+    std::vector<double> param_sum(n, 0.0);
     for (int node = 0; node < config_.sub_nodes; ++node) {
-      model_->load_params(global_params);
-      opt_->reset();  // each node replica starts fresh
-      auto [loss, toks] = train_replica(local_steps, schedule_step_base);
+      model.load_params(global_params);
+      opt.reset();  // each node replica starts fresh
+      auto [loss, toks] = train_replica(model, opt, local_steps,
+                                        schedule_step_base);
       mean_loss += loss / config_.sub_nodes;
       tokens += toks;
-      const auto params = model_->params();
-      for (std::size_t i = 0; i < params.size(); ++i) {
-        param_sum[i] += params[i];
-      }
+      const auto params = model.params();
+      for (std::size_t i = 0; i < n; ++i) param_sum[i] += params[i];
     }
-    auto params = model_->params();
-    for (std::size_t i = 0; i < params.size(); ++i) {
+    auto params = model.params();
+    for (std::size_t i = 0; i < n; ++i) {
       params[i] = static_cast<float>(param_sum[i] / config_.sub_nodes);
     }
   }
 
   // Local checkpoint for fast recovery (Alg. 1 L27); skipped for ephemeral
   // clients, which would otherwise pin a param-sized buffer per client.
-  if (!config_.ephemeral) {
-    checkpoint_.assign(model_->params().begin(), model_->params().end());
-  }
+  const auto params = model.params();
+  if (!config_.ephemeral) checkpoint_.assign(params.begin(), params.end());
 
   // delta_k = theta_global - theta_k (Alg. 1 L7), in one vectorized pass.
-  update.delta.resize(model_->num_params());
-  const auto params = model_->params();
-  kernels::sub(update.delta.data(), global_params.data(), params.data(),
-               params.size());
+  update.delta.resize(n);
+  kernels::sub(update.delta.data(), global_params.data(), params.data(), n);
 
   // Post-processing (Alg. 1 L28): clip, then DP noise; the wire codec is
   // applied when the update is encoded.  The (round, client) context keys
   // the stateless DP noise stream.
-  if (clip_) clip_->apply(update.delta, update.post);
-  if (noise_) noise_->apply(update.delta, update.post, {round, id_});
+  PostProcessReport report;
+  if (clip_) clip_->apply(update.delta, report);
+  if (noise_) noise_->apply(update.delta, report, {round, id_});
 
   // Error feedback for lossy wire codecs (DESIGN.md §11): fold the previous
   // round's quantization residual into this update before it hits the wire,
@@ -207,21 +251,12 @@ void LLMClient::run_round(std::span<const float> global_params,
   // residual_of computes precisely delta_sent - dequant(quant(delta_sent)).
   const int qbits = codec_by_name(config_.link_codec)->quant_bits();
   if (qbits != 0 && config_.quant_error_feedback) {
-    const std::size_t n = update.delta.size();
     if (ef_residual_.size() != n) ef_residual_.assign(n, 0.0f);
     simd::ops().acc(update.delta.data(), ef_residual_.data(), n);
     wire_quant::residual_of(update.delta.data(), ef_residual_.data(), n,
                             qbits);
     update.metrics["ef_residual_norm"] =
         kernels::l2_norm(ef_residual_.data(), n);
-  }
-
-  // Ephemeral mode: the delta is computed and post-processed, so the
-  // replica (params + grads + activations + AdamW moments) can go — the
-  // next round rebuilds it from the same seed and loads the broadcast.
-  if (config_.ephemeral) {
-    model_.reset();
-    opt_.reset();
   }
 
   update.tokens = tokens;

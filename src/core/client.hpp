@@ -1,12 +1,17 @@
 #pragma once
 // LLM Client (LLM-C): the local training pipeline of paper Alg. 1, L13-28.
 //
-// Each client owns a model replica, an AdamW ClientOpt, a bound DataSource
-// stream, and its post-processing stages.  Per round it: receives global
-// parameters, trains `local_steps` with its hardware batch size under the
-// stretched cosine schedule, optionally runs a nested sub-federation across
-// its nodes (L19-25), checkpoints locally (L27), post-processes the update
-// (L28), and returns the pseudo-gradient contribution
+// Each client owns a bound DataSource stream, its post-processing stages,
+// its error-feedback residual and, only when it keeps optimizer state
+// across rounds (DiLoCo), its own AdamW.  The model replica is per-thread
+// scratch: every round starts from the broadcast global model, so a
+// replica's own init is never used, and a client borrows the calling
+// thread's shape-only model (plus a stateless AdamW) for the round.  Per
+// round it: receives global parameters, trains `local_steps` with its
+// hardware batch size under the stretched cosine schedule, optionally runs
+// a nested sub-federation across its nodes (L19-25), checkpoints locally
+// (L27), post-processes the update (L28), and returns the pseudo-gradient
+// contribution
 //   delta_k = theta_global - theta_k.
 
 #include <cstdint>
@@ -68,13 +73,12 @@ struct ClientTrainConfig {
   /// bench_round_path shows q8 without this visibly diverges).  No effect
   /// under lossless codecs.
   bool quant_error_feedback = true;
-  /// Release the model replica and optimizer between rounds: both are
-  /// constructed on demand inside run_round and freed before it returns, so
-  /// an idle client costs only its data stream and EF residual.  This is
-  /// what makes a 10k-client elastic population resident-memory-bounded
-  /// (10k eager micro-model replicas ≈ 28 GB; 10k ephemeral ones ≈ 0).
-  /// Requires stateless_optimizer (state cannot survive the release) and
-  /// disables the local fast-recovery checkpoint.
+  /// Keep no param-sized buffer between rounds: skips the local
+  /// fast-recovery checkpoint copy (Alg. 1 L27), so an idle client costs
+  /// only its data stream and EF residual.  The replica is per-thread
+  /// scratch for every client, so this is what keeps a 10k-client elastic
+  /// population resident-memory-bounded.  Requires stateless_optimizer
+  /// (a stateful client keeps its AdamW moments between rounds).
   bool ephemeral = false;
 };
 
@@ -84,7 +88,6 @@ struct ClientUpdate {
   std::uint64_t tokens = 0;
   double mean_train_loss = 0.0;
   MetricDict metrics;
-  PostProcessReport post;
 };
 
 class LLMClient {
@@ -143,22 +146,16 @@ class LLMClient {
   }
 
  private:
-  /// Construct the model replica and optimizer if absent.  Deterministic in
-  /// (config, seed), so a lazily built replica is bit-identical to an eager
-  /// one — run_round overwrites its params with the broadcast anyway.
-  void ensure_replica();
-
-  /// Train one replica for `local_steps` from the model's current params.
+  /// Train `model` for `local_steps` from its current params with `opt`.
   /// Returns (mean loss, tokens).
-  std::pair<double, std::uint64_t> train_replica(int local_steps,
+  std::pair<double, std::uint64_t> train_replica(GptModel& model, AdamW& opt,
+                                                 int local_steps,
                                                  std::int64_t step_base);
 
   int id_;
   ClientTrainConfig config_;
   std::unique_ptr<DataSource> data_;
-  std::uint64_t replica_seed_;
-  std::unique_ptr<GptModel> model_;  // lazily built; freed when ephemeral
-  std::unique_ptr<AdamW> opt_;
+  std::optional<AdamW> opt_;  // set only when !stateless_optimizer
   CosineSchedule schedule_;
   std::optional<ClipStage> clip_;      // set when clip_update_norm > 0
   std::optional<DpNoiseStage> noise_;  // set when dp_noise_multiplier > 0

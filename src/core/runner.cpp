@@ -137,7 +137,8 @@ PhotonRunner::PhotonRunner(RunnerConfig config) : config_(std::move(config)) {
                          hash_combine(config_.seed, 0xE7A2ULL));
   eval_set_ = materialize(eval_mixer, config_.eval_tokens);
 
-  eval_model_ = std::make_unique<GptModel>(config_.model, /*seed=*/0);
+  // Shape-only: evaluate_now() loads the global params before every use.
+  eval_model_ = std::make_unique<GptModel>(config_.model);
 }
 
 PhotonRunner::~PhotonRunner() = default;

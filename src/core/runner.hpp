@@ -62,7 +62,7 @@ struct RunnerConfig {
   bool skip_on_quorum_loss = false;
   double min_cohort_fraction = 0.0;
   int max_cohort_retries = 2;
-  bool ephemeral_clients = false;  // release client replicas between rounds
+  bool ephemeral_clients = false;  // no per-client local checkpoint copy
   MembershipPlan membership;       // join/leave churn; disabled by default
 
   // Data: blend 1.0 = IID C4-style; < 1.0 = Pile-style heterogeneous

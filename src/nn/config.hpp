@@ -20,6 +20,8 @@ struct ModelConfig {
   int seq_len = 64;
   int expansion_ratio = 4;
 
+  bool operator==(const ModelConfig&) const = default;
+
   /// Number of trainable parameters (embedding tied with LM head).
   std::int64_t num_params() const;
 

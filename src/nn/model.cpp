@@ -42,7 +42,7 @@ GptModel::~GptModel() = default;
 GptModel::GptModel(GptModel&&) noexcept = default;
 GptModel& GptModel::operator=(GptModel&&) noexcept = default;
 
-GptModel::GptModel(const ModelConfig& config, std::uint64_t seed)
+GptModel::GptModel(const ModelConfig& config)
     : config_(config), acts_(std::make_unique<Acts>()) {
   const auto c = static_cast<std::size_t>(config_.d_model);
   const auto v = static_cast<std::size_t>(config_.vocab_size);
@@ -100,6 +100,17 @@ GptModel::GptModel(const ModelConfig& config, std::uint64_t seed)
   views_.push_back({"lnf.g", layout_.lnf_g, c});
   views_.push_back({"lnf.b", layout_.lnf_b, c});
 
+  alibi_.resize(static_cast<std::size_t>(config_.n_heads));
+  k::alibi_slopes(alibi_.data(), config_.n_heads);
+}
+
+GptModel::GptModel(const ModelConfig& config, std::uint64_t seed)
+    : GptModel(config) {
+  const auto c = static_cast<std::size_t>(config_.d_model);
+  const auto v = static_cast<std::size_t>(config_.vocab_size);
+  const auto ec = static_cast<std::size_t>(config_.expansion_ratio) * c;
+  const auto layers = static_cast<std::size_t>(config_.n_layers);
+
   // GPT-2 style init: N(0, 0.02), residual-projection weights scaled by
   // 1/sqrt(2L), LayerNorm gamma=1 beta=0, biases 0.
   Rng rng(seed);
@@ -122,9 +133,6 @@ GptModel::GptModel(const ModelConfig& config, std::uint64_t seed)
     init_normal(layout_.fcproj_w + s, c * ec, resid_std);
   }
   for (std::size_t i = 0; i < c; ++i) params_[layout_.lnf_g + i] = 1.0f;
-
-  alibi_.resize(static_cast<std::size_t>(config_.n_heads));
-  k::alibi_slopes(alibi_.data(), config_.n_heads);
 }
 
 void GptModel::zero_grad() {

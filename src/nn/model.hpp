@@ -32,6 +32,10 @@ struct ParamView {
 
 class GptModel {
  public:
+  /// Shape-only construction: the layout, param views and ALiBi slopes,
+  /// with every parameter zero and no RNG draws.  For a model whose params
+  /// load_params() overwrites before use (client replicas, eval models).
+  explicit GptModel(const ModelConfig& config);
   /// Construct with GPT-2-style scaled initialization from the given seed.
   GptModel(const ModelConfig& config, std::uint64_t seed);
   ~GptModel();

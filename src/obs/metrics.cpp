@@ -118,22 +118,6 @@ std::vector<std::string> MetricsRegistry::counter_names() const {
   return names;  // std::map iteration is already sorted
 }
 
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  std::scoped_lock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, cell] : gauges_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::scoped_lock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) names.push_back(name);
-  return names;
-}
-
 void MetricsRegistry::reset() {
   std::scoped_lock lock(mu_);
   for (auto& [name, cell] : counters_) {

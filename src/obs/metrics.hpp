@@ -120,10 +120,8 @@ class MetricsRegistry {
   double gauge_value(const std::string& name) const;
   HistogramData histogram_snapshot(const std::string& name) const;
 
-  /// All registered names, sorted (deterministic iteration for exporters).
+  /// All registered counter names, sorted.
   std::vector<std::string> counter_names() const;
-  std::vector<std::string> gauge_names() const;
-  std::vector<std::string> histogram_names() const;
 
   /// Zero every counter/gauge and clear every histogram; names and handles
   /// stay registered and valid.

@@ -112,21 +112,42 @@ std::uint32_t crc32_copy(std::uint8_t* dst,
 
 namespace {
 
-// GF(2) 32x32 matrix times vector; matrices represent the CRC register's
-// linear transform under zero-byte feeds (zlib's crc32_combine technique).
-std::uint32_t gf2_matrix_times(const std::uint32_t* mat, std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  int i = 0;
-  while (vec != 0) {
-    if (vec & 1u) sum ^= mat[i];
-    vec >>= 1;
-    ++i;
+constexpr std::uint32_t kCrcPoly = 0xedb88320u;  // reflected CRC-32
+
+// a * b mod P over GF(2), in the reflected order where bit 31 is x^0
+// (zlib 1.2.12's multmodp).  `a` must be nonzero.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if ((a & m) != 0) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) != 0 ? (b >> 1) ^ kCrcPoly : b >> 1;
   }
-  return sum;
+  return p;
 }
 
-void gf2_matrix_square(std::uint32_t* square, const std::uint32_t* mat) {
-  for (int n = 0; n < 32; ++n) square[n] = gf2_matrix_times(mat, mat[n]);
+// x^(2^k) mod P for k = 0..31.  P is irreducible, so x^(2^32) = x mod P
+// and the sequence repeats with period 32.
+constexpr std::array<std::uint32_t, 32> kX2nTable = [] {
+  std::array<std::uint32_t, 32> table{};
+  std::uint32_t p = 1u << 30;  // x^1
+  table[0] = p;
+  for (std::size_t k = 1; k < table.size(); ++k) table[k] = p = multmodp(p, p);
+  return table;
+}();
+
+// x^(n * 2^k) mod P (zlib 1.2.12's x2nmodp): one table multiply per set
+// bit of n.
+std::uint32_t x2nmodp(std::uint64_t n, unsigned k) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if ((n & 1u) != 0) p = multmodp(kX2nTable[k & 31u], p);
+  }
+  return p;
 }
 
 }  // namespace
@@ -134,32 +155,9 @@ void gf2_matrix_square(std::uint32_t* square, const std::uint32_t* mat) {
 std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
                             std::uint64_t len_b) {
   if (len_b == 0) return crc_a;
-
-  std::uint32_t even[32];  // even-power-of-two zero-byte operators
-  std::uint32_t odd[32];   // odd-power operators
-
-  // Operator for one zero bit.
-  odd[0] = 0xedb88320u;
-  std::uint32_t row = 1;
-  for (int n = 1; n < 32; ++n) {
-    odd[n] = row;
-    row <<= 1;
-  }
-  gf2_matrix_square(even, odd);  // two zero bits
-  gf2_matrix_square(odd, even);  // four zero bits
-
-  // Advance crc_a through len_b zero bytes by squaring operators.
-  do {
-    gf2_matrix_square(even, odd);
-    if (len_b & 1u) crc_a = gf2_matrix_times(even, crc_a);
-    len_b >>= 1;
-    if (len_b == 0) break;
-    gf2_matrix_square(odd, even);
-    if (len_b & 1u) crc_a = gf2_matrix_times(odd, crc_a);
-    len_b >>= 1;
-  } while (len_b != 0);
-
-  return crc_a ^ crc_b;
+  // Feeding len_b zero bytes through the CRC register multiplies it by
+  // x^(8 * len_b) mod P.
+  return multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b;
 }
 
 }  // namespace photon

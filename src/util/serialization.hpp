@@ -170,8 +170,9 @@ std::uint32_t crc32_clmul_copy_raw(std::uint8_t* dst, const std::uint8_t* p,
                                    std::size_t n, std::uint32_t raw);
 }  // namespace detail
 
-/// CRC of the concatenation A||B given crc(A), crc(B), and |B| (zlib-style
-/// GF(2) matrix combine).  Lets per-chunk CRCs computed in parallel be
+/// CRC of the concatenation A||B given crc(A), crc(B), and |B|, in
+/// O(log |B|): crc(A) times x^(8|B|) mod P from a table of x^(2^k) mod P
+/// (zlib 1.2.12's method).  Lets per-chunk CRCs computed in parallel be
 /// folded in chunk order into the exact whole-buffer CRC:
 ///   crc32(A||B) == crc32_combine(crc32(A), crc32(B), B.size()).
 std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,

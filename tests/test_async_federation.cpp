@@ -692,13 +692,14 @@ TEST(FaultEngine, QuorumLossSkipsRoundCleanlyWhenOptedIn) {
 }
 
 // ------------------------------------------------------ ephemeral clients --
-TEST(AsyncFederation, EphemeralClientsMatchResidentClientsBitForBit) {
-  // Releasing the replica between rounds must not change a single bit:
-  // the replica is rebuilt from the same seed and the broadcast carries
-  // all cross-round state (ephemeral requires a stateless optimizer).
+// Ephemeral clients keep no local checkpoint copy; resident ones do.  Both
+// train on their thread's replica shell, and the broadcast carries all
+// cross-round state (ephemeral requires a stateless optimizer), so the two
+// federations must agree bit for bit.
+void expect_ephemeral_matches_resident(bool parallel_clients) {
   AggregatorConfig ac;
   ac.local_steps = 2;
-  ac.parallel_clients = false;
+  ac.parallel_clients = parallel_clients;
   ac.async.buffer_goal = 2;
   ac.async.max_in_flight = 4;
   auto resident = build_async_aggregator(ac, 4, "fedavg", false);
@@ -708,6 +709,14 @@ TEST(AsyncFederation, EphemeralClientsMatchResidentClientsBitForBit) {
     (void)ephemeral->run_round();
     ASSERT_TRUE(params_equal(*resident, *ephemeral)) << "drain " << r;
   }
+}
+
+TEST(AsyncFederation, EphemeralClientsMatchResidentClientsBitForBit) {
+  expect_ephemeral_matches_resident(false);
+}
+
+TEST(AsyncFederation, ParallelEphemeralClientsMatchResidentClientsBitForBit) {
+  expect_ephemeral_matches_resident(true);
 }
 
 TEST(AsyncFederation, EphemeralRequiresStatelessOptimizer) {

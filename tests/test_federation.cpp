@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <thread>
 
 #include "comm/message.hpp"
 #include "core/aggregator.hpp"
@@ -134,13 +135,12 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   // codec named by config().link_codec.
   auto cfg = tiny_client_config();
   cfg.link_codec = "rle0";
-  cfg.clip_update_norm = 1e-3;  // aggressive clip -> report.clipped
+  cfg.clip_update_norm = 1e-3;  // aggressive clip: the norm lands on it
   GptModel global(tiny_model(), 29);
   const std::vector<float> params(global.params().begin(),
                                   global.params().end());
   LLMClient clipped(0, cfg, tiny_stream(7), 23);
   const ClientUpdate up = clipped.run_round(params, 0, 4, 0);
-  EXPECT_TRUE(up.post.clipped);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;
   EXPECT_NEAR(std::sqrt(norm), 1e-3, 1e-4);
@@ -152,8 +152,6 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   cfg.dp_noise_multiplier = 1.0;
   LLMClient noisy(0, cfg, tiny_stream(7), 23);
   const ClientUpdate loud = noisy.run_round(params, 0, 4, 0);
-  EXPECT_TRUE(loud.post.clipped);
-  EXPECT_DOUBLE_EQ(loud.post.dp_noise_stddev, 1e-3);
   std::vector<float> expected = up.delta;
   PostProcessReport report;
   DpNoiseStage(1.0, 1e-3, hash_combine(23, 0xD9ULL)).apply(expected, report,
@@ -172,6 +170,116 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   EXPECT_EQ(clipped.config().link_codec, "q8");
   cfg.link_codec = "gzip";
   EXPECT_THROW(LLMClient(1, cfg, tiny_stream(8), 23), std::invalid_argument);
+}
+
+// --------------------------------------------------------- replica shells --
+// A client trains on its thread's shell, a shape-only model plus a
+// stateless AdamW that every client on the thread shares.  A twin that runs
+// alone on a fresh thread borrows a shell no other client has touched.
+
+std::vector<float> init_params(const ModelConfig& model, std::uint64_t seed) {
+  const GptModel m(model, seed);
+  return {m.params().begin(), m.params().end()};
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+struct ShellCase {
+  ClientTrainConfig cfg;
+  std::uint64_t data_seed = 0;
+  std::vector<float> params;  // the global model every round starts from
+};
+
+/// The second-round update of a fresh client that ran both rounds alone on
+/// a new thread.
+ClientUpdate second_round_alone(const ShellCase& c) {
+  ClientUpdate out;
+  std::thread([&c, &out] {
+    LLMClient twin(0, c.cfg, tiny_stream(c.data_seed), 31);
+    (void)twin.run_round(c.params, 0, 3, 0);
+    out = twin.run_round(c.params, 1, 3, 3);
+  }).join();
+  return out;
+}
+
+/// Serves `inner`'s tokens, then token id `bad` once `budget` tokens have
+/// been drawn, so a round throws from inside the forward pass after it has
+/// loaded the params and trained.
+class PoisonedStream final : public DataSource {
+ public:
+  PoisonedStream(std::unique_ptr<DataSource> inner, std::size_t budget,
+                 int bad)
+      : inner_(std::move(inner)), budget_(budget), bad_(bad) {}
+  const std::string& name() const override { return inner_->name(); }
+  void next_tokens(std::size_t n, std::vector<int>& out) override {
+    inner_->next_tokens(n, out);
+    for (std::size_t i = out.size() - n; i < out.size(); ++i) {
+      if (served_++ >= budget_) out[i] = bad_;
+    }
+  }
+  std::uint64_t bytes_streamed() const override {
+    return inner_->bytes_streamed();
+  }
+
+ private:
+  std::unique_ptr<DataSource> inner_;
+  std::size_t budget_;
+  int bad_;
+  std::size_t served_ = 0;
+};
+
+TEST(ReplicaShell, InterleavedClientsMatchTwinsThatRanAlone) {
+  ShellCase wide{tiny_client_config(), 201, {}};
+  wide.cfg.local_batch = 5;  // grows the shell's activation tape
+  ShellCase stateful{tiny_client_config(), 202, {}};
+  stateful.cfg.stateless_optimizer = false;  // keeps its own AdamW moments
+  ShellCase other{tiny_client_config(), 203, {}};
+  other.cfg.model.n_layers = 1;  // another key: the shell is rebuilt
+  other.cfg.model.d_model = 24;
+  other.cfg.model.n_heads = 3;
+  // One thread runs all three in turn: the stateful client trains on the
+  // shell (and the larger tape) the wide client just returned.
+  const std::vector<ShellCase*> cases = {&wide, &stateful, &other};
+  std::vector<std::unique_ptr<LLMClient>> clients;
+  for (ShellCase* c : cases) {
+    c->params = init_params(c->cfg.model, c->data_seed);
+    clients.push_back(std::make_unique<LLMClient>(
+        0, c->cfg, tiny_stream(c->data_seed), 31));
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    (void)clients[i]->run_round(cases[i]->params, 0, 3, 0);
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ClientUpdate mixed = clients[i]->run_round(cases[i]->params, 1, 3, 3);
+    EXPECT_TRUE(same_bytes(mixed.delta, second_round_alone(*cases[i]).delta))
+        << "client " << i;
+  }
+}
+
+TEST(ReplicaShell, ThrowingRoundLeavesTheNextRoundTwinIdentical) {
+  ShellCase c{tiny_client_config(), 204, {}};
+  c.params = init_params(c.cfg.model, 5);
+  LLMClient client(0, c.cfg, tiny_stream(c.data_seed), 31);
+  (void)client.run_round(c.params, 0, 3, 0);
+
+  // Rejected before the shell is borrowed.
+  const std::vector<float> short_params(c.params.begin(), c.params.end() - 1);
+  EXPECT_THROW((void)client.run_round(short_params, 1, 3, 3),
+               std::invalid_argument);
+  // Thrown mid-round on the same shell: one clean step (2 rows of seq + 1
+  // tokens), then an out-of-vocab token in the second step's batch.
+  const std::size_t step_tokens = 2 * (16 + 1);
+  LLMClient poisoned(1, c.cfg,
+                     std::make_unique<PoisonedStream>(tiny_stream(205),
+                                                      step_tokens, 64),
+                     31);
+  EXPECT_THROW((void)poisoned.run_round(c.params, 0, 3, 0), std::out_of_range);
+
+  const ClientUpdate next = client.run_round(c.params, 1, 3, 3);
+  EXPECT_TRUE(same_bytes(next.delta, second_round_alone(c).delta));
 }
 
 // ------------------------------------------------------------- aggregator --
