@@ -10,13 +10,12 @@ namespace photon {
 
 namespace {
 
-// Deterministic jitter in [-1, 1): a pure function of the policy seed and
+// Deterministic jitter in [-1, 1): a pure function of the jitter seed and
 // the (round, sender, attempt) identity of the retry, so replays never
 // depend on wall clock or thread interleaving.
-double jitter_unit(const RetryPolicy& policy, const Message& message,
-                   int attempt) {
+double jitter_unit(const Message& message, int attempt) {
   const std::uint64_t h = hash_combine(
-      policy.jitter_seed,
+      kRetryJitterSeed,
       hash_combine(hash_combine(message.round, message.sender),
                    static_cast<std::uint64_t>(attempt)));
   return static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
@@ -132,7 +131,7 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
     double backoff = retry_.backoff_base_s *
                      std::pow(retry_.backoff_multiplier, attempt - 1);
     backoff = std::min(backoff, retry_.backoff_max_s);
-    backoff *= 1.0 + retry_.jitter_frac * jitter_unit(retry_, message, attempt);
+    backoff *= 1.0 + kRetryJitterFrac * jitter_unit(message, attempt);
     backoff = std::max(backoff, 0.0);
     if (retry_.message_deadline_s > 0.0 &&
         spent + backoff > retry_.message_deadline_s) {

@@ -31,7 +31,16 @@ struct LinkStats {
   std::uint64_t deadline_misses = 0;   // aborts caused by message_deadline_s
                                        // specifically (subset of aborted)
   double backoff_seconds = 0.0;        // simulated time spent backing off
+
+  bool operator==(const LinkStats&) const = default;
 };
+
+/// Relative backoff jitter in [-kRetryJitterFrac, +kRetryJitterFrac],
+/// derived statelessly from kRetryJitterSeed and the retry's identity
+/// (round, sender, attempt on a link; client, defer count at async
+/// admission) so replays are bit-exact at any thread count.
+inline constexpr double kRetryJitterFrac = 0.1;
+inline constexpr std::uint64_t kRetryJitterSeed = 0x4C696E6BULL;  // "Link"
 
 /// Retry/backoff policy for SimLink::transmit.  A failed attempt (transient
 /// send fault or CRC-rejected reception) is retransmitted after an
@@ -42,11 +51,6 @@ struct RetryPolicy {
   double backoff_base_s = 0.05;     // backoff before the 2nd attempt
   double backoff_multiplier = 2.0;  // exponential growth per retry
   double backoff_max_s = 1.0;       // cap on a single backoff
-  /// Relative jitter in [-jitter_frac, +jitter_frac], derived statelessly
-  /// from (jitter_seed, round, sender, attempt) so replays are bit-exact
-  /// at any thread count.
-  double jitter_frac = 0.1;
-  std::uint64_t jitter_seed = 0x4C696E6BULL;  // "Link"
   /// Simulated seconds (transfer + backoff) a single message may consume
   /// before the link gives up; 0 = no deadline.
   double message_deadline_s = 0.0;
@@ -138,6 +142,8 @@ class SimLink {
   void set_fault_hook(LinkFaultHook hook) { fault_hook_ = std::move(hook); }
 
   const LinkStats& stats() const { return stats_; }
+  /// Resume from checkpointed totals (crash recovery).
+  void restore_stats(const LinkStats& stats) { stats_ = stats; }
 
   /// Install the tracing context for subsequent transmits (copy; cheap).
   void set_trace_context(const LinkTraceContext& ctx) { trace_ = ctx; }

@@ -31,6 +31,15 @@ constexpr std::uint64_t kAdmitTag = 0xAD317ULL;
 /// (seed, tag, round, attempt), async wave sessions on (seed, tag, wave).
 constexpr std::uint64_t kSecAggTag = 0x5ECA66ULL;
 
+/// Every secagg session's mask ring has F = 32 fractional bits, and its
+/// Shamir threshold is t = clamp(max(2, ceil(f * n)), 2, n) with f = 0.5
+/// (DESIGN.md §14).
+constexpr int kSecAggFixedPointBits = 32;
+constexpr double kSecAggThresholdFraction = 0.5;
+
+/// FedBuff's polynomial staleness discount w(s) = (1 + s)^-kStalenessExponent.
+constexpr double kStalenessExponent = 0.5;
+
 }  // namespace
 
 Aggregator::Aggregator(const ModelConfig& model, AggregatorConfig config,
@@ -75,25 +84,10 @@ Aggregator::Aggregator(const ModelConfig& model, AggregatorConfig config,
       config_.secure_aggregation = true;
     }
   }
-  if (config_.privacy.secagg_threshold_fraction < 0.0 ||
-      config_.privacy.secagg_threshold_fraction > 1.0) {
+  if (config_.async.enabled &&
+      (config_.async.buffer_goal < 0 || config_.async.max_in_flight < 0)) {
     throw std::invalid_argument(
-        "Aggregator: secagg_threshold_fraction must be in [0, 1]");
-  }
-  if (config_.privacy.secagg_fixed_point_bits < 8 ||
-      config_.privacy.secagg_fixed_point_bits > 48) {
-    throw std::invalid_argument(
-        "Aggregator: secagg_fixed_point_bits must be in [8, 48]");
-  }
-  if (config_.async.enabled) {
-    if (config_.async.buffer_goal < 0 || config_.async.max_in_flight < 0) {
-      throw std::invalid_argument(
-          "Aggregator: async buffer_goal/max_in_flight must be >= 0");
-    }
-    if (config_.async.staleness_exponent < 0.0) {
-      throw std::invalid_argument(
-          "Aggregator: async staleness_exponent must be >= 0");
-    }
+        "Aggregator: async buffer_goal/max_in_flight must be >= 0");
   }
   for (const auto& c : clients_) {
     if (c->config().model.num_params() != model_config_.num_params()) {
@@ -306,7 +300,7 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   const auto t_train = std::chrono::steady_clock::now();
   const obs::RealTimer train_timer = trace_.timer();
   client.run_round(slot.header.payload, round_, config_.local_steps,
-                   schedule_step_base_, slot.update);
+                   schedule_step_base(), slot.update);
   slot.trained = true;
   slot.train_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -369,7 +363,6 @@ bool Aggregator::tally(const InFlight& slot, RoundRecord& record) {
     // The client departed while its update was in flight: discard.  (Sync
     // cohorts only ever hold active clients.)
     ++record.discarded_updates;
-    ++async_discarded_total_;
     return false;
   }
   return true;
@@ -540,8 +533,10 @@ void Aggregator::save_checkpoint(const RoundRecord& record) {
   Checkpoint ckpt;
   ckpt.round = round_;
   ckpt.params = global_params_;
-  ckpt.schedule_step_base = schedule_step_base_ + config_.local_steps;
+  ckpt.sim_now = sim_now_;
   ckpt.client_trained_rounds = client_rounds_;
+  ckpt.membership = membership_;
+  for (const SimLink& link : links_) ckpt.link_stats.push_back(link.stats());
   BinaryWriter w;
   server_opt_->save_state(w);
   ckpt.server_opt_state = w.take();
@@ -555,7 +550,7 @@ void Aggregator::save_checkpoint(const RoundRecord& record) {
   if (config_.async.enabled) {
     // The drain boundary is the async save point: the accumulator is empty
     // here, so the buffer's durable form is the pending in-flight updates
-    // plus the admission/membership counters and the sim clock.
+    // plus the admission counters.
     ckpt.async_state = capture_async_state();
   }
   if (accountant_ != nullptr || config_.secure_aggregation) {
@@ -620,7 +615,6 @@ RoundRecord Aggregator::close_round(RoundRecord& record,
   }
   history_.add(record);
   ++round_;
-  schedule_step_base_ += config_.local_steps;
   return record;
 }
 
@@ -672,8 +666,7 @@ RoundRecord Aggregator::run_round_sync() {
     if (config_.secure_aggregation && cohort.size() > 1) {
       secagg.emplace(
           cohort,
-          SecAggConfig{config_.privacy.secagg_fixed_point_bits,
-                       config_.privacy.secagg_threshold_fraction,
+          SecAggConfig{kSecAggFixedPointBits, kSecAggThresholdFraction,
                        hash_combine(hash_combine(config_.seed, kSecAggTag),
                                     hash_combine(round_, attempt))});
       std::vector<SimLink*> ke_links(cohort.size());
@@ -733,9 +726,9 @@ RoundRecord Aggregator::run_round_sync() {
     if (static_cast<int>(attempt) >= config_.max_cohort_retries) {
       if (config_.skip_on_quorum_loss) {
         // Clean skipped round: no survivors, so no mean, no server step, no
-        // checkpoint — but the round index, LR-schedule base, and sim clock
-        // all advance exactly as a completed round's would, keeping the
-        // restore-time `round * local_steps` schedule fallback exact.
+        // checkpoint — but the round index (and with it the LR-schedule
+        // base) and the sim clock advance exactly as a completed round's
+        // would.
         record.skipped = true;
         record.participants = cohort;
         record.survivors = 0;
@@ -1025,8 +1018,7 @@ double Aggregator::staleness_weight(std::uint32_t staleness) const {
       AggregatorConfig::AsyncAggregation::StalenessWeight::kConstant) {
     return 1.0;
   }
-  return std::pow(1.0 + static_cast<double>(staleness),
-                  -config_.async.staleness_exponent);
+  return std::pow(1.0 + static_cast<double>(staleness), -kStalenessExponent);
 }
 
 double Aggregator::defer_backoff(int client, std::uint32_t count) const {
@@ -1035,10 +1027,10 @@ double Aggregator::defer_backoff(int client, std::uint32_t count) const {
              std::pow(rp.backoff_multiplier, static_cast<double>(count) - 1.0);
   b = std::min(b, rp.backoff_max_s);
   const std::uint64_t h = hash_combine(
-      rp.jitter_seed, hash_combine(static_cast<std::uint64_t>(client),
-                                   static_cast<std::uint64_t>(count)));
+      kRetryJitterSeed, hash_combine(static_cast<std::uint64_t>(client),
+                                     static_cast<std::uint64_t>(count)));
   const double unit = static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
-  b *= 1.0 + rp.jitter_frac * unit;
+  b *= 1.0 + kRetryJitterFrac * unit;
   return std::max(b, 1e-9);  // strictly positive: a defer must advance time
 }
 
@@ -1075,7 +1067,6 @@ RoundRecord Aggregator::run_round_async() {
   // acc_.
   const auto accept = [&](const InFlight& s, std::uint32_t staleness) {
     ++accepted;
-    ++async_accepted_total_;
     staleness_sum += static_cast<double>(staleness);
     record.max_staleness = std::max(record.max_staleness, staleness);
     obs_.async_staleness.observe(static_cast<double>(staleness));
@@ -1244,19 +1235,16 @@ RoundRecord Aggregator::run_round_async() {
         (tally(s, record) ? surv_pos : drop_pos)
             .push_back(static_cast<int>(pos));
       }
-      SecAggConfig scfg;
-      scfg.fixed_point_bits = config_.privacy.secagg_fixed_point_bits;
-      scfg.share_threshold_fraction =
-          config_.privacy.secagg_threshold_fraction;
-      scfg.session_seed =
-          hash_combine(hash_combine(config_.seed, kSecAggTag), best_wid);
-      const SecAggSession session(cohort, scfg);
+      const SecAggSession session(
+          cohort,
+          SecAggConfig{kSecAggFixedPointBits, kSecAggThresholdFraction,
+                       hash_combine(hash_combine(config_.seed, kSecAggTag),
+                                    best_wid)});
       if (surv_pos.empty() ||
           static_cast<int>(surv_pos.size()) < session.threshold()) {
         // Below the share threshold the wave is unrecoverable; discard it
         // whole — the protocol never reveals a partial sum.
         record.discarded_updates += static_cast<int>(surv_pos.size());
-        async_discarded_total_ += surv_pos.size();
       } else {
         // pseudo_grad_ is free until the drain closes: it holds the wave's
         // mean.  All wave members trained the same dispatch version, so one
@@ -1360,13 +1348,6 @@ RoundRecord Aggregator::run_round_async() {
 
 AsyncAggregatorState Aggregator::capture_async_state() const {
   AsyncAggregatorState s;
-  s.sim_now = sim_now_;
-  s.accepted_total = async_accepted_total_;
-  s.discarded_total = async_discarded_total_;
-  s.membership.reserve(membership_.size());
-  for (const MembershipState m : membership_) {
-    s.membership.push_back(static_cast<std::uint8_t>(m));
-  }
   s.defer_counts = defer_counts_;
   s.next_eligible = next_eligible_;
   std::vector<const InFlight*> pending;
@@ -1414,8 +1395,7 @@ void Aggregator::validate_async_state(const AsyncAggregatorState& st) const {
   const auto bad = [](const std::string& what) {
     throw std::runtime_error("Aggregator: async checkpoint " + what);
   };
-  if (st.membership.size() != clients_.size() ||
-      st.defer_counts.size() != clients_.size() ||
+  if (st.defer_counts.size() != clients_.size() ||
       st.next_eligible.size() != clients_.size()) {
     bad("population mismatch");
   }
@@ -1431,17 +1411,6 @@ void Aggregator::validate_async_state(const AsyncAggregatorState& st) const {
 }
 
 void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
-  sim_now_ = st.sim_now;
-  async_accepted_total_ = st.accepted_total;
-  async_discarded_total_ = st.discarded_total;
-  // The checkpointed lifecycle states win over anything plan-derived: a
-  // restore may run under a *different* membership plan (late joiners that
-  // were absent at save time), and the saved states are the truth.
-  for (std::size_t c = 0; c < clients_.size(); ++c) {
-    membership_[c] = static_cast<MembershipState>(st.membership[c]);
-    sampler_.set_available(static_cast<int>(c),
-                           membership_[c] == MembershipState::kActive);
-  }
   defer_counts_ = st.defer_counts;
   next_eligible_ = st.next_eligible;
   if (slots_.size() < st.in_flight.size()) slots_.resize(st.in_flight.size());
@@ -1483,7 +1452,6 @@ PrivacyCheckpointState Aggregator::capture_privacy_state() const {
     s.accounted_rounds = accountant_->accounted_rounds();
     s.noise_multiplier = accountant_->noise_multiplier();
     s.delta = accountant_->delta();
-    s.epsilon = accountant_->epsilon();
   }
   s.wave_counter = secagg_wave_counter_;
   s.shares_reconstructed_total = shares_reconstructed_total_;
@@ -1517,15 +1485,34 @@ bool Aggregator::restore_latest_checkpoint() {
                              std::to_string(global_params_.size()));
   }
   if (ckpt->client_trained_rounds.size() != clients_.size() ||
+      ckpt->membership.size() != clients_.size() ||
+      ckpt->link_stats.size() != clients_.size() ||
       (!ckpt->client_ef_residuals.empty() &&
        ckpt->client_ef_residuals.size() != clients_.size())) {
     throw std::runtime_error("Aggregator: checkpoint population mismatch");
   }
   if (ckpt->async_state) validate_async_state(*ckpt->async_state);
+  // DP accounting resumes only under the (sigma, delta) it was composed
+  // with: epsilon for another noise level, or one restarted at 0, would be
+  // published silently wrong.
+  const auto& priv = ckpt->privacy_state;
+  const bool saved_dp = priv.has_value() && priv->delta > 0.0;
+  if (saved_dp != (accountant_ != nullptr) ||
+      (saved_dp && (priv->noise_multiplier != accountant_->noise_multiplier() ||
+                    priv->delta != accountant_->delta()))) {
+    throw std::runtime_error(
+        "Aggregator: checkpoint DP accounting (sigma, delta) differs from "
+        "this engine's");
+  }
+  // The extension takes its state before the engine changes, so a foreign
+  // or malformed tuner section throws with the engine untouched.
+  if (state_ext_ != nullptr && !ckpt->tuner_state.empty()) {
+    state_ext_->restore_state(ckpt->tuner_state);
+  }
 
   global_params_ = ckpt->params;
   round_ = ckpt->round + 1;
-  schedule_step_base_ = ckpt->schedule_step_base;
+  sim_now_ = ckpt->sim_now;
   server_opt_->reset();
   if (!ckpt->server_opt_state.empty()) {
     BinaryReader r(ckpt->server_opt_state);
@@ -1548,54 +1535,33 @@ bool Aggregator::restore_latest_checkpoint() {
   for (std::size_t c = 0; c < ckpt->client_ef_residuals.size(); ++c) {
     clients_[c]->set_ef_residual(std::move(ckpt->client_ef_residuals[c]));
   }
+  // The checkpointed lifecycle states win over anything plan-derived: a
+  // restore may run under a *different* membership plan (late joiners that
+  // were absent at save time), and the saved states are the truth.
+  membership_ = std::move(ckpt->membership);
+  for (int c = 0; c < population(); ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    sampler_.set_available(c, membership_[i] == MembershipState::kActive);
+    links_[i].restore_stats(ckpt->link_stats[i]);
+  }
   if (ckpt->async_state) {
-    // Async engine: resume mid-buffer.  Membership, admission counters, the
-    // sim clock, and every pending in-flight update come back exactly as the
-    // drain boundary saved them.
+    // Async engine: resume mid-buffer.  Admission counters and every
+    // pending in-flight update come back exactly as the drain boundary
+    // saved them.
     restore_async_state(*ckpt->async_state);
-  } else if (membership_plan_.enabled()) {
-    // Sync checkpoint under an elastic plan: replay the plan's lifecycle
-    // actions for every completed round so membership matches what the
-    // uninterrupted run would hold entering round_.
-    for (int c = 0; c < population(); ++c) {
-      membership_[static_cast<std::size_t>(c)] =
-          membership_plan_.initial_state(c);
-    }
-    for (std::uint32_t r = 0; r < round_; ++r) {
-      for (int c = 0; c < population(); ++c) {
-        const auto i = static_cast<std::size_t>(c);
-        const MembershipAction action =
-            membership_plan_.action(r, c, membership_[i]);
-        if (action == MembershipAction::kArrive) {
-          membership_[i] = MembershipState::kActive;
-        } else if (action == MembershipAction::kLeave) {
-          membership_[i] = MembershipState::kLeft;
-        }
-      }
-    }
-    for (int c = 0; c < population(); ++c) {
-      sampler_.set_available(c, membership_[static_cast<std::size_t>(c)] ==
-                                    MembershipState::kActive);
-    }
   }
-  if (const auto& privacy = ckpt->privacy_state) {
+  if (priv.has_value()) {
     // The wave counter must keep monotonically increasing across the crash
-    // so post-recovery waves never reuse a pre-crash session seed, and the
-    // accountant resumes mid-composition (epsilon is recomputed, not
-    // trusted from the snapshot).
-    secagg_wave_counter_ = privacy->wave_counter;
-    shares_reconstructed_total_ = privacy->shares_reconstructed_total;
-    if (accountant_ != nullptr && privacy->delta > 0.0) {
-      accountant_ = std::make_unique<privacy::RdpAccountant>(
-          privacy->noise_multiplier, privacy->delta);
-      accountant_->account_rounds(privacy->accounted_rounds);
-      obs_.dp_epsilon.set(accountant_->epsilon());
-    }
+    // so post-recovery waves never reuse a pre-crash session seed.
+    secagg_wave_counter_ = priv->wave_counter;
+    shares_reconstructed_total_ = priv->shares_reconstructed_total;
   }
-  if (state_ext_ != nullptr && !ckpt->tuner_state.empty()) {
-    // Restored last so the extension can immediately re-apply its knob
-    // decisions against the fully recovered engine state.
-    state_ext_->restore_state(ckpt->tuner_state);
+  if (accountant_ != nullptr) {
+    // The accountant resumes mid-composition; epsilon is recomputed.
+    *accountant_ = privacy::RdpAccountant(accountant_->noise_multiplier(),
+                                          accountant_->delta());
+    accountant_->account_rounds(priv->accounted_rounds);
+    obs_.dp_epsilon.set(accountant_->epsilon());
   }
   checkpoints_.journal_recovered(round_);
   PHOTON_LOG_INFO("aggregator", "recovered at round %u (ckpt %u)", round_,

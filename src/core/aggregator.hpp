@@ -106,12 +106,11 @@ struct AggregatorConfig {
     /// with RetryPolicy-style exponential backoff in sim time.
     int max_in_flight = 0;
     /// Staleness discount w(s) applied to an update trained s server
-    /// versions ago: kPolynomial = (1 + s)^-staleness_exponent (FedBuff's
-    /// choice), kConstant = 1 (plain buffer mean).  The drain normalizes by
-    /// the sum of applied weights.
+    /// versions ago: kPolynomial = (1 + s)^-0.5 (FedBuff's choice),
+    /// kConstant = 1 (plain buffer mean).  The drain normalizes by the sum
+    /// of applied weights.
     enum class StalenessWeight { kConstant, kPolynomial };
     StalenessWeight staleness = StalenessWeight::kPolynomial;
-    double staleness_exponent = 0.5;
   } async;
 
   // --- privacy engine (DESIGN.md §14) ------------------------------------
@@ -120,12 +119,6 @@ struct AggregatorConfig {
     /// any client adds DP noise (dp_noise_multiplier > 0); eps(delta) is
     /// published per round via the record and the privacy.dp_epsilon gauge.
     double dp_delta = 1e-5;
-    /// Shamir share threshold as a fraction of the secagg cohort:
-    /// t = clamp(max(2, ceil(f * n)), 2, n).  Folded into the round quorum
-    /// so a sub-threshold cohort retries/skips instead of aborting.
-    double secagg_threshold_fraction = 0.5;
-    /// Fractional bits of the mask ring's fixed-point encoding (8..48).
-    int secagg_fixed_point_bits = 32;
     /// Ignore the PHOTON_SECAGG environment opt-in.  Tests that assert
     /// exact fp32 aggregation semantics pin plain aggregation with this;
     /// everything else inherits the env sweep (tools/ci.sh secagg lane).
@@ -173,6 +166,9 @@ class RoundStateExtension {
   /// on them must reach the checkpoint here or it cannot be replayed.
   virtual void on_checkpoint(const RoundRecord& record) { (void)record; }
   virtual std::vector<std::uint8_t> capture_state() const = 0;
+  /// Called by restore once the checkpoint passed the engine's checks and
+  /// before the engine changes.  Throws on bytes it cannot take, and then
+  /// keeps its current state.
   virtual void restore_state(std::span<const std::uint8_t> bytes) = 0;
 };
 
@@ -202,8 +198,11 @@ class Aggregator {
     return links_.at(static_cast<std::size_t>(id)).stats();
   }
 
-  /// LR-schedule offset the NEXT round's local steps start from.
-  std::int64_t schedule_step_base() const { return schedule_step_base_; }
+  /// LR-schedule offset the NEXT round's local steps start from: every
+  /// round, skipped ones included, advances it by local_steps.
+  std::int64_t schedule_step_base() const {
+    return static_cast<std::int64_t>(round_) * config_.local_steps;
+  }
   /// Simulated wall-clock: the sim timestamp the NEXT round starts at
   /// (sum of completed rounds' slowest-client + collective sim seconds).
   double sim_now() const { return sim_now_; }
@@ -261,25 +260,21 @@ class Aggregator {
   /// Attach the opaque checkpoint state extension (nullptr = detach).
   /// Not owned; must outlive the aggregator.
   void set_state_extension(RoundStateExtension* ext) { state_ext_ = ext; }
-  /// Restore-only: pin the sim clock to a checkpointed value.  Sync saves
-  /// do not persist the clock (restored runs restart at sim 0, which is
-  /// harmless for training state), but span *durations* are differences of
-  /// absolute sim timestamps, so an extension that feeds spans back into
-  /// decisions must reinstate the exact pre-crash epoch or the arithmetic
-  /// drifts by an ULP.  The async engine restores its own clock; calling
-  /// this afterwards with the same checkpoint's value is a no-op.
-  void set_sim_clock(double t) { sim_now_ = t; }
 
   /// Annotate the most recent round's record with an eval result.
   void record_eval(double perplexity);
 
-  /// Restore the global model from the latest checkpoint (crash recovery).
-  /// In async mode this also restores the mid-buffer engine state (pending
-  /// in-flight updates, membership, admission counters, the sim clock), so
-  /// the recovered timeline is bit-identical to an uninterrupted run.
-  /// Returns false only when there is no checkpoint; throws
-  /// std::runtime_error, before restoring anything, on a checkpoint whose
-  /// param count or client population differs from this engine's.
+  /// Restore the global model from the latest checkpoint (crash recovery),
+  /// with the sim clock and every client's membership state, which win
+  /// over anything the installed membership plan would derive.  In async
+  /// mode this also restores the mid-buffer engine state (pending in-flight
+  /// updates, admission counters), so the recovered timeline is
+  /// bit-identical to an uninterrupted run.  Returns false only when there
+  /// is no checkpoint; throws std::runtime_error, before restoring
+  /// anything, on a checkpoint whose param count or client population
+  /// differs from this engine's, whose DP accounting (sigma, delta)
+  /// differs from this engine's accountant (including one side having
+  /// none), or whose tuner section the attached extension refuses.
   bool restore_latest_checkpoint();
 
   // --- privacy engine introspection (DESIGN.md §14) ----------------------
@@ -345,7 +340,7 @@ class Aggregator {
   void apply_membership(RoundRecord& record);
   double staleness_weight(std::uint32_t staleness) const;
   /// Deterministic admission-deferral backoff for a client's count'th
-  /// consecutive defer; keyed on (retry.jitter_seed, client, count) so a
+  /// consecutive defer; its jitter is keyed on (client, count) so a
   /// restored run reproduces the exact deferral timeline.
   double defer_backoff(int client, std::uint32_t count) const;
   /// Reset `slot` for a fresh dispatch of `client` at sim time `t`.
@@ -384,7 +379,7 @@ class Aggregator {
   void save_checkpoint(const RoundRecord& record);
   /// kRound span over [t0, sim_now_], the round's counters (from the record
   /// and the link-stat deltas since `start`), history; advances the round
-  /// index and the LR-schedule base.
+  /// index.
   RoundRecord close_round(RoundRecord& record, const RoundStart& start,
                           std::int32_t detail);
   AsyncAggregatorState capture_async_state() const;
@@ -406,7 +401,6 @@ class Aggregator {
   TrainingHistory history_;
   std::vector<float> global_params_;
   std::uint32_t round_ = 0;
-  std::int64_t schedule_step_base_ = 0;
   double sim_now_ = 0.0;
   ClientFaultHook fault_hook_;
   RoundStateExtension* state_ext_ = nullptr;
@@ -443,8 +437,6 @@ class Aggregator {
   std::vector<std::uint32_t> dispatch_seq_;   // dispatches per client per drain
   std::vector<InFlight> slots_;               // sync cohort / async pool
   std::vector<int> client_slot_;              // client -> slot, -1 = idle
-  std::uint64_t async_accepted_total_ = 0;
-  std::uint64_t async_discarded_total_ = 0;
   std::vector<double> acc_;  // fp64 staleness-weighted drain accumulator
 
   // --- privacy engine state (DESIGN.md §14) -----------------------------

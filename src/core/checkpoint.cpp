@@ -46,10 +46,6 @@ void write_section(BinaryWriter& w, std::uint32_t tag, Fill&& fill) {
 }
 
 void write_async_state(BinaryWriter& w, const AsyncAggregatorState& s) {
-  w.write(s.sim_now);
-  w.write(s.accepted_total);
-  w.write(s.discarded_total);
-  w.write_vector(s.membership);
   w.write_vector(s.defer_counts);
   w.write_vector(s.next_eligible);
   w.write(static_cast<std::uint64_t>(s.in_flight.size()));
@@ -68,10 +64,6 @@ void write_async_state(BinaryWriter& w, const AsyncAggregatorState& s) {
 
 AsyncAggregatorState read_async_state(BinaryReader& r) {
   AsyncAggregatorState s;
-  s.sim_now = r.read<double>();
-  s.accepted_total = r.read<std::uint64_t>();
-  s.discarded_total = r.read<std::uint64_t>();
-  s.membership = r.read_vector<std::uint8_t>();
   s.defer_counts = r.read_vector<std::uint32_t>();
   s.next_eligible = r.read_vector<double>();
   // Grown one record at a time: a count the bytes cannot back fails on a
@@ -90,6 +82,34 @@ AsyncAggregatorState read_async_state(BinaryReader& r) {
     u.wire = r.read_vector<std::uint8_t>();
   }
   return s;
+}
+
+void write_link_stats(BinaryWriter& w, const LinkStats& l) {
+  w.write(l.messages);
+  w.write(l.payload_bytes);
+  w.write(l.wire_bytes);
+  w.write(l.transfer_seconds);
+  w.write(l.retries);
+  w.write(l.send_failures);
+  w.write(l.corrupt_chunks);
+  w.write(l.aborted_messages);
+  w.write(l.deadline_misses);
+  w.write(l.backoff_seconds);
+}
+
+LinkStats read_link_stats(BinaryReader& r) {
+  LinkStats l;
+  l.messages = r.read<std::uint64_t>();
+  l.payload_bytes = r.read<std::uint64_t>();
+  l.wire_bytes = r.read<std::uint64_t>();
+  l.transfer_seconds = r.read<double>();
+  l.retries = r.read<std::uint64_t>();
+  l.send_failures = r.read<std::uint64_t>();
+  l.corrupt_chunks = r.read<std::uint64_t>();
+  l.aborted_messages = r.read<std::uint64_t>();
+  l.deadline_misses = r.read<std::uint64_t>();
+  l.backoff_seconds = r.read<double>();
+  return l;
 }
 
 [[noreturn]] void io_failure(const std::filesystem::path& path) {
@@ -126,8 +146,11 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt) {
   w.write(kCkptMagic);
   write_section(w, kMeta, [&] {
     w.write(ckpt.round);
-    w.write(ckpt.schedule_step_base);
+    w.write(ckpt.sim_now);
     w.write_vector(ckpt.client_trained_rounds);
+    w.write_vector(ckpt.membership);
+    w.write(static_cast<std::uint64_t>(ckpt.link_stats.size()));
+    for (const LinkStats& l : ckpt.link_stats) write_link_stats(w, l);
     w.write_vector(ckpt.server_opt_state);
   });
   write_section(w, kParams, [&] { w.write_vector(ckpt.params); });
@@ -153,7 +176,6 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt) {
       w.write(p.delta);
       w.write(p.wave_counter);
       w.write(p.shares_reconstructed_total);
-      w.write(p.epsilon);
     });
   }
   w.write(crc32(w.bytes()));
@@ -177,8 +199,17 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> image) {
     if (!seen.insert(tag).second) corrupt("repeated section");
     if (tag == kMeta) {
       ckpt.round = s.read<std::uint32_t>();
-      ckpt.schedule_step_base = s.read<std::int64_t>();
+      ckpt.sim_now = s.read<double>();
       ckpt.client_trained_rounds = s.read_vector<std::uint32_t>();
+      for (const auto m : s.read_vector<std::uint8_t>()) {
+        if (m > static_cast<std::uint8_t>(MembershipState::kLeft)) {
+          corrupt("bad membership state");
+        }
+        ckpt.membership.push_back(static_cast<MembershipState>(m));
+      }
+      for (auto n = s.read<std::uint64_t>(); n > 0; --n) {
+        ckpt.link_stats.push_back(read_link_stats(s));
+      }
       ckpt.server_opt_state = s.read_vector<std::uint8_t>();
     } else if (tag == kParams) {
       ckpt.params = s.read_vector<float>();
@@ -198,7 +229,6 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> image) {
       p.delta = s.read<double>();
       p.wave_counter = s.read<std::uint64_t>();
       p.shares_reconstructed_total = s.read<std::uint64_t>();
-      p.epsilon = s.read<double>();
     } else {
       corrupt("unknown section");
     }

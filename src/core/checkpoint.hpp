@@ -3,7 +3,7 @@
 // model snapshots each round for fast recovery, with optional persistence
 // to disk, recovery metadata, and a write-ahead round journal that makes
 // aggregator crash-recovery exact (ServerOpt applied exactly once per
-// completed round; LR schedule state restored bit-identically).
+// completed round; the sim clock and membership restored bit-identically).
 
 #include <cstdint>
 #include <filesystem>
@@ -11,6 +11,9 @@
 #include <span>
 #include <string>
 #include <vector>
+
+#include "comm/link.hpp"
+#include "core/membership.hpp"
 
 namespace photon {
 
@@ -40,30 +43,25 @@ struct AsyncInFlightSnapshot {
 
 /// Async engine state captured at a FedBuff drain boundary (the fp64
 /// accumulator is always empty there, so "buffer contents" = the in-flight
-/// updates plus the per-client counters that gate admission).
+/// updates plus the per-client counters that gate admission).  The sim
+/// clock and membership live in the checkpoint's metadata, for both engines.
 struct AsyncAggregatorState {
-  /// Async rounds consume sim time across drain boundaries, so unlike the
-  /// sync engine the clock itself is part of the restart state.
-  double sim_now = 0.0;
-  std::uint64_t accepted_total = 0;
-  std::uint64_t discarded_total = 0;
-  std::vector<std::uint8_t> membership;     // MembershipState per client
   std::vector<std::uint32_t> defer_counts;  // consecutive admission defers
   std::vector<double> next_eligible;        // sim time a defer expires
   std::vector<AsyncInFlightSnapshot> in_flight;
 };
 
 /// Privacy engine state at a checkpoint boundary (DESIGN.md §14): the RDP
-/// accountant's composition count (epsilon is recomputed from it) and the
-/// SecAgg wave counter that seeds per-dispatch-wave mask sessions.  A
-/// restored run continues both exactly where the crashed run left off.
+/// accountant's composition count (epsilon is recomputed from it), the
+/// (sigma, delta) it was built with, which restore checks against its own,
+/// and the SecAgg wave counter that seeds per-dispatch-wave mask sessions.
+/// A restored run continues both exactly where the crashed run left off.
 struct PrivacyCheckpointState {
   std::uint64_t accounted_rounds = 0;   // RDP compositions so far
   double noise_multiplier = 0.0;        // sigma the accountant was built with
   double delta = 0.0;                   // target delta; 0 = DP disabled
   std::uint64_t wave_counter = 0;       // next async secagg wave id
   std::uint64_t shares_reconstructed_total = 0;  // lifetime dropout recoveries
-  double epsilon = 0.0;                 // eps(delta) at save time (audit)
 };
 
 struct Checkpoint {
@@ -71,13 +69,20 @@ struct Checkpoint {
   std::vector<float> params;
 
   // --- recovery metadata ---
-  /// Cumulative schedule step count *after* completing `round`; restoring
-  /// it makes the post-recovery cosine LR schedule identical to an
-  /// uninterrupted run.
-  std::int64_t schedule_step_base = 0;
+  // The LR schedule position is not stored: it is (round + 1) x tau.
+  /// The sim clock when `round` closed.  Spans and arrival times are
+  /// absolute sim timestamps, so a restored run resumes at this epoch.
+  double sim_now = 0.0;
   /// Per-client count of rounds whose local training actually ran, used to
   /// fast-forward fresh client data streams to their pre-crash positions.
   std::vector<std::uint32_t> client_trained_rounds;
+  /// Every client's lifecycle state after `round`.  Restore keeps these
+  /// over anything a membership plan would derive.
+  std::vector<MembershipState> membership;
+  /// Every client link's running LinkStats totals.  Sim durations are
+  /// differences of these totals, so a restored run continues from the
+  /// same totals or its durations differ in the last bit.
+  std::vector<LinkStats> link_stats;
   /// Serialized ServerOpt state (momentum / moment buffers) captured after
   /// this round's apply; empty for stateless optimizers.
   std::vector<std::uint8_t> server_opt_state;
@@ -86,7 +91,7 @@ struct Checkpoint {
   /// Restoring them keeps the post-recovery wire stream bit-identical to
   /// an uninterrupted run.
   std::vector<std::vector<float>> client_ef_residuals;
-  /// Elastic async engine state; async-mode saves only.
+  /// Async engine state; async-mode saves only.
   std::optional<AsyncAggregatorState> async_state;
   /// Opaque autotuner state (src/tune decision history + trace digests),
   /// non-empty only when a tuner is attached.  Restoring it replays the
@@ -103,8 +108,9 @@ struct Checkpoint {
 /// every byte before it.  The metadata and params sections are mandatory.
 std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt);
 /// Inverse of encode_checkpoint.  Throws std::runtime_error on a bad magic
-/// or CRC, and on a truncated, repeated, unknown or missing mandatory
-/// section or one whose body its decoder does not consume exactly.
+/// or CRC, on a truncated, repeated, unknown or missing mandatory section
+/// or one whose body its decoder does not consume exactly, and on a
+/// membership byte that names no MembershipState.
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> image);
 
 class CheckpointStore {

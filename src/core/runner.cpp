@@ -154,7 +154,6 @@ const TrainingHistory& PhotonRunner::run() {
   obs::Tracer* tracer = config_.tracer;
   for (int r = 0; r < config_.rounds; ++r) {
     const RoundRecord record = aggregator_->run_round();
-    if (round_hook_) round_hook_(*aggregator_, record);
     const bool eval_round =
         (r + 1) % config_.eval_every == 0 || r + 1 == config_.rounds;
     if (eval_round) {

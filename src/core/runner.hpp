@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -94,12 +93,6 @@ struct RunnerConfig {
 
 class PhotonRunner {
  public:
-  /// Invoked after every completed round (before that round's eval) with
-  /// the aggregator and the fresh record.  This is the trace-driven
-  /// autotuner's attachment point (src/tune): observe the round, decide,
-  /// and push next-round knobs — without the runner depending on the tuner.
-  using RoundHook = std::function<void(Aggregator&, const RoundRecord&)>;
-
   explicit PhotonRunner(RunnerConfig config);
   ~PhotonRunner();
 
@@ -116,12 +109,8 @@ class PhotonRunner {
   const RunnerConfig& config() const { return config_; }
   const TokenDataset& eval_set() const { return eval_set_; }
 
-  /// Install (or clear, with nullptr) the after-round hook.
-  void set_round_hook(RoundHook hook) { round_hook_ = std::move(hook); }
-
  private:
   RunnerConfig config_;
-  RoundHook round_hook_;
   std::unique_ptr<Aggregator> aggregator_;
   std::unique_ptr<GptModel> eval_model_;
   TokenDataset eval_set_;

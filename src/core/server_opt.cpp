@@ -55,13 +55,11 @@ void NesterovOpt::apply(std::span<float> params,
                         std::span<const float> pseudo_grad) {
   check_sizes(params, pseudo_grad);
   if (buf_.size() != params.size()) buf_.assign(params.size(), 0.0f);
-  // initialized=1 always: on the first apply buf is zero and
-  // mu*0 + g == g exactly, matching the unconditional update above.
+  // On the first apply buf is zero, and mu*0 + g == g exactly.
   const auto& ops = kernels::default_context().simd();
   for_shards(params.size(), [&](std::size_t i0, std::size_t i1) {
     ops.nesterov(params.data() + i0, buf_.data() + i0,
-                 pseudo_grad.data() + i0, i1 - i0, lr_, momentum_,
-                 /*initialized=*/1);
+                 pseudo_grad.data() + i0, i1 - i0, lr_, momentum_);
   });
 }
 

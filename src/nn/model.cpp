@@ -280,8 +280,6 @@ float GptModel::forward(const int* tokens, const int* targets, int batch,
   k::linear_forward(kc, a.logits.data(), a.lnf.data(), p(layout_.wte), nullptr,
                     bt, c, v);
 
-  if (targets == nullptr) return 0.0f;
-
   k::softmax_xent_forward(kc, a.losses.data(), a.probs.data(), a.logits.data(),
                           targets, bt, v);
   double total = 0.0;
@@ -444,46 +442,6 @@ float GptModel::eval_loss(std::span<const int> tokens,
     throw std::invalid_argument("GptModel::eval_loss: batch too small");
   }
   return forward(tokens.data(), targets.data(), batch, seq);
-}
-
-void GptModel::forward_logits(std::span<const int> tokens, int batch, int seq,
-                              std::vector<float>& logits_out) {
-  const auto bt = static_cast<std::size_t>(batch) * seq;
-  if (tokens.size() < bt) {
-    throw std::invalid_argument("GptModel::forward_logits: batch too small");
-  }
-  forward(tokens.data(), nullptr, batch, seq);
-  logits_out.assign(acts_->logits.begin(),
-                    acts_->logits.begin() +
-                        static_cast<std::ptrdiff_t>(bt * config_.vocab_size));
-}
-
-void GptModel::save(BinaryWriter& writer) const {
-  writer.write(config_.n_layers);
-  writer.write(config_.d_model);
-  writer.write(config_.n_heads);
-  writer.write(config_.vocab_size);
-  writer.write(config_.seq_len);
-  writer.write(config_.expansion_ratio);
-  writer.write_vector(params_);
-}
-
-void GptModel::load(BinaryReader& reader) {
-  ModelConfig c;
-  c.n_layers = reader.read<int>();
-  c.d_model = reader.read<int>();
-  c.n_heads = reader.read<int>();
-  c.vocab_size = reader.read<int>();
-  c.seq_len = reader.read<int>();
-  c.expansion_ratio = reader.read<int>();
-  if (c.n_layers != config_.n_layers || c.d_model != config_.d_model ||
-      c.n_heads != config_.n_heads || c.vocab_size != config_.vocab_size ||
-      c.seq_len != config_.seq_len ||
-      c.expansion_ratio != config_.expansion_ratio) {
-    throw std::runtime_error("GptModel::load: checkpoint config mismatch");
-  }
-  auto loaded = reader.read_vector<float>();
-  load_params(loaded);
 }
 
 }  // namespace photon

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "nn/config.hpp"
-#include "util/serialization.hpp"
 
 namespace photon::kernels {
 class KernelContext;
@@ -75,15 +74,6 @@ class GptModel {
   /// Forward only; returns mean loss. Does not touch gradients.
   float eval_loss(std::span<const int> tokens, std::span<const int> targets,
                   int batch, int seq);
-
-  /// Forward only; fills `logits_out` with the (B*T, V) logits.
-  void forward_logits(std::span<const int> tokens, int batch, int seq,
-                      std::vector<float>& logits_out);
-
-  /// Serialize parameters + config for checkpointing.
-  void save(BinaryWriter& writer) const;
-  /// Restore from a checkpoint produced by save(); config must match.
-  void load(BinaryReader& reader);
 
  private:
   struct Acts;  // activation tape (defined in model.cpp)

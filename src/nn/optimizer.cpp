@@ -95,40 +95,6 @@ void AdamW::reset() {
   t_ = 0;
 }
 
-SgdNesterov::SgdNesterov(std::size_t num_params, float momentum)
-    : momentum_(momentum), buf_(num_params, 0.0f) {}
-
-void SgdNesterov::step(std::span<float> params, std::span<const float> grads,
-                       float lr) {
-  step(kernels::default_context(), params, grads, lr);
-}
-
-void SgdNesterov::step(const kernels::KernelContext& ctx,
-                       std::span<float> params, std::span<const float> grads,
-                       float lr) {
-  if (params.size() != buf_.size() || grads.size() != buf_.size()) {
-    throw std::invalid_argument("SgdNesterov::step: size mismatch");
-  }
-  // Matches torch.optim.SGD(momentum=mu, nesterov=True).
-  const float mu = momentum_;
-  const int initialized = initialized_ ? 1 : 0;
-  const auto& ops = ctx.simd();
-  float* p = params.data();
-  float* buf = buf_.data();
-  const float* g = grads.data();
-  ctx.parallel_shards(params.size(), ctx.grain_rows(kStepRowCost),
-                      [&](int, std::size_t i0, std::size_t i1) {
-                        ops.nesterov(p + i0, buf + i0, g + i0, i1 - i0, lr, mu,
-                                     initialized);
-                      });
-  initialized_ = true;
-}
-
-void SgdNesterov::reset() {
-  std::memset(buf_.data(), 0, buf_.size() * sizeof(float));
-  initialized_ = false;
-}
-
 double clip_grad_norm(std::span<float> grads, double max_norm) {
   const double norm = kernels::l2_norm(grads.data(), grads.size());
   if (norm > max_norm && norm > 0.0) {

@@ -2,13 +2,13 @@
 // Local (client-side) optimizers operating on flat parameter buffers.
 //
 // AdamW is the paper's ClientOpt (Table 4: betas 0.9/0.95, decoupled weight
-// decay).  SGD with Nesterov momentum is DiLoCo's recommended OuterOpt and is
-// reused by the baselines.  Photon keeps optimizer state *local and
-// stateless across rounds* (Appendix A): reset() implements that policy.
+// decay).  Photon keeps optimizer state *local and stateless across rounds*
+// (Appendix A): reset() implements that policy.  DiLoCo's Nesterov OuterOpt
+// is the server's NesterovOpt (core/server_opt.hpp).
 //
-// Both optimizers step through the runtime-dispatched SIMD layer
-// (tensor/simd.hpp) and shard elementwise over a KernelContext, so updates
-// are bit-identical across scalar/AVX2/AVX-512 and any thread count.
+// AdamW steps through the runtime-dispatched SIMD layer (tensor/simd.hpp)
+// and shards elementwise over a KernelContext, so updates are bit-identical
+// across scalar/AVX2/AVX-512 and any thread count.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,24 +79,6 @@ class AdamW {
   std::vector<float> m_;
   std::vector<float> v_;
   std::size_t t_ = 0;
-};
-
-class SgdNesterov {
- public:
-  SgdNesterov(std::size_t num_params, float momentum);
-
-  /// Nesterov update: buf = mu*buf + g; params -= lr * (g + mu*buf).
-  void step(std::span<float> params, std::span<const float> grads, float lr);
-  void step(const kernels::KernelContext& ctx, std::span<float> params,
-            std::span<const float> grads, float lr);
-
-  void reset();
-  std::span<const float> momentum_buffer() const { return buf_; }
-
- private:
-  float momentum_;
-  std::vector<float> buf_;
-  bool initialized_ = false;
 };
 
 /// Scale gradients so their global L2 norm is at most `max_norm`.

@@ -155,9 +155,9 @@ struct Ops {
   // buf = mu*buf + g; p -= lr*buf
   void (*momentum)(float* p, float* buf, const float* g, std::size_t n,
                    float lr, float mu);
-  // buf = initialized ? mu*buf + g : g; p -= lr*(g + mu*buf)
+  // buf = mu*buf + g; p -= lr*(g + mu*buf)
   void (*nesterov)(float* p, float* buf, const float* g, std::size_t n,
-                   float lr, float mu, int initialized);
+                   float lr, float mu);
 
   // -------------------------------------------------------- aggregation --
   // m = float(sum_r double(rows[r][i]) * inv) written back to every row

@@ -144,7 +144,6 @@ void RoundAutotuner::bind_initial(Aggregator& agg) {
   last_observed_ = -1;
   tail_seen_ = false;
   tracer_ = agg.tracer();
-  agg_ = &agg;
   bound_ = true;
   agg.set_state_extension(this);
 }
@@ -315,12 +314,6 @@ std::vector<std::uint8_t> RoundAutotuner::capture_state() const {
   BinaryWriter w;
   w.write(kStateMagic);
   w.write(config_.seed);
-  // The sim clock the checkpointed round ended at.  Sync checkpoints do not
-  // persist the clock themselves, but span durations are differences of
-  // absolute sim timestamps — a restored run must resume at the exact
-  // pre-crash epoch or post-restore digests drift by an ULP and the
-  // decision timeline forks.
-  w.write(agg_ != nullptr ? agg_->sim_now() : 0.0);
   w.write(static_cast<std::uint64_t>(history_.size()));
   for (const TunerDecision& d : history_) d.serialize(w);
   w.write(static_cast<std::uint64_t>(digests_.size()));
@@ -336,7 +329,6 @@ void RoundAutotuner::restore_state(std::span<const std::uint8_t> bytes) {
   if (r.read<std::uint64_t>() != config_.seed) {
     throw std::runtime_error("RoundAutotuner: tuner-state seed mismatch");
   }
-  const double sim_clock = r.read<double>();
   // Both lists grow one record at a time, so a count the bytes cannot back
   // fails on a truncated read, never on a huge allocation.  Nothing is
   // committed until every record has parsed.
@@ -351,7 +343,6 @@ void RoundAutotuner::restore_state(std::span<const std::uint8_t> bytes) {
   if (history.empty()) {
     throw std::runtime_error("RoundAutotuner: restored empty history");
   }
-  if (agg_ != nullptr) agg_->set_sim_clock(sim_clock);
   history_ = std::move(history);
   digests_ = std::move(digests);
   tail_seen_ = std::any_of(digests_.begin(), digests_.end(), [](const auto& d) {

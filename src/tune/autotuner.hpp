@@ -121,10 +121,6 @@ class RoundAutotuner final : public RoundStateExtension {
 
   TunerConfig config_;
   obs::Tracer* tracer_ = nullptr;  ///< for the on_checkpoint read
-  /// Bound aggregator: capture_state persists its sim clock and
-  /// restore_state reinstates it (sync checkpoints do not carry the clock,
-  /// and span durations are epoch-sensitive at the ULP level).
-  Aggregator* agg_ = nullptr;
   std::int64_t last_observed_ = -1;
   std::int64_t model_params_ = 0;
   int population_ = 0;

@@ -22,28 +22,13 @@ TunedSession::~TunedSession() {
 
 RoundRecord TunedSession::step() {
   const RoundRecord record = agg_.run_round();
-  on_round(record);
-  return record;
-}
-
-void TunedSession::on_round(const RoundRecord& record) {
   // Round boundaries are quiescent: every worker the round used has joined.
   tuner_.observe(record, tracer_->round_events(record.round));
   if (owned_tracer_ != nullptr) (void)owned_tracer_->drain();
   tuner_.apply(agg_);
+  return record;
 }
 
 void TunedSession::resume() { tuner_.apply(agg_); }
-
-std::unique_ptr<TunedSession> attach_tuner(PhotonRunner& runner,
-                                           TunerConfig config) {
-  auto session =
-      std::make_unique<TunedSession>(runner.aggregator(), std::move(config));
-  TunedSession* raw = session.get();
-  runner.set_round_hook([raw](Aggregator&, const RoundRecord& record) {
-    raw->on_round(record);
-  });
-  return session;
-}
 
 }  // namespace photon::tune

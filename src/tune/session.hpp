@@ -1,6 +1,6 @@
 #pragma once
 // TunedSession: owns the observe -> decide -> apply loop around an
-// Aggregator, plus attach_tuner() for PhotonRunner-driven experiments.
+// Aggregator.
 //
 // At each round boundary (a quiescent point) the session reads the round's
 // events from the tracer, feeds them to the RoundAutotuner, and pushes the
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/aggregator.hpp"
-#include "core/runner.hpp"
 #include "obs/trace.hpp"
 #include "tune/autotuner.hpp"
 
@@ -30,13 +29,9 @@ class TunedSession {
   TunedSession(const TunedSession&) = delete;
   TunedSession& operator=(const TunedSession&) = delete;
 
-  /// Run one autotuned round: run_round() + observe + apply.
+  /// Run one autotuned round: run_round(), then read the round's events,
+  /// digest its record and apply the next decision.
   RoundRecord step();
-
-  /// Tuning half of step() for rounds run elsewhere (the PhotonRunner
-  /// RoundHook path): read the round's events, digest `record`, apply the
-  /// next decision.
-  void on_round(const RoundRecord& record);
 
   /// Re-apply the current decision after the aggregator restored a
   /// checkpoint (the restore path already rebuilt the decision history
@@ -52,10 +47,5 @@ class TunedSession {
   std::unique_ptr<obs::Tracer> owned_tracer_;
   obs::Tracer* tracer_ = nullptr;
 };
-
-/// Wire a RoundAutotuner into a PhotonRunner via its RoundHook.  The
-/// returned session must outlive the runner's run() call.
-std::unique_ptr<TunedSession> attach_tuner(PhotonRunner& runner,
-                                           TunerConfig config);
 
 }  // namespace photon::tune

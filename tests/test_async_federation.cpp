@@ -456,8 +456,8 @@ void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
   AsyncAggregatorState& st = ckpt.async_state.emplace();
   const auto pop = static_cast<std::size_t>(agg->population());
   ckpt.client_trained_rounds.assign(pop, 0);
-  st.membership.assign(pop,
-                       static_cast<std::uint8_t>(MembershipState::kActive));
+  ckpt.membership.assign(pop, MembershipState::kActive);
+  ckpt.link_stats.assign(pop, {});
   st.defer_counts.assign(pop, 0);
   st.next_eligible.assign(pop, 0.0);
   st.in_flight = {pending};

@@ -343,8 +343,8 @@ TEST(Autotune, TunerStateRejectsForeignBytes) {
   EXPECT_THROW(reseeded.restore_state(good), std::runtime_error);
 
   // A decision count the bytes cannot back fails on a truncated read, not
-  // on a huge allocation.  The count follows the magic, seed and sim clock.
-  const std::size_t count_at = 4 + 8 + 8;
+  // on a huge allocation.  The count follows the magic and seed.
+  const std::size_t count_at = 4 + 8;
   for (const std::uint64_t claim : {std::uint64_t{1} << 62,
                                     std::uint64_t{1} << 36}) {
     std::vector<std::uint8_t> huge = good;
@@ -360,6 +360,38 @@ TEST(Autotune, TunerStateRejectsForeignBytes) {
   topology[codec_at + 8 + codec_len] = 3;
   EXPECT_THROW(tuner.restore_state(topology), std::runtime_error);
   agg->set_state_extension(nullptr);
+}
+
+TEST(Autotune, ForeignTunerStateIsRefusedBeforeRestoringAnything) {
+  // A checkpoint whose tuner section another tuner wrote (another seed) is
+  // refused with the engine untouched: round, clock and params stay.
+  GlobalKnobReset knobs;
+  const auto base =
+      std::filesystem::temp_directory_path() / "photon_autotune_foreign";
+  std::filesystem::remove_all(base);
+  AggregatorConfig ac = base_config();
+  ac.parallel_clients = false;
+  ac.checkpoint_every = 1;
+  ac.checkpoint_dir = base;
+  {
+    auto agg = build_aggregator(ac);
+    TunedSession session(*agg, tuner_config());
+    for (int r = 0; r < 2; ++r) session.step();
+  }
+  knobs.reset();
+  auto fresh = build_aggregator(ac);
+  TunerConfig other = tuner_config();
+  other.seed ^= 1;
+  TunedSession session(*fresh, other);
+  const std::vector<float> before(fresh->global_params().begin(),
+                                  fresh->global_params().end());
+  EXPECT_THROW(fresh->restore_latest_checkpoint(), std::runtime_error);
+  EXPECT_EQ(fresh->round(), 0u);
+  EXPECT_EQ(fresh->sim_now(), 0.0);
+  EXPECT_EQ(0, std::memcmp(before.data(), fresh->global_params().data(),
+                           before.size() * sizeof(float)));
+  EXPECT_EQ(session.tuner().history().size(), 1u);
+  std::filesystem::remove_all(base);
 }
 
 // ------------------------------------------------------ JSONL parse-back --

@@ -246,8 +246,14 @@ TEST(CheckpointStore, RecoveryMetadataRoundTripsThroughDisk) {
   Checkpoint ckpt;
   ckpt.round = 4;
   ckpt.params = {0.5f, 1.5f, 2.5f};
-  ckpt.schedule_step_base = 40;
+  ckpt.sim_now = 40.25;
   ckpt.client_trained_rounds = {5, 0, 4, 5};
+  ckpt.membership = {MembershipState::kActive, MembershipState::kAbsent,
+                     MembershipState::kActive, MembershipState::kLeft};
+  ckpt.link_stats.resize(4);
+  ckpt.link_stats[2].wire_bytes = 4096;
+  ckpt.link_stats[2].transfer_seconds = 0.125;
+  ckpt.link_stats[3].backoff_seconds = 0.05;
   ckpt.server_opt_state = {0xAB, 0xCD, 0x01};
   {
     CheckpointStore store(dir);
@@ -258,8 +264,10 @@ TEST(CheckpointStore, RecoveryMetadataRoundTripsThroughDisk) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->round, 4u);
   EXPECT_EQ(back->params, ckpt.params);
-  EXPECT_EQ(back->schedule_step_base, 40);
+  EXPECT_EQ(back->sim_now, 40.25);
   EXPECT_EQ(back->client_trained_rounds, ckpt.client_trained_rounds);
+  EXPECT_EQ(back->membership, ckpt.membership);
+  EXPECT_EQ(back->link_stats, ckpt.link_stats);
   EXPECT_EQ(back->server_opt_state, ckpt.server_opt_state);
   std::filesystem::remove_all(dir);
 }
@@ -319,15 +327,24 @@ TEST(CheckpointStore, JournalTracksBeginAndCommitAcrossProcesses) {
 /// q8 in-flight image and a failed slot, tuner and privacy state.
 Checkpoint full_checkpoint() {
   Checkpoint c = params_checkpoint(5, {0.5f, -1.5f, 2.5f});
-  c.schedule_step_base = 24;
+  c.sim_now = 12.5;
   c.client_trained_rounds = {5, 3};
+  c.membership = {MembershipState::kActive, MembershipState::kLeft};
+  c.link_stats.resize(2);
+  LinkStats& l = c.link_stats[1];
+  l.messages = 7;
+  l.payload_bytes = 96;
+  l.wire_bytes = 120;
+  l.transfer_seconds = 0.75;
+  l.retries = 2;
+  l.send_failures = 1;
+  l.corrupt_chunks = 1;
+  l.aborted_messages = 1;
+  l.deadline_misses = 1;
+  l.backoff_seconds = 0.1;
   c.server_opt_state = {0xAB, 0xCD};
   c.client_ef_residuals = {{0.25f, -0.125f, 0.0f}, {}};
   AsyncAggregatorState& a = c.async_state.emplace();
-  a.sim_now = 12.5;
-  a.accepted_total = 9;
-  a.discarded_total = 1;
-  a.membership = {1, 2};
   a.defer_counts = {0, 3};
   a.next_eligible = {0.0, 13.0};
   Message update;
@@ -352,7 +369,6 @@ Checkpoint full_checkpoint() {
   p.delta = 1e-5;
   p.wave_counter = 2;
   p.shares_reconstructed_total = 1;
-  p.epsilon = 2.0;
   return c;
 }
 
@@ -361,15 +377,13 @@ TEST(CheckpointImage, EverySectionRoundTrips) {
   const Checkpoint back = decode_checkpoint(encode_checkpoint(c));
   EXPECT_EQ(back.round, c.round);
   EXPECT_EQ(back.params, c.params);
-  EXPECT_EQ(back.schedule_step_base, c.schedule_step_base);
+  EXPECT_EQ(back.sim_now, c.sim_now);
   EXPECT_EQ(back.client_trained_rounds, c.client_trained_rounds);
+  EXPECT_EQ(back.membership, c.membership);
+  EXPECT_EQ(back.link_stats, c.link_stats);
   EXPECT_EQ(back.server_opt_state, c.server_opt_state);
   EXPECT_EQ(back.client_ef_residuals, c.client_ef_residuals);
   ASSERT_TRUE(back.async_state.has_value());
-  EXPECT_EQ(back.async_state->sim_now, c.async_state->sim_now);
-  EXPECT_EQ(back.async_state->accepted_total, c.async_state->accepted_total);
-  EXPECT_EQ(back.async_state->discarded_total, c.async_state->discarded_total);
-  EXPECT_EQ(back.async_state->membership, c.async_state->membership);
   EXPECT_EQ(back.async_state->defer_counts, c.async_state->defer_counts);
   EXPECT_EQ(back.async_state->next_eligible, c.async_state->next_eligible);
   ASSERT_EQ(back.async_state->in_flight.size(), 2u);
@@ -393,7 +407,6 @@ TEST(CheckpointImage, EverySectionRoundTrips) {
   EXPECT_EQ(back.privacy_state->delta, 1e-5);
   EXPECT_EQ(back.privacy_state->wave_counter, 2u);
   EXPECT_EQ(back.privacy_state->shares_reconstructed_total, 1u);
-  EXPECT_EQ(back.privacy_state->epsilon, 2.0);
 
   // Absent parts have no section and come back absent.
   const Checkpoint bare =
@@ -493,6 +506,16 @@ TEST(CheckpointImage, MalformedSectionsThrowBehindAValidCrc) {
   }
   // Only the metadata and params sections are mandatory.
   EXPECT_NO_THROW(decode_checkpoint(assemble(magic, {sections[0], sections[1]})));
+}
+
+TEST(CheckpointImage, MembershipByteNamingNoStateThrows) {
+  // Behind a valid CRC, a lifecycle byte past kLeft is refused at decode,
+  // never cast into a state the engine has no transitions for.
+  Checkpoint c = full_checkpoint();
+  c.membership[1] = static_cast<MembershipState>(3);
+  EXPECT_THROW(decode_checkpoint(encode_checkpoint(c)), std::runtime_error);
+  c.membership[1] = MembershipState::kAbsent;
+  EXPECT_EQ(decode_checkpoint(encode_checkpoint(c)).membership, c.membership);
 }
 
 TEST(ServerOpt, StateSaveLoadRestoresMomentumExactly) {

@@ -334,12 +334,12 @@ struct GoldenCase {
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   cases.push_back({"sync_rar_fp32_disk", 0x88c8eb6bac493dd5ULL,
-                   0xdcf2e9dfcb0c9ac2ULL, [] {
+                   0x1ebefdbd578f095eULL, [] {
                      return run_plain("sync_rar_fp32_disk",
                                       sync_base(Topology::kRingAllReduce), 4);
                    }});
   cases.push_back({"sync_ps_faults_deadline_skip", 0x52b91edb4267199fULL,
-                   0xd1a5352cb2a9c65eULL, [] {
+                   0xa26df95593dd966bULL, [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.faults = chaos(0.2, 0.3, 0.05, 0.05);
                      f.inject_faults = true;
@@ -350,7 +350,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_ps_faults_deadline_skip", f, 6);
                    }});
   cases.push_back({"sync_ar_quorum_skip", 0xe6e8a7e72f8670c6ULL,
-                   0xb88a919dcf9d1f13ULL, [] {
+                   0xd05f37f16fb895caULL, [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.faults = chaos(0.3, 0.0, 0.0, 0.0);
                      f.inject_faults = true;
@@ -360,21 +360,21 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_ar_quorum_skip", f, 5);
                    }});
   cases.push_back({"sync_q8_streamed_ar", 0x6aaa92e357b5259bULL,
-                   0xef3c4ba6f97b4b58ULL, [] {
+                   0xce287c5bd62c5e10ULL, [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.codec = [](int) { return "q8"; };
                      f.chunk_bytes = 4096;
                      return run_plain("sync_q8_streamed_ar", f, 4);
                    }});
   cases.push_back({"sync_mixed_q4_fp32_rar", 0xaad693328f14fe86ULL,
-                   0x6770c5d636658148ULL, [] {
+                   0x4ca2859b58ce84a8ULL, [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int i) { return i % 2 == 0 ? "q4" : "rle0"; };
                      f.chunk_bytes = 8192;
                      return run_plain("sync_mixed_q4_fp32_rar", f, 4);
                    }});
   cases.push_back({"sync_secagg_dp_faults", 0x57d63b97462d51eaULL,
-                   0xee338cc9f9fd44c9ULL, [] {
+                   0xe9682eecc89c20a6ULL, [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.secure_aggregation = true;
                      f.ac.clients_per_round = 5;
@@ -386,8 +386,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("sync_secagg_dp_faults", f, 5);
                    }});
-  cases.push_back({"sync_crash_restore", 0x812149e513aab14bULL,
-                   0x876b188d62846253ULL, [] {
+  cases.push_back({"sync_crash_restore", 0xb625a7d65b14fe78ULL,
+                   0x6028ec3bfeada4d7ULL, [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int) { return "q8"; };
                      f.faults = chaos(0.1, 0.2, 0.05, 0.0);
@@ -395,7 +395,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_crash_restore", f, 6, 3);
                    }});
   cases.push_back({"async_fp32_churn_faults", 0xa2692450d409548dULL,
-                   0x60701158701ddd10ULL, [] {
+                   0x16dc539bdad8e1a0ULL, [] {
                      Federation f = async_base();
                      f.faults = chaos(0.1, 0.2, 0.05, 0.05);
                      f.faults.membership.initial_population = 6;
@@ -405,7 +405,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_fp32_churn_faults", f, 6);
                    }});
   cases.push_back({"async_q8_ephemeral_constant", 0xcf5fcbccb48b0f97ULL,
-                   0x81d07311a0573518ULL, [] {
+                   0x860abb65c78e498eULL, [] {
                      Federation f = async_base();
                      f.server_opt = "fedavg";
                      f.ephemeral = true;
@@ -418,7 +418,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_q8_ephemeral_constant", f, 6);
                    }});
   cases.push_back({"async_secagg_dp_leaves", 0x1db3b8998c075402ULL,
-                   0xce3c873bcd1ad93fULL, [] {
+                   0x1117bcdf30cbc91dULL, [] {
                      Federation f = async_base();
                      f.ac.secure_aggregation = true;
                      f.dp_noise = 0.5;
@@ -428,7 +428,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_secagg_dp_leaves", f, 6);
                    }});
   cases.push_back({"async_crash_restore", 0xfc33f8e48ee4ee99ULL,
-                   0x34df40027d3b2897ULL, [] {
+                   0x6154753ee5abbde7ULL, [] {
                      Federation f = async_base();
                      f.codec = [](int i) { return i % 3 == 0 ? "rle0" : "q8"; };
                      f.chunk_bytes = 4096;
@@ -438,8 +438,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_crash_restore", f, 6, 3);
                    }});
-  cases.push_back({"tuned_sync", 0x271ceca84ad2cd0dULL,
-                   0x75ed5e8ebf54a774ULL, [] {
+  cases.push_back({"tuned_sync", 0x4e9a095e8cea2d1aULL,
+                   0x88adcdd9c8b88b40ULL, [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.bandwidth_mbps = 1.25;
                      f.ac.link_bandwidth_gbps = 0.01;
@@ -448,8 +448,8 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_tuned("tuned_sync", f, 6);
                    }});
-  cases.push_back({"tuned_async", 0xe8a7738802bc03f3ULL,
-                   0xa148845addd3c144ULL, [] {
+  cases.push_back({"tuned_async", 0xf919df0240047c42ULL,
+                   0x0c953cf8889bd3d2ULL, [] {
                      Federation f = async_base();
                      f.ac.bandwidth_mbps = 1.25;
                      f.ac.link_bandwidth_gbps = 0.01;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "comm/message.hpp"
@@ -20,6 +21,7 @@
 #include "data/stream.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/trace.hpp"
 
 namespace photon {
 namespace {
@@ -774,6 +776,210 @@ TEST(FaultEngine, RecoveryIsBitExactUnderActiveFaultInjection) {
                            ref->global_params().size() * sizeof(float)));
   EXPECT_EQ(ref->client_trained_rounds(), recovered->client_trained_rounds());
   std::filesystem::remove_all(base);
+}
+
+/// Every deterministic RoundRecord field: all but the two wall-clock ones.
+void expect_same_record(const RoundRecord& a, const RoundRecord& b) {
+  EXPECT_EQ(a.round, b.round);
+  EXPECT_EQ(a.participants, b.participants);
+  EXPECT_EQ(a.mean_train_loss, b.mean_train_loss);
+  EXPECT_EQ(a.update_norm, b.update_norm);
+  EXPECT_EQ(a.tokens_this_round, b.tokens_this_round);
+  EXPECT_EQ(a.comm_bytes, b.comm_bytes);
+  EXPECT_EQ(a.sim_comm_seconds, b.sim_comm_seconds);
+  EXPECT_EQ(a.sim_local_seconds, b.sim_local_seconds);
+  EXPECT_EQ(a.client_metrics, b.client_metrics);
+  EXPECT_EQ(a.eval_perplexity, b.eval_perplexity);
+  EXPECT_EQ(a.dropped_clients, b.dropped_clients);
+  EXPECT_EQ(a.survivors, b.survivors);
+  EXPECT_EQ(a.crashed_clients, b.crashed_clients);
+  EXPECT_EQ(a.link_failed_clients, b.link_failed_clients);
+  EXPECT_EQ(a.straggler_drops, b.straggler_drops);
+  EXPECT_EQ(a.cohort_retries, b.cohort_retries);
+  EXPECT_EQ(a.link_retries, b.link_retries);
+  EXPECT_EQ(a.corrupt_chunks, b.corrupt_chunks);
+  EXPECT_EQ(a.backoff_seconds, b.backoff_seconds);
+  EXPECT_EQ(a.topology_fallback, b.topology_fallback);
+  EXPECT_EQ(a.sim_slowest_client_seconds, b.sim_slowest_client_seconds);
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.departures, b.departures);
+  EXPECT_EQ(a.secure_round, b.secure_round);
+  EXPECT_EQ(a.secagg_dropouts_recovered, b.secagg_dropouts_recovered);
+  EXPECT_EQ(a.sim_privacy_seconds, b.sim_privacy_seconds);
+  EXPECT_EQ(a.dp_epsilon, b.dp_epsilon);
+}
+
+/// A sync federation under faults and churn, killed after round 3 and
+/// restored from disk into a fresh engine, is its uninterrupted twin from
+/// there on: params, records, the sim clock and every span of rounds 3-5.
+void expect_sync_crash_twin(std::uint64_t fault_seed) {
+  SCOPED_TRACE("fault seed " + std::to_string(fault_seed));
+  const auto base = std::filesystem::temp_directory_path() /
+                    "photon_sync_churn_recovery";
+  std::filesystem::remove_all(base);
+  FaultPlan plan;
+  plan.seed = fault_seed;
+  plan.crash_prob = 0.15;
+  plan.straggle_prob = 0.2;
+  plan.link_drop_prob = 0.05;
+  plan.corrupt_prob = 0.05;
+  plan.membership.initial_population = 6;
+  plan.membership.arrive_prob = 0.3;
+  plan.membership.leave_prob = 0.05;
+  const FaultInjector injector(plan);
+  auto build = [&](const char* leaf, obs::Tracer* tracer) {
+    AggregatorConfig ac;
+    ac.clients_per_round = 3;
+    ac.local_steps = 2;
+    ac.parallel_clients = false;
+    ac.round_deadline_s = 3.0;
+    ac.min_cohort_fraction = 0.25;
+    ac.max_cohort_retries = 4;
+    ac.checkpoint_dir = base / leaf;
+    ac.tracer = tracer;
+    auto agg = build_fault_aggregator(ac, "nesterov", /*population=*/8);
+    injector.install(*agg);
+    return agg;
+  };
+
+  obs::Tracer ref_trace;
+  auto ref = build("ref", &ref_trace);
+  for (int r = 0; r < 3; ++r) ref->run_round();
+  const double clock_at_kill = ref->sim_now();
+  for (int r = 3; r < 6; ++r) ref->run_round();
+  {
+    auto doomed = build("crash", nullptr);
+    for (int r = 0; r < 3; ++r) doomed->run_round();
+  }  // dies here
+  obs::Tracer revived_trace;
+  auto revived = build("crash", &revived_trace);
+  ASSERT_TRUE(revived->restore_latest_checkpoint());
+  ASSERT_EQ(revived->round(), 3u);
+  EXPECT_GT(clock_at_kill, 0.0);
+  EXPECT_EQ(revived->sim_now(), clock_at_kill);
+  for (int r = 3; r < 6; ++r) revived->run_round();
+
+  EXPECT_EQ(0, std::memcmp(ref->global_params().data(),
+                           revived->global_params().data(),
+                           ref->global_params().size() * sizeof(float)));
+  EXPECT_EQ(ref->sim_now(), revived->sim_now());
+  EXPECT_EQ(ref->client_trained_rounds(), revived->client_trained_rounds());
+  ASSERT_EQ(revived->history().records().size(), 3u);
+  for (std::size_t r = 3; r < 6; ++r) {
+    expect_same_record(ref->history().records()[r],
+                       revived->history().records()[r - 3]);
+  }
+  for (int c = 0; c < ref->population(); ++c) {
+    EXPECT_EQ(ref->membership_state(c), revived->membership_state(c));
+  }
+
+  std::vector<obs::TraceEvent> want;
+  for (const obs::TraceEvent& e : ref_trace.drain()) {
+    if (e.round >= 3) want.push_back(e);
+  }
+  const std::vector<obs::TraceEvent> got = revived_trace.drain();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << "event " << i;
+    EXPECT_EQ(got[i].round, want[i].round) << "event " << i;
+    EXPECT_EQ(got[i].actor, want[i].actor) << "event " << i;
+    EXPECT_EQ(got[i].detail, want[i].detail) << "event " << i;
+    EXPECT_EQ(got[i].sim_begin, want[i].sim_begin) << "event " << i;
+    EXPECT_EQ(got[i].sim_end, want[i].sim_end) << "event " << i;
+  }
+  if (obs::Tracer::compiled_in()) EXPECT_FALSE(want.empty());
+  std::filesystem::remove_all(base);
+}
+
+TEST(FaultEngine, SyncCrashTwinWithMembershipPlanMatchesClockRecordsAndTrace) {
+  // The checkpoint carries the sim clock, the membership states and every
+  // link's running totals, so the restored run resumes at the saved sim
+  // time (not at 0) and its round durations, differences of those totals,
+  // match to the last bit.  Without the link totals, a record's
+  // backoff_seconds differs in its last bit under seeds 87 and 93.
+  for (const std::uint64_t seed : {87u, 91u, 93u}) expect_sync_crash_twin(seed);
+}
+
+TEST(FaultEngine, SyncRestoreUnderDifferentMembershipPlanKeepsSavedStates) {
+  // The sync counterpart of AsyncFederation's replan test: a checkpoint
+  // written under plan A restores into an engine configured with plan B.
+  // The saved lifecycle states win for the past; plan B's future events
+  // still fire.
+  const auto base =
+      std::filesystem::temp_directory_path() / "photon_sync_replan";
+  std::filesystem::remove_all(base);
+  AggregatorConfig ac;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.checkpoint_dir = base;
+
+  MembershipPlan plan_a;
+  plan_a.initial_population = 3;  // client 3 absent under plan A
+  {
+    auto agg = build_fault_aggregator(ac, "fedavg", /*population=*/4);
+    agg->set_membership_plan(plan_a);
+    for (int r = 0; r < 2; ++r) agg->run_round();
+    EXPECT_EQ(agg->membership_state(3), MembershipState::kAbsent);
+  }
+
+  MembershipPlan plan_b;  // everyone active initially, and a future leave
+  plan_b.scheduled.push_back({3, 1, MembershipAction::kLeave});
+  auto revived = build_fault_aggregator(ac, "fedavg", /*population=*/4);
+  revived->set_membership_plan(plan_b);
+  ASSERT_TRUE(revived->restore_latest_checkpoint());
+  EXPECT_EQ(revived->membership_state(3), MembershipState::kAbsent);
+  EXPECT_EQ(revived->membership_state(1), MembershipState::kActive);
+  // Client 3 stays out of every cohort; plan B's leave fires at round 3.
+  const RoundRecord r2 = revived->run_round();
+  EXPECT_EQ(r2.participants, (std::vector<int>{0, 1, 2}));
+  const RoundRecord r3 = revived->run_round();
+  EXPECT_EQ(r3.departures, 1u);
+  EXPECT_EQ(r3.participants, (std::vector<int>{0, 2}));
+  EXPECT_EQ(revived->membership_state(1), MembershipState::kLeft);
+  std::filesystem::remove_all(base);
+}
+
+TEST(Aggregator, RestoreRejectsMembershipOfAnotherPopulation) {
+  // Membership is saved per client: a vector whose length is not the
+  // population is refused before anything is restored.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "photon_membership_length";
+  std::filesystem::remove_all(dir);
+  AggregatorConfig ac;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.checkpoint_dir = dir;
+  Checkpoint saved;
+  {
+    auto agg = build_fault_aggregator(ac, "fedavg", /*population=*/4);
+    agg->run_round();
+    saved = *agg->checkpoints().latest();
+  }
+  ASSERT_EQ(saved.membership.size(), 4u);
+  ASSERT_GT(saved.sim_now, 0.0);
+  for (const std::size_t length : {3u, 5u}) {
+    Checkpoint ckpt = saved;
+    ckpt.membership.assign(length, MembershipState::kActive);
+    CheckpointStore(dir).save(std::move(ckpt));
+    auto fresh = build_fault_aggregator(ac, "fedavg", 4);
+    const std::vector<float> before(fresh->global_params().begin(),
+                                    fresh->global_params().end());
+    EXPECT_THROW(fresh->restore_latest_checkpoint(), std::runtime_error)
+        << length;
+    EXPECT_EQ(fresh->round(), 0u);
+    EXPECT_EQ(fresh->sim_now(), 0.0);
+    EXPECT_EQ(0, std::memcmp(before.data(), fresh->global_params().data(),
+                             before.size() * sizeof(float)));
+    for (const std::uint32_t r : fresh->client_trained_rounds()) {
+      EXPECT_EQ(r, 0u);
+    }
+  }
+  CheckpointStore(dir).save(saved);
+  auto whole = build_fault_aggregator(ac, "fedavg", 4);
+  ASSERT_TRUE(whole->restore_latest_checkpoint());
+  EXPECT_EQ(whole->sim_now(), saved.sim_now);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FaultEngine, FaultedRunIsBitIdenticalAcrossThreadCounts) {

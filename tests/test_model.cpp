@@ -1,6 +1,6 @@
 // Whole-model correctness: end-to-end gradient check against finite
-// differences, tied-embedding behavior, determinism, checkpoint round-trip,
-// and "it actually learns".
+// differences, tied-embedding behavior, determinism, and "it actually
+// learns".
 
 #include <gtest/gtest.h>
 
@@ -134,32 +134,6 @@ TEST(GptModel, InitialLossNearUniform) {
   for (auto& t : targets) t = static_cast<int>(rng.next_below(c.vocab_size));
   const float loss = model.eval_loss(tokens, targets, 4, c.seq_len);
   EXPECT_NEAR(loss, std::log(static_cast<float>(c.vocab_size)), 0.3f);
-}
-
-TEST(GptModel, SaveLoadRoundTrip) {
-  const ModelConfig c = grad_check_config();
-  GptModel a(c, 21);
-  BinaryWriter w;
-  a.save(w);
-  GptModel b(c, 22);
-  const auto bytes = w.take();
-  BinaryReader r(bytes);
-  b.load(r);
-  for (std::size_t i = 0; i < a.num_params(); ++i) {
-    ASSERT_FLOAT_EQ(a.params()[i], b.params()[i]);
-  }
-}
-
-TEST(GptModel, LoadRejectsConfigMismatch) {
-  GptModel a(grad_check_config(), 1);
-  BinaryWriter w;
-  a.save(w);
-  ModelConfig other = grad_check_config();
-  other.d_model = 16;
-  GptModel b(other, 1);
-  const auto bytes = w.take();
-  BinaryReader r(bytes);
-  EXPECT_THROW(b.load(r), std::runtime_error);
 }
 
 TEST(GptModel, LearnsMarkovCorpus) {

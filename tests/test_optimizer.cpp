@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/server_opt.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/scheduler.hpp"
 
@@ -68,26 +69,27 @@ TEST(AdamW, ConvergesOnQuadratic) {
   EXPECT_NEAR(x[0], 3.0f, 0.05f);
 }
 
+// DiLoCo's Nesterov OuterOpt is the server's NesterovOpt.
 TEST(SgdNesterov, MatchesTorchFormula) {
   // torch SGD(nesterov): first step buf=g, update=g+mu*buf=(1+mu)g.
-  SgdNesterov opt(1, 0.9f);
+  NesterovOpt opt(0.1f, 0.9f);
   std::vector<float> params{1.0f};
-  opt.step(params, std::vector<float>{0.5f}, 0.1f);
+  opt.apply(params, std::vector<float>{0.5f});
   EXPECT_NEAR(params[0], 1.0f - 0.1f * (0.5f + 0.9f * 0.5f), 1e-6);
   // second step: buf=0.9*0.5+g, update=g+0.9*buf.
   const float buf2 = 0.9f * 0.5f + 0.2f;
   const float expected = params[0] - 0.1f * (0.2f + 0.9f * buf2);
-  opt.step(params, std::vector<float>{0.2f}, 0.1f);
+  opt.apply(params, std::vector<float>{0.2f});
   EXPECT_NEAR(params[0], expected, 1e-6);
 }
 
 TEST(SgdNesterov, ResetRestartsMomentum) {
-  SgdNesterov opt(1, 0.9f);
+  NesterovOpt opt(0.1f, 0.9f);
   std::vector<float> p{0.0f};
-  opt.step(p, std::vector<float>{1.0f}, 0.1f);
+  opt.apply(p, std::vector<float>{1.0f});
   opt.reset();
   p[0] = 0.0f;
-  opt.step(p, std::vector<float>{1.0f}, 0.1f);
+  opt.apply(p, std::vector<float>{1.0f});
   EXPECT_NEAR(p[0], -0.1f * 1.9f, 1e-6);
 }
 

@@ -473,6 +473,65 @@ TEST(SecAggFederation, SecureCrashRecoveryTwinIsBitExactUnderFaults) {
   std::filesystem::remove_all(base);
 }
 
+TEST(SecAggFederation, RestoreRejectsCheckpointOfAnotherDpAccounting) {
+  // The accountant resumes only under the (sigma, delta) it composed with.
+  // A checkpoint written under another sigma or delta, or with DP
+  // accounting on one side only, is refused before anything is restored:
+  // restoring it would publish epsilon for the wrong noise, or restart it
+  // at 0.
+  const auto base =
+      std::filesystem::temp_directory_path() / "photon_dp_mismatch";
+  std::filesystem::remove_all(base);
+  AggregatorConfig ac;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.checkpoint_dir = base;
+  const auto clients = [](double sigma) {
+    auto ctc = tiny_client_config();
+    if (sigma > 0.0) {
+      ctc.clip_update_norm = 1e-2;
+      ctc.dp_noise_multiplier = sigma;
+    }
+    return ctc;
+  };
+  const auto expect_refused = [&](const AggregatorConfig& cfg, double sigma,
+                                  const char* what) {
+    auto agg = build_aggregator(cfg, /*population=*/3, clients(sigma));
+    const std::vector<float> before(agg->global_params().begin(),
+                                    agg->global_params().end());
+    EXPECT_THROW(agg->restore_latest_checkpoint(), std::runtime_error) << what;
+    EXPECT_EQ(agg->round(), 0u) << what;
+    EXPECT_EQ(agg->sim_now(), 0.0) << what;
+    EXPECT_EQ(0, std::memcmp(before.data(), agg->global_params().data(),
+                             before.size() * sizeof(float)))
+        << what;
+    if (agg->accountant() != nullptr) {
+      EXPECT_EQ(agg->accountant()->accounted_rounds(), 0u) << what;
+    }
+  };
+
+  {
+    auto writer = build_aggregator(ac, 3, clients(0.5));
+    for (int r = 0; r < 2; ++r) writer->run_round();
+  }
+  expect_refused(ac, 0.7, "another sigma");
+  AggregatorConfig other_delta = ac;
+  other_delta.privacy.dp_delta = 1e-6;
+  expect_refused(other_delta, 0.5, "another delta");
+  expect_refused(ac, 0.0, "no accountant in the engine");
+  auto same = build_aggregator(ac, 3, clients(0.5));
+  ASSERT_TRUE(same->restore_latest_checkpoint());
+  EXPECT_EQ(same->accountant()->accounted_rounds(), 2u);
+
+  std::filesystem::remove_all(base);
+  {
+    auto writer = build_aggregator(ac, 3, clients(0.0));
+    writer->run_round();
+  }
+  expect_refused(ac, 0.5, "no DP accounting in the checkpoint");
+  std::filesystem::remove_all(base);
+}
+
 TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
   // MembershipPlan x secagg: a wave member that left while its masked
   // update was in flight is a dropout — the restored wave rebuilds the
@@ -500,15 +559,12 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
   ckpt.round = 0;
   ckpt.params.assign(probe->global_params().begin(),
                      probe->global_params().end());
-  ckpt.schedule_step_base = ac.local_steps;
+  ckpt.sim_now = 10.0;
   ckpt.client_trained_rounds.assign(4, 1);
+  ckpt.membership = {MembershipState::kActive, MembershipState::kActive,
+                     MembershipState::kActive, MembershipState::kLeft};
+  ckpt.link_stats.assign(4, {});
   AsyncAggregatorState& st = ckpt.async_state.emplace();
-  st.sim_now = 10.0;
-  st.membership = {
-      static_cast<std::uint8_t>(MembershipState::kActive),
-      static_cast<std::uint8_t>(MembershipState::kActive),
-      static_cast<std::uint8_t>(MembershipState::kActive),
-      static_cast<std::uint8_t>(MembershipState::kLeft)};
   st.defer_counts.assign(4, 0);
   st.next_eligible.assign(4, 0.0);
   for (int c = 1; c <= 3; ++c) {
@@ -588,7 +644,6 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
     p.delta = 1e-6;
     p.wave_counter = 42;
     p.shares_reconstructed_total = 5;
-    p.epsilon = 3.25;
     store.save(std::move(ckpt));
   }
   CheckpointStore fresh(base);
@@ -600,7 +655,6 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
   EXPECT_DOUBLE_EQ(back->privacy_state->delta, 1e-6);
   EXPECT_EQ(back->privacy_state->wave_counter, 42u);
   EXPECT_EQ(back->privacy_state->shares_reconstructed_total, 5u);
-  EXPECT_DOUBLE_EQ(back->privacy_state->epsilon, 3.25);
   // A plain checkpoint round-trips with the field absent.
   {
     CheckpointStore store(base);

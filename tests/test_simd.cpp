@@ -262,9 +262,8 @@ TEST(SimdVariants, OpsBitIdenticalToScalar) {
         ops.momentum(q.data(), buf.data(), y.data(), n, 0.1f, 0.9f);
         EXPECT_TRUE(bytes_equal(q_ref, q) && bytes_equal(buf_ref, buf))
             << "momentum";
-        ref.nesterov(q_ref.data(), buf_ref.data(), z.data(), n, 0.1f, 0.9f,
-                     1);
-        ops.nesterov(q.data(), buf.data(), z.data(), n, 0.1f, 0.9f, 1);
+        ref.nesterov(q_ref.data(), buf_ref.data(), z.data(), n, 0.1f, 0.9f);
+        ops.nesterov(q.data(), buf.data(), z.data(), n, 0.1f, 0.9f);
         EXPECT_TRUE(bytes_equal(q_ref, q) && bytes_equal(buf_ref, buf))
             << "nesterov";
       }

@@ -2,7 +2,8 @@
 # Tier-1 CI gate plus a hardened sanitizer pass.
 #
 #   tools/ci.sh             # tier-1 (Release) + bench_e2e smoke + ASan/UBSan
-#                           # build + obs gate
+#                           # build + tier-1 in the PHOTON_TRACE=OFF tree +
+#                           # obs gate
 #   tools/ci.sh --fast      # tier-1 + bench_e2e smoke only
 #   tools/ci.sh --soak N    # additionally run an N-round chaos soak (default 200)
 #   tools/ci.sh --coverage  # additionally build with gcov instrumentation,
@@ -12,10 +13,11 @@
 #                           # BENCH_all.json baseline (any change fails;
 #                           # add --update-baseline to refresh it instead)
 #
-# The obs gate (DESIGN.md §9) builds a PHOTON_TRACE=OFF comparison tree and
-# fails the pipeline if the default build's trace-DISABLED round time is
-# more than 2% slower than the compiled-out round time — i.e. the
-# instrumentation sites must be free when not in use.
+# The obs gate (DESIGN.md §9) times the PHOTON_TRACE=OFF tree that the
+# notrace lane builds and tests, and fails the pipeline if the default
+# build's trace-DISABLED round time is more than 2% slower than the
+# compiled-out round time — i.e. the instrumentation sites must be free
+# when not in use.
 #
 # Every ctest invocation carries a hard --timeout so a hang under injected
 # faults (the failure mode the fault engine exists to prevent) fails the
@@ -130,13 +132,20 @@ if [[ "$FAST" -eq 0 ]]; then
             -DCMAKE_BUILD_TYPE=RelWithDebInfo \
             -DPHOTON_SANITIZE=address,undefined
 
+  # Tier-1 in the PHOTON_TRACE=OFF tree, which the obs gate below also
+  # times: a test that assumes spans are compiled in fails here.  The
+  # wall-clock bench_round_path_smoke runs in every other lane.
+  echo "==> [tier-1/notrace] configure + build (build-notrace)"
+  cmake -S "$ROOT" -B "$ROOT/build-notrace" -DCMAKE_BUILD_TYPE=Release \
+        -DPHOTON_TRACE=OFF >/dev/null
+  cmake --build "$ROOT/build-notrace" -j "$JOBS"
+  echo "==> [tier-1/notrace] ctest (per-test timeout ${PER_TEST_TIMEOUT}s)"
+  ctest --test-dir "$ROOT/build-notrace" --output-on-failure -j "$JOBS" \
+        --timeout "$PER_TEST_TIMEOUT" -E '^bench_round_path_smoke$'
+
   # Obs overhead gate: trace-disabled round time (default build) vs the
   # compiled-out round time (PHOTON_TRACE=OFF build), medians over
   # identical deterministic federations.
-  echo "==> [obs-gate] PHOTON_TRACE=OFF comparison build"
-  cmake -S "$ROOT" -B "$ROOT/build-notrace" -DCMAKE_BUILD_TYPE=Release \
-        -DPHOTON_TRACE=OFF >/dev/null
-  cmake --build "$ROOT/build-notrace" -j "$JOBS" --target bench_obs_overhead
   cmake --build "$ROOT/build" -j "$JOBS" --target bench_obs_overhead
   echo "==> [obs-gate] measuring (rounds=16, samples=5 per config)"
   "$ROOT/build/bench/bench_obs_overhead" --rounds=16 --samples=5 \
