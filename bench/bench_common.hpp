@@ -82,24 +82,19 @@ inline void write_report(const std::string& path,
 }
 
 /// Shared command-line contract for every bench binary (tools/bench.sh
-/// depends on it): --smoke, --rounds=N, --samples=N, --threads=N, --seed=N,
-/// --json=PATH.  Flags a bench doesn't use are simply ignored by it; flags
-/// the parser doesn't know land in `extra` for bench-specific handling
-/// (e.g. bench_faults --churn).
+/// depends on it): --smoke, --rounds=N, --samples=N, --json=PATH.  Flags
+/// a bench doesn't use are simply ignored by it; flags the parser doesn't
+/// know land in `extra` for bench-specific handling (e.g. bench_faults
+/// --churn).
 struct BenchArgs {
   bool smoke = false;
   int rounds = 0;    ///< 0 = bench default
   int samples = 0;   ///< 0 = bench default
-  int threads = 0;   ///< 0 = library default
-  std::uint64_t seed = 0;  ///< 0 = bench default
   std::string json_path;   ///< empty = bench default
   std::vector<std::string> extra;
 
   int rounds_or(int def) const { return rounds > 0 ? rounds : def; }
   int samples_or(int def) const { return samples > 0 ? samples : def; }
-  std::uint64_t seed_or(std::uint64_t def) const {
-    return seed != 0 ? seed : def;
-  }
   const std::string& json_or(const std::string& def) {
     if (json_path.empty()) json_path = def;
     return json_path;
@@ -121,8 +116,7 @@ struct BenchArgs {
     if (extra.empty()) return;
     std::fprintf(stderr,
                  "%s: unknown argument '%s'\nusage: %s [--smoke] "
-                 "[--rounds=N] [--samples=N] [--threads=N] [--seed=N] "
-                 "[--json=PATH]%s%s\n",
+                 "[--rounds=N] [--samples=N] [--json=PATH]%s%s\n",
                  prog, extra.front().c_str(), prog,
                  extra_usage[0] != '\0' ? " " : "", extra_usage);
     std::exit(2);
@@ -139,10 +133,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       a.rounds = std::atoi(arg.c_str() + 9);
     } else if (arg.rfind("--samples=", 0) == 0) {
       a.samples = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      a.threads = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else if (arg.rfind("--json=", 0) == 0) {
       a.json_path = arg.substr(7);
     } else {

@@ -286,8 +286,8 @@ void BM_TrainStep(benchmark::State& state) {
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, 4, cfg.seq_len);
     benchmark::DoNotOptimize(loss);
-    clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 1e-3f);
+    clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 1e-3f);
   }
   state.SetItemsProcessed(state.iterations() * 4 * cfg.seq_len);
   state.counters["params"] = static_cast<double>(cfg.num_params());
@@ -300,7 +300,8 @@ void BM_Matmul(benchmark::State& state) {
   std::vector<float> b(static_cast<std::size_t>(n) * n, 2.0f);
   std::vector<float> out(static_cast<std::size_t>(n) * n);
   for (auto _ : state) {
-    kernels::matmul(out.data(), a.data(), b.data(), n, n, n);
+    kernels::matmul(kernels::default_context(), out.data(), a.data(), b.data(),
+                    n, n, n);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2ll * n * n * n);

@@ -89,8 +89,8 @@ FedVsCentResult run_fed_vs_cent(const FedVsCentConfig& config) {
       const Batch b = src.next_batch(batch, seq);
       model.zero_grad();
       model.train_step_fb(b.tokens, b.targets, batch, seq);
-      clip_grad_norm(model.grads(), 1.0);
-      opt.step(model.params(), model.grads(),
+      clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
+      opt.step(kernels::default_context(), model.params(), model.grads(),
                sched.lr_at(s));
       tokens += static_cast<std::uint64_t>(batch) * seq;
       if ((s + 1) % eval_every_steps == 0 || s + 1 == total_steps) {

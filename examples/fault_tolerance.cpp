@@ -16,10 +16,13 @@
 //     live fault and membership plans to finish with a global model
 //     bit-identical to a reference run that never crashed.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "core/aggregator.hpp"
 #include "core/client.hpp"
@@ -114,7 +117,9 @@ void print_drain(const RoundRecord& rec) {
 
 int main() {
   const ModelConfig model = ModelConfig::nano();
-  const auto base = std::filesystem::temp_directory_path() / "photon_example_ft";
+  // Per-process, so concurrent runs (e.g. ctest -j) never share a journal.
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("photon_example_ft_" + std::to_string(::getpid()));
   std::filesystem::remove_all(base);
 
   // One deterministic chaos plan shared by every process in this example.

@@ -5,7 +5,6 @@
 #include "data/corpus.hpp"
 #include "eval/perplexity.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace photon {
 
@@ -42,10 +41,6 @@ CentralizedTrainer::CentralizedTrainer(CentralizedConfig config)
     : config_(std::move(config)) {
   model_ = std::make_unique<GptModel>(config_.model,
                                       hash_combine(config_.seed, 0x1217ULL));
-  if (config_.kernel_threads > 0) {
-    kctx_ = kernels::KernelContext(&global_pool(), config_.kernel_threads);
-    model_->set_kernel_context(&kctx_);
-  }
   opt_ = std::make_unique<AdamW>(model_->num_params(), config_.adamw);
   CosineScheduleConfig sc;
   sc.max_lr = config_.max_lr;
@@ -74,11 +69,9 @@ CentralizedResult CentralizedTrainer::run() {
     model_->zero_grad();
     const float loss =
         model_->train_step_fb(b.tokens, b.targets, config_.batch, seq);
-    const auto& octx = model_->kernel_context() != nullptr
-                           ? *model_->kernel_context()
-                           : kernels::default_context();
-    opt_->step_clipped(octx, model_->params(), model_->grads(),
-                       schedule_->lr_at(step), config_.max_grad_norm);
+    opt_->step_clipped(kernels::default_context(), model_->params(),
+                       model_->grads(), schedule_->lr_at(step),
+                       config_.max_grad_norm);
     window_loss += loss;
     ++window_count;
     tokens_seen += static_cast<std::uint64_t>(config_.batch) * seq;

@@ -16,7 +16,6 @@
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/scheduler.hpp"
-#include "tensor/kernel_context.hpp"
 
 namespace photon {
 
@@ -47,10 +46,6 @@ struct CentralizedConfig {
 
   double sim_throughput_bps = 1.0;  // nu
   std::uint64_t seed = 42;
-
-  /// Intra-op kernel threads for this trainer's model (0 = library default,
-  /// i.e. PHOTON_NUM_THREADS / hardware concurrency).
-  int kernel_threads = 0;
 };
 
 struct CentralizedResult {
@@ -76,7 +71,6 @@ class CentralizedTrainer {
   std::unique_ptr<CosineSchedule> schedule_;
   std::unique_ptr<DataSource> data_;
   TokenDataset eval_set_;
-  kernels::KernelContext kctx_;  // used when config_.kernel_threads > 0
 };
 
 }  // namespace photon

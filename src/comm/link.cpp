@@ -40,12 +40,6 @@ double SimLink::transfer_time(std::uint64_t bytes) const {
   return latency_s_ + static_cast<double>(bytes) / bytes_per_second;
 }
 
-Message SimLink::transmit(const Message& message) {
-  Message received;
-  transmit(message, received);
-  return received;
-}
-
 void SimLink::transmit(const Message& message, Message& out) {
   transmit_impl(message, [&](std::span<const std::uint8_t> wire) {
     Message::decode_into(wire, out, pool_);

@@ -104,14 +104,11 @@ class SimLink {
   /// Simulated seconds to move `bytes` over this link.
   double transfer_time(std::uint64_t bytes) const;
 
-  /// Serialize, "send", and deserialize a message; returns the received
-  /// copy (bit-exact, CRC-checked) and records stats.
-  Message transmit(const Message& message);
-
-  /// Zero-copy transmit: encodes into scratch buffers this link keeps
-  /// across rounds and decodes into `out`, reusing its payload capacity.
-  /// Chunked codec/CRC work runs on the pool set via set_thread_pool.
-  /// Stats and received bits are identical to transmit(message).
+  /// Serialize, "send", and deserialize a message into `out` (bit-exact,
+  /// CRC-checked) and record stats.  Zero-copy: encodes into scratch
+  /// buffers this link keeps across rounds and decodes into `out`, reusing
+  /// its payload capacity.  Chunked codec/CRC work runs on the pool set via
+  /// set_thread_pool.
   ///
   /// Fault tolerance: each attempt consults the fault hook (if any); a
   /// transient send failure or a CRC-rejected (corrupted) reception is

@@ -104,10 +104,6 @@ std::uint64_t shamir_reconstruct(std::span<const Share> shares) {
   return secret;
 }
 
-std::uint64_t prg(std::uint64_t seed, std::uint64_t index) {
-  return hash_combine(seed, index);
-}
-
 // Any odd multiplier is a unit mod 2^64; commutativity of the product gives
 // both pair endpoints the same shared key.
 constexpr std::uint64_t kGenerator = 0x9E3779B97F4A7C15ULL | 1ULL;

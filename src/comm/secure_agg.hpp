@@ -73,11 +73,6 @@ std::vector<Share> shamir_split(std::uint64_t secret, int n, int t,
 /// Lagrange-interpolate the secret at x=0 from any >= t distinct shares.
 std::uint64_t shamir_reconstruct(std::span<const Share> shares);
 
-/// Counter-based mask PRG: the stateless splitmix hash of (seed, index).
-/// Identical to the SIMD layer's k_sr_hash, so kernels and the recovery
-/// path agree bit-for-bit.
-std::uint64_t prg(std::uint64_t seed, std::uint64_t index);
-
 /// Commutative simulated key agreement over the 2^64 ring.
 std::uint64_t public_key(std::uint64_t secret);
 std::uint64_t shared_key(std::uint64_t my_secret, std::uint64_t their_public);

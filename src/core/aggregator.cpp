@@ -485,8 +485,8 @@ void Aggregator::secagg_mean(const SecAggSession& session,
 
 void Aggregator::step_server(std::span<const float> pseudo_grad,
                              RoundRecord& record) {
-  record.update_norm =
-      kernels::l2_norm(pseudo_grad.data(), pseudo_grad.size());
+  record.update_norm = kernels::l2_norm(
+      kernels::default_context(), pseudo_grad.data(), pseudo_grad.size());
   // ServerOpt (Alg. 1 L9), bracketed by the write-ahead journal: `begin` is
   // durable before the global model mutates, `commit` only once this
   // round's checkpoint is.  A crash between the two leaves a dangling
@@ -650,7 +650,7 @@ RoundRecord Aggregator::run_round_sync() {
   // freshly salted cohort (Alg. 1's sampling, salted by the attempt index)
   // rather than aborting the run.
   for (std::uint32_t attempt = 0;; ++attempt) {
-    cohort = sampler_.sample(k, round_, attempt);
+    cohort = sampler_.sample(membership_, k, round_, attempt);
     if (cohort.empty()) {
       throw std::runtime_error("Aggregator::run_round: no available clients");
     }
@@ -957,7 +957,6 @@ void Aggregator::set_membership_plan(const MembershipPlan& plan) {
   for (int c = 0; c < population(); ++c) {
     const auto i = static_cast<std::size_t>(c);
     membership_[i] = plan.initial_state(c);
-    sampler_.set_available(c, membership_[i] == MembershipState::kActive);
     defer_counts_[i] = 0;
     next_eligible_[i] = 0.0;
   }
@@ -988,14 +987,12 @@ void Aggregator::apply_membership(RoundRecord& record) {
       // ordinary broadcast path at its first dispatch/sampling — arrival
       // itself only flips the lifecycle state.
       membership_[i] = MembershipState::kActive;
-      sampler_.set_available(c, true);
       defer_counts_[i] = 0;
       next_eligible_[i] = sim_now_;
       ++record.arrivals;
       trace_.record(obs::SpanKind::kClientArrive, c, 0, sim_now_, sim_now_);
     } else if (action == MembershipAction::kLeave) {
       membership_[i] = MembershipState::kLeft;
-      sampler_.set_available(c, false);
       ++record.departures;
       trace_.record(obs::SpanKind::kClientLeave, c, 0, sim_now_, sim_now_);
     }
@@ -1504,6 +1501,8 @@ bool Aggregator::restore_latest_checkpoint() {
         "Aggregator: checkpoint DP accounting (sigma, delta) differs from "
         "this engine's");
   }
+  check_server_opt_state(server_opt_->name(), ckpt->server_opt_state,
+                         global_params_.size());
   // The extension takes its state before the engine changes, so a foreign
   // or malformed tuner section throws with the engine untouched.
   if (state_ext_ != nullptr && !ckpt->tuner_state.empty()) {
@@ -1539,9 +1538,7 @@ bool Aggregator::restore_latest_checkpoint() {
   // restore may run under a *different* membership plan (late joiners that
   // were absent at save time), and the saved states are the truth.
   membership_ = std::move(ckpt->membership);
-  for (int c = 0; c < population(); ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    sampler_.set_available(c, membership_[i] == MembershipState::kActive);
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
     links_[i].restore_stats(ckpt->link_stats[i]);
   }
   if (ckpt->async_state) {

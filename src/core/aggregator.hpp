@@ -187,7 +187,6 @@ class Aggregator {
   std::span<const float> global_params() const { return global_params_; }
   const ModelConfig& model_config() const { return model_config_; }
 
-  ClientSampler& sampler() { return sampler_; }
   ServerOpt& server_opt() { return *server_opt_; }
   CheckpointStore& checkpoints() { return checkpoints_; }
   TrainingHistory& history() { return history_; }

@@ -127,14 +127,12 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
     const Batch b = data_->next_batch(batch, seq);
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, batch, seq);
-    // Fused schedule + clip + AdamW: the cosine LR is evaluated inside the
-    // step call and the clip folds into the per-element grad read — one
-    // optimizer call, one pass over the grads.  Grads are left unscaled,
-    // which is fine — zero_grad() clears them before the next step reads
-    // them.
-    const double norm =
-        opt.step_clipped(model.params(), model.grads(), schedule_,
-                         step_base + step, config_.max_grad_norm);
+    // Fused clip + AdamW: the clip folds into the per-element grad read —
+    // one pass over the grads.  Grads are left unscaled, which is fine —
+    // zero_grad() clears them before the next step reads them.
+    const double norm = opt.step_clipped(
+        kernels::default_context(), model.params(), model.grads(),
+        schedule_.lr_at(step_base + step), config_.max_grad_norm);
     loss_sum += loss;
     grad_norm_sum += norm;
     tokens += static_cast<std::uint64_t>(batch) * seq;
@@ -235,7 +233,8 @@ void LLMClient::run_round(std::span<const float> global_params,
 
   // delta_k = theta_global - theta_k (Alg. 1 L7), in one vectorized pass.
   update.delta.resize(n);
-  kernels::sub(update.delta.data(), global_params.data(), params.data(), n);
+  kernels::sub(kernels::default_context(), update.delta.data(),
+               global_params.data(), params.data(), n);
 
   // Post-processing (Alg. 1 L28): clip, then DP noise; the wire codec is
   // applied when the update is encoded.  The (round, client) context keys
@@ -256,7 +255,7 @@ void LLMClient::run_round(std::span<const float> global_params,
     wire_quant::residual_of(update.delta.data(), ef_residual_.data(), n,
                             qbits);
     update.metrics["ef_residual_norm"] =
-        kernels::l2_norm(ef_residual_.data(), n);
+        kernels::l2_norm(kernels::default_context(), ef_residual_.data(), n);
   }
 
   update.tokens = tokens;

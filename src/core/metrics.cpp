@@ -36,36 +36,6 @@ int TrainingHistory::first_round_reaching(double target_ppl) const {
   return -1;
 }
 
-std::uint64_t TrainingHistory::tokens_through(std::uint32_t round) const {
-  std::uint64_t total = 0;
-  for (const auto& r : records_) {
-    if (r.round <= round) total += r.tokens_this_round;
-  }
-  return total;
-}
-
-double TrainingHistory::sim_seconds_to(double target_ppl) const {
-  double total = 0.0;
-  for (const auto& r : records_) {
-    total += r.sim_local_seconds + r.sim_comm_seconds;
-    if (r.eval_perplexity >= 0.0 && r.eval_perplexity <= target_ppl) {
-      return total;
-    }
-  }
-  return -1.0;
-}
-
-double TrainingHistory::best_perplexity() const {
-  double best = -1.0;
-  for (const auto& r : records_) {
-    if (r.eval_perplexity >= 0.0 &&
-        (best < 0.0 || r.eval_perplexity < best)) {
-      best = r.eval_perplexity;
-    }
-  }
-  return best;
-}
-
 double TrainingHistory::final_perplexity() const {
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
     if (it->eval_perplexity >= 0.0) return it->eval_perplexity;

@@ -90,14 +90,6 @@ class TrainingHistory {
   /// First round whose eval perplexity is <= target; -1 if never reached.
   int first_round_reaching(double target_ppl) const;
 
-  /// Cumulative tokens through round `round` (inclusive).
-  std::uint64_t tokens_through(std::uint32_t round) const;
-
-  /// Sum of simulated (local + comm) seconds through the first round
-  /// reaching target; < 0 if never reached.
-  double sim_seconds_to(double target_ppl) const;
-
-  double best_perplexity() const;
   double final_perplexity() const;
 
  private:

@@ -14,10 +14,11 @@ ClipStage::ClipStage(double max_norm) : max_norm_(max_norm) {
 
 void ClipStage::apply(std::span<float> update,
                       PostProcessReport& report) const {
-  const double norm = kernels::l2_norm(update.data(), update.size());
+  const auto& ctx = kernels::default_context();
+  const double norm = kernels::l2_norm(ctx, update.data(), update.size());
   report.preclip_norm = norm;
   if (norm > max_norm_ && norm > 0.0) {
-    kernels::scale_inplace(update.data(),
+    kernels::scale_inplace(ctx, update.data(),
                            static_cast<float>(max_norm_ / norm),
                            update.size());
     report.clipped = true;

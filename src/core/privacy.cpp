@@ -64,8 +64,4 @@ double RdpAccountant::closed_form_epsilon(double sigma, double delta,
          std::sqrt(2.0 * r * std::log(1.0 / delta)) / sigma;
 }
 
-std::span<const double> RdpAccountant::alpha_grid() {
-  return {kAlphaGrid, std::size(kAlphaGrid)};
-}
-
 }  // namespace photon::privacy

@@ -22,7 +22,6 @@
 // is within a few percent of it and always an upper bound.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace photon::privacy {
@@ -56,8 +55,6 @@ class RdpAccountant {
   /// bound on the grid epsilon for the same (sigma, delta, rounds)).
   static double closed_form_epsilon(double sigma, double delta,
                                     std::uint64_t rounds);
-
-  static std::span<const double> alpha_grid();
 
  private:
   double sigma_ = 0.0;

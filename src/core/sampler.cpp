@@ -3,42 +3,31 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace photon {
 
 ClientSampler::ClientSampler(int population, std::uint64_t seed)
-    : population_(population), seed_(seed),
-      available_(static_cast<std::size_t>(population), true) {
+    : population_(population), seed_(seed) {
   if (population <= 0) {
     throw std::invalid_argument("ClientSampler: population must be > 0");
   }
 }
 
-void ClientSampler::set_available(int client, bool available) {
-  if (client < 0 || client >= population_) {
-    throw std::out_of_range("ClientSampler::set_available");
-  }
-  available_[static_cast<std::size_t>(client)] = available;
-}
-
-bool ClientSampler::is_available(int client) const {
-  if (client < 0 || client >= population_) {
-    throw std::out_of_range("ClientSampler::is_available");
-  }
-  return available_[static_cast<std::size_t>(client)];
-}
-
-int ClientSampler::num_available() const {
-  return static_cast<int>(
-      std::count(available_.begin(), available_.end(), true));
-}
-
-std::vector<int> ClientSampler::sample(int k, std::uint32_t round,
-                                       std::uint32_t salt) {
+std::vector<int> ClientSampler::sample(
+    std::span<const MembershipState> membership, int k, std::uint32_t round,
+    std::uint32_t salt) const {
   if (k <= 0) throw std::invalid_argument("ClientSampler::sample: k <= 0");
+  if (membership.size() != static_cast<std::size_t>(population_)) {
+    throw std::out_of_range(
+        "ClientSampler::sample: membership size != population");
+  }
   std::vector<int> pool;
-  pool.reserve(static_cast<std::size_t>(population_));
+  pool.reserve(membership.size());
   for (int c = 0; c < population_; ++c) {
-    if (available_[static_cast<std::size_t>(c)]) pool.push_back(c);
+    if (membership[static_cast<std::size_t>(c)] == MembershipState::kActive) {
+      pool.push_back(c);
+    }
   }
   if (pool.empty()) return {};
   std::uint64_t key = hash_combine(seed_, round);

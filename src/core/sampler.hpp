@@ -2,15 +2,16 @@
 // Client Sampler (paper Alg. 1, L4): C ~ U(P, K) — sample K clients per
 // round uniformly without replacement from the population P.
 //
-// Partial participation (paper §5.5) is expressed by K < P; the sampler also
-// supports per-client availability to model intermittent clients
-// (Appendix A: "billion-scale experiments assume intermittent client
-// availability").
+// Partial participation (paper §5.5) is expressed by K < P.  Intermittent
+// clients (Appendix A: "billion-scale experiments assume intermittent client
+// availability") are the membership states the caller passes in: only
+// kActive clients are ever sampled.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "util/rng.hpp"
+#include "core/membership.hpp"
 
 namespace photon {
 
@@ -20,22 +21,18 @@ class ClientSampler {
 
   int population() const { return population_; }
 
-  /// Mark a client (un)available; unavailable clients are never sampled.
-  void set_available(int client, bool available);
-  bool is_available(int client) const;
-  int num_available() const;
-
-  /// Sample min(k, available) distinct available clients for `round`.
-  /// Deterministic given (seed, round, availability).  `salt` draws an
+  /// Sample min(k, active) distinct clients among those kActive in
+  /// `membership` (one state per client of the population) for `round`.
+  /// Deterministic given (seed, round, membership).  `salt` draws an
   /// independent cohort for the same round — used when a round loses
   /// quorum and must be retried with fresh participants; salt 0 reproduces
   /// the historical (pre-salt) cohort bit-exactly.
-  std::vector<int> sample(int k, std::uint32_t round, std::uint32_t salt = 0);
+  std::vector<int> sample(std::span<const MembershipState> membership, int k,
+                          std::uint32_t round, std::uint32_t salt = 0) const;
 
  private:
   int population_;
   std::uint64_t seed_;
-  std::vector<bool> available_;
 };
 
 }  // namespace photon

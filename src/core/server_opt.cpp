@@ -73,4 +73,25 @@ std::unique_ptr<ServerOpt> make_server_opt(const std::string& name, float lr,
   throw std::invalid_argument("make_server_opt: unknown optimizer " + name);
 }
 
+void check_server_opt_state(const std::string& name,
+                            std::span<const std::uint8_t> state,
+                            std::size_t num_params) {
+  BinaryReader r(state);
+  if (name == "fedmom" || name == "nesterov") {
+    const std::size_t n = r.read_vector<float>().size();
+    if (n != 0 && n != num_params) {
+      throw std::runtime_error("ServerOpt state: " + name + " buffer holds " +
+                               std::to_string(n) + " floats, the model has " +
+                               std::to_string(num_params) + " params");
+    }
+  } else if (name != "fedavg") {
+    return;
+  }
+  if (!r.exhausted()) {
+    throw std::runtime_error("ServerOpt state: " +
+                             std::to_string(r.remaining()) +
+                             " bytes past the " + name + " state");
+  }
+}
+
 }  // namespace photon

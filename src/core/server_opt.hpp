@@ -11,6 +11,8 @@
 //  * Nesterov — SGD with Nesterov momentum; DiLoCo's recommended OuterOpt
 //    (eta_s in {0.1..0.7}, mu = 0.9 per Fig. 8).
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -89,5 +91,15 @@ class NesterovOpt final : public ServerOpt {
 /// with (lr, momentum) where applicable.
 std::unique_ptr<ServerOpt> make_server_opt(const std::string& name, float lr,
                                            float momentum);
+
+/// Throws std::runtime_error unless `state` is one the optimizer of that
+/// name saves for a model of `num_params` parameters: no bytes for
+/// "fedavg", and for "fedmom" and "nesterov" one momentum buffer of 0
+/// (never applied) or `num_params` floats with nothing after it.  Restore
+/// calls this before it changes anything; load_state trusts its input.
+/// A name make_server_opt does not know is left to its own load_state.
+void check_server_opt_state(const std::string& name,
+                            std::span<const std::uint8_t> state,
+                            std::size_t num_params);
 
 }  // namespace photon

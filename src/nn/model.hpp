@@ -51,7 +51,6 @@ class GptModel {
   /// nullptr (the default) means kernels::default_context().  The pointee
   /// must outlive the model; the model does not take ownership.
   void set_kernel_context(const kernels::KernelContext* ctx) { kctx_ = ctx; }
-  const kernels::KernelContext* kernel_context() const { return kctx_; }
 
   std::span<float> params() { return params_; }
   std::span<const float> params() const { return params_; }

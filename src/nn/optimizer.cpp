@@ -42,20 +42,9 @@ void AdamW::step_impl(const kernels::KernelContext& ctx,
                       });
 }
 
-void AdamW::step(std::span<float> params, std::span<const float> grads,
-                 float lr) {
-  step_impl(kernels::default_context(), params, grads, lr, 1.0f);
-}
-
 void AdamW::step(const kernels::KernelContext& ctx, std::span<float> params,
                  std::span<const float> grads, float lr) {
   step_impl(ctx, params, grads, lr, 1.0f);
-}
-
-double AdamW::step_clipped(std::span<float> params,
-                           std::span<const float> grads, float lr,
-                           double max_norm) {
-  return step_clipped(kernels::default_context(), params, grads, lr, max_norm);
 }
 
 double AdamW::step_clipped(const kernels::KernelContext& ctx,
@@ -73,33 +62,18 @@ double AdamW::step_clipped(const kernels::KernelContext& ctx,
   return norm;
 }
 
-double AdamW::step_clipped(std::span<float> params,
-                           std::span<const float> grads,
-                           const CosineSchedule& schedule, std::int64_t step,
-                           double max_norm) {
-  return step_clipped(kernels::default_context(), params, grads,
-                      schedule.lr_at(step), max_norm);
-}
-
-double AdamW::step_clipped(const kernels::KernelContext& ctx,
-                           std::span<float> params,
-                           std::span<const float> grads,
-                           const CosineSchedule& schedule, std::int64_t step,
-                           double max_norm) {
-  return step_clipped(ctx, params, grads, schedule.lr_at(step), max_norm);
-}
-
 void AdamW::reset() {
   std::memset(m_.data(), 0, m_.size() * sizeof(float));
   std::memset(v_.data(), 0, v_.size() * sizeof(float));
   t_ = 0;
 }
 
-double clip_grad_norm(std::span<float> grads, double max_norm) {
-  const double norm = kernels::l2_norm(grads.data(), grads.size());
+double clip_grad_norm(const kernels::KernelContext& ctx,
+                      std::span<float> grads, double max_norm) {
+  const double norm = kernels::l2_norm(ctx, grads.data(), grads.size());
   if (norm > max_norm && norm > 0.0) {
     const auto scale = static_cast<float>(max_norm / norm);
-    kernels::scale_inplace(grads.data(), scale, grads.size());
+    kernels::scale_inplace(ctx, grads.data(), scale, grads.size());
   }
   return norm;
 }

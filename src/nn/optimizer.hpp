@@ -11,11 +11,9 @@
 // across scalar/AVX2/AVX-512 and any thread count.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "nn/scheduler.hpp"
 #include "tensor/kernel_context.hpp"
 
 namespace photon {
@@ -35,7 +33,6 @@ class AdamW {
 
   /// One update: params -= lr * (corrected m / (sqrt(corrected v) + eps)
   ///                             + weight_decay * params).
-  void step(std::span<float> params, std::span<const float> grads, float lr);
   void step(const kernels::KernelContext& ctx, std::span<float> params,
             std::span<const float> grads, float lr);
 
@@ -44,24 +41,9 @@ class AdamW {
   /// (gc = g * scale), so clipping costs no extra pass and `grads` is left
   /// unmodified.  Bit-identical to clip_grad_norm() followed by step().
   /// Returns the pre-clip norm.
-  double step_clipped(std::span<float> params, std::span<const float> grads,
-                      float lr, double max_norm);
   double step_clipped(const kernels::KernelContext& ctx,
                       std::span<float> params, std::span<const float> grads,
                       float lr, double max_norm);
-
-  /// Schedule-fused variant: evaluates the cosine LR for `step` inside the
-  /// fused clip+step call, so the training loop makes a single optimizer
-  /// call per step with no separate schedule pass.  The LR is the exact
-  /// float CosineSchedule::lr_at returns, so loss curves are bit-identical
-  /// to the two-call form.
-  double step_clipped(std::span<float> params, std::span<const float> grads,
-                      const CosineSchedule& schedule, std::int64_t step,
-                      double max_norm);
-  double step_clipped(const kernels::KernelContext& ctx,
-                      std::span<float> params, std::span<const float> grads,
-                      const CosineSchedule& schedule, std::int64_t step,
-                      double max_norm);
 
   /// Drop all momenta and the step counter (Photon's stateless-per-round
   /// local optimization; avoids communicating 2x extra state).
@@ -84,6 +66,7 @@ class AdamW {
 /// Scale gradients so their global L2 norm is at most `max_norm`.
 /// Returns the pre-clip norm.  Prefer AdamW::step_clipped on the training
 /// hot path — it folds the clip into the optimizer pass.
-double clip_grad_norm(std::span<float> grads, double max_norm);
+double clip_grad_norm(const kernels::KernelContext& ctx,
+                      std::span<float> grads, double max_norm);
 
 }  // namespace photon

@@ -18,12 +18,6 @@ double ClientSpec::total_vram_gb() const {
   return v;
 }
 
-double ClientSpec::total_bf16_tflops() const {
-  double f = 0.0;
-  for (const auto& node : nodes) f += node.gpu.bf16_tflops * node.num_gpus;
-  return f;
-}
-
 double training_memory_gb(std::int64_t num_params, int batch, int seq,
                           int d_model, int n_layers) {
   const double params = static_cast<double>(num_params);

@@ -44,7 +44,6 @@ struct ClientSpec {
 
   int total_gpus() const;
   double total_vram_gb() const;
-  double total_bf16_tflops() const;
 };
 
 /// Training memory footprint in GB for a model of `num_params` parameters

@@ -83,11 +83,6 @@ KernelContext& default_context() {
   return ctx;
 }
 
-void set_default_threads(int threads) {
-  default_context() = KernelContext(threads > 1 ? &global_pool() : nullptr,
-                                    threads, default_context().grain());
-}
-
 void set_default_grain(std::size_t grain) {
   const int threads = default_context().threads();
   default_context() = KernelContext(threads > 1 ? &global_pool() : nullptr,

@@ -86,13 +86,9 @@ class KernelContext {
   const simd::Ops* simd_ = nullptr;
 };
 
-/// Mutable library-default context (env-configured on first use).  Legacy
-/// kernel signatures without an explicit context route through this.
+/// Mutable library-default context (env-configured on first use): the one
+/// callers pass to kernels and optimizer steps when they own no context.
 KernelContext& default_context();
-
-/// Reconfigure the default context's thread count (grain preserved).
-/// Call at startup, not while kernels are running.
-void set_default_threads(int threads);
 
 /// Reconfigure the default context's grain — minimum scalar ops per shard
 /// (threads preserved).  The autotuner's thread-grain knob: safe to move

@@ -485,116 +485,4 @@ double l2_norm(const KernelContext& ctx, const float* x, std::size_t n) {
   return std::sqrt(total);
 }
 
-// ------------------------------------------------------------------------
-// Legacy signatures: route through the env-configured default context.
-
-void matmul(float* out, const float* a, const float* b, int m, int k, int n) {
-  matmul(default_context(), out, a, b, m, k, n);
-}
-
-void linear_forward(float* out, const float* inp, const float* weight,
-                    const float* bias, int bt, int c, int oc) {
-  linear_forward(default_context(), out, inp, weight, bias, bt, c, oc);
-}
-
-void linear_backward(float* dinp, float* dweight, float* dbias,
-                     const float* dout, const float* inp, const float* weight,
-                     int bt, int c, int oc) {
-  linear_backward(default_context(), dinp, dweight, dbias, dout, inp, weight,
-                  bt, c, oc);
-}
-
-void layernorm_forward(float* out, float* mean, float* rstd, const float* inp,
-                       const float* gamma, const float* beta, int bt, int c) {
-  layernorm_forward(default_context(), out, mean, rstd, inp, gamma, beta, bt,
-                    c);
-}
-
-void layernorm_backward(float* dinp, float* dgamma, float* dbeta,
-                        const float* dout, const float* inp, const float* gamma,
-                        const float* mean, const float* rstd, int bt, int c) {
-  layernorm_backward(default_context(), dinp, dgamma, dbeta, dout, inp, gamma,
-                     mean, rstd, bt, c);
-}
-
-void gelu_forward(float* out, const float* inp, std::size_t n) {
-  gelu_forward(default_context(), out, inp, n);
-}
-
-void gelu_backward(float* dinp, const float* inp, const float* dout,
-                   std::size_t n) {
-  gelu_backward(default_context(), dinp, inp, dout, n);
-}
-
-void bias_gelu_forward(float* out, const float* inp, const float* bias, int bt,
-                       int c) {
-  bias_gelu_forward(default_context(), out, inp, bias, bt, c);
-}
-
-void bias_gelu_backward(float* dinp, const float* inp, const float* bias,
-                        const float* dout, int bt, int c) {
-  bias_gelu_backward(default_context(), dinp, inp, bias, dout, bt, c);
-}
-
-void residual_forward(float* out, const float* a, const float* b,
-                      std::size_t n) {
-  residual_forward(default_context(), out, a, b, n);
-}
-
-void residual_backward(float* da, float* db, const float* dout,
-                       std::size_t n) {
-  residual_backward(default_context(), da, db, dout, n);
-}
-
-void attention_forward(float* out, float* preatt, float* att, const float* qkv,
-                       const float* slopes, int b, int t, int c, int nh) {
-  attention_forward(default_context(), out, preatt, att, qkv, slopes, b, t, c,
-                    nh);
-}
-
-void attention_backward(float* dqkv, float* dpreatt, float* datt,
-                        const float* dout, const float* qkv, const float* att,
-                        int b, int t, int c, int nh) {
-  attention_backward(default_context(), dqkv, dpreatt, datt, dout, qkv, att,
-                     b, t, c, nh);
-}
-
-void embedding_forward(float* out, const int* tokens, const float* table,
-                       int bt, int c) {
-  embedding_forward(default_context(), out, tokens, table, bt, c);
-}
-
-void embedding_backward(float* dtable, const int* tokens, const float* dout,
-                        int bt, int c) {
-  embedding_backward(default_context(), dtable, tokens, dout, bt, c);
-}
-
-void softmax_xent_forward(float* losses, float* probs, const float* logits,
-                          const int* targets, int bt, int v) {
-  softmax_xent_forward(default_context(), losses, probs, logits, targets, bt,
-                       v);
-}
-
-void softmax_xent_backward(float* dlogits, const float* probs,
-                           const int* targets, int bt, int v, float scale) {
-  softmax_xent_backward(default_context(), dlogits, probs, targets, bt, v,
-                        scale);
-}
-
-void scale_inplace(float* x, float s, std::size_t n) {
-  scale_inplace(default_context(), x, s, n);
-}
-
-void axpy(float* y, float a, const float* x, std::size_t n) {
-  axpy(default_context(), y, a, x, n);
-}
-
-void sub(float* out, const float* a, const float* b, std::size_t n) {
-  sub(default_context(), out, a, b, n);
-}
-
-double l2_norm(const float* x, std::size_t n) {
-  return l2_norm(default_context(), x, n);
-}
-
 }  // namespace photon::kernels

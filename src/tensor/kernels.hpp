@@ -10,9 +10,9 @@
 //   * Attention uses ALiBi relative-position biases (MPT architecture),
 //     so the model has no positional-embedding parameters.
 //
-// Every kernel has two entry points: an explicit-context overload that
-// shards work over a kernels::KernelContext, and a legacy signature that
-// routes through default_context() (env-configured; serial on one core).
+// Every kernel takes the kernels::KernelContext it runs on as its first
+// argument and shards its work over it; callers without a context of their
+// own pass default_context() (env-configured; serial on one core).
 // Sharding is race-free by construction — rows, (batch, head) pairs, or
 // elementwise chunks — and every kernel is bit-identical at ANY thread
 // count: reductions that cross shard boundaries shard over the *output*
@@ -44,15 +44,12 @@ void set_kernel_metrics(obs::MetricsRegistry* registry);
 /// out(m,n) = a(m,k) @ b(k,n).  Cache-blocked over k; row-parallel over m.
 void matmul(const KernelContext& ctx, float* out, const float* a,
             const float* b, int m, int k, int n);
-void matmul(float* out, const float* a, const float* b, int m, int k, int n);
 
 /// Linear forward: out(BT, OC) = inp(BT, C) @ weight(OC, C)^T + bias(OC).
 /// bias may be nullptr.  Row-parallel over BT.
 void linear_forward(const KernelContext& ctx, float* out, const float* inp,
                     const float* weight, const float* bias, int bt, int c,
                     int oc);
-void linear_forward(float* out, const float* inp, const float* weight,
-                    const float* bias, int bt, int c, int oc);
 
 /// Linear backward. dinp(BT,C), dweight(OC,C), dbias(OC) are accumulated.
 /// Any of dinp/dweight/dbias may be nullptr to skip that term.
@@ -61,9 +58,6 @@ void linear_forward(float* out, const float* inp, const float* weight,
 void linear_backward(const KernelContext& ctx, float* dinp, float* dweight,
                      float* dbias, const float* dout, const float* inp,
                      const float* weight, int bt, int c, int oc);
-void linear_backward(float* dinp, float* dweight, float* dbias,
-                     const float* dout, const float* inp, const float* weight,
-                     int bt, int c, int oc);
 
 // -------------------------------------------------------------- layernorm --
 /// LayerNorm forward over the last dim. mean/rstd are (BT) caches for bwd.
@@ -71,8 +65,6 @@ void linear_backward(float* dinp, float* dweight, float* dbias,
 void layernorm_forward(const KernelContext& ctx, float* out, float* mean,
                        float* rstd, const float* inp, const float* gamma,
                        const float* beta, int bt, int c);
-void layernorm_forward(float* out, float* mean, float* rstd, const float* inp,
-                       const float* gamma, const float* beta, int bt, int c);
 
 /// dinp is row-parallel; dgamma/dbeta shard over columns, each of which
 /// accumulates all BT rows in order — bit-exact at any thread count.
@@ -80,19 +72,13 @@ void layernorm_backward(const KernelContext& ctx, float* dinp, float* dgamma,
                         float* dbeta, const float* dout, const float* inp,
                         const float* gamma, const float* mean,
                         const float* rstd, int bt, int c);
-void layernorm_backward(float* dinp, float* dgamma, float* dbeta,
-                        const float* dout, const float* inp, const float* gamma,
-                        const float* mean, const float* rstd, int bt, int c);
 
 // ------------------------------------------------------------------- gelu --
 /// Exact GELU via erf (matches PyTorch's default; tanh approx drifts in fp32).
 void gelu_forward(const KernelContext& ctx, float* out, const float* inp,
                   std::size_t n);
-void gelu_forward(float* out, const float* inp, std::size_t n);
 void gelu_backward(const KernelContext& ctx, float* dinp, const float* inp,
                    const float* dout, std::size_t n);
-void gelu_backward(float* dinp, const float* inp, const float* dout,
-                   std::size_t n);
 
 /// Fused bias + GELU: out(BT,C) = gelu(inp + bias) in one pass, where inp is
 /// a bias-free linear output (linear_forward with bias=nullptr).  Because
@@ -100,8 +86,6 @@ void gelu_backward(float* dinp, const float* inp, const float* dout,
 /// gelu(linear_forward-with-bias) output bit for bit.  Row-parallel.
 void bias_gelu_forward(const KernelContext& ctx, float* out, const float* inp,
                        const float* bias, int bt, int c);
-void bias_gelu_forward(float* out, const float* inp, const float* bias, int bt,
-                       int c);
 /// dinp(BT,C) += dout * gelu'(inp + bias), recomputing the biased
 /// pre-activation instead of materializing it.  The bias gradient is the
 /// column sum of dinp — exactly what linear_backward's dbias produces when
@@ -109,18 +93,13 @@ void bias_gelu_forward(float* out, const float* inp, const float* bias, int bt,
 void bias_gelu_backward(const KernelContext& ctx, float* dinp,
                         const float* inp, const float* bias, const float* dout,
                         int bt, int c);
-void bias_gelu_backward(float* dinp, const float* inp, const float* bias,
-                        const float* dout, int bt, int c);
 
 // --------------------------------------------------------------- residual --
 void residual_forward(const KernelContext& ctx, float* out, const float* a,
                       const float* b, std::size_t n);
-void residual_forward(float* out, const float* a, const float* b,
-                      std::size_t n);
 /// Residual backward: both branches receive dout (accumulated).
 void residual_backward(const KernelContext& ctx, float* da, float* db,
                        const float* dout, std::size_t n);
-void residual_backward(float* da, float* db, const float* dout, std::size_t n);
 
 // -------------------------------------------------------------- attention --
 /// Causal multi-head self-attention with ALiBi biases.
@@ -134,15 +113,10 @@ void residual_backward(float* da, float* db, const float* dout, std::size_t n);
 void attention_forward(const KernelContext& ctx, float* out, float* preatt,
                        float* att, const float* qkv, const float* slopes,
                        int b, int t, int c, int nh);
-void attention_forward(float* out, float* preatt, float* att, const float* qkv,
-                       const float* slopes, int b, int t, int c, int nh);
 
 void attention_backward(const KernelContext& ctx, float* dqkv, float* dpreatt,
                         float* datt, const float* dout, const float* qkv,
                         const float* att, int b, int t, int c, int nh);
-void attention_backward(float* dqkv, float* dpreatt, float* datt,
-                        const float* dout, const float* qkv, const float* att,
-                        int b, int t, int c, int nh);
 
 /// Standard ALiBi slope for head h of nh heads: 2^(-8(h+1)/nh).
 void alibi_slopes(float* slopes, int nh);
@@ -151,14 +125,10 @@ void alibi_slopes(float* slopes, int nh);
 /// out(BT, C) = table[tokens[i]] for each position.  Row-parallel.
 void embedding_forward(const KernelContext& ctx, float* out, const int* tokens,
                        const float* table, int bt, int c);
-void embedding_forward(float* out, const int* tokens, const float* table,
-                       int bt, int c);
 /// Scatter-add with possible token collisions across rows; stays serial
 /// (the context supplies only the SIMD table).
 void embedding_backward(const KernelContext& ctx, float* dtable,
                         const int* tokens, const float* dout, int bt, int c);
-void embedding_backward(float* dtable, const int* tokens, const float* dout,
-                        int bt, int c);
 
 // --------------------------------------------- fused softmax cross-entropy --
 /// Computes per-position losses(BT) and probs(BT, V) for targets(BT).
@@ -166,30 +136,23 @@ void embedding_backward(float* dtable, const int* tokens, const float* dout,
 void softmax_xent_forward(const KernelContext& ctx, float* losses,
                           float* probs, const float* logits,
                           const int* targets, int bt, int v);
-void softmax_xent_forward(float* losses, float* probs, const float* logits,
-                          const int* targets, int bt, int v);
 
 /// dlogits(BT, V) accumulated with (probs - onehot(target)) * scale.
 /// Ignored positions contribute zero gradient.  Row-parallel.
 void softmax_xent_backward(const KernelContext& ctx, float* dlogits,
                            const float* probs, const int* targets, int bt,
                            int v, float scale);
-void softmax_xent_backward(float* dlogits, const float* probs,
-                           const int* targets, int bt, int v, float scale);
 
 // ------------------------------------------------------------------- misc --
 void scale_inplace(const KernelContext& ctx, float* x, float s, std::size_t n);
-void scale_inplace(float* x, float s, std::size_t n);
+/// y += a*x.
 void axpy(const KernelContext& ctx, float* y, float a, const float* x,
-          std::size_t n);                                     // y += a*x
-void axpy(float* y, float a, const float* x, std::size_t n);  // y += a*x
+          std::size_t n);
 /// out = a - b elementwise (pseudo-gradient deltas on the round path).
 void sub(const KernelContext& ctx, float* out, const float* a, const float* b,
          std::size_t n);
-void sub(float* out, const float* a, const float* b, std::size_t n);
 /// Fixed 32768-element blocks reduced in block order: bit-identical at any
 /// thread count (blocks, not shards, define the summation grouping).
 double l2_norm(const KernelContext& ctx, const float* x, std::size_t n);
-double l2_norm(const float* x, std::size_t n);
 
 }  // namespace photon::kernels

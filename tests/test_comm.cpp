@@ -141,7 +141,8 @@ TEST(SimLink, TransmitAccountsAndPreservesMessage) {
   SimLink link("test", 1.0);
   Message m;
   m.payload = {1.0f, 2.0f};
-  const Message back = link.transmit(m);
+  Message back;
+  link.transmit(m, back);
   EXPECT_EQ(back.payload, m.payload);
   EXPECT_EQ(link.stats().messages, 1u);
   EXPECT_EQ(link.stats().payload_bytes, 8u);
@@ -642,7 +643,8 @@ TEST(SimLink, ZeroCopyTransmitMatchesCopyingTransmit) {
   m.codec = "rle0";
   m.payload_view = data;
   SimLink a("copying", 1.0), b("zero-copy", 1.0);
-  const Message via_copy = a.transmit(m);
+  Message via_copy;  // a fresh message: nothing to reuse
+  a.transmit(m, via_copy);
   Message via_reuse;
   b.transmit(m, via_reuse);
   b.transmit(m, via_reuse);  // reuse the scratch and payload buffers

@@ -23,63 +23,73 @@ namespace photon {
 namespace {
 
 // --------------------------------------------------------------- sampler --
+std::vector<MembershipState> all_active(int population) {
+  return std::vector<MembershipState>(static_cast<std::size_t>(population),
+                                      MembershipState::kActive);
+}
+
 TEST(ClientSampler, SamplesDistinctClientsDeterministically) {
   ClientSampler a(16, 7), b(16, 7);
-  const auto s1 = a.sample(4, 3);
-  const auto s2 = b.sample(4, 3);
+  const auto active = all_active(16);
+  const auto s1 = a.sample(active, 4, 3);
+  const auto s2 = b.sample(active, 4, 3);
   EXPECT_EQ(s1, s2);
   EXPECT_EQ(s1.size(), 4u);
   std::set<int> uniq(s1.begin(), s1.end());
   EXPECT_EQ(uniq.size(), 4u);
   // Different rounds differ (with overwhelming probability for this seed).
-  EXPECT_NE(a.sample(4, 4), s1);
+  EXPECT_NE(a.sample(active, 4, 4), s1);
 }
 
 TEST(ClientSampler, UniformCoverageAcrossRounds) {
   ClientSampler sampler(8, 3);
+  const auto active = all_active(8);
   std::vector<int> hits(8, 0);
   for (std::uint32_t r = 0; r < 2000; ++r) {
-    for (int c : sampler.sample(2, r)) hits[static_cast<std::size_t>(c)]++;
+    for (int c : sampler.sample(active, 2, r)) {
+      hits[static_cast<std::size_t>(c)]++;
+    }
   }
   for (int h : hits) EXPECT_NEAR(h, 500, 90);  // 2000*2/8
 }
 
 TEST(ClientSampler, RespectsAvailability) {
   ClientSampler sampler(4, 1);
-  sampler.set_available(0, false);
-  sampler.set_available(1, false);
-  EXPECT_EQ(sampler.num_available(), 2);
+  const std::vector<MembershipState> membership{
+      MembershipState::kAbsent, MembershipState::kLeft,
+      MembershipState::kActive, MembershipState::kActive};
   for (std::uint32_t r = 0; r < 20; ++r) {
-    for (int c : sampler.sample(4, r)) EXPECT_GE(c, 2);
+    for (int c : sampler.sample(membership, 4, r)) EXPECT_GE(c, 2);
   }
   // Fewer available than requested: returns all available.
-  EXPECT_EQ(sampler.sample(4, 0).size(), 2u);
+  EXPECT_EQ(sampler.sample(membership, 4, 0).size(), 2u);
 }
 
 TEST(ClientSampler, FullParticipationIsEveryone) {
   ClientSampler sampler(5, 9);
-  const auto s = sampler.sample(5, 0);
+  const auto s = sampler.sample(all_active(5), 5, 0);
   EXPECT_EQ(s, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ClientSampler, SaltDrawsIndependentCohortsForTheSameRound) {
   ClientSampler sampler(32, 7);
-  const auto base = sampler.sample(4, 5);
+  const auto active = all_active(32);
+  const auto base = sampler.sample(active, 4, 5);
   // Salt 0 is the historical cohort, bit-exactly.
-  EXPECT_EQ(sampler.sample(4, 5, 0), base);
+  EXPECT_EQ(sampler.sample(active, 4, 5, 0), base);
   // Non-zero salts (quorum-loss retries) draw fresh deterministic cohorts.
-  const auto retry1 = sampler.sample(4, 5, 1);
-  const auto retry2 = sampler.sample(4, 5, 2);
+  const auto retry1 = sampler.sample(active, 4, 5, 1);
+  const auto retry2 = sampler.sample(active, 4, 5, 2);
   EXPECT_NE(retry1, base);
   EXPECT_NE(retry2, retry1);
-  EXPECT_EQ(sampler.sample(4, 5, 1), retry1);
+  EXPECT_EQ(sampler.sample(active, 4, 5, 1), retry1);
 }
 
 TEST(ClientSampler, Validation) {
   EXPECT_THROW(ClientSampler(0, 1), std::invalid_argument);
   ClientSampler s(3, 1);
-  EXPECT_THROW(s.sample(0, 0), std::invalid_argument);
-  EXPECT_THROW(s.set_available(5, true), std::out_of_range);
+  EXPECT_THROW(s.sample(all_active(3), 0, 0), std::invalid_argument);
+  EXPECT_THROW(s.sample(all_active(5), 1, 0), std::out_of_range);
 }
 
 // ------------------------------------------------------------ server opts --
@@ -172,25 +182,14 @@ TEST(Metrics, HistoryQueries) {
   RoundRecord r0;
   r0.round = 0;
   r0.eval_perplexity = 50.0;
-  r0.tokens_this_round = 100;
-  r0.sim_local_seconds = 10.0;
-  r0.sim_comm_seconds = 1.0;
   h.add(r0);
   RoundRecord r1;
   r1.round = 1;
   r1.eval_perplexity = 30.0;
-  r1.tokens_this_round = 100;
-  r1.sim_local_seconds = 10.0;
-  r1.sim_comm_seconds = 1.0;
   h.add(r1);
 
   EXPECT_EQ(h.first_round_reaching(35.0), 1);
   EXPECT_EQ(h.first_round_reaching(10.0), -1);
-  EXPECT_EQ(h.tokens_through(0), 100u);
-  EXPECT_EQ(h.tokens_through(1), 200u);
-  EXPECT_DOUBLE_EQ(h.sim_seconds_to(35.0), 22.0);
-  EXPECT_DOUBLE_EQ(h.sim_seconds_to(5.0), -1.0);
-  EXPECT_DOUBLE_EQ(h.best_perplexity(), 30.0);
   EXPECT_DOUBLE_EQ(h.final_perplexity(), 30.0);
 }
 

@@ -67,8 +67,9 @@ class TrainedModelProbes : public ::testing::Test {
       model_->zero_grad();
       model_->train_step_fb(b.tokens, b.targets, 4,
                             probe_model_config().seq_len);
-      clip_grad_norm(model_->grads(), 1.0);
-      opt.step(model_->params(), model_->grads(), 5e-3f);
+      clip_grad_norm(kernels::default_context(), model_->grads(), 1.0);
+      opt.step(kernels::default_context(), model_->params(), model_->grads(),
+               5e-3f);
     }
   }
   static void TearDownTestSuite() {

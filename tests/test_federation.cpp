@@ -633,8 +633,9 @@ TEST(FaultEngine, QuorumLossResamplesAFreshCohort) {
   EXPECT_EQ(rec.crashed_clients, 2);  // the first cohort, counted
   // The final cohort is the salted resample, not the round's base cohort.
   ClientSampler reference(8, 33);
-  EXPECT_EQ(rec.participants, reference.sample(2, 0, 1));
-  EXPECT_NE(rec.participants, reference.sample(2, 0, 0));
+  const std::vector<MembershipState> active(8, MembershipState::kActive);
+  EXPECT_EQ(rec.participants, reference.sample(active, 2, 0, 1));
+  EXPECT_NE(rec.participants, reference.sample(active, 2, 0, 0));
 }
 
 TEST(FaultEngine, QuorumExhaustionThrows) {
@@ -979,6 +980,80 @@ TEST(Aggregator, RestoreRejectsMembershipOfAnotherPopulation) {
   auto whole = build_fault_aggregator(ac, "fedavg", 4);
   ASSERT_TRUE(whole->restore_latest_checkpoint());
   EXPECT_EQ(whole->sim_now(), saved.sim_now);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Aggregator, RestoreRefusesBadServerOptStateBeforeChangingAnything) {
+  // The ServerOpt state is checked with the rest of the checkpoint, before
+  // restore changes anything: a truncated state, a momentum buffer sized
+  // for another model, trailing bytes, and momentum restored into a
+  // stateless FedAvg all throw and leave the engine and its optimizer as
+  // they were.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "photon_server_opt_state";
+  std::filesystem::remove_all(dir);
+  AggregatorConfig ac;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.checkpoint_dir = dir;
+  Checkpoint saved;
+  {
+    auto agg = build_fault_aggregator(ac, "fedmom", /*population=*/4);
+    agg->run_round();
+    saved = *agg->checkpoints().latest();
+  }
+  const std::size_t n = saved.params.size();
+  ASSERT_GT(saved.server_opt_state.size(), n * sizeof(float));
+  const auto state_of = [](const ServerOpt& opt) {
+    BinaryWriter w;
+    opt.save_state(w);
+    return w.bytes();
+  };
+  const auto buffer_of = [](std::size_t floats) {
+    BinaryWriter w;
+    w.write_vector(std::vector<float>(floats, 0.5f));
+    return w.bytes();
+  };
+  std::vector<std::uint8_t> trailing = saved.server_opt_state;
+  trailing.push_back(0);
+  const struct {
+    const char* what;
+    const char* opt;
+    std::vector<std::uint8_t> state;
+  } cases[] = {
+      {"3-byte state", "fedmom", {0x01, 0x02, 0x03}},
+      {"5-float buffer", "fedmom", buffer_of(5)},
+      {"trailing byte", "nesterov", trailing},
+      {"momentum into fedavg", "fedavg", saved.server_opt_state},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    Checkpoint ckpt = saved;
+    ckpt.server_opt_state = c.state;
+    CheckpointStore(dir).save(std::move(ckpt));
+    auto fresh = build_fault_aggregator(ac, c.opt, 4);
+    // A live momentum buffer that the refusal must leave alone.
+    std::vector<float> scratch(n, 0.0f);
+    fresh->server_opt().apply(scratch, std::vector<float>(n, 0.25f));
+    const auto opt_before = state_of(fresh->server_opt());
+    const std::vector<float> before(fresh->global_params().begin(),
+                                    fresh->global_params().end());
+    EXPECT_THROW(fresh->restore_latest_checkpoint(), std::runtime_error);
+    EXPECT_EQ(fresh->round(), 0u);
+    EXPECT_EQ(fresh->sim_now(), 0.0);
+    EXPECT_EQ(0, std::memcmp(before.data(), fresh->global_params().data(),
+                             n * sizeof(float)));
+    EXPECT_EQ(state_of(fresh->server_opt()), opt_before);
+  }
+  // A buffer of n floats, or an empty one (never applied), restores.
+  for (const auto& state : {saved.server_opt_state, buffer_of(0)}) {
+    Checkpoint ckpt = saved;
+    ckpt.server_opt_state = state;
+    CheckpointStore(dir).save(std::move(ckpt));
+    auto fresh = build_fault_aggregator(ac, "fedmom", 4);
+    ASSERT_TRUE(fresh->restore_latest_checkpoint());
+    EXPECT_EQ(state_of(fresh->server_opt()), state);
+  }
   std::filesystem::remove_all(dir);
 }
 

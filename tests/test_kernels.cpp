@@ -21,7 +21,7 @@ TEST(Matmul, MatchesManualReference) {
   const std::vector<float> a{1, 2, 3, 4, 5, 6};
   const std::vector<float> b{7, 8, 9, 10, 11, 12};
   std::vector<float> out(4, -1.0f);
-  matmul(out.data(), a.data(), b.data(), 2, 3, 2);
+  matmul(default_context(), out.data(), a.data(), b.data(), 2, 3, 2);
   EXPECT_FLOAT_EQ(out[0], 58.0f);
   EXPECT_FLOAT_EQ(out[1], 64.0f);
   EXPECT_FLOAT_EQ(out[2], 139.0f);
@@ -34,7 +34,8 @@ TEST(LinearForward, MatchesManualReference) {
   const std::vector<float> w{1, 0, 0, 1, 1, 1};
   const std::vector<float> bias{0.5f, -0.5f, 0.0f};
   std::vector<float> out(3);
-  linear_forward(out.data(), inp.data(), w.data(), bias.data(), 1, 2, 3);
+  linear_forward(default_context(), out.data(), inp.data(), w.data(),
+                 bias.data(), 1, 2, 3);
   EXPECT_FLOAT_EQ(out[0], 1.5f);
   EXPECT_FLOAT_EQ(out[1], 1.5f);
   EXPECT_FLOAT_EQ(out[2], 3.0f);
@@ -53,15 +54,16 @@ TEST(LinearBackward, MatchesFiniteDifferences) {
                        const std::vector<float>& w_,
                        const std::vector<float>& b_) {
     std::vector<float> out(kBt * kOc);
-    linear_forward(out.data(), in_.data(), w_.data(), b_.data(), kBt, kC, kOc);
+    linear_forward(default_context(), out.data(), in_.data(), w_.data(),
+                   b_.data(), kBt, kC, kOc);
     double s = 0.0;
     for (int i = 0; i < kBt * kOc; ++i) s += out[i] * dout[i];
     return s;
   };
 
   std::vector<float> dinp(kBt * kC, 0.0f), dw(kOc * kC, 0.0f), db(kOc, 0.0f);
-  linear_backward(dinp.data(), dw.data(), db.data(), dout.data(), inp.data(),
-                  w.data(), kBt, kC, kOc);
+  linear_backward(default_context(), dinp.data(), dw.data(), db.data(),
+                  dout.data(), inp.data(), w.data(), kBt, kC, kOc);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < inp.size(); ++i) {
@@ -93,8 +95,8 @@ TEST(LayerNorm, ForwardNormalizesRows) {
   std::vector<float> inp(kBt * kC), gamma(kC, 1.0f), beta(kC, 0.0f);
   for (auto& x : inp) x = rng.gaussian(1.0f, 3.0f);
   std::vector<float> out(kBt * kC), mean(kBt), rstd(kBt);
-  layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
-                    gamma.data(), beta.data(), kBt, kC);
+  layernorm_forward(default_context(), out.data(), mean.data(), rstd.data(),
+                    inp.data(), gamma.data(), beta.data(), kBt, kC);
   for (int i = 0; i < kBt; ++i) {
     double m = 0.0, v = 0.0;
     for (int p = 0; p < kC; ++p) m += out[i * kC + p];
@@ -122,20 +124,20 @@ TEST(LayerNorm, BackwardMatchesFiniteDifferences) {
                        const std::vector<float>& g_,
                        const std::vector<float>& b_) {
     std::vector<float> out(kBt * kC), mean(kBt), rstd(kBt);
-    layernorm_forward(out.data(), mean.data(), rstd.data(), in_.data(),
-                      g_.data(), b_.data(), kBt, kC);
+    layernorm_forward(default_context(), out.data(), mean.data(), rstd.data(),
+                      in_.data(), g_.data(), b_.data(), kBt, kC);
     double s = 0.0;
     for (int i = 0; i < kBt * kC; ++i) s += out[i] * dout[i];
     return s;
   };
 
   std::vector<float> out(kBt * kC), mean(kBt), rstd(kBt);
-  layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
-                    gamma.data(), beta.data(), kBt, kC);
+  layernorm_forward(default_context(), out.data(), mean.data(), rstd.data(),
+                    inp.data(), gamma.data(), beta.data(), kBt, kC);
   std::vector<float> dinp(kBt * kC, 0.0f), dgamma(kC, 0.0f), dbeta(kC, 0.0f);
-  layernorm_backward(dinp.data(), dgamma.data(), dbeta.data(), dout.data(),
-                     inp.data(), gamma.data(), mean.data(), rstd.data(), kBt,
-                     kC);
+  layernorm_backward(default_context(), dinp.data(), dgamma.data(),
+                     dbeta.data(), dout.data(), inp.data(), gamma.data(),
+                     mean.data(), rstd.data(), kBt, kC);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < inp.size(); ++i) {
@@ -159,7 +161,7 @@ TEST(LayerNorm, BackwardMatchesFiniteDifferences) {
 TEST(Gelu, MatchesErfDefinitionAndGradient) {
   const std::vector<float> xs{-3.0f, -1.0f, -0.1f, 0.0f, 0.5f, 2.0f};
   std::vector<float> out(xs.size());
-  gelu_forward(out.data(), xs.data(), xs.size());
+  gelu_forward(default_context(), out.data(), xs.data(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const double expected =
         0.5 * xs[i] * (1.0 + std::erf(xs[i] / std::sqrt(2.0)));
@@ -167,15 +169,16 @@ TEST(Gelu, MatchesErfDefinitionAndGradient) {
   }
   // Gradient vs finite differences.
   std::vector<float> dout(xs.size(), 1.0f), dinp(xs.size(), 0.0f);
-  gelu_backward(dinp.data(), xs.data(), dout.data(), xs.size());
+  gelu_backward(default_context(), dinp.data(), xs.data(), dout.data(),
+                xs.size());
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     std::vector<float> xp(xs), xm(xs);
     xp[i] += eps;
     xm[i] -= eps;
     std::vector<float> op(xs.size()), om(xs.size());
-    gelu_forward(op.data(), xp.data(), xs.size());
-    gelu_forward(om.data(), xm.data(), xs.size());
+    gelu_forward(default_context(), op.data(), xp.data(), xs.size());
+    gelu_forward(default_context(), om.data(), xm.data(), xs.size());
     EXPECT_NEAR(dinp[i], (op[i] - om[i]) / (2 * eps), 1e-3);
   }
 }
@@ -190,14 +193,14 @@ TEST(Attention, CausalMaskRespected) {
   alibi_slopes(slopes.data(), kNh);
   std::vector<float> out1(kB * kT * kC), pre(kB * kNh * kT * kT),
       att(kB * kNh * kT * kT);
-  attention_forward(out1.data(), pre.data(), att.data(), qkv.data(),
-                    slopes.data(), kB, kT, kC, kNh);
+  attention_forward(default_context(), out1.data(), pre.data(), att.data(),
+                    qkv.data(), slopes.data(), kB, kT, kC, kNh);
   // Perturb all of token 3's qkv.
   auto qkv2 = qkv;
   for (int j = 0; j < 3 * kC; ++j) qkv2[3 * 3 * kC + j] += 10.0f;
   std::vector<float> out2(kB * kT * kC);
-  attention_forward(out2.data(), pre.data(), att.data(), qkv2.data(),
-                    slopes.data(), kB, kT, kC, kNh);
+  attention_forward(default_context(), out2.data(), pre.data(), att.data(),
+                    qkv2.data(), slopes.data(), kB, kT, kC, kNh);
   for (int t = 0; t < 3; ++t) {
     for (int c = 0; c < kC; ++c) {
       EXPECT_FLOAT_EQ(out1[t * kC + c], out2[t * kC + c])
@@ -214,8 +217,8 @@ TEST(Attention, AlibiPenalizesDistance) {
   std::vector<float> slopes(kNh);
   alibi_slopes(slopes.data(), kNh);
   std::vector<float> out(kB * kT * kC), pre(kT * kT), att(kT * kT);
-  attention_forward(out.data(), pre.data(), att.data(), qkv.data(),
-                    slopes.data(), kB, kT, kC, kNh);
+  attention_forward(default_context(), out.data(), pre.data(), att.data(),
+                    qkv.data(), slopes.data(), kB, kT, kC, kNh);
   // Last row: weights strictly increase towards the most recent position.
   for (int t2 = 1; t2 < kT; ++t2) {
     EXPECT_GT(att[(kT - 1) * kT + t2], att[(kT - 1) * kT + t2 - 1]);
@@ -235,8 +238,8 @@ TEST(Attention, BackwardMatchesFiniteDifferences) {
   auto objective = [&](const std::vector<float>& q) {
     std::vector<float> out(kB * kT * kC), pre(kB * kNh * kT * kT),
         att(kB * kNh * kT * kT);
-    attention_forward(out.data(), pre.data(), att.data(), q.data(),
-                      slopes.data(), kB, kT, kC, kNh);
+    attention_forward(default_context(), out.data(), pre.data(), att.data(),
+                      q.data(), slopes.data(), kB, kT, kC, kNh);
     double s = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i) s += out[i] * dout[i];
     return s;
@@ -244,12 +247,12 @@ TEST(Attention, BackwardMatchesFiniteDifferences) {
 
   std::vector<float> out(kB * kT * kC), pre(kB * kNh * kT * kT),
       att(kB * kNh * kT * kT);
-  attention_forward(out.data(), pre.data(), att.data(), qkv.data(),
-                    slopes.data(), kB, kT, kC, kNh);
+  attention_forward(default_context(), out.data(), pre.data(), att.data(),
+                    qkv.data(), slopes.data(), kB, kT, kC, kNh);
   std::vector<float> dqkv(qkv.size(), 0.0f), dpre(pre.size(), 0.0f),
       datt(att.size(), 0.0f);
-  attention_backward(dqkv.data(), dpre.data(), datt.data(), dout.data(),
-                     qkv.data(), att.data(), kB, kT, kC, kNh);
+  attention_backward(default_context(), dqkv.data(), dpre.data(), datt.data(),
+                     dout.data(), qkv.data(), att.data(), kB, kT, kC, kNh);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < qkv.size(); ++i) {
@@ -267,14 +270,16 @@ TEST(Embedding, ForwardBackwardRoundTrip) {
   std::vector<float> table(kV * kC);
   for (std::size_t i = 0; i < table.size(); ++i) table[i] = static_cast<float>(i);
   std::vector<float> out(kBt * kC);
-  embedding_forward(out.data(), tokens.data(), table.data(), kBt, kC);
+  embedding_forward(default_context(), out.data(), tokens.data(), table.data(),
+                    kBt, kC);
   EXPECT_FLOAT_EQ(out[0], 2.0f);
   EXPECT_FLOAT_EQ(out[1], 3.0f);
   EXPECT_FLOAT_EQ(out[2], 6.0f);
 
   std::vector<float> dtable(kV * kC, 0.0f);
   const std::vector<float> dout{1, 1, 1, 1, 1, 1};
-  embedding_backward(dtable.data(), tokens.data(), dout.data(), kBt, kC);
+  embedding_backward(default_context(), dtable.data(), tokens.data(),
+                     dout.data(), kBt, kC);
   EXPECT_FLOAT_EQ(dtable[1 * kC + 0], 2.0f);  // token 1 hit twice
   EXPECT_FLOAT_EQ(dtable[3 * kC + 0], 1.0f);
   EXPECT_FLOAT_EQ(dtable[0], 0.0f);
@@ -285,16 +290,16 @@ TEST(SoftmaxXent, LossAndGradient) {
   const std::vector<float> logits{1.0f, 2.0f, 3.0f, 0.0f, 0.0f, 0.0f};
   const std::vector<int> targets{2, -1};  // second position ignored
   std::vector<float> losses(kBt), probs(kBt * kV);
-  softmax_xent_forward(losses.data(), probs.data(), logits.data(),
-                       targets.data(), kBt, kV);
+  softmax_xent_forward(default_context(), losses.data(), probs.data(),
+                       logits.data(), targets.data(), kBt, kV);
   // Row 0 softmax with max-subtraction.
   const double z = std::exp(-2.0) + std::exp(-1.0) + 1.0;
   EXPECT_NEAR(losses[0], -std::log(1.0 / z), 1e-5);
   EXPECT_FLOAT_EQ(losses[1], 0.0f);
 
   std::vector<float> dlogits(kBt * kV, 0.0f);
-  softmax_xent_backward(dlogits.data(), probs.data(), targets.data(), kBt, kV,
-                        1.0f);
+  softmax_xent_backward(default_context(), dlogits.data(), probs.data(),
+                        targets.data(), kBt, kV, 1.0f);
   // Gradient sums to zero on the valid row, zero on the ignored row.
   EXPECT_NEAR(dlogits[0] + dlogits[1] + dlogits[2], 0.0, 1e-6);
   EXPECT_FLOAT_EQ(dlogits[3], 0.0f);

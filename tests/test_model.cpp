@@ -153,8 +153,8 @@ TEST(GptModel, LearnsMarkovCorpus) {
     const Batch b = stream.next_batch(batch, c.seq_len);
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, batch, c.seq_len);
-    clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
     if (step == 0) first_loss = loss;
     last_loss = loss;
   }

@@ -395,20 +395,22 @@ TEST(KernelMetrics, FlopsCountersMatchAnalyticCounts) {
   kernels::set_kernel_metrics(&reg);
   constexpr int m = 8, k = 16, n = 4;
   std::vector<float> a(m * k, 1.0f), b(k * n, 2.0f), out(m * n);
-  kernels::matmul(out.data(), a.data(), b.data(), m, k, n);
+  kernels::matmul(kernels::default_context(), out.data(), a.data(), b.data(), m,
+                  k, n);
   EXPECT_EQ(reg.counter_value("kernels.flops.matmul"),
             2ull * m * k * n);
   constexpr int bt = 6, c = 8, oc = 10;
   std::vector<float> inp(bt * c, 0.5f), w(oc * c, 0.25f), bias(oc, 0.0f);
   std::vector<float> y(bt * oc);
-  kernels::linear_forward(y.data(), inp.data(), w.data(), bias.data(), bt, c,
-                          oc);
+  kernels::linear_forward(kernels::default_context(), y.data(), inp.data(),
+                          w.data(), bias.data(), bt, c, oc);
   EXPECT_EQ(reg.counter_value("kernels.flops.linear_fwd"),
             2ull * bt * c * oc);
   std::vector<float> dinp(bt * c, 0.0f), dw(oc * c, 0.0f), db(oc, 0.0f);
   std::vector<float> dout(bt * oc, 1.0f);
-  kernels::linear_backward(dinp.data(), dw.data(), db.data(), dout.data(),
-                           inp.data(), w.data(), bt, c, oc);
+  kernels::linear_backward(kernels::default_context(), dinp.data(), dw.data(),
+                           db.data(), dout.data(), inp.data(), w.data(), bt, c,
+                           oc);
   EXPECT_EQ(reg.counter_value("kernels.flops.linear_bwd"),
             2ull * 2ull * bt * c * oc + 1ull * bt * oc);
   kernels::set_kernel_metrics(nullptr);  // un-wire the process-wide hook

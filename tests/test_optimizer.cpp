@@ -20,7 +20,7 @@ TEST(AdamW, FirstStepClosedForm) {
   AdamW opt(2, cfg);
   std::vector<float> params{1.0f, -2.0f};
   const std::vector<float> grads{0.5f, -0.25f};
-  opt.step(params, grads, 0.1f);
+  opt.step(kernels::default_context(), params, grads, 0.1f);
   const float e = cfg.eps;
   EXPECT_NEAR(params[0], 1.0f - 0.1f * (0.5f / (0.5f + e) + 0.1f * 1.0f), 1e-6);
   EXPECT_NEAR(params[1], -2.0f - 0.1f * (-0.25f / (0.25f + e) + 0.1f * -2.0f),
@@ -31,7 +31,8 @@ TEST(AdamW, FirstStepClosedForm) {
 TEST(AdamW, ResetClearsState) {
   AdamW opt(2);
   std::vector<float> params{0.0f, 0.0f};
-  opt.step(params, std::vector<float>{1.0f, 1.0f}, 0.1f);
+  opt.step(kernels::default_context(), params, std::vector<float>{1.0f, 1.0f},
+           0.1f);
   opt.reset();
   EXPECT_EQ(opt.step_count(), 0u);
   EXPECT_FLOAT_EQ(opt.exp_avg()[0], 0.0f);
@@ -43,18 +44,19 @@ TEST(AdamW, StatelessRestartMatchesFreshOptimizer) {
   // property Photon's stateless rounds depend on.
   AdamW a(1), b(1);
   std::vector<float> pa{1.0f}, pb{1.0f};
-  a.step(pa, std::vector<float>{0.3f}, 0.01f);
+  a.step(kernels::default_context(), pa, std::vector<float>{0.3f}, 0.01f);
   a.reset();
   pa[0] = 1.0f;
-  a.step(pa, std::vector<float>{0.7f}, 0.01f);
-  b.step(pb, std::vector<float>{0.7f}, 0.01f);
+  a.step(kernels::default_context(), pa, std::vector<float>{0.7f}, 0.01f);
+  b.step(kernels::default_context(), pb, std::vector<float>{0.7f}, 0.01f);
   EXPECT_FLOAT_EQ(pa[0], pb[0]);
 }
 
 TEST(AdamW, SizeMismatchThrows) {
   AdamW opt(3);
   std::vector<float> params{1.0f, 2.0f};
-  EXPECT_THROW(opt.step(params, std::vector<float>{1.0f, 1.0f}, 0.1f),
+  EXPECT_THROW(opt.step(kernels::default_context(), params,
+                        std::vector<float>{1.0f, 1.0f}, 0.1f),
                std::invalid_argument);
 }
 
@@ -64,7 +66,7 @@ TEST(AdamW, ConvergesOnQuadratic) {
   std::vector<float> x{0.0f};
   for (int i = 0; i < 500; ++i) {
     const std::vector<float> g{2.0f * (x[0] - 3.0f)};
-    opt.step(x, g, 0.05f);
+    opt.step(kernels::default_context(), x, g, 0.05f);
   }
   EXPECT_NEAR(x[0], 3.0f, 0.05f);
 }
@@ -95,11 +97,11 @@ TEST(SgdNesterov, ResetRestartsMomentum) {
 
 TEST(ClipGradNorm, ScalesOnlyWhenAboveThreshold) {
   std::vector<float> g{3.0f, 4.0f};  // norm 5
-  const double pre = clip_grad_norm(g, 10.0);
+  const double pre = clip_grad_norm(kernels::default_context(), g, 10.0);
   EXPECT_NEAR(pre, 5.0, 1e-6);
   EXPECT_FLOAT_EQ(g[0], 3.0f);  // unchanged
 
-  const double pre2 = clip_grad_norm(g, 1.0);
+  const double pre2 = clip_grad_norm(kernels::default_context(), g, 1.0);
   EXPECT_NEAR(pre2, 5.0, 1e-6);
   EXPECT_NEAR(std::sqrt(g[0] * g[0] + g[1] * g[1]), 1.0, 1e-5);
 }

@@ -177,8 +177,10 @@ class SamplerProperty : public ::testing::TestWithParam<std::tuple<int, int>> {
 TEST_P(SamplerProperty, SamplesAreDistinctSortedAndInRange) {
   const auto [population, k] = GetParam();
   ClientSampler sampler(population, 99);
+  const std::vector<MembershipState> active(
+      static_cast<std::size_t>(population), MembershipState::kActive);
   for (std::uint32_t round = 0; round < 50; ++round) {
-    const auto s = sampler.sample(k, round);
+    const auto s = sampler.sample(active, k, round);
     EXPECT_EQ(s.size(), static_cast<std::size_t>(std::min(k, population)));
     for (std::size_t i = 0; i < s.size(); ++i) {
       EXPECT_GE(s[i], 0);
@@ -287,12 +289,12 @@ TEST(ClipProperty, IdempotentAndDirectionPreserving) {
   std::vector<float> g(64);
   for (auto& x : g) x = rng.gaussian(0, 3);
   auto copy = g;
-  clip_grad_norm(copy, 1.0);
+  clip_grad_norm(kernels::default_context(), copy, 1.0);
   double first_norm = 0.0;
   for (float x : copy) first_norm += static_cast<double>(x) * x;
   first_norm = std::sqrt(first_norm);
   auto twice = copy;
-  clip_grad_norm(twice, 1.0);
+  clip_grad_norm(kernels::default_context(), twice, 1.0);
   for (std::size_t i = 0; i < g.size(); ++i) {
     EXPECT_NEAR(copy[i], twice[i], 1e-7f);  // idempotent
     if (std::abs(g[i]) > 1e-6f) {

@@ -486,7 +486,8 @@ TEST(FusedKernels, StepClippedMatchesClipThenStep) {
     auto p_ref = params0;
     auto g_ref = grads;
     AdamW ref(n, cfg);
-    const double norm_ref = clip_grad_norm(g_ref, /*max_norm=*/0.25);
+    const double norm_ref = clip_grad_norm(k::default_context(), g_ref,
+                                           /*max_norm=*/0.25);
     ref.step(ctx, p_ref, g_ref, 1e-3f);
 
     // Fused: one pass, grads must come back untouched.
@@ -500,7 +501,8 @@ TEST(FusedKernels, StepClippedMatchesClipThenStep) {
     EXPECT_TRUE(bytes_equal(grads, g_fused)) << "grads were modified";
 
     // Second step from the same state: momenta must have advanced equally.
-    const double n2_ref = clip_grad_norm(g_ref = grads, 0.25);
+    const double n2_ref = clip_grad_norm(k::default_context(),
+                                         g_ref = grads, 0.25);
     ref.step(ctx, p_ref, g_ref, 1e-3f);
     const double n2_fused = fused.step_clipped(ctx, p_fused, grads, 1e-3f, 0.25);
     EXPECT_EQ(n2_ref, n2_fused);

@@ -106,8 +106,8 @@ TEST(TextPipeline, ByteTokenizedTextTrainsTheModel) {
     const Batch b = ds.sample_batch(rng, 4, mc.seq_len);
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, 4, mc.seq_len);
-    clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
     if (step == 0) first = loss;
     last = loss;
   }
@@ -204,8 +204,8 @@ TEST(Corpus, SeparateStyleStreamsYieldDifferentPerplexityUnderOneModel) {
     const Batch b = stream.next_batch(4, mc.seq_len);
     model.zero_grad();
     model.train_step_fb(b.tokens, b.targets, 4, mc.seq_len);
-    clip_grad_norm(model.grads(), 1.0);
-    opt.step(model.params(), model.grads(), 5e-3f);
+    clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
+    opt.step(kernels::default_context(), model.params(), model.grads(), 5e-3f);
   }
   CorpusStreamSource own_eval(own, 99), other_eval(other, 99);
   const Batch b_own = own_eval.next_batch(8, mc.seq_len);

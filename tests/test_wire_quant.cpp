@@ -184,7 +184,8 @@ TEST(WireQuant, ResidualIsDeterministicAcrossRepeatedCalls) {
   wire_quant::residual_of(x.data(), a.data(), x.size(), 8);
   wire_quant::residual_of(x.data(), b.data(), x.size(), 8);
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
-  EXPECT_GT(kernels::l2_norm(a.data(), a.size()), 0.0);
+  EXPECT_GT(kernels::l2_norm(kernels::default_context(), a.data(),
+                             a.size()), 0.0);
 }
 
 // ---------------------------------------------------- streamed aggregation --
@@ -429,7 +430,8 @@ TEST(ErrorFeedback, ResidualSurvivesCrashRecoveryBitExactly) {
   auto ref = build_q_aggregator(config_for("ref"), "q8");
   inject(*ref);
   for (int r = 0; r < 5; ++r) ref->run_round();
-  EXPECT_GT(kernels::l2_norm(ref->client(0).ef_residual().data(),
+  EXPECT_GT(kernels::l2_norm(kernels::default_context(),
+                             ref->client(0).ef_residual().data(),
                              ref->client(0).ef_residual().size()),
             0.0);
 
