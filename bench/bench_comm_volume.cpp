@@ -6,7 +6,9 @@
 // (2) measured wire bytes from the real Message/Link/codec stack on a
 // stand-in federation, including what lossless codecs add or save.
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "comm/compression.hpp"
@@ -23,23 +25,33 @@ int main() {
       "Per-worker traffic per tau steps: DDP (every step) vs Photon (once)");
   {
     TablePrinter t({"Model", "tau", "DDP [GB]", "Photon [GB]", "reduction"});
+    std::string off_tau;  // first row whose reduction is not tau
     for (const auto& [name, model] :
          std::vector<std::pair<const char*, ModelConfig>>{
              {"125M", ModelConfig::paper_125m()},
              {"1.3B", ModelConfig::paper_1_3b()},
              {"7B", ModelConfig::paper_7b()}}) {
-      const double s_mb =
-          static_cast<double>(model.num_params()) * 2.0 / (1024.0 * 1024.0);
+      const double s_mb = model_size_mb(model.num_params(), 2.0);
       for (const int tau : {64, 128, 512}) {
         const double ddp_mb = ddp_bytes_per_step_mb(8, s_mb) * tau;
         const double photon_mb = ddp_bytes_per_step_mb(8, s_mb);  // 1 sync
+        const double reduction = ddp_mb / photon_mb;
+        if (off_tau.empty() && reduction != tau) {
+          off_tau = std::string(name) + " at tau=" + std::to_string(tau);
+        }
         t.add_row({name, std::to_string(tau),
                    TablePrinter::fmt(ddp_mb / 1024.0, 2),
                    TablePrinter::fmt(photon_mb / 1024.0, 3),
-                   TablePrinter::fmt(ddp_mb / photon_mb, 0) + "x"});
+                   TablePrinter::fmt(reduction, 0) + "x"});
       }
     }
     t.print();
+    if (!off_tau.empty()) {
+      std::printf("Claim check FAILED: the DDP/Photon reduction is not tau "
+                  "for %s.\n",
+                  off_tau.c_str());
+      return 1;
+    }
     std::printf(
         "Claim check: reduction equals tau -> 64x-512x for tau in "
         "{64..512} (paper SS1).\n");
@@ -93,22 +105,27 @@ int main() {
     TablePrinter t({"Model", "B [MB/s]", "topo", "fp32 s/round", "q8 s/round",
                     "speedup"});
     constexpr int kClients = 8;
+    std::string off_ratio;  // first row where q8 is not fp32 / ratio
     for (const auto& [name, model] :
          std::vector<std::pair<const char*, ModelConfig>>{
              {"125M", ModelConfig::paper_125m()},
              {"1.3B", ModelConfig::paper_1_3b()},
              {"7B", ModelConfig::paper_7b()}}) {
-      const double s_mb = model_size_mb(model.num_params());
+      const double s_mb = model_size_mb(model.num_params(), 4.0);
       // Paper WAN regimes: 100 Mbps cross-continent, 1 Gbps metro,
       // 10 Gbps datacenter interconnect.
       for (const double b_mbps : {12.5, 125.0, 1250.0}) {
-        CostModelConfig cc;
-        cc.bandwidth_mbps = b_mbps;
-        const WallTimeModel wall(cc);
+        const WallTimeModel wall(b_mbps);
         for (const Topology topo :
              {Topology::kParameterServer, Topology::kRingAllReduce}) {
           const double fp32_s = wall.comm_time(topo, kClients, s_mb);
           const double q8_s = wall.comm_time(topo, kClients, s_mb / ratio);
+          const double want = fp32_s / ratio;
+          if (off_ratio.empty() &&
+              !(std::abs(q8_s - want) <= 1e-9 * std::abs(want))) {
+            off_ratio = std::string(name) + " " + topology_name(topo) +
+                        " at " + TablePrinter::fmt(b_mbps, 1) + " MB/s";
+          }
           t.add_row({name, TablePrinter::fmt(b_mbps, 1), topology_name(topo),
                      TablePrinter::fmt(fp32_s, 2), TablePrinter::fmt(q8_s, 2),
                      TablePrinter::fmt(fp32_s / q8_s, 2) + "x"});
@@ -116,6 +133,12 @@ int main() {
       }
     }
     t.print();
+    if (!off_ratio.empty()) {
+      std::printf("Claim check FAILED: q8 s/round is not fp32 s/round / "
+                  "%.2fx for %s.\n",
+                  ratio, off_ratio.c_str());
+      return 1;
+    }
     std::printf(
         "Claim check: q8 cuts every B.1 comm term by the measured wire "
         "ratio (%.2fx); round time follows wherever comm dominates "

@@ -198,12 +198,10 @@ inline std::vector<TauMapping> tau_mappings() {
 inline double paper_scale_seconds(int rounds, int paper_tau, int clients,
                                   Topology topology,
                                   double nu_bps = 2.0 /* 125M, App. B.1 */) {
-  CostModelConfig cc;
-  cc.bandwidth_mbps = 1250.0;  // 10 Gbps
-  const WallTimeModel model(cc);
+  const WallTimeModel model(1250.0);  // 10 Gbps
   // 125M parameters in BF16 on the wire.
-  const double s_mb = static_cast<double>(ModelConfig::paper_125m().num_params()) *
-                      2.0 / (1024.0 * 1024.0);
+  const double s_mb =
+      model_size_mb(ModelConfig::paper_125m().num_params(), 2.0);
   return model.total_time(topology, clients, s_mb,
                           static_cast<double>(paper_tau), nu_bps, rounds);
 }

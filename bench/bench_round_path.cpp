@@ -256,7 +256,7 @@ void new_round(const std::vector<float>& params, int k,
   std::vector<std::span<float>> spans;
   spans.reserve(static_cast<std::size_t>(k));
   for (auto& rx : st.rx) spans.emplace_back(rx.payload);
-  collective_mean(topo, spans, 1250.0);
+  collective_mean(topo, spans);
   const std::span<const float> pseudo_grad = st.rx.front().payload;  // view
   (void)pseudo_grad;
 
@@ -1026,11 +1026,9 @@ int main(int argc, char** argv) {
       wan.wire_ratio = static_cast<double>(fp32->wire_bytes) /
                        static_cast<double>(q8->wire_bytes);
       wan.bandwidth_mbps = 125.0;
-      CostModelConfig cc;
-      cc.bandwidth_mbps = wan.bandwidth_mbps;
-      const WallTimeModel wall(cc);
-      const double s_mb = static_cast<double>(fp32->c.n) * sizeof(float) /
-                          (1024.0 * 1024.0);
+      const WallTimeModel wall(wan.bandwidth_mbps);
+      const double s_mb = model_size_mb(
+          static_cast<std::int64_t>(fp32->c.n), sizeof(float));
       wan.fp32_s = wall.comm_time(fp32->c.topo, fp32->c.k, s_mb);
       wan.q8_s = wall.comm_time(q8->c.topo, q8->c.k, s_mb / wan.wire_ratio);
       have_wan = true;

@@ -10,6 +10,7 @@
 // (tau = 500 local steps, Table 6).
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "comm/cost_model.hpp"
@@ -52,29 +53,32 @@ int main() {
   bench::print_header(
       "Table 2: system metrics, Photon vs centralized (RAR @ 10 Gbps, BF16)");
 
-  CostModelConfig cc;
-  cc.bandwidth_mbps = 1250.0;
-  const WallTimeModel model(cc);
+  const WallTimeModel model(1250.0);
   constexpr int kTau = 500;  // local steps per round, Table 6
 
+  const std::vector<ScaleSpec> specs = scales();
+  struct Hours {
+    double cen_comm, cen_wall, fed_comm, fed_wall;
+  };
+  std::vector<Hours> hours;
   TablePrinter t({"Model", "Wall [h]", "(paper)", "Compute [h]", "Comm [h]",
                   "(paper)", "MFU/device"});
-  for (const ScaleSpec& s : scales()) {
-    const double s_mb =
-        static_cast<double>(s.model.num_params()) * 2.0 / (1024.0 * 1024.0);
+  for (const ScaleSpec& s : specs) {
+    const double s_mb = model_size_mb(s.model.num_params(), 2.0);
+    const double rar_s =
+        model.comm_time(Topology::kRingAllReduce, s.clients, s_mb);
 
     // Centralized DDP: comm every step.
     const double cen_steps = s.cen_compute_h * 3600.0 * s.nu.centralized_bps;
-    const double cen_comm_h =
-        model.comm_time_rar(s.clients, s_mb) * cen_steps / 3600.0;
+    const double cen_comm_h = rar_s * cen_steps / 3600.0;
     const double cen_wall_h = s.cen_compute_h + cen_comm_h;
 
     // Photon: comm every tau steps.
     const double fed_steps = s.fed_compute_h * 3600.0 * s.nu.federated_bps;
     const double fed_rounds = fed_steps / kTau;
-    const double fed_comm_h =
-        model.comm_time_rar(s.clients, s_mb) * fed_rounds / 3600.0;
+    const double fed_comm_h = rar_s * fed_rounds / 3600.0;
     const double fed_wall_h = s.fed_compute_h + fed_comm_h;
+    hours.push_back({cen_comm_h, cen_wall_h, fed_comm_h, fed_wall_h});
 
     const double peak_tflops = s.gpus_per_client * 989.0;  // H100 BF16
     const double cen_mfu = model_flops_utilization(
@@ -101,23 +105,24 @@ int main() {
 
   bench::print_header("Headline ratios (Fed vs Cen)");
   TablePrinter r({"Model", "Wall-time ratio", "paper", "Comm reduction"});
-  for (const ScaleSpec& s : scales()) {
-    const double s_mb =
-        static_cast<double>(s.model.num_params()) * 2.0 / (1024.0 * 1024.0);
-    const double cen_steps = s.cen_compute_h * 3600.0 * s.nu.centralized_bps;
-    const double cen_comm_h =
-        model.comm_time_rar(s.clients, s_mb) * cen_steps / 3600.0;
-    const double fed_steps = s.fed_compute_h * 3600.0 * s.nu.federated_bps;
-    const double fed_comm_h =
-        model.comm_time_rar(s.clients, s_mb) * (fed_steps / kTau) / 3600.0;
-    const double wall_ratio = (s.fed_compute_h + fed_comm_h) /
-                              (s.cen_compute_h + cen_comm_h);
+  const char* slower = nullptr;  // first scale where federated is not faster
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ScaleSpec& s = specs[i];
+    const Hours& h = hours[i];
+    if (slower == nullptr && !(h.fed_wall < h.cen_wall)) slower = s.name;
     const double paper_ratio = s.paper_fed_wall_h / s.paper_cen_wall_h;
-    r.add_row({s.name, TablePrinter::fmt_ratio(wall_ratio, 2),
+    r.add_row({s.name, TablePrinter::fmt_ratio(h.fed_wall / h.cen_wall, 2),
                TablePrinter::fmt_ratio(paper_ratio, 2),
-               TablePrinter::fmt(cen_comm_h / fed_comm_h, 0) + "x less comm"});
+               TablePrinter::fmt(h.cen_comm / h.fed_comm, 0) + "x less comm"});
   }
   r.print();
+  if (slower != nullptr) {
+    std::printf(
+        "\nClaim check FAILED: federated wall time is not below centralized "
+        "at %s.\n",
+        slower);
+    return 1;
+  }
   std::printf(
       "\nClaim check: federated wall time beats centralized at every scale\n"
       "because Photon communicates ~%dx less often (tau=%d).\n",

@@ -33,12 +33,9 @@ void emit_topology_walltime_figure(int tau_standin, int tau_paper,
                ": wall time split LC vs comm by topology (tau=" +
                std::to_string(tau_paper) + ", 125M, 10 Gbps)");
 
-  CostModelConfig cc;
-  cc.bandwidth_mbps = 1250.0;
-  const WallTimeModel model(cc);
+  const WallTimeModel model(1250.0);
   const double s_mb =
-      static_cast<double>(ModelConfig::paper_125m().num_params()) * 2.0 /
-      (1024.0 * 1024.0);
+      model_size_mb(ModelConfig::paper_125m().num_params(), 2.0);
   constexpr double kNu = 2.0;  // batches/s, Appendix B.1 for 125M
 
   TablePrinter t({"N", "rounds", "LC [s]", "PS comm [s]", "PS %",
@@ -55,9 +52,12 @@ void emit_topology_walltime_figure(int tau_standin, int tau_paper,
     }
     const double rounds = r + 1;
     const double lc = rounds * model.local_time(tau_paper, kNu);
-    const double ps = rounds * model.comm_time_ps(n, s_mb);
-    const double ar = rounds * model.comm_time_ar(n, s_mb);
-    const double rar = rounds * model.comm_time_rar(n, s_mb);
+    const double ps_per_round =
+        model.comm_time(Topology::kParameterServer, n, s_mb);
+    const double ps = rounds * ps_per_round;
+    const double ar = rounds * model.comm_time(Topology::kAllReduce, n, s_mb);
+    const double rar =
+        rounds * model.comm_time(Topology::kRingAllReduce, n, s_mb);
     auto pct = [&](double comm) {
       return TablePrinter::fmt(100.0 * comm / (lc + comm), 1) + "%";
     };
@@ -70,7 +70,6 @@ void emit_topology_walltime_figure(int tau_standin, int tau_paper,
       rar_preserves_scaling = false;
     }
     prev_total_rar = total_rar;
-    const double ps_per_round = model.comm_time_ps(n, s_mb);
     if (prev_ps_per_round > 0.0 && ps_per_round <= prev_ps_per_round) {
       comm_grows_with_n = false;
     }

@@ -58,8 +58,7 @@ int main() {
     t.print();
 
     // Projected round time per topology, bottlenecked by the real fabric.
-    const double s_mb =
-        static_cast<double>(plan.model.num_params()) * 2.0 / (1024.0 * 1024.0);
+    const double s_mb = model_size_mb(plan.model.num_params(), 2.0);
     const double ring_gbps = fed.fabric.slowest_ring_link_gbps();
     const double star_gbps = fed.fabric.slowest_star_link_gbps(
         fed.fabric.site_index(fed.aggregator_region));
@@ -75,7 +74,7 @@ int main() {
     for (const Row& row : {Row{Topology::kParameterServer, star_gbps},
                            Row{Topology::kAllReduce, ring_gbps},
                            Row{Topology::kRingAllReduce, ring_gbps}}) {
-      WallTimeModel model({row.gbps * 125.0, 5.0, 100});  // Gbps -> MB/s
+      const WallTimeModel model(row.gbps * 125.0);  // Gbps -> MB/s
       const double comm = model.comm_time(row.topo, k, s_mb);
       const double round_s = local_s + comm;
       w.add_row({topology_name(row.topo),

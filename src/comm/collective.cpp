@@ -40,72 +40,13 @@ void mean_into_all(std::vector<std::span<float>>& buffers,
                       });
 }
 
-}  // namespace
-
-CollectiveReport collective_cost(Topology topology, int workers,
-                                 std::uint64_t bytes, double bandwidth_mbps) {
-  if (workers < 1) throw std::invalid_argument("collective_cost: no workers");
-  const auto k = static_cast<std::uint64_t>(workers);
-  CollectiveReport r;
-  r.topology = topology;
-  r.workers = workers;
-  switch (topology) {
-    case Topology::kParameterServer:
-      // Server moves K*S inbound (upload phase is the Eq. 2 bottleneck).
-      r.bottleneck_bytes = k * bytes;
-      r.total_bytes = 2ull * k * bytes;
-      break;
-    case Topology::kAllReduce:
-      // Eq. 3: each worker sends its model to K-1 peers through its uplink.
-      r.bottleneck_bytes = (k - 1) * bytes;
-      r.total_bytes = k * (k - 1) * bytes;
-      break;
-    case Topology::kRingAllReduce:
-      // Eq. 4: 2 * (K-1) chunk transfers of ~S/K each per worker.
-      r.bottleneck_bytes = 2ull * bytes * (k - 1) / k;
-      r.total_bytes = r.bottleneck_bytes * k;
-      break;
-  }
-  r.seconds = static_cast<double>(r.bottleneck_bytes) /
-              (bandwidth_mbps * 1024.0 * 1024.0);
-  return r;
-}
-
-CollectiveReport ps_all_reduce_mean(std::vector<std::span<float>> buffers,
-                                    double bandwidth_mbps,
-                                    const kernels::KernelContext& ctx) {
-  validate(buffers);
-  // Server accumulates all K updates and broadcasts the mean back.
-  mean_into_all(buffers, ctx);
-  return collective_cost(Topology::kParameterServer,
-                         static_cast<int>(buffers.size()),
-                         buffers.front().size() * sizeof(float),
-                         bandwidth_mbps);
-}
-
-CollectiveReport all_reduce_mean(std::vector<std::span<float>> buffers,
-                                 double bandwidth_mbps,
-                                 const kernels::KernelContext& ctx) {
-  validate(buffers);
-  // Every worker receives every other worker's buffer and reduces locally;
-  // all workers compute the identical mean.
-  mean_into_all(buffers, ctx);
-  return collective_cost(Topology::kAllReduce,
-                         static_cast<int>(buffers.size()),
-                         buffers.front().size() * sizeof(float),
-                         bandwidth_mbps);
-}
-
-CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
-                                      double bandwidth_mbps,
-                                      const kernels::KernelContext& ctx) {
-  validate(buffers);
+// Ring-AllReduce: reduce-scatter then all-gather with K chunks, the actual
+// chunked dataflow, accumulating in float in ring order.
+void ring_mean(std::vector<std::span<float>>& buffers,
+               const kernels::KernelContext& ctx) {
   const int k = static_cast<int>(buffers.size());
   const std::size_t n = buffers.front().size();
-
-  const CollectiveReport r = collective_cost(
-      Topology::kRingAllReduce, k, n * sizeof(float), bandwidth_mbps);
-  if (k == 1) return r;  // the mean of one buffer is itself
+  if (k == 1) return;  // the mean of one buffer is itself
 
   // Chunk boundaries: chunk c covers [starts[c], starts[c+1]).
   std::vector<std::size_t> starts(static_cast<std::size_t>(k) + 1);
@@ -172,20 +113,39 @@ CollectiveReport ring_all_reduce_mean(std::vector<std::span<float>> buffers,
                           ctx.simd().scale(b.data() + begin, end - begin, inv);
                         }
                       });
+}
+
+}  // namespace
+
+CollectiveReport collective_cost(Topology topology, int workers,
+                                 std::uint64_t bytes, double bandwidth_mbps) {
+  const TrafficRatio ratio = traffic_ratio(topology, workers);
+  CollectiveReport r;
+  r.bottleneck_bytes = bytes * ratio.num / ratio.den;
+  // The fabric carries the bottleneck twice for PS (K updates in, K means
+  // out) and once per worker for AR and RAR.
+  const std::uint64_t copies = topology == Topology::kParameterServer
+                                   ? 2
+                                   : static_cast<std::uint64_t>(workers);
+  r.total_bytes = copies * r.bottleneck_bytes;
+  r.seconds = static_cast<double>(r.bottleneck_bytes) /
+              (bandwidth_mbps * 1024.0 * 1024.0);
   return r;
 }
 
-CollectiveReport collective_mean(Topology topology,
-                                 std::vector<std::span<float>> buffers,
-                                 double bandwidth_mbps,
-                                 const kernels::KernelContext& ctx) {
+void collective_mean(Topology topology, std::vector<std::span<float>> buffers,
+                     const kernels::KernelContext& ctx) {
+  validate(buffers);
   switch (topology) {
     case Topology::kParameterServer:
-      return ps_all_reduce_mean(std::move(buffers), bandwidth_mbps, ctx);
     case Topology::kAllReduce:
-      return all_reduce_mean(std::move(buffers), bandwidth_mbps, ctx);
+      // The server's accumulate-and-broadcast and every worker's local
+      // reduction of all K buffers compute the same per-element mean.
+      mean_into_all(buffers, ctx);
+      return;
     case Topology::kRingAllReduce:
-      return ring_all_reduce_mean(std::move(buffers), bandwidth_mbps, ctx);
+      ring_mean(buffers, ctx);
+      return;
   }
   throw std::invalid_argument("collective_mean: bad topology");
 }

@@ -1,17 +1,18 @@
 #pragma once
 // Aggregation collectives: the three topologies of paper §4.
 //
-// Each collective performs a *real* element-wise mean across worker buffers
-// (the reduction Photon applies to pseudo-gradients) and returns the byte /
-// time accounting implied by that topology, so benches can report both the
-// numerics and the communication costs together.
+// collective_mean() performs a *real* element-wise mean across worker
+// buffers (the reduction Photon applies to pseudo-gradients);
+// collective_cost() prices the same collective on the wire from
+// Appendix B.1's traffic ratios (comm/cost_model.hpp).
 //
 //   PS  — parameter server: server receives K updates, K*S down + S*K up.
 //   AR  — naive AllReduce: every worker sends its buffer to all peers.
 //   RAR — Ring-AllReduce: chunked reduce-scatter + all-gather, the
 //         bandwidth-optimal 2*S*(K-1)/K per worker.
-// All three produce bit-identical means (property-tested) but different
-// costs; RAR is additionally implemented chunk-by-chunk for fidelity.
+// PS and AR compute one fp64 per-element mean; RAR runs the chunked ring
+// in float, so its mean may differ from theirs by float rounding
+// (property-tested to 1e-4).
 
 #include <cstdint>
 #include <span>
@@ -23,8 +24,6 @@
 namespace photon {
 
 struct CollectiveReport {
-  Topology topology = Topology::kParameterServer;
-  int workers = 0;
   /// Bytes crossing the bottleneck participant (server for PS, any worker
   /// for AR/RAR).
   std::uint64_t bottleneck_bytes = 0;
@@ -35,41 +34,22 @@ struct CollectiveReport {
 };
 
 /// Traffic and simulated time of one `topology` collective over `workers`
-/// buffers of `bytes` each at `bandwidth_mbps` — the paper's Eqs. 2-4, and
-/// the only place the PS/AR/RAR byte formulas live:
-///   PS  bottleneck K*S (server inbound), total 2*K*S;
-///   AR  bottleneck (K-1)*S per worker,   total K*(K-1)*S;
-///   RAR bottleneck 2*S*(K-1)/K,          total K times that.
-/// Callers pass whatever a buffer is on the wire: fp32 bytes for the mean
-/// collectives, quantized chunk bytes for the streamed fan-in.
+/// buffers of `bytes` each at `bandwidth_mbps` (Eqs. 2-4): the bottleneck
+/// is `bytes * num / den` of traffic_ratio(); the total is 2*K*S for PS
+/// (K up, K down) and K times the bottleneck for AR and RAR.  Callers pass
+/// what one buffer is on the wire: fp32 bytes, or quantized chunk bytes for
+/// the streamed fan-in.  Throws std::invalid_argument when `workers` < 1.
 CollectiveReport collective_cost(Topology topology, int workers,
                                  std::uint64_t bytes, double bandwidth_mbps);
 
-/// In-place mean over `buffers` via a parameter server.  All buffers end
-/// holding the mean.  Buffers must be equal length and non-empty.
-///
-/// All collectives shard element ranges over `ctx` with the same
+/// In-place element-wise mean over `buffers` through `topology`: every
+/// buffer ends holding the mean.  Buffers must be equal length and
+/// non-empty.  The reduction shards element ranges over `ctx` with the same
 /// deterministic-sharding contract as the tensor kernels: results are
 /// bit-identical between serial and parallel execution at any thread count
 /// (the reduction order per element never depends on sharding).
-CollectiveReport ps_all_reduce_mean(
-    std::vector<std::span<float>> buffers, double bandwidth_mbps,
-    const kernels::KernelContext& ctx = kernels::default_context());
-
-/// In-place mean via naive AllReduce (every pair exchanges buffers).
-CollectiveReport all_reduce_mean(
-    std::vector<std::span<float>> buffers, double bandwidth_mbps,
-    const kernels::KernelContext& ctx = kernels::default_context());
-
-/// In-place mean via Ring-AllReduce: reduce-scatter then all-gather with
-/// K chunks.  Exercises the actual chunked dataflow.
-CollectiveReport ring_all_reduce_mean(
-    std::vector<std::span<float>> buffers, double bandwidth_mbps,
-    const kernels::KernelContext& ctx = kernels::default_context());
-
-CollectiveReport collective_mean(
+void collective_mean(
     Topology topology, std::vector<std::span<float>> buffers,
-    double bandwidth_mbps,
     const kernels::KernelContext& ctx = kernels::default_context());
 
 }  // namespace photon

@@ -11,12 +11,21 @@ const char* topology_name(Topology t) {
   return "?";
 }
 
-WallTimeModel::WallTimeModel(CostModelConfig config) : config_(config) {
-  if (config_.bandwidth_mbps <= 0.0) {
-    throw std::invalid_argument("WallTimeModel: bandwidth must be > 0");
+TrafficRatio traffic_ratio(Topology topology, int workers) {
+  if (workers < 1) throw std::invalid_argument("traffic_ratio: no workers");
+  const auto k = static_cast<std::uint64_t>(workers);
+  switch (topology) {
+    case Topology::kParameterServer: return {k, 1};
+    case Topology::kAllReduce: return {k - 1, 1};
+    case Topology::kRingAllReduce: return {2 * (k - 1), k};
   }
-  if (config_.server_tflops <= 0.0) {
-    throw std::invalid_argument("WallTimeModel: server_tflops must be > 0");
+  throw std::invalid_argument("traffic_ratio: bad topology");
+}
+
+WallTimeModel::WallTimeModel(double bandwidth_mbps)
+    : bandwidth_mbps_(bandwidth_mbps) {
+  if (bandwidth_mbps_ <= 0.0) {
+    throw std::invalid_argument("WallTimeModel: bandwidth must be > 0");
   }
 }
 
@@ -28,43 +37,19 @@ double WallTimeModel::local_time(double local_steps,
   return local_steps / throughput_bps;
 }
 
-double WallTimeModel::comm_time_ps(int clients, double model_mb) const {
-  if (clients <= 1) return 0.0;
-  // The paper's Eq. 2 case split applies a bandwidth scaling factor beyond
-  // theta channels to account for congestion; with the default theta = 100
-  // and cross-silo cohort sizes (<= 16) both branches coincide at K*S/B.
-  double bandwidth = config_.bandwidth_mbps;
-  if (clients > config_.congestion_threshold) {
-    bandwidth *= static_cast<double>(config_.congestion_threshold) / clients;
-  }
-  return static_cast<double>(clients) * model_mb / bandwidth;
-}
-
-double WallTimeModel::comm_time_ar(int clients, double model_mb) const {
-  if (clients <= 1) return 0.0;
-  return static_cast<double>(clients - 1) * model_mb / config_.bandwidth_mbps;
-}
-
-double WallTimeModel::comm_time_rar(int clients, double model_mb) const {
-  if (clients <= 1) return 0.0;
-  return 2.0 * model_mb * static_cast<double>(clients - 1) /
-         (static_cast<double>(clients) * config_.bandwidth_mbps);
-}
-
 double WallTimeModel::comm_time(Topology topology, int clients,
                                 double model_mb) const {
-  switch (topology) {
-    case Topology::kParameterServer: return comm_time_ps(clients, model_mb);
-    case Topology::kAllReduce: return comm_time_ar(clients, model_mb);
-    case Topology::kRingAllReduce: return comm_time_rar(clients, model_mb);
+  if (clients <= 1) return 0.0;
+  // Eq. 2's case split scales a parameter server's bandwidth beyond theta
+  // channels; cross-silo cohorts (<= 16) never reach it.
+  double bandwidth = bandwidth_mbps_;
+  if (topology == Topology::kParameterServer &&
+      clients > kCongestionThreshold) {
+    bandwidth *= static_cast<double>(kCongestionThreshold) / clients;
   }
-  return 0.0;
-}
-
-double WallTimeModel::aggregation_time(int clients, double model_mb) const {
-  // Eq. 7: K*S/zeta with zeta in TFLOPS; S in MB -> convert to Tera-units.
-  return static_cast<double>(clients) * model_mb /
-         (config_.server_tflops * 1e6);
+  const TrafficRatio r = traffic_ratio(topology, clients);
+  return model_mb * static_cast<double>(r.num) /
+         (static_cast<double>(r.den) * bandwidth);
 }
 
 double WallTimeModel::round_time(Topology topology, int clients,
@@ -82,14 +67,15 @@ double WallTimeModel::total_time(Topology topology, int clients,
          round_time(topology, clients, model_mb, local_steps, throughput_bps);
 }
 
-double model_size_mb(std::int64_t num_params) {
-  return static_cast<double>(num_params) * 4.0 / (1024.0 * 1024.0);
+double model_size_mb(std::int64_t num_params, double bytes_per_param) {
+  return static_cast<double>(num_params) * bytes_per_param /
+         (1024.0 * 1024.0);
 }
 
 double ddp_bytes_per_step_mb(int workers, double model_mb) {
   if (workers <= 1) return 0.0;
-  return 2.0 * model_mb * static_cast<double>(workers - 1) /
-         static_cast<double>(workers);
+  const TrafficRatio r = traffic_ratio(Topology::kRingAllReduce, workers);
+  return model_mb * static_cast<double>(r.num) / static_cast<double>(r.den);
 }
 
 }  // namespace photon

@@ -8,20 +8,17 @@
 
 namespace photon {
 
-namespace {
-
-// Deterministic jitter in [-1, 1): a pure function of the jitter seed and
-// the (round, sender, attempt) identity of the retry, so replays never
-// depend on wall clock or thread interleaving.
-double jitter_unit(const Message& message, int attempt) {
-  const std::uint64_t h = hash_combine(
-      kRetryJitterSeed,
-      hash_combine(hash_combine(message.round, message.sender),
-                   static_cast<std::uint64_t>(attempt)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+double RetryPolicy::backoff_s(std::uint64_t key, std::uint64_t n) const {
+  double b = backoff_base_s *
+             std::pow(backoff_multiplier, static_cast<double>(n) - 1.0);
+  b = std::min(b, backoff_max_s);
+  // Deterministic jitter in [-1, 1): a pure function of the retry's
+  // identity, so replays never depend on wall clock or thread interleaving.
+  const std::uint64_t h = hash_combine(kRetryJitterSeed, hash_combine(key, n));
+  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+  b *= 1.0 + kRetryJitterFrac * unit;
+  return b;
 }
-
-}  // namespace
 
 SimLink::SimLink(std::string name, double bandwidth_gbps, double latency_ms)
     : name_(std::move(name)),
@@ -122,11 +119,10 @@ void SimLink::transmit_impl(const Message& message, Receive&& receive) {
       throw TransmitError(name_ + ": message abandoned after " +
                           std::to_string(attempt) + " attempts");
     }
-    double backoff = retry_.backoff_base_s *
-                     std::pow(retry_.backoff_multiplier, attempt - 1);
-    backoff = std::min(backoff, retry_.backoff_max_s);
-    backoff *= 1.0 + kRetryJitterFrac * jitter_unit(message, attempt);
-    backoff = std::max(backoff, 0.0);
+    const double backoff = std::max(
+        retry_.backoff_s(hash_combine(message.round, message.sender),
+                         static_cast<std::uint64_t>(attempt)),
+        0.0);
     if (retry_.message_deadline_s > 0.0 &&
         spent + backoff > retry_.message_deadline_s) {
       ++stats_.aborted_messages;

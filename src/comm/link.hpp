@@ -54,6 +54,12 @@ struct RetryPolicy {
   /// Simulated seconds (transfer + backoff) a single message may consume
   /// before the link gives up; 0 = no deadline.
   double message_deadline_s = 0.0;
+
+  /// Backoff before retry `n` (1-based) of the retry identified by `key`:
+  /// base * multiplier^(n-1), capped at backoff_max_s, times 1 +
+  /// kRetryJitterFrac * u for u in [-1, 1) hashed from kRetryJitterSeed,
+  /// `key` and `n`.  Unfloored; each caller applies its own floor.
+  double backoff_s(std::uint64_t key, std::uint64_t n) const;
 };
 
 /// A fault injected into one transmit attempt (see sim/faults.hpp for the

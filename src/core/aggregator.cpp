@@ -803,8 +803,10 @@ RoundRecord Aggregator::run_round_sync() {
 
   // A partial cohort breaks the static ring schedule AR/RAR assume (a dead
   // peer would stall the ring), so those topologies degrade to PS
-  // accounting for the round.  Secure aggregation already forces PS.
-  Topology topology = config_.topology;
+  // accounting for the round.  Secure aggregation sums masked updates at
+  // the server, so it always accounts PS.
+  Topology topology =
+      secagg.has_value() ? Topology::kParameterServer : config_.topology;
   if (n_agg < cohort.size() && !config_.secure_aggregation &&
       topology != Topology::kParameterServer) {
     topology = Topology::kParameterServer;
@@ -836,7 +838,6 @@ RoundRecord Aggregator::run_round_sync() {
   // and `pseudo_grad` is a view — no full-model copy on that path.
   const std::size_t n = global_params_.size();
   std::span<const float> pseudo_grad;
-  CollectiveReport collective;
   std::vector<std::uint64_t> dequant_real_ns;  // per chunk, streamed path
   std::uint64_t wire_sum = 0;                  // streamed: one update's bytes
   const obs::RealTimer collective_timer = trace_.timer();
@@ -856,9 +857,6 @@ RoundRecord Aggregator::run_round_sync() {
                 t0 + record.sim_slowest_client_seconds, pseudo_grad_, record);
     pseudo_grad = pseudo_grad_;
     record.secure_round = true;
-    collective = collective_cost(Topology::kParameterServer,
-                                 static_cast<int>(n_agg), n * sizeof(float),
-                                 config_.bandwidth_mbps);
   } else if (all_streamed) {
     pseudo_grad_.resize(n);
     dequant_real_ns =
@@ -867,23 +865,26 @@ RoundRecord Aggregator::run_round_sync() {
     for (const std::uint64_t len : slots_[survivors.front()].wire.lens) {
       wire_sum += len;
     }
-    if (n_agg > 1) {
-      // Topology accounting on the *quantized* bytes: the collective moves
-      // q8/q4 wire chunks, not fp32 buffers, which is where the wall-time
-      // win over the B.1 cost model comes from.
-      collective = collective_cost(topology, static_cast<int>(n_agg),
-                                   wire_sum, config_.bandwidth_mbps);
-    }
   } else if (n_agg > 1) {
     std::vector<std::span<float>> spans;
     spans.reserve(n_agg);
     for (const std::size_t i : survivors) {
       spans.emplace_back(slots_[i].header.payload);
     }
-    collective = collective_mean(topology, spans, config_.bandwidth_mbps);
+    collective_mean(topology, spans);
     pseudo_grad = spans.front();  // buffers hold the mean
   } else {
     pseudo_grad = slots_[survivors.front()].header.payload;
+  }
+  // Topology accounting on what one survivor put on the wire: the q8/q4
+  // chunks on the streamed path (where the wall-time win over the fp32 B.1
+  // model comes from), fp32 buffers otherwise.  A secagg quorum includes
+  // the Shamir threshold (>= 2), so one guard covers every path.
+  CollectiveReport collective;
+  if (n_agg > 1) {
+    collective = collective_cost(topology, static_cast<int>(n_agg),
+                                 all_streamed ? wire_sum : n * sizeof(float),
+                                 config_.bandwidth_mbps);
   }
   const std::uint64_t collective_real_ns = collective_timer.ns();
   const double sim_comm_seconds = collective.seconds;
@@ -1018,19 +1019,6 @@ double Aggregator::staleness_weight(std::uint32_t staleness) const {
   return std::pow(1.0 + static_cast<double>(staleness), -kStalenessExponent);
 }
 
-double Aggregator::defer_backoff(int client, std::uint32_t count) const {
-  const RetryPolicy& rp = config_.retry;
-  double b = rp.backoff_base_s *
-             std::pow(rp.backoff_multiplier, static_cast<double>(count) - 1.0);
-  b = std::min(b, rp.backoff_max_s);
-  const std::uint64_t h = hash_combine(
-      kRetryJitterSeed, hash_combine(static_cast<std::uint64_t>(client),
-                                     static_cast<std::uint64_t>(count)));
-  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
-  b *= 1.0 + kRetryJitterFrac * unit;
-  return std::max(b, 1e-9);  // strictly positive: a defer must advance time
-}
-
 RoundRecord Aggregator::run_round_async() {
   const RoundStart start = begin_round();
 
@@ -1131,9 +1119,15 @@ RoundRecord Aggregator::run_round_async() {
         } else {
           // In-flight cap reached: tell the client to back off.  The
           // deferral timeline is a pure function of (retry policy, client,
-          // defer count), so a restored run reproduces it exactly.
+          // defer count), so a restored run reproduces it exactly.  The
+          // floor keeps the backoff strictly positive: a defer must
+          // advance time.
           ++defer_counts_[ci];
-          next_eligible_[ci] = sim_now_ + defer_backoff(c, defer_counts_[ci]);
+          next_eligible_[ci] =
+              sim_now_ + std::max(config_.retry.backoff_s(
+                                      static_cast<std::uint64_t>(c),
+                                      defer_counts_[ci]),
+                                  1e-9);
           ++record.admission_deferred;
           trace_.record(obs::SpanKind::kAdmissionDefer, c,
                         static_cast<std::int32_t>(defer_counts_[ci]),

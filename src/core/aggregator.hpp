@@ -338,10 +338,6 @@ class Aggregator {
   /// order; pure given (plan, round, states)).
   void apply_membership(RoundRecord& record);
   double staleness_weight(std::uint32_t staleness) const;
-  /// Deterministic admission-deferral backoff for a client's count'th
-  /// consecutive defer; its jitter is keyed on (client, count) so a
-  /// restored run reproduces the exact deferral timeline.
-  double defer_backoff(int client, std::uint32_t count) const;
   /// Reset `slot` for a fresh dispatch of `client` at sim time `t`.
   void arm(InFlight& slot, int client, double t) const;
   /// Broadcast + local training + update return for the client armed in

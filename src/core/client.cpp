@@ -164,14 +164,6 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
   }
 }
 
-ClientUpdate LLMClient::run_round(std::span<const float> global_params,
-                                  std::uint32_t round, int local_steps,
-                                  std::int64_t schedule_step_base) {
-  ClientUpdate update;
-  run_round(global_params, round, local_steps, schedule_step_base, update);
-  return update;
-}
-
 void LLMClient::run_round(std::span<const float> global_params,
                           std::uint32_t round, int local_steps,
                           std::int64_t schedule_step_base,

@@ -99,17 +99,12 @@ class LLMClient {
   const ClientTrainConfig& config() const { return config_; }
   DataSource& data_source() { return *data_; }
 
-  /// Execute one federated round (Alg. 1 L13-28).  `schedule_step_base` is
-  /// the cumulative sequential local-step count, synchronizing the cosine
-  /// schedule across rounds (Table 5: "S_C synchronized across sequential
-  /// steps").
-  ClientUpdate run_round(std::span<const float> global_params,
-                         std::uint32_t round, int local_steps,
-                         std::int64_t schedule_step_base);
-
-  /// Allocation-reusing variant: writes into `out`, recycling its delta and
-  /// metric storage across rounds (the Aggregator keeps one ClientUpdate
-  /// per cohort slot alive for the whole run).
+  /// Execute one federated round (Alg. 1 L13-28) into `out`.
+  /// `schedule_step_base` is the cumulative sequential local-step count,
+  /// synchronizing the cosine schedule across rounds (Table 5: "S_C
+  /// synchronized across sequential steps").  `out`'s delta and metric
+  /// storage is recycled across rounds (the Aggregator keeps one
+  /// ClientUpdate per cohort slot alive for the whole run).
   void run_round(std::span<const float> global_params, std::uint32_t round,
                  int local_steps, std::int64_t schedule_step_base,
                  ClientUpdate& out);

@@ -97,32 +97,6 @@ int MarkovSource::generate(Rng& rng, std::size_t n, std::vector<int>& out,
   return state;
 }
 
-double MarkovSource::entropy_rate(std::size_t sample_tokens) const {
-  const int k = config_.branching;
-  Rng rng(hash_combine(config_.base_seed, style_.style_seed));
-  int state = SpecialTokens::kBos;
-  double total_nats = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 0; i < sample_tokens; ++i) {
-    const float* cum = cumprobs_.data() + static_cast<std::size_t>(state) * k;
-    const float u = rng.next_float();
-    int pick = k - 1;
-    for (int j = 0; j < k; ++j) {
-      if (u < cum[j]) {
-        pick = j;
-        break;
-      }
-    }
-    const double p = pick == 0 ? cum[0] : cum[pick] - cum[pick - 1];
-    if (p > 0.0) {
-      total_nats += -std::log(p);
-      ++counted;
-    }
-    state = successors_[static_cast<std::size_t>(state) * k + pick];
-  }
-  return counted > 0 ? total_nats / static_cast<double>(counted) : 0.0;
-}
-
 std::vector<double> MarkovSource::transition_row(int state) const {
   if (state < 0 || state >= config_.vocab_size) {
     throw std::out_of_range("MarkovSource::transition_row");

@@ -64,11 +64,6 @@ class MarkovSource {
   /// Convenience overload starting a fresh document.
   int generate(Rng& rng, std::size_t n, std::vector<int>& out) const;
 
-  /// Exact per-token entropy rate of the chain in nats, under its stationary
-  /// distribution (approximated by long simulation).  exp(entropy) is the
-  /// perplexity floor any model can reach on this source.
-  double entropy_rate(std::size_t sample_tokens = 200000) const;
-
   /// Transition probabilities out of `state` (size vocab); mostly zeros.
   std::vector<double> transition_row(int state) const;
 

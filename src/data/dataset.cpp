@@ -27,25 +27,6 @@ void fill_row(std::span<const int> window, int seq, int row, Batch& out) {
   }
 }
 
-Batch TokenDataset::sample_batch(Rng& rng, int batch, int seq) const {
-  const std::size_t need = static_cast<std::size_t>(seq) + 1;
-  if (tokens_.size() < need) {
-    throw std::invalid_argument("TokenDataset::sample_batch: dataset too small");
-  }
-  Batch out;
-  out.batch = batch;
-  out.seq = seq;
-  out.tokens.resize(static_cast<std::size_t>(batch) * seq);
-  out.targets.resize(static_cast<std::size_t>(batch) * seq);
-  const std::size_t max_start = tokens_.size() - need;
-  for (int b = 0; b < batch; ++b) {
-    const std::size_t start =
-        static_cast<std::size_t>(rng.next_below(max_start + 1));
-    fill_row(std::span<const int>(tokens_).subspan(start, need), seq, b, out);
-  }
-  return out;
-}
-
 Batch TokenDataset::batch_at(std::size_t offset, int batch, int seq) const {
   const std::size_t need = static_cast<std::size_t>(seq) + 1;
   if (tokens_.size() < need) {
@@ -63,11 +44,6 @@ Batch TokenDataset::batch_at(std::size_t offset, int batch, int seq) const {
     fill_row(std::span<const int>(tokens_).subspan(start, need), seq, b, out);
   }
   return out;
-}
-
-std::size_t TokenDataset::num_windows(int seq) const {
-  const std::size_t need = static_cast<std::size_t>(seq) + 1;
-  return tokens_.size() < need ? 0 : tokens_.size() / need;
 }
 
 }  // namespace photon

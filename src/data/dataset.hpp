@@ -9,8 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace photon {
 
 /// A (B, T) training batch: `targets[i] = tokens[i+1]` within each row.
@@ -33,15 +31,9 @@ class TokenDataset {
   /// matching "64 equally sized shards").
   std::vector<TokenDataset> shard(std::size_t n) const;
 
-  /// Sample a batch of `batch` rows of length `seq` at random offsets.
-  Batch sample_batch(Rng& rng, int batch, int seq) const;
-
   /// Deterministic batch starting at a fixed offset (for eval sweeps);
   /// offset wraps around the dataset.
   Batch batch_at(std::size_t offset, int batch, int seq) const;
-
-  /// Number of non-overlapping (seq+1)-token windows available.
-  std::size_t num_windows(int seq) const;
 
  private:
   std::vector<int> tokens_;

@@ -1,7 +1,5 @@
 #include "nn/config.hpp"
 
-#include "util/format.hpp"
-
 namespace photon {
 
 std::int64_t ModelConfig::num_params() const {
@@ -29,12 +27,6 @@ double ModelConfig::flops_per_token() const {
   return dense + attn;
 }
 
-std::string ModelConfig::describe() const {
-  return strformat("L%d d%d h%d V%d T%d (%lld params)", n_layers, d_model,
-                   n_heads, vocab_size, seq_len,
-                   static_cast<long long>(num_params()));
-}
-
 // Paper Table 4.
 ModelConfig ModelConfig::paper_75m() { return {3, 896, 16, 50368, 1024, 4}; }
 ModelConfig ModelConfig::paper_125m() { return {12, 768, 12, 50368, 2048, 4}; }
@@ -48,7 +40,5 @@ ModelConfig ModelConfig::paper_7b() { return {32, 4096, 32, 50368, 2048, 4}; }
 ModelConfig ModelConfig::nano() { return {2, 32, 2, 128, 32, 4}; }
 ModelConfig ModelConfig::micro() { return {3, 48, 3, 256, 48, 4}; }
 ModelConfig ModelConfig::small() { return {4, 80, 4, 256, 64, 4}; }
-ModelConfig ModelConfig::medium() { return {6, 128, 8, 256, 64, 4}; }
-ModelConfig ModelConfig::large() { return {8, 192, 8, 256, 64, 4}; }
 
 }  // namespace photon

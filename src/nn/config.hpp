@@ -8,7 +8,6 @@
 // in seconds while preserving the optimization dynamics under study.
 
 #include <cstdint>
-#include <string>
 
 namespace photon {
 
@@ -29,8 +28,6 @@ struct ModelConfig {
   /// standard 6*N approximation plus attention terms (used for MFU).
   double flops_per_token() const;
 
-  std::string describe() const;
-
   // ----- Paper Table 4 architectures (for analytic system modeling) -----
   static ModelConfig paper_75m();
   static ModelConfig paper_125m();
@@ -46,10 +43,6 @@ struct ModelConfig {
   static ModelConfig micro();
   /// ~420k params; stand-in for 1.3B-class comparisons.
   static ModelConfig small();
-  /// ~1.6M params; stand-in for 3B-class comparisons.
-  static ModelConfig medium();
-  /// ~4.8M params; stand-in for 7B-class comparisons.
-  static ModelConfig large();
 };
 
 }  // namespace photon

@@ -39,8 +39,6 @@ struct GptModel::Acts {
 };
 
 GptModel::~GptModel() = default;
-GptModel::GptModel(GptModel&&) noexcept = default;
-GptModel& GptModel::operator=(GptModel&&) noexcept = default;
 
 GptModel::GptModel(const ModelConfig& config)
     : config_(config), acts_(std::make_unique<Acts>()) {

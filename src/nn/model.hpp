@@ -41,8 +41,6 @@ class GptModel {
 
   GptModel(const GptModel&) = delete;
   GptModel& operator=(const GptModel&) = delete;
-  GptModel(GptModel&&) noexcept;
-  GptModel& operator=(GptModel&&) noexcept;
 
   const ModelConfig& config() const { return config_; }
   std::size_t num_params() const { return params_.size(); }

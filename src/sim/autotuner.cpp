@@ -19,48 +19,43 @@ double BatchSizeAutotuner::footprint_gb(const ModelConfig& model,
   return (state_bytes + act_bytes) / (1024.0 * 1024.0 * 1024.0);
 }
 
-AutotuneResult BatchSizeAutotuner::tune_gpu(const ModelConfig& model,
-                                            const GpuSpec& gpu) const {
+AutotuneResult BatchSizeAutotuner::search(const ModelConfig& model,
+                                          double budget_gb,
+                                          double state_shards) const {
   AutotuneResult r;
-  const double budget = gpu.vram_gb * config_.vram_safety_fraction;
   int best = 0;
   for (int mb = 1; mb <= config_.max_micro_batch; mb *= 2) {
-    if (footprint_gb(model, mb, 1.0) <= budget) {
+    if (footprint_gb(model, mb, state_shards) <= budget_gb) {
       best = mb;
     } else {
       break;
     }
   }
   r.micro_batch_per_gpu = best;
-  r.device_batch = best;
   r.fits = best > 0;
-  r.memory_gb = best > 0 ? footprint_gb(model, best, 1.0) : footprint_gb(model, 1, 1.0);
+  r.memory_gb = footprint_gb(model, std::max(best, 1), state_shards);
+  return r;
+}
+
+AutotuneResult BatchSizeAutotuner::tune_gpu(const ModelConfig& model,
+                                            const GpuSpec& gpu) const {
+  AutotuneResult r =
+      search(model, gpu.vram_gb * config_.vram_safety_fraction, 1.0);
+  r.device_batch = r.micro_batch_per_gpu;
   return r;
 }
 
 AutotuneResult BatchSizeAutotuner::tune_client(const ModelConfig& model,
                                                const ClientSpec& client,
                                                bool fsdp_sharding) const {
-  AutotuneResult r;
   const int gpus = client.total_gpus();
-  if (gpus == 0) return r;
-  const double shards = fsdp_sharding ? static_cast<double>(gpus) : 1.0;
+  if (gpus == 0) return {};
   // All GPUs in a client are identical (Table 1); budget per GPU.
   const GpuSpec& gpu = client.nodes.front().gpu;
-  const double budget = gpu.vram_gb * config_.vram_safety_fraction;
-  int best = 0;
-  for (int mb = 1; mb <= config_.max_micro_batch; mb *= 2) {
-    if (footprint_gb(model, mb, shards) <= budget) {
-      best = mb;
-    } else {
-      break;
-    }
-  }
-  r.micro_batch_per_gpu = best;
-  r.device_batch = best * gpus;
-  r.fits = best > 0;
-  r.memory_gb =
-      best > 0 ? footprint_gb(model, best, shards) : footprint_gb(model, 1, shards);
+  AutotuneResult r =
+      search(model, gpu.vram_gb * config_.vram_safety_fraction,
+             fsdp_sharding ? static_cast<double>(gpus) : 1.0);
+  r.device_batch = r.micro_batch_per_gpu * gpus;
   return r;
 }
 

@@ -44,6 +44,10 @@ class BatchSizeAutotuner {
  private:
   double footprint_gb(const ModelConfig& model, int micro_batch,
                       double state_shards) const;
+  /// Largest power-of-two micro-batch whose footprint at `state_shards`
+  /// fits `budget_gb` per GPU; device_batch is left to the caller.
+  AutotuneResult search(const ModelConfig& model, double budget_gb,
+                        double state_shards) const;
 
   AutotunerConfig config_;
 };

@@ -55,7 +55,6 @@ ClientRoundFault FaultInjector::client_fault(std::uint32_t round, int client,
   const std::uint64_t crash_key = hash_combine(
       decision_key(plan_.seed, round, client, kCrashTag), attempt);
   fault.crash = unit(crash_key) < plan_.crash_prob;
-  if (fault.crash) counters_.crash.add();
   const std::uint64_t straggle_key = hash_combine(
       decision_key(plan_.seed, round, client, kStraggleTag), attempt);
   if (unit(straggle_key) < plan_.straggle_prob) {
@@ -65,7 +64,6 @@ ClientRoundFault FaultInjector::client_fault(std::uint32_t round, int client,
         plan_.straggle_factor_min +
         (plan_.straggle_factor_max - plan_.straggle_factor_min) *
             unit(factor_key);
-    counters_.straggle.add();
   }
   return fault;
 }
@@ -86,7 +84,6 @@ LinkFault FaultInjector::link_fault(int client, const Message& message,
                           static_cast<std::uint64_t>(attempt));
   if (unit(drop_key) < plan_.link_drop_prob) {
     fault.drop = true;
-    counters_.drop.add();
     return fault;  // the attempt never reaches the wire; nothing to corrupt
   }
   std::uint64_t corrupt_key = decision_key(plan_.seed, message.round, client,
@@ -95,20 +92,8 @@ LinkFault FaultInjector::link_fault(int client, const Message& message,
                              static_cast<std::uint64_t>(attempt));
   if (unit(corrupt_key) < plan_.corrupt_prob) {
     fault.corrupt = corrupt_key | 1;  // non-zero seeds the (byte, bit) pick
-    counters_.corrupt.add();
   }
   return fault;
-}
-
-void FaultInjector::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    counters_ = {};
-    return;
-  }
-  counters_.crash = registry->counter("faults.injected.crash");
-  counters_.straggle = registry->counter("faults.injected.straggle");
-  counters_.drop = registry->counter("faults.injected.drop");
-  counters_.corrupt = registry->counter("faults.injected.corrupt");
 }
 
 void FaultInjector::install(Aggregator& agg) const {

@@ -20,7 +20,6 @@
 #include "comm/link.hpp"
 #include "core/aggregator.hpp"
 #include "core/membership.hpp"
-#include "obs/metrics.hpp"
 
 namespace photon {
 
@@ -78,23 +77,12 @@ class FaultInjector {
   /// aggregator.
   void install(Aggregator& agg) const;
 
-  /// Count every injected fault on `registry` ("faults.injected.crash",
-  /// ".straggle", ".drop", ".corrupt"); nullptr disables.  The counters are
-  /// observability only — decisions stay pure functions of the plan.
-  void set_metrics(obs::MetricsRegistry* registry);
-
  private:
   bool active_for(std::uint32_t round) const {
     return round >= plan_.first_round && round <= plan_.last_round;
   }
 
   FaultPlan plan_;
-  struct {
-    obs::CounterHandle crash;
-    obs::CounterHandle straggle;
-    obs::CounterHandle drop;
-    obs::CounterHandle corrupt;
-  } counters_;
 };
 
 }  // namespace photon

@@ -6,7 +6,6 @@
 // the heuristics consume, plus the node/cluster descriptions used to model
 // the paper's federation (Table 1).
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,13 +42,6 @@ struct ClientSpec {
   double wan_gbps = 2.5;  // paper §2.1(d): average 2.5 Gbps assumption
 
   int total_gpus() const;
-  double total_vram_gb() const;
 };
-
-/// Training memory footprint in GB for a model of `num_params` parameters
-/// under mixed-precision AdamW with activation memory for (batch, seq, d):
-/// weights (2B bf16) + grads (2B) + fp32 master+Adam m/v (12B) + activations.
-double training_memory_gb(std::int64_t num_params, int batch, int seq,
-                          int d_model, int n_layers);
 
 }  // namespace photon

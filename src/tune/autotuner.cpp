@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "comm/cost_model.hpp"
 #include "comm/message.hpp"
 #include "tensor/kernel_context.hpp"
 
@@ -43,18 +44,6 @@ double compression_ratio(const std::string& codec) {
   if (codec == "q8") return 3.94;
   if (codec == "q4") return 7.8;
   return 1.0;
-}
-
-/// Relative collective cost factors from the Appendix B.1 model (Eqs. 2-4),
-/// as multiples of S/B: PS = K, AR = K-1, RAR = 2(K-1)/K.
-double topology_factor(Topology t, int k) {
-  const double kd = std::max(1, k);
-  switch (t) {
-    case Topology::kParameterServer: return kd;
-    case Topology::kAllReduce: return kd - 1.0;
-    case Topology::kRingAllReduce: return 2.0 * (kd - 1.0) / kd;
-  }
-  return kd;
 }
 
 std::size_t floor_pow2(std::size_t v) {
@@ -207,10 +196,11 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
       constexpr Topology kAll[] = {Topology::kParameterServer,
                                    Topology::kAllReduce,
                                    Topology::kRingAllReduce};
+      // Rank by Appendix B.1's per-worker traffic, in multiples of S/B.
       Topology best = prev.topology;
-      double best_f = topology_factor(prev.topology, k);
+      double best_f = traffic_ratio(prev.topology, k).value();
       for (const Topology t : kAll) {
-        const double f = topology_factor(t, k);
+        const double f = traffic_ratio(t, k).value();
         if (f < best_f) {
           best = t;
           best_f = f;
@@ -219,7 +209,7 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
       // Only switch when the model predicts a real gain AND the observed
       // collective span is worth optimizing (cross-check: a model win on a
       // negligible span is not worth a reconfiguration).
-      const double cur_f = topology_factor(prev.topology, k);
+      const double cur_f = traffic_ratio(prev.topology, k).value();
       if (best != prev.topology && cur_f / best_f >= kTopologyGain &&
           d.collective_s / round_s >= 0.01) {
         next.topology = best;

@@ -190,8 +190,7 @@ TEST_P(CollectiveMean, AllTopologiesComputeTheSameMean) {
     auto copies = reference;
     std::vector<std::span<float>> spans;
     for (auto& c : copies) spans.emplace_back(c);
-    const CollectiveReport report = collective_mean(topo, spans, 100.0);
-    EXPECT_EQ(report.workers, k);
+    collective_mean(topo, spans);
     for (const auto& c : copies) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_NEAR(c[i], expected[i], 1e-4f)
@@ -207,25 +206,18 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, CollectiveMean,
 TEST(Collective, ByteAccountingMatchesFormulas) {
   const int k = 4;
   const std::size_t n = 1000;
-  std::vector<std::vector<float>> bufs(k, std::vector<float>(n, 1.0f));
-  auto spans_of = [&](std::vector<std::vector<float>>& b) {
-    std::vector<std::span<float>> s;
-    for (auto& x : b) s.emplace_back(x);
-    return s;
-  };
   const std::uint64_t size_bytes = n * sizeof(float);
 
-  auto b1 = bufs;
-  const auto ps = ps_all_reduce_mean(spans_of(b1), 100.0);
+  const auto ps =
+      collective_cost(Topology::kParameterServer, k, size_bytes, 100.0);
   EXPECT_EQ(ps.bottleneck_bytes, k * size_bytes);
 
-  auto b2 = bufs;
-  const auto ar = all_reduce_mean(spans_of(b2), 100.0);
+  const auto ar = collective_cost(Topology::kAllReduce, k, size_bytes, 100.0);
   EXPECT_EQ(ar.bottleneck_bytes, (k - 1) * size_bytes);
   EXPECT_EQ(ar.total_bytes, static_cast<std::uint64_t>(k) * (k - 1) * size_bytes);
 
-  auto b3 = bufs;
-  const auto rar = ring_all_reduce_mean(spans_of(b3), 100.0);
+  const auto rar =
+      collective_cost(Topology::kRingAllReduce, k, size_bytes, 100.0);
   EXPECT_EQ(rar.bottleneck_bytes, 2 * size_bytes * (k - 1) / k);
   // RAR is bandwidth-optimal: strictly less per-worker traffic than AR.
   EXPECT_LT(rar.bottleneck_bytes, ar.bottleneck_bytes);
@@ -234,7 +226,9 @@ TEST(Collective, ByteAccountingMatchesFormulas) {
 TEST(Collective, SingleWorkerIsIdentity) {
   std::vector<float> buf{1.0f, 2.0f};
   std::vector<std::span<float>> spans{std::span<float>(buf)};
-  const auto r = ring_all_reduce_mean(spans, 100.0);
+  collective_mean(Topology::kRingAllReduce, spans);
+  const auto r = collective_cost(Topology::kRingAllReduce, 1,
+                                 buf.size() * sizeof(float), 100.0);
   EXPECT_DOUBLE_EQ(r.seconds, 0.0);
   EXPECT_FLOAT_EQ(buf[0], 1.0f);
 }
@@ -243,34 +237,11 @@ TEST(Collective, ValidatesBuffers) {
   std::vector<float> a{1.0f}, b{1.0f, 2.0f};
   std::vector<std::span<float>> mismatched{std::span<float>(a),
                                            std::span<float>(b)};
-  EXPECT_THROW(all_reduce_mean(mismatched, 1.0), std::invalid_argument);
+  EXPECT_THROW(collective_mean(Topology::kAllReduce, mismatched),
+               std::invalid_argument);
   std::vector<std::span<float>> none;
-  EXPECT_THROW(ps_all_reduce_mean(none, 1.0), std::invalid_argument);
-}
-
-TEST(Collective, CostMatchesEveryMeanCollectiveReport) {
-  // collective_cost is the one home of the byte formulas: every mean
-  // collective reports exactly what it returns for the fp32 buffer size.
-  const std::size_t n = 257;
-  for (const int k : {1, 2, 3, 5, 8}) {
-    for (const Topology topo : {Topology::kParameterServer,
-                                Topology::kAllReduce,
-                                Topology::kRingAllReduce}) {
-      std::vector<std::vector<float>> bufs(static_cast<std::size_t>(k),
-                                           std::vector<float>(n, 0.5f));
-      std::vector<std::span<float>> spans(bufs.begin(), bufs.end());
-      const auto mean = collective_mean(topo, spans, 40.0);
-      const auto cost = collective_cost(topo, k, n * sizeof(float), 40.0);
-      EXPECT_EQ(mean.topology, cost.topology);
-      EXPECT_EQ(mean.workers, cost.workers);
-      EXPECT_EQ(mean.bottleneck_bytes, cost.bottleneck_bytes)
-          << topology_name(topo) << " k=" << k;
-      EXPECT_EQ(mean.total_bytes, cost.total_bytes)
-          << topology_name(topo) << " k=" << k;
-      EXPECT_EQ(mean.seconds, cost.seconds)
-          << topology_name(topo) << " k=" << k;
-    }
-  }
+  EXPECT_THROW(collective_mean(Topology::kParameterServer, none),
+               std::invalid_argument);
 }
 
 TEST(Collective, CostTimesTheBottleneckAtTheBandwidth) {
@@ -363,81 +334,211 @@ TEST(SecureAgg, Validation) {
 }
 
 // ------------------------------------------------------------- cost model --
+TEST(TrafficRatio, FractionsOfEqs2To4) {
+  for (const int k : {1, 2, 7, 300}) {
+    const auto uk = static_cast<std::uint64_t>(k);
+    const TrafficRatio ps = traffic_ratio(Topology::kParameterServer, k);
+    EXPECT_EQ(ps.num, uk);
+    EXPECT_EQ(ps.den, 1u);
+    const TrafficRatio ar = traffic_ratio(Topology::kAllReduce, k);
+    EXPECT_EQ(ar.num, uk - 1);
+    EXPECT_EQ(ar.den, 1u);
+    const TrafficRatio rar = traffic_ratio(Topology::kRingAllReduce, k);
+    EXPECT_EQ(rar.num, 2 * (uk - 1));
+    EXPECT_EQ(rar.den, uk);
+  }
+  EXPECT_THROW(traffic_ratio(Topology::kAllReduce, 0), std::invalid_argument);
+}
+
+// The four expressions of Eqs. 2-4 that traffic_ratio() replaced, copied
+// verbatim: the wall-time model's three per-topology comm times (theta =
+// 100), ddp_bytes_per_step_mb, the round autotuner's ranking factor and
+// collective_cost.  Every home must keep reproducing them bit for bit.
+namespace former {
+
+double ps_seconds(double bandwidth_mbps, int clients, double model_mb) {
+  if (clients <= 1) return 0.0;
+  double bandwidth = bandwidth_mbps;
+  if (clients > 100) {
+    bandwidth *= static_cast<double>(100) / clients;
+  }
+  return static_cast<double>(clients) * model_mb / bandwidth;
+}
+
+double ar_seconds(double bandwidth_mbps, int clients, double model_mb) {
+  if (clients <= 1) return 0.0;
+  return static_cast<double>(clients - 1) * model_mb / bandwidth_mbps;
+}
+
+double rar_seconds(double bandwidth_mbps, int clients, double model_mb) {
+  if (clients <= 1) return 0.0;
+  return 2.0 * model_mb * static_cast<double>(clients - 1) /
+         (static_cast<double>(clients) * bandwidth_mbps);
+}
+
+double ddp_bytes_per_step_mb(int workers, double model_mb) {
+  if (workers <= 1) return 0.0;
+  return 2.0 * model_mb * static_cast<double>(workers - 1) /
+         static_cast<double>(workers);
+}
+
+double tuner_factor(Topology t, int k) {
+  const double kd = std::max(1, k);
+  switch (t) {
+    case Topology::kParameterServer: return kd;
+    case Topology::kAllReduce: return kd - 1.0;
+    case Topology::kRingAllReduce: return 2.0 * (kd - 1.0) / kd;
+  }
+  return kd;
+}
+
+CollectiveReport collective_cost(Topology topology, int workers,
+                                 std::uint64_t bytes, double bandwidth_mbps) {
+  const auto k = static_cast<std::uint64_t>(workers);
+  CollectiveReport r;
+  switch (topology) {
+    case Topology::kParameterServer:
+      r.bottleneck_bytes = k * bytes;
+      r.total_bytes = 2ull * k * bytes;
+      break;
+    case Topology::kAllReduce:
+      r.bottleneck_bytes = (k - 1) * bytes;
+      r.total_bytes = k * (k - 1) * bytes;
+      break;
+    case Topology::kRingAllReduce:
+      r.bottleneck_bytes = 2ull * bytes * (k - 1) / k;
+      r.total_bytes = r.bottleneck_bytes * k;
+      break;
+  }
+  r.seconds = static_cast<double>(r.bottleneck_bytes) /
+              (bandwidth_mbps * 1024.0 * 1024.0);
+  return r;
+}
+
+}  // namespace former
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(TrafficRatio, EveryHomeMatchesTheFormerArithmeticBitForBit) {
+  // K = 1..300 covers single-client rounds and Eq. 2's congestion branch
+  // (K > theta = 100).  S and B are log-uniform over eight and six decades;
+  // byte counts span every magnitude up to 2^64, so u64 products wrap.
+  constexpr Topology kAll[] = {Topology::kParameterServer,
+                               Topology::kAllReduce,
+                               Topology::kRingAllReduce};
+  constexpr int kPairsPerK = 1000;
+  Rng rng(0xB1);
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  std::string first;
+  auto check = [&](bool same, const char* what, Topology t, int k, int i) {
+    ++checked;
+    if (same || mismatches++ > 0) return;
+    first = std::string(what) + " " + topology_name(t) +
+            " k=" + std::to_string(k) + " pair=" + std::to_string(i);
+  };
+  for (int k = 1; k <= 300; ++k) {
+    for (const Topology t : kAll) {
+      check(same_bits(traffic_ratio(t, k).value(),
+                      former::tuner_factor(t, k)),
+            "tuner key", t, k, -1);
+    }
+    for (int i = 0; i < kPairsPerK; ++i) {
+      const double s_mb = std::pow(10.0, -3.0 + 8.0 * rng.next_double());
+      const double b_mbps = std::pow(10.0, -1.0 + 6.0 * rng.next_double());
+      const std::uint64_t bytes =
+          rng.next_u64() >> static_cast<int>(rng.next_below(64));
+      const WallTimeModel wall(b_mbps);
+      check(same_bits(wall.comm_time(Topology::kParameterServer, k, s_mb),
+                      former::ps_seconds(b_mbps, k, s_mb)),
+            "comm_time", Topology::kParameterServer, k, i);
+      check(same_bits(wall.comm_time(Topology::kAllReduce, k, s_mb),
+                      former::ar_seconds(b_mbps, k, s_mb)),
+            "comm_time", Topology::kAllReduce, k, i);
+      check(same_bits(wall.comm_time(Topology::kRingAllReduce, k, s_mb),
+                      former::rar_seconds(b_mbps, k, s_mb)),
+            "comm_time", Topology::kRingAllReduce, k, i);
+      check(same_bits(ddp_bytes_per_step_mb(k, s_mb),
+                      former::ddp_bytes_per_step_mb(k, s_mb)),
+            "ddp_bytes_per_step_mb", Topology::kRingAllReduce, k, i);
+      for (const Topology t : kAll) {
+        const CollectiveReport now = collective_cost(t, k, bytes, b_mbps);
+        const CollectiveReport was =
+            former::collective_cost(t, k, bytes, b_mbps);
+        check(now.bottleneck_bytes == was.bottleneck_bytes,
+              "collective_cost bottleneck", t, k, i);
+        check(now.total_bytes == was.total_bytes, "collective_cost total", t,
+              k, i);
+        check(same_bits(now.seconds, was.seconds), "collective_cost seconds",
+              t, k, i);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 300u * (3 + kPairsPerK * 13u));
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
+}
+
 TEST(WallTimeModel, MatchesAppendixB1Equations) {
-  CostModelConfig cc;
-  cc.bandwidth_mbps = 1250.0;  // 10 Gbps
-  WallTimeModel model(cc);
+  WallTimeModel model(1250.0);  // 10 Gbps
   const double s_mb = 500.0;  // model size
+  constexpr Topology kPs = Topology::kParameterServer;
 
   // Eq. 1.
   EXPECT_DOUBLE_EQ(model.local_time(512, 2.0), 256.0);
   // Eq. 2: K*S/B.
-  EXPECT_DOUBLE_EQ(model.comm_time_ps(8, s_mb), 8.0 * 500.0 / 1250.0);
+  EXPECT_DOUBLE_EQ(model.comm_time(kPs, 8, s_mb), 8.0 * 500.0 / 1250.0);
   // Eq. 3: (K-1)*S/B.
-  EXPECT_DOUBLE_EQ(model.comm_time_ar(8, s_mb), 7.0 * 500.0 / 1250.0);
+  EXPECT_DOUBLE_EQ(model.comm_time(Topology::kAllReduce, 8, s_mb),
+                   7.0 * 500.0 / 1250.0);
   // Eq. 4: 2S(K-1)/(KB).
-  EXPECT_DOUBLE_EQ(model.comm_time_rar(8, s_mb),
+  EXPECT_DOUBLE_EQ(model.comm_time(Topology::kRingAllReduce, 8, s_mb),
                    2.0 * 500.0 * 7.0 / (8.0 * 1250.0));
   // Single client: no communication.
-  EXPECT_DOUBLE_EQ(model.comm_time_ps(1, s_mb), 0.0);
+  EXPECT_DOUBLE_EQ(model.comm_time(kPs, 1, s_mb), 0.0);
   // Eq. 5/6.
   EXPECT_DOUBLE_EQ(
       model.total_time(Topology::kRingAllReduce, 8, s_mb, 512, 2.0, 10),
       10.0 * (256.0 + 2.0 * 500.0 * 7.0 / (8.0 * 1250.0)));
-  // Eq. 7 present and small.
-  EXPECT_GT(model.aggregation_time(8, s_mb), 0.0);
-  EXPECT_LT(model.aggregation_time(8, s_mb),
-            model.comm_time_rar(8, s_mb));
 }
 
 TEST(WallTimeModel, TopologyOrderingAtScale) {
-  WallTimeModel model({1250.0, 5.0, 100});
+  WallTimeModel model(1250.0);
   const double s = 500.0;
   for (int k : {2, 4, 8, 16}) {
-    EXPECT_LE(model.comm_time_rar(k, s), model.comm_time_ar(k, s) + 1e-12);
-    EXPECT_LE(model.comm_time_ar(k, s), model.comm_time_ps(k, s) + 1e-12);
+    EXPECT_LE(model.comm_time(Topology::kRingAllReduce, k, s),
+              model.comm_time(Topology::kAllReduce, k, s) + 1e-12);
+    EXPECT_LE(model.comm_time(Topology::kAllReduce, k, s),
+              model.comm_time(Topology::kParameterServer, k, s) + 1e-12);
   }
 }
 
 TEST(WallTimeModel, CongestionKicksInBeyondTheta) {
-  CostModelConfig cc;
-  cc.bandwidth_mbps = 1000.0;
-  cc.congestion_threshold = 100;
-  WallTimeModel model(cc);
-  const double below = model.comm_time_ps(100, 10.0);
-  const double above = model.comm_time_ps(200, 10.0);
+  ASSERT_EQ(kCongestionThreshold, 100);
+  WallTimeModel model(1000.0);
+  const double below = model.comm_time(Topology::kParameterServer, 100, 10.0);
+  const double above = model.comm_time(Topology::kParameterServer, 200, 10.0);
   // Above theta, effective bandwidth halves -> time quadruples vs 2x clients.
   EXPECT_NEAR(above / below, 4.0, 1e-9);
 }
 
 TEST(CostModelHelpers, ModelSizeAndDdpTraffic) {
-  EXPECT_NEAR(model_size_mb(1000000), 3.8147, 1e-3);  // 4 MB / 1.048576
+  EXPECT_NEAR(model_size_mb(1000000, 4.0), 3.8147, 1e-3);  // 4 MB / 1.048576
   EXPECT_DOUBLE_EQ(ddp_bytes_per_step_mb(1, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(ddp_bytes_per_step_mb(4, 100.0), 150.0);
 }
 
 TEST(WallTimeModel, RejectsNonPositiveConfigAndThroughput) {
-  CostModelConfig bad_bw;
-  bad_bw.bandwidth_mbps = 0.0;
-  EXPECT_THROW(WallTimeModel{bad_bw}, std::invalid_argument);
-  CostModelConfig bad_tflops;
-  bad_tflops.server_tflops = -1.0;
-  EXPECT_THROW(WallTimeModel{bad_tflops}, std::invalid_argument);
-  const WallTimeModel model({1250.0, 5.0, 100});
+  EXPECT_THROW(WallTimeModel{0.0}, std::invalid_argument);
+  EXPECT_THROW(WallTimeModel{-1.0}, std::invalid_argument);
+  const WallTimeModel model(1250.0);
   EXPECT_THROW(model.local_time(16, 0.0), std::invalid_argument);
   EXPECT_THROW(model.local_time(16, -2.0), std::invalid_argument);
 }
 
-TEST(WallTimeModel, AggregationTimeMatchesEq7) {
-  // Eq. 7: T_agg = K*S/zeta with zeta in MB/s-equivalent (TFLOPS * 1e6).
-  WallTimeModel model({1250.0, 5.0, 100});
-  EXPECT_DOUBLE_EQ(model.aggregation_time(8, 500.0),
-                   8.0 * 500.0 / (5.0 * 1e6));
-  EXPECT_DOUBLE_EQ(model.aggregation_time(1, 500.0), 500.0 / (5.0 * 1e6));
-}
-
 TEST(WallTimeModel, RoundTimeComposesLocalPlusComm) {
-  WallTimeModel model({1250.0, 5.0, 100});
+  WallTimeModel model(1250.0);
   const double s = 500.0;
   for (const Topology t : {Topology::kParameterServer, Topology::kAllReduce,
                            Topology::kRingAllReduce}) {
@@ -678,9 +779,8 @@ TEST(CollectiveMean, ParallelMatchesSerialBitExactly) {
         for (auto& b : v) s.emplace_back(b);
         return s;
       };
-      const auto rs = collective_mean(topo, spans_of(serial), 100.0, ser);
-      const auto rp = collective_mean(topo, spans_of(parallel), 100.0, par);
-      EXPECT_EQ(rs.total_bytes, rp.total_bytes);
+      collective_mean(topo, spans_of(serial), ser);
+      collective_mean(topo, spans_of(parallel), par);
       for (int w = 0; w < k; ++w) {
         ASSERT_EQ(0, std::memcmp(serial[static_cast<std::size_t>(w)].data(),
                                  parallel[static_cast<std::size_t>(w)].data(),

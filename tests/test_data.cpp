@@ -73,15 +73,6 @@ TEST(MarkovSource, ZeroBlendMakesSourcesDiverge) {
   EXPECT_GT(differing, 30);
 }
 
-TEST(MarkovSource, EntropyRatePositiveAndBelowUniform) {
-  CorpusConfig cc;
-  cc.branching = 8;
-  MarkovSource src(cc, c4_style());
-  const double h = src.entropy_rate(50000);
-  EXPECT_GT(h, 0.5);
-  EXPECT_LT(h, std::log(8.0) + 0.01);  // at most log(branching)
-}
-
 TEST(MarkovSource, ValidatesConfig) {
   CorpusConfig cc;
   cc.vocab_size = 4;
@@ -122,23 +113,6 @@ TEST(TokenDataset, BatchTargetsAreShiftedByOne) {
       EXPECT_EQ(b.targets[row * 8 + t], b.tokens[row * 8 + t] + 1);
     }
   }
-}
-
-TEST(TokenDataset, SampleBatchInBounds) {
-  std::vector<int> toks(50, 7);
-  TokenDataset ds(std::move(toks));
-  Rng rng(3);
-  const Batch b = ds.sample_batch(rng, 3, 16);
-  EXPECT_EQ(b.tokens.size(), 48u);
-  for (int t : b.tokens) EXPECT_EQ(t, 7);
-  TokenDataset tiny(std::vector<int>{1, 2});
-  EXPECT_THROW(tiny.sample_batch(rng, 1, 8), std::invalid_argument);
-}
-
-TEST(TokenDataset, NumWindows) {
-  TokenDataset ds(std::vector<int>(100, 0));
-  EXPECT_EQ(ds.num_windows(9), 10u);
-  EXPECT_EQ(ds.num_windows(200), 0u);
 }
 
 // --------------------------------------------------------------- streams --

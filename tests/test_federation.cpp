@@ -54,13 +54,22 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
   return std::make_unique<CorpusStreamSource>(corpus, seed);
 }
 
+/// One client round into a fresh ClientUpdate.
+ClientUpdate train_round(LLMClient& client, std::span<const float> params,
+                         std::uint32_t round, int local_steps,
+                         std::int64_t schedule_step_base) {
+  ClientUpdate update;
+  client.run_round(params, round, local_steps, schedule_step_base, update);
+  return update;
+}
+
 // ------------------------------------------------------------- LLM client --
 TEST(LLMClient, DeltaIsGlobalMinusLocal) {
   LLMClient client(0, tiny_client_config(), tiny_stream(1), 11);
   GptModel global(tiny_model(), 99);
   const std::vector<float> before(global.params().begin(),
                                   global.params().end());
-  const ClientUpdate up = client.run_round(before, 0, 4, 0);
+  const ClientUpdate up = train_round(client, before, 0, 4, 0);
   EXPECT_EQ(up.delta.size(), before.size());
   // theta_local = theta_global - delta; the client checkpoint holds it.
   const auto local = client.local_checkpoint();
@@ -75,7 +84,8 @@ TEST(LLMClient, DeltaIsGlobalMinusLocal) {
 TEST(LLMClient, TrainingActuallyMovesParameters) {
   LLMClient client(0, tiny_client_config(), tiny_stream(2), 5);
   GptModel global(tiny_model(), 7);
-  const ClientUpdate up = client.run_round(
+  const ClientUpdate up = train_round(
+      client,
       std::vector<float>(global.params().begin(), global.params().end()), 0,
       8, 0);
   double norm = 0.0;
@@ -93,8 +103,8 @@ TEST(LLMClient, StatelessRoundsAreReproducibleFromSameParams) {
                                   global.params().end());
   LLMClient a(0, cfg, tiny_stream(42), 13);
   LLMClient b(0, cfg, tiny_stream(42), 13);
-  const ClientUpdate ua = a.run_round(params, 0, 4, 0);
-  const ClientUpdate ub = b.run_round(params, 0, 4, 0);
+  const ClientUpdate ua = train_round(a, params, 0, 4, 0);
+  const ClientUpdate ub = train_round(b, params, 0, 4, 0);
   EXPECT_EQ(ua.delta, ub.delta);
 }
 
@@ -113,10 +123,10 @@ TEST(LLMClient, StatefulOptimizerChangesSecondRound) {
   LLMClient stateless(0, stateless_cfg, tiny_stream(4), 17);
   LLMClient stateful(0, stateful_cfg, tiny_stream(4), 17);
 
-  (void)stateless.run_round(params, 0, 4, 0);
-  (void)stateful.run_round(params, 0, 4, 0);
-  const ClientUpdate u1 = stateless.run_round(params, 1, 4, 4);
-  const ClientUpdate u2 = stateful.run_round(params, 1, 4, 4);
+  (void)train_round(stateless, params, 0, 4, 0);
+  (void)train_round(stateful, params, 0, 4, 0);
+  const ClientUpdate u1 = train_round(stateless, params, 1, 4, 4);
+  const ClientUpdate u2 = train_round(stateful, params, 1, 4, 4);
   EXPECT_NE(u1.delta, u2.delta);
 }
 
@@ -125,7 +135,8 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
   cfg.sub_nodes = 2;
   LLMClient client(0, cfg, tiny_stream(6), 19);
   GptModel global(tiny_model(), 23);
-  const ClientUpdate up = client.run_round(
+  const ClientUpdate up = train_round(
+      client,
       std::vector<float>(global.params().begin(), global.params().end()), 0,
       3, 0);
   // Two nodes, 3 steps, batch 2, seq 16 -> 2 * 3 * 2 * 16 tokens.
@@ -142,7 +153,7 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   const std::vector<float> params(global.params().begin(),
                                   global.params().end());
   LLMClient clipped(0, cfg, tiny_stream(7), 23);
-  const ClientUpdate up = clipped.run_round(params, 0, 4, 0);
+  const ClientUpdate up = train_round(clipped, params, 0, 4, 0);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;
   EXPECT_NEAR(std::sqrt(norm), 1e-3, 1e-4);
@@ -153,7 +164,7 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   // draws for (round 0, client 0), byte for byte.
   cfg.dp_noise_multiplier = 1.0;
   LLMClient noisy(0, cfg, tiny_stream(7), 23);
-  const ClientUpdate loud = noisy.run_round(params, 0, 4, 0);
+  const ClientUpdate loud = train_round(noisy, params, 0, 4, 0);
   std::vector<float> expected = up.delta;
   PostProcessReport report;
   DpNoiseStage(1.0, 1e-3, hash_combine(23, 0xD9ULL)).apply(expected, report,
@@ -166,7 +177,7 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   // q8 error feedback, and an unknown name changes nothing.
   clipped.set_link_codec("q8");
   EXPECT_EQ(clipped.config().link_codec, "q8");
-  (void)clipped.run_round(params, 1, 4, 4);
+  (void)train_round(clipped, params, 1, 4, 4);
   EXPECT_EQ(clipped.ef_residual().size(), params.size());
   EXPECT_THROW(clipped.set_link_codec("gzip"), std::invalid_argument);
   EXPECT_EQ(clipped.config().link_codec, "q8");
@@ -201,8 +212,8 @@ ClientUpdate second_round_alone(const ShellCase& c) {
   ClientUpdate out;
   std::thread([&c, &out] {
     LLMClient twin(0, c.cfg, tiny_stream(c.data_seed), 31);
-    (void)twin.run_round(c.params, 0, 3, 0);
-    out = twin.run_round(c.params, 1, 3, 3);
+    (void)train_round(twin, c.params, 0, 3, 0);
+    out = train_round(twin, c.params, 1, 3, 3);
   }).join();
   return out;
 }
@@ -252,10 +263,11 @@ TEST(ReplicaShell, InterleavedClientsMatchTwinsThatRanAlone) {
         0, c->cfg, tiny_stream(c->data_seed), 31));
   }
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    (void)clients[i]->run_round(cases[i]->params, 0, 3, 0);
+    (void)train_round(*clients[i], cases[i]->params, 0, 3, 0);
   }
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const ClientUpdate mixed = clients[i]->run_round(cases[i]->params, 1, 3, 3);
+    const ClientUpdate mixed =
+        train_round(*clients[i], cases[i]->params, 1, 3, 3);
     EXPECT_TRUE(same_bytes(mixed.delta, second_round_alone(*cases[i]).delta))
         << "client " << i;
   }
@@ -265,11 +277,11 @@ TEST(ReplicaShell, ThrowingRoundLeavesTheNextRoundTwinIdentical) {
   ShellCase c{tiny_client_config(), 204, {}};
   c.params = init_params(c.cfg.model, 5);
   LLMClient client(0, c.cfg, tiny_stream(c.data_seed), 31);
-  (void)client.run_round(c.params, 0, 3, 0);
+  (void)train_round(client, c.params, 0, 3, 0);
 
   // Rejected before the shell is borrowed.
   const std::vector<float> short_params(c.params.begin(), c.params.end() - 1);
-  EXPECT_THROW((void)client.run_round(short_params, 1, 3, 3),
+  EXPECT_THROW((void)train_round(client, short_params, 1, 3, 3),
                std::invalid_argument);
   // Thrown mid-round on the same shell: one clean step (2 rows of seq + 1
   // tokens), then an out-of-vocab token in the second step's batch.
@@ -278,9 +290,10 @@ TEST(ReplicaShell, ThrowingRoundLeavesTheNextRoundTwinIdentical) {
                      std::make_unique<PoisonedStream>(tiny_stream(205),
                                                       step_tokens, 64),
                      31);
-  EXPECT_THROW((void)poisoned.run_round(c.params, 0, 3, 0), std::out_of_range);
+  EXPECT_THROW((void)train_round(poisoned, c.params, 0, 3, 0),
+               std::out_of_range);
 
-  const ClientUpdate next = client.run_round(c.params, 1, 3, 3);
+  const ClientUpdate next = train_round(client, c.params, 1, 3, 3);
   EXPECT_TRUE(same_bytes(next.delta, second_round_alone(c).delta));
 }
 

@@ -484,7 +484,6 @@ TEST(ObsIntegration, FaultedRoundsEmitRetryWaitAndStragglerCutSpans) {
   obs::MetricsRegistry reg;
   auto agg = build_traced_aggregator(&tracer, &reg, /*parallel=*/false);
   FaultInjector injector(chaos_plan());
-  injector.set_metrics(&reg);
   injector.install(*agg);
   for (int r = 0; r < 4; ++r) agg->run_round();
   const auto events = tracer.drain();
@@ -501,10 +500,7 @@ TEST(ObsIntegration, FaultedRoundsEmitRetryWaitAndStragglerCutSpans) {
   EXPECT_GT(by_kind[SpanKind::kCollective], 0);
   EXPECT_EQ(by_kind[SpanKind::kServerOpt], 4);
 
-  // Fault telemetry crossed three layers: the injector counted what it
-  // injected, the links counted what they saw, the engine what it dropped.
-  EXPECT_GT(reg.counter_value("faults.injected.drop"), 0u);
-  EXPECT_GT(reg.counter_value("faults.injected.straggle"), 0u);
+  // The engine's counters agree with the spans it emitted.
   EXPECT_EQ(reg.counter_value("round.straggler_cuts"),
             static_cast<std::uint64_t>(by_kind[SpanKind::kStragglerCut]));
   EXPECT_EQ(reg.counter_value("round.completed"), 4u);

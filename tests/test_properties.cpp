@@ -47,7 +47,7 @@ TEST_P(CollectiveProperties, MeanIsPermutationInvariant) {
   auto run = [&](std::vector<std::vector<float>> order) {
     std::vector<std::span<float>> spans;
     for (auto& b : order) spans.emplace_back(b);
-    ring_all_reduce_mean(spans, 100.0);
+    collective_mean(Topology::kRingAllReduce, spans);
     return order.front();
   };
   auto forward = run(bufs);
@@ -66,7 +66,7 @@ TEST_P(CollectiveProperties, MeanOfIdenticalBuffersIsIdentity) {
   std::vector<std::vector<float>> bufs(k, base);
   std::vector<std::span<float>> spans;
   for (auto& b : bufs) spans.emplace_back(b);
-  all_reduce_mean(spans, 100.0);
+  collective_mean(Topology::kAllReduce, spans);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(bufs[0][i], base[i], 1e-5f);
   }
@@ -75,13 +75,8 @@ TEST_P(CollectiveProperties, MeanOfIdenticalBuffersIsIdentity) {
 TEST_P(CollectiveProperties, RarTrafficIsBandwidthOptimal) {
   const auto [k, n] = GetParam();
   if (k < 2) GTEST_SKIP();
-  std::vector<std::vector<float>> bufs(k, std::vector<float>(n, 1.0f));
-  auto spans_of = [&]() {
-    std::vector<std::span<float>> s;
-    for (auto& b : bufs) s.emplace_back(b);
-    return s;
-  };
-  const auto rar = ring_all_reduce_mean(spans_of(), 100.0);
+  const auto rar = collective_cost(Topology::kRingAllReduce, k,
+                                   n * sizeof(float), 100.0);
   // 2*(k-1)/k * S is strictly under 2*S for any k.
   EXPECT_LT(rar.bottleneck_bytes, 2 * n * sizeof(float));
 }

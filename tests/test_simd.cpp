@@ -663,7 +663,8 @@ TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
   for (const ModelConfig& mc :
        {ModelConfig::nano(), ModelConfig{2, 80, 4, 256, 32, 4},
         ModelConfig{2, 96, 8, 2048, 16, 4}}) {
-    SCOPED_TRACE(mc.describe());
+    SCOPED_TRACE(testing::Message() << "L" << mc.n_layers << " d"
+                                    << mc.d_model << " h" << mc.n_heads);
     check_model_state_across_variants(mc);
   }
 }

@@ -7,11 +7,13 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "comm/cost_model.hpp"
 #include "comm/message.hpp"
 #include "core/runner.hpp"
 #include "data/corpus.hpp"
+#include "data/dataset.hpp"
 #include "data/stream.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
@@ -82,6 +84,25 @@ TEST(RunnerIntegration, LinkCodecExercisedThroughTheStack) {
   EXPECT_GT(h.records().front().comm_bytes, 0u);
 }
 
+/// `batch` rows of `seq` tokens (plus shifted targets) at uniform random
+/// offsets into `tokens`.
+Batch random_batch(std::span<const int> tokens, Rng& rng, int batch,
+                   int seq) {
+  const std::size_t need = static_cast<std::size_t>(seq) + 1;
+  Batch out;
+  out.batch = batch;
+  out.seq = seq;
+  out.tokens.resize(static_cast<std::size_t>(batch) * seq);
+  out.targets.resize(static_cast<std::size_t>(batch) * seq);
+  const std::size_t max_start = tokens.size() - need;
+  for (int b = 0; b < batch; ++b) {
+    const std::size_t start =
+        static_cast<std::size_t>(rng.next_below(max_start + 1));
+    fill_row(tokens.subspan(start, need), seq, b, out);
+  }
+  return out;
+}
+
 TEST(TextPipeline, ByteTokenizedTextTrainsTheModel) {
   // Real strings, one token per byte, into the transformer: a repetitive
   // text should be learnable to low loss quickly.
@@ -103,7 +124,7 @@ TEST(TextPipeline, ByteTokenizedTextTrainsTheModel) {
   Rng rng(2);
   float last = 0.0f, first = 0.0f;
   for (int step = 0; step < 60; ++step) {
-    const Batch b = ds.sample_batch(rng, 4, mc.seq_len);
+    const Batch b = random_batch(ds.tokens(), rng, 4, mc.seq_len);
     model.zero_grad();
     const float loss = model.train_step_fb(b.tokens, b.targets, 4, mc.seq_len);
     clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
@@ -143,15 +164,12 @@ TEST(DataPipeline, CachedMixedShardedStackFeedsClients) {
 TEST(WallTime, Table2ReconstructionFed7B) {
   // The reconstruction logic used by bench_table2: fed-7B comm time from
   // paper inputs must land at ~0.1 h as the paper reports.
-  CostModelConfig cc;
-  cc.bandwidth_mbps = 1250.0;
-  WallTimeModel model(cc);
-  const double s_mb =
-      static_cast<double>(ModelConfig::paper_7b().num_params()) * 2.0 /
-      (1024.0 * 1024.0);
+  WallTimeModel model(1250.0);
+  const double s_mb = model_size_mb(ModelConfig::paper_7b().num_params(), 2.0);
   const double fed_steps = 95.5 * 3600.0 * paper_throughput_7b().federated_bps;
   const double rounds = fed_steps / 500.0;
-  const double comm_h = model.comm_time_rar(4, s_mb) * rounds / 3600.0;
+  const double comm_h =
+      model.comm_time(Topology::kRingAllReduce, 4, s_mb) * rounds / 3600.0;
   EXPECT_NEAR(comm_h, 0.1, 0.03);
 }
 

@@ -223,7 +223,7 @@ TEST(StreamedAggregation, ChunkMeanMatchesMaterializedCollective) {
     }
     spans.emplace_back(mats[k]);
   }
-  ps_all_reduce_mean(spans, 1250.0);
+  collective_mean(Topology::kParameterServer, spans);
 
   // Streamed: per chunk, dequantize each survivor and fold into the mean.
   std::vector<float> streamed(kN);

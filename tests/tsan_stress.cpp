@@ -233,8 +233,8 @@ bool collectives_race_free(ThreadPool& pool) {
         for (auto& b : v) out.emplace_back(b);
         return out;
       };
-      photon::collective_mean(topo, spans(s), 100.0, ser);
-      photon::collective_mean(topo, spans(p), 100.0, par);
+      photon::collective_mean(topo, spans(s), ser);
+      photon::collective_mean(topo, spans(p), par);
       for (int w = 0; w < workers; ++w) {
         if (std::memcmp(s[w].data(), p[w].data(), n * sizeof(float)) != 0) {
           std::fprintf(stderr, "FAIL collective topo=%d w=%d\n",
