@@ -10,7 +10,8 @@
 #include "topology_walltime.hpp"
 
 int main() {
-  photon::bench::emit_topology_walltime_figure(/*tau_standin=*/64,
-                                               /*tau_paper=*/512, "Fig. 6");
-  return 0;
+  namespace b = photon::bench;
+  const b::TopologyClaims fig6 = b::emit_topology_walltime_figure(
+      /*tau_standin=*/64, /*tau_paper=*/512, "Fig. 6");
+  return b::claims_hold(fig6, "Fig. 6") ? 0 : 1;
 }

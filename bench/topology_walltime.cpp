@@ -27,8 +27,8 @@ int rounds_to_target(int clients, int tau_standin) {
 
 }  // namespace
 
-void emit_topology_walltime_figure(int tau_standin, int tau_paper,
-                                   const char* figure) {
+TopologyClaims emit_topology_walltime_figure(int tau_standin, int tau_paper,
+                                             const char* figure) {
   print_header(std::string(figure) +
                ": wall time split LC vs comm by topology (tau=" +
                std::to_string(tau_paper) + ", 125M, 10 Gbps)");
@@ -41,8 +41,7 @@ void emit_topology_walltime_figure(int tau_standin, int tau_paper,
   TablePrinter t({"N", "rounds", "LC [s]", "PS comm [s]", "PS %",
                   "AR comm [s]", "AR %", "RAR comm [s]", "RAR %"});
   double prev_total_rar = -1.0;
-  bool rar_preserves_scaling = true;
-  bool comm_grows_with_n = true;
+  TopologyClaims claims;
   double prev_ps_per_round = -1.0;
   for (const int n : {2, 4, 8, 16}) {
     const int r = rounds_to_target(n, tau_standin);
@@ -67,19 +66,32 @@ void emit_topology_walltime_figure(int tau_standin, int tau_paper,
                pct(rar)});
     const double total_rar = lc + rar;
     if (prev_total_rar > 0.0 && total_rar > prev_total_rar * 1.02) {
-      rar_preserves_scaling = false;
+      claims.rar_preserves_scaling = false;
     }
     prev_total_rar = total_rar;
     if (prev_ps_per_round > 0.0 && ps_per_round <= prev_ps_per_round) {
-      comm_grows_with_n = false;
+      claims.comm_grows_with_n = false;
     }
     prev_ps_per_round = ps_per_round;
   }
   t.print();
   std::printf("Claim check: per-round comm grows with N: %s; "
               "RAR preserves the wall-time benefit of scaling N: %s\n",
-              comm_grows_with_n ? "YES" : "NO",
-              rar_preserves_scaling ? "YES" : "NO");
+              claims.comm_grows_with_n ? "YES" : "NO",
+              claims.rar_preserves_scaling ? "YES" : "NO");
+  return claims;
+}
+
+bool claims_hold(const TopologyClaims& claims, const char* figure) {
+  if (!claims.comm_grows_with_n) {
+    std::printf("Claim check FAILED: %s per-round comm does not grow with N.\n",
+                figure);
+  }
+  if (!claims.rar_preserves_scaling) {
+    std::printf("Claim check FAILED: %s RAR total wall time grows with N.\n",
+                figure);
+  }
+  return claims.comm_grows_with_n && claims.rar_preserves_scaling;
 }
 
 }  // namespace photon::bench

@@ -43,10 +43,8 @@ void DpNoiseStage::apply(std::span<float> update, PostProcessReport& report,
       hash_combine(seed_, ctx.round),
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx.client)) +
           0xD9B4E5ULL);
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    update[i] += static_cast<float>(stddev_ *
-                                    privacy::stateless_gaussian(key, i));
-  }
+  privacy::add_gaussian_noise(kernels::default_context(), update, key,
+                              stddev_);
 }
 
 }  // namespace photon

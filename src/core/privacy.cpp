@@ -1,6 +1,7 @@
 #include "core/privacy.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -20,6 +21,21 @@ double stateless_gaussian(std::uint64_t key, std::uint64_t index) {
   const double u2 = u01(hash_combine(key, 2 * index + 1));
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
+}
+
+std::size_t add_gaussian_noise(const kernels::KernelContext& ctx,
+                               std::span<float> x, std::uint64_t key,
+                               double stddev) {
+  const auto& ops = ctx.simd();
+  std::atomic<std::size_t> redone{0};
+  // ~60 double ops and two counter hashes per element.
+  ctx.parallel_shards(x.size(), ctx.grain_rows(64),
+                      [&](int, std::size_t begin, std::size_t end) {
+                        redone += ops.dp_noise_acc(
+                            x.data() + begin, end - begin, key, begin, stddev,
+                            &stateless_gaussian);
+                      });
+  return redone.load();
 }
 
 namespace {

@@ -21,8 +21,12 @@
 // attained at alpha* = 1 + sigma * sqrt(2 log(1/delta) / R); the grid value
 // is within a few percent of it and always an upper bound.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "tensor/kernel_context.hpp"
 
 namespace photon::privacy {
 
@@ -31,7 +35,17 @@ double u01(std::uint64_t h);
 
 /// Stateless standard Gaussian draw: Box-Muller over the hash pair
 /// (key, 2*index) / (key, 2*index + 1).  Deterministic per (key, index).
+/// The reference expression of the noise: add_gaussian_noise reproduces it.
 double stateless_gaussian(std::uint64_t key, std::uint64_t index);
+
+/// x[i] += float(stddev * stateless_gaussian(key, i)) for every i, bit for
+/// bit, sharded over `ctx` (the SIMD layer's dp_noise_acc: lane draws
+/// without libm, and this function for any element the lanes' error bound
+/// cannot settle; DESIGN.md §14).  Returns how many elements went through
+/// stateless_gaussian.
+std::size_t add_gaussian_noise(const kernels::KernelContext& ctx,
+                               std::span<float> x, std::uint64_t key,
+                               double stddev);
 
 /// Renyi-DP accountant over a fixed alpha grid.
 class RdpAccountant {

@@ -180,13 +180,30 @@ struct Ops {
   void (*quant_i8_ef)(std::int8_t* codes, float* res, const float* x,
                       std::size_t n, float inv, float factor);
 
+  // ------------------------------------------------------------ DP noise --
+  // Client-level DP noise (DESIGN.md §14), with gaussian =
+  // privacy::stateless_gaussian:
+  //   x[i] += float(stddev * gaussian(key, base + i))
+  // The draws run on the lanes with no libm call (the same counter hashes,
+  // uniforms and Box-Muller; in-tree log and cos).  A lane whose float sum
+  // the error bound cannot settle is recomputed through `gaussian` itself,
+  // so x matches the scalar loop bit for bit.  Returns how many elements
+  // were recomputed.
+  std::size_t (*dp_noise_acc)(float* x, std::size_t n, std::uint64_t key,
+                              std::uint64_t base, double stddev,
+                              double (*gaussian)(std::uint64_t key,
+                                                 std::uint64_t index));
+
   // -------------------------------------------- secure aggregation ring --
   // Fixed-point encode + pairwise-mask accumulate (DESIGN.md §14):
   //   acc[i] += u64(i64(llrint(double(x[i]) * scale)))
   //           + sum_p signs[p] * hash(seeds[p], base + i)      (mod 2^64)
   // Stateless per element (counter-based PRG keyed on the absolute index),
   // so shards across threads/variants are bit-identical; the wrapping u64
-  // ring makes pairwise masks cancel exactly.
+  // ring makes pairwise masks cancel exactly.  Blocks of 16 elements take
+  // every pair in turn; the encode is a lane conversion equal to llrint
+  // under the default rounding mode (scalar llrint where |x*scale| >= 2^51
+  // or x*scale is not finite).
   void (*secagg_mask_accum)(std::uint64_t* acc, const float* x, double scale,
                             const std::uint64_t* seeds,
                             const std::int8_t* signs, std::size_t n_pairs,

@@ -10,6 +10,7 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -142,6 +143,29 @@ inline vd d_sub(vd x, vd y) {
 inline vd d_mul(vd x, vd y) {
   return {_mm256_mul_pd(x.r0, y.r0), _mm256_mul_pd(x.r1, y.r1),
           _mm256_mul_pd(x.r2, y.r2), _mm256_mul_pd(x.r3, y.r3)};
+}
+inline vd d_div(vd x, vd y) {
+  return {_mm256_div_pd(x.r0, y.r0), _mm256_div_pd(x.r1, y.r1),
+          _mm256_div_pd(x.r2, y.r2), _mm256_div_pd(x.r3, y.r3)};
+}
+inline vd d_sqrt(vd x) {
+  return {_mm256_sqrt_pd(x.r0), _mm256_sqrt_pd(x.r1), _mm256_sqrt_pd(x.r2),
+          _mm256_sqrt_pd(x.r3)};
+}
+inline std::uint32_t d_lt_mask(vd x, vd y) {
+  const auto lt = [](__m256d a, __m256d b) {
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_LT_OQ)));
+  };
+  return lt(x.r0, y.r0) | lt(x.r1, y.r1) << 4 | lt(x.r2, y.r2) << 8 |
+         lt(x.r3, y.r3) << 12;
+}
+inline std::uint32_t f_ne_mask(vf x, vf y) {
+  const auto ne = [](__m256 a, __m256 b) {
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_ps(_mm256_cmp_ps(a, b, _CMP_NEQ_UQ)));
+  };
+  return ne(x.a, y.a) | ne(x.b, y.b) << 8;
 }
 inline double d_hsum(vd v) {
   // s8[j] = l[j] + l[j+8], s4[j] = s8[j] + s8[j+4] — same tree as scalar.

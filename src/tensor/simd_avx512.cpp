@@ -10,6 +10,7 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -107,6 +108,18 @@ inline vd d_sub(vd a, vd b) {
 }
 inline vd d_mul(vd a, vd b) {
   return {_mm512_mul_pd(a.lo, b.lo), _mm512_mul_pd(a.hi, b.hi)};
+}
+inline vd d_div(vd a, vd b) {
+  return {_mm512_div_pd(a.lo, b.lo), _mm512_div_pd(a.hi, b.hi)};
+}
+inline vd d_sqrt(vd a) { return {_mm512_sqrt_pd(a.lo), _mm512_sqrt_pd(a.hi)}; }
+inline std::uint32_t d_lt_mask(vd a, vd b) {
+  const std::uint32_t lo = _mm512_cmp_pd_mask(a.lo, b.lo, _CMP_LT_OQ);
+  const std::uint32_t hi = _mm512_cmp_pd_mask(a.hi, b.hi, _CMP_LT_OQ);
+  return lo | hi << 8;
+}
+inline std::uint32_t f_ne_mask(vf a, vf b) {
+  return _mm512_cmp_ps_mask(a.v, b.v, _CMP_NEQ_UQ);
 }
 inline double d_hsum(vd v) {
   const __m512d s8 = _mm512_add_pd(v.lo, v.hi);

@@ -161,6 +161,32 @@ inline vd d_mul(vd a, vd b) {
   for (int j = 0; j < 16; ++j) r.l[j] = a.l[j] * b.l[j];
   return r;
 }
+inline vd d_div(vd a, vd b) {
+  vd r;
+  for (int j = 0; j < 16; ++j) r.l[j] = a.l[j] / b.l[j];
+  return r;
+}
+// sqrtpd and std::sqrt both round correctly (and give -0 for -0).
+inline vd d_sqrt(vd a) {
+  vd r;
+  for (int j = 0; j < 16; ++j) r.l[j] = std::sqrt(a.l[j]);
+  return r;
+}
+// Compare-to-mask: bit j set when the predicate holds in lane j.  Ordered
+// less-than (false for NaN) and unordered not-equal (true for NaN), like
+// _CMP_LT_OQ and _CMP_NEQ_UQ.
+inline std::uint32_t d_lt_mask(vd a, vd b) {
+  std::uint32_t m = 0;
+  for (int j = 0; j < 16; ++j)
+    m |= static_cast<std::uint32_t>(a.l[j] < b.l[j]) << j;
+  return m;
+}
+inline std::uint32_t f_ne_mask(vf a, vf b) {
+  std::uint32_t m = 0;
+  for (int j = 0; j < 16; ++j)
+    m |= static_cast<std::uint32_t>(!(a.l[j] == b.l[j])) << j;
+  return m;
+}
 inline double d_hsum(vd v) {
   double s8[8];
   for (int j = 0; j < 8; ++j) s8[j] = v.l[j] + v.l[j + 8];

@@ -6,6 +6,8 @@
 //  * Every fused kernel (bias+GELU, clip+AdamW step, quantize, copy+CRC)
 //    must match its unfused composition bit for bit — fusion is a pure
 //    performance transform, never a numerics change.
+//  * The privacy kernels (DP noise, SecAgg masks) must match the scalar
+//    loops they replaced bit for bit.
 //
 // Comparisons use memcmp, not tolerances: the contract is exactness.
 
@@ -13,10 +15,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "comm/quantization.hpp"
+#include "core/privacy.hpp"
 #include "nn/config.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
@@ -666,6 +671,252 @@ TEST(SimdVariants, ModelStateBitIdenticalAcrossVariantsAndThreads) {
     SCOPED_TRACE(testing::Message() << "L" << mc.n_layers << " d"
                                     << mc.d_model << " h" << mc.n_heads);
     check_model_state_across_variants(mc);
+  }
+}
+
+// ------------------------------------------------------ DP noise kernel ----
+
+// x[i] += float(stddev * stateless_gaussian(key, base + i)): the loop the
+// lane kernel replaced, and the reference for every element.
+std::vector<float> noise_reference(std::vector<float> x, std::uint64_t key,
+                                   std::uint64_t base, double stddev) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] += static_cast<float>(stddev *
+                               privacy::stateless_gaussian(key, base + i));
+  }
+  return x;
+}
+
+// Inputs with signed zeros among them: -0.0f + (+0.0f) is +0.0f, so the
+// sign of a zero draw shows.
+std::vector<float> noise_input(std::size_t n, std::uint64_t seed) {
+  auto x = gaussian_vec(n, seed, 1e-2f);
+  for (std::size_t i = 0; i < n; i += 3) x[i] = i % 2 == 0 ? -0.0f : 0.0f;
+  return x;
+}
+
+constexpr double kNoiseStddevs[] = {5e-3, 1e-3, 0.5, 1.0, 2.0};
+
+TEST(DpNoiseKernel, MatchesTheReferenceLoopOnEveryVariantAndThreadCount) {
+  ThreadPool pool(4);
+  const std::uint64_t key = 0x5EEDD9B4E5ULL;
+  const std::uint64_t far_base = (std::uint64_t{1} << 40) + 3;
+  std::vector<std::size_t> lengths{420001};
+  for (std::size_t n = 1; n <= 100; ++n) lengths.push_back(n);
+  for (const double stddev : kNoiseStddevs) {
+    for (const std::size_t n : lengths) {
+      SCOPED_TRACE("stddev=" + std::to_string(stddev) +
+                   " n=" + std::to_string(n));
+      const auto x0 = noise_input(n, 40 + n);
+      const auto ref = noise_reference(x0, key, 0, stddev);
+      const auto ref_far = noise_reference(x0, key, far_base, stddev);
+      for (auto v : supported_variants()) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(std::string(simd::variant_name(v)) +
+                       " threads=" + std::to_string(threads));
+          // Grain 64: four shards that start mid-block at small n too.
+          k::KernelContext ctx(threads > 1 ? &pool : nullptr, threads, 64);
+          ctx.set_simd(&simd::ops(v));
+          auto x = x0;
+          privacy::add_gaussian_noise(ctx, x, key, stddev);
+          EXPECT_TRUE(bytes_equal(ref, x));
+        }
+        if (n <= 100) {  // a block base far from 0
+          auto x = x0;
+          simd::ops(v).dp_noise_acc(x.data(), n, key, far_base, stddev,
+                                    &privacy::stateless_gaussian);
+          EXPECT_TRUE(bytes_equal(ref_far, x))
+              << simd::variant_name(v) << " base 2^40+3";
+        }
+      }
+    }
+  }
+}
+
+// Inverse of splitmix64's finalizer (util/rng.hpp): x ^= x >> s undoes by
+// repeated substitution, and the odd multipliers have inverses mod 2^64.
+std::uint64_t unxorshift(std::uint64_t y, int s) {
+  std::uint64_t x = y;
+  for (int k = 0; k < 64 / s + 1; ++k) x = y ^ (x >> s);
+  return x;
+}
+std::uint64_t inverse_mod_2_64(std::uint64_t c) {
+  std::uint64_t x = c;  // Newton: each step doubles the correct low bits
+  for (int k = 0; k < 6; ++k) x *= 2 - c * x;
+  return x;
+}
+
+// An element index whose hash_combine(key, 2*index + parity) has the top 53
+// bits M - 1, so its uniform is M * 2^-53: parity 0 sets u1, 1 sets u2.
+std::uint64_t index_with_uniform(std::uint64_t key, unsigned parity,
+                                 std::uint64_t m) {
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  for (std::uint64_t low = 0; low < 2048; ++low) {
+    const std::uint64_t h = ((m - 1) << 11) | low;
+    std::uint64_t z = unxorshift(h, 31);
+    z *= inverse_mod_2_64(0x94d049bb133111ebULL);
+    z = unxorshift(z, 27);
+    z *= inverse_mod_2_64(0xbf58476d1ce4e5b9ULL);
+    z = unxorshift(z, 30);
+    const std::uint64_t b =
+        ((z - kGolden) ^ key) - kGolden - (key << 6) - (key >> 2);
+    if ((b & 1) == parity) return b >> 1;
+  }
+  ADD_FAILURE() << "no index for m=" << m;
+  return 0;
+}
+
+// The uniform -> noise step at its edges: u1 = 1 (log 0, a signed-zero
+// draw), u1 = 2^-53 (the largest draw), and t = 2*pi*u2 at or next to a
+// multiple of pi/2, where cos is near 0 or the reduced angle is tiny.
+TEST(DpNoiseKernel, UniformEdgesMatchTheReference) {
+  constexpr std::uint64_t k51 = std::uint64_t{1} << 51;
+  struct Edge {
+    const char* what;
+    unsigned parity;
+    std::uint64_t m;
+    bool tiny_angle;
+  };
+  const Edge edges[] = {
+      {"m1 = 2^53 (u1 = 1)", 0, 4 * k51, false},
+      {"m1 = 1", 0, 1, false},
+      {"m2 = 2^53 (t = 2 pi)", 1, 4 * k51, true},
+      {"m2 = 2^51 (t = pi/2)", 1, k51, true},
+      {"m2 = 2^51 - 1", 1, k51 - 1, true},
+      {"m2 = 2^51 + 1", 1, k51 + 1, true},
+      {"m2 = 2^52 (t = pi)", 1, 2 * k51, true},
+      {"m2 = 2^52 - 1", 1, 2 * k51 - 1, true},
+      {"m2 = 2^52 + 1", 1, 2 * k51 + 1, true},
+      {"m2 = 3 * 2^51 (t = 3 pi/2)", 1, 3 * k51, true},
+      {"m2 = 3 * 2^51 - 1", 1, 3 * k51 - 1, true},
+      {"m2 = 3 * 2^51 + 1", 1, 3 * k51 + 1, true},
+  };
+  const std::uint64_t key = 0x0DDBA11ULL;
+  for (const Edge& e : edges) {
+    SCOPED_TRACE(e.what);
+    const std::uint64_t idx = index_with_uniform(key, e.parity, e.m);
+    ASSERT_EQ((hash_combine(key, 2 * idx + e.parity) >> 11) + 1, e.m);
+    for (const double stddev : kNoiseStddevs) {
+      for (const float x0 : {-0.0f, 0.0f, 0.25f}) {
+        const float ref = noise_reference({x0}, key, idx, stddev)[0];
+        for (auto v : supported_variants()) {
+          SCOPED_TRACE(simd::variant_name(v));
+          const auto& ops = simd::ops(v);
+          float x = x0;
+          const std::size_t redone = ops.dp_noise_acc(
+              &x, 1, key, idx, stddev, &privacy::stateless_gaussian);
+          EXPECT_TRUE(same_bits(ref, x)) << "stddev " << stddev;
+          if (e.tiny_angle) {
+            EXPECT_EQ(redone, 1u);
+          }
+          // The same element as lane 7 of a full 16-lane block.
+          std::vector<float> xs(16, x0);
+          ops.dp_noise_acc(xs.data(), xs.size(), key, idx - 7, stddev,
+                           &privacy::stateless_gaussian);
+          EXPECT_TRUE(same_bits(ref, xs[7])) << "lane 7, stddev " << stddev;
+        }
+      }
+    }
+  }
+}
+
+// The share of elements the guard sends back to stateless_gaussian.  The
+// bound leaves about 3 in a million open; a guard that flags everything, or
+// a bound far wider than the error, fails here.
+TEST(DpNoiseKernel, RecomputesUnderOneElementInAThousand) {
+  constexpr std::size_t kDraws = 1000000;
+  for (auto v : supported_variants()) {
+    SCOPED_TRACE(simd::variant_name(v));
+    k::KernelContext ctx;
+    ctx.set_simd(&simd::ops(v));
+    std::vector<float> x(kDraws, 0.0f);
+    const std::size_t redone =
+        privacy::add_gaussian_noise(ctx, x, /*key=*/77, /*stddev=*/1.0);
+    EXPECT_LT(redone, kDraws / 1000);
+  }
+}
+
+// ------------------------------------------------- SecAgg mask kernels ----
+
+// The per-element loop the blocked kernel replaced, kept as its oracle.
+void mask_accum_oracle(std::uint64_t* acc, const float* x, double scale,
+                       const std::uint64_t* seeds, const std::int8_t* signs,
+                       std::size_t n_pairs, std::uint64_t base,
+                       std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const long long q = std::llrint(static_cast<double>(x[i]) * scale);
+    std::uint64_t v = static_cast<std::uint64_t>(static_cast<std::int64_t>(q));
+    const std::uint64_t idx = base + i;
+    for (std::size_t p = 0; p < n_pairs; ++p) {
+      const std::uint64_t m = hash_combine(seeds[p], idx);
+      v += signs[p] >= 0 ? m : 0ULL - m;
+    }
+    acc[i] += v;
+  }
+}
+
+// Every third element is special for the fixed-point encode: |x * 2^32| at
+// or past 2^51 (the lane conversion's limit), past 2^63, +-Inf, NaN, +-0,
+// and exact halves, which llrint rounds to even.
+std::vector<float> mask_input(std::size_t n, std::uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {
+      0x1p19f,        -0x1p19f,     0x1.fffffep18f, -0x1.fffffep18f,
+      1e10f,          -1e10f,       inf,            -inf,
+      std::numeric_limits<float>::quiet_NaN(),      0.0f,
+      -0.0f,          0x1.8p-32f,   0x1.4p-31f,     -0x1.8p-32f,
+      -0x1.4p-31f,    0x1p-33f,     3e38f,          0x1.000002p19f};
+  auto x = gaussian_vec(n, seed, 1e-3f);
+  constexpr std::size_t kSpecials = std::size(specials);
+  for (std::size_t i = 0; i < n; i += 3) x[i] = specials[(i / 3) % kSpecials];
+  return x;
+}
+
+TEST(SecAggMaskKernel, BlockedMaskMatchesThePerElementLoopWordForWord) {
+  constexpr double kScale = 0x1p32;  // the engine's fixed point
+  std::vector<std::uint64_t> seeds;
+  std::vector<std::int8_t> signs;
+  for (std::size_t p = 0; p < 9; ++p) {
+    seeds.push_back(hash_combine(0xA5, p));
+    signs.push_back(p % 3 == 1 ? -1 : (p == 4 ? 0 : 1));  // 0 adds, as +1
+  }
+  for (const std::size_t n : {1, 15, 16, 17, 1000, 420001}) {
+    const auto x = mask_input(n, 70 + n);
+    Rng rng(80 + n);
+    std::vector<std::uint64_t> acc0(n);
+    for (auto& a : acc0) a = rng.next_u64();
+    for (const std::uint64_t base :
+         {std::uint64_t{0}, (std::uint64_t{1} << 40) + 3}) {
+      for (std::size_t n_pairs = 0; n_pairs <= seeds.size(); ++n_pairs) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " base=" +
+                     std::to_string(base) +
+                     " pairs=" + std::to_string(n_pairs));
+        auto ref = acc0;
+        mask_accum_oracle(ref.data(), x.data(), kScale, seeds.data(),
+                          signs.data(), n_pairs, base, n);
+        for (auto v : supported_variants()) {
+          auto acc = acc0;
+          simd::ops(v).secagg_mask_accum(acc.data(), x.data(), kScale,
+                                         seeds.data(), signs.data(), n_pairs,
+                                         base, n);
+          EXPECT_EQ(ref, acc) << simd::variant_name(v);
+        }
+      }
+      // The dropout strip shares the pair loop: acc[i] += sign * hash.
+      for (const std::int8_t sign : {std::int8_t{1}, std::int8_t{-1}}) {
+        auto ref = acc0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t m = hash_combine(seeds[0], base + i);
+          ref[i] += sign >= 0 ? m : 0ULL - m;
+        }
+        for (auto v : supported_variants()) {
+          auto acc = acc0;
+          simd::ops(v).secagg_prg_accum(acc.data(), seeds[0], sign, base, n);
+          EXPECT_EQ(ref, acc) << simd::variant_name(v) << " prg sign "
+                              << int{sign};
+        }
+      }
+    }
   }
 }
 

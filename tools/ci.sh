@@ -102,6 +102,13 @@ PHOTON_SIMD=scalar PHOTON_WIRE_CODEC=q8 PHOTON_SECAGG=1 \
   ctest --test-dir "$ROOT/build" --output-on-failure \
       -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
 
+# Serial kernel path (DESIGN.md §6): with PHOTON_NUM_THREADS=1 the default
+# kernel context never forks, so every kernel, and the real-time floors of
+# bench_round_path_smoke, run on the calling thread alone.
+echo "==> [tier-1/serial] ctest with PHOTON_NUM_THREADS=1"
+PHOTON_NUM_THREADS=1 ctest --test-dir "$ROOT/build" --output-on-failure \
+      -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
+
 # The end-to-end benchmark (bench_e2e/README.md) compiles against src/ but
 # sits outside the default build, so a src/ change that breaks it would
 # otherwise fail only in the benchmark pipeline.  Build it the way
