@@ -2,9 +2,10 @@
 //
 // Default mode times every hot kernel at one thread, the way each client
 // runs them inside the round's client fan-out, and prints seconds per call
-// and GFLOP/s per kernel shape, then the train-step MFU before and after
-// SIMD.  Timings come from bench_common.hpp's sampler; the real-clock
-// record of a workload's kernels is bench_e2e's per-layer view.
+// and GFLOP/s per kernel shape, the q8 wire kernels in GB/s, then the
+// train-step MFU before and after SIMD.  Timings come from
+// bench_common.hpp's sampler; the real-clock record of a workload's kernels
+// is bench_e2e's per-layer view.
 //
 //   bench_micro_kernels [--gbench [google-benchmark args...]]
 //
@@ -25,6 +26,7 @@
 #include "comm/collective.hpp"
 #include "comm/compression.hpp"
 #include "comm/message.hpp"
+#include "comm/quantization.hpp"
 #include "data/corpus.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/simd.hpp"
@@ -34,6 +36,7 @@
 #include "tensor/kernel_context.hpp"
 #include "tensor/kernels.hpp"
 #include "util/rng.hpp"
+#include "util/serialization.hpp"
 
 namespace {
 
@@ -219,6 +222,44 @@ double run_kernels() {
   return peak;
 }
 
+// ------------------------------------------------------- wire kernels --
+
+/// The q8 wire path at bench_e2e's wire_q8 shape (658,944 params, 256-float
+/// blocks, 256 KiB chunks), at one thread: the client's error-feedback
+/// residual, one chunk's encode, the server's fold of that chunk into its
+/// fp64 sum, and the fused copy+CRC of the fp32 broadcast.  GB/s counts
+/// the fp32 bytes each call covers.
+void run_wire_kernels() {
+  constexpr std::size_t kN = 658944;
+  const std::size_t chunk = wire_chunk_bytes() / sizeof(float);
+  Rng rng(17);
+  const auto x = gaussian(rng, kN, 0.02f);
+  std::vector<float> res(kN);
+  std::vector<std::uint8_t> enc;
+  std::vector<double> acc(chunk, 0.0);
+  std::vector<std::uint8_t> copy(kN * sizeof(float));
+  const auto run = [](const std::string& name, const std::string& shape,
+                      std::size_t floats, const std::function<void()>& fn) {
+    const double secs = bench::median_seconds_per_call({fn})[0];
+    std::printf("  %-22s %-28s %10.3f ms  %8.2f GB/s\n", name.c_str(),
+                shape.c_str(), secs * 1e3,
+                static_cast<double>(floats * sizeof(float)) / secs * 1e-9);
+  };
+  const std::string whole = "n=" + std::to_string(kN);
+  const std::string one = "n=" + std::to_string(chunk);
+  run("residual_of_q8", whole, kN,
+      [&] { wire_quant::residual_of(x.data(), res.data(), kN, 8); });
+  run("q8_chunk_encode", one, chunk,
+      [&] { wire_quant::encode_chunk(x.data(), chunk, 8, enc); });
+  run("q8_chunk_accumulate", one, chunk, [&] {
+    wire_quant::accumulate_chunk(enc, chunk, 8, 1.0, acc.data());
+  });
+  run("crc32_copy", whole, kN, [&] {
+    crc32_copy(copy.data(), {reinterpret_cast<const std::uint8_t*>(x.data()),
+                             kN * sizeof(float)});
+  });
+}
+
 // ------------------------------------------------------ MFU before/after --
 
 // Model-FLOPs utilization of a full train step (forward/backward + fused
@@ -379,6 +420,8 @@ int main(int argc, char** argv) {
   // active (best) SIMD variant — not a theoretical number, so MFU compares
   // like with like on this host.
   const double peak_gflops = run_kernels();
+  std::printf("wire kernels at one thread (wire_q8 shape)\n");
+  run_wire_kernels();
   std::printf("train-step MFU (model=micro, peak ref %.2f GFLOP/s)\n",
               peak_gflops);
   print_train_mfu(simd::Variant::kScalar, peak_gflops);

@@ -266,9 +266,10 @@ void new_round(const std::vector<float>& params, int k,
 }
 
 // Streamed quantized path (the Aggregator's all-streamed fan-in): update
-// returns are CRC-validated but kept compressed; each PHO2 chunk is
-// dequantized and mean-accumulated on the pool without ever holding a full
-// fp32 update per client.
+// returns are CRC-validated but kept compressed; each PHO2 chunk's codes
+// fold straight into an fp64 sum on the pool (the Aggregator's
+// wire_quant::accumulate_chunk) without ever holding a full fp32 update
+// per client.
 void streamed_round(const std::vector<float>& params, int k,
                     const std::string& codec, NewRoundState& st,
                     std::uint64_t* wire_bytes) {
@@ -294,18 +295,14 @@ void streamed_round(const std::vector<float>& params, int k,
   const WireView& head = st.wires.front();
   st.pseudo_grad.resize(head.raw_bytes / sizeof(float));
   const double inv = 1.0 / static_cast<double>(k);
+  const int bits = codec_by_name(head.codec)->quant_bits();
   global_pool().parallel_for(head.n_chunks(), [&](std::size_t ch) {
     const std::size_t len = head.raw_len(ch) / sizeof(float);
-    std::vector<float> tmp(len);
     std::vector<double> acc(len, 0.0);
     for (int c = 0; c < k; ++c) {
-      const WireView& v = st.wires[static_cast<std::size_t>(c)];
-      codec_by_name(v.codec)->decompress_into(
-          v.chunk(ch), {reinterpret_cast<std::uint8_t*>(tmp.data()),
-                        len * sizeof(float)});
-      for (std::size_t e = 0; e < len; ++e) {
-        acc[e] += static_cast<double>(tmp[e]);
-      }
+      wire_quant::accumulate_chunk(
+          st.wires[static_cast<std::size_t>(c)].chunk(ch), len, bits, 1.0,
+          acc.data());
     }
     float* out = st.pseudo_grad.data() + head.raw_off(ch) / sizeof(float);
     for (std::size_t e = 0; e < len; ++e) {

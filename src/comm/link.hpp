@@ -113,8 +113,9 @@ class SimLink {
   /// Serialize, "send", and deserialize a message into `out` (bit-exact,
   /// CRC-checked) and record stats.  Zero-copy: encodes into scratch
   /// buffers this link keeps across rounds and decodes into `out`, reusing
-  /// its payload capacity.  Chunked codec/CRC work runs on the pool set via
-  /// set_thread_pool.
+  /// its payload capacity.  The message is encoded once, at its first
+  /// attempt that reaches the wire; a retry resends those bytes.  Chunked
+  /// codec/CRC work runs on the pool set via set_thread_pool.
   ///
   /// Fault tolerance: each attempt consults the fault hook (if any); a
   /// transient send failure or a CRC-rejected (corrupted) reception is
@@ -122,8 +123,18 @@ class SimLink {
   /// deterministic jitter, bounded attempts, optional per-message simulated
   /// deadline.  Exhausting the budget throws TransmitError and counts an
   /// aborted message; with no hook and no faults the path and stats are
-  /// bit-identical to the pre-fault-engine transmit.
+  /// bit-identical to the pre-fault-engine transmit.  A corrupted attempt
+  /// flips its bit in a copy of the wire image private to that attempt,
+  /// never in the image itself.
   void transmit(const Message& message, Message& out);
+
+  /// transmit() for a message already encoded into `image` by
+  /// message.encode_into: every attempt sends image.wire, so one encode
+  /// serves any number of links, concurrently too — `image` is only read.
+  /// `message` still keys the fault hook and the retry backoff, and the
+  /// stats, spans and decoded `out` equal those of transmit(message, out).
+  void transmit(const Message& message, const WireScratch& image,
+                Message& out);
 
   /// Validate-only transmit for the streamed aggregation path: identical
   /// retry/backoff/fault/stats/trace semantics to transmit(message, out),
@@ -152,8 +163,11 @@ class SimLink {
   void set_trace_context(const LinkTraceContext& ctx) { trace_ = ctx; }
 
  private:
+  /// The one attempt loop: sends `image`, or (nullptr) the message
+  /// encoded into scratch_ at its first attempt that reaches the wire.
   template <typename Receive>
-  void transmit_impl(const Message& message, Receive&& receive);
+  void transmit_impl(const Message& message, const WireScratch* image,
+                     Receive&& receive);
 
   std::string name_;
   double bandwidth_gbps_;

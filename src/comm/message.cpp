@@ -169,8 +169,9 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
   if (codec_ptr->is_identity()) {
     // Identity fast path: compressed bytes == raw bytes, so every chunk's
     // wire offset is known up front.  Write the length table, size the
-    // buffer once, then fused copy+CRC each chunk straight into place —
-    // one pass over the payload instead of a memcpy followed by a CRC pass.
+    // buffer once (CRC included, so its append never reallocates), then
+    // fused copy+CRC each chunk straight into place — one pass over the
+    // payload instead of a memcpy followed by a CRC pass.
     for (std::size_t c = 0; c < plan.n_chunks; ++c) {
       lens[c] = plan.raw_len(c);
       w.write(lens[c]);
@@ -178,6 +179,7 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
     auto buf = w.take();
     const std::size_t data_off = buf.size();
     scratch.payload_offset = data_off;
+    buf.reserve(data_off + plan.raw_bytes + sizeof(std::uint32_t));
     buf.resize(data_off + plan.raw_bytes);
     for_chunks(pool, plan.n_chunks, [&](std::size_t c) {
       const std::size_t off = plan.raw_off(c);

@@ -125,15 +125,21 @@ std::size_t decoded_bytes(std::span<const std::uint8_t> in) {
   return static_cast<std::size_t>(n32) * sizeof(float);
 }
 
-void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
-                  int bits) {
+namespace {
+
+// Calls fn(off, len, codes, factor) for every block of a mode-0 chunk that
+// decodes to raw_bytes bytes, after the header and size checks every reader
+// of the layout shares.  q4 codes are unpacked into a block of int8 first.
+template <typename Fn>
+void for_each_block(std::span<const std::uint8_t> in, std::size_t raw_bytes,
+                    int bits, Fn&& fn) {
   if (in.size() < kScalesOff || in[kModeOff] != 0) {
     throw std::runtime_error("wire_quant: malformed chunk header");
   }
   std::uint32_t n32;
   std::memcpy(&n32, in.data() + kCountOff, sizeof(n32));
   const std::size_t n = n32;
-  if (n * sizeof(float) != out.size()) {
+  if (n * sizeof(float) != raw_bytes) {
     throw std::runtime_error("wire_quant: chunk size mismatch");
   }
   if (in.size() != encoded_bytes(n, bits)) {
@@ -143,11 +149,7 @@ void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
   const std::uint8_t* scales = in.data() + kScalesOff;
   const std::uint8_t* codes_in = scales + 4 * nb;
   const int limit = code_limit(bits);
-  const auto& ops = simd::ops();
-
   alignas(64) std::int8_t tmp[kBlockFloats];
-  alignas(64) float ftmp[kBlockFloats];
-  const bool direct = aligned_floats(out.data());
   for (std::size_t b = 0; b < nb; ++b) {
     const std::size_t off = b * kBlockFloats;
     const std::size_t len = std::min(kBlockFloats, n - off);
@@ -161,15 +163,56 @@ void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
     } else {
       codes = reinterpret_cast<const std::int8_t*>(codes_in);
     }
-    if (direct) {
-      ops.dequant_i8(reinterpret_cast<float*>(out.data()) + off, codes, len,
-                     factor);
-    } else {
-      ops.dequant_i8(ftmp, codes, len, factor);
-      std::memcpy(out.data() + off * sizeof(float), ftmp, len * sizeof(float));
-    }
+    fn(off, len, codes, factor);
     codes_in += block_code_bytes(len, bits);
   }
+}
+
+}  // namespace
+
+void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+                  int bits) {
+  const auto& ops = simd::ops();
+  alignas(64) float ftmp[kBlockFloats];
+  const bool direct = aligned_floats(out.data());
+  for_each_block(in, out.size(), bits,
+                 [&](std::size_t off, std::size_t len,
+                     const std::int8_t* codes, float factor) {
+                   if (direct) {
+                     ops.dequant_i8(reinterpret_cast<float*>(out.data()) + off,
+                                    codes, len, factor);
+                   } else {
+                     ops.dequant_i8(ftmp, codes, len, factor);
+                     std::memcpy(out.data() + off * sizeof(float), ftmp,
+                                 len * sizeof(float));
+                   }
+                 });
+}
+
+void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
+                      int bits, double w, double* acc) {
+  if (in.empty()) {
+    if (n_floats != 0) throw std::runtime_error("q-codec: empty chunk");
+    return;
+  }
+  if (in[kModeOff] == 1) {
+    // Raw passthrough: fold the verbatim floats (unaligned in the wire).
+    if (in.size() - 1 != n_floats * sizeof(float)) {
+      throw std::runtime_error("q-codec: raw chunk size mismatch");
+    }
+    for (std::size_t e = 0; e < n_floats; ++e) {
+      float x;
+      std::memcpy(&x, in.data() + 1 + e * sizeof(float), sizeof(x));
+      acc[e] += w * static_cast<double>(x);
+    }
+    return;
+  }
+  const auto& ops = simd::ops();
+  for_each_block(in, n_floats * sizeof(float), bits,
+                 [&](std::size_t off, std::size_t len,
+                     const std::int8_t* codes, float factor) {
+                   ops.dequant_i8_acc_pd(acc + off, codes, len, factor, w);
+                 });
 }
 
 void residual_of(const float* x, float* res, std::size_t n, int bits) {
@@ -185,23 +228,27 @@ void residual_of(const float* x, float* res, std::size_t n, int bits) {
   const int limit = code_limit(bits);
   const auto& ops = simd::ops();
   alignas(64) std::int8_t codes[kBlockFloats];
+  std::vector<float> max_abs(n_blocks(std::min(chunk_floats, n)));
 
   for (std::size_t start = 0; start < n; start += chunk_floats) {
     const std::size_t len = std::min(chunk_floats, n - start);
-    // Mirror encode_chunk's all-or-nothing finiteness fallback per chunk.
+    // Mirror encode_chunk's all-or-nothing finiteness fallback per chunk;
+    // the scale pass keeps each block's max_abs for the code pass.
     bool finite = true;
-    for (std::size_t off = 0; off < len && finite; off += kBlockFloats) {
+    for (std::size_t b = 0; b * kBlockFloats < len && finite; ++b) {
+      const std::size_t off = b * kBlockFloats;
       const std::size_t blen = std::min(kBlockFloats, len - off);
-      finite = std::isfinite(ops.max_abs(x + start + off, blen));
+      max_abs[b] = ops.max_abs(x + start + off, blen);
+      finite = std::isfinite(max_abs[b]);
     }
     if (!finite) {
       std::memset(res + start, 0, len * sizeof(float));
       continue;
     }
-    for (std::size_t off = 0; off < len; off += kBlockFloats) {
+    for (std::size_t b = 0; b * kBlockFloats < len; ++b) {
+      const std::size_t off = b * kBlockFloats;
       const std::size_t blen = std::min(kBlockFloats, len - off);
-      const float max_abs = ops.max_abs(x + start + off, blen);
-      const float scale = max_abs > 0.0f ? max_abs : 1.0f;
+      const float scale = max_abs[b] > 0.0f ? max_abs[b] : 1.0f;
       const float inv = static_cast<float>(limit) / scale;
       const float factor = scale / static_cast<float>(limit);
       ops.quant_i8_ef(codes, res + start + off, x + start + off, blen, inv,

@@ -57,6 +57,15 @@ bool encode_chunk(const float* x, std::size_t n, int bits,
 void decode_chunk(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                   int bits);
 
+/// Fold a full encoded chunk (mode byte included) of n_floats floats into
+/// an fp64 weighted sum: acc[e] += w * x[e] for the floats x that
+/// decode_chunk (or, for a mode-1 chunk, the raw passthrough) would yield,
+/// bit for bit, without writing them out.  Mode-0 codes dequantize straight
+/// from the wire through the SIMD dequant_i8_acc_pd op.  Throws
+/// std::runtime_error wherever QuantCodec::decompress_into would.
+void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
+                      int bits, double w, double* acc);
+
 /// Raw size (bytes) a full encoded chunk decodes to; throws on malformed.
 std::size_t decoded_bytes(std::span<const std::uint8_t> in);
 
@@ -65,8 +74,10 @@ std::size_t decoded_bytes(std::span<const std::uint8_t> in);
 /// chunking at wire_chunk_bytes() and the per-block scales exactly.  This is
 /// the client-side half of error feedback: carrying `res` into the next
 /// round's pseudo-gradient makes quantization loss transient instead of
-/// cumulative.  Runs the fused quant_i8_ef kernel; deterministic across
-/// SIMD variants and thread counts.
+/// cumulative.  One max_abs pass per block sets both the chunk's
+/// finiteness fallback and the block scale, then the fused quant_i8_ef
+/// kernel writes the residual; deterministic across SIMD variants and
+/// thread counts.
 void residual_of(const float* x, float* res, std::size_t n, int bits);
 
 }  // namespace wire_quant

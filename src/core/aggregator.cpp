@@ -13,6 +13,7 @@
 #include "comm/collective.hpp"
 #include "comm/compression.hpp"
 #include "comm/message.hpp"
+#include "comm/quantization.hpp"
 #include "comm/secure_agg.hpp"
 #include "tensor/kernels.hpp"
 #include "util/logging.hpp"
@@ -211,6 +212,17 @@ LinkStats Aggregator::link_totals() const {
   return total;
 }
 
+Message Aggregator::encode_broadcast() {
+  Message broadcast;
+  broadcast.type = MessageType::kModelBroadcast;
+  broadcast.round = round_;
+  broadcast.sender = 0;
+  broadcast.payload_view = global_params_;
+  broadcast.metadata["local_steps"] = config_.local_steps;
+  broadcast.encode_into(broadcast_wire_, &global_pool());
+  return broadcast;
+}
+
 void Aggregator::arm(InFlight& slot, int client, double t) const {
   slot.client = client;
   slot.dispatch_time = t;
@@ -269,7 +281,7 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   link.set_trace_context({trace_, id, t});
   const obs::RealTimer bcast_timer = trace_.timer();
   try {
-    link.transmit(broadcast, slot.header);
+    link.transmit(broadcast, broadcast_wire_, slot.header);
   } catch (const TransmitError&) {
     slot.outcome = kLinkFailed;
     settle(0.0);
@@ -414,14 +426,15 @@ bool load_update(std::span<const std::uint8_t> wire, std::size_t n,
 }  // namespace
 
 // Streamed dequantize-and-accumulate (DESIGN.md §11): walk the retained
-// wire images chunk by chunk on the pool.  Each task decodes chunk c of
-// every view in `from` into task-local scratch and folds it with weight w
-// while that range is in cache, so no update's full fp32 form is ever
-// materialized.  With close_weight > 0 the views are the whole sum (a sync
-// round): the chunk accumulates in task-local fp64 and is narrowed to its
-// mean in pseudo_grad_ right away — per element the views add in `from`
-// order, the exact arithmetic of mean_rows_pd, so the mean is bit-identical
-// to the materialized collective at any thread count.  Otherwise (an async
+// wire images chunk by chunk on the pool.  Each task folds chunk c of every
+// view in `from` with weight w straight from its codes
+// (wire_quant::accumulate_chunk, the arithmetic of a decode followed by
+// fold_weighted), so no update's fp32 form is ever written out.  With
+// close_weight > 0 the views are the whole sum (a sync round): the chunk
+// accumulates in task-local fp64 and is narrowed to its mean in
+// pseudo_grad_ right away — per element the views add in `from` order, the
+// exact arithmetic of mean_rows_pd, so the mean is bit-identical to the
+// materialized collective at any thread count.  Otherwise (an async
 // accept) chunks fold into the drain accumulator acc_.
 std::vector<std::uint64_t> Aggregator::fold_streamed(
     std::span<const std::size_t> from, double w, double close_weight) {
@@ -436,15 +449,13 @@ std::vector<std::uint64_t> Aggregator::fold_streamed(
     const obs::RealTimer chunk_timer = trace_.timer();
     const std::size_t off = head.raw_off(c) / sizeof(float);
     const std::size_t len = head.raw_len(c) / sizeof(float);
-    std::vector<float> tmp(len);
     std::vector<double> local(close_weight > 0.0 ? len : 0, 0.0);
     double* acc = close_weight > 0.0 ? local.data() : acc_.data() + off;
     for (const std::size_t s : from) {
       const WireView& v = slots_[s].wire;
-      codec_by_name(v.codec)->decompress_into(
-          v.chunk(c),
-          {reinterpret_cast<std::uint8_t*>(tmp.data()), len * sizeof(float)});
-      fold_weighted(acc, tmp.data(), len, w);
+      wire_quant::accumulate_chunk(v.chunk(c), len,
+                                   codec_by_name(v.codec)->quant_bits(), w,
+                                   acc);
     }
     if (close_weight > 0.0) {
       narrow_mean(acc, pseudo_grad_.data() + off, len, close_weight);
@@ -646,6 +657,10 @@ RoundRecord Aggregator::run_round_sync() {
   // invariant) when a retried attempt held the round's slowest straggler.
   double retry_slowest = 0.0;
 
+  // One broadcast for the round, encoded once: every dispatch of every
+  // cohort attempt sends the same image.
+  const Message broadcast = encode_broadcast();
+
   // Cohort-attempt loop: a round that loses quorum is retried with a
   // freshly salted cohort (Alg. 1's sampling, salted by the attempt index)
   // rather than aborting the run.
@@ -685,16 +700,6 @@ RoundRecord Aggregator::run_round_sync() {
       slot.outcome = kLinkFailed;
       slot.sim_seconds = ke.member_seconds[static_cast<std::size_t>(pos)];
     }
-
-    // One broadcast message borrows the global parameters; every client
-    // link encodes straight from that buffer, so broadcasting to K clients
-    // makes zero copies of the model beyond the wire itself.
-    Message broadcast;
-    broadcast.type = MessageType::kModelBroadcast;
-    broadcast.round = round_;
-    broadcast.sender = 0;
-    broadcast.payload_view = global_params_;
-    broadcast.metadata["local_steps"] = config_.local_steps;
 
     fan_out(config_.parallel_clients, cohort.size(), [&](std::size_t i) {
       if (slots_[i].outcome != kOk) return;  // dropped at key exchange
@@ -1063,15 +1068,10 @@ RoundRecord Aggregator::run_round_async() {
     obs_.client_sim_seconds.observe(s.arrive_time - s.dispatch_time);
   };
 
-  // One broadcast borrows the global parameters for the whole drain: the
-  // model only mutates at drain boundaries, so every dispatch wave in this
-  // drain ships identical bytes and `round` pins the trained-on version.
-  Message broadcast;
-  broadcast.type = MessageType::kModelBroadcast;
-  broadcast.round = round_;
-  broadcast.sender = 0;
-  broadcast.payload_view = global_params_;
-  broadcast.metadata["local_steps"] = config_.local_steps;
+  // One broadcast for the whole drain, encoded once: the model only
+  // mutates at drain boundaries, so every dispatch wave in this drain ships
+  // identical bytes and `round` pins the trained-on version.
+  const Message broadcast = encode_broadcast();
 
   std::vector<std::size_t> wave_slots;
   std::vector<std::uint32_t> wave_seq;

@@ -338,13 +338,18 @@ class Aggregator {
   /// order; pure given (plan, round, states)).
   void apply_membership(RoundRecord& record);
   double staleness_weight(std::uint32_t staleness) const;
+  /// The model broadcast of round_ (borrowing global_params_), encoded
+  /// into broadcast_wire_ on the pool.  Call before a fan-out; every
+  /// dispatch in it sends that one image.
+  Message encode_broadcast();
   /// Reset `slot` for a fresh dispatch of `client` at sim time `t`.
   void arm(InFlight& slot, int client, double t) const;
   /// Broadcast + local training + update return for the client armed in
-  /// `slot` (Alg. 1 L5-7).  `attempt` salts the fault hook (the sync cohort
-  /// attempt, the async dispatch sequence); `deadline` > 0 cuts stragglers
-  /// (sync rounds).  Parallel-safe: only this slot, this client, and this
-  /// client's link are touched.
+  /// `slot` (Alg. 1 L5-7).  `broadcast` is encode_broadcast()'s message;
+  /// its image in broadcast_wire_ is only read.  `attempt` salts the fault
+  /// hook (the sync cohort attempt, the async dispatch sequence);
+  /// `deadline` > 0 cuts stragglers (sync rounds).  Parallel-safe: only
+  /// this slot, this client, and this client's link are touched.
   void dispatch(InFlight& slot, const Message& broadcast, std::uint32_t attempt,
                 double deadline);
   /// Count a resolved slot's failure (crash, link failure, deadline cut, or
@@ -423,6 +428,9 @@ class Aggregator {
   /// Pseudo-gradient of the round; async drains also use it as scratch for
   /// each secagg wave's mean.
   std::vector<float> pseudo_grad_;
+  /// The current round's or drain's broadcast wire image, shared read-only
+  /// by every client link (capacity reused across rounds).
+  WireScratch broadcast_wire_;
 
   // --- elastic async engine state (DESIGN.md §12) -----------------------
   MembershipPlan membership_plan_;

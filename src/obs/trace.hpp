@@ -52,7 +52,8 @@ enum class SpanKind : std::uint8_t {
   kBroadcast,        // Agg -> client model broadcast (transfer + retries)
   kLocalTrain,       // client's tau local steps
   kLocalStep,        // one local optimizer step
-  kEncode,           // wire serialization of one transmit attempt
+  kEncode,           // one transmit attempt's wire encode (~0 real_ns
+                     // when it resends or sends a pre-encoded image)
   kDecode,           // wire deserialization of one transmit attempt
   kCollective,       // PS/AR/RAR aggregation collective
   kServerOpt,        // ServerOpt::apply on the global model

@@ -179,6 +179,11 @@ struct Ops {
   // round's pseudo-gradient.
   void (*quant_i8_ef)(std::int8_t* codes, float* res, const float* x,
                       std::size_t n, float inv, float factor);
+  // Fused dequantize + fp64 weighted accumulate (streamed fan-in):
+  //   acc[i] += w * double(float(codes[i]) * factor)
+  // i.e. dequant_i8 followed by the aggregator's fp64 fold, bit for bit.
+  void (*dequant_i8_acc_pd)(double* acc, const std::int8_t* codes,
+                            std::size_t n, float factor, double w);
 
   // ------------------------------------------------------------ DP noise --
   // Client-level DP noise (DESIGN.md §14), with gaussian =

@@ -103,15 +103,26 @@ inline vf i_pow2f(vi n) {
   return {_mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(n.a, bias), 23)),
           _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(n.b, bias), 23))};
 }
-inline void i_store(std::int32_t* p, vi v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v.a);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 8), v.b);
-}
 inline vf i8_to_f(const std::int8_t* p) {
   const __m128i lo = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
   const __m128i hi = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + 8));
   return {_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(lo)),
           _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(hi))};
+}
+inline vi i_clamp(vi v, std::int32_t lo, std::int32_t hi) {
+  const __m256i l = _mm256_set1_epi32(lo);
+  const __m256i h = _mm256_set1_epi32(hi);
+  return {_mm256_min_epi32(_mm256_max_epi32(v.a, l), h),
+          _mm256_min_epi32(_mm256_max_epi32(v.b, l), h)};
+}
+// packs works per 128-bit half, giving int16 quads a0-3 b0-3 a4-7 b4-7; the
+// qword permute restores lane order before the final pack to int8.
+inline void i8_store(std::int8_t* p, vi v) {
+  const __m256i w =
+      _mm256_permute4x64_epi64(_mm256_packs_epi32(v.a, v.b), 0xD8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                   _mm_packs_epi16(_mm256_castsi256_si128(w),
+                                   _mm256_extracti128_si256(w, 1)));
 }
 
 inline vd d_load(const double* p) {

@@ -77,12 +77,16 @@ inline vf i_pow2f(vi n) {
   return {_mm512_castsi512_ps(
       _mm512_slli_epi32(_mm512_add_epi32(n.v, _mm512_set1_epi32(127)), 23))};
 }
-inline void i_store(std::int32_t* p, vi v) {
-  _mm512_storeu_si512(p, v.v);
-}
 inline vf i8_to_f(const std::int8_t* p) {
   const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   return {_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw))};
+}
+inline vi i_clamp(vi v, std::int32_t lo, std::int32_t hi) {
+  return {_mm512_min_epi32(_mm512_max_epi32(v.v, _mm512_set1_epi32(lo)),
+                           _mm512_set1_epi32(hi))};
+}
+inline void i8_store(std::int8_t* p, vi v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm512_cvtepi32_epi8(v.v));
 }
 
 inline vd d_load(const double* p) {

@@ -127,11 +127,19 @@ inline vf i_pow2f(vi n) {
     r.l[j] = std::bit_cast<float>((n.l[j] + 127) << 23);
   return r;
 }
-inline void i_store(std::int32_t* p, vi v) { std::memcpy(p, v.l, sizeof(v.l)); }
 inline vf i8_to_f(const std::int8_t* p) {
   vf r;
   for (int j = 0; j < 16; ++j) r.l[j] = static_cast<float>(p[j]);
   return r;
+}
+inline vi i_clamp(vi v, std::int32_t lo, std::int32_t hi) {
+  for (int j = 0; j < 16; ++j) {
+    v.l[j] = v.l[j] < lo ? lo : (v.l[j] > hi ? hi : v.l[j]);
+  }
+  return v;
+}
+inline void i8_store(std::int8_t* p, vi v) {
+  for (int j = 0; j < 16; ++j) p[j] = static_cast<std::int8_t>(v.l[j]);
 }
 
 inline vd d_load(const double* p) {

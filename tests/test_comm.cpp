@@ -907,6 +907,73 @@ TEST(SimLink, InjectedCorruptionIsAlwaysDetectedAndRetransmitted) {
   }
 }
 
+TEST(SimLink, SharedImageIsNeverWrittenAndMatchesTransmit) {
+  // One pre-encoded image serves every link.  A corrupted attempt flips
+  // its bit in a private copy, so the image stays byte-identical, the
+  // retry delivers the clean bytes, and the stats and every span's sim
+  // fields equal those of a transmit() that encodes the message itself.
+  for (const char* codec : {"", "q8"}) {
+    SCOPED_TRACE(codec);
+    Message m;
+    m.round = 3;
+    m.sender = 1;
+    m.codec = codec;
+    m.payload = sparse_floats(70000, 29);  // > one 256 KiB wire chunk
+    m.metadata["local_steps"] = 4.0;
+    WireScratch image;
+    m.encode_into(image);
+    const std::vector<std::uint8_t> pristine = image.wire;
+
+    RetryPolicy policy;
+    policy.max_attempts = 4;
+    struct Run {
+      LinkStats stats;
+      std::vector<obs::TraceEvent> events;
+    };
+    const auto run = [&](const WireScratch* shared, Message& out) {
+      obs::Tracer tracer;
+      SimLink link("shared", 1.0);
+      link.set_retry_policy(policy);
+      link.set_fault_hook([](const Message&, int attempt) {
+        LinkFault f;
+        f.corrupt = attempt == 1 ? 0xBADC0DEULL
+                                 : (attempt == 3 ? 0x100000001ULL : 0);
+        f.drop = attempt == 2;
+        return f;
+      });
+      link.set_trace_context({obs::RoundTrace(&tracer, 0), 2, 5.0});
+      if (shared != nullptr) {
+        link.transmit(m, *shared, out);
+      } else {
+        link.transmit(m, out);
+      }
+      return Run{link.stats(), tracer.drain()};
+    };
+    Message via_image, via_encode;
+    const Run a = run(&image, via_image);
+    const Run b = run(nullptr, via_encode);
+    EXPECT_EQ(image.wire, pristine);
+    EXPECT_EQ(a.stats.corrupt_chunks, 2u);
+    EXPECT_EQ(a.stats.send_failures, 1u);
+    EXPECT_EQ(a.stats.retries, 3u);
+    EXPECT_TRUE(a.stats == b.stats);
+    EXPECT_EQ(via_image.payload, via_encode.payload);
+    EXPECT_EQ(via_image.metadata, m.metadata);
+    if (codec[0] == '\0') {
+      EXPECT_EQ(via_image.payload, m.payload);
+    }
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+      const obs::TraceEvent& x = a.events[i];
+      const obs::TraceEvent& y = b.events[i];
+      EXPECT_TRUE(x.kind == y.kind && x.round == y.round &&
+                  x.actor == y.actor && x.detail == y.detail &&
+                  x.sim_begin == y.sim_begin && x.sim_end == y.sim_end)
+          << "span " << i;
+    }
+  }
+}
+
 TEST(SimLink, EmptyPayloadCorruptionStillDetected) {
   SimLink link("empty", 1.0);
   link.set_fault_hook([](const Message&, int attempt) {

@@ -6,8 +6,9 @@
 //  * Every fused kernel (bias+GELU, clip+AdamW step, quantize, copy+CRC)
 //    must match its unfused composition bit for bit — fusion is a pure
 //    performance transform, never a numerics change.
-//  * The privacy kernels (DP noise, SecAgg masks) must match the scalar
-//    loops they replaced bit for bit.
+//  * The privacy kernels (DP noise, SecAgg masks) and the wire kernels
+//    (quantize, error-feedback residual, dequantize-accumulate) must match
+//    the scalar loops they replaced bit for bit.
 //
 // Comparisons use memcmp, not tolerances: the contract is exactness.
 
@@ -548,6 +549,72 @@ TEST(FusedKernels, QuantizeMatchesScalarReference) {
   }
   simd::set_active_variant(before);
   for (std::size_t i = 1; i < wires.size(); ++i) EXPECT_EQ(wires[0], wires[i]);
+}
+
+// The wire kernels against the scalar loops they replaced, on inputs that
+// reach the ±127 clamp and land exactly on .5 rounding ties, at every tail
+// length alone and behind full blocks.  (x*inv of a gaussian scaled by 40
+// never reaches the clamp.)
+TEST(WireKernels, QuantAndDequantAccumulateMatchTheScalarLoops) {
+  constexpr float kInv = 2.0f;
+  constexpr float kFactor = 0.37f;
+  constexpr double kW = 0.3;
+  std::vector<std::size_t> lengths{256, 4099};
+  for (std::size_t tail = 1; tail < 16; ++tail) {
+    lengths.push_back(tail);
+    lengths.push_back(32 + tail);
+  }
+  std::size_t clamped = 0;
+  std::size_t ties = 0;
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Every third x*inv is a tie k + 0.5 for k in [-141, 141] (exact:
+    // halving and doubling are exact); the rest are gaussians of sigma 100.
+    Rng rng(600 + n);
+    std::vector<float> x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = i % 3 == 0
+                 ? (static_cast<float>(static_cast<int>((i / 3) % 283) - 141) +
+                    0.5f) / kInv
+                 : rng.gaussian(0.0f, 100.0f);
+      const float q = x[i] * kInv;
+      clamped += std::fabs(q) > 127.5f ? 1 : 0;
+      ties += q == std::floor(q) + 0.5f ? 1 : 0;
+    }
+    std::vector<double> acc0(n);
+    for (auto& a : acc0) a = rng.next_gaussian();
+
+    // The replaced loops: round to nearest even, clamp, narrow; the
+    // residual and the aggregator's fp64 fold of the dequantized float.
+    std::vector<std::int8_t> codes_ref(n);
+    std::vector<float> res_ref(n);
+    std::vector<double> acc_ref = acc0;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int32_t t = static_cast<std::int32_t>(std::lrintf(x[i] * kInv));
+      t = t < -127 ? -127 : (t > 127 ? 127 : t);
+      codes_ref[i] = static_cast<std::int8_t>(t);
+      res_ref[i] = x[i] - static_cast<float>(t) * kFactor;
+      acc_ref[i] += kW * static_cast<double>(static_cast<float>(t) * kFactor);
+    }
+    for (auto v : supported_variants()) {
+      SCOPED_TRACE(simd::variant_name(v));
+      const auto& ops = simd::ops(v);
+      std::vector<std::int8_t> codes(n);
+      ops.quant_i8(codes.data(), x.data(), n, kInv);
+      EXPECT_EQ(codes_ref, codes) << "quant_i8";
+      std::vector<std::int8_t> codes_ef(n);
+      std::vector<float> res(n);
+      ops.quant_i8_ef(codes_ef.data(), res.data(), x.data(), n, kInv, kFactor);
+      EXPECT_EQ(codes_ref, codes_ef) << "quant_i8_ef codes";
+      EXPECT_TRUE(bytes_equal(res_ref, res)) << "quant_i8_ef residual";
+      std::vector<double> acc = acc0;
+      ops.dequant_i8_acc_pd(acc.data(), codes_ref.data(), n, kFactor, kW);
+      EXPECT_EQ(0, std::memcmp(acc_ref.data(), acc.data(), n * sizeof(double)))
+          << "dequant_i8_acc_pd";
+    }
+  }
+  EXPECT_GT(clamped, 100u);
+  EXPECT_GT(ties, 100u);
 }
 
 TEST(FusedKernels, Crc32CopyMatchesMemcpyPlusCrc32) {

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,6 +189,91 @@ TEST(WireQuant, ResidualIsDeterministicAcrossRepeatedCalls) {
                              a.size()), 0.0);
 }
 
+TEST(WireQuant, NonFiniteInAChunksLastBlockZeroesTheWholeChunk) {
+  // The scale pass stops at a chunk's first non-finite block.  One that
+  // only the chunk's last block holds must still send the whole chunk raw
+  // (zero residual), while the chunks around it keep their residuals.
+  const std::size_t chunk = wire_chunk_bytes() / sizeof(float);
+  const std::size_t n = 2 * chunk + 1000;  // two full chunks and a tail
+  auto x = gaussian_floats(n, 0xF1, 0.02f);
+  x[chunk - 1] = std::numeric_limits<float>::infinity();
+  x[n - 1] = -std::numeric_limits<float>::infinity();
+  for (const int bits : {8, 4}) {
+    std::vector<float> res(n, -1.0f);
+    wire_quant::residual_of(x.data(), res.data(), n, bits);
+    const auto zero = [&](std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; ++i) {
+        if (res[i] != 0.0f || std::signbit(res[i])) return false;
+      }
+      return true;
+    };
+    EXPECT_TRUE(zero(0, chunk)) << bits;
+    EXPECT_TRUE(zero(2 * chunk, n)) << bits;
+    // The finite middle chunk keeps the residual it has on its own.
+    const std::vector<float> mid(x.begin() + chunk, x.begin() + 2 * chunk);
+    std::vector<float> want(chunk);
+    wire_quant::residual_of(mid.data(), want.data(), chunk, bits);
+    EXPECT_EQ(0, std::memcmp(want.data(), res.data() + chunk,
+                             chunk * sizeof(float)))
+        << bits;
+    EXPECT_GT(kernels::l2_norm(kernels::default_context(), want.data(),
+                               chunk),
+              0.0);
+  }
+}
+
+TEST(WireQuant, AccumulateChunkEqualsDecodeThenFold) {
+  // accumulate_chunk folds a chunk's codes straight into the fp64 sum; it
+  // must equal decompress_into followed by acc += w * double(x), bit for
+  // bit, on quantized and raw-fallback chunks, and reject what
+  // decompress_into rejects before touching the sum.
+  for (const char* name : {"q8", "q4"}) {
+    const Codec* codec = codec_by_name(name);
+    const int bits = codec->quant_bits();
+    for (const std::size_t n : {std::size_t{1}, std::size_t{300},
+                                std::size_t{4099}}) {
+      for (const bool finite : {true, false}) {
+        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
+                     (finite ? "" : " raw"));
+        auto x = gaussian_floats(n, 0xACC + n, 0.05f);
+        if (!finite) x[n / 2] = std::numeric_limits<float>::infinity();
+        const auto wire = codec->compress(as_bytes(x));
+        ASSERT_EQ(wire[0], finite ? 0 : 1);
+        std::vector<float> decoded(n);
+        codec->decompress_into(
+            wire, {reinterpret_cast<std::uint8_t*>(decoded.data()),
+                   n * sizeof(float)});
+        const auto acc0 = [&] {
+          std::vector<double> a(n);
+          Rng rng(n);
+          for (auto& v : a) v = rng.next_gaussian();
+          return a;
+        }();
+        constexpr double kW = 0.7;
+        std::vector<double> want = acc0;
+        for (std::size_t e = 0; e < n; ++e) {
+          want[e] += kW * static_cast<double>(decoded[e]);
+        }
+        std::vector<double> got = acc0;
+        wire_quant::accumulate_chunk(wire, n, bits, kW, got.data());
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+
+        const std::span<const std::uint8_t> w8(wire);
+        EXPECT_THROW(wire_quant::accumulate_chunk(w8.first(w8.size() - 1), n,
+                                                  bits, kW, got.data()),
+                     std::runtime_error);
+        EXPECT_THROW(
+            wire_quant::accumulate_chunk(w8, n + 1, bits, kW, got.data()),
+            std::runtime_error);
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+      }
+    }
+    std::vector<double> none(1, 0.0);
+    EXPECT_THROW(wire_quant::accumulate_chunk({}, 1, bits, 1.0, none.data()),
+                 std::runtime_error);
+  }
+}
+
 // ---------------------------------------------------- streamed aggregation --
 
 TEST(StreamedAggregation, ChunkMeanMatchesMaterializedCollective) {
@@ -225,21 +311,17 @@ TEST(StreamedAggregation, ChunkMeanMatchesMaterializedCollective) {
   }
   collective_mean(Topology::kParameterServer, spans);
 
-  // Streamed: per chunk, dequantize each survivor and fold into the mean.
+  // Streamed: per chunk, fold each survivor's codes into an fp64 sum with
+  // the aggregator's per-chunk accumulate, then narrow to the mean.
   std::vector<float> streamed(kN);
   const double inv = 1.0 / static_cast<double>(kK);
   const WireView& head = views.front();
   for (std::size_t c = 0; c < head.n_chunks(); ++c) {
     const std::size_t len = head.raw_len(c) / sizeof(float);
-    std::vector<float> tmp(len);
     std::vector<double> acc(len, 0.0);
     for (std::size_t k = 0; k < kK; ++k) {
-      codec->decompress_into(views[k].chunk(c),
-                             {reinterpret_cast<std::uint8_t*>(tmp.data()),
-                              len * sizeof(float)});
-      for (std::size_t e = 0; e < len; ++e) {
-        acc[e] += static_cast<double>(tmp[e]);
-      }
+      wire_quant::accumulate_chunk(views[k].chunk(c), len,
+                                   codec->quant_bits(), 1.0, acc.data());
     }
     float* out = streamed.data() + head.raw_off(c) / sizeof(float);
     for (std::size_t e = 0; e < len; ++e) {

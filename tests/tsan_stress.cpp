@@ -211,6 +211,36 @@ bool comm_race_free(ThreadPool& pool) {
     std::fprintf(stderr, "FAIL concurrent transmit round-trip\n");
     return false;
   }
+
+  // One pre-encoded broadcast image sent from all four links at once under
+  // a corrupting fault hook: each corrupted attempt flips its bit in its
+  // own private copy, so the shared image is only ever read.
+  photon::WireScratch image;
+  broadcast.encode_into(image, &pool);
+  const std::vector<std::uint8_t> pristine = image.wire;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].set_fault_hook([i](const photon::Message&, int attempt) {
+      photon::LinkFault f;
+      if (attempt == 1) f.corrupt = 0x9E3779B97F4A7C15ull + i;
+      return f;
+    });
+  }
+  for (int rep = 0; rep < 5; ++rep) {
+    pool.parallel_for(links.size(), [&](std::size_t i) {
+      links[i].transmit(broadcast, image, rx[i]);
+      if (rx[i].payload != payload) ok.store(false);
+    });
+  }
+  if (!ok.load() || image.wire != pristine) {
+    std::fprintf(stderr, "FAIL shared-image transmit under corruption\n");
+    return false;
+  }
+  for (const auto& l : links) {
+    if (l.stats().corrupt_chunks != 5) {
+      std::fprintf(stderr, "FAIL shared-image corruption not detected\n");
+      return false;
+    }
+  }
   return true;
 }
 
