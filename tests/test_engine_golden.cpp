@@ -1,20 +1,24 @@
 // Golden engine digests: a fixed matrix of small federations, each reduced
-// to two FNV-1a digests.  The engine digest covers everything the round
-// engines produce deterministically — final global parameters, every
-// RoundRecord field but the two wall-clock ones, every drained trace event's
-// deterministic fields, and the autotuner's captured state.  The checkpoint
-// digest covers the checkpoint directory's file bytes.
+// to up to three FNV-1a digests.  The engine digest covers everything the
+// round engines produce deterministically — final global parameters, every
+// RoundRecord field but the two wall-clock ones, and the autotuner's
+// captured state.  The trace digest covers every drained trace event's
+// deterministic fields.  The checkpoint digest covers the checkpoint
+// directory's file bytes.  Two more entries run the experiment harnesses the
+// paper benches share, PhotonRunner and CentralizedTrainer, end to end.
 //
 // The constants pin the engines' outputs across refactors: a change to how
 // rounds dispatch, aggregate, trace or checkpoint that moves a single bit
 // (an arrival time summed in a different order, say) changes a digest.  A
-// change to the checkpoint file format moves only the checkpoint digests,
-// so the engine digests still prove the engines' outputs unchanged.
+// new span kind moves only the trace digests and a change to the checkpoint
+// file format only the checkpoint digests, so the engine digests still
+// prove the engines' outputs unchanged.
 // Every codec is pinned ("rle0", never the env-overridable "") and every
 // config sets privacy.ignore_env, so the PHOTON_WIRE_CODEC and PHOTON_SECAGG
-// CI lanes run the same federations as the default lane.  SIMD variants and
-// thread counts are bit-identical by contract, so the digests hold under
-// every PHOTON_SIMD / PHOTON_NUM_THREADS setting too.
+// CI lanes run the same federations as the default lane.  The runner has no
+// ignore_env, so its entry runs under secure aggregation in every lane.
+// SIMD variants and thread counts are bit-identical by contract, so the
+// digests hold under every PHOTON_SIMD / PHOTON_NUM_THREADS setting too.
 
 #include <gtest/gtest.h>
 
@@ -29,9 +33,11 @@
 #include <string>
 #include <vector>
 
+#include "baselines/centralized.hpp"
 #include "comm/message.hpp"
 #include "core/aggregator.hpp"
 #include "core/client.hpp"
+#include "core/runner.hpp"
 #include "core/server_opt.hpp"
 #include "data/corpus.hpp"
 #include "data/stream.hpp"
@@ -229,8 +235,10 @@ std::filesystem::path fresh_dir(const std::string& name) {
   return dir;
 }
 
+/// 0 = the case records no digest of that kind.
 struct Digests {
   std::uint64_t engine = 0;
+  std::uint64_t trace = 0;
   std::uint64_t ckpt = 0;
 };
 
@@ -244,8 +252,7 @@ std::uint64_t take_dir(const std::filesystem::path& dir) {
 
 /// Run `rounds` rounds of `f` (optionally killing the server after
 /// `crash_after` rounds and finishing on a fresh process restored from
-/// disk) and digest the surviving engine with its trace, and its
-/// checkpoints.
+/// disk) and digest the surviving engine, its trace and its checkpoints.
 Digests run_plain(const std::string& name, Federation f, int rounds,
                         int crash_after = -1) {
   const auto dir = fresh_dir(name);
@@ -264,10 +271,11 @@ Digests run_plain(const std::string& name, Federation f, int rounds,
     EXPECT_TRUE(agg->restore_latest_checkpoint()) << name;
   }
   for (int r = std::max(crash_after, 0); r < rounds; ++r) agg->run_round();
-  Fnv1a h;
-  hash_engine(h, *agg);
-  hash_events(h, tracer.drain());
-  return {h.value(), take_dir(dir)};
+  Fnv1a engine;
+  hash_engine(engine, *agg);
+  Fnv1a trace;
+  hash_events(trace, tracer.drain());
+  return {engine.value(), trace.value(), take_dir(dir)};
 }
 
 Digests run_tuned(const std::string& name, Federation f, int rounds) {
@@ -283,7 +291,62 @@ Digests run_tuned(const std::string& name, Federation f, int rounds) {
   Fnv1a h;
   hash_engine(h, *agg);
   h.vec(session.tuner().capture_state());
-  return {h.value(), take_dir(dir)};
+  return {.engine = h.value(), .ckpt = take_dir(dir)};
+}
+
+/// A short PhotonRunner run: corpus and stream salts, the schedule period,
+/// the eval set and the eval span, as every paper bench wires them.
+Digests run_runner() {
+  RunnerConfig rc;
+  rc.model = golden_model();
+  rc.population = 3;
+  rc.clients_per_round = 2;
+  rc.local_steps = 2;
+  rc.local_batch = 2;
+  rc.max_lr = 5e-3f;
+  rc.warmup_steps = 2;
+  rc.secure_aggregation = true;
+  rc.link_codec = "rle0";
+  rc.rounds = 5;
+  rc.eval_every = 2;
+  rc.eval_batches = 2;
+  rc.eval_batch_size = 2;
+  rc.eval_tokens = 1 << 10;
+  rc.seed = 17;
+  obs::Tracer tracer;
+  rc.tracer = &tracer;
+  PhotonRunner runner(rc);
+  runner.run();
+  Fnv1a engine;
+  hash_engine(engine, runner.aggregator());
+  Fnv1a trace;
+  hash_events(trace, tracer.drain());
+  return {.engine = engine.value(), .trace = trace.value()};
+}
+
+/// A short CentralizedTrainer run (the App. C.1 baseline).
+Digests run_centralized() {
+  CentralizedConfig cc;
+  cc.model = golden_model();
+  cc.batch = 2;
+  cc.steps = 10;
+  cc.max_lr = 5e-3f;
+  cc.warmup_steps = 2;
+  cc.eval_every = 4;
+  cc.eval_batches = 2;
+  cc.eval_batch_size = 2;
+  cc.eval_tokens = 1 << 10;
+  cc.seed = 19;
+  CentralizedTrainer trainer(cc);
+  const CentralizedResult result = trainer.run();
+  Fnv1a h;
+  const auto params = trainer.model().params();
+  h.pod(params.size());
+  h.bytes(params.data(), params.size() * sizeof(float));
+  h.pod(result.diverged);
+  h.pod(result.steps_run);
+  for (const RoundRecord& r : result.history.records()) hash_record(h, r);
+  return {.engine = h.value()};
 }
 
 FaultPlan chaos(double crash, double straggle, double drop, double corrupt) {
@@ -326,20 +389,23 @@ Federation async_base() {
 
 struct GoldenCase {
   const char* name;
-  std::uint64_t engine;
-  std::uint64_t ckpt;
+  Digests want;
   std::function<Digests()> run;
 };
 
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
-  cases.push_back({"sync_rar_fp32_disk", 0x88c8eb6bac493dd5ULL,
-                   0x1ebefdbd578f095eULL, [] {
+  cases.push_back({"sync_rar_fp32_disk",
+                   {0x02ba12f98198d1b5ULL, 0x9a6dd5c3e9feaac5ULL,
+                    0x1ebefdbd578f095eULL},
+                   [] {
                      return run_plain("sync_rar_fp32_disk",
                                       sync_base(Topology::kRingAllReduce), 4);
                    }});
-  cases.push_back({"sync_ps_faults_deadline_skip", 0x52b91edb4267199fULL,
-                   0xa26df95593dd966bULL, [] {
+  cases.push_back({"sync_ps_faults_deadline_skip",
+                   {0xa81b76ab4bb17effULL, 0x9f63aa302231d421ULL,
+                    0xa26df95593dd966bULL},
+                   [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.faults = chaos(0.2, 0.3, 0.05, 0.05);
                      f.inject_faults = true;
@@ -349,8 +415,10 @@ std::vector<GoldenCase> golden_cases() {
                      f.ac.skip_on_quorum_loss = true;
                      return run_plain("sync_ps_faults_deadline_skip", f, 6);
                    }});
-  cases.push_back({"sync_ar_quorum_skip", 0xe6e8a7e72f8670c6ULL,
-                   0xd05f37f16fb895caULL, [] {
+  cases.push_back({"sync_ar_quorum_skip",
+                   {0xe1156a25114bfb40ULL, 0x9aae5070a5a0babdULL,
+                    0xd05f37f16fb895caULL},
+                   [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.faults = chaos(0.3, 0.0, 0.0, 0.0);
                      f.inject_faults = true;
@@ -359,22 +427,28 @@ std::vector<GoldenCase> golden_cases() {
                      f.ac.skip_on_quorum_loss = true;
                      return run_plain("sync_ar_quorum_skip", f, 5);
                    }});
-  cases.push_back({"sync_q8_streamed_ar", 0x6aaa92e357b5259bULL,
-                   0xce287c5bd62c5e10ULL, [] {
+  cases.push_back({"sync_q8_streamed_ar",
+                   {0x4f632c228e9ac9feULL, 0xcdd09d9328f3ee0cULL,
+                    0xce287c5bd62c5e10ULL},
+                   [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.codec = [](int) { return "q8"; };
                      f.chunk_bytes = 4096;
                      return run_plain("sync_q8_streamed_ar", f, 4);
                    }});
-  cases.push_back({"sync_mixed_q4_fp32_rar", 0xaad693328f14fe86ULL,
-                   0x4ca2859b58ce84a8ULL, [] {
+  cases.push_back({"sync_mixed_q4_fp32_rar",
+                   {0x07bcbc5b7c8c4481ULL, 0x8f2906f88ae2bbc2ULL,
+                    0x4ca2859b58ce84a8ULL},
+                   [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int i) { return i % 2 == 0 ? "q4" : "rle0"; };
                      f.chunk_bytes = 8192;
                      return run_plain("sync_mixed_q4_fp32_rar", f, 4);
                    }});
-  cases.push_back({"sync_secagg_dp_faults", 0x57d63b97462d51eaULL,
-                   0xe9682eecc89c20a6ULL, [] {
+  cases.push_back({"sync_secagg_dp_faults",
+                   {0xcd86b866b31a8900ULL, 0xdbbd4a6cbacf8c57ULL,
+                    0xe9682eecc89c20a6ULL},
+                   [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.secure_aggregation = true;
                      f.ac.clients_per_round = 5;
@@ -386,16 +460,20 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("sync_secagg_dp_faults", f, 5);
                    }});
-  cases.push_back({"sync_crash_restore", 0xb625a7d65b14fe78ULL,
-                   0x6028ec3bfeada4d7ULL, [] {
+  cases.push_back({"sync_crash_restore",
+                   {0x5ee07c1ed17c5061ULL, 0x36b6416f8288f844ULL,
+                    0x6028ec3bfeada4d7ULL},
+                   [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int) { return "q8"; };
                      f.faults = chaos(0.1, 0.2, 0.05, 0.0);
                      f.inject_faults = true;
                      return run_plain("sync_crash_restore", f, 6, 3);
                    }});
-  cases.push_back({"async_fp32_churn_faults", 0xa2692450d409548dULL,
-                   0x16dc539bdad8e1a0ULL, [] {
+  cases.push_back({"async_fp32_churn_faults",
+                   {0x6c1b44edb99db1d4ULL, 0x96cdca89f7ebd33cULL,
+                    0x16dc539bdad8e1a0ULL},
+                   [] {
                      Federation f = async_base();
                      f.faults = chaos(0.1, 0.2, 0.05, 0.05);
                      f.faults.membership.initial_population = 6;
@@ -404,8 +482,10 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_fp32_churn_faults", f, 6);
                    }});
-  cases.push_back({"async_q8_ephemeral_constant", 0xcf5fcbccb48b0f97ULL,
-                   0x860abb65c78e498eULL, [] {
+  cases.push_back({"async_q8_ephemeral_constant",
+                   {0xf45e94bf276ec320ULL, 0x9a9befbbc096d6aaULL,
+                    0x860abb65c78e498eULL},
+                   [] {
                      Federation f = async_base();
                      f.server_opt = "fedavg";
                      f.ephemeral = true;
@@ -417,8 +497,10 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_q8_ephemeral_constant", f, 6);
                    }});
-  cases.push_back({"async_secagg_dp_leaves", 0x1db3b8998c075402ULL,
-                   0x1117bcdf30cbc91dULL, [] {
+  cases.push_back({"async_secagg_dp_leaves",
+                   {0x09d9c9a42e285c74ULL, 0x04ec55952c427021ULL,
+                    0x1117bcdf30cbc91dULL},
+                   [] {
                      Federation f = async_base();
                      f.ac.secure_aggregation = true;
                      f.dp_noise = 0.5;
@@ -427,8 +509,10 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_secagg_dp_leaves", f, 6);
                    }});
-  cases.push_back({"async_crash_restore", 0xfc33f8e48ee4ee99ULL,
-                   0x6154753ee5abbde7ULL, [] {
+  cases.push_back({"async_crash_restore",
+                   {0x7491c7996e715c25ULL, 0xb5dff9ff6e876599ULL,
+                    0x6154753ee5abbde7ULL},
+                   [] {
                      Federation f = async_base();
                      f.codec = [](int i) { return i % 3 == 0 ? "rle0" : "q8"; };
                      f.chunk_bytes = 4096;
@@ -438,8 +522,10 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_plain("async_crash_restore", f, 6, 3);
                    }});
-  cases.push_back({"tuned_sync", 0x4e9a095e8cea2d1aULL,
-                   0x88adcdd9c8b88b40ULL, [] {
+  cases.push_back({"tuned_sync",
+                   {0x4e9a095e8cea2d1aULL, 0,
+                    0x88adcdd9c8b88b40ULL},
+                   [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.bandwidth_mbps = 1.25;
                      f.ac.link_bandwidth_gbps = 0.01;
@@ -448,8 +534,10 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_tuned("tuned_sync", f, 6);
                    }});
-  cases.push_back({"tuned_async", 0xf919df0240047c42ULL,
-                   0x0c953cf8889bd3d2ULL, [] {
+  cases.push_back({"tuned_async",
+                   {0xf919df0240047c42ULL, 0,
+                    0x0c953cf8889bd3d2ULL},
+                   [] {
                      Federation f = async_base();
                      f.ac.bandwidth_mbps = 1.25;
                      f.ac.link_bandwidth_gbps = 0.01;
@@ -457,6 +545,14 @@ std::vector<GoldenCase> golden_cases() {
                      f.inject_faults = true;
                      return run_tuned("tuned_async", f, 6);
                    }});
+  cases.push_back({"runner",
+                   {0x62ddaf771f0a26deULL, 0x64edcdc026869f75ULL,
+                    0},
+                   run_runner});
+  cases.push_back({"centralized",
+                   {0x84fae02f50727e5dULL, 0,
+                    0},
+                   run_centralized});
   return cases;
 }
 
@@ -468,9 +564,11 @@ TEST(EngineGolden, DigestsMatchRecordedConstants) {
   for (const GoldenCase& c : golden_cases()) {
     knobs.reset();
     const Digests got = c.run();
-    EXPECT_EQ(got.engine, c.engine)
+    EXPECT_EQ(got.engine, c.want.engine)
         << c.name << ": engine digest 0x" << std::hex << got.engine << "ULL";
-    EXPECT_EQ(got.ckpt, c.ckpt)
+    EXPECT_EQ(got.trace, c.want.trace)
+        << c.name << ": trace digest 0x" << std::hex << got.trace << "ULL";
+    EXPECT_EQ(got.ckpt, c.want.ckpt)
         << c.name << ": checkpoint digest 0x" << std::hex << got.ckpt << "ULL";
   }
 }
