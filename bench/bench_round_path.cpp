@@ -764,9 +764,7 @@ std::vector<PrivacyArm> run_privacy_matrix(int rounds) {
 // floor asserted in main keeps masking from becoming the round bottleneck.
 double run_mask_encode_gbps(bool smoke) {
   const std::size_t n = smoke ? (std::size_t{1} << 20) : (std::size_t{1} << 23);
-  SecAggConfig cfg;
-  cfg.session_seed = 0xBE7C;
-  const SecAggSession session({0, 1}, cfg);
+  const SecAggSession session({0, 1}, /*session_seed=*/0xBE7C);
   std::vector<float> update(n);
   Rng rng(0x3A5C);
   for (auto& x : update) x = rng.gaussian(0.0f, 1.0f);

@@ -88,13 +88,12 @@ int main() {
   {
     TablePrinter t({"Size", "Client GPUs", "Strategy", "Micro-batch/GPU",
                     "Device batch", "Mem (GB)"});
-    StrategySelector selector;
     for (const PaperScale scale :
          {PaperScale::k125M, PaperScale::k1_3B, PaperScale::k3B,
           PaperScale::k7B}) {
       const Federation fed = paper_federation(scale);
       const ClientSpec& client = fed.clients.front();
-      const StrategyDecision d = selector.select(model_for(scale), client);
+      const StrategyDecision d = select_strategy(model_for(scale), client);
       t.add_row({paper_scale_name(scale), std::to_string(client.total_gpus()),
                  local_strategy_name(d.strategy),
                  std::to_string(d.batch.micro_batch_per_gpu),

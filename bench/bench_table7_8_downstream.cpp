@@ -28,7 +28,6 @@ std::unique_ptr<GptModel> train_photon(const ModelConfig& model, int rounds) {
   rc.local_batch = 4;
   rc.rounds = rounds;
   rc.eval_every = rounds;
-  rc.corpus_branching = 12;
   PhotonRunner runner(rc);
   runner.run();
   auto trained = std::make_unique<GptModel>(model, 0);

@@ -78,8 +78,7 @@ FedVsCentResult run_fed_vs_cent(const FedVsCentConfig& config) {
   {
     GptModel model(mc, hash_combine(config.seed, 55));
     AdamW opt(model.num_params());
-    CosineSchedule sched(
-        {config.cent_lr, 0.1f, 16, total_steps});
+    CosineSchedule sched({config.cent_lr, 16, total_steps});
     ShardSource src("pool", pool, hash_combine(config.seed, 0x51ULL));
     const int batch = config.clients * config.local_batch;
     std::uint64_t tokens = 0;

@@ -37,7 +37,6 @@ int main() {
       {PaperScale::k7B, ModelConfig::paper_7b(), paper_throughput_7b()},
   };
 
-  StrategySelector selector;
   constexpr int kTau = 500;
 
   for (const PlanInput& plan : plans) {
@@ -49,7 +48,7 @@ int main() {
     // Per-client plan.
     TablePrinter t({"Region", "GPUs", "Strategy", "Device batch", "Mem/GPU GB"});
     for (const auto& client : fed.clients) {
-      const StrategyDecision d = selector.select(plan.model, client);
+      const StrategyDecision d = select_strategy(plan.model, client);
       t.add_row({client.region, std::to_string(client.total_gpus()),
                  local_strategy_name(d.strategy),
                  std::to_string(d.batch.device_batch),

@@ -1,8 +1,9 @@
 #include "baselines/centralized.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
-#include "data/corpus.hpp"
+#include "core/runner.hpp"
 #include "eval/perplexity.hpp"
 #include "util/rng.hpp"
 
@@ -10,45 +11,31 @@ namespace photon {
 
 namespace {
 
+/// One C4-style stream of the harness corpus, salted by `salt`.
 std::unique_ptr<DataSource> build_stream(const CentralizedConfig& config,
                                          std::uint64_t salt) {
-  CorpusConfig cc;
-  cc.vocab_size = config.model.vocab_size;
-  cc.branching = config.corpus_branching;
-  cc.mean_doc_len = config.corpus_mean_doc_len;
-  cc.base_seed = hash_combine(config.seed, 0xDA7AULL);
-
-  std::vector<CorpusStyle> styles =
-      config.heterogeneity_blend >= 1.0
-          ? std::vector<CorpusStyle>{c4_style()}
-          : pile_styles(config.heterogeneity_blend);
-  std::vector<std::unique_ptr<DataSource>> streams;
-  std::vector<double> weights;
-  for (const auto& style : styles) {
-    auto corpus = std::make_shared<MarkovSource>(cc, style);
-    streams.push_back(std::make_unique<CorpusStreamSource>(
-        corpus, hash_combine(config.seed, salt ^ style.style_seed)));
-    weights.push_back(1.0);
-  }
-  if (streams.size() == 1) return std::move(streams.front());
-  return std::make_unique<StreamMixer>(std::move(streams), std::move(weights),
-                                       hash_combine(config.seed, salt));
+  const CorpusStyle style = c4_style();
+  auto corpus = std::make_shared<MarkovSource>(
+      harness_corpus_config(config.model.vocab_size, config.seed), style);
+  return std::make_unique<CorpusStreamSource>(
+      std::move(corpus), hash_combine(config.seed, salt ^ style.style_seed));
 }
 
 }  // namespace
 
 CentralizedTrainer::CentralizedTrainer(CentralizedConfig config)
     : config_(std::move(config)) {
+  if (config_.batch <= 0 || config_.steps <= 0 || config_.eval_every <= 0) {
+    throw std::invalid_argument(
+        "CentralizedTrainer: batch, steps and eval_every must be > 0");
+  }
   model_ = std::make_unique<GptModel>(config_.model,
                                       hash_combine(config_.seed, 0x1217ULL));
-  opt_ = std::make_unique<AdamW>(model_->num_params(), config_.adamw);
+  opt_ = std::make_unique<AdamW>(model_->num_params());
   CosineScheduleConfig sc;
   sc.max_lr = config_.max_lr;
-  sc.min_lr_factor = config_.min_lr_factor;
   sc.warmup_steps = config_.warmup_steps;
-  sc.total_steps = config_.schedule_total_steps > 0
-                       ? config_.schedule_total_steps
-                       : config_.steps;
+  sc.total_steps = config_.steps;
   schedule_ = std::make_unique<CosineSchedule>(sc);
   data_ = build_stream(config_, 0x517EA4ULL);
   auto eval_stream = build_stream(config_, 0xE7A1ULL);
@@ -95,16 +82,11 @@ CentralizedResult CentralizedTrainer::run() {
       rec.mean_train_loss = window_loss / std::max(1, window_count);
       rec.tokens_this_round = tokens_seen;
       rec.eval_perplexity = er.perplexity;
-      rec.sim_local_seconds =
-          static_cast<double>(window_count) / config_.sim_throughput_bps;
+      rec.sim_local_seconds = static_cast<double>(window_count);
       result.history.add(rec);
       tokens_seen = 0;
       window_loss = 0.0;
       window_count = 0;
-      if (config_.target_perplexity > 0.0 &&
-          er.perplexity <= config_.target_perplexity) {
-        break;
-      }
       if (!std::isfinite(er.perplexity)) {
         result.diverged = true;
         break;

@@ -19,32 +19,26 @@
 
 namespace photon {
 
+/// The schedule decays to kMinLrFactor * max_lr over `steps`; data and eval
+/// come from one C4-style stream of harness_corpus_config()'s corpus; sim
+/// time counts one step per simulated second.
 struct CentralizedConfig {
   ModelConfig model = ModelConfig::nano();
   int batch = 16;   // B (centralized batch, typically N * B_l)
   int steps = 800;  // T_cent
   float max_lr = 1e-2f;
-  float min_lr_factor = 0.1f;
   int warmup_steps = 20;
-  int schedule_total_steps = 0;  // 0 = steps
   float max_grad_norm = 1.0f;
-  AdamWConfig adamw;
 
   int eval_every = 16;  // steps between evals
   int eval_batches = 4;
   int eval_batch_size = 8;
-  double target_perplexity = -1.0;
   /// Mean loss above this (after warmup) marks the run diverged.  Note the
   /// fused cross-entropy clamps probabilities at 1e-12, so per-token loss
   /// saturates near 27.6; the default sits well below that ceiling.
   double divergence_loss = 20.0;
-
-  double heterogeneity_blend = 1.0;
-  int corpus_branching = 12;
-  int corpus_mean_doc_len = 96;
   std::size_t eval_tokens = 1 << 14;
 
-  double sim_throughput_bps = 1.0;  // nu
   std::uint64_t seed = 42;
 };
 
@@ -56,6 +50,8 @@ struct CentralizedResult {
 
 class CentralizedTrainer {
  public:
+  /// Throws std::invalid_argument unless batch, steps and eval_every are
+  /// positive.
   explicit CentralizedTrainer(CentralizedConfig config);
   ~CentralizedTrainer();
 

@@ -15,8 +15,8 @@ namespace photon {
 
 double RetryPolicy::backoff_s(std::uint64_t key, std::uint64_t n) const {
   double b = backoff_base_s *
-             std::pow(backoff_multiplier, static_cast<double>(n) - 1.0);
-  b = std::min(b, backoff_max_s);
+             std::pow(kRetryBackoffMultiplier, static_cast<double>(n) - 1.0);
+  b = std::min(b, kRetryBackoffMaxS);
   // Deterministic jitter in [-1, 1): a pure function of the retry's
   // identity, so replays never depend on wall clock or thread interleaving.
   const std::uint64_t h = hash_combine(kRetryJitterSeed, hash_combine(key, n));

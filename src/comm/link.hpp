@@ -41,24 +41,26 @@ struct LinkStats {
 /// admission) so replays are bit-exact at any thread count.
 inline constexpr double kRetryJitterFrac = 0.1;
 inline constexpr std::uint64_t kRetryJitterSeed = 0x4C696E6BULL;  // "Link"
+/// Exponential backoff growth per retry, and the cap on a single backoff.
+inline constexpr double kRetryBackoffMultiplier = 2.0;
+inline constexpr double kRetryBackoffMaxS = 1.0;
 
 /// Retry/backoff policy for SimLink::transmit.  A failed attempt (transient
 /// send fault or CRC-rejected reception) is retransmitted after an
 /// exponential backoff with deterministic jitter, up to `max_attempts`
 /// total attempts and an optional per-message simulated-time deadline.
 struct RetryPolicy {
-  int max_attempts = 3;             // total attempts; 1 = no retry
-  double backoff_base_s = 0.05;     // backoff before the 2nd attempt
-  double backoff_multiplier = 2.0;  // exponential growth per retry
-  double backoff_max_s = 1.0;       // cap on a single backoff
+  int max_attempts = 3;          // total attempts; 1 = no retry
+  double backoff_base_s = 0.05;  // backoff before the 2nd attempt
   /// Simulated seconds (transfer + backoff) a single message may consume
   /// before the link gives up; 0 = no deadline.
   double message_deadline_s = 0.0;
 
   /// Backoff before retry `n` (1-based) of the retry identified by `key`:
-  /// base * multiplier^(n-1), capped at backoff_max_s, times 1 +
-  /// kRetryJitterFrac * u for u in [-1, 1) hashed from kRetryJitterSeed,
-  /// `key` and `n`.  Unfloored; each caller applies its own floor.
+  /// base * kRetryBackoffMultiplier^(n-1), capped at kRetryBackoffMaxS,
+  /// times 1 + kRetryJitterFrac * u for u in [-1, 1) hashed from
+  /// kRetryJitterSeed, `key` and `n`.  Unfloored; each caller applies its
+  /// own floor.
   double backoff_s(std::uint64_t key, std::uint64_t n) const;
 };
 

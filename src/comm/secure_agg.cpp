@@ -119,6 +119,21 @@ std::uint64_t shared_key(std::uint64_t my_secret,
 
 // ------------------------------------------------------------- session ---
 
+namespace {
+
+/// Fractional bits F of the fixed-point ring encoding, q = round(x * 2^F).
+constexpr int kFixedPointBits = 32;
+static_assert(kFixedPointBits >= 8 && kFixedPointBits <= 48,
+              "fixed-point bits out of range");
+constexpr double kFixedPointScale =
+    static_cast<double>(std::uint64_t{1} << kFixedPointBits);
+/// Shamir threshold as a fraction f of the cohort: t = max(2, ceil(f * n)).
+constexpr double kShareThresholdFraction = 0.5;
+
+}  // namespace
+
+double SecAggSession::fixed_point_scale() { return kFixedPointScale; }
+
 int SecAggSession::threshold_for(int cohort_size, double fraction) {
   if (cohort_size <= 1) return cohort_size;
   const int t = std::max(
@@ -127,16 +142,12 @@ int SecAggSession::threshold_for(int cohort_size, double fraction) {
 }
 
 SecAggSession::SecAggSession(std::vector<int> cohort,
-                             const SecAggConfig& config)
-    : config_(config), cohort_(std::move(cohort)) {
+                             std::uint64_t session_seed)
+    : session_seed_(session_seed), cohort_(std::move(cohort)) {
   if (cohort_.empty()) {
     throw std::invalid_argument("SecAggSession: empty cohort");
   }
-  if (config_.fixed_point_bits < 8 || config_.fixed_point_bits > 48) {
-    throw std::invalid_argument("SecAggSession: fixed_point_bits out of range");
-  }
-  threshold_ = threshold_for(cohort_size(), config_.share_threshold_fraction);
-  scale_ = std::ldexp(1.0, config_.fixed_point_bits);
+  threshold_ = threshold_for(cohort_size(), kShareThresholdFraction);
   const int n = cohort_size();
   secrets_.resize(static_cast<std::size_t>(n));
   publics_.resize(static_cast<std::size_t>(n));
@@ -145,7 +156,7 @@ SecAggSession::SecAggSession(std::vector<int> cohort,
     // Secrets are keyed on the *client id*, not the cohort position, so a
     // member keeps its identity across re-sampled cohorts.
     const std::uint64_t raw = hash_combine(
-        config_.session_seed,
+        session_seed_,
         hash_combine(0x5EC2E7ULL,
                      static_cast<std::uint64_t>(
                          static_cast<std::uint32_t>(cohort_[i]))));
@@ -157,7 +168,7 @@ SecAggSession::SecAggSession(std::vector<int> cohort,
     for (int i = 0; i < n; ++i) {
       shares_[static_cast<std::size_t>(i)] = secagg::shamir_split(
           secrets_[static_cast<std::size_t>(i)], n, threshold_,
-          hash_combine(config_.session_seed,
+          hash_combine(session_seed_,
                        hash_combine(0x5A4E5ULL,
                                     static_cast<std::uint64_t>(i))));
     }
@@ -180,7 +191,7 @@ std::uint64_t SecAggSession::pair_seed(int a, int b) const {
   // binds the stream to this session and pair.
   return hash_combine(
       seed_from_secret(secrets_[static_cast<std::size_t>(a)], b),
-      hash_combine(config_.session_seed, hash_combine(lo, hi)));
+      hash_combine(session_seed_, hash_combine(lo, hi)));
 }
 
 secagg::Share SecAggSession::share_of(int owner, int holder) const {
@@ -283,8 +294,9 @@ void SecAggSession::mask_update_into(int idx, std::span<const float> update,
       acc.size(), ctx.grain_rows(2 + seeds.size()),
       [&](int, std::size_t begin, std::size_t end) {
         ops.secagg_mask_accum(acc.data() + begin, update.data() + begin,
-                              scale_, seeds.data(), signs.data(), seeds.size(),
-                              static_cast<std::uint64_t>(begin), end - begin);
+                              kFixedPointScale, seeds.data(), signs.data(),
+                              seeds.size(), static_cast<std::uint64_t>(begin),
+                              end - begin);
       });
 }
 
@@ -322,7 +334,7 @@ void SecAggSession::recover_dropouts(std::span<const int> survivors,
       const auto hi = static_cast<std::uint64_t>(std::max(s, d));
       const std::uint64_t seed = hash_combine(
           seed_from_secret(sk, s),
-          hash_combine(config_.session_seed, hash_combine(lo, hi)));
+          hash_combine(session_seed_, hash_combine(lo, hi)));
       strips.push_back({seed, static_cast<std::int8_t>(s < d ? 1 : -1)});
     }
     trace.record(obs::SpanKind::kShareRecovery,
@@ -351,7 +363,7 @@ void SecAggSession::decode_mean(std::span<const std::uint64_t> acc, int n_agg,
   if (n_agg <= 0) {
     throw std::invalid_argument("SecAggSession::decode_mean: n_agg <= 0");
   }
-  const double inv = 1.0 / (scale_ * static_cast<double>(n_agg));
+  const double inv = 1.0 / (kFixedPointScale * static_cast<double>(n_agg));
   const auto& ops = ctx.simd();
   ctx.parallel_shards(acc.size(), ctx.grain_rows(2),
                       [&](int, std::size_t begin, std::size_t end) {

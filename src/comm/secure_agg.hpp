@@ -87,15 +87,6 @@ class SecAggAbort : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-struct SecAggConfig {
-  /// Fractional bits of the fixed-point ring encoding (q = x * 2^F).
-  int fixed_point_bits = 32;
-  /// Shamir threshold as a fraction of the cohort: t = max(2, ceil(f*n)).
-  double share_threshold_fraction = 0.5;
-  /// Session entropy; the Aggregator derives it from (seed, round).
-  std::uint64_t session_seed = 0;
-};
-
 /// Per-member outcome of the simulated key-agreement rounds.
 struct KeyExchangeResult {
   double sim_seconds = 0.0;            // barrier: max member completion time
@@ -106,17 +97,23 @@ struct KeyExchangeResult {
 
 /// One round's pairwise-masking session over a fixed cohort.  The member
 /// order given at construction is the protocol order: signs, pair seeds,
-/// and shares are all indexed by position in `cohort`.
+/// and shares are all indexed by position in `cohort`.  Every session
+/// encodes with F = 32 fractional bits and shares with threshold fraction
+/// f = 0.5 (DESIGN.md §14).
 class SecAggSession {
  public:
-  SecAggSession(std::vector<int> cohort, const SecAggConfig& config);
+  /// `session_seed` is the session's entropy; the Aggregator derives it
+  /// from (seed, round, attempt) or (seed, wave).
+  SecAggSession(std::vector<int> cohort, std::uint64_t session_seed);
 
   int cohort_size() const { return static_cast<int>(cohort_.size()); }
   const std::vector<int>& cohort() const { return cohort_; }
-  /// Shamir threshold for this cohort size.
+  /// Shamir threshold for this cohort size: threshold_for(n, f).
   int threshold() const { return threshold_; }
+  /// t = clamp(max(2, ceil(fraction * n)), 2, n); n itself when n <= 1.
   static int threshold_for(int cohort_size, double fraction);
-  double fixed_point_scale() const { return scale_; }
+  /// 2^F, the ring encoding's scale.
+  static double fixed_point_scale();
 
   /// Simulated key agreement + share distribution: per member, a server
   /// roster broadcast (all public keys) and a share upload, both kControl
@@ -164,10 +161,9 @@ class SecAggSession {
   secagg::Share share_of(int owner, int holder) const;
 
  private:
-  SecAggConfig config_;
+  std::uint64_t session_seed_;
   std::vector<int> cohort_;
   int threshold_ = 2;
-  double scale_ = 0.0;                  // 2^fixed_point_bits
   std::vector<std::uint64_t> secrets_;  // per member, in Z_p \ {0}
   std::vector<std::uint64_t> publics_;
   // shares_[owner][holder]: Shamir share of secrets_[owner] given to

@@ -32,12 +32,6 @@ constexpr std::uint64_t kAdmitTag = 0xAD317ULL;
 /// (seed, tag, round, attempt), async wave sessions on (seed, tag, wave).
 constexpr std::uint64_t kSecAggTag = 0x5ECA66ULL;
 
-/// Every secagg session's mask ring has F = 32 fractional bits, and its
-/// Shamir threshold is t = clamp(max(2, ceil(f * n)), 2, n) with f = 0.5
-/// (DESIGN.md §14).
-constexpr int kSecAggFixedPointBits = 32;
-constexpr double kSecAggThresholdFraction = 0.5;
-
 /// FedBuff's polynomial staleness discount w(s) = (1 + s)^-kStalenessExponent.
 constexpr double kStalenessExponent = 0.5;
 
@@ -681,9 +675,8 @@ RoundRecord Aggregator::run_round_sync() {
     if (config_.secure_aggregation && cohort.size() > 1) {
       secagg.emplace(
           cohort,
-          SecAggConfig{kSecAggFixedPointBits, kSecAggThresholdFraction,
-                       hash_combine(hash_combine(config_.seed, kSecAggTag),
-                                    hash_combine(round_, attempt))});
+          hash_combine(hash_combine(config_.seed, kSecAggTag),
+                       hash_combine(round_, attempt)));
       std::vector<SimLink*> ke_links(cohort.size());
       for (std::size_t i = 0; i < cohort.size(); ++i) {
         ke_links[i] = &links_[static_cast<std::size_t>(cohort[i])];
@@ -1228,9 +1221,7 @@ RoundRecord Aggregator::run_round_async() {
       }
       const SecAggSession session(
           cohort,
-          SecAggConfig{kSecAggFixedPointBits, kSecAggThresholdFraction,
-                       hash_combine(hash_combine(config_.seed, kSecAggTag),
-                                    best_wid)});
+          hash_combine(hash_combine(config_.seed, kSecAggTag), best_wid));
       if (surv_pos.empty() ||
           static_cast<int>(surv_pos.size()) < session.threshold()) {
         // Below the share threshold the wave is unrecoverable; discard it

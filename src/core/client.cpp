@@ -16,35 +16,31 @@ namespace photon {
 namespace {
 
 /// A thread's training scratch: a shape-only model replica and a stateless
-/// AdamW, keyed by the configs they were built for.  Every client round
+/// AdamW, keyed by the model config they were built for.  Every client round
 /// loads the broadcast into the params and resets the optimizer, the step
 /// zeroes the grads and the forward pass overwrites the activation tape, so
 /// nothing a round leaves behind reaches the next one.
 struct Shell {
-  Shell(const ModelConfig& model_config, const AdamWConfig& adamw_config)
-      : model(model_config),
-        opt(model.num_params(), adamw_config),
-        adamw(adamw_config) {}
+  explicit Shell(const ModelConfig& model_config)
+      : model(model_config), opt(model.num_params()) {}
   GptModel model;
   AdamW opt;
-  AdamWConfig adamw;
 };
 
 // One shell per thread that runs clients, freed at thread exit.
 thread_local std::unique_ptr<Shell> t_shell;
 
 /// Borrows the calling thread's shell for one round and returns it on every
-/// exit path.  A shell built for another key is replaced.  A nested borrow
+/// exit path.  A shell built for another model is replaced.  A nested borrow
 /// on the same thread finds the slot empty and builds its own shell, so two
 /// borrowers never share one.
 class ShellLease {
  public:
-  ShellLease(const ModelConfig& model, const AdamWConfig& adamw)
+  explicit ShellLease(const ModelConfig& model)
       : shell_(std::move(t_shell)) {
-    if (shell_ == nullptr || shell_->model.config() != model ||
-        shell_->adamw != adamw) {
+    if (shell_ == nullptr || shell_->model.config() != model) {
       shell_.reset();  // free the old shell before building its successor
-      shell_ = std::make_unique<Shell>(model, adamw);
+      shell_ = std::make_unique<Shell>(model);
     }
   }
   ~ShellLease() { t_shell = std::move(shell_); }
@@ -92,8 +88,7 @@ LLMClient::LLMClient(int id, ClientTrainConfig config,
                                 config_.link_codec);
   }
   if (!config_.stateless_optimizer) {
-    opt_.emplace(static_cast<std::size_t>(config_.model.num_params()),
-                 config_.adamw);
+    opt_.emplace(static_cast<std::size_t>(config_.model.num_params()));
   }
   if (config_.clip_update_norm > 0.0) {
     clip_.emplace(config_.clip_update_norm);
@@ -181,7 +176,7 @@ void LLMClient::run_round(std::span<const float> global_params,
   update.mean_train_loss = 0.0;
   update.metrics.clear();
 
-  const ShellLease shell(config_.model, config_.adamw);
+  const ShellLease shell(config_.model);
   GptModel& model = shell->model;
   AdamW& opt = opt_ ? *opt_ : shell->opt;
 

@@ -48,7 +48,6 @@ struct ClientTrainConfig {
   ModelConfig model;
   int local_batch = 4;  // B_l: hardware-determined per-client batch size
   CosineScheduleConfig schedule;
-  AdamWConfig adamw;
   float max_grad_norm = 1.0f;
   /// Photon default: reset optimizer state each round (Appendix A,
   /// "stateless local optimization procedure").  DiLoCo keeps state.

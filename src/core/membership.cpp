@@ -41,7 +41,7 @@ void MembershipPlan::validate() const {
 MembershipAction MembershipPlan::action(std::uint32_t round, int client,
                                         MembershipState state) const {
   if (state == MembershipState::kLeft) return MembershipAction::kNone;
-  // Scheduled events win over the probabilistic draw and ignore the window.
+  // Scheduled events win over the probabilistic draw.
   for (const Event& e : scheduled) {
     if (e.round != round || e.client != client) continue;
     if (e.action == MembershipAction::kArrive &&
@@ -53,7 +53,6 @@ MembershipAction MembershipPlan::action(std::uint32_t round, int client,
       return MembershipAction::kLeave;
     }
   }
-  if (round < first_round || round > last_round) return MembershipAction::kNone;
   if (state == MembershipState::kAbsent && arrive_prob > 0.0) {
     const std::uint64_t key = membership_key(seed, round, client, kArriveTag);
     if (membership_unit(key) < arrive_prob) return MembershipAction::kArrive;

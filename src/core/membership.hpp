@@ -10,7 +10,6 @@
 // thread count.
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace photon {
@@ -36,12 +35,8 @@ struct MembershipPlan {
   /// P(an active client leaves permanently at a given round boundary).
   double leave_prob = 0.0;
 
-  /// Probabilistic churn fires only for rounds in [first_round, last_round].
-  std::uint32_t first_round = 0;
-  std::uint32_t last_round = std::numeric_limits<std::uint32_t>::max();
-
   /// Explicit scheduled events (tests, demos); consulted before the
-  /// probabilistic draw and independent of the round window.
+  /// probabilistic draw.
   struct Event {
     std::uint32_t round = 0;
     int client = -1;

@@ -5,11 +5,10 @@
 #include <stdexcept>
 
 #include "core/server_opt.hpp"
-#include "obs/export.hpp"
-#include "data/corpus.hpp"
 #include "data/stream.hpp"
 #include "eval/perplexity.hpp"
 #include "nn/scheduler.hpp"
+#include "obs/export.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -24,16 +23,19 @@ std::vector<CorpusStyle> styles_for(const RunnerConfig& config) {
   return pile_styles(config.heterogeneity_blend);
 }
 
-CorpusConfig corpus_config_for(const RunnerConfig& config) {
-  CorpusConfig cc;
-  cc.vocab_size = config.model.vocab_size;
-  cc.branching = config.corpus_branching;
-  cc.mean_doc_len = config.corpus_mean_doc_len;
-  cc.base_seed = hash_combine(config.seed, 0xDA7AULL);
-  return cc;
-}
+/// Mean document length of the harness corpora, shorter than
+/// CorpusConfig's default.
+constexpr int kHarnessMeanDocLen = 96;
 
 }  // namespace
+
+CorpusConfig harness_corpus_config(int vocab_size, std::uint64_t seed) {
+  CorpusConfig cc;
+  cc.vocab_size = vocab_size;
+  cc.mean_doc_len = kHarnessMeanDocLen;
+  cc.base_seed = hash_combine(seed, 0xDA7AULL);
+  return cc;
+}
 
 PhotonRunner::PhotonRunner(RunnerConfig config) : config_(std::move(config)) {
   if (config_.population <= 0) {
@@ -42,8 +44,12 @@ PhotonRunner::PhotonRunner(RunnerConfig config) : config_(std::move(config)) {
   if (config_.rounds <= 0) {
     throw std::invalid_argument("PhotonRunner: rounds must be > 0");
   }
+  if (config_.eval_every <= 0) {
+    throw std::invalid_argument("PhotonRunner: eval_every must be > 0");
+  }
 
-  const CorpusConfig cc = corpus_config_for(config_);
+  const CorpusConfig cc =
+      harness_corpus_config(config_.model.vocab_size, config_.seed);
   const auto styles = styles_for(config_);
 
   // Corpora are shared immutable objects; streams are per-client.
@@ -53,17 +59,13 @@ PhotonRunner::PhotonRunner(RunnerConfig config) : config_(std::move(config)) {
     corpora.push_back(std::make_shared<MarkovSource>(cc, style));
   }
 
-  // Client schedule: the Photon recipe stretches the cosine period for the
-  // small local batch (Appendix C.1); the caller passes the local-step
-  // period directly (default: full run length).
+  // Client schedule: the cosine period is the run's local steps, so the
+  // small local batch stretches it (Appendix C.1).
   CosineScheduleConfig sched;
   sched.max_lr = config_.max_lr;
-  sched.min_lr_factor = config_.min_lr_factor;
   sched.warmup_steps = config_.warmup_steps;
-  sched.total_steps = config_.schedule_total_steps > 0
-                          ? config_.schedule_total_steps
-                          : static_cast<std::int64_t>(config_.rounds) *
-                                config_.local_steps;
+  sched.total_steps =
+      static_cast<std::int64_t>(config_.rounds) * config_.local_steps;
 
   ClientTrainConfig ctc;
   ctc.model = config_.model;
@@ -73,7 +75,6 @@ PhotonRunner::PhotonRunner(RunnerConfig config) : config_(std::move(config)) {
   ctc.stateless_optimizer = config_.stateless_optimizer;
   ctc.sub_nodes = config_.sub_nodes;
   ctc.link_codec = config_.link_codec;
-  ctc.ephemeral = config_.ephemeral_clients;
 
   std::vector<std::unique_ptr<LLMClient>> clients;
   clients.reserve(static_cast<std::size_t>(config_.population));
@@ -90,38 +91,16 @@ PhotonRunner::PhotonRunner(RunnerConfig config) : config_(std::move(config)) {
   AggregatorConfig ac;
   ac.clients_per_round = config_.clients_per_round;
   ac.local_steps = config_.local_steps;
-  ac.topology = config_.topology;
-  ac.bandwidth_mbps = config_.bandwidth_mbps;
-  ac.link_bandwidth_gbps = config_.link_bandwidth_gbps;
   ac.secure_aggregation = config_.secure_aggregation;
-  ac.sim_throughput_bps = config_.sim_throughput_bps;
-  ac.round_deadline_s = config_.round_deadline_s;
-  ac.checkpoint_dir = config_.checkpoint_dir;
-  ac.checkpoint_every = config_.checkpoint_every;
   ac.seed = hash_combine(config_.seed, 0x5A3FULL);
-  ac.async = config_.async;
-  ac.skip_on_quorum_loss = config_.skip_on_quorum_loss;
-  ac.min_cohort_fraction = config_.min_cohort_fraction;
-  ac.max_cohort_retries = config_.max_cohort_retries;
-
   // PHOTON_TRACE=1 opts a run into tracing with zero code changes.
-  if (config_.tracer == nullptr && config_.metrics == nullptr) {
-    if (obs::Tracer* env = obs::env_tracer(); env != nullptr) {
-      config_.tracer = env;
-      env_traced_ = true;
-    }
-  }
-  ac.tracer = config_.tracer;
-  ac.metrics = config_.metrics;
+  ac.tracer = obs::env_tracer();
 
   aggregator_ = std::make_unique<Aggregator>(
       config_.model, ac,
       make_server_opt(config_.server_opt, config_.server_lr,
                       config_.server_momentum),
       std::move(clients), hash_combine(config_.seed, 0x1217ULL));
-  if (config_.membership.enabled()) {
-    aggregator_->set_membership_plan(config_.membership);
-  }
 
   // Validation set: equal-weight mixture over every style (the paper
   // evaluates all settings on the C4 validation set; for heterogeneous
@@ -151,13 +130,12 @@ double PhotonRunner::evaluate_now() {
 }
 
 const TrainingHistory& PhotonRunner::run() {
-  obs::Tracer* tracer = config_.tracer;
   for (int r = 0; r < config_.rounds; ++r) {
     const RoundRecord record = aggregator_->run_round();
     const bool eval_round =
         (r + 1) % config_.eval_every == 0 || r + 1 == config_.rounds;
     if (eval_round) {
-      const obs::RoundTrace trace(tracer, record.round);
+      const obs::RoundTrace trace(aggregator_->tracer(), record.round);
       const obs::RealTimer eval_timer = trace.timer();
       const double ppl = evaluate_now();
       // Server-side eval is not simulated: a sim-zero-width mark at the
@@ -175,7 +153,8 @@ const TrainingHistory& PhotonRunner::run() {
   }
   // Env-opted tracing (PHOTON_TRACE=1): export everything the run recorded
   // as a Perfetto-loadable Chrome trace plus a human-readable round table.
-  if (env_traced_ && tracer != nullptr) {
+  obs::Tracer* tracer = aggregator_->tracer();
+  if (tracer != nullptr && tracer == obs::env_tracer()) {
     const std::vector<obs::TraceEvent> events = tracer->drain();
     std::ofstream out("photon_trace.json");
     out << obs::to_chrome_trace(events);

@@ -23,8 +23,6 @@ struct AdamWConfig {
   float beta2 = 0.95f;
   float eps = 1e-8f;
   float weight_decay = 0.0f;
-
-  bool operator==(const AdamWConfig&) const = default;
 };
 
 class AdamW {

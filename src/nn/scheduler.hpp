@@ -5,7 +5,7 @@
 // hardware batch size* B_l, which stretches it by B/B_small relative to the
 // centralized schedule (paper §3, "Exploiting Small Batches and High
 // Learning Rates", and Appendix C.1 Eq. 8).  The minimum learning rate is
-// alpha * eta_max (Table 5: alpha = 0.1).
+// alpha * eta_max.
 
 #include <cmath>
 #include <cstdint>
@@ -13,9 +13,11 @@
 
 namespace photon {
 
+/// alpha, Table 5: eta_min = alpha * eta_max.
+inline constexpr float kMinLrFactor = 0.1f;
+
 struct CosineScheduleConfig {
   float max_lr = 6e-4f;
-  float min_lr_factor = 0.1f;   // alpha: eta_min = alpha * eta_max
   std::int64_t warmup_steps = 100;
   std::int64_t total_steps = 10000;  // cosine period T (includes warmup)
 };
@@ -34,7 +36,7 @@ class CosineSchedule {
   /// Learning rate at (0-based) optimization step `step`.  Steps beyond the
   /// period hold at eta_min.
   float lr_at(std::int64_t step) const {
-    const float min_lr = config_.max_lr * config_.min_lr_factor;
+    const float min_lr = config_.max_lr * kMinLrFactor;
     if (step < config_.warmup_steps) {
       return config_.max_lr * static_cast<float>(step + 1) /
              static_cast<float>(config_.warmup_steps);

@@ -4,12 +4,15 @@
 
 namespace photon {
 
-BatchSizeAutotuner::BatchSizeAutotuner(AutotunerConfig config)
-    : config_(config) {}
+namespace {
 
-double BatchSizeAutotuner::footprint_gb(const ModelConfig& model,
-                                        int micro_batch,
-                                        double state_shards) const {
+/// Share of a GPU's VRAM the batch may fill; 15% is held back for
+/// fragmentation and checkpoints.
+constexpr double kVramSafetyFraction = 0.85;
+constexpr int kMaxMicroBatch = 512;
+
+double footprint_gb(const ModelConfig& model, int micro_batch,
+                    double state_shards) {
   const double params = static_cast<double>(model.num_params());
   // Weights/grads/optimizer state divide across `state_shards` under FSDP.
   const double state_bytes = params * 16.0 / state_shards;
@@ -19,12 +22,14 @@ double BatchSizeAutotuner::footprint_gb(const ModelConfig& model,
   return (state_bytes + act_bytes) / (1024.0 * 1024.0 * 1024.0);
 }
 
-AutotuneResult BatchSizeAutotuner::search(const ModelConfig& model,
-                                          double budget_gb,
-                                          double state_shards) const {
+/// Largest power-of-two micro-batch whose footprint at `state_shards` fits
+/// the safe share of `gpu`'s VRAM; device_batch is left to the caller.
+AutotuneResult search(const ModelConfig& model, const GpuSpec& gpu,
+                      double state_shards) {
+  const double budget_gb = gpu.vram_gb * kVramSafetyFraction;
   AutotuneResult r;
   int best = 0;
-  for (int mb = 1; mb <= config_.max_micro_batch; mb *= 2) {
+  for (int mb = 1; mb <= kMaxMicroBatch; mb *= 2) {
     if (footprint_gb(model, mb, state_shards) <= budget_gb) {
       best = mb;
     } else {
@@ -37,24 +42,21 @@ AutotuneResult BatchSizeAutotuner::search(const ModelConfig& model,
   return r;
 }
 
-AutotuneResult BatchSizeAutotuner::tune_gpu(const ModelConfig& model,
-                                            const GpuSpec& gpu) const {
-  AutotuneResult r =
-      search(model, gpu.vram_gb * config_.vram_safety_fraction, 1.0);
+}  // namespace
+
+AutotuneResult tune_gpu(const ModelConfig& model, const GpuSpec& gpu) {
+  AutotuneResult r = search(model, gpu, 1.0);
   r.device_batch = r.micro_batch_per_gpu;
   return r;
 }
 
-AutotuneResult BatchSizeAutotuner::tune_client(const ModelConfig& model,
-                                               const ClientSpec& client,
-                                               bool fsdp_sharding) const {
+AutotuneResult tune_client(const ModelConfig& model, const ClientSpec& client,
+                           bool fsdp_sharding) {
   const int gpus = client.total_gpus();
   if (gpus == 0) return {};
   // All GPUs in a client are identical (Table 1); budget per GPU.
-  const GpuSpec& gpu = client.nodes.front().gpu;
-  AutotuneResult r =
-      search(model, gpu.vram_gb * config_.vram_safety_fraction,
-             fsdp_sharding ? static_cast<double>(gpus) : 1.0);
+  AutotuneResult r = search(model, client.nodes.front().gpu,
+                            fsdp_sharding ? static_cast<double>(gpus) : 1.0);
   r.device_batch = r.micro_batch_per_gpu * gpus;
   return r;
 }

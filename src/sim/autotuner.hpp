@@ -23,33 +23,13 @@ struct AutotuneResult {
   bool fits = false;
 };
 
-struct AutotunerConfig {
-  double vram_safety_fraction = 0.85;  // reserve 15% for fragmentation/ckpt
-  int max_micro_batch = 512;
-};
+/// Largest power-of-two micro-batch (up to 512) that fits a single GPU
+/// with 15% of its VRAM held back for fragmentation and checkpoints.
+AutotuneResult tune_gpu(const ModelConfig& model, const GpuSpec& gpu);
 
-class BatchSizeAutotuner {
- public:
-  explicit BatchSizeAutotuner(AutotunerConfig config = {});
-
-  /// Largest power-of-two micro-batch that fits a single GPU.
-  AutotuneResult tune_gpu(const ModelConfig& model, const GpuSpec& gpu) const;
-
-  /// Client-level batch: micro-batch per GPU x total GPUs (data parallel).
-  /// Under FSDP the parameter state is sharded, admitting larger models.
-  AutotuneResult tune_client(const ModelConfig& model,
-                             const ClientSpec& client,
-                             bool fsdp_sharding) const;
-
- private:
-  double footprint_gb(const ModelConfig& model, int micro_batch,
-                      double state_shards) const;
-  /// Largest power-of-two micro-batch whose footprint at `state_shards`
-  /// fits `budget_gb` per GPU; device_batch is left to the caller.
-  AutotuneResult search(const ModelConfig& model, double budget_gb,
-                        double state_shards) const;
-
-  AutotunerConfig config_;
-};
+/// Client-level batch: micro-batch per GPU x total GPUs (data parallel).
+/// Under FSDP the parameter state is sharded, admitting larger models.
+AutotuneResult tune_client(const ModelConfig& model, const ClientSpec& client,
+                           bool fsdp_sharding);
 
 }  // namespace photon

@@ -13,11 +13,8 @@ const char* local_strategy_name(LocalStrategy s) {
   return "?";
 }
 
-StrategySelector::StrategySelector(BatchSizeAutotuner autotuner)
-    : autotuner_(std::move(autotuner)) {}
-
-StrategyDecision StrategySelector::select(const ModelConfig& model,
-                                          const ClientSpec& client) const {
+StrategyDecision select_strategy(const ModelConfig& model,
+                                 const ClientSpec& client) {
   StrategyDecision d;
   if (client.nodes.empty()) {
     d.rationale = "client has no nodes";
@@ -25,7 +22,7 @@ StrategyDecision StrategySelector::select(const ModelConfig& model,
   }
 
   const GpuSpec& gpu = client.nodes.front().gpu;
-  const AutotuneResult single = autotuner_.tune_gpu(model, gpu);
+  const AutotuneResult single = tune_gpu(model, gpu);
   const bool multi_node = client.nodes.size() > 1;
   const bool multi_gpu = client.total_gpus() > 1;
 
@@ -47,7 +44,7 @@ StrategyDecision StrategySelector::select(const ModelConfig& model,
     for (const auto& node : client.nodes) rdma = rdma && node.has_rdma();
     if (!rdma) {
       d.strategy = LocalStrategy::kSubFederation;
-      d.batch = autotuner_.tune_client(model, client, /*fsdp_sharding=*/false);
+      d.batch = tune_client(model, client, /*fsdp_sharding=*/false);
       d.rationale =
           "multi-node without RDMA: nested sub-federation with "
           "data sub-partitioning";
@@ -60,12 +57,12 @@ StrategyDecision StrategySelector::select(const ModelConfig& model,
   // otherwise FSDP sharding.
   if (single.fits) {
     d.strategy = LocalStrategy::kDdp;
-    d.batch = autotuner_.tune_client(model, client, /*fsdp_sharding=*/false);
+    d.batch = tune_client(model, client, /*fsdp_sharding=*/false);
     d.rationale = "model fits one GPU; DDP across the client's GPUs";
     return d;
   }
   const AutotuneResult sharded =
-      autotuner_.tune_client(model, client, /*fsdp_sharding=*/true);
+      tune_client(model, client, /*fsdp_sharding=*/true);
   if (sharded.fits) {
     d.strategy = LocalStrategy::kFsdp;
     d.batch = sharded;

@@ -33,15 +33,8 @@ struct StrategyDecision {
   std::string rationale;    // human-readable reason (logged by LLM-C)
 };
 
-class StrategySelector {
- public:
-  explicit StrategySelector(BatchSizeAutotuner autotuner = BatchSizeAutotuner{});
-
-  StrategyDecision select(const ModelConfig& model,
-                          const ClientSpec& client) const;
-
- private:
-  BatchSizeAutotuner autotuner_;
-};
+/// The paper's heuristic above, with tune_gpu/tune_client sizing the batch.
+StrategyDecision select_strategy(const ModelConfig& model,
+                                 const ClientSpec& client);
 
 }  // namespace photon

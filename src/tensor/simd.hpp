@@ -59,7 +59,7 @@ struct Ops {
   // ------------------------------------------ reductions (fixed 16-lane) --
   float (*dot)(const float* a, const float* b, std::size_t n);
   float (*reduce_max)(const float* x, std::size_t n);  // n >= 1
-  float (*max_abs)(const float* x, std::size_t n);
+  float (*max_abs)(const float* x, std::size_t n);  // NaN if any x[i] is NaN
   double (*sum_pd)(const float* x, std::size_t n);
   double (*sumsq_pd)(const float* x, std::size_t n);
   // sum over i of (double(x[i]) - mean)^2

@@ -288,7 +288,7 @@ TEST(SecureAgg, MasksCancelInTheSum) {
     plain_mean[i] /= static_cast<float>(k);
   }
 
-  const SecAggSession sec({0, 1, 2, 3, 4}, SecAggConfig{32, 0.5, 0xFEED});
+  const SecAggSession sec({0, 1, 2, 3, 4}, 0xFEED);
   std::vector<std::vector<std::uint64_t>> masked(
       k, std::vector<std::uint64_t>(n, 0));
   for (int c = 0; c < k; ++c) {
@@ -321,8 +321,8 @@ TEST(SecureAgg, MasksCancelInTheSum) {
 }
 
 TEST(SecureAgg, Validation) {
-  EXPECT_THROW(SecAggSession({}, SecAggConfig{}), std::invalid_argument);
-  const SecAggSession sec({0, 1, 2}, SecAggConfig{32, 0.5, 1});
+  EXPECT_THROW(SecAggSession({}, 0), std::invalid_argument);
+  const SecAggSession sec({0, 1, 2}, 1);
   const auto& ctx = kernels::default_context();
   std::vector<float> buf(4, 0.0f);
   std::vector<std::uint64_t> out(4, 0);
@@ -1070,7 +1070,7 @@ TEST(SecureAgg, ParallelSumIntoMatchesSerialBitExactly) {
     u.resize(n);
     for (auto& x : u) x = rng.gaussian(0.0f, 2.0f);
   }
-  const SecAggSession sec({0, 1, 2, 3, 4}, SecAggConfig{32, 0.5, 0x5EC});
+  const SecAggSession sec({0, 1, 2, 3, 4}, 0x5EC);
   const std::vector<int> survivors{0, 1, 3, 4};
   const std::vector<int> dropped{2};
   auto secure_mean = [&](const kernels::KernelContext& ctx) {

@@ -313,9 +313,9 @@ Digests run_runner() {
   rc.eval_batch_size = 2;
   rc.eval_tokens = 1 << 10;
   rc.seed = 17;
-  obs::Tracer tracer;
-  rc.tracer = &tracer;
+  obs::Tracer tracer;  // outlives the runner that points at it
   PhotonRunner runner(rc);
+  runner.aggregator().set_tracer(&tracer);
   runner.run();
   Fnv1a engine;
   hash_engine(engine, runner.aggregator());

@@ -109,7 +109,6 @@ TEST(ClipGradNorm, ScalesOnlyWhenAboveThreshold) {
 TEST(CosineSchedule, WarmupAndDecayShape) {
   CosineScheduleConfig cfg;
   cfg.max_lr = 1.0f;
-  cfg.min_lr_factor = 0.1f;
   cfg.warmup_steps = 10;
   cfg.total_steps = 110;
   CosineSchedule sched(cfg);

@@ -147,8 +147,7 @@ TEST_P(SecureAggProperty, SumPreservedForAnyCohortSize) {
   }
   std::vector<int> cohort(static_cast<std::size_t>(k));
   for (int c = 0; c < k; ++c) cohort[static_cast<std::size_t>(c)] = c;
-  const SecAggSession sec(
-      cohort, SecAggConfig{32, 0.5, 0xABC + static_cast<std::uint64_t>(k)});
+  const SecAggSession sec(cohort, 0xABC + static_cast<std::uint64_t>(k));
   // Every member masks into the one server accumulator (wrapping adds).
   std::vector<std::uint64_t> acc(n, 0);
   for (int c = 0; c < k; ++c) {
@@ -230,7 +229,6 @@ TEST_P(ScheduleProperty, BoundedAndMonotoneAfterWarmup) {
   const int total = GetParam();
   CosineScheduleConfig cfg;
   cfg.max_lr = 1.0f;
-  cfg.min_lr_factor = 0.1f;
   cfg.warmup_steps = total / 10;
   cfg.total_steps = total;
   CosineSchedule sched(cfg);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "baselines/centralized.hpp"
 #include "baselines/diloco.hpp"
@@ -83,6 +84,15 @@ TEST(PhotonRunner, DeterministicAcrossIdenticalRuns) {
   }
 }
 
+TEST(PhotonRunner, RejectsNonPositiveEvalEvery) {
+  // run() takes (r + 1) % eval_every; the constructor must refuse 0 first.
+  RunnerConfig rc = fast_runner_config();
+  for (const int every : {0, -4}) {
+    rc.eval_every = every;
+    EXPECT_THROW(PhotonRunner{rc}, std::invalid_argument) << every;
+  }
+}
+
 TEST(CentralizedTrainer, LearnsAndRecordsHistory) {
   CentralizedConfig cc;
   cc.model = ModelConfig::nano();
@@ -119,6 +129,23 @@ TEST(CentralizedTrainer, DetectsDivergenceAtAbsurdLr) {
   const CentralizedResult result = CentralizedTrainer(cc).run();
   EXPECT_TRUE(result.diverged);
   EXPECT_LT(result.steps_run, 200);
+}
+
+TEST(CentralizedTrainer, RejectsNonPositiveStepsBatchOrEvalEvery) {
+  CentralizedConfig cc;
+  cc.model = ModelConfig::nano();
+  cc.eval_tokens = 1 << 10;
+  for (const int bad : {0, -1}) {
+    CentralizedConfig c = cc;
+    c.eval_every = bad;
+    EXPECT_THROW(CentralizedTrainer{c}, std::invalid_argument) << bad;
+    c = cc;
+    c.steps = bad;
+    EXPECT_THROW(CentralizedTrainer{c}, std::invalid_argument) << bad;
+    c = cc;
+    c.batch = bad;
+    EXPECT_THROW(CentralizedTrainer{c}, std::invalid_argument) << bad;
+  }
 }
 
 TEST(DiLoCo, ConfigTransformsRecipeOnly) {

@@ -131,9 +131,7 @@ TEST(SecAggField, FieldInverseAndKeyAgreementCommute) {
 
 // ----------------------------------------------------------- session ------
 TEST(SecAggSession, PairSeedsAreSymmetricAndDistinctAcrossPairs) {
-  SecAggConfig cfg;
-  cfg.session_seed = 0xC0FFEE;
-  const SecAggSession s({4, 7, 9, 11, 20}, cfg);
+  const SecAggSession s({4, 7, 9, 11, 20}, 0xC0FFEE);
   std::vector<std::uint64_t> seen;
   for (int a = 0; a < s.cohort_size(); ++a) {
     for (int b = a + 1; b < s.cohort_size(); ++b) {
@@ -145,19 +143,16 @@ TEST(SecAggSession, PairSeedsAreSymmetricAndDistinctAcrossPairs) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
   EXPECT_THROW(s.pair_seed(0, 0), std::out_of_range);
   // A different session seed re-keys every pair.
-  cfg.session_seed = 0xC0FFEF;
-  const SecAggSession t({4, 7, 9, 11, 20}, cfg);
+  const SecAggSession t({4, 7, 9, 11, 20}, 0xC0FFEF);
   EXPECT_NE(s.pair_seed(0, 1), t.pair_seed(0, 1));
 }
 
 TEST(SecAggSession, MaskedSumEqualsPlainEncodingSumBitExactly) {
   const int k = 5;
   const std::size_t n = 513;  // odd: exercises shard remainders
-  SecAggConfig cfg;
-  cfg.session_seed = 42;
   std::vector<int> cohort(k);
   for (int i = 0; i < k; ++i) cohort[i] = i;
-  const SecAggSession s(cohort, cfg);
+  const SecAggSession s(cohort, 42);
   const auto updates = random_updates(k, n, 7);
 
   std::vector<std::uint64_t> acc(n, 0);
@@ -181,9 +176,7 @@ TEST(SecAggSession, MaskedSumEqualsPlainEncodingSumBitExactly) {
 TEST(SecAggSession, MaskingIsBitIdenticalSerialVsParallel) {
   const int k = 4;
   const std::size_t n = 1021;
-  SecAggConfig cfg;
-  cfg.session_seed = 99;
-  const SecAggSession s({0, 1, 2, 3}, cfg);
+  const SecAggSession s({0, 1, 2, 3}, 99);
   const auto updates = random_updates(k, n, 21);
 
   ThreadPool pool(4);
@@ -201,9 +194,7 @@ TEST(SecAggSession, MaskingIsBitIdenticalSerialVsParallel) {
 TEST(SecAggSession, DropoutRecoveryMatchesSurvivorOnlySumBitExactly) {
   const int k = 5;
   const std::size_t n = 257;
-  SecAggConfig cfg;
-  cfg.session_seed = 0xD0D0;
-  const SecAggSession s({0, 1, 2, 3, 4}, cfg);
+  const SecAggSession s({0, 1, 2, 3, 4}, 0xD0D0);
   const auto updates = random_updates(k, n, 31);
 
   const std::vector<int> survivors{0, 2, 4};
@@ -237,9 +228,7 @@ TEST(SecAggSession, DropoutRecoveryMatchesSurvivorOnlySumBitExactly) {
 }
 
 TEST(SecAggSession, RecoveryBelowShareThresholdAborts) {
-  SecAggConfig cfg;
-  cfg.share_threshold_fraction = 0.6;  // t = ceil(0.6 * 5) = 3
-  const SecAggSession s({0, 1, 2, 3, 4}, cfg);
+  const SecAggSession s({0, 1, 2, 3, 4}, 0);  // t = ceil(0.5 * 5) = 3
   EXPECT_EQ(s.threshold(), 3);
   EXPECT_EQ(SecAggSession::threshold_for(5, 0.6), 3);
   EXPECT_EQ(SecAggSession::threshold_for(1, 0.5), 1);
@@ -252,9 +241,7 @@ TEST(SecAggSession, RecoveryBelowShareThresholdAborts) {
 }
 
 TEST(SecAggSession, SharesReconstructEachMemberSecret) {
-  SecAggConfig cfg;
-  cfg.session_seed = 5;
-  const SecAggSession s({0, 1, 2, 3}, cfg);
+  const SecAggSession s({0, 1, 2, 3}, 5);
   for (int owner = 0; owner < 4; ++owner) {
     std::vector<secagg::Share> held;
     for (int holder = 0; holder < 4; ++holder) {
@@ -267,9 +254,7 @@ TEST(SecAggSession, SharesReconstructEachMemberSecret) {
 }
 
 TEST(SecAggSession, KeyExchangeCostsWireTimeAndEmitsSpans) {
-  SecAggConfig cfg;
-  cfg.session_seed = 77;
-  const SecAggSession s({0, 1, 2}, cfg);
+  const SecAggSession s({0, 1, 2}, 77);
 
   SimLink l0("ke0", 1.0, 5.0), l1("ke1", 1.0, 5.0), l2("ke2", 1.0, 5.0);
   std::vector<SimLink*> links{&l0, &l1, &l2};
@@ -673,7 +658,7 @@ TEST(SecAggFederation, PrivacyCheckpointFieldRoundTripsThroughDisk) {
 TEST(SecAggFederation, SumIntoRejectsRaggedSpans) {
   // Regression: every member's span is checked against the server
   // accumulator, not just the first one, and decoding checks its output.
-  const SecAggSession sec({0, 1}, SecAggConfig{32, 0.5, 3});
+  const SecAggSession sec({0, 1}, 3);
   const auto& ctx = kernels::default_context();
   std::vector<float> a(8, 1.0f), b(7, 1.0f);
   std::vector<std::uint64_t> acc(8, 0);
@@ -682,7 +667,7 @@ TEST(SecAggFederation, SumIntoRejectsRaggedSpans) {
   std::vector<float> out(8, 0.0f), short_out(7, 0.0f);
   EXPECT_THROW(sec.decode_mean(acc, 2, short_out, ctx), std::invalid_argument);
   EXPECT_THROW(sec.decode_mean(acc, 0, out, ctx), std::invalid_argument);
-  EXPECT_THROW(SecAggSession({}, SecAggConfig{}), std::invalid_argument);
+  EXPECT_THROW(SecAggSession({}, 0), std::invalid_argument);
   // The rejected span left the accumulator untouched.
   sec.mask_update_into(1, a, acc, ctx);
   sec.decode_mean(acc, 2, out, ctx);

@@ -96,10 +96,9 @@ TEST(PaperFederation, Fig2BottlenecksReproduced) {
 }
 
 TEST(Autotuner, LargerModelsGetSmallerBatches) {
-  BatchSizeAutotuner tuner;
   const GpuSpec h100 = GpuSpec::h100();
-  const auto b125 = tuner.tune_gpu(ModelConfig::paper_125m(), h100);
-  const auto b1b = tuner.tune_gpu(ModelConfig::paper_1_3b(), h100);
+  const auto b125 = tune_gpu(ModelConfig::paper_125m(), h100);
+  const auto b1b = tune_gpu(ModelConfig::paper_1_3b(), h100);
   EXPECT_TRUE(b125.fits);
   EXPECT_TRUE(b1b.fits);
   EXPECT_GT(b125.micro_batch_per_gpu, b1b.micro_batch_per_gpu);
@@ -108,50 +107,47 @@ TEST(Autotuner, LargerModelsGetSmallerBatches) {
 }
 
 TEST(Autotuner, SevenBDoesNotFitOneGpuButFitsWithFsdp) {
-  BatchSizeAutotuner tuner;
   const ModelConfig m7 = ModelConfig::paper_7b();
-  const auto single = tuner.tune_gpu(m7, GpuSpec::h100());
+  const auto single = tune_gpu(m7, GpuSpec::h100());
   EXPECT_FALSE(single.fits);  // 7B AdamW states ~ 112 GB > 80 GB
 
   ClientSpec eight;
   eight.nodes.push_back({GpuSpec::h100(), 8, 400.0});
-  const auto sharded = tuner.tune_client(m7, eight, /*fsdp_sharding=*/true);
+  const auto sharded = tune_client(m7, eight, /*fsdp_sharding=*/true);
   EXPECT_TRUE(sharded.fits);
   EXPECT_EQ(sharded.device_batch, sharded.micro_batch_per_gpu * 8);
 }
 
 TEST(StrategySelector, FollowsThePaperHeuristic) {
-  StrategySelector selector;
-
   // 1 GPU + small model -> dedicated GPU.
   ClientSpec single;
   single.nodes.push_back({GpuSpec::h100(), 1, 0.0});
-  EXPECT_EQ(selector.select(ModelConfig::paper_125m(), single).strategy,
+  EXPECT_EQ(select_strategy(ModelConfig::paper_125m(), single).strategy,
             LocalStrategy::kSingleGpu);
 
   // multi-GPU + model fits one GPU -> DDP.
   ClientSpec multi;
   multi.nodes.push_back({GpuSpec::h100(), 4, 400.0});
-  EXPECT_EQ(selector.select(ModelConfig::paper_1_3b(), multi).strategy,
+  EXPECT_EQ(select_strategy(ModelConfig::paper_1_3b(), multi).strategy,
             LocalStrategy::kDdp);
 
   // multi-GPU + model exceeds one GPU -> FSDP.
   ClientSpec eight;
   eight.nodes.push_back({GpuSpec::h100(), 8, 400.0});
-  EXPECT_EQ(selector.select(ModelConfig::paper_7b(), eight).strategy,
+  EXPECT_EQ(select_strategy(ModelConfig::paper_7b(), eight).strategy,
             LocalStrategy::kFsdp);
 
   // multi-node without RDMA -> nested sub-federation.
   ClientSpec cluster;
   cluster.nodes.push_back({GpuSpec::rtx4090(), 2, 10.0});
   cluster.nodes.push_back({GpuSpec::rtx4090(), 2, 10.0});
-  EXPECT_EQ(selector.select(ModelConfig::paper_125m(), cluster).strategy,
+  EXPECT_EQ(select_strategy(ModelConfig::paper_125m(), cluster).strategy,
             LocalStrategy::kSubFederation);
 
   // Way too big -> does not fit.
   ClientSpec tiny;
   tiny.nodes.push_back({GpuSpec::rtx4090(), 1, 0.0});
-  EXPECT_EQ(selector.select(ModelConfig::paper_7b(), tiny).strategy,
+  EXPECT_EQ(select_strategy(ModelConfig::paper_7b(), tiny).strategy,
             LocalStrategy::kDoesNotFit);
 }
 

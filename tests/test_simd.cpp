@@ -617,6 +617,57 @@ TEST(WireKernels, QuantAndDequantAccumulateMatchTheScalarLoops) {
   EXPECT_GT(ties, 100u);
 }
 
+// A NaN anywhere makes max_abs NaN on every variant, at every lane of a full
+// 16-lane block and of a masked tail.  encode_chunk reads that max-abs as
+// its finiteness check, so the chunk must go out raw (mode 1), leave a zero
+// residual, and carry the same bytes on every variant.
+TEST(WireKernels, NaNAtAnyLaneSendsTheChunkRaw) {
+  constexpr std::size_t kN = 1000;  // 62 full 16-lane blocks, an 8-lane tail
+  std::vector<std::size_t> at;
+  for (std::size_t p = 0; p < 16; ++p) at.push_back(p);
+  for (std::size_t p = kN - 24; p < kN; ++p) at.push_back(p);
+  const simd::Variant before = simd::active_variant();
+  for (const std::size_t p : at) {
+    SCOPED_TRACE("NaN at " + std::to_string(p));
+    std::vector<float> x(kN, 0.01f);
+    x[p] = std::numeric_limits<float>::quiet_NaN();
+    for (const std::size_t n : {std::size_t{16}, std::size_t{25}, kN}) {
+      if (p >= n) continue;
+      for (auto v : supported_variants()) {
+        EXPECT_TRUE(std::isnan(simd::ops(v).max_abs(x.data(), n)))
+            << "n=" << n << " variant " << simd::variant_name(v);
+      }
+    }
+    const std::span<const std::uint8_t> raw(
+        reinterpret_cast<const std::uint8_t*>(x.data()), kN * sizeof(float));
+    for (const char* name : {"q8", "q4"}) {
+      const Codec* codec = codec_by_name(name);
+      const int bits = codec->quant_bits();
+      std::vector<std::vector<std::uint8_t>> wires;
+      for (auto v : supported_variants()) {
+        simd::set_active_variant(v);
+        std::vector<std::uint8_t> chunk;
+        EXPECT_FALSE(wire_quant::encode_chunk(x.data(), kN, bits, chunk))
+            << name << " variant " << simd::variant_name(v);
+        std::vector<float> res(kN, -1.0f);
+        wire_quant::residual_of(x.data(), res.data(), kN, bits);
+        EXPECT_TRUE(bytes_equal(res, std::vector<float>(kN, 0.0f)))
+            << name << " variant " << simd::variant_name(v);
+        wires.push_back(codec->compress(raw));
+      }
+      simd::set_active_variant(before);
+      for (std::size_t i = 1; i < wires.size(); ++i) {
+        EXPECT_EQ(wires[0], wires[i]) << name;
+      }
+      std::vector<float> back(kN);
+      codec->decompress_into(
+          wires[0], {reinterpret_cast<std::uint8_t*>(back.data()),
+                     kN * sizeof(float)});
+      EXPECT_TRUE(bytes_equal(back, x)) << name;
+    }
+  }
+}
+
 TEST(FusedKernels, Crc32CopyMatchesMemcpyPlusCrc32) {
   Rng rng(51);
   // Sizes straddle the PCLMUL head threshold (64) and every tail residue.
