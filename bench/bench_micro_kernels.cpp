@@ -7,12 +7,7 @@
 // bench_common.hpp's sampler; the real-clock record of a workload's kernels
 // is bench_e2e's per-layer view.
 //
-//   bench_micro_kernels [--gbench [google-benchmark args...]]
-//
-// --gbench      additionally run the google-benchmark suites (train step,
-//               collectives, codecs, message framing)
-
-#include <benchmark/benchmark.h>
+//   bench_micro_kernels
 
 #include <algorithm>
 #include <cstdio>
@@ -23,8 +18,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "comm/collective.hpp"
-#include "comm/compression.hpp"
 #include "comm/message.hpp"
 #include "comm/quantization.hpp"
 #include "data/corpus.hpp"
@@ -42,6 +35,9 @@ namespace {
 
 using namespace photon;
 namespace k = kernels;
+
+// Timed results land here so the compiler cannot drop the calls.
+volatile double sink = 0.0;
 
 // ------------------------------------------------------- kernel timings --
 
@@ -204,7 +200,7 @@ double run_kernels() {
         });
     run("l2_norm", "n=2097152", 2.0 * static_cast<double>(n),
         [&](const k::KernelContext& ctx) {
-          benchmark::DoNotOptimize(k::l2_norm(ctx, a.data(), n));
+          sink = k::l2_norm(ctx, a.data(), n);
         });
   }
   {  // fused clip + AdamW step (the optimizer hot path)
@@ -287,7 +283,7 @@ void print_train_mfu(simd::Variant v, double peak_gflops) {
     model.zero_grad();
     const float loss =
         model.train_step_fb(b.tokens, b.targets, 4, cfg.seq_len);
-    benchmark::DoNotOptimize(loss);
+    sink = loss;
     opt.step_clipped(ctx, model.params(), model.grads(), 1e-3f, 1.0);
   };
   auto counted = [&] {
@@ -309,112 +305,9 @@ void print_train_mfu(simd::Variant v, double peak_gflops) {
               peak_gflops > 0 ? gflops / peak_gflops : 0.0);
 }
 
-// ----------------------------------------------- google-benchmark suites --
-
-void BM_TrainStep(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  ModelConfig cfg = scale == 0   ? ModelConfig{2, 24, 2, 64, 24, 4}
-                    : scale == 1 ? ModelConfig::nano()
-                                 : ModelConfig::micro();
-  GptModel model(cfg, 1);
-  CorpusConfig cc;
-  cc.vocab_size = cfg.vocab_size;
-  auto corpus = std::make_shared<MarkovSource>(cc, c4_style());
-  CorpusStreamSource stream(corpus, 3);
-  AdamW opt(model.num_params());
-  const Batch b = stream.next_batch(4, cfg.seq_len);
-  for (auto _ : state) {
-    model.zero_grad();
-    const float loss = model.train_step_fb(b.tokens, b.targets, 4, cfg.seq_len);
-    benchmark::DoNotOptimize(loss);
-    clip_grad_norm(kernels::default_context(), model.grads(), 1.0);
-    opt.step(kernels::default_context(), model.params(), model.grads(), 1e-3f);
-  }
-  state.SetItemsProcessed(state.iterations() * 4 * cfg.seq_len);
-  state.counters["params"] = static_cast<double>(cfg.num_params());
-}
-BENCHMARK(BM_TrainStep)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-void BM_Matmul(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::vector<float> a(static_cast<std::size_t>(n) * n, 1.0f);
-  std::vector<float> b(static_cast<std::size_t>(n) * n, 2.0f);
-  std::vector<float> out(static_cast<std::size_t>(n) * n);
-  for (auto _ : state) {
-    kernels::matmul(kernels::default_context(), out.data(), a.data(), b.data(),
-                    n, n, n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * n * n);
-}
-BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_Collective(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const auto topo = static_cast<Topology>(state.range(1));
-  std::vector<std::vector<float>> bufs(
-      static_cast<std::size_t>(k), std::vector<float>(1 << 16, 1.0f));
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (auto& b : bufs) std::fill(b.begin(), b.end(), 1.0f);
-    std::vector<std::span<float>> spans;
-    for (auto& b : bufs) spans.emplace_back(b);
-    state.ResumeTiming();
-    collective_mean(topo, spans);
-    benchmark::DoNotOptimize(bufs.front().data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(state.iterations() * k * (1 << 18));
-}
-BENCHMARK(BM_Collective)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({16, 2})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Codec(benchmark::State& state) {
-  const char* names[] = {"rle0"};
-  const Codec* codec = codec_by_name(names[state.range(0)]);
-  Rng rng(5);
-  std::vector<std::uint8_t> input(1 << 16);
-  for (auto& b : input) {
-    b = rng.next_bool(0.5) ? 0 : static_cast<std::uint8_t>(rng.next_below(256));
-  }
-  for (auto _ : state) {
-    const auto compressed = codec->compress(input);
-    benchmark::DoNotOptimize(compressed.data());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 16));
-}
-BENCHMARK(BM_Codec)->Arg(0);
-
-void BM_MessageRoundTrip(benchmark::State& state) {
-  Message m;
-  m.payload.assign(1 << 15, 0.25f);
-  m.metadata["loss"] = 1.0;
-  for (auto _ : state) {
-    const auto wire = m.encode();
-    const Message back = Message::decode(wire);
-    benchmark::DoNotOptimize(back.payload.data());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 17));
-}
-BENCHMARK(BM_MessageRoundTrip);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool gbench = false;
-  std::vector<char*> gbench_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gbench") == 0) {
-      gbench = true;
-    } else {
-      gbench_args.push_back(argv[i]);
-    }
-  }
-
+int main() {
   std::printf("kernels at one thread\n");
   // Peak proxy: the best measured GFLOP/s across the kernel sweep with the
   // active (best) SIMD variant — not a theoretical number, so MFU compares
@@ -426,12 +319,5 @@ int main(int argc, char** argv) {
               peak_gflops);
   print_train_mfu(simd::Variant::kScalar, peak_gflops);
   print_train_mfu(simd::active_variant(), peak_gflops);
-
-  if (gbench) {
-    int gargc = static_cast<int>(gbench_args.size());
-    benchmark::Initialize(&gargc, gbench_args.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
   return 0;
 }

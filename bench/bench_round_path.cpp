@@ -11,7 +11,7 @@
 //         copied out, pseudo-gradient copied, staged ring-AllReduce,
 //         two-pass PS/AR with an O(n) double accumulator);
 //   new — the production path: one borrowed broadcast payload, chunked
-//         encode/decode into per-link scratch reused across rounds, the
+//         encode/decode into per-client scratch reused across rounds, the
 //         collective run in place over the received buffers.
 // Both produce bit-identical aggregation results.  The ratio ref/new is
 // asserted >= 1.0: the production path must not be slower than the one it
@@ -217,6 +217,7 @@ void ref_round(const std::vector<float>& params, int k,
 
 struct NewRoundState {
   std::vector<SimLink> links;
+  std::vector<WireScratch> images;  // per-client encode buffers
   std::vector<Message> rx;
   std::vector<WireView> wires;      // streamed path: retained wire images
   std::vector<float> pseudo_grad;   // streamed path: chunk-mean output
@@ -228,6 +229,7 @@ void init_state(NewRoundState& st, int k) {
     st.links.emplace_back("bench" + std::to_string(c), 10.0);
     st.links.back().set_thread_pool(&global_pool());
   }
+  st.images.resize(static_cast<std::size_t>(k));
   st.rx.resize(static_cast<std::size_t>(k));
   st.wires.resize(static_cast<std::size_t>(k));
 }
@@ -245,13 +247,16 @@ void new_round(const std::vector<float>& params, int k,
   broadcast.payload_view = params;  // one buffer serves every client
   for (int c = 0; c < k; ++c) {
     auto& rx = st.rx[static_cast<std::size_t>(c)];
-    st.links[static_cast<std::size_t>(c)].transmit(broadcast, rx);
+    auto& image = st.images[static_cast<std::size_t>(c)];
+    broadcast.encode_into(image, &global_pool());
+    st.links[static_cast<std::size_t>(c)].transmit(broadcast, image, rx);
 
     Message up;
     up.type = MessageType::kClientUpdate;
     up.codec = codec;
     up.payload_view = rx.payload;  // client's delta, borrowed
-    st.links[static_cast<std::size_t>(c)].transmit(up, rx);
+    up.encode_into(image, &global_pool());
+    st.links[static_cast<std::size_t>(c)].transmit(up, image, rx);
   }
   std::vector<std::span<float>> spans;
   spans.reserve(static_cast<std::size_t>(k));
@@ -283,14 +288,17 @@ void streamed_round(const std::vector<float>& params, int k,
   broadcast.payload_view = params;  // one buffer serves every client
   for (int c = 0; c < k; ++c) {
     auto& rx = st.rx[static_cast<std::size_t>(c)];
-    st.links[static_cast<std::size_t>(c)].transmit(broadcast, rx);
+    auto& image = st.images[static_cast<std::size_t>(c)];
+    broadcast.encode_into(image, &global_pool());
+    st.links[static_cast<std::size_t>(c)].transmit(broadcast, image, rx);
 
     Message up;
     up.type = MessageType::kClientUpdate;
     up.codec = codec;
     up.payload_view = params;  // client's delta, borrowed (same size)
+    up.encode_into(image, &global_pool());
     st.links[static_cast<std::size_t>(c)].transmit_wire(
-        up, rx, st.wires[static_cast<std::size_t>(c)]);
+        up, image, rx, st.wires[static_cast<std::size_t>(c)]);
   }
   const WireView& head = st.wires.front();
   st.pseudo_grad.resize(head.raw_bytes / sizeof(float));

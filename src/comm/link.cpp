@@ -80,32 +80,29 @@ class CorruptedCopy {
 
 }  // namespace
 
-void SimLink::transmit(const Message& message, Message& out) {
-  transmit_impl(message, nullptr, [&](std::span<const std::uint8_t> wire) {
-    Message::decode_into(wire, out, pool_);
-  });
-}
-
 void SimLink::transmit(const Message& message, const WireScratch& image,
-                       Message& out) {
-  transmit_impl(message, &image, [&](std::span<const std::uint8_t> wire) {
-    Message::decode_into(wire, out, pool_);
-  });
+                       Message& out, const LinkTraceContext& trace) {
+  transmit_impl(message, image, trace,
+                [&](std::span<const std::uint8_t> wire) {
+                  Message::decode_into(wire, out, pool_);
+                });
 }
 
-void SimLink::transmit_wire(const Message& message, Message& header,
-                            WireView& view) {
+void SimLink::transmit_wire(const Message& message, const WireScratch& image,
+                            Message& header, WireView& view,
+                            const LinkTraceContext& trace) {
   // validate_wire throws on exactly the corruptions decode_into would
   // reject (the CRC covers the compressed chunk bytes), so retransmit
   // behavior — including under injected bit flips — is unchanged.
-  transmit_impl(message, nullptr, [&](std::span<const std::uint8_t> wire) {
-    Message::validate_wire(wire, header, view, pool_);
-  });
+  transmit_impl(message, image, trace,
+                [&](std::span<const std::uint8_t> wire) {
+                  Message::validate_wire(wire, header, view, pool_);
+                });
 }
 
 template <typename Receive>
-void SimLink::transmit_impl(const Message& message, const WireScratch* image,
-                            Receive&& receive) {
+void SimLink::transmit_impl(const Message& message, const WireScratch& image,
+                            const LinkTraceContext& ctx, Receive&& receive) {
   const int max_attempts = std::max(1, retry_.max_attempts);
   ++stats_.messages;
   stats_.payload_bytes += message.view().size() * sizeof(float);
@@ -113,11 +110,10 @@ void SimLink::transmit_impl(const Message& message, const WireScratch* image,
   // Tracing: spans walk a deterministic sim-time cursor from the context's
   // base over the same transfer/backoff arithmetic the stats record, so
   // the emitted timeline is bit-identical at any thread count.
-  const obs::RoundTrace& trace = trace_.trace;
-  double cursor = trace_.sim_base;
+  double cursor = ctx.sim_base;
   const auto mark = [&](obs::SpanKind kind, double begin, double end,
                         int attempt, std::uint64_t real_ns) {
-    trace.record(kind, trace_.actor, attempt, begin, end, real_ns);
+    ctx.trace.record(kind, ctx.actor, attempt, begin, end, real_ns);
   };
 
   double spent = 0.0;  // simulated seconds consumed by this message
@@ -133,25 +129,20 @@ void SimLink::transmit_impl(const Message& message, const WireScratch* image,
       spent += latency_s_;
       cursor += latency_s_;
     } else {
-      const obs::RealTimer encode_timer = trace.timer();
-      if (image == nullptr) {  // first attempt that reaches the wire
-        message.encode_into(scratch_, pool_);
-        image = &scratch_;
-      }
-      mark(obs::SpanKind::kEncode, cursor, cursor, attempt, encode_timer.ns());
+      mark(obs::SpanKind::kEncode, cursor, cursor, attempt, 0);
       std::optional<CorruptedCopy> corrupted;
-      if (fault.corrupt != 0 && !image->wire.empty()) {
-        corrupted.emplace(*image, fault.corrupt);
+      if (fault.corrupt != 0 && !image.wire.empty()) {
+        corrupted.emplace(image, fault.corrupt);
       }
       const std::span<const std::uint8_t> wire =
           corrupted ? corrupted->bytes()
-                    : std::span<const std::uint8_t>(image->wire);
+                    : std::span<const std::uint8_t>(image.wire);
       stats_.wire_bytes += wire.size();
       const double t = transfer_time(wire.size());
       stats_.transfer_seconds += t;
       spent += t;
       cursor += t;
-      const obs::RealTimer decode_timer = trace.timer();
+      const obs::RealTimer decode_timer = ctx.trace.timer();
       try {
         receive(wire);
         delivered = true;

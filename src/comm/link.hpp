@@ -2,9 +2,11 @@
 // Link: the Agg <-> LLM-C communication gateway (paper §4).
 //
 // In this reproduction the federation runs in one process, so Link's job is
-// (a) full wire serialization/compression/CRC of every message, exercising
-// the real code path, and (b) faithful accounting of bytes and transfer
-// time over a simulated network link with finite bandwidth and latency.
+// (a) carrying every message's wire image, which its sender serialized,
+// compressed and CRC-protected, through a full CRC-checked receive,
+// exercising the real code path, and (b) faithful accounting of bytes and
+// transfer time over a simulated network link with finite bandwidth and
+// latency.
 
 #include <cstdint>
 #include <functional>
@@ -87,13 +89,13 @@ class TransmitError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Where the spans a SimLink emits go.  The round engine sets it before
-/// each transmit: `trace` is the round's trace handle (off by default),
-/// `sim_base` the absolute sim timestamp the next transmit starts at; the
-/// link walks a local cursor forward over its deterministic transfer and
-/// backoff times, so every emitted span (encode/decode instants,
-/// retry_wait intervals, link_fail marks) lands on the global round
-/// timeline without the link knowing about rounds.
+/// Where the spans of one transmit go, passed with it by its sender:
+/// `trace` is the round's trace handle (off by default), `sim_base` the
+/// absolute sim timestamp the transmit starts at; the link walks a local
+/// cursor forward over its deterministic transfer and backoff times, so
+/// every emitted span (encode/decode instants, retry_wait intervals,
+/// link_fail marks) lands on the global round timeline without the link
+/// knowing about rounds.
 struct LinkTraceContext {
   obs::RoundTrace trace;
   std::int32_t actor = -1;  // peer client id for emitted spans
@@ -112,12 +114,13 @@ class SimLink {
   /// Simulated seconds to move `bytes` over this link.
   double transfer_time(std::uint64_t bytes) const;
 
-  /// Serialize, "send", and deserialize a message into `out` (bit-exact,
-  /// CRC-checked) and record stats.  Zero-copy: encodes into scratch
-  /// buffers this link keeps across rounds and decodes into `out`, reusing
-  /// its payload capacity.  The message is encoded once, at its first
-  /// attempt that reaches the wire; a retry resends those bytes.  Chunked
-  /// codec/CRC work runs on the pool set via set_thread_pool.
+  /// "Send" `image` -- `message` as its sender encoded it with
+  /// message.encode_into -- and deserialize it into `out` (bit-exact,
+  /// CRC-checked, reusing out's payload capacity), recording stats.  Every
+  /// attempt resends image.wire, which the link only reads, so one image
+  /// serves any number of links, concurrently too; the sender owns its
+  /// bytes.  `message` keys the fault hook and the retry backoff.  Chunked
+  /// decode/CRC work runs on the pool set via set_thread_pool.
   ///
   /// Fault tolerance: each attempt consults the fault hook (if any); a
   /// transient send failure or a CRC-rejected (corrupted) reception is
@@ -127,26 +130,21 @@ class SimLink {
   /// aborted message; with no hook and no faults the path and stats are
   /// bit-identical to the pre-fault-engine transmit.  A corrupted attempt
   /// flips its bit in a copy of the wire image private to that attempt,
-  /// never in the image itself.
-  void transmit(const Message& message, Message& out);
-
-  /// transmit() for a message already encoded into `image` by
-  /// message.encode_into: every attempt sends image.wire, so one encode
-  /// serves any number of links, concurrently too — `image` is only read.
-  /// `message` still keys the fault hook and the retry backoff, and the
-  /// stats, spans and decoded `out` equal those of transmit(message, out).
+  /// never in the image itself.  Spans go where `trace` says.
   void transmit(const Message& message, const WireScratch& image,
-                Message& out);
+                Message& out, const LinkTraceContext& trace = {});
 
   /// Validate-only transmit for the streamed aggregation path: identical
-  /// retry/backoff/fault/stats/trace semantics to transmit(message, out),
-  /// but the receive side CRC-checks the wire image without decompressing
-  /// and retains it in `view` (header fields land in `header`, payload left
+  /// retry/backoff/fault/stats/trace semantics to transmit(), but the
+  /// receive side CRC-checks the wire image without decompressing and
+  /// retains it in `view` (header fields land in `header`, payload left
   /// empty).  The aggregator then dequantizes-and-accumulates straight from
   /// the compressed chunks, never materializing this client's fp32 payload.
-  void transmit_wire(const Message& message, Message& header, WireView& view);
+  void transmit_wire(const Message& message, const WireScratch& image,
+                     Message& header, WireView& view,
+                     const LinkTraceContext& trace = {});
 
-  /// Pool for per-chunk encode/decode work (nullptr = inline).  Not owned.
+  /// Pool for per-chunk decode/CRC work (nullptr = inline).  Not owned.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Retry/backoff policy applied by transmit (default: 3 attempts).
@@ -161,25 +159,19 @@ class SimLink {
   /// Resume from checkpointed totals (crash recovery).
   void restore_stats(const LinkStats& stats) { stats_ = stats; }
 
-  /// Install the tracing context for subsequent transmits (copy; cheap).
-  void set_trace_context(const LinkTraceContext& ctx) { trace_ = ctx; }
-
  private:
-  /// The one attempt loop: sends `image`, or (nullptr) the message
-  /// encoded into scratch_ at its first attempt that reaches the wire.
+  /// The one attempt loop behind both transmits.
   template <typename Receive>
-  void transmit_impl(const Message& message, const WireScratch* image,
-                     Receive&& receive);
+  void transmit_impl(const Message& message, const WireScratch& image,
+                     const LinkTraceContext& ctx, Receive&& receive);
 
   std::string name_;
   double bandwidth_gbps_;
   double latency_s_;
   LinkStats stats_;
   ThreadPool* pool_ = nullptr;
-  WireScratch scratch_;
   RetryPolicy retry_;
   LinkFaultHook fault_hook_;
-  LinkTraceContext trace_;
 };
 
 /// Directed bandwidth matrix between named sites, used to model the

@@ -212,13 +212,14 @@ void push_u64(std::vector<float>& payload, std::uint64_t v) {
 
 KeyExchangeResult SecAggSession::run_key_exchange(
     std::span<SimLink* const> links, double sim_base,
-    const obs::RoundTrace& trace) const {
+    const obs::RoundTrace& trace) {
   const int n = cohort_size();
   KeyExchangeResult result;
   result.member_seconds.assign(static_cast<std::size_t>(n), 0.0);
   if (n < 2) return result;
 
-  // Server -> member: the roster of public keys.  Shared by every member.
+  // Server -> member: the roster of public keys, encoded once; every
+  // member's link sends that one image.
   Message roster;
   roster.type = MessageType::kControl;
   roster.round = trace.round();
@@ -227,6 +228,17 @@ KeyExchangeResult SecAggSession::run_key_exchange(
   for (int i = 0; i < n; ++i) {
     push_u64(roster.payload, publics_[static_cast<std::size_t>(i)]);
   }
+  roster.encode_into(roster_wire_);
+
+  // Member -> server: its Shamir shares for every peer, each member's
+  // encoded in turn into one buffer.
+  Message shares;
+  shares.type = MessageType::kControl;
+  shares.round = trace.round();
+  shares.codec = "";
+  shares.metadata["secagg.shares"] = 1.0;
+  WireScratch shares_wire;
+  Message rx;
 
   for (int i = 0; i < n; ++i) {
     SimLink* link =
@@ -236,17 +248,12 @@ KeyExchangeResult SecAggSession::run_key_exchange(
     const obs::RealTimer ke_timer = trace.timer();
     const double before_s = link->stats().transfer_seconds;
     const std::uint64_t before_b = link->stats().wire_bytes;
-    link->set_trace_context({trace, cohort_[i], sim_base});
+    // Both start at sim_base: the barrier charges summed transfers only.
+    const LinkTraceContext ctx{trace, cohort_[i], sim_base};
     try {
-      Message rx;
-      link->transmit(roster, rx);
-      // Member -> server: its Shamir shares for every peer.
-      Message shares;
-      shares.type = MessageType::kControl;
-      shares.round = trace.round();
+      link->transmit(roster, roster_wire_, rx, ctx);
       shares.sender = static_cast<std::uint32_t>(cohort_[i]);
-      shares.codec = "";
-      shares.metadata["secagg.shares"] = 1.0;
+      shares.payload.clear();
       for (int holder = 0; holder < n; ++holder) {
         if (holder == i) continue;
         const secagg::Share s = share_of(i, holder);
@@ -254,8 +261,8 @@ KeyExchangeResult SecAggSession::run_key_exchange(
             std::bit_cast<float>(static_cast<std::uint32_t>(s.x)));
         push_u64(shares.payload, s.y);
       }
-      Message rx2;
-      link->transmit(shares, rx2);
+      shares.encode_into(shares_wire);
+      link->transmit(shares, shares_wire, rx, ctx);
     } catch (const TransmitError&) {
       result.failed.push_back(i);
     }

@@ -39,6 +39,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "comm/message.hpp"
 #include "obs/trace.hpp"
 #include "tensor/kernel_context.hpp"
 
@@ -117,15 +118,16 @@ class SecAggSession {
 
   /// Simulated key agreement + share distribution: per member, a server
   /// roster broadcast (all public keys) and a share upload, both kControl
-  /// messages over the member's link.  Entries in `links` may be null
-  /// (compute-only, zero sim time) and `links` itself may be empty (all
-  /// compute-only).  Members whose transmits exhaust their retry budget
-  /// are reported in `failed`; the caller treats them as dropouts.  The
-  /// messages carry `trace.round()`, and each member's link records its
-  /// spans into `trace` from `sim_base`.
+  /// messages over the member's link.  The roster is encoded once, into
+  /// roster_image(), and that image goes to every member.  Entries in
+  /// `links` may be null (compute-only, zero sim time) and `links` itself
+  /// may be empty (all compute-only).  Members whose transmits exhaust
+  /// their retry budget are reported in `failed`; the caller treats them as
+  /// dropouts.  The messages carry `trace.round()`, and each member's link
+  /// records its spans into `trace` from `sim_base`.
   KeyExchangeResult run_key_exchange(std::span<SimLink* const> links,
                                      double sim_base,
-                                     const obs::RoundTrace& trace) const;
+                                     const obs::RoundTrace& trace);
 
   /// Fixed-point-encode member `idx`'s update and add its pairwise masks:
   ///   acc[e] += encode(update[e]) + sum_j sign(idx,j) * prg(seed_ij, e)
@@ -155,6 +157,8 @@ class SecAggSession {
   // assert symmetry and reconstruction against it directly.
   std::uint64_t member_secret(int idx) const { return secrets_[idx]; }
   std::uint64_t member_public(int idx) const { return publics_[idx]; }
+  /// The roster as run_key_exchange last encoded and sent it.
+  const WireScratch& roster_image() const { return roster_wire_; }
   /// Symmetric pair seed (a != b, both cohort positions).
   std::uint64_t pair_seed(int a, int b) const;
   /// Share of member `owner`'s secret held by member `holder`.
@@ -169,6 +173,7 @@ class SecAggSession {
   // shares_[owner][holder]: Shamir share of secrets_[owner] given to
   // cohort position `holder` (x = holder + 1).
   std::vector<std::vector<secagg::Share>> shares_;
+  WireScratch roster_wire_;  // the server's one encode of the roster
 
   std::uint64_t seed_from_secret(std::uint64_t secret, int other_pos) const;
 };

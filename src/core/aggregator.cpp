@@ -272,10 +272,9 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
                            config_.sim_throughput_bps;
   slot.train_sim_seconds = train_sim;
 
-  link.set_trace_context({trace_, id, t});
   const obs::RealTimer bcast_timer = trace_.timer();
   try {
-    link.transmit(broadcast, broadcast_wire_, slot.header);
+    link.transmit(broadcast, broadcast_wire_, slot.header, {trace_, id, t});
   } catch (const TransmitError&) {
     slot.outcome = kLinkFailed;
     settle(0.0);
@@ -329,14 +328,16 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   const Codec* up_codec = codec_by_name(up.codec);
   const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
                       up_codec->quant_bits() != 0;
-  link.set_trace_context({trace_, id, train_end});
   const obs::RealTimer up_timer = trace_.timer();
+  up.encode_into(slot.sent, &global_pool());
+  const LinkTraceContext up_trace{trace_, id, train_end};
   try {
     if (stream) {
-      link.transmit_wire(up, slot.header, slot.wire);
+      link.transmit_wire(up, slot.sent, slot.header, slot.wire, up_trace);
       slot.streamed = true;
     } else {
-      link.transmit(up, slot.header);  // header now holds the update
+      // header now holds the update
+      link.transmit(up, slot.sent, slot.header, up_trace);
     }
   } catch (const TransmitError&) {
     slot.outcome = kLinkFailed;

@@ -316,6 +316,7 @@ class Aggregator {
     double train_sim_seconds = 0.0;
     double train_wall_seconds = 0.0;     // measured wall time in training
     Message header;       // received update header (metadata = metrics)
+    WireScratch sent;     // the client's encoded update, every attempt's image
     WireView wire;        // retained quantized wire image when streamed
     ClientUpdate update;  // reused delta/metric storage
   };

@@ -742,8 +742,10 @@ TEST(SimLinkTelemetry, RetransmitAndDeadlineMissCountersExport) {
   });
   Message m;
   m.payload = {1.0f, 2.0f};
+  WireScratch image;
+  m.encode_into(image);
   Message out;
-  link.transmit(m, out);
+  link.transmit(m, image, out);
   EXPECT_EQ(link.stats().retries, 1u);
   EXPECT_EQ(link.stats().deadline_misses, 0u);
 
@@ -759,7 +761,7 @@ TEST(SimLinkTelemetry, RetransmitAndDeadlineMissCountersExport) {
     f.drop = true;
     return f;
   });
-  EXPECT_THROW(dead.transmit(m, out), TransmitError);
+  EXPECT_THROW(dead.transmit(m, image, out), TransmitError);
   EXPECT_EQ(dead.stats().deadline_misses, 1u);
   EXPECT_EQ(dead.stats().aborted_messages, 1u);
 }

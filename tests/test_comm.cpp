@@ -21,6 +21,13 @@
 namespace photon {
 namespace {
 
+/// `m` encoded as a sender would before handing it to a link.
+WireScratch encoded(const Message& m) {
+  WireScratch image;
+  m.encode_into(image);
+  return image;
+}
+
 // ---------------------------------------------------------------- codecs --
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed,
                                        double zero_fraction) {
@@ -142,7 +149,7 @@ TEST(SimLink, TransmitAccountsAndPreservesMessage) {
   Message m;
   m.payload = {1.0f, 2.0f};
   Message back;
-  link.transmit(m, back);
+  link.transmit(m, encoded(m), back);
   EXPECT_EQ(back.payload, m.payload);
   EXPECT_EQ(link.stats().messages, 1u);
   EXPECT_EQ(link.stats().payload_bytes, 8u);
@@ -744,11 +751,14 @@ TEST(SimLink, ZeroCopyTransmitMatchesCopyingTransmit) {
   m.codec = "rle0";
   m.payload_view = data;
   SimLink a("copying", 1.0), b("zero-copy", 1.0);
+  WireScratch image;
+  m.encode_into(image);
   Message via_copy;  // a fresh message: nothing to reuse
-  a.transmit(m, via_copy);
+  a.transmit(m, image, via_copy);
   Message via_reuse;
-  b.transmit(m, via_reuse);
-  b.transmit(m, via_reuse);  // reuse the scratch and payload buffers
+  b.transmit(m, image, via_reuse);
+  m.encode_into(image);  // reuse the scratch ...
+  b.transmit(m, image, via_reuse);  // ... and the payload buffer
   EXPECT_EQ(via_copy.payload, data);
   EXPECT_EQ(via_reuse.payload, data);
   EXPECT_EQ(a.stats().wire_bytes * 2, b.stats().wire_bytes);
@@ -870,7 +880,7 @@ TEST(SimLink, RetryRecoversFromDropAndCorruption) {
   Message m;
   m.payload = sparse_floats(1024, 17);
   Message out;
-  link.transmit(m, out);
+  link.transmit(m, encoded(m), out);
   EXPECT_EQ(out.payload, m.payload);
   EXPECT_EQ(link.stats().messages, 1u);
   EXPECT_EQ(link.stats().retries, 2u);
@@ -898,7 +908,7 @@ TEST(SimLink, InjectedCorruptionIsAlwaysDetectedAndRetransmitted) {
       m.codec = codec;
       m.payload = sparse_floats(512, seed % 97 + 1);
       Message out;
-      link.transmit(m, out);
+      link.transmit(m, encoded(m), out);
       EXPECT_EQ(out.payload, m.payload) << codec << " seed=" << seed;
       ++expected_corrupt;
       EXPECT_EQ(link.stats().corrupt_chunks, expected_corrupt);
@@ -911,7 +921,7 @@ TEST(SimLink, SharedImageIsNeverWrittenAndMatchesTransmit) {
   // One pre-encoded image serves every link.  A corrupted attempt flips
   // its bit in a private copy, so the image stays byte-identical, the
   // retry delivers the clean bytes, and the stats and every span's sim
-  // fields equal those of a transmit() that encodes the message itself.
+  // fields equal those of a transmit of the link's own fresh encode.
   for (const char* codec : {"", "q8"}) {
     SCOPED_TRACE(codec);
     Message m;
@@ -930,7 +940,7 @@ TEST(SimLink, SharedImageIsNeverWrittenAndMatchesTransmit) {
       LinkStats stats;
       std::vector<obs::TraceEvent> events;
     };
-    const auto run = [&](const WireScratch* shared, Message& out) {
+    const auto run = [&](const WireScratch& sent, Message& out) {
       obs::Tracer tracer;
       SimLink link("shared", 1.0);
       link.set_retry_policy(policy);
@@ -941,17 +951,12 @@ TEST(SimLink, SharedImageIsNeverWrittenAndMatchesTransmit) {
         f.drop = attempt == 2;
         return f;
       });
-      link.set_trace_context({obs::RoundTrace(&tracer, 0), 2, 5.0});
-      if (shared != nullptr) {
-        link.transmit(m, *shared, out);
-      } else {
-        link.transmit(m, out);
-      }
+      link.transmit(m, sent, out, {obs::RoundTrace(&tracer, 0), 2, 5.0});
       return Run{link.stats(), tracer.drain()};
     };
     Message via_image, via_encode;
-    const Run a = run(&image, via_image);
-    const Run b = run(nullptr, via_encode);
+    const Run a = run(image, via_image);
+    const Run b = run(encoded(m), via_encode);
     EXPECT_EQ(image.wire, pristine);
     EXPECT_EQ(a.stats.corrupt_chunks, 2u);
     EXPECT_EQ(a.stats.send_failures, 1u);
@@ -983,7 +988,7 @@ TEST(SimLink, EmptyPayloadCorruptionStillDetected) {
   });
   Message m;  // no payload: zero chunks, wire = header + CRC
   Message out;
-  link.transmit(m, out);
+  link.transmit(m, encoded(m), out);
   EXPECT_TRUE(out.payload.empty());
   EXPECT_EQ(link.stats().corrupt_chunks, 1u);
 }
@@ -1001,7 +1006,7 @@ TEST(SimLink, AbortsAfterMaxAttempts) {
   Message m;
   m.payload = {1.0f, 2.0f};
   Message out;
-  EXPECT_THROW(link.transmit(m, out), TransmitError);
+  EXPECT_THROW(link.transmit(m, encoded(m), out), TransmitError);
   EXPECT_EQ(link.stats().send_failures, 3u);
   EXPECT_EQ(link.stats().retries, 2u);
   EXPECT_EQ(link.stats().aborted_messages, 1u);
@@ -1022,7 +1027,7 @@ TEST(SimLink, MessageDeadlineCutsRetriesShort) {
   Message m;
   m.payload = {3.0f};
   Message out;
-  EXPECT_THROW(link.transmit(m, out), TransmitError);
+  EXPECT_THROW(link.transmit(m, encoded(m), out), TransmitError);
   EXPECT_EQ(link.stats().aborted_messages, 1u);
   EXPECT_LT(link.stats().send_failures, 100u);
 }
@@ -1046,7 +1051,7 @@ TEST(SimLink, RetryTimelineIsDeterministic) {
     m.sender = 2;
     m.payload = sparse_floats(256, 5);
     Message out;
-    link.transmit(m, out);
+    link.transmit(m, encoded(m), out);
     return link.stats();
   };
   const LinkStats a = run();

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/link.hpp"
@@ -254,7 +256,7 @@ TEST(SecAggSession, SharesReconstructEachMemberSecret) {
 }
 
 TEST(SecAggSession, KeyExchangeCostsWireTimeAndEmitsSpans) {
-  const SecAggSession s({0, 1, 2}, 77);
+  SecAggSession s({0, 1, 2}, 77);
 
   SimLink l0("ke0", 1.0, 5.0), l1("ke1", 1.0, 5.0), l2("ke2", 1.0, 5.0);
   std::vector<SimLink*> links{&l0, &l1, &l2};
@@ -284,6 +286,69 @@ TEST(SecAggSession, KeyExchangeCostsWireTimeAndEmitsSpans) {
       s.run_key_exchange(none, 0.0, {});
   EXPECT_TRUE(free_ke.failed.empty());
   EXPECT_DOUBLE_EQ(free_ke.sim_seconds, 0.0);
+}
+
+TEST(SecAggSession, SharedRosterImageSurvivesDropsAndCorruption) {
+  // Every member's link sends the one roster image.  Members 0 and 2 get
+  // through after dropped and corrupted attempts, member 1's roster and
+  // member 3's share upload exhaust their attempts, and member 4 follows
+  // them all on a clean link.
+  SecAggSession s({3, 5, 8, 13, 21}, 0x5AFE);
+  struct Plan {
+    std::vector<LinkFault> roster, shares;  // per attempt; past the end: clean
+  };
+  const LinkFault drop{.drop = true};
+  const LinkFault flip{.corrupt = 0x9E3779B97F4A7C15ULL};
+  const std::vector<Plan> plans = {
+      {{flip}, {}},
+      {{drop, drop, drop}, {}},
+      {{drop, flip}, {flip}},
+      {{}, {flip, flip, flip}},
+      {{}, {}},
+  };
+  std::vector<SimLink> links;
+  std::vector<SimLink*> ptrs;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    links.emplace_back("ke" + std::to_string(i), 1.0, 5.0);
+  }
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const Plan& plan = plans[i];
+    links[i].set_fault_hook([&plan](const Message& m, int attempt) {
+      const auto& faults =
+          m.metadata.count("secagg.key_exchange") ? plan.roster : plan.shares;
+      const auto a = static_cast<std::size_t>(attempt - 1);
+      return a < faults.size() ? faults[a] : LinkFault{};
+    });
+    ptrs.push_back(&links[i]);
+  }
+  const KeyExchangeResult ke =
+      s.run_key_exchange(ptrs, 0.0, obs::RoundTrace(nullptr, 6));
+  EXPECT_EQ(ke.failed, (std::vector<int>{1, 3}));
+
+  // The image after all five members is the clean encode of the roster.
+  Message roster;
+  roster.type = MessageType::kControl;
+  roster.round = 6;
+  roster.metadata["secagg.key_exchange"] = 1.0;
+  for (int i = 0; i < s.cohort_size(); ++i) {
+    const std::uint64_t key = s.member_public(i);
+    roster.payload.push_back(
+        std::bit_cast<float>(static_cast<std::uint32_t>(key)));
+    roster.payload.push_back(
+        std::bit_cast<float>(static_cast<std::uint32_t>(key >> 32)));
+  }
+  EXPECT_EQ(s.roster_image().wire, roster.encode());
+
+  // Each corrupted attempt was rejected and each clean one accepted: a
+  // member that completed decoded the roster from a CRC-checked copy of
+  // that same image, so it holds exactly the sent public keys.
+  const std::vector<std::uint64_t> corrupt = {1, 0, 2, 3, 0};
+  const std::vector<std::uint64_t> aborted = {0, 1, 0, 1, 0};
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    EXPECT_EQ(links[i].stats().corrupt_chunks, corrupt[i]) << "member " << i;
+    EXPECT_EQ(links[i].stats().aborted_messages, aborted[i]) << "member " << i;
+  }
+  EXPECT_EQ(Message::decode(s.roster_image().wire).payload, roster.payload);
 }
 
 // ----------------------------------------------------------- privacy ------

@@ -342,11 +342,13 @@ TEST(StreamedAggregation, CorruptedQuantizedWireIsRetransmittedExactly) {
     m.codec = name;
     m.payload = gaussian_floats(20000, 0xFEED, 0.03f);
     m.metadata["round_trip"] = 1.0;
+    WireScratch image;
+    m.encode_into(image);
 
     SimLink clean("clean", 1.0);
     Message clean_header;
     WireView clean_view;
-    clean.transmit_wire(m, clean_header, clean_view);
+    clean.transmit_wire(m, image, clean_header, clean_view);
 
     SimLink flaky("flaky", 1.0);
     flaky.set_fault_hook([](const Message&, int attempt) {
@@ -356,7 +358,7 @@ TEST(StreamedAggregation, CorruptedQuantizedWireIsRetransmittedExactly) {
     });
     Message header;
     WireView view;
-    flaky.transmit_wire(m, header, view);
+    flaky.transmit_wire(m, image, header, view);
     EXPECT_EQ(flaky.stats().corrupt_chunks, 1u) << name;
     EXPECT_EQ(flaky.stats().retries, 1u) << name;
     EXPECT_EQ(header.metadata.at("round_trip"), 1.0) << name;

@@ -193,17 +193,21 @@ bool comm_race_free(ThreadPool& pool) {
     return false;
   }
 
-  // Concurrent transmits across distinct links, like the client fan-out.
+  // Concurrent encodes and transmits across distinct links, like the
+  // client fan-out's update returns: each sender encodes into its own
+  // buffer.
   std::vector<photon::SimLink> links;
   for (int i = 0; i < 4; ++i) links.emplace_back("l" + std::to_string(i), 10.0);
   std::vector<photon::Message> rx(links.size());
+  std::vector<photon::WireScratch> own(links.size());
   std::atomic<bool> ok{true};
   photon::Message broadcast;
   broadcast.codec = "";
   broadcast.payload_view = payload;  // one shared buffer, all links
   for (int rep = 0; rep < 5; ++rep) {
     pool.parallel_for(links.size(), [&](std::size_t i) {
-      links[i].transmit(broadcast, rx[i]);
+      broadcast.encode_into(own[i]);
+      links[i].transmit(broadcast, own[i], rx[i]);
       if (rx[i].payload != payload) ok.store(false);
     });
   }
