@@ -80,6 +80,14 @@ class CorruptedCopy {
 
 }  // namespace
 
+void encode_for_transmit(const Message& message, WireScratch& image,
+                         const LinkTraceContext& trace, ThreadPool* pool) {
+  const obs::RealTimer timer = trace.trace.timer();
+  message.encode_into(image, pool);
+  trace.trace.record(obs::SpanKind::kEncode, trace.actor, 0, trace.sim_base,
+                     trace.sim_base, timer.ns());
+}
+
 void SimLink::transmit(const Message& message, const WireScratch& image,
                        Message& out, const LinkTraceContext& trace) {
   transmit_impl(message, image, trace,

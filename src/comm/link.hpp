@@ -102,6 +102,14 @@ struct LinkTraceContext {
   double sim_base = 0.0;
 };
 
+/// A sender's one encode of `message` into the buffer it owns, on `pool`
+/// (nullptr = inline), traced as a detail-0 kEncode instant at
+/// trace.sim_base on trace.actor carrying the encode's real time.  Every
+/// image a SimLink sends is made here.
+void encode_for_transmit(const Message& message, WireScratch& image,
+                         const LinkTraceContext& trace,
+                         ThreadPool* pool = nullptr);
+
 class SimLink {
  public:
   /// bandwidth in Gbps (paper quotes links in Gbps), latency in ms.
@@ -114,13 +122,13 @@ class SimLink {
   /// Simulated seconds to move `bytes` over this link.
   double transfer_time(std::uint64_t bytes) const;
 
-  /// "Send" `image` -- `message` as its sender encoded it with
-  /// message.encode_into -- and deserialize it into `out` (bit-exact,
+  /// "Send" `image`, `message` as its sender encoded it with
+  /// encode_for_transmit, and deserialize it into `out` (bit-exact,
   /// CRC-checked, reusing out's payload capacity), recording stats.  Every
   /// attempt resends image.wire, which the link only reads, so one image
-  /// serves any number of links, concurrently too; the sender owns its
-  /// bytes.  `message` keys the fault hook and the retry backoff.  Chunked
-  /// decode/CRC work runs on the pool set via set_thread_pool.
+  /// serves any number of links, concurrently too.  `message` keys the
+  /// fault hook and the retry backoff.  Chunked decode/CRC work runs on
+  /// the pool set via set_thread_pool.
   ///
   /// Fault tolerance: each attempt consults the fault hook (if any); a
   /// transient send failure or a CRC-rejected (corrupted) reception is

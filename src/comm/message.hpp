@@ -52,8 +52,9 @@ enum class MessageType : std::uint8_t {
 };
 
 /// Reusable encode scratch: the wire buffer plus per-chunk codec output
-/// buffers.  Held by each SimLink so repeated transmits allocate nothing
-/// after the first round.
+/// buffers.  Held by each message's sender, whose encode_into fills it and
+/// whose SimLink transmits then send it, so repeated rounds allocate
+/// nothing after the first.
 struct WireScratch {
   std::vector<std::uint8_t> wire;
   std::vector<std::vector<std::uint8_t>> chunks;

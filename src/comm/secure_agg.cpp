@@ -228,7 +228,8 @@ KeyExchangeResult SecAggSession::run_key_exchange(
   for (int i = 0; i < n; ++i) {
     push_u64(roster.payload, publics_[static_cast<std::size_t>(i)]);
   }
-  roster.encode_into(roster_wire_);
+  encode_for_transmit(roster, roster_wire_,
+                      {trace, obs::kAggregatorActor, sim_base});
 
   // Member -> server: its Shamir shares for every peer, each member's
   // encoded in turn into one buffer.
@@ -261,7 +262,7 @@ KeyExchangeResult SecAggSession::run_key_exchange(
             std::bit_cast<float>(static_cast<std::uint32_t>(s.x)));
         push_u64(shares.payload, s.y);
       }
-      shares.encode_into(shares_wire);
+      encode_for_transmit(shares, shares_wire, ctx);
       link->transmit(shares, shares_wire, rx, ctx);
     } catch (const TransmitError&) {
       result.failed.push_back(i);

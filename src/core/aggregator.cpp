@@ -213,7 +213,9 @@ Message Aggregator::encode_broadcast() {
   broadcast.sender = 0;
   broadcast.payload_view = global_params_;
   broadcast.metadata["local_steps"] = config_.local_steps;
-  broadcast.encode_into(broadcast_wire_, &global_pool());
+  encode_for_transmit(broadcast, broadcast_wire_,
+                      {trace_, obs::kAggregatorActor, sim_now_},
+                      &global_pool());
   return broadcast;
 }
 
@@ -329,8 +331,8 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
                       up_codec->quant_bits() != 0;
   const obs::RealTimer up_timer = trace_.timer();
-  up.encode_into(slot.sent, &global_pool());
   const LinkTraceContext up_trace{trace_, id, train_end};
+  encode_for_transmit(up, slot.sent, up_trace, &global_pool());
   try {
     if (stream) {
       link.transmit_wire(up, slot.sent, slot.header, slot.wire, up_trace);

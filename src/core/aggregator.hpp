@@ -340,8 +340,9 @@ class Aggregator {
   void apply_membership(RoundRecord& record);
   double staleness_weight(std::uint32_t staleness) const;
   /// The model broadcast of round_ (borrowing global_params_), encoded
-  /// into broadcast_wire_ on the pool.  Call before a fan-out; every
-  /// dispatch in it sends that one image.
+  /// into broadcast_wire_ on the pool and traced as one kEncode instant
+  /// at sim_now_.  Call before a fan-out; every dispatch in it sends that
+  /// one image.
   Message encode_broadcast();
   /// Reset `slot` for a fresh dispatch of `client` at sim time `t`.
   void arm(InFlight& slot, int client, double t) const;

@@ -152,6 +152,9 @@ std::vector<RoundAttribution> attribute_rounds(
   };
   std::map<std::uint32_t, Accum> rounds;
   for (const TraceEvent& e : events) {
+    // Encodes are real-clock work at sim instants: nothing to attribute,
+    // and the tuner's digest must not depend on them.
+    if (e.kind == SpanKind::kEncode) continue;
     Accum& acc = rounds[e.round];
     RoundAttribution& row = acc.attr;
     const double width = e.sim_end - e.sim_begin;
@@ -177,7 +180,6 @@ std::vector<RoundAttribution> attribute_rounds(
         row.retry_wait_s += width;
         client_path = true;
         break;
-      case SpanKind::kEncode: row.encode_s += width; break;
       case SpanKind::kDecode: row.decode_s += width; break;
       case SpanKind::kDequantAccum: row.dequant_accum_s += width; break;
       case SpanKind::kBufferDrain: row.buffer_drain_s += width; break;
@@ -193,6 +195,7 @@ std::vector<RoundAttribution> attribute_rounds(
         client_path = true;
         break;
       case SpanKind::kShareRecovery: ++row.share_recoveries; break;
+      case SpanKind::kEncode:
       case SpanKind::kLocalStep: break;
     }
     if (client_path && e.actor >= 0) acc.client_s[e.actor] += width;

@@ -47,7 +47,8 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events);
 /// from_jsonl-imported) event stream.  Every field derives from the
 /// deterministic span fields only (never real_ns), so attribution of the
 /// same federation is byte-identical at any thread count — this is the
-/// contract the trace-driven autotuner (src/tune) relies on.
+/// contract the trace-driven autotuner (src/tune) relies on.  kEncode
+/// instants carry no sim time and are skipped.
 struct RoundAttribution {
   std::uint32_t round = 0;
   double round_s = 0.0;         ///< kRound span width (0 for async drains)
@@ -58,7 +59,6 @@ struct RoundAttribution {
   double server_opt_s = 0.0;
   double checkpoint_s = 0.0;
   double retry_wait_s = 0.0;
-  double encode_s = 0.0;
   double decode_s = 0.0;
   double dequant_accum_s = 0.0;
   double buffer_drain_s = 0.0;  ///< async engine drain window

@@ -52,8 +52,10 @@ enum class SpanKind : std::uint8_t {
   kBroadcast,        // Agg -> client model broadcast (transfer + retries)
   kLocalTrain,       // client's tau local steps
   kLocalStep,        // one local optimizer step
-  kEncode,           // one transmit attempt's wire encode (~0 real_ns
-                     // when it resends or sends a pre-encoded image)
+  kEncode,           // instant, wire encode: detail 0 = a sender's one
+                     // encode of a message at its send time (real_ns =
+                     // the encode); detail = attempt >= 1 = that transmit
+                     // attempt sending the image (real_ns 0)
   kDecode,           // wire deserialization of one transmit attempt
   kCollective,       // PS/AR/RAR aggregation collective
   kServerOpt,        // ServerOpt::apply on the global model

@@ -396,14 +396,14 @@ struct GoldenCase {
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   cases.push_back({"sync_rar_fp32_disk",
-                   {0x02ba12f98198d1b5ULL, 0x9a6dd5c3e9feaac5ULL,
+                   {0x02ba12f98198d1b5ULL, 0xcda290a5a9211b8eULL,
                     0x1ebefdbd578f095eULL},
                    [] {
                      return run_plain("sync_rar_fp32_disk",
                                       sync_base(Topology::kRingAllReduce), 4);
                    }});
   cases.push_back({"sync_ps_faults_deadline_skip",
-                   {0xa81b76ab4bb17effULL, 0x9f63aa302231d421ULL,
+                   {0xa81b76ab4bb17effULL, 0x72d10881171735a3ULL,
                     0xa26df95593dd966bULL},
                    [] {
                      Federation f = sync_base(Topology::kParameterServer);
@@ -416,7 +416,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_ps_faults_deadline_skip", f, 6);
                    }});
   cases.push_back({"sync_ar_quorum_skip",
-                   {0xe1156a25114bfb40ULL, 0x9aae5070a5a0babdULL,
+                   {0xe1156a25114bfb40ULL, 0x72e21504d786932bULL,
                     0xd05f37f16fb895caULL},
                    [] {
                      Federation f = sync_base(Topology::kAllReduce);
@@ -428,7 +428,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_ar_quorum_skip", f, 5);
                    }});
   cases.push_back({"sync_q8_streamed_ar",
-                   {0x4f632c228e9ac9feULL, 0xcdd09d9328f3ee0cULL,
+                   {0x4f632c228e9ac9feULL, 0x8f498edf4d872481ULL,
                     0xce287c5bd62c5e10ULL},
                    [] {
                      Federation f = sync_base(Topology::kAllReduce);
@@ -437,7 +437,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_q8_streamed_ar", f, 4);
                    }});
   cases.push_back({"sync_mixed_q4_fp32_rar",
-                   {0x07bcbc5b7c8c4481ULL, 0x8f2906f88ae2bbc2ULL,
+                   {0x07bcbc5b7c8c4481ULL, 0x8b2046bc4b64d4a3ULL,
                     0x4ca2859b58ce84a8ULL},
                    [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
@@ -446,7 +446,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_mixed_q4_fp32_rar", f, 4);
                    }});
   cases.push_back({"sync_secagg_dp_faults",
-                   {0xcd86b866b31a8900ULL, 0xdbbd4a6cbacf8c57ULL,
+                   {0xcd86b866b31a8900ULL, 0xe03df5c08ede155fULL,
                     0xe9682eecc89c20a6ULL},
                    [] {
                      Federation f = sync_base(Topology::kParameterServer);
@@ -461,7 +461,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_secagg_dp_faults", f, 5);
                    }});
   cases.push_back({"sync_crash_restore",
-                   {0x5ee07c1ed17c5061ULL, 0x36b6416f8288f844ULL,
+                   {0x5ee07c1ed17c5061ULL, 0xc702f1193c5b6f4eULL,
                     0x6028ec3bfeada4d7ULL},
                    [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
@@ -471,7 +471,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("sync_crash_restore", f, 6, 3);
                    }});
   cases.push_back({"async_fp32_churn_faults",
-                   {0x6c1b44edb99db1d4ULL, 0x96cdca89f7ebd33cULL,
+                   {0x6c1b44edb99db1d4ULL, 0x255079f17181913aULL,
                     0x16dc539bdad8e1a0ULL},
                    [] {
                      Federation f = async_base();
@@ -483,7 +483,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_fp32_churn_faults", f, 6);
                    }});
   cases.push_back({"async_q8_ephemeral_constant",
-                   {0xf45e94bf276ec320ULL, 0x9a9befbbc096d6aaULL,
+                   {0xf45e94bf276ec320ULL, 0xae8b74b6a2fe2e75ULL,
                     0x860abb65c78e498eULL},
                    [] {
                      Federation f = async_base();
@@ -498,7 +498,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_q8_ephemeral_constant", f, 6);
                    }});
   cases.push_back({"async_secagg_dp_leaves",
-                   {0x09d9c9a42e285c74ULL, 0x04ec55952c427021ULL,
+                   {0x09d9c9a42e285c74ULL, 0x2de230f216ce6696ULL,
                     0x1117bcdf30cbc91dULL},
                    [] {
                      Federation f = async_base();
@@ -510,7 +510,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_secagg_dp_leaves", f, 6);
                    }});
   cases.push_back({"async_crash_restore",
-                   {0x7491c7996e715c25ULL, 0xb5dff9ff6e876599ULL,
+                   {0x7491c7996e715c25ULL, 0x213941116a3b3d7cULL,
                     0x6154753ee5abbde7ULL},
                    [] {
                      Federation f = async_base();
@@ -546,7 +546,7 @@ std::vector<GoldenCase> golden_cases() {
                      return run_tuned("tuned_async", f, 6);
                    }});
   cases.push_back({"runner",
-                   {0x62ddaf771f0a26deULL, 0x64edcdc026869f75ULL,
+                   {0x62ddaf771f0a26deULL, 0x4fa355a6d698ad07ULL,
                     0},
                    run_runner});
   cases.push_back({"centralized",

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/aggregator.hpp"
@@ -436,9 +438,9 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
   return std::make_unique<CorpusStreamSource>(corpus, seed);
 }
 
-std::unique_ptr<Aggregator> build_traced_aggregator(Tracer* tracer,
-                                                    obs::MetricsRegistry* reg,
-                                                    bool parallel) {
+std::unique_ptr<Aggregator> build_traced_aggregator(
+    Tracer* tracer, obs::MetricsRegistry* reg, bool parallel,
+    const std::function<void(AggregatorConfig&)>& tweak = {}) {
   ClientTrainConfig ctc;
   ctc.model = tiny_model();
   ctc.local_batch = 2;
@@ -460,6 +462,7 @@ std::unique_ptr<Aggregator> build_traced_aggregator(Tracer* tracer,
   ac.retry.max_attempts = 4;
   ac.tracer = tracer;
   ac.metrics = reg;
+  if (tweak) tweak(ac);
   return std::make_unique<Aggregator>(tiny_model(), ac,
                                       make_server_opt("fedavg", 1.0f, 0.0f),
                                       std::move(clients), 55);
@@ -619,6 +622,65 @@ TEST(ObsIntegration, SamplingThinsRoundsDeterministically) {
   ASSERT_FALSE(events.empty());
   for (const auto& e : events) {
     EXPECT_EQ(e.round % 2, 0u);  // only sampled rounds present
+  }
+}
+
+// Each sender's encode is one detail-0 kEncode instant at its send time
+// carrying the encode's real time: the broadcast at the round or drain
+// start, each trained client's update at its train end and, in a secagg
+// round, the roster at the round start and each member's shares at its
+// key-exchange start.  Transmit attempts keep their own instants
+// (detail = attempt).
+TEST(ObsIntegration, EachSenderEncodeIsOneDetailZeroInstant) {
+  if (!Tracer::compiled_in()) GTEST_SKIP() << "PHOTON_TRACE=OFF build";
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async drains" : "sync secagg rounds");
+    Tracer tracer;
+    obs::MetricsRegistry reg;
+    auto agg = build_traced_aggregator(
+        &tracer, &reg, /*parallel=*/true, [async](AggregatorConfig& ac) {
+          ac.secure_aggregation = !async;
+          ac.async.enabled = async;
+          ac.async.buffer_goal = 3;
+          ac.async.max_in_flight = 4;
+        });
+    for (int r = 0; r < 3; ++r) agg->run_round();
+    const auto events = tracer.drain();
+
+    // (round, actor, sim instant) of every encode the senders made.
+    using Key = std::tuple<std::uint32_t, std::int32_t, double>;
+    std::multiset<Key> want, got;
+    std::map<std::uint32_t, double> start;  // round or drain start
+    double drain_end = 0.0;  // a drain starts where the previous one ended
+    for (const auto& e : events) {
+      switch (e.kind) {
+        case SpanKind::kRound: start[e.round] = e.sim_begin; break;
+        case SpanKind::kBufferDrain:
+          start[e.round] = drain_end;
+          drain_end = e.sim_end;
+          break;
+        case SpanKind::kLocalTrain:
+          want.insert({e.round, e.actor, e.sim_end});
+          break;
+        case SpanKind::kKeyExchange:
+          want.insert({e.round, e.actor, e.sim_begin});
+          break;
+        case SpanKind::kEncode:
+          if (e.detail == 0) {
+            EXPECT_EQ(e.sim_begin, e.sim_end);
+            EXPECT_GT(e.real_ns, 0u);
+            got.insert({e.round, e.actor, e.sim_begin});
+          }
+          break;
+        default: break;
+      }
+    }
+    ASSERT_EQ(start.size(), 3u);
+    for (const auto& [round, t] : start) {
+      want.insert({round, obs::kAggregatorActor, t});  // the broadcast
+      if (!async) want.insert({round, obs::kAggregatorActor, t});  // roster
+    }
+    EXPECT_EQ(got, want);
   }
 }
 
