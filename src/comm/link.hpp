@@ -2,11 +2,10 @@
 // Link: the Agg <-> LLM-C communication gateway (paper §4).
 //
 // In this reproduction the federation runs in one process, so Link's job is
-// (a) carrying every message's wire image, which its sender serialized,
-// compressed and CRC-protected, through a full CRC-checked receive,
-// exercising the real code path, and (b) faithful accounting of bytes and
-// transfer time over a simulated network link with finite bandwidth and
-// latency.
+// (a) carrying each message's wire image, which its sender encoded, through
+// the real CRC-checked receive path, and (b) faithful accounting of bytes
+// and transfer time over a simulated network link with finite bandwidth
+// and latency.
 
 #include <cstdint>
 #include <functional>
@@ -98,7 +97,7 @@ class TransmitError : public std::runtime_error {
 /// knowing about rounds.
 struct LinkTraceContext {
   obs::RoundTrace trace;
-  std::int32_t actor = -1;  // peer client id for emitted spans
+  std::int32_t actor = -1;  // span actor: the peer client, or the server
   double sim_base = 0.0;
 };
 
