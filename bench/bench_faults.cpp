@@ -22,9 +22,9 @@
 // --rounds=N    soak length (default 50)
 // --json=PATH   JSON report path (default: BENCH_faults.json)
 // --churn       elastic async soak instead: a 10k-simulated-client
-//               federation (ephemeral clients) under join/leave churn,
-//               admission control, and the transient fault mix, with a
-//               hard peak-RSS bound and a serial-vs-parallel twin check
+//               federation under join/leave churn, admission control,
+//               and the transient fault mix, with a hard peak-RSS bound
+//               and a serial-vs-parallel twin check
 
 #include <algorithm>
 #include <cmath>
@@ -221,13 +221,11 @@ std::unique_ptr<Aggregator> build_churn_federation(bool parallel) {
   ctc.schedule.max_lr = 5e-3f;
   ctc.schedule.warmup_steps = 2;
   ctc.schedule.total_steps = 4000;
-  // Every client trains on its thread's replica shell, and an ephemeral
-  // one also skips the local checkpoint copy, so an idle client costs only
-  // its data stream.  The wire codec is pinned (q8, no error feedback) so
-  // the streamed dequant-accumulate path is exercised and no per-client
-  // residual buffer accumulates — with EF on, 10k residuals would be
-  // params-sized each and unbounded again.
-  ctc.ephemeral = true;
+  // Every client trains on its thread's replica shell, so an idle client
+  // costs only its data stream.  The wire codec is pinned (q8, no error
+  // feedback) so the streamed dequant-accumulate path is exercised and no
+  // per-client residual buffer accumulates — with EF on, 10k residuals
+  // would be params-sized each and unbounded again.
   ctc.stateless_optimizer = true;
   ctc.link_codec = "q8";
   ctc.quant_error_feedback = false;

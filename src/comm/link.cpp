@@ -111,9 +111,9 @@ void SimLink::transmit_wire(const Message& message, const WireScratch& image,
 template <typename Receive>
 void SimLink::transmit_impl(const Message& message, const WireScratch& image,
                             const LinkTraceContext& ctx, Receive&& receive) {
-  const int max_attempts = std::max(1, retry_.max_attempts);
-  ++stats_.messages;
   stats_.payload_bytes += message.view().size() * sizeof(float);
+  ++stats_.messages;
+  const int max_attempts = std::max(1, retry_.max_attempts);
 
   // Tracing: spans walk a deterministic sim-time cursor from the context's
   // base over the same transfer/backoff arithmetic the stats record, so

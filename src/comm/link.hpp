@@ -129,6 +129,11 @@ class SimLink {
   /// fault hook and the retry backoff.  Chunked decode/CRC work runs on
   /// the pool set via set_thread_pool.
   ///
+  /// `message`'s payload may borrow `out.payload`, which each attempt's
+  /// decode overwrites: after its first line, which counts the payload's
+  /// size, the link reads only the message's type, round and sender, and
+  /// a fault hook must read no more than its header fields.
+  ///
   /// Fault tolerance: each attempt consults the fault hook (if any); a
   /// transient send failure or a CRC-rejected (corrupted) reception is
   /// retransmitted under the RetryPolicy — exponential backoff with

@@ -315,12 +315,14 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
           .count();
   const double train_end = bcast_end + train_sim;
   mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
+  // The update borrows the delta the client wrote over the received
+  // broadcast; the fp32 return decodes back into it (see SimLink::transmit).
   Message up;
   up.type = MessageType::kClientUpdate;
   up.round = round_;
   up.sender = static_cast<std::uint32_t>(id);
   up.codec = client.config().link_codec;
-  up.payload_view = slot.update.delta;
+  up.payload_view = slot.header.payload;
   up.metadata = slot.update.metrics;
   // A quantized update's wire CRC covers the *compressed* chunk bytes, so
   // the return transfer is validated without decompressing: the wire image

@@ -301,7 +301,10 @@ class Aggregator {
   /// async engine's slots are its admission pool (busy while in flight).
   /// Slots are reused across the whole run (their message/wire/update
   /// buffers keep capacity), so resident memory is bounded by the slot
-  /// count regardless of population.
+  /// count regardless of population.  A slot holds one float buffer,
+  /// `header.payload`: the decoded broadcast, which the client overwrites
+  /// with its delta, which the update message borrows and the fp32 return
+  /// decodes back into.
   struct InFlight {
     bool busy = false;                   // async: holds an admission slot
     int client = -1;
@@ -315,10 +318,10 @@ class Aggregator {
     bool streamed = false;               // update retained as a wire image
     double train_sim_seconds = 0.0;
     double train_wall_seconds = 0.0;     // measured wall time in training
-    Message header;       // received update header (metadata = metrics)
+    Message header;       // broadcast in, update out (metadata = metrics)
     WireScratch sent;     // the client's encoded update, every attempt's image
     WireView wire;        // retained quantized wire image when streamed
-    ClientUpdate update;  // reused delta/metric storage
+    ClientUpdate update;  // reused metric storage
   };
 
   /// What a round's epilogue needs from its start.

@@ -1,9 +1,10 @@
 #pragma once
-// Checkpointing (paper Alg. 1 L11 server-side, L27 client-side): global
-// model snapshots each round for fast recovery, with optional persistence
-// to disk, recovery metadata, and a write-ahead round journal that makes
-// aggregator crash-recovery exact (ServerOpt applied exactly once per
-// completed round; the sim clock and membership restored bit-identically).
+// Checkpointing (paper Alg. 1 L11, server-side; no client restarts, so the
+// L27 client-side copy is not modelled): global model snapshots each round
+// for fast recovery, with optional persistence to disk, recovery metadata,
+// and a write-ahead round journal that makes aggregator crash-recovery
+// exact (ServerOpt applied exactly once per completed round; the sim clock
+// and membership restored bit-identically).
 
 #include <cstdint>
 #include <filesystem>

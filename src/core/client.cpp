@@ -70,11 +70,6 @@ LLMClient::LLMClient(int id, ClientTrainConfig config,
   if (config_.sub_nodes < 1) {
     throw std::invalid_argument("LLMClient: sub_nodes must be >= 1");
   }
-  if (config_.ephemeral && !config_.stateless_optimizer) {
-    throw std::invalid_argument(
-        "LLMClient: ephemeral requires stateless_optimizer (a stateful "
-        "client keeps its optimizer moments between rounds)");
-  }
   if (config_.link_codec.empty()) {
     // tools/ci.sh reruns tier-1 with PHOTON_WIRE_CODEC=q8 to sweep the
     // quantized wire path through every federation test; an explicit codec
@@ -159,12 +154,11 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
   }
 }
 
-void LLMClient::run_round(std::span<const float> global_params,
-                          std::uint32_t round, int local_steps,
-                          std::int64_t schedule_step_base,
+void LLMClient::run_round(std::span<float> received, std::uint32_t round,
+                          int local_steps, std::int64_t schedule_step_base,
                           ClientUpdate& update) {
   const auto n = static_cast<std::size_t>(config_.model.num_params());
-  if (global_params.size() != n) {
+  if (received.size() != n) {
     throw std::invalid_argument("LLMClient::run_round: param size mismatch");
   }
   if (local_steps <= 0) {
@@ -186,7 +180,7 @@ void LLMClient::run_round(std::span<const float> global_params,
   if (config_.sub_nodes == 1) {
     // Fast interconnect path (Alg. 1 L16-18): one logical replica at the
     // autotuned device batch.
-    model.load_params(global_params);
+    model.load_params(received);
     if (config_.stateless_optimizer) opt.reset();
     auto [loss, toks] = train_replica(model, opt, local_steps,
                                       schedule_step_base);
@@ -195,10 +189,11 @@ void LLMClient::run_round(std::span<const float> global_params,
   } else {
     // Nested sub-federation (Alg. 1 L19-25): train `sub_nodes` replicas in
     // turn, each on the next batches of this client's stream, and average
-    // their parameters.
+    // their parameters.  Every node loads `received` before the delta
+    // below overwrites it.
     std::vector<double> param_sum(n, 0.0);
     for (int node = 0; node < config_.sub_nodes; ++node) {
-      model.load_params(global_params);
+      model.load_params(received);
       opt.reset();  // each node replica starts fresh
       auto [loss, toks] = train_replica(model, opt, local_steps,
                                         schedule_step_base);
@@ -213,22 +208,17 @@ void LLMClient::run_round(std::span<const float> global_params,
     }
   }
 
-  // Local checkpoint for fast recovery (Alg. 1 L27); skipped for ephemeral
-  // clients, which would otherwise pin a param-sized buffer per client.
-  const auto params = model.params();
-  if (!config_.ephemeral) checkpoint_.assign(params.begin(), params.end());
-
-  // delta_k = theta_global - theta_k (Alg. 1 L7), in one vectorized pass.
-  update.delta.resize(n);
-  kernels::sub(kernels::default_context(), update.delta.data(),
-               global_params.data(), params.data(), n);
+  // delta_k = theta_global - theta_k (Alg. 1 L7), in one vectorized pass
+  // over the received parameters, which nothing reads again.
+  kernels::sub(kernels::default_context(), received.data(), received.data(),
+               model.params().data(), n);
 
   // Post-processing (Alg. 1 L28): clip, then DP noise; the wire codec is
   // applied when the update is encoded.  The (round, client) context keys
   // the stateless DP noise stream.
   PostProcessReport report;
-  if (clip_) clip_->apply(update.delta, report);
-  if (noise_) noise_->apply(update.delta, report, {round, id_});
+  if (clip_) clip_->apply(received, report);
+  if (noise_) noise_->apply(received, report, {round, id_});
 
   // Error feedback for lossy wire codecs (DESIGN.md §11): fold the previous
   // round's quantization residual into this update before it hits the wire,
@@ -238,9 +228,8 @@ void LLMClient::run_round(std::span<const float> global_params,
   const int qbits = codec_by_name(config_.link_codec)->quant_bits();
   if (qbits != 0 && config_.quant_error_feedback) {
     if (ef_residual_.size() != n) ef_residual_.assign(n, 0.0f);
-    simd::ops().acc(update.delta.data(), ef_residual_.data(), n);
-    wire_quant::residual_of(update.delta.data(), ef_residual_.data(), n,
-                            qbits);
+    simd::ops().acc(received.data(), ef_residual_.data(), n);
+    wire_quant::residual_of(received.data(), ef_residual_.data(), n, qbits);
     update.metrics["ef_residual_norm"] =
         kernels::l2_norm(kernels::default_context(), ef_residual_.data(), n);
   }

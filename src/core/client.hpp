@@ -9,10 +9,12 @@
 // thread's shape-only model (plus a stateless AdamW) for the round.  Per
 // round it: receives global parameters, trains `local_steps` with its
 // hardware batch size under the stretched cosine schedule, optionally runs
-// a nested sub-federation across its nodes (L19-25), checkpoints locally
-// (L27), post-processes the update (L28), and returns the pseudo-gradient
-// contribution
-//   delta_k = theta_global - theta_k.
+// a nested sub-federation across its nodes (L19-25), post-processes the
+// update (L28), and returns the pseudo-gradient contribution
+//   delta_k = theta_global - theta_k
+// written over the received parameters in place.  It keeps no local
+// checkpoint (L27): no client restarts in this reproduction, a crashed
+// client drops out of its round (DESIGN.md §2, §8).
 
 #include <cstdint>
 #include <memory>
@@ -72,18 +74,17 @@ struct ClientTrainConfig {
   /// bench_round_path shows q8 without this visibly diverges).  No effect
   /// under lossless codecs.
   bool quant_error_feedback = true;
-  /// Keep no param-sized buffer between rounds: skips the local
-  /// fast-recovery checkpoint copy (Alg. 1 L27), so an idle client costs
-  /// only its data stream and EF residual.  The replica is per-thread
-  /// scratch for every client, so this is what keeps a 10k-client elastic
-  /// population resident-memory-bounded.  Requires stateless_optimizer
-  /// (a stateful client keeps its AdamW moments between rounds).
+  /// Has no effect.  No client keeps a local checkpoint (Alg. 1 L27), so
+  /// between rounds every client holds only its data stream, its EF
+  /// residual and, when stateful, its AdamW moments.  bench_e2e still sets
+  /// the field; it goes with the next benchmark change (ROADMAP item 3).
   bool ephemeral = false;
 };
 
+/// What a round reports besides its delta, which run_round writes over the
+/// received parameters.
 struct ClientUpdate {
   int client_id = -1;
-  std::vector<float> delta;  // theta_global - theta_local
   std::uint64_t tokens = 0;
   double mean_train_loss = 0.0;
   MetricDict metrics;
@@ -98,20 +99,17 @@ class LLMClient {
   const ClientTrainConfig& config() const { return config_; }
   DataSource& data_source() { return *data_; }
 
-  /// Execute one federated round (Alg. 1 L13-28) into `out`.
-  /// `schedule_step_base` is the cumulative sequential local-step count,
-  /// synchronizing the cosine schedule across rounds (Table 5: "S_C
-  /// synchronized across sequential steps").  `out`'s delta and metric
-  /// storage is recycled across rounds (the Aggregator keeps one
-  /// ClientUpdate per cohort slot alive for the whole run).
-  void run_round(std::span<const float> global_params, std::uint32_t round,
+  /// Execute one federated round (Alg. 1 L13-28): train from `received`,
+  /// the global parameters as received, then overwrite it in place with
+  /// the post-processed delta theta_global - theta_k; tokens, loss and
+  /// metrics go to `out`.  `schedule_step_base` is the cumulative
+  /// sequential local-step count, synchronizing the cosine schedule across
+  /// rounds (Table 5: "S_C synchronized across sequential steps").  `out`'s
+  /// metric storage is recycled across rounds (the Aggregator keeps one
+  /// ClientUpdate per dispatch slot alive for the whole run).
+  void run_round(std::span<float> received, std::uint32_t round,
                  int local_steps, std::int64_t schedule_step_base,
                  ClientUpdate& out);
-
-  /// Local checkpoint from the last completed round (Alg. 1 L27), for fast
-  /// recovery; empty before the first round and always empty for ephemeral
-  /// clients (recovery re-broadcasts the global model instead).
-  std::span<const float> local_checkpoint() const { return checkpoint_; }
 
   /// Crash recovery: advance the data stream past `rounds` already-trained
   /// rounds of `local_steps` each, drawing tokens in exactly the pattern
@@ -153,7 +151,6 @@ class LLMClient {
   CosineSchedule schedule_;
   std::optional<ClipStage> clip_;      // set when clip_update_norm > 0
   std::optional<DpNoiseStage> noise_;  // set when dp_noise_multiplier > 0
-  std::vector<float> checkpoint_;
   std::vector<float> ef_residual_;
   double last_grad_norm_ = 0.0;
   ClientTraceContext trace_;

@@ -63,14 +63,12 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
 
 std::unique_ptr<Aggregator> build_async_aggregator(
     AggregatorConfig ac, int population = 4,
-    const std::string& opt = "fedavg", bool ephemeral = false,
-    const std::string& codec = "") {
+    const std::string& opt = "fedavg", const std::string& codec = "") {
   ac.async.enabled = true;
   ac.seed = 33;
   std::vector<std::unique_ptr<LLMClient>> clients;
   for (int i = 0; i < population; ++i) {
     auto cfg = tiny_client_config();
-    cfg.ephemeral = ephemeral;
     cfg.link_codec = codec;
     clients.push_back(std::make_unique<LLMClient>(
         i, cfg, tiny_stream(100 + static_cast<std::uint64_t>(i)), 7));
@@ -565,8 +563,7 @@ TEST(AsyncFederation, RestoreRejectsCheckpointTruncatedAtAnySectionBoundary) {
   ac.checkpoint_dir = base;
   std::uint32_t committed = 0;
   {
-    auto agg = build_async_aggregator(ac, /*population=*/6, "nesterov",
-                                      false, "q8");
+    auto agg = build_async_aggregator(ac, /*population=*/6, "nesterov", "q8");
     for (int r = 0; r < 3; ++r) agg->run_round();
     ASSERT_GT(agg->async_in_flight(), 0);
     committed = static_cast<std::uint32_t>(
@@ -596,7 +593,7 @@ TEST(AsyncFederation, RestoreRejectsCheckpointTruncatedAtAnySectionBoundary) {
       out.write(reinterpret_cast<const char*>(image.data()),
                 static_cast<std::streamsize>(cut));
     }
-    auto fresh = build_async_aggregator(ac, 6, "nesterov", false, "q8");
+    auto fresh = build_async_aggregator(ac, 6, "nesterov", "q8");
     const std::vector<float> before(fresh->global_params().begin(),
                                     fresh->global_params().end());
     EXPECT_THROW(fresh->restore_latest_checkpoint(), std::runtime_error)
@@ -611,7 +608,7 @@ TEST(AsyncFederation, RestoreRejectsCheckpointTruncatedAtAnySectionBoundary) {
     out.write(reinterpret_cast<const char*>(image.data()),
               static_cast<std::streamsize>(image.size()));
   }
-  auto whole = build_async_aggregator(ac, 6, "nesterov", false, "q8");
+  auto whole = build_async_aggregator(ac, 6, "nesterov", "q8");
   ASSERT_TRUE(whole->restore_latest_checkpoint());
   EXPECT_EQ(whole->round(), committed + 1);
   EXPECT_GT(whole->async_in_flight(), 0);
@@ -689,41 +686,6 @@ TEST(FaultEngine, QuorumLossSkipsRoundCleanlyWhenOptedIn) {
   EXPECT_FALSE(rec1.skipped);
   EXPECT_EQ(rec1.round, 1u);
   EXPECT_GT(rec1.survivors, 0);
-}
-
-// ------------------------------------------------------ ephemeral clients --
-// Ephemeral clients keep no local checkpoint copy; resident ones do.  Both
-// train on their thread's replica shell, and the broadcast carries all
-// cross-round state (ephemeral requires a stateless optimizer), so the two
-// federations must agree bit for bit.
-void expect_ephemeral_matches_resident(bool parallel_clients) {
-  AggregatorConfig ac;
-  ac.local_steps = 2;
-  ac.parallel_clients = parallel_clients;
-  ac.async.buffer_goal = 2;
-  ac.async.max_in_flight = 4;
-  auto resident = build_async_aggregator(ac, 4, "fedavg", false);
-  auto ephemeral = build_async_aggregator(ac, 4, "fedavg", true);
-  for (int r = 0; r < 3; ++r) {
-    (void)resident->run_round();
-    (void)ephemeral->run_round();
-    ASSERT_TRUE(params_equal(*resident, *ephemeral)) << "drain " << r;
-  }
-}
-
-TEST(AsyncFederation, EphemeralClientsMatchResidentClientsBitForBit) {
-  expect_ephemeral_matches_resident(false);
-}
-
-TEST(AsyncFederation, ParallelEphemeralClientsMatchResidentClientsBitForBit) {
-  expect_ephemeral_matches_resident(true);
-}
-
-TEST(AsyncFederation, EphemeralRequiresStatelessOptimizer) {
-  auto cfg = tiny_client_config();
-  cfg.ephemeral = true;
-  cfg.stateless_optimizer = false;
-  EXPECT_THROW(LLMClient(0, cfg, tiny_stream(1), 7), std::invalid_argument);
 }
 
 // ----------------------------------------------------- link telemetry ----

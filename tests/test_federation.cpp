@@ -22,6 +22,7 @@
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/trace.hpp"
+#include "tensor/kernels.hpp"
 
 namespace photon {
 namespace {
@@ -54,28 +55,74 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
   return std::make_unique<CorpusStreamSource>(corpus, seed);
 }
 
-/// One client round into a fresh ClientUpdate.
-ClientUpdate train_round(LLMClient& client, std::span<const float> params,
+/// A client round's update and its delta.
+struct TrainedRound : ClientUpdate {
+  std::vector<float> delta;
+};
+
+std::vector<float> init_params(const ModelConfig& model, std::uint64_t seed) {
+  const GptModel m(model, seed);
+  return {m.params().begin(), m.params().end()};
+}
+
+/// One client round from a copy of `params`, which run_round overwrites
+/// with the delta.
+TrainedRound train_round(LLMClient& client, std::span<const float> params,
                          std::uint32_t round, int local_steps,
                          std::int64_t schedule_step_base) {
-  ClientUpdate update;
-  client.run_round(params, round, local_steps, schedule_step_base, update);
-  return update;
+  TrainedRound out;
+  out.delta.assign(params.begin(), params.end());
+  client.run_round(out.delta, round, local_steps, schedule_step_base, out);
+  return out;
+}
+
+/// Alg. 1 L16-18 by hand for round 0: a shape-only replica loaded from
+/// `global`, a fresh AdamW and the client's cosine schedule, trained for
+/// `steps` steps on `stream`.  Returns the trained parameters.
+std::vector<float> train_by_hand(const ClientTrainConfig& cfg,
+                                 DataSource& stream,
+                                 std::span<const float> global, int steps) {
+  GptModel replica(cfg.model);
+  replica.load_params(global);
+  AdamW opt(replica.num_params());
+  const CosineSchedule schedule(cfg.schedule);
+  const int seq = cfg.model.seq_len;
+  for (int step = 0; step < steps; ++step) {
+    const Batch b = stream.next_batch(cfg.local_batch, seq);
+    replica.zero_grad();
+    (void)replica.train_step_fb(b.tokens, b.targets, cfg.local_batch, seq);
+    (void)opt.step_clipped(kernels::default_context(), replica.params(),
+                           replica.grads(), schedule.lr_at(step),
+                           cfg.max_grad_norm);
+  }
+  return {replica.params().begin(), replica.params().end()};
+}
+
+/// global - local, element by element.
+std::vector<float> minus(std::span<const float> global,
+                         std::span<const float> local) {
+  std::vector<float> out(global.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = global[i] - local[i];
+  return out;
+}
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // ------------------------------------------------------------- LLM client --
 TEST(LLMClient, DeltaIsGlobalMinusLocal) {
-  LLMClient client(0, tiny_client_config(), tiny_stream(1), 11);
+  const ClientTrainConfig cfg = tiny_client_config();
+  LLMClient client(0, cfg, tiny_stream(1), 11);
   GptModel global(tiny_model(), 99);
   const std::vector<float> before(global.params().begin(),
                                   global.params().end());
-  const ClientUpdate up = train_round(client, before, 0, 4, 0);
-  EXPECT_EQ(up.delta.size(), before.size());
-  // theta_local = theta_global - delta; the client checkpoint holds it.
-  const auto local = client.local_checkpoint();
-  for (std::size_t i = 0; i < before.size(); i += 131) {
-    EXPECT_NEAR(before[i] - up.delta[i], local[i], 1e-6f);
-  }
+  const TrainedRound up = train_round(client, before, 0, 4, 0);
+  // theta_local is the same round replayed by hand on the same stream.
+  const auto stream = tiny_stream(1);
+  const std::vector<float> local = train_by_hand(cfg, *stream, before, 4);
+  EXPECT_TRUE(same_bytes(up.delta, minus(before, local)));
   EXPECT_GT(up.tokens, 0u);
   EXPECT_GT(up.mean_train_loss, 0.0);
   EXPECT_EQ(up.metrics.count("train_loss"), 1u);
@@ -84,7 +131,7 @@ TEST(LLMClient, DeltaIsGlobalMinusLocal) {
 TEST(LLMClient, TrainingActuallyMovesParameters) {
   LLMClient client(0, tiny_client_config(), tiny_stream(2), 5);
   GptModel global(tiny_model(), 7);
-  const ClientUpdate up = train_round(
+  const TrainedRound up = train_round(
       client,
       std::vector<float>(global.params().begin(), global.params().end()), 0,
       8, 0);
@@ -103,8 +150,8 @@ TEST(LLMClient, StatelessRoundsAreReproducibleFromSameParams) {
                                   global.params().end());
   LLMClient a(0, cfg, tiny_stream(42), 13);
   LLMClient b(0, cfg, tiny_stream(42), 13);
-  const ClientUpdate ua = train_round(a, params, 0, 4, 0);
-  const ClientUpdate ub = train_round(b, params, 0, 4, 0);
+  const TrainedRound ua = train_round(a, params, 0, 4, 0);
+  const TrainedRound ub = train_round(b, params, 0, 4, 0);
   EXPECT_EQ(ua.delta, ub.delta);
 }
 
@@ -125,8 +172,8 @@ TEST(LLMClient, StatefulOptimizerChangesSecondRound) {
 
   (void)train_round(stateless, params, 0, 4, 0);
   (void)train_round(stateful, params, 0, 4, 0);
-  const ClientUpdate u1 = train_round(stateless, params, 1, 4, 4);
-  const ClientUpdate u2 = train_round(stateful, params, 1, 4, 4);
+  const TrainedRound u1 = train_round(stateless, params, 1, 4, 4);
+  const TrainedRound u2 = train_round(stateful, params, 1, 4, 4);
   EXPECT_NE(u1.delta, u2.delta);
 }
 
@@ -135,12 +182,36 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
   cfg.sub_nodes = 2;
   LLMClient client(0, cfg, tiny_stream(6), 19);
   GptModel global(tiny_model(), 23);
-  const ClientUpdate up = train_round(
+  const TrainedRound up = train_round(
       client,
       std::vector<float>(global.params().begin(), global.params().end()), 0,
       3, 0);
   // Two nodes, 3 steps, batch 2, seq 16 -> 2 * 3 * 2 * 16 tokens.
   EXPECT_EQ(up.tokens, 2u * 3u * 2u * 16u);
+}
+
+TEST(LLMClient, SubFederationDeltaIsGlobalMinusNodeAverage) {
+  // Alg. 1 L19-25 by hand: two replicas train in turn on the one stream,
+  // each from the global with a fresh AdamW; their params are averaged in
+  // double and narrowed.  The delta is taken against the received global,
+  // which must survive until the last node has loaded it.
+  auto cfg = tiny_client_config();
+  cfg.sub_nodes = 2;
+  LLMClient client(0, cfg, tiny_stream(6), 19);
+  const std::vector<float> global = init_params(tiny_model(), 23);
+  const TrainedRound up = train_round(client, global, 0, 3, 0);
+
+  const auto stream = tiny_stream(6);
+  std::vector<double> sum(global.size(), 0.0);
+  for (int node = 0; node < cfg.sub_nodes; ++node) {
+    const std::vector<float> local = train_by_hand(cfg, *stream, global, 3);
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += local[i];
+  }
+  std::vector<float> average(sum.size());
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    average[i] = static_cast<float>(sum[i] / cfg.sub_nodes);
+  }
+  EXPECT_TRUE(same_bytes(up.delta, minus(global, average)));
 }
 
 TEST(LLMClient, PostProcessingCodecPropagates) {
@@ -153,7 +224,7 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   const std::vector<float> params(global.params().begin(),
                                   global.params().end());
   LLMClient clipped(0, cfg, tiny_stream(7), 23);
-  const ClientUpdate up = train_round(clipped, params, 0, 4, 0);
+  const TrainedRound up = train_round(clipped, params, 0, 4, 0);
   double norm = 0.0;
   for (float d : up.delta) norm += static_cast<double>(d) * d;
   EXPECT_NEAR(std::sqrt(norm), 1e-3, 1e-4);
@@ -164,7 +235,7 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
   // draws for (round 0, client 0), byte for byte.
   cfg.dp_noise_multiplier = 1.0;
   LLMClient noisy(0, cfg, tiny_stream(7), 23);
-  const ClientUpdate loud = train_round(noisy, params, 0, 4, 0);
+  const TrainedRound loud = train_round(noisy, params, 0, 4, 0);
   std::vector<float> expected = up.delta;
   PostProcessReport report;
   DpNoiseStage(1.0, 1e-3, hash_combine(23, 0xD9ULL)).apply(expected, report,
@@ -190,16 +261,6 @@ TEST(LLMClient, PostProcessingCodecPropagates) {
 // stateless AdamW that every client on the thread shares.  A twin that runs
 // alone on a fresh thread borrows a shell no other client has touched.
 
-std::vector<float> init_params(const ModelConfig& model, std::uint64_t seed) {
-  const GptModel m(model, seed);
-  return {m.params().begin(), m.params().end()};
-}
-
-bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 struct ShellCase {
   ClientTrainConfig cfg;
   std::uint64_t data_seed = 0;
@@ -208,8 +269,8 @@ struct ShellCase {
 
 /// The second-round update of a fresh client that ran both rounds alone on
 /// a new thread.
-ClientUpdate second_round_alone(const ShellCase& c) {
-  ClientUpdate out;
+TrainedRound second_round_alone(const ShellCase& c) {
+  TrainedRound out;
   std::thread([&c, &out] {
     LLMClient twin(0, c.cfg, tiny_stream(c.data_seed), 31);
     (void)train_round(twin, c.params, 0, 3, 0);
@@ -266,7 +327,7 @@ TEST(ReplicaShell, InterleavedClientsMatchTwinsThatRanAlone) {
     (void)train_round(*clients[i], cases[i]->params, 0, 3, 0);
   }
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const ClientUpdate mixed =
+    const TrainedRound mixed =
         train_round(*clients[i], cases[i]->params, 1, 3, 3);
     EXPECT_TRUE(same_bytes(mixed.delta, second_round_alone(*cases[i]).delta))
         << "client " << i;
@@ -293,7 +354,7 @@ TEST(ReplicaShell, ThrowingRoundLeavesTheNextRoundTwinIdentical) {
   EXPECT_THROW((void)train_round(poisoned, c.params, 0, 3, 0),
                std::out_of_range);
 
-  const ClientUpdate next = train_round(client, c.params, 1, 3, 3);
+  const TrainedRound next = train_round(client, c.params, 1, 3, 3);
   EXPECT_TRUE(same_bytes(next.delta, second_round_alone(c).delta));
 }
 
@@ -335,6 +396,17 @@ TEST(Aggregator, RoundRecordIsCoherent) {
   EXPECT_EQ(rec.client_metrics.count("train_loss"), 1u);
 }
 
+/// theta_k of client `id` in build_aggregator's round 0: global - delta of
+/// a twin with the same id, config, stream and seed, run alone.
+std::vector<float> twin_model(int id, const std::string& link_codec,
+                              std::span<const float> global, int tau) {
+  auto cfg = tiny_client_config();
+  cfg.link_codec = link_codec;
+  LLMClient twin(id, cfg, tiny_stream(100 + static_cast<std::uint64_t>(id)),
+                 7);
+  return minus(global, train_round(twin, global, 0, tau, 0).delta);
+}
+
 TEST(Aggregator, FedAvgUnitLrEqualsMeanOfClientModels) {
   // Exact-mean semantics require a lossless wire; pin rle0 so the test's
   // meaning survives a PHOTON_WIRE_CODEC=q8 environment (ci.sh rerun).
@@ -342,11 +414,10 @@ TEST(Aggregator, FedAvgUnitLrEqualsMeanOfClientModels) {
   const std::vector<float> before(agg->global_params().begin(),
                                   agg->global_params().end());
   agg->run_round();
-  // global' = mean(theta_k) = global - mean(delta_k); verify via client
-  // checkpoints.
+  // global' = mean(theta_k) = global - mean(delta_k); verify via twins.
   std::vector<double> mean(before.size(), 0.0);
   for (int c = 0; c < 3; ++c) {
-    const auto local = agg->client(c).local_checkpoint();
+    const std::vector<float> local = twin_model(c, "rle0", before, 2);
     for (std::size_t i = 0; i < before.size(); ++i) mean[i] += local[i] / 3.0;
   }
   for (std::size_t i = 0; i < before.size(); i += 257) {
@@ -362,7 +433,7 @@ TEST(Aggregator, SingleClientSingleStepMatchesPlainSgdStepShape) {
   const std::vector<float> before(agg->global_params().begin(),
                                   agg->global_params().end());
   agg->run_round();
-  const auto local = agg->client(0).local_checkpoint();
+  const std::vector<float> local = twin_model(0, "rle0", before, 1);
   for (std::size_t i = 0; i < before.size(); i += 101) {
     EXPECT_NEAR(agg->global_params()[i], local[i], 1e-6f);
   }
