@@ -56,11 +56,8 @@ int main() {
       {"Photon-L", bench::standin_3b(), 12},
   };
 
-  CorpusConfig cc;
-  cc.vocab_size = 128;
-  cc.branching = 12;
-  cc.base_seed = hash_combine(21, 0xDA7AULL);  // match the training corpus
-  const MarkovSource probe_corpus(cc, c4_style());
+  // The corpus train_photon's runner trains on (sweep_config's seed 21).
+  const MarkovSource probe_corpus(harness_corpus_config(128, 21), c4_style());
 
   ProbeConfig pc;
   pc.num_cases = 96;
