@@ -165,7 +165,6 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
     throw std::invalid_argument("LLMClient::run_round: local_steps <= 0");
   }
 
-  update.client_id = id_;
   update.tokens = 0;
   update.mean_train_loss = 0.0;
   update.metrics.clear();

@@ -84,7 +84,6 @@ struct ClientTrainConfig {
 /// What a round reports besides its delta, which run_round writes over the
 /// received parameters.
 struct ClientUpdate {
-  int client_id = -1;
   std::uint64_t tokens = 0;
   double mean_train_loss = 0.0;
   MetricDict metrics;

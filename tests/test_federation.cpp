@@ -181,26 +181,15 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
   auto cfg = tiny_client_config();
   cfg.sub_nodes = 2;
   LLMClient client(0, cfg, tiny_stream(6), 19);
-  GptModel global(tiny_model(), 23);
-  const TrainedRound up = train_round(
-      client,
-      std::vector<float>(global.params().begin(), global.params().end()), 0,
-      3, 0);
+  const std::vector<float> global = init_params(tiny_model(), 23);
+  const TrainedRound up = train_round(client, global, 0, 3, 0);
   // Two nodes, 3 steps, batch 2, seq 16 -> 2 * 3 * 2 * 16 tokens.
   EXPECT_EQ(up.tokens, 2u * 3u * 2u * 16u);
-}
 
-TEST(LLMClient, SubFederationDeltaIsGlobalMinusNodeAverage) {
   // Alg. 1 L19-25 by hand: two replicas train in turn on the one stream,
   // each from the global with a fresh AdamW; their params are averaged in
   // double and narrowed.  The delta is taken against the received global,
   // which must survive until the last node has loaded it.
-  auto cfg = tiny_client_config();
-  cfg.sub_nodes = 2;
-  LLMClient client(0, cfg, tiny_stream(6), 19);
-  const std::vector<float> global = init_params(tiny_model(), 23);
-  const TrainedRound up = train_round(client, global, 0, 3, 0);
-
   const auto stream = tiny_stream(6);
   std::vector<double> sum(global.size(), 0.0);
   for (int node = 0; node < cfg.sub_nodes; ++node) {
