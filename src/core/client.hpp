@@ -77,7 +77,7 @@ struct ClientTrainConfig {
   /// Has no effect.  No client keeps a local checkpoint (Alg. 1 L27), so
   /// between rounds every client holds only its data stream, its EF
   /// residual and, when stateful, its AdamW moments.  bench_e2e still sets
-  /// the field; it goes with the next benchmark change (ROADMAP item 3).
+  /// the field, so it stays until the benchmark itself next changes.
   bool ephemeral = false;
 };
 
