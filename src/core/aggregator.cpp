@@ -727,38 +727,21 @@ RoundRecord Aggregator::run_round_sync() {
     }
     if (survivors.size() >= quorum) break;
     if (static_cast<int>(attempt) >= config_.max_cohort_retries) {
-      if (config_.skip_on_quorum_loss) {
-        // Clean skipped round: no survivors, so no mean, no server step, no
-        // checkpoint — but the round index (and with it the LR-schedule
-        // base) and the sim clock advance exactly as a completed round's
-        // would.
-        record.skipped = true;
-        record.participants = cohort;
-        record.survivors = 0;
-        for (std::size_t i = 0; i < cohort.size(); ++i) {
-          record.dropped_clients.push_back(cohort[i]);
-          record.sim_slowest_client_seconds = std::max(
-              record.sim_slowest_client_seconds, slots_[i].sim_seconds);
-        }
-        // Client critical paths start at the key-exchange barrier, and a
-        // prior attempt's stragglers can outlast this final one.
-        record.sim_slowest_client_seconds += ke.sim_seconds;
-        record.sim_slowest_client_seconds =
-            std::max(record.sim_slowest_client_seconds, retry_slowest);
-        finish_record(record, start);
-        sim_now_ = t0 + record.sim_slowest_client_seconds;
-        // Clients still trained and transmitted noisy updates this round,
-        // so the mechanism released and the accountant must compose it.
-        account_privacy(record);
-        PHOTON_LOG_WARN("aggregator",
-                        "round %u skipped: quorum lost after %u attempt(s)",
-                        round_, attempt + 1);
-        return close_round(record, start, 0);
+      if (!config_.skip_on_quorum_loss) {
+        throw std::runtime_error(
+            "Aggregator::run_round: quorum lost in round " +
+            std::to_string(round_) + " after " + std::to_string(attempt + 1) +
+            " cohort attempt(s)");
       }
-      throw std::runtime_error(
-          "Aggregator::run_round: quorum lost in round " +
-          std::to_string(round_) + " after " + std::to_string(attempt + 1) +
-          " cohort attempt(s)");
+      // Clean skipped round: no survivors, so no mean, no server step, no
+      // checkpoint — but the round index (and with it the LR-schedule base)
+      // and the sim clock advance exactly as a completed round's would.
+      record.skipped = true;
+      survivors.clear();
+      PHOTON_LOG_WARN("aggregator",
+                      "round %u skipped: quorum lost after %u attempt(s)",
+                      round_, attempt + 1);
+      break;
     }
     ++record.cohort_retries;
     for (std::size_t i = 0; i < cohort.size(); ++i) {
@@ -771,19 +754,30 @@ RoundRecord Aggregator::run_round_sync() {
                     round_, attempt, survivors.size(), cohort.size(), quorum);
   }
 
+  // A skipped round drops its whole last cohort.
   record.participants = cohort;
   record.survivors = static_cast<int>(survivors.size());
   for (std::size_t i = 0; i < cohort.size(); ++i) {
-    if (slots_[i].outcome != kOk) record.dropped_clients.push_back(cohort[i]);
+    if (record.skipped || slots_[i].outcome != kOk) {
+      record.dropped_clients.push_back(cohort[i]);
+    }
     record.sim_slowest_client_seconds =
         std::max(record.sim_slowest_client_seconds, slots_[i].sim_seconds);
   }
   // Under secagg every client's critical path starts at the key-exchange
   // barrier, so the exchange window is charged to the slowest client; a
-  // quorum-lost attempt's stragglers can outlast the winning attempt.
+  // quorum-lost attempt's stragglers can outlast the last attempt.
   record.sim_slowest_client_seconds += ke.sim_seconds;
   record.sim_slowest_client_seconds =
       std::max(record.sim_slowest_client_seconds, retry_slowest);
+  if (record.skipped) {
+    finish_record(record, start);
+    sim_now_ = t0 + record.sim_slowest_client_seconds;
+    // Clients still trained and transmitted noisy updates this round, so
+    // the mechanism released and the accountant must compose it.
+    account_privacy(record);
+    return close_round(record, start, 0);
+  }
 
   // Ordered (cohort-index) combine over the SURVIVING cohort keeps metrics
   // and losses bit-identical between the serial and parallel fan-outs; the
@@ -1077,8 +1071,7 @@ RoundRecord Aggregator::run_round_async() {
 
   while (accepted < goal) {
     // --- admission control: batched top-up waves ------------------------
-    std::size_t busy = 0;
-    for (const InFlight& s : slots_) busy += s.busy ? 1 : 0;
+    const auto busy = static_cast<std::size_t>(async_in_flight());
     const std::size_t free = cap > busy ? cap - busy : 0;
     // Waves are chunky on purpose: top up only when at least half the
     // slots are free (or nothing is in flight), so admitted clients train
@@ -1153,9 +1146,7 @@ RoundRecord Aggregator::run_round_async() {
       }
     }
 
-    std::size_t busy_now = 0;
-    for (const InFlight& s : slots_) busy_now += s.busy ? 1 : 0;
-    if (busy_now == 0) {
+    if (async_in_flight() == 0) {
       // Nothing in flight and nobody admissible right now: jump the sim
       // clock to the earliest deferral expiry and run admission again.
       double t_next = std::numeric_limits<double>::infinity();
