@@ -149,9 +149,13 @@ class SimLink {
   /// Validate-only transmit for the streamed aggregation path: identical
   /// retry/backoff/fault/stats/trace semantics to transmit(), but the
   /// receive side CRC-checks the wire image without decompressing and
-  /// retains it in `view` (header fields land in `header`, payload left
+  /// points `view` at it (header fields land in `header`, payload left
   /// empty).  The aggregator then dequantizes-and-accumulates straight from
   /// the compressed chunks, never materializing this client's fp32 payload.
+  /// On return `view` borrows image.wire, so the sender keeps that image
+  /// unchanged while the view is read: only a clean attempt validates, and
+  /// a corrupted attempt's private copy never does, so no view is left
+  /// pointing at it.
   void transmit_wire(const Message& message, const WireScratch& image,
                      Message& header, WireView& view,
                      const LinkTraceContext& trace = {});

@@ -73,6 +73,18 @@ const Codec* require_codec(const std::string& name, const char* who) {
   return codec_ptr;
 }
 
+/// The header fields ahead of the metadata: magic, type, round, sender
+/// and codec.  Throws std::runtime_error on a bad magic.
+void read_prefix(BinaryReader& r, Message& out) {
+  if (r.read<std::uint32_t>() != kMagic) {
+    throw std::runtime_error("Message::decode: bad magic");
+  }
+  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
+  out.round = r.read<std::uint32_t>();
+  out.sender = r.read<std::uint32_t>();
+  out.codec = r.read_string();
+}
+
 /// The one PHO2 frame parser: the header goes into `out` (metadata
 /// replaced, payload untouched), the chunk table into `view` (offsets into
 /// `wire`, `bytes` untouched).  Returns the CRC the chunk bytes must fold
@@ -81,13 +93,7 @@ const Codec* require_codec(const std::string& name, const char* who) {
 std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
                           WireView& view) {
   BinaryReader r(wire);
-  if (r.read<std::uint32_t>() != kMagic) {
-    throw std::runtime_error("Message::decode: bad magic");
-  }
-  out.type = static_cast<MessageType>(r.read<std::uint8_t>());
-  out.round = r.read<std::uint32_t>();
-  out.sender = r.read<std::uint32_t>();
-  out.codec = r.read_string();
+  read_prefix(r, out);
   out.metadata.clear();
   const auto n_meta = r.read<std::uint64_t>();
   for (std::uint64_t i = 0; i < n_meta; ++i) {
@@ -273,7 +279,14 @@ void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
   }
   out.payload.clear();
   out.payload_view = {};
-  view.bytes.assign(wire.begin(), wire.end());
+  view.bytes = wire;
+}
+
+std::string Message::peek_codec(std::span<const std::uint8_t> wire) {
+  BinaryReader r(wire);
+  Message header;
+  read_prefix(r, header);
+  return header.codec;
 }
 
 }  // namespace photon

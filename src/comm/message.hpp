@@ -74,13 +74,14 @@ std::size_t wire_chunk_bytes();
 void set_wire_chunk_bytes(std::size_t bytes);
 
 /// A validated-but-undecoded wire image: header parsed, every chunk CRC
-/// verified, compressed chunk bytes retained verbatim.  Because the wire CRC
-/// covers the *codec output* bytes, integrity checking needs no
+/// verified, compressed chunk bytes read where they lie.  Because the wire
+/// CRC covers the *codec output* bytes, integrity checking needs no
 /// decompression — which is what lets the Aggregator's streamed fan-in
 /// dequantize-and-accumulate each chunk as it arrives instead of
 /// materializing the full fp32 payload per client (Message::validate_wire).
+/// The view owns no bytes: it borrows the image validate_wire checked.
 struct WireView {
-  std::vector<std::uint8_t> bytes;  // owned copy of the full wire image
+  std::span<const std::uint8_t> bytes;  // the validated image, borrowed
   std::string codec;
   std::uint64_t elems = 0;          // payload float count
   std::size_t raw_bytes = 0;        // elems * sizeof(float)
@@ -94,7 +95,7 @@ struct WireView {
     return std::min(chunk_raw_bytes, raw_bytes - raw_off(c));
   }
   std::span<const std::uint8_t> chunk(std::size_t c) const {
-    return {bytes.data() + offs[c], static_cast<std::size_t>(lens[c])};
+    return bytes.subspan(offs[c], lens[c]);
   }
 };
 
@@ -137,12 +138,19 @@ struct Message {
                           ThreadPool* pool = nullptr);
 
   /// Validate `wire` without decompressing: parse the header into `out`
-  /// (payload left empty), CRC-check every chunk on `pool`, and retain the
-  /// compressed image in `view` (capacity reused across rounds).  Throws
-  /// std::runtime_error exactly where decode_into would — same corruption
-  /// detection, none of the dequantization cost.
+  /// (payload left empty), CRC-check every chunk on `pool`, and point
+  /// `view` at `wire`.  The view borrows `wire`: it is good only while
+  /// those bytes stay alive and unchanged.  view.bytes is set only once
+  /// the CRC check passes, so a view never points at bytes that failed it.
+  /// Throws std::runtime_error exactly where decode_into would — same
+  /// corruption detection, none of the dequantization cost.
   static void validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool = nullptr);
+
+  /// The codec named in `wire`'s header, read without checking the rest of
+  /// the image.  Throws std::runtime_error on a bad magic or a header cut
+  /// short.
+  static std::string peek_codec(std::span<const std::uint8_t> wire);
 };
 
 }  // namespace photon

@@ -317,30 +317,19 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
   // The update borrows the delta the client wrote over the received
   // broadcast; the fp32 return decodes back into it (see SimLink::transmit).
-  Message up;
-  up.type = MessageType::kClientUpdate;
-  up.round = round_;
-  up.sender = static_cast<std::uint32_t>(id);
-  up.codec = client.config().link_codec;
-  up.payload_view = slot.header.payload;
-  up.metadata = slot.update.metrics;
-  // A quantized update's wire CRC covers the *compressed* chunk bytes, so
-  // the return transfer is validated without decompressing: the wire image
-  // is retained and the server dequantizes-and-accumulates it chunk by
-  // chunk.  Secure aggregation masks fp32 payloads and must materialize;
-  // lossless codecs keep the classic decode path.
-  const Codec* up_codec = codec_by_name(up.codec);
-  const bool stream = !config_.secure_aggregation && up_codec != nullptr &&
-                      up_codec->quant_bits() != 0;
+  // A streamed update's wire CRC covers the *compressed* chunk bytes, so
+  // the return transfer is validated without decompressing: the view
+  // borrows slot.sent and the server dequantizes-and-accumulates it chunk
+  // by chunk.  Either way header now holds the update as it arrived.
+  const Message& up = slot.update;
   const obs::RealTimer up_timer = trace_.timer();
   const LinkTraceContext up_trace{trace_, id, train_end};
   encode_for_transmit(up, slot.sent, up_trace, &global_pool());
   try {
-    if (stream) {
+    if (streams(up.codec)) {
       link.transmit_wire(up, slot.sent, slot.header, slot.wire, up_trace);
       slot.streamed = true;
     } else {
-      // header now holds the update
       link.transmit(up, slot.sent, slot.header, up_trace);
     }
   } catch (const TransmitError&) {
@@ -353,6 +342,11 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
     slot.outcome = kLate;  // update arrived past the deadline
     mark(obs::SpanKind::kStragglerCut, slot.arrive_time, slot.arrive_time, 0);
   }
+}
+
+bool Aggregator::streams(const std::string& codec) const {
+  const Codec* c = codec_by_name(codec);
+  return !config_.secure_aggregation && c != nullptr && c->quant_bits() != 0;
 }
 
 bool Aggregator::tally(const InFlight& slot, RoundRecord& record) {
@@ -404,22 +398,6 @@ void fan_out(bool parallel, std::size_t n, Fn&& fn) {
   } else {
     for (std::size_t i = 0; i < n; ++i) fn(i);
   }
-}
-
-/// Decode a persisted in-flight update image into `header`; a quantized
-/// image is also kept in `view`, which the streamed fan-in folds chunk by
-/// chunk (returns true).  Throws std::runtime_error unless the image is a
-/// well-formed update of `n` parameters.
-bool load_update(std::span<const std::uint8_t> wire, std::size_t n,
-                 Message& header, WireView& view) {
-  Message::decode_into(wire, header);
-  if (header.payload.size() != n) {
-    throw std::runtime_error(
-        "Aggregator: async checkpoint update size mismatch");
-  }
-  const bool streamed = codec_by_name(header.codec)->quant_bits() != 0;
-  if (streamed) Message::validate_wire(wire, header, view);
-  return streamed;
 }
 
 }  // namespace
@@ -789,11 +767,12 @@ RoundRecord Aggregator::run_round_sync() {
   bool all_streamed = n_agg > 0;
   for (std::size_t j = 0; j < n_agg; ++j) {
     const InFlight& slot = slots_[survivors[j]];
-    client_metrics[j] = slot.header.metadata;
-    weights[j] = static_cast<double>(slot.update.tokens);
-    record.tokens_this_round += slot.update.tokens;
+    const MetricDict& meta = slot.header.metadata;
+    client_metrics[j] = meta;
+    weights[j] = meta.at("tokens");
+    record.tokens_this_round += static_cast<std::uint64_t>(meta.at("tokens"));
     record.mean_train_loss +=
-        slot.update.mean_train_loss / static_cast<double>(n_agg);
+        meta.at("train_loss") / static_cast<double>(n_agg);
     any_streamed = any_streamed || slot.streamed;
     all_streamed = all_streamed && slot.streamed;
   }
@@ -817,15 +796,7 @@ RoundRecord Aggregator::run_round_sync() {
   if (any_streamed && !all_streamed) {
     for (const std::size_t i : survivors) {
       if (!slots_[i].streamed) continue;
-      const WireView& v = slots_[i].wire;
-      const Codec* codec = codec_by_name(v.codec);
-      auto& payload = slots_[i].header.payload;
-      payload.resize(static_cast<std::size_t>(v.elems));
-      auto* out8 = reinterpret_cast<std::uint8_t*>(payload.data());
-      for (std::size_t c = 0; c < v.n_chunks(); ++c) {
-        codec->decompress_into(v.chunk(c),
-                               {out8 + v.raw_off(c), v.raw_len(c)});
-      }
+      Message::decode_into(slots_[i].sent.wire, slots_[i].header);
     }
   }
 
@@ -1052,11 +1023,12 @@ RoundRecord Aggregator::run_round_async() {
     staleness_sum += static_cast<double>(staleness);
     record.max_staleness = std::max(record.max_staleness, staleness);
     obs_.async_staleness.observe(static_cast<double>(staleness));
-    record.tokens_this_round += s.update.tokens;
-    record.mean_train_loss += s.update.mean_train_loss;
+    const MetricDict& meta = s.header.metadata;
+    record.tokens_this_round += static_cast<std::uint64_t>(meta.at("tokens"));
+    record.mean_train_loss += meta.at("train_loss");
     accepted_clients.push_back(s.client);
-    accepted_metrics.push_back(s.header.metadata);
-    accepted_weights.push_back(static_cast<double>(s.update.tokens));
+    accepted_metrics.push_back(meta);
+    accepted_weights.push_back(meta.at("tokens"));
     obs_.client_sim_seconds.observe(s.arrive_time - s.dispatch_time);
   };
 
@@ -1346,22 +1318,10 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
     u.dispatch_version = slot->dispatch_version;
     u.wave_id = slot->wave_id;
     u.failure_kind = slot->outcome;
-    u.tokens = slot->update.tokens;
-    u.mean_train_loss = slot->update.mean_train_loss;
     u.train_sim_seconds = slot->train_sim_seconds;
-    if (slot->outcome == kOk && slot->streamed) {
-      u.wire = slot->wire.bytes;
-    } else if (slot->outcome == kOk) {
-      // A materialized update goes back on the wire with the identity
-      // codec, which restores its fp32 payload and metrics exactly.
-      Message m;
-      m.type = slot->header.type;
-      m.round = slot->header.round;
-      m.sender = slot->header.sender;
-      m.metadata = slot->header.metadata;
-      m.payload_view = slot->header.payload;
-      u.wire = m.encode();
-    }
+    // The update as its client sent it, which restore parses the way its
+    // arrival did.
+    if (slot->outcome == kOk) u.wire = slot->sent.wire;
     s.in_flight.push_back(std::move(u));
   }
   return s;
@@ -1377,18 +1337,23 @@ void Aggregator::validate_async_state(const AsyncAggregatorState& st) const {
       st.next_eligible.size() != clients_.size()) {
     bad("population mismatch");
   }
-  Message header;
-  WireView view;
+  Message update;
   for (const AsyncInFlightSnapshot& u : st.in_flight) {
     if (u.client < 0 || u.client >= population()) bad("bad client id");
     if (u.failure_kind > kLinkFailed) bad("bad failure kind");
-    if (u.failure_kind == kOk) {
-      load_update(u.wire, global_params_.size(), header, view);
+    if (u.failure_kind != kOk) continue;
+    Message::decode_into(u.wire, update);
+    if (update.payload.size() != global_params_.size()) {
+      bad("update size mismatch");
+    }
+    if (update.metadata.count("tokens") == 0 ||
+        update.metadata.count("train_loss") == 0) {
+      bad("update without tokens or train_loss");
     }
   }
 }
 
-void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
+void Aggregator::restore_async_state(AsyncAggregatorState& st) {
   defer_counts_ = st.defer_counts;
   next_eligible_ = st.next_eligible;
   if (slots_.size() < st.in_flight.size()) slots_.resize(st.in_flight.size());
@@ -1408,12 +1373,17 @@ void Aggregator::restore_async_state(const AsyncAggregatorState& st) {
     slot.outcome = static_cast<Outcome>(u.failure_kind);
     slot.train_sim_seconds = u.train_sim_seconds;
     // trained stays false: its stream advance is already in the checkpoint.
-    slot.update.tokens = u.tokens;
-    slot.update.mean_train_loss = u.mean_train_loss;
-    slot.streamed = u.failure_kind == kOk &&
-                    load_update(u.wire, global_params_.size(), slot.header,
-                                slot.wire);
     client_slot_[static_cast<std::size_t>(u.client)] = static_cast<int>(i);
+    if (slot.outcome != kOk) continue;
+    // The image moves into the slot and is parsed once, as on arrival;
+    // validation already decoded it in full, so neither parse throws.
+    slot.sent.wire = std::move(u.wire);
+    slot.streamed = streams(Message::peek_codec(slot.sent.wire));
+    if (slot.streamed) {
+      Message::validate_wire(slot.sent.wire, slot.header, slot.wire);
+    } else {
+      Message::decode_into(slot.sent.wire, slot.header);
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "comm/cost_model.hpp"
@@ -304,7 +305,8 @@ class Aggregator {
   /// count regardless of population.  A slot holds one float buffer,
   /// `header.payload`: the decoded broadcast, which the client overwrites
   /// with its delta, which the update message borrows and the fp32 return
-  /// decodes back into.
+  /// decodes back into.  It holds one image of the update, `sent.wire`:
+  /// a streamed view borrows it and an async checkpoint stores it.
   struct InFlight {
     bool busy = false;                   // async: holds an admission slot
     int client = -1;
@@ -315,14 +317,18 @@ class Aggregator {
     std::uint64_t wave_id = 0;           // secagg dispatch wave (0 = plain)
     Outcome outcome = kOk;
     bool trained = false;                // local data stream advanced
-    bool streamed = false;               // update retained as a wire image
+    bool streamed = false;               // update read through `wire`
     double train_sim_seconds = 0.0;
     double train_wall_seconds = 0.0;     // measured wall time in training
-    Message header;       // broadcast in, update out (metadata = metrics)
-    WireScratch sent;     // the client's encoded update, every attempt's image
-    WireView wire;        // retained quantized wire image when streamed
-    ClientUpdate update;  // reused metric storage
+    Message header;   // broadcast in, update out (metadata = metrics)
+    Message update;   // the client's update message, as run_round formed it
+    WireScratch sent;  // the update's encoded image, every attempt's bytes
+    WireView wire;     // a streamed update's chunks, borrowing sent.wire
   };
+  // A streamed view borrows its slot's sent.wire, so growing the slot pool
+  // must move each slot, which keeps every vector's heap buffer in place;
+  // a copy would leave the views pointing into freed images.
+  static_assert(std::is_nothrow_move_constructible_v<InFlight>);
 
   /// What a round's epilogue needs from its start.
   struct RoundStart {
@@ -357,6 +363,10 @@ class Aggregator {
   /// this slot, this client, and this client's link are touched.
   void dispatch(InFlight& slot, const Message& broadcast, std::uint32_t attempt,
                 double deadline);
+  /// Whether an update sent with `codec` is kept as its validated wire
+  /// image and folded chunk by chunk (a quantized codec without secure
+  /// aggregation, which masks fp32 payloads), rather than decoded.
+  bool streams(const std::string& codec) const;
   /// Count a resolved slot's failure (crash, link failure, deadline cut, or
   /// a client that departed while in flight) into `record`; true when its
   /// update is usable.
@@ -391,7 +401,8 @@ class Aggregator {
   /// Throws std::runtime_error unless every pending snapshot can be replayed
   /// safely into this engine; checked before restore mutates anything.
   void validate_async_state(const AsyncAggregatorState& state) const;
-  void restore_async_state(const AsyncAggregatorState& state);
+  /// Moves each pending update's image out of `state` into its slot.
+  void restore_async_state(AsyncAggregatorState& state);
   /// Compose this round into the accountant and publish eps on the record.
   void account_privacy(RoundRecord& record);
   PrivacyCheckpointState capture_privacy_state() const;

@@ -55,8 +55,6 @@ void write_async_state(BinaryWriter& w, const AsyncAggregatorState& s) {
     w.write(u.dispatch_version);
     w.write(u.wave_id);
     w.write(u.failure_kind);
-    w.write(u.tokens);
-    w.write(u.mean_train_loss);
     w.write(u.train_sim_seconds);
     w.write_vector(u.wire);
   }
@@ -76,8 +74,6 @@ AsyncAggregatorState read_async_state(BinaryReader& r) {
     u.dispatch_version = r.read<std::uint32_t>();
     u.wave_id = r.read<std::uint64_t>();
     u.failure_kind = r.read<std::uint8_t>();
-    u.tokens = r.read<std::uint64_t>();
-    u.mean_train_loss = r.read<double>();
     u.train_sim_seconds = r.read<double>();
     u.wire = r.read_vector<std::uint8_t>();
   }

@@ -32,13 +32,10 @@ struct AsyncInFlightSnapshot {
   /// transmit aborted.  Failed slots still occupy admission capacity until
   /// their arrive_time, so they must survive recovery too.
   std::uint8_t failure_kind = 0;
-  std::uint64_t tokens = 0;
-  double mean_train_loss = 0.0;
   double train_sim_seconds = 0.0;
-  /// The update as a PHO2 wire image (empty for failed slots), its metadata
-  /// holding the client's metrics: a quantized update exactly as received,
-  /// which the streamed fan-in dequantizes chunk by chunk; any other update
-  /// re-encoded with the identity codec.
+  /// The update's PHO2 wire image exactly as its client sent it (empty for
+  /// failed slots), in whatever codec that was.  Its metadata holds the
+  /// client's metrics, "tokens" and "train_loss" among them.
   std::vector<std::uint8_t> wire;
 };
 

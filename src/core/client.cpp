@@ -156,7 +156,7 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
 
 void LLMClient::run_round(std::span<float> received, std::uint32_t round,
                           int local_steps, std::int64_t schedule_step_base,
-                          ClientUpdate& update) {
+                          Message& update) {
   const auto n = static_cast<std::size_t>(config_.model.num_params());
   if (received.size() != n) {
     throw std::invalid_argument("LLMClient::run_round: param size mismatch");
@@ -165,9 +165,7 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
     throw std::invalid_argument("LLMClient::run_round: local_steps <= 0");
   }
 
-  update.tokens = 0;
-  update.mean_train_loss = 0.0;
-  update.metrics.clear();
+  update.metadata.clear();
 
   const ShellLease shell(config_.model);
   GptModel& model = shell->model;
@@ -229,16 +227,21 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
     if (ef_residual_.size() != n) ef_residual_.assign(n, 0.0f);
     simd::ops().acc(received.data(), ef_residual_.data(), n);
     wire_quant::residual_of(received.data(), ef_residual_.data(), n, qbits);
-    update.metrics["ef_residual_norm"] =
+    update.metadata["ef_residual_norm"] =
         kernels::l2_norm(kernels::default_context(), ef_residual_.data(), n);
   }
 
-  update.tokens = tokens;
-  update.mean_train_loss = mean_loss;
-  update.metrics["train_loss"] = mean_loss;
-  update.metrics["grad_norm"] = last_grad_norm_;
-  update.metrics["tokens"] = static_cast<double>(tokens);
-  update.metrics["local_steps"] = static_cast<double>(local_steps);
+  // The update as it goes on the wire (Alg. 1 L7).  "tokens" is a double,
+  // exact below 2^53.
+  update.type = MessageType::kClientUpdate;
+  update.round = round;
+  update.sender = static_cast<std::uint32_t>(id_);
+  update.codec = config_.link_codec;
+  update.payload_view = received;
+  update.metadata["train_loss"] = mean_loss;
+  update.metadata["grad_norm"] = last_grad_norm_;
+  update.metadata["tokens"] = static_cast<double>(tokens);
+  update.metadata["local_steps"] = static_cast<double>(local_steps);
   PHOTON_LOG_DEBUG("llm-client", "client %d round %u loss %.4f", id_, round,
                    mean_loss);
 }

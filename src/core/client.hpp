@@ -10,9 +10,11 @@
 // round it: receives global parameters, trains `local_steps` with its
 // hardware batch size under the stretched cosine schedule, optionally runs
 // a nested sub-federation across its nodes (L19-25), post-processes the
-// update (L28), and returns the pseudo-gradient contribution
+// update (L28), and forms its update message: the pseudo-gradient
 //   delta_k = theta_global - theta_k
-// written over the received parameters in place.  It keeps no local
+// written over the received parameters in place, plus its metrics.  The
+// server learns nothing about the round except through that message
+// (L7, L10).  It keeps no local
 // checkpoint (L27): no client restarts in this reproduction, a crashed
 // client drops out of its round (DESIGN.md §2, §8).
 
@@ -23,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics.hpp"
+#include "comm/message.hpp"
 #include "core/postprocess.hpp"
 #include "data/stream.hpp"
 #include "nn/config.hpp"
@@ -81,14 +83,6 @@ struct ClientTrainConfig {
   bool ephemeral = false;
 };
 
-/// What a round reports besides its delta, which run_round writes over the
-/// received parameters.
-struct ClientUpdate {
-  std::uint64_t tokens = 0;
-  double mean_train_loss = 0.0;
-  MetricDict metrics;
-};
-
 class LLMClient {
  public:
   LLMClient(int id, ClientTrainConfig config,
@@ -100,15 +94,18 @@ class LLMClient {
 
   /// Execute one federated round (Alg. 1 L13-28): train from `received`,
   /// the global parameters as received, then overwrite it in place with
-  /// the post-processed delta theta_global - theta_k; tokens, loss and
-  /// metrics go to `out`.  `schedule_step_base` is the cumulative
-  /// sequential local-step count, synchronizing the cosine schedule across
-  /// rounds (Table 5: "S_C synchronized across sequential steps").  `out`'s
-  /// metric storage is recycled across rounds (the Aggregator keeps one
-  /// ClientUpdate per dispatch slot alive for the whole run).
+  /// the post-processed delta theta_global - theta_k, and form the update
+  /// message in `update` (Alg. 1 L7): type, round, sender, this client's
+  /// wire codec, a payload that borrows `received`, and the round's
+  /// metrics as metadata, "tokens" and "train_loss" among them.
+  /// `schedule_step_base` is the cumulative sequential local-step count,
+  /// synchronizing the cosine schedule across rounds (Table 5: "S_C
+  /// synchronized across sequential steps").  `update`'s metadata storage
+  /// is recycled across rounds (the Aggregator keeps one update message
+  /// per dispatch slot alive for the whole run).
   void run_round(std::span<float> received, std::uint32_t round,
                  int local_steps, std::int64_t schedule_step_base,
-                 ClientUpdate& out);
+                 Message& update);
 
   /// Crash recovery: advance the data stream past `rounds` already-trained
   /// rounds of `local_steps` each, drawing tokens in exactly the pattern

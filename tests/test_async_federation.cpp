@@ -341,15 +341,13 @@ TEST(AsyncFederation, ScheduledLeaveIsPermanentAndInFlightWorkIsDiscarded) {
 }
 
 // ------------------------------------------------------- crash recovery ---
-TEST(AsyncFederation, MidBufferCrashRecoveryIsBitExactUnderFaults) {
-  // Kill the server between drains (the checkpoint holds a non-empty
-  // in-flight buffer because max_in_flight > buffer_goal), rebuild from
-  // disk, and finish the run: parameters must match the uninterrupted twin
-  // bit for bit, with faults and churn active the whole time.
-  const auto base =
-      std::filesystem::temp_directory_path() / "photon_async_recovery";
-  std::filesystem::remove_all(base);
-
+/// Kill the server between drains (the checkpoint holds a non-empty
+/// in-flight buffer because max_in_flight > buffer_goal), rebuild from
+/// disk, and finish the run: parameters must match the uninterrupted twin
+/// bit for bit, with faults and churn active the whole time.  Every client
+/// sends with `codec`; checkpoints go under `base`.
+void expect_mid_buffer_crash_recovery_bit_exact(
+    const std::filesystem::path& base, const std::string& codec) {
   FaultPlan plan;
   plan.crash_prob = 0.1;
   plan.straggle_prob = 0.2;
@@ -370,19 +368,19 @@ TEST(AsyncFederation, MidBufferCrashRecoveryIsBitExactUnderFaults) {
   ac.checkpoint_every = 1;
 
   ac.checkpoint_dir = base / "ref";
-  auto ref = build_async_aggregator(ac, /*population=*/6, "nesterov");
+  auto ref = build_async_aggregator(ac, /*population=*/6, "nesterov", codec);
   injector.install(*ref);
   for (int r = 0; r < 6; ++r) ref->run_round();
 
   ac.checkpoint_dir = base / "crash";
   {
-    auto doomed = build_async_aggregator(ac, /*population=*/6, "nesterov");
+    auto doomed = build_async_aggregator(ac, 6, "nesterov", codec);
     injector.install(*doomed);
     for (int r = 0; r < 3; ++r) doomed->run_round();
     EXPECT_GT(doomed->async_in_flight(), 0);  // the buffer is mid-flight
   }  // dies here
 
-  auto revived = build_async_aggregator(ac, /*population=*/6, "nesterov");
+  auto revived = build_async_aggregator(ac, 6, "nesterov", codec);
   injector.install(*revived);
   ASSERT_TRUE(revived->restore_latest_checkpoint());
   EXPECT_EQ(revived->round(), 3u);
@@ -391,6 +389,19 @@ TEST(AsyncFederation, MidBufferCrashRecoveryIsBitExactUnderFaults) {
 
   EXPECT_EQ(ref->sim_now(), revived->sim_now());
   EXPECT_TRUE(params_equal(*ref, *revived));
+}
+
+TEST(AsyncFederation, MidBufferCrashRecoveryIsBitExactUnderFaults) {
+  // Every codec, so pending updates are checkpointed both decoded and
+  // streamed ("" lets PHOTON_WIRE_CODEC pick).
+  const auto base =
+      std::filesystem::temp_directory_path() / "photon_async_recovery";
+  std::filesystem::remove_all(base);
+  for (const char* codec : {"", "rle0", "q8", "q4"}) {
+    SCOPED_TRACE(std::string("codec ") + codec);
+    expect_mid_buffer_crash_recovery_bit_exact(
+        base / (std::string("c") + codec), codec);
+  }
   std::filesystem::remove_all(base);
 }
 
@@ -469,13 +480,16 @@ void expect_restore_rejects(const AsyncInFlightSnapshot& pending) {
   EXPECT_EQ(agg->async_in_flight(), 0);
 }
 
-/// A client update of `elems` floats encoded with `codec`.
+/// A client update of `elems` floats encoded with `codec`, carrying the
+/// metadata the server reads: "tokens" and "train_loss".
 std::vector<std::uint8_t> update_image(const std::string& codec,
                                        std::size_t elems) {
   Message m;
   m.type = MessageType::kClientUpdate;
   m.codec = codec;
   m.payload.assign(elems, 0.25f);
+  m.metadata["tokens"] = 32.0;
+  m.metadata["train_loss"] = 3.5;
   return m.encode();
 }
 
@@ -499,6 +513,19 @@ std::size_t length_field(const std::vector<std::uint8_t>& wire,
 TEST(AsyncFederation, RestoreRejectsOversizedFp32Snapshot) {
   const std::size_t n = tiny_model().num_params();
   expect_restore_rejects(pending_update(update_image("", n + 16)));
+}
+
+TEST(AsyncFederation, RestoreRejectsUpdateWithoutTokens) {
+  // The server weighs each update by the tokens its metadata reports.
+  const std::size_t n = tiny_model().num_params();
+  for (const char* codec : {"", "q8"}) {
+    Message m;
+    m.type = MessageType::kClientUpdate;
+    m.codec = codec;
+    m.payload.assign(n, 0.25f);
+    m.metadata["train_loss"] = 3.5;
+    expect_restore_rejects(pending_update(m.encode()));
+  }
 }
 
 TEST(AsyncFederation, RestoreRejectsUnknownStreamedCodec) {

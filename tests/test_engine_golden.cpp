@@ -472,7 +472,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_fp32_churn_faults",
                    {0x6c1b44edb99db1d4ULL, 0x255079f17181913aULL,
-                    0x16dc539bdad8e1a0ULL},
+                    0xad8fecccf859a393ULL},
                    [] {
                      Federation f = async_base();
                      f.faults = chaos(0.1, 0.2, 0.05, 0.05);
@@ -484,7 +484,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_q8_ephemeral_constant",
                    {0xf45e94bf276ec320ULL, 0xae8b74b6a2fe2e75ULL,
-                    0x860abb65c78e498eULL},
+                    0x5693f72d47ec0d18ULL},
                    [] {
                      Federation f = async_base();
                      f.server_opt = "fedavg";
@@ -511,7 +511,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_crash_restore",
                    {0x7491c7996e715c25ULL, 0x213941116a3b3d7cULL,
-                    0x6154753ee5abbde7ULL},
+                    0xdf6cce7ca02564daULL},
                    [] {
                      Federation f = async_base();
                      f.codec = [](int i) { return i % 3 == 0 ? "rle0" : "q8"; };
@@ -536,7 +536,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"tuned_async",
                    {0xf919df0240047c42ULL, 0,
-                    0x0c953cf8889bd3d2ULL},
+                    0x74889ba48ba198e4ULL},
                    [] {
                      Federation f = async_base();
                      f.ac.bandwidth_mbps = 1.25;

@@ -55,8 +55,8 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
   return std::make_unique<CorpusStreamSource>(corpus, seed);
 }
 
-/// A client round's update and its delta.
-struct TrainedRound : ClientUpdate {
+/// A client round's update message and the delta its payload borrows.
+struct TrainedRound : Message {
   std::vector<float> delta;
 };
 
@@ -123,9 +123,13 @@ TEST(LLMClient, DeltaIsGlobalMinusLocal) {
   const auto stream = tiny_stream(1);
   const std::vector<float> local = train_by_hand(cfg, *stream, before, 4);
   EXPECT_TRUE(same_bytes(up.delta, minus(before, local)));
-  EXPECT_GT(up.tokens, 0u);
-  EXPECT_GT(up.mean_train_loss, 0.0);
-  EXPECT_EQ(up.metrics.count("train_loss"), 1u);
+  // The client forms the update message, its payload borrowing the delta.
+  EXPECT_EQ(up.type, MessageType::kClientUpdate);
+  EXPECT_EQ(up.sender, 0u);
+  EXPECT_EQ(up.codec, client.config().link_codec);
+  EXPECT_EQ(up.view().data(), up.delta.data());
+  EXPECT_GT(up.metadata.at("tokens"), 0.0);
+  EXPECT_GT(up.metadata.at("train_loss"), 0.0);
 }
 
 TEST(LLMClient, TrainingActuallyMovesParameters) {
@@ -184,7 +188,7 @@ TEST(LLMClient, SubFederationAveragesNodeReplicas) {
   const std::vector<float> global = init_params(tiny_model(), 23);
   const TrainedRound up = train_round(client, global, 0, 3, 0);
   // Two nodes, 3 steps, batch 2, seq 16 -> 2 * 3 * 2 * 16 tokens.
-  EXPECT_EQ(up.tokens, 2u * 3u * 2u * 16u);
+  EXPECT_EQ(up.metadata.at("tokens"), 2.0 * 3 * 2 * 16);
 
   // Alg. 1 L19-25 by hand: two replicas train in turn on the one stream,
   // each from the global with a fresh AdamW; their params are averaged in

@@ -582,14 +582,18 @@ TEST(SecAggFederation, RestoreRejectsCheckpointOfAnotherDpAccounting) {
   std::filesystem::remove_all(base);
 }
 
-TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
-  // MembershipPlan x secagg: a wave member that left while its masked
-  // update was in flight is a dropout — the restored wave rebuilds the
-  // session from the persisted wave id and survivors reconstruct the
-  // departed member's masks from shares.
+/// MembershipPlan x secagg: a wave member that left while its masked update
+/// was in flight is a dropout — the restored wave rebuilds the session from
+/// the persisted wave id and survivors reconstruct the departed member's
+/// masks from shares.  The pending images are encoded with `codec`, which
+/// the clients send with too; a masked update decodes on restore whatever
+/// its codec, because the mask works on fp32 payloads.
+void expect_restored_wave_recovers_departed_masks(const std::string& codec) {
   const auto base =
       std::filesystem::temp_directory_path() / "photon_secagg_leave";
   std::filesystem::remove_all(base);
+  ClientTrainConfig ctc = tiny_client_config();
+  ctc.link_codec = codec;
 
   AggregatorConfig ac;
   ac.local_steps = 1;
@@ -603,7 +607,7 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
 
   // Hand-craft the drain-boundary checkpoint: wave 7 (clients 1, 2, 3) in
   // flight, client 3 already kLeft.
-  auto probe = build_aggregator(ac, /*population=*/4);
+  auto probe = build_aggregator(ac, /*population=*/4, ctc);
   const std::size_t n = probe->global_params().size();
   Checkpoint ckpt;
   ckpt.round = 0;
@@ -623,13 +627,13 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
     u.arrive_time = 10.5 + 0.1 * c;
     u.dispatch_version = 0;
     u.wave_id = 7;
-    u.tokens = 16;
-    u.mean_train_loss = 4.0;
-    // Masked updates materialize, so they persist identity-encoded.
     Message update;
     update.type = MessageType::kClientUpdate;
     update.sender = static_cast<std::uint32_t>(c);
+    update.codec = codec;
     update.payload.assign(n, 0.01f * static_cast<float>(c));
+    update.metadata["tokens"] = 16.0;
+    update.metadata["train_loss"] = 4.0;
     u.wire = update.encode();
     st.in_flight.push_back(std::move(u));
   }
@@ -641,7 +645,7 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
     store.journal_commit(0);
   }
 
-  auto agg = build_aggregator(ac, 4);
+  auto agg = build_aggregator(ac, 4, ctc);
   ASSERT_TRUE(agg->restore_latest_checkpoint());
   const RoundRecord rec = agg->run_round();
   EXPECT_TRUE(rec.secure_round);
@@ -654,6 +658,13 @@ TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
   EXPECT_EQ(parts, (std::vector<int>{1, 2}));
   EXPECT_EQ(agg->shares_reconstructed_total(), 1u);
   std::filesystem::remove_all(base);
+}
+
+TEST(SecAggFederation, RestoredWaveWithDepartedMemberRecoversItsMasks) {
+  for (const char* codec : {"", "q8"}) {
+    SCOPED_TRACE(std::string("codec ") + codec);
+    expect_restored_wave_recovers_departed_masks(codec);
+  }
 }
 
 TEST(SecAggFederation, ComposesWithQuantizedWireCodec) {

@@ -284,15 +284,16 @@ TEST(StreamedAggregation, ChunkMeanMatchesMaterializedCollective) {
   constexpr std::size_t kN = 70000;  // spans two 256 KiB wire chunks
   constexpr std::size_t kK = 3;
   std::vector<std::vector<float>> raw;
+  std::vector<std::vector<std::uint8_t>> images(kK);  // the views borrow them
   std::vector<WireView> views(kK);
   for (std::size_t k = 0; k < kK; ++k) {
     raw.push_back(gaussian_floats(kN, 100 + k, 0.05f));
     Message m;
     m.codec = "q8";
     m.payload_view = raw.back();
-    const auto wire = m.encode();
+    images[k] = m.encode();
     Message header;
-    Message::validate_wire(wire, header, views[k], nullptr);
+    Message::validate_wire(images[k], header, views[k], nullptr);
     ASSERT_TRUE(header.payload.empty());
     ASSERT_EQ(views[k].elems, kN);
   }
@@ -361,6 +362,10 @@ TEST(StreamedAggregation, CorruptedQuantizedWireIsRetransmittedExactly) {
     flaky.transmit_wire(m, image, header, view);
     EXPECT_EQ(flaky.stats().corrupt_chunks, 1u) << name;
     EXPECT_EQ(flaky.stats().retries, 1u) << name;
+    // The view borrows the sender's image, never the corrupted attempt's
+    // private copy, which is gone once its attempt ends.
+    EXPECT_EQ(view.bytes.data(), image.wire.data()) << name;
+    EXPECT_EQ(view.bytes.size(), image.wire.size()) << name;
     EXPECT_EQ(header.metadata.at("round_trip"), 1.0) << name;
 
     ASSERT_EQ(view.n_chunks(), clean_view.n_chunks()) << name;
