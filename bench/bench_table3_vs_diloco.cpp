@@ -75,8 +75,8 @@ int main() {
     t.add_row({std::to_string(n), "Photon", fmt_or_na(photon.wall_hi),
                fmt_or_na(photon.wall_lo), ratio(photon.wall_hi, diloco.wall_hi),
                ratio(photon.wall_lo, diloco.wall_lo), "0.47x-0.54x"});
-    for (const auto [p, d] : {std::pair{photon.wall_hi, diloco.wall_hi},
-                              std::pair{photon.wall_lo, diloco.wall_lo}}) {
+    for (const auto& [p, d] : {std::pair{photon.wall_hi, diloco.wall_hi},
+                               std::pair{photon.wall_lo, diloco.wall_lo}}) {
       if (p > 0 && d > 0) {
         ++comparisons;
         if (p < d) ++photon_wins;

@@ -966,7 +966,9 @@ void expect_sync_crash_twin(std::uint64_t fault_seed) {
     EXPECT_EQ(got[i].sim_begin, want[i].sim_begin) << "event " << i;
     EXPECT_EQ(got[i].sim_end, want[i].sim_end) << "event " << i;
   }
-  if (obs::Tracer::compiled_in()) EXPECT_FALSE(want.empty());
+  if (obs::Tracer::compiled_in()) {
+    EXPECT_FALSE(want.empty());
+  }
   std::filesystem::remove_all(base);
 }
 

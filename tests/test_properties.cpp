@@ -179,7 +179,9 @@ TEST_P(SamplerProperty, SamplesAreDistinctSortedAndInRange) {
     for (std::size_t i = 0; i < s.size(); ++i) {
       EXPECT_GE(s[i], 0);
       EXPECT_LT(s[i], population);
-      if (i > 0) EXPECT_LT(s[i - 1], s[i]);
+      if (i > 0) {
+        EXPECT_LT(s[i - 1], s[i]);
+      }
     }
   }
 }
@@ -235,7 +237,9 @@ TEST_P(ScheduleProperty, BoundedAndMonotoneAfterWarmup) {
   for (int s = 0; s < total + 50; ++s) {
     const float lr = sched.lr_at(s);
     EXPECT_GT(lr, 0.0f);
-    if (s >= cfg.warmup_steps) EXPECT_GE(lr, 0.1f * (1.0f - 1e-5f));
+    if (s >= cfg.warmup_steps) {
+      EXPECT_GE(lr, 0.1f * (1.0f - 1e-5f));
+    }
     EXPECT_LE(lr, 1.0f * (1.0f + 1e-5f));
     if (s > cfg.warmup_steps) {
       // fp32 cosine evaluation wobbles at the ~1e-6 level on long

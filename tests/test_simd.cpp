@@ -430,7 +430,9 @@ TEST(SimdVariants, EnvOverrideNamesResolve) {
                  simd::Variant::kAvx512}) {
     const simd::Variant got = simd::set_active_variant(v);
     EXPECT_TRUE(simd::supported(got));
-    if (simd::supported(v)) EXPECT_EQ(got, v);
+    if (simd::supported(v)) {
+      EXPECT_EQ(got, v);
+    }
     EXPECT_EQ(simd::active_variant(), got);
     EXPECT_NE(std::string(simd::variant_name(got)), "");
   }

@@ -19,6 +19,10 @@
 # compiled-out round time — i.e. the instrumentation sites must be free
 # when not in use.
 #
+# The tier-1, ASan/UBSan and notrace trees build with warnings as errors
+# (CMake's CMAKE_COMPILE_WARNING_AS_ERROR), so a new -Wall -Wextra warning
+# fails its lane.  The bench_e2e lane builds as bench_e2e/run.sh does.
+#
 # Every ctest invocation carries a hard --timeout so a hang under injected
 # faults (the failure mode the fault engine exists to prevent) fails the
 # pipeline instead of wedging it.
@@ -93,7 +97,8 @@ run_suite() {
 TIER1_BUILT=0
 
 tier1_lane() {
-  build_tree "$ROOT/build" "tier-1" -DCMAKE_BUILD_TYPE=Release &&
+  build_tree "$ROOT/build" "tier-1" -DCMAKE_BUILD_TYPE=Release \
+             -DCMAKE_COMPILE_WARNING_AS_ERROR=ON &&
     TIER1_BUILT=1 &&
     echo "==> [tier-1] ctest (per-test timeout ${PER_TEST_TIMEOUT}s)" &&
     ctest_tree "$ROOT/build"
@@ -187,14 +192,16 @@ if [[ "$FAST" -eq 0 ]]; then
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   lane "asan+ubsan" run_suite "$ROOT/build-sanitize" "asan+ubsan" \
        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-       -DPHOTON_SANITIZE=address,undefined
+       -DPHOTON_SANITIZE=address,undefined \
+       -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
   # Tier-1 in the PHOTON_TRACE=OFF tree, which the obs gate below also
   # times: a test that assumes spans are compiled in fails here.  The
   # wall-clock bench_round_path_smoke runs in every other lane.
   notrace_lane() {
     build_tree "$ROOT/build-notrace" "tier-1/notrace" \
-               -DCMAKE_BUILD_TYPE=Release -DPHOTON_TRACE=OFF &&
+               -DCMAKE_BUILD_TYPE=Release -DPHOTON_TRACE=OFF \
+               -DCMAKE_COMPILE_WARNING_AS_ERROR=ON &&
       echo "==> [tier-1/notrace] ctest (per-test timeout ${PER_TEST_TIMEOUT}s)" &&
       ctest_tree "$ROOT/build-notrace" -E '^bench_round_path_smoke$'
   }
