@@ -245,8 +245,10 @@ void run_wire_kernels() {
   const std::string one = "n=" + std::to_string(chunk);
   run("residual_of_q8", whole, kN,
       [&] { wire_quant::residual_of(x.data(), res.data(), kN, 8); });
-  run("q8_chunk_encode", one, chunk,
-      [&] { wire_quant::encode_chunk(x.data(), chunk, 8, enc); });
+  run("q8_chunk_encode", one, chunk, [&] {
+    enc.clear();
+    wire_quant::encode_chunk(x.data(), chunk, 8, enc);
+  });
   run("q8_chunk_accumulate", one, chunk, [&] {
     wire_quant::accumulate_chunk(enc, chunk, 8, 1.0, acc.data());
   });

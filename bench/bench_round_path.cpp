@@ -397,8 +397,8 @@ CommResult run_comm_case(const CommCase& c) {
   // (2K transmits; excludes what the collective itself touches).  ref:
   // payload copy into the message, length-prefixed re-serialize, codec
   // output, wire append, decode copy-out, decompress, payload copy-out,
-  // plus the caller's delta and pseudo-grad copies.  new: codec output
-  // (zero for identity: memcpy straight into the wire counts once) and the
+  // plus the caller's delta and pseudo-grad copies.  new: the encode
+  // straight into the wire (a codec appends each chunk in place) and the
   // decode into the reused payload.  For quantized cases these formulas
   // describe paths that don't exist, so both are reported as zero.
   const std::uint64_t comp =
@@ -408,10 +408,7 @@ CommResult run_comm_case(const CommCase& c) {
     res.ref_bytes_copied =
         2 * k64 * (3 * raw + 3 * comp) + k64 * raw /* deltas[i] */ +
         raw /* pseudo_grad */;
-    res.new_bytes_copied =
-        2 * k64 * (comp + raw) + (codec_by_name(c.codec)->is_identity()
-                                      ? 0
-                                      : 2 * k64 * comp /* chunk concat */);
+    res.new_bytes_copied = 2 * k64 * (comp + raw);
   }
 
   // Encode / decode throughput of the chunked path on this payload.

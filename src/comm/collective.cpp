@@ -31,7 +31,7 @@ void mean_into_all(std::vector<std::span<float>>& buffers,
   for (std::size_t r = 0; r < k; ++r) rows[r] = buffers[r].data();
   const auto& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain_rows(2 * k),
-                      [&](int, std::size_t begin, std::size_t end) {
+                      [&](std::size_t begin, std::size_t end) {
                         std::vector<float*> shifted(k);
                         for (std::size_t r = 0; r < k; ++r) {
                           shifted[r] = rows[r] + begin;
@@ -76,7 +76,7 @@ void ring_mean(std::vector<std::span<float>>& buffers,
   for (int s = 0; s < k - 1; ++s) {
     ctx.parallel_shards(
         static_cast<std::size_t>(k), worker_grain,
-        [&](int, std::size_t wb, std::size_t we) {
+        [&](std::size_t wb, std::size_t we) {
           for (std::size_t wi = wb; wi < we; ++wi) {
             const int w = static_cast<int>(wi);
             const int dst = (w + 1) % k;
@@ -91,7 +91,7 @@ void ring_mean(std::vector<std::span<float>>& buffers,
   for (int s = 0; s < k - 1; ++s) {
     ctx.parallel_shards(
         static_cast<std::size_t>(k), worker_grain,
-        [&](int, std::size_t wb, std::size_t we) {
+        [&](std::size_t wb, std::size_t we) {
           for (std::size_t wi = wb; wi < we; ++wi) {
             const int w = static_cast<int>(wi);
             const int dst = (w + 1) % k;
@@ -108,7 +108,7 @@ void ring_mean(std::vector<std::span<float>>& buffers,
   // Mean (element-wise, so sharding is exact).
   const float inv = 1.0f / static_cast<float>(k);
   ctx.parallel_shards(n, ctx.grain_rows(static_cast<std::size_t>(k)),
-                      [&](int, std::size_t begin, std::size_t end) {
+                      [&](std::size_t begin, std::size_t end) {
                         for (auto& b : buffers) {
                           ctx.simd().scale(b.data() + begin, end - begin, inv);
                         }

@@ -19,8 +19,6 @@ constexpr std::uint8_t kOpLiteral = 0x01;
 
 void Rle0Codec::compress_into(std::span<const std::uint8_t> input,
                               std::vector<std::uint8_t>& out) const {
-  out.clear();
-  out.reserve(input.size() / 2 + 16);
   std::size_t i = 0;
   while (i < input.size()) {
     if (input[i] == 0) {
@@ -92,15 +90,15 @@ std::vector<std::uint8_t> Rle0Codec::decompress(
 namespace {
 
 /// Identity codec used when message.codec == "".  The chunked Message path
-/// special-cases is_identity() to memcpy straight between payload and wire
-/// with no codec buffer at all; these methods exist for generic callers.
+/// special-cases is_identity() to copy straight between payload and wire;
+/// these methods exist for generic callers.
 class IdentityCodec final : public Codec {
  public:
   std::string name() const override { return ""; }
   bool is_identity() const override { return true; }
   void compress_into(std::span<const std::uint8_t> input,
                      std::vector<std::uint8_t>& out) const override {
-    out.assign(input.begin(), input.end());
+    out.insert(out.end(), input.begin(), input.end());
   }
   void decompress_into(std::span<const std::uint8_t> input,
                        std::span<std::uint8_t> out) const override {

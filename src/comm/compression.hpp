@@ -30,9 +30,9 @@ class Codec {
   /// codecs return 0.
   virtual int quant_bits() const { return 0; }
 
-  /// Compress into `out`, reusing its capacity (cleared first).  This is
-  /// the allocation-free primitive the chunked Message path calls per
-  /// chunk with scratch buffers held across rounds.
+  /// Append the compressed `input` to `out`.  The chunked Message encode
+  /// appends each chunk straight into the sender's wire image, sized once
+  /// and held across rounds.
   virtual void compress_into(std::span<const std::uint8_t> input,
                              std::vector<std::uint8_t>& out) const = 0;
 

@@ -14,56 +14,18 @@ constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 
 std::size_t g_chunk_bytes = kDefaultChunkBytes;
 
-// Fixed chunking of the raw payload bytes.  Boundaries depend only on the
-// payload size and the configured chunk size — never on the thread count —
-// which is what makes serial and parallel encodes bit-identical.
-struct ChunkPlan {
-  std::size_t raw_bytes = 0;
-  std::size_t chunk_bytes = 0;
-  std::size_t n_chunks = 0;
+/// Folds per-chunk CRCs, in chunk order, into the CRC of the chunks laid
+/// end to end (crc32_combine); an empty chunk adds nothing.
+struct CrcFold {
+  std::uint32_t crc = 0;
+  bool empty = true;
 
-  std::size_t raw_off(std::size_t c) const { return c * chunk_bytes; }
-  std::size_t raw_len(std::size_t c) const {
-    const std::size_t off = raw_off(c);
-    return std::min(chunk_bytes, raw_bytes - off);
+  void add(std::uint32_t chunk_crc, std::uint64_t len) {
+    if (len == 0) return;
+    crc = empty ? chunk_crc : crc32_combine(crc, chunk_crc, len);
+    empty = false;
   }
 };
-
-ChunkPlan plan_chunks(std::size_t raw_bytes, std::size_t chunk_bytes) {
-  ChunkPlan p;
-  p.raw_bytes = raw_bytes;
-  p.chunk_bytes = (chunk_bytes == 0 || chunk_bytes > raw_bytes)
-                      ? std::max<std::size_t>(raw_bytes, 1)
-                      : chunk_bytes;
-  p.n_chunks = raw_bytes == 0 ? 0 : (raw_bytes + p.chunk_bytes - 1) / p.chunk_bytes;
-  return p;
-}
-
-// Run fn(c) for each chunk, on the pool when one is given and there is more
-// than one chunk.  ThreadPool::parallel_for traps per-chunk exceptions
-// (malformed codec input, CRC problems), joins every task, and rethrows the
-// lowest-index one, so no task can outlive the locals it references and the
-// surfaced error is deterministic.
-void for_chunks(ThreadPool* pool, std::size_t n,
-                const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (std::size_t c = 0; c < n; ++c) fn(c);
-    return;
-  }
-  pool->parallel_for(n, fn);
-}
-
-std::uint32_t fold_crcs(const std::vector<std::uint32_t>& crcs,
-                        const std::vector<std::uint64_t>& lens) {
-  std::uint32_t folded = 0;
-  bool first = true;
-  for (std::size_t c = 0; c < crcs.size(); ++c) {
-    if (lens[c] == 0) continue;
-    folded = first ? crcs[c] : crc32_combine(folded, crcs[c], lens[c]);
-    first = false;
-  }
-  return folded;
-}
 
 const Codec* require_codec(const std::string& name, const char* who) {
   const Codec* codec_ptr = codec_by_name(name);
@@ -111,11 +73,12 @@ std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
     throw std::runtime_error("Message::decode: implausible payload size");
   }
   const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
-  const ChunkPlan plan = plan_chunks(raw_bytes, chunk_bytes);
-  if (plan.n_chunks != n_chunks ||
+  const ChunkPlan plan = ChunkPlan::of(raw_bytes, chunk_bytes);
+  if (plan.n_chunks() != n_chunks ||
       (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
     throw std::runtime_error("Message::decode: bad chunk table");
   }
+  static_cast<ChunkPlan&>(view) = plan;
   view.lens.resize(n_chunks);
   view.offs.resize(n_chunks);
   std::size_t total = 0;
@@ -133,8 +96,6 @@ std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
   require_codec(out.codec, "Message::decode");
   view.codec = out.codec;
   view.elems = elems;
-  view.raw_bytes = raw_bytes;
-  view.chunk_raw_bytes = plan.chunk_bytes;
   return r.read<std::uint32_t>();
 }
 
@@ -151,7 +112,7 @@ void write_header(BinaryWriter& w, const Message& m, const ChunkPlan& plan) {
   }
   w.write(static_cast<std::uint64_t>(m.view().size()));
   w.write(static_cast<std::uint64_t>(plan.chunk_bytes));
-  w.write(static_cast<std::uint32_t>(plan.n_chunks));
+  w.write(static_cast<std::uint32_t>(plan.n_chunks()));
 }
 
 }  // namespace
@@ -164,65 +125,60 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
   const Codec* codec_ptr = require_codec(codec, "Message");
   const auto pv = view();
   const auto* raw = reinterpret_cast<const std::uint8_t*>(pv.data());
-  const ChunkPlan plan = plan_chunks(pv.size() * sizeof(float), g_chunk_bytes);
+  const ChunkPlan plan = ChunkPlan::of(pv.size() * sizeof(float));
+  const std::size_t n_chunks = plan.n_chunks();
+  const bool identity = codec_ptr->is_identity();
 
   BinaryWriter w{std::move(scratch.wire)};
   write_header(w, *this, plan);
-
-  std::vector<std::uint32_t> crcs(plan.n_chunks);
-  std::vector<std::uint64_t> lens(plan.n_chunks);
-
-  if (codec_ptr->is_identity()) {
-    // Identity fast path: compressed bytes == raw bytes, so every chunk's
-    // wire offset is known up front.  Write the length table, size the
-    // buffer once (CRC included, so its append never reallocates), then
-    // fused copy+CRC each chunk straight into place — one pass over the
-    // payload instead of a memcpy followed by a CRC pass.
-    for (std::size_t c = 0; c < plan.n_chunks; ++c) {
-      lens[c] = plan.raw_len(c);
-      w.write(lens[c]);
-    }
-    auto buf = w.take();
-    const std::size_t data_off = buf.size();
-    scratch.payload_offset = data_off;
-    buf.reserve(data_off + plan.raw_bytes + sizeof(std::uint32_t));
-    buf.resize(data_off + plan.raw_bytes);
-    for_chunks(pool, plan.n_chunks, [&](std::size_t c) {
-      const std::size_t off = plan.raw_off(c);
-      const std::size_t len = plan.raw_len(c);
-      crcs[c] = crc32_copy(buf.data() + data_off + off, {raw + off, len});
-    });
-    const std::uint32_t folded = fold_crcs(crcs, lens);
-    const auto* cp = reinterpret_cast<const std::uint8_t*>(&folded);
-    buf.insert(buf.end(), cp, cp + sizeof(folded));
-    scratch.wire = std::move(buf);
-    return scratch.wire;
-  }
-
-  // Codec path: compress chunks (in parallel) into reused per-chunk scratch
-  // buffers, then lay the length table and chunk bytes into the wire.
-  if (scratch.chunks.size() < plan.n_chunks) scratch.chunks.resize(plan.n_chunks);
-  for_chunks(pool, plan.n_chunks, [&](std::size_t c) {
-    const std::size_t off = plan.raw_off(c);
-    const std::size_t len = plan.raw_len(c);
-    codec_ptr->compress_into({raw + off, len}, scratch.chunks[c]);
-    crcs[c] = crc32(scratch.chunks[c]);
-  });
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < plan.n_chunks; ++c) {
-    lens[c] = scratch.chunks[c].size();
-    total += scratch.chunks[c].size();
-    w.write(lens[c]);
+  const std::size_t table_off = w.size();
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    w.write(static_cast<std::uint64_t>(identity ? plan.raw_len(c) : 0));
   }
   auto buf = w.take();
-  scratch.payload_offset = buf.size();
-  buf.reserve(buf.size() + total + sizeof(std::uint32_t));
-  for (std::size_t c = 0; c < plan.n_chunks; ++c) {
-    buf.insert(buf.end(), scratch.chunks[c].begin(), scratch.chunks[c].end());
+  const std::size_t data_off = buf.size();
+  scratch.payload_offset = data_off;
+  // Size the image once, CRC included: no chunk of the identity, q8 or q4
+  // codec outgrows its raw bytes plus a mode byte, so only an rle0 payload
+  // that does not shrink can grow it.
+  buf.reserve(data_off + plan.raw_bytes + n_chunks + sizeof(std::uint32_t));
+  CrcFold fold;
+  if (identity) {
+    // Compressed bytes == raw bytes, so every chunk's wire offset is known
+    // up front: fused copy+CRC each chunk straight into place, one pass
+    // over the payload instead of a memcpy followed by a CRC pass.
+    buf.resize(data_off + plan.raw_bytes);
+    std::vector<std::uint32_t> crcs(n_chunks);
+    const auto copy = [&](std::size_t c0, std::size_t c1) {
+      for (std::size_t c = c0; c < c1; ++c) {
+        const std::size_t off = plan.raw_off(c);
+        crcs[c] = crc32_copy(buf.data() + data_off + off,
+                             {raw + off, plan.raw_len(c)});
+      }
+    };
+    if (pool != nullptr) {
+      pool->parallel_for(n_chunks, 1, copy);
+    } else {
+      copy(0, n_chunks);
+    }
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      fold.add(crcs[c], plan.raw_len(c));
+    }
+  } else {
+    // A chunk's compressed length is known only once it is written, so the
+    // codec appends the chunks in order straight into the image, and each
+    // one's length is patched into the table and its CRC folded in while
+    // its bytes are hot.
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      const std::size_t start = buf.size();
+      codec_ptr->compress_into({raw + plan.raw_off(c), plan.raw_len(c)}, buf);
+      const std::uint64_t len = buf.size() - start;
+      std::memcpy(buf.data() + table_off + c * sizeof(len), &len, sizeof(len));
+      fold.add(crc32({buf.data() + start, len}), len);
+    }
   }
-  const std::uint32_t folded = fold_crcs(crcs, lens);
-  const auto* cp = reinterpret_cast<const std::uint8_t*>(&folded);
-  buf.insert(buf.end(), cp, cp + sizeof(folded));
+  const auto* cp = reinterpret_cast<const std::uint8_t*>(&fold.crc);
+  buf.insert(buf.end(), cp, cp + sizeof(fold.crc));
   scratch.wire = std::move(buf);
   return scratch.wire;
 }
@@ -243,18 +199,30 @@ void Message::decode_into(std::span<const std::uint8_t> wire, Message& out,
   const Codec* codec_ptr = codec_by_name(v.codec);
   std::vector<std::uint32_t> crcs(v.n_chunks());
   const bool identity = codec_ptr->is_identity();
-  for_chunks(pool, v.n_chunks(), [&](std::size_t c) {
-    const auto comp = wire.subspan(v.offs[c], v.lens[c]);
-    if (identity && comp.size() == v.raw_len(c)) {
-      // Fused copy+CRC; a size mismatch falls through to decompress_into,
-      // which raises the usual corrupt-chunk error.
-      crcs[c] = crc32_copy(raw_out + v.raw_off(c), comp);
-    } else {
-      crcs[c] = crc32(comp);
-      codec_ptr->decompress_into(comp, {raw_out + v.raw_off(c), v.raw_len(c)});
+  // ThreadPool::parallel_for traps per-chunk exceptions (malformed codec
+  // input), joins every chunk and rethrows the lowest-index one.
+  const auto decode = [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      const auto comp = wire.subspan(v.offs[c], v.lens[c]);
+      if (identity && comp.size() == v.raw_len(c)) {
+        // Fused copy+CRC; a size mismatch falls through to decompress_into,
+        // which raises the usual corrupt-chunk error.
+        crcs[c] = crc32_copy(raw_out + v.raw_off(c), comp);
+      } else {
+        crcs[c] = crc32(comp);
+        codec_ptr->decompress_into(comp,
+                                   {raw_out + v.raw_off(c), v.raw_len(c)});
+      }
     }
-  });
-  if (fold_crcs(crcs, v.lens) != expected_crc) {
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(v.n_chunks(), 1, decode);
+  } else {
+    decode(0, v.n_chunks());
+  }
+  CrcFold fold;
+  for (std::size_t c = 0; c < crcs.size(); ++c) fold.add(crcs[c], v.lens[c]);
+  if (fold.crc != expected_crc) {
     throw std::runtime_error("Message::decode: CRC mismatch");
   }
 }
@@ -271,10 +239,19 @@ void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
   // The wire CRC is folded over the *compressed* chunk bytes, so integrity
   // is fully checked here without touching the codec.
   std::vector<std::uint32_t> crcs(view.n_chunks());
-  for_chunks(pool, view.n_chunks(), [&](std::size_t c) {
-    crcs[c] = crc32(wire.subspan(view.offs[c], view.lens[c]));
-  });
-  if (fold_crcs(crcs, view.lens) != expected_crc) {
+  const auto check = [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      crcs[c] = crc32(wire.subspan(view.offs[c], view.lens[c]));
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(view.n_chunks(), 1, check);
+  } else {
+    check(0, view.n_chunks());
+  }
+  CrcFold fold;
+  for (std::size_t c = 0; c < crcs.size(); ++c) fold.add(crcs[c], view.lens[c]);
+  if (fold.crc != expected_crc) {
     throw std::runtime_error("Message::decode: CRC mismatch");
   }
   out.payload.clear();

@@ -19,17 +19,20 @@
 //   ...  concatenated per-chunk codec output
 //   u32  crc                  CRC32 of the concatenated chunk bytes
 //
-// The payload is split into fixed-size raw chunks; the codec and the CRC
-// run per chunk (parallelizable across a ThreadPool) and the per-chunk
-// CRCs are folded in chunk order with crc32_combine, which reproduces the
-// whole-buffer CRC exactly.  Chunk boundaries depend only on the payload
-// size and the configured chunk size — never on thread count — so the
-// wire bytes are bit-identical between serial and parallel encodes.
+// The payload is split into fixed-size raw chunks (ChunkPlan); the codec
+// and the CRC run per chunk and the per-chunk CRCs are folded in chunk
+// order with crc32_combine, which reproduces the whole-buffer CRC exactly.
+// Chunk boundaries depend only on the payload size and the configured
+// chunk size — never on thread count — so the wire bytes are bit-identical
+// between serial and parallel encodes.  Work whose chunk offsets are known
+// before a byte is written (the identity encode, every decode and CRC
+// check) runs per chunk on a ThreadPool when one is given; a codec's
+// chunks are compressed in order straight into the image.
 //
 // Zero-copy: a message can borrow its payload (`payload_view`) instead of
 // owning it, so one broadcast buffer serves every client without per-client
-// copies, and encode/decode work against caller-held scratch buffers
-// (`WireScratch`) that are reused across rounds.
+// copies, and encode/decode work against caller-held buffers (`WireScratch`)
+// that are reused across rounds.
 
 #include <algorithm>
 #include <cstdint>
@@ -51,13 +54,11 @@ enum class MessageType : std::uint8_t {
   kControl = 3,         // either direction: instructions
 };
 
-/// Reusable encode scratch: the wire buffer plus per-chunk codec output
-/// buffers.  Held by each message's sender, whose encode_into fills it and
-/// whose SimLink transmits then send it, so repeated rounds allocate
-/// nothing after the first.
+/// A sender's reusable encode buffer: the wire image.  Held by each
+/// message's sender, whose encode_into fills it and whose SimLink transmits
+/// then send it, so repeated rounds allocate nothing after the first.
 struct WireScratch {
   std::vector<std::uint8_t> wire;
-  std::vector<std::vector<std::uint8_t>> chunks;
   /// Byte offset (set by encode_into) where the CRC-protected region of
   /// `wire` begins: the concatenated chunk bytes followed by the CRC field.
   /// Fault injectors flip bits at/after this offset so every injected
@@ -73,27 +74,45 @@ struct WireScratch {
 std::size_t wire_chunk_bytes();
 void set_wire_chunk_bytes(std::size_t bytes);
 
+/// The PHO2 chunking of a payload's raw bytes, read by the encoder, the
+/// decoder, WireView and the client's error-feedback residual alike.
+struct ChunkPlan {
+  std::size_t raw_bytes = 0;    // payload bytes
+  std::size_t chunk_bytes = 0;  // raw bytes per chunk (the last may be short)
+
+  /// The plan for `raw_bytes` at `chunk_bytes` per chunk; 0, or a size past
+  /// the payload, makes the whole payload one chunk.
+  static ChunkPlan of(std::size_t raw_bytes,
+                      std::size_t chunk_bytes = wire_chunk_bytes()) {
+    return {raw_bytes, chunk_bytes == 0 || chunk_bytes > raw_bytes
+                           ? std::max<std::size_t>(raw_bytes, 1)
+                           : chunk_bytes};
+  }
+
+  std::size_t n_chunks() const {
+    return raw_bytes == 0 ? 0 : (raw_bytes + chunk_bytes - 1) / chunk_bytes;
+  }
+  std::size_t raw_off(std::size_t c) const { return c * chunk_bytes; }
+  std::size_t raw_len(std::size_t c) const {
+    return std::min(chunk_bytes, raw_bytes - raw_off(c));
+  }
+};
+
 /// A validated-but-undecoded wire image: header parsed, every chunk CRC
 /// verified, compressed chunk bytes read where they lie.  Because the wire
 /// CRC covers the *codec output* bytes, integrity checking needs no
 /// decompression — which is what lets the Aggregator's streamed fan-in
 /// dequantize-and-accumulate each chunk as it arrives instead of
 /// materializing the full fp32 payload per client (Message::validate_wire).
-/// The view owns no bytes: it borrows the image validate_wire checked.
-struct WireView {
+/// The view owns no bytes: it borrows the image validate_wire checked.  Its
+/// ChunkPlan is the payload's (raw_bytes = elems * sizeof(float)).
+struct WireView : ChunkPlan {
   std::span<const std::uint8_t> bytes;  // the validated image, borrowed
   std::string codec;
   std::uint64_t elems = 0;          // payload float count
-  std::size_t raw_bytes = 0;        // elems * sizeof(float)
-  std::size_t chunk_raw_bytes = 0;  // raw payload bytes per chunk
   std::vector<std::uint64_t> lens;  // compressed length per chunk
   std::vector<std::uint64_t> offs;  // absolute chunk offsets into `bytes`
 
-  std::size_t n_chunks() const { return lens.size(); }
-  std::size_t raw_off(std::size_t c) const { return c * chunk_raw_bytes; }
-  std::size_t raw_len(std::size_t c) const {
-    return std::min(chunk_raw_bytes, raw_bytes - raw_off(c));
-  }
   std::span<const std::uint8_t> chunk(std::size_t c) const {
     return bytes.subspan(offs[c], lens[c]);
   }
@@ -122,8 +141,10 @@ struct Message {
   /// Serialize to wire bytes (header + optionally compressed payload + CRC).
   std::vector<std::uint8_t> encode() const;
 
-  /// Chunked encode into reused scratch; per-chunk codec and CRC work runs
-  /// on `pool` when given (nullptr = inline).  Returns a view of
+  /// Chunked encode into reused scratch.wire, sized once.  The identity
+  /// encode's per-chunk copy+CRC runs on `pool` when given (nullptr =
+  /// inline); a codec appends its chunks in order, patching the length
+  /// table and folding the CRC as each lands.  Returns a view of
   /// scratch.wire.  Bytes are identical for any pool / thread count.
   std::span<const std::uint8_t> encode_into(WireScratch& scratch,
                                             ThreadPool* pool = nullptr) const;

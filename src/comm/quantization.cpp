@@ -38,6 +38,13 @@ bool aligned_floats(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % alignof(float) == 0;
 }
 
+/// Whether the codec quantizes `chunk` at all: it must hold whole, aligned
+/// floats.  Any other chunk rides the wire raw (mode 1).
+bool float_chunk(std::span<const std::uint8_t> chunk) {
+  return !chunk.empty() && chunk.size() % sizeof(float) == 0 &&
+         aligned_floats(chunk.data());
+}
+
 void pack_nibbles(const std::int8_t* codes, std::size_t n,
                   std::uint8_t* out) {
   std::size_t k = 0;
@@ -71,8 +78,9 @@ bool encode_chunk(const float* x, std::size_t n, int bits,
                   std::vector<std::uint8_t>& out) {
   if (n > 0xFFFFFFFFull) return false;
   const std::size_t nb = n_blocks(n);
-  out.resize(encoded_bytes(n, bits));
-  std::uint8_t* p = out.data();
+  const std::size_t start = out.size();
+  out.resize(start + encoded_bytes(n, bits));
+  std::uint8_t* p = out.data() + start;
   p[kModeOff] = 0;
   const std::uint32_t n32 = static_cast<std::uint32_t>(n);
   std::memcpy(p + kCountOff, &n32, sizeof(n32));
@@ -216,43 +224,39 @@ void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
 }
 
 void residual_of(const float* x, float* res, std::size_t n, int bits) {
-  const std::size_t chunk_bytes = wire_chunk_bytes();
-  if (chunk_bytes % sizeof(float) != 0 && chunk_bytes != 0) {
-    // The codec would see float-misaligned chunks and fall back to raw
-    // passthrough: no quantization loss, no residual.
-    std::memset(res, 0, n * sizeof(float));
-    return;
-  }
-  const std::size_t chunk_floats =
-      chunk_bytes == 0 ? n : chunk_bytes / sizeof(float);
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(x);
+  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
   const int limit = code_limit(bits);
   const auto& ops = simd::ops();
   alignas(64) std::int8_t codes[kBlockFloats];
-  std::vector<float> max_abs(n_blocks(std::min(chunk_floats, n)));
+  std::vector<float> max_abs(n_blocks(plan.chunk_bytes / sizeof(float)));
 
-  for (std::size_t start = 0; start < n; start += chunk_floats) {
-    const std::size_t len = std::min(chunk_floats, n - start);
-    // Mirror encode_chunk's all-or-nothing finiteness fallback per chunk;
-    // the scale pass keeps each block's max_abs for the code pass.
-    bool finite = true;
-    for (std::size_t b = 0; b * kBlockFloats < len && finite; ++b) {
-      const std::size_t off = b * kBlockFloats;
-      const std::size_t blen = std::min(kBlockFloats, len - off);
-      max_abs[b] = ops.max_abs(x + start + off, blen);
-      finite = std::isfinite(max_abs[b]);
+  for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
+    const std::size_t off = plan.raw_off(c);
+    const std::size_t len = plan.raw_len(c);
+    // Mirror the codec: a chunk it cannot read as floats, or one holding a
+    // non-finite value, goes out raw and leaves no residual.  The scale
+    // pass keeps each block's max_abs for the code pass.
+    bool quantized = float_chunk({bytes + off, len});
+    const float* xc = x + off / sizeof(float);
+    float* rc = res + off / sizeof(float);
+    const std::size_t nf = len / sizeof(float);
+    for (std::size_t b = 0; b * kBlockFloats < nf && quantized; ++b) {
+      const std::size_t boff = b * kBlockFloats;
+      max_abs[b] = ops.max_abs(xc + boff, std::min(kBlockFloats, nf - boff));
+      quantized = std::isfinite(max_abs[b]);
     }
-    if (!finite) {
-      std::memset(res + start, 0, len * sizeof(float));
+    if (!quantized) {
+      std::memset(reinterpret_cast<std::uint8_t*>(res) + off, 0, len);
       continue;
     }
-    for (std::size_t b = 0; b * kBlockFloats < len; ++b) {
-      const std::size_t off = b * kBlockFloats;
-      const std::size_t blen = std::min(kBlockFloats, len - off);
+    for (std::size_t b = 0; b * kBlockFloats < nf; ++b) {
+      const std::size_t boff = b * kBlockFloats;
       const float scale = max_abs[b] > 0.0f ? max_abs[b] : 1.0f;
       const float inv = static_cast<float>(limit) / scale;
       const float factor = scale / static_cast<float>(limit);
-      ops.quant_i8_ef(codes, res + start + off, x + start + off, blen, inv,
-                      factor);
+      ops.quant_i8_ef(codes, rc + boff, xc + boff,
+                      std::min(kBlockFloats, nf - boff), inv, factor);
     }
   }
 }
@@ -270,18 +274,17 @@ QuantCodec::QuantCodec(int bits) : bits_(bits) {
 
 void QuantCodec::compress_into(std::span<const std::uint8_t> input,
                                std::vector<std::uint8_t>& out) const {
-  if (!input.empty() && input.size() % sizeof(float) == 0 &&
-      wire_quant::aligned_floats(input.data())) {
-    const float* x = reinterpret_cast<const float*>(input.data());
-    if (wire_quant::encode_chunk(x, input.size() / sizeof(float), bits_,
-                                 out)) {
-      return;
-    }
+  const std::size_t start = out.size();
+  if (wire_quant::float_chunk(input) &&
+      wire_quant::encode_chunk(reinterpret_cast<const float*>(input.data()),
+                               input.size() / sizeof(float), bits_, out)) {
+    return;
   }
-  // Raw passthrough: not interpretable as finite floats.
-  out.resize(input.size() + 1);
-  out[0] = 1;
-  if (!input.empty()) std::memcpy(out.data() + 1, input.data(), input.size());
+  // Raw passthrough: not interpretable as finite floats.  Drop what a
+  // failed encode appended first.
+  out.resize(start);
+  out.push_back(1);
+  out.insert(out.end(), input.begin(), input.end());
 }
 
 void QuantCodec::decompress_into(std::span<const std::uint8_t> input,

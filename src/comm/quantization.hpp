@@ -45,10 +45,10 @@ constexpr int code_limit(int bits) { return bits == 4 ? 7 : 127; }
 /// Exact mode-0 compressed size for a chunk of n floats.
 std::size_t encoded_bytes(std::size_t n_floats, int bits);
 
-/// Encode one chunk of floats into the mode-0 layout (resizes out exactly).
-/// Returns false — leaving `out` unspecified — if any block scale is
-/// non-finite or n exceeds the u32 header field; the caller then falls back
-/// to mode-1 raw passthrough.
+/// Append one chunk of floats in the mode-0 layout to `out` (exactly
+/// encoded_bytes(n, bits) bytes).  Returns false — leaving a partial append
+/// the caller truncates — if any block scale is non-finite or n exceeds the
+/// u32 header field; the caller then falls back to mode-1 raw passthrough.
 bool encode_chunk(const float* x, std::size_t n, int bits,
                   std::vector<std::uint8_t>& out);
 
@@ -70,8 +70,9 @@ void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
 std::size_t decoded_bytes(std::span<const std::uint8_t> in);
 
 /// Overwrite `res` with the blockwise reconstruction error the q8/q4 codec
-/// will leave on `x` (res = x - dequant(quant(x))), replicating the PHO2
-/// chunking at wire_chunk_bytes() and the per-block scales exactly.  This is
+/// will leave on `x` (res = x - dequant(quant(x))), reading the PHO2
+/// ChunkPlan at wire_chunk_bytes() and replicating the per-block scales
+/// exactly; a chunk the codec sends raw leaves a zero residual.  This is
 /// the client-side half of error feedback: carrying `res` into the next
 /// round's pseudo-gradient makes quantization loss transient instead of
 /// cumulative.  One max_abs pass per block sets both the chunk's

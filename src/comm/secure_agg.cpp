@@ -300,7 +300,7 @@ void SecAggSession::mask_update_into(int idx, std::span<const float> update,
   const auto& ops = ctx.simd();
   ctx.parallel_shards(
       acc.size(), ctx.grain_rows(2 + seeds.size()),
-      [&](int, std::size_t begin, std::size_t end) {
+      [&](std::size_t begin, std::size_t end) {
         ops.secagg_mask_accum(acc.data() + begin, update.data() + begin,
                               kFixedPointScale, seeds.data(), signs.data(),
                               seeds.size(), static_cast<std::uint64_t>(begin),
@@ -353,7 +353,7 @@ void SecAggSession::recover_dropouts(std::span<const int> survivors,
   const auto& ops = ctx.simd();
   ctx.parallel_shards(
       acc.size(), ctx.grain_rows(1 + strips.size()),
-      [&](int, std::size_t begin, std::size_t end) {
+      [&](std::size_t begin, std::size_t end) {
         for (const Strip& st : strips) {
           ops.secagg_prg_accum(acc.data() + begin, st.seed,
                                static_cast<std::int8_t>(-st.sign),
@@ -374,7 +374,7 @@ void SecAggSession::decode_mean(std::span<const std::uint64_t> acc, int n_agg,
   const double inv = 1.0 / (kFixedPointScale * static_cast<double>(n_agg));
   const auto& ops = ctx.simd();
   ctx.parallel_shards(acc.size(), ctx.grain_rows(2),
-                      [&](int, std::size_t begin, std::size_t end) {
+                      [&](std::size_t begin, std::size_t end) {
                         ops.secagg_decode(out.data() + begin,
                                           acc.data() + begin, inv,
                                           end - begin);

@@ -389,15 +389,12 @@ void narrow_mean(const double* acc, float* out, std::size_t n,
   for (std::size_t e = 0; e < n; ++e) out[e] = static_cast<float>(acc[e] * inv);
 }
 
-/// fn(i) for every i < n: on the global pool when `parallel` and n > 1,
-/// else serially in index order.
-template <typename Fn>
-void fan_out(bool parallel, std::size_t n, Fn&& fn) {
-  if (parallel && n > 1) {
-    global_pool().parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
+/// The global_pool().parallel_for grain of a fan-out over clients or
+/// chunks: one index per task, or, with `parallel` off, the whole range as
+/// one chunk the caller works in index order, a section that marks nothing
+/// so each client's kernels still shard over the pool.
+std::size_t fan_grain(bool parallel) {
+  return parallel ? 1 : std::numeric_limits<std::size_t>::max();
 }
 
 }  // namespace
@@ -422,23 +419,27 @@ std::vector<std::uint64_t> Aggregator::fold_streamed(
     }
   }
   std::vector<std::uint64_t> chunk_ns(head.n_chunks(), 0);
-  fan_out(config_.parallel_clients, head.n_chunks(), [&](std::size_t c) {
-    const obs::RealTimer chunk_timer = trace_.timer();
-    const std::size_t off = head.raw_off(c) / sizeof(float);
-    const std::size_t len = head.raw_len(c) / sizeof(float);
-    std::vector<double> local(close_weight > 0.0 ? len : 0, 0.0);
-    double* acc = close_weight > 0.0 ? local.data() : acc_.data() + off;
-    for (const std::size_t s : from) {
-      const WireView& v = slots_[s].wire;
-      wire_quant::accumulate_chunk(v.chunk(c), len,
-                                   codec_by_name(v.codec)->quant_bits(), w,
-                                   acc);
+  const auto fold_chunks = [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      const obs::RealTimer chunk_timer = trace_.timer();
+      const std::size_t off = head.raw_off(c) / sizeof(float);
+      const std::size_t len = head.raw_len(c) / sizeof(float);
+      std::vector<double> local(close_weight > 0.0 ? len : 0, 0.0);
+      double* acc = close_weight > 0.0 ? local.data() : acc_.data() + off;
+      for (const std::size_t s : from) {
+        const WireView& v = slots_[s].wire;
+        wire_quant::accumulate_chunk(v.chunk(c), len,
+                                     codec_by_name(v.codec)->quant_bits(), w,
+                                     acc);
+      }
+      if (close_weight > 0.0) {
+        narrow_mean(acc, pseudo_grad_.data() + off, len, close_weight);
+      }
+      chunk_ns[c] = chunk_timer.ns();
     }
-    if (close_weight > 0.0) {
-      narrow_mean(acc, pseudo_grad_.data() + off, len, close_weight);
-    }
-    chunk_ns[c] = chunk_timer.ns();
-  });
+  };
+  global_pool().parallel_for(head.n_chunks(),
+                             fan_grain(config_.parallel_clients), fold_chunks);
   return chunk_ns;
 }
 
@@ -677,10 +678,14 @@ RoundRecord Aggregator::run_round_sync() {
       slot.sim_seconds = ke.member_seconds[static_cast<std::size_t>(pos)];
     }
 
-    fan_out(config_.parallel_clients, cohort.size(), [&](std::size_t i) {
-      if (slots_[i].outcome != kOk) return;  // dropped at key exchange
-      dispatch(slots_[i], broadcast, attempt, config_.round_deadline_s);
-    });
+    global_pool().parallel_for(
+        cohort.size(), fan_grain(config_.parallel_clients),
+        [&](std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) {
+            if (slots_[i].outcome != kOk) continue;  // dropped at key exchange
+            dispatch(slots_[i], broadcast, attempt, config_.round_deadline_s);
+          }
+        });
 
     // Serial bookkeeping in cohort order keeps everything deterministic.
     survivors.clear();
@@ -1107,9 +1112,13 @@ RoundRecord Aggregator::run_round_async() {
       }
       // Fault decisions key on the dispatch sequence number within this
       // drain, the async analogue of the sync engine's cohort attempt.
-      fan_out(config_.parallel_clients, wave_slots.size(), [&](std::size_t i) {
-        dispatch(slots_[wave_slots[i]], broadcast, wave_seq[i], 0.0);
-      });
+      global_pool().parallel_for(
+          wave_slots.size(), fan_grain(config_.parallel_clients),
+          [&](std::size_t i0, std::size_t i1) {
+            for (std::size_t i = i0; i < i1; ++i) {
+              dispatch(slots_[wave_slots[i]], broadcast, wave_seq[i], 0.0);
+            }
+          });
       // Serial bookkeeping: data-stream positions advance in wave order.
       for (const std::size_t si : wave_slots) {
         if (slots_[si].trained) {

@@ -30,7 +30,7 @@ std::size_t add_gaussian_noise(const kernels::KernelContext& ctx,
   std::atomic<std::size_t> redone{0};
   // ~60 double ops and two counter hashes per element.
   ctx.parallel_shards(x.size(), ctx.grain_rows(64),
-                      [&](int, std::size_t begin, std::size_t end) {
+                      [&](std::size_t begin, std::size_t end) {
                         redone += ops.dp_noise_acc(
                             x.data() + begin, end - begin, key, begin, stddev,
                             &stateless_gaussian);

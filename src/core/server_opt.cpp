@@ -22,7 +22,7 @@ template <typename Fn>
 void for_shards(std::size_t n, Fn&& fn) {
   kernels::default_context().parallel_shards(
       n, kernels::default_context().grain_rows(kStepRowCost),
-      [&](int, std::size_t i0, std::size_t i1) { fn(i0, i1); });
+      [&](std::size_t i0, std::size_t i1) { fn(i0, i1); });
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ void AdamW::step_impl(const kernels::KernelContext& ctx,
   float* v = v_.data();
   const float* g = grads.data();
   ctx.parallel_shards(params.size(), ctx.grain_rows(kStepRowCost),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.adamw(p + i0, m + i0, v + i0, g + i0, i1 - i0,
                                   gscale, lr, b1, b2, bc1, bc2, eps, wd);
                       });

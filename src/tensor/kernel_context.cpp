@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <future>
 #include <thread>
-#include <vector>
 
 #include "util/threadpool.hpp"
 
@@ -22,7 +20,7 @@ const KernelContext& KernelContext::serial() {
 
 int KernelContext::effective_threads() const {
   if (pool_ == nullptr || threads_ <= 1) return 1;
-  if (ThreadPool::on_worker_thread()) return 1;
+  if (ThreadPool::in_parallel_section()) return 1;
   return threads_;
 }
 
@@ -41,28 +39,19 @@ int KernelContext::shard_count(std::size_t n, std::size_t min_grain) const {
 void KernelContext::parallel_shards(std::size_t n, std::size_t min_grain,
                                     const ShardFn& fn) const {
   if (n == 0) return;
-  const int shards = shard_count(n, min_grain);
+  const auto shards = static_cast<std::size_t>(shard_count(n, min_grain));
   if (shards <= 1) {
-    fn(0, 0, n);
+    fn(0, n);
     return;
   }
-  const std::size_t base = n / static_cast<std::size_t>(shards);
-  const std::size_t rem = n % static_cast<std::size_t>(shards);
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(shards) - 1);
-  std::size_t begin = 0;
-  for (int s = 0; s < shards; ++s) {
-    const std::size_t end =
-        begin + base + (static_cast<std::size_t>(s) < rem ? 1 : 0);
-    if (s + 1 == shards) {
-      fn(s, begin, end);  // caller thread works the last shard
-    } else {
-      futures.push_back(
-          pool_->submit([&fn, s, begin, end] { fn(s, begin, end); }));
-    }
-    begin = end;
-  }
-  for (auto& f : futures) f.get();
+  // One parallel_for index per shard keeps the boundaries a function of
+  // (n, shards) alone, even on a pool smaller than the context's threads.
+  const std::size_t base = n / shards;
+  const std::size_t rem = n % shards;
+  pool_->parallel_for(shards, [&](std::size_t s) {
+    const std::size_t begin = s * base + std::min(s, rem);
+    fn(begin, begin + base + (s < rem ? 1 : 0));
+  });
 }
 
 KernelContext& default_context() {

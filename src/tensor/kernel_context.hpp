@@ -12,9 +12,9 @@
 //     results run-to-run at a fixed thread count.
 //   * Serial fallback: threads == 1, a null pool, or n too small for the
 //     grain all collapse to plain inline execution with zero overhead.
-//   * Nesting safety: when the calling thread is already a ThreadPool
-//     worker (e.g. a federated round fanned clients out across the pool),
-//     effective_threads() is 1 and the kernel runs serial on that worker
+//   * Nesting safety: inside a parallel section (a pool worker, or the
+//     caller on its own chunk of a federated round's client fan-out),
+//     effective_threads() is 1 and the kernel runs serial on that thread
 //     instead of deadlocking on the shared queue or oversubscribing.
 //
 // The library default context is configured from the environment:
@@ -59,7 +59,7 @@ class KernelContext {
   void set_simd(const simd::Ops* ops) { simd_ = ops; }
 
   /// Threads usable *right now*: 1 when serial, when no pool is attached,
-  /// or when the caller is itself a pool worker (nested parallelism).
+  /// or inside a parallel section (ThreadPool::in_parallel_section).
   int effective_threads() const;
 
   /// Minimum rows per shard for rows costing ~`row_cost` scalar ops each.
@@ -69,13 +69,13 @@ class KernelContext {
   /// Depends only on (n, min_grain, effective threads) — deterministic.
   int shard_count(std::size_t n, std::size_t min_grain) const;
 
-  using ShardFn = std::function<void(int shard, std::size_t begin,
-                                     std::size_t end)>;
+  using ShardFn = std::function<void(std::size_t begin, std::size_t end)>;
 
   /// Partition [0, n) into shard_count(n, min_grain) contiguous shards and
-  /// run fn(shard, begin, end) across the pool; the caller executes the
-  /// last shard itself and waits for the rest.  Runs fn(0, 0, n) inline
-  /// when only one shard results.
+  /// run fn(begin, end) for each through ThreadPool::parallel_for, so the
+  /// caller works the last shard and a throwing shard is rethrown only
+  /// after every other shard has finished.  Runs fn(0, n) inline when only
+  /// one shard results.
   void parallel_shards(std::size_t n, std::size_t min_grain,
                        const ShardFn& fn) const;
 

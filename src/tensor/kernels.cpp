@@ -56,7 +56,7 @@ void matmul(const KernelContext& ctx, float* out, const float* a,
       static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
   ctx.parallel_shards(
       static_cast<std::size_t>(m), ctx.grain_rows(row_cost),
-      [&](int, std::size_t i0, std::size_t i1) {
+      [&](std::size_t i0, std::size_t i1) {
         std::memset(out + i0 * n, 0, sizeof(float) * (i1 - i0) * n);
         for (int p0 = 0; p0 < k; p0 += kKBlock) {
           const int p1 = std::min(k, p0 + kKBlock);
@@ -85,7 +85,7 @@ void linear_forward(const KernelContext& ctx, float* out, const float* inp,
   const std::size_t cs = static_cast<std::size_t>(c);
   const std::size_t ocs = static_cast<std::size_t>(oc);
   ctx.parallel_shards(static_cast<std::size_t>(bt), ctx.grain_rows(cs * ocs),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.linear_fwd_rows(out + i0 * ocs, inp + i0 * cs,
                                             weight, bias, i1 - i0, cs, ocs);
                       });
@@ -114,7 +114,7 @@ void linear_backward(const KernelContext& ctx, float* dinp, float* dweight,
     // dinp = dout @ W  (dout: (BT,OC), W: (OC,C)).  Each row of dinp is
     // owned by exactly one shard: race-free and bit-exact.
     ctx.parallel_shards(bts, ctx.grain_rows(cs * ocs),
-                        [&](int, std::size_t i0, std::size_t i1) {
+                        [&](std::size_t i0, std::size_t i1) {
                           ops.linear_bwd_dx_rows(dinp + i0 * cs,
                                                  dout + i0 * ocs, weight,
                                                  i1 - i0, cs, ocs);
@@ -125,14 +125,14 @@ void linear_backward(const KernelContext& ctx, float* dinp, float* dweight,
     // over output channels gives every element a fixed row-ascending
     // accumulation order — bit-exact at any thread count, no scratch.
     ctx.parallel_shards(ocs, ctx.grain_rows(2 * bts * cs),
-                        [&](int, std::size_t o0, std::size_t o1) {
+                        [&](std::size_t o0, std::size_t o1) {
                           ops.linear_bwd_wb(dweight, dbias, inp, dout, bts, cs,
                                             ocs, o0, o1);
                         });
   } else if (dbias != nullptr) {
     // Bias-only backward (no weight grad): plain column sums of dout.
     ctx.parallel_shards(ocs, ctx.grain_rows(bts),
-                        [&](int, std::size_t o0, std::size_t o1) {
+                        [&](std::size_t o0, std::size_t o1) {
                           for (std::size_t o = o0; o < o1; ++o) {
                             float acc = dbias[o];
                             for (std::size_t i = 0; i < bts; ++i) {
@@ -152,7 +152,7 @@ void layernorm_forward(const KernelContext& ctx, float* out, float* mean,
   const std::size_t cs = static_cast<std::size_t>(c);
   ctx.parallel_shards(
       static_cast<std::size_t>(bt), ctx.grain_rows(4 * cs),
-      [&](int, std::size_t i0, std::size_t i1) {
+      [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
           const float* x = inp + i * cs;
           const double m = ops.sum_pd(x, cs) / c;
@@ -176,7 +176,7 @@ void layernorm_backward(const KernelContext& ctx, float* dinp, float* dgamma,
   // Pass 1 — dinp, row-sharded: two row reductions feed the elementwise
   // update.  Each row is owned by one shard: bit-exact.
   ctx.parallel_shards(
-      bts, ctx.grain_rows(6 * cs), [&](int, std::size_t i0, std::size_t i1) {
+      bts, ctx.grain_rows(6 * cs), [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
           const float* x = inp + i * cs;
           const float* dy = dout + i * cs;
@@ -192,7 +192,7 @@ void layernorm_backward(const KernelContext& ctx, float* dinp, float* dgamma,
   // Pass 2 — dgamma/dbeta, column-sharded: every column accumulates all BT
   // rows in order, so the result is bit-exact at any thread count.
   ctx.parallel_shards(cs, ctx.grain_rows(4 * bts),
-                      [&](int, std::size_t c0, std::size_t c1) {
+                      [&](std::size_t c0, std::size_t c1) {
                         ops.ln_bwd_dgb_cols(dgamma, dbeta, dout, inp, mean,
                                             rstd, bts, cs, c0, c1);
                       });
@@ -202,7 +202,7 @@ void gelu_forward(const KernelContext& ctx, float* out, const float* inp,
                   std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.gelu_fwd(out + i0, inp + i0, i1 - i0);
                       });
 }
@@ -211,7 +211,7 @@ void gelu_backward(const KernelContext& ctx, float* dinp, const float* inp,
                    const float* dout, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.gelu_bwd(dinp + i0, inp + i0, dout + i0, i1 - i0);
                       });
 }
@@ -221,7 +221,7 @@ void bias_gelu_forward(const KernelContext& ctx, float* out, const float* inp,
   const simd::Ops& ops = ctx.simd();
   const std::size_t cs = static_cast<std::size_t>(c);
   ctx.parallel_shards(static_cast<std::size_t>(bt), ctx.grain_rows(2 * cs),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.bias_gelu_fwd(out + i0 * cs, inp + i0 * cs, bias,
                                           i1 - i0, cs);
                       });
@@ -233,7 +233,7 @@ void bias_gelu_backward(const KernelContext& ctx, float* dinp,
   const simd::Ops& ops = ctx.simd();
   const std::size_t cs = static_cast<std::size_t>(c);
   ctx.parallel_shards(static_cast<std::size_t>(bt), ctx.grain_rows(3 * cs),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.bias_gelu_bwd(dinp + i0 * cs, inp + i0 * cs, bias,
                                           dout + i0 * cs, i1 - i0, cs);
                       });
@@ -243,7 +243,7 @@ void residual_forward(const KernelContext& ctx, float* out, const float* a,
                       const float* b, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.add(out + i0, a + i0, b + i0, i1 - i0);
                       });
 }
@@ -252,7 +252,7 @@ void residual_backward(const KernelContext& ctx, float* da, float* db,
                        const float* dout, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.acc(da + i0, dout + i0, i1 - i0);
                         ops.acc(db + i0, dout + i0, i1 - i0);
                       });
@@ -277,7 +277,7 @@ void attention_forward(const KernelContext& ctx, float* out, float* preatt,
 
   // (batch, head) pairs are fully independent: each owns disjoint slices of
   // preatt/att/out, so sharding over them is race-free and bit-exact.
-  ctx.parallel_shards(pairs, ctx.grain_rows(pair_cost), [&](int, std::size_t b0,
+  ctx.parallel_shards(pairs, ctx.grain_rows(pair_cost), [&](std::size_t b0,
                                                             std::size_t b1) {
     for (std::size_t bh = b0; bh < b1; ++bh) {
       const int bi = static_cast<int>(bh) / nh;
@@ -332,7 +332,7 @@ void attention_backward(const KernelContext& ctx, float* dqkv, float* dpreatt,
 
   // Like the forward: a (batch, head) pair only ever touches the head-h
   // slice of its own batch's dqkv rows, so pairs never alias.
-  ctx.parallel_shards(pairs, ctx.grain_rows(pair_cost), [&](int, std::size_t b0,
+  ctx.parallel_shards(pairs, ctx.grain_rows(pair_cost), [&](std::size_t b0,
                                                             std::size_t b1) {
     for (std::size_t bh = b0; bh < b1; ++bh) {
       const int bi = static_cast<int>(bh) / nh;
@@ -375,7 +375,7 @@ void embedding_forward(const KernelContext& ctx, float* out, const int* tokens,
                        const float* table, int bt, int c) {
   ctx.parallel_shards(
       static_cast<std::size_t>(bt), ctx.grain_rows(static_cast<std::size_t>(c)),
-      [&](int, std::size_t i0, std::size_t i1) {
+      [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
           const float* row = table + static_cast<std::size_t>(tokens[i]) * c;
           std::memcpy(out + i * c, row,
@@ -403,7 +403,7 @@ void softmax_xent_forward(const KernelContext& ctx, float* losses,
   const std::size_t vs = static_cast<std::size_t>(v);
   ctx.parallel_shards(
       static_cast<std::size_t>(bt), ctx.grain_rows(3 * vs),
-      [&](int, std::size_t i0, std::size_t i1) {
+      [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
           const float* z = logits + i * vs;
           float* p = probs + i * vs;
@@ -430,7 +430,7 @@ void softmax_xent_backward(const KernelContext& ctx, float* dlogits,
   const std::size_t vs = static_cast<std::size_t>(v);
   ctx.parallel_shards(
       static_cast<std::size_t>(bt), ctx.grain_rows(vs),
-      [&](int, std::size_t i0, std::size_t i1) {
+      [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
           const int target = targets[i];
           if (target < 0) continue;
@@ -447,7 +447,7 @@ void scale_inplace(const KernelContext& ctx, float* x, float s,
                    std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.scale(x + i0, i1 - i0, s);
                       });
 }
@@ -456,7 +456,7 @@ void axpy(const KernelContext& ctx, float* y, float a, const float* x,
           std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.axpy(y + i0, x + i0, i1 - i0, a);
                       });
 }
@@ -465,7 +465,7 @@ void sub(const KernelContext& ctx, float* out, const float* a, const float* b,
          std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   ctx.parallel_shards(n, ctx.grain(),
-                      [&](int, std::size_t i0, std::size_t i1) {
+                      [&](std::size_t i0, std::size_t i1) {
                         ops.sub(out + i0, a + i0, b + i0, i1 - i0);
                       });
 }
@@ -474,7 +474,7 @@ double l2_norm(const KernelContext& ctx, const float* x, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   const std::size_t nb = (n + kNormBlock - 1) / kNormBlock;
   std::vector<double> partials(nb, 0.0);
-  ctx.parallel_shards(nb, 1, [&](int, std::size_t b0, std::size_t b1) {
+  ctx.parallel_shards(nb, 1, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t blk = b0; blk < b1; ++blk) {
       const std::size_t off = blk * kNormBlock;
       partials[blk] = ops.sumsq_pd(x + off, std::min(kNormBlock, n - off));

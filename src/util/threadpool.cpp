@@ -5,9 +5,10 @@
 namespace photon {
 
 namespace {
-// Set for the lifetime of every worker thread; lets nested parallel sections
-// detect re-entry (from any pool) and run inline instead of enqueueing.
-thread_local bool t_on_pool_worker = false;
+// Set for the lifetime of every worker thread, and on a caller while it
+// works its own chunk of a multi-chunk section: a section entered on a
+// thread that has it set runs inline.
+thread_local bool t_in_section = false;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -27,10 +28,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_pool_worker; }
+bool ThreadPool::in_parallel_section() { return t_in_section; }
 
 void ThreadPool::worker_loop() {
-  t_on_pool_worker = true;
+  t_in_section = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -57,8 +58,8 @@ void ThreadPool::parallel_for(
   if (n == 0) return;
   grain = std::max<std::size_t>(1, grain);
   const std::size_t chunks =
-      std::min(workers_.size(), (n + grain - 1) / grain);
-  if (chunks <= 1 || on_worker_thread()) {
+      std::min(workers_.size(), n / grain + (n % grain != 0 ? 1 : 0));
+  if (chunks <= 1 || t_in_section) {
     fn(0, n);
     return;
   }
@@ -83,7 +84,11 @@ void ThreadPool::parallel_for(
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t end = begin + base + (c < rem ? 1 : 0);
     if (c + 1 == chunks) {
-      guarded(c, begin, end);  // the caller thread works the last chunk itself
+      // The caller works the last chunk itself, beside the workers' chunks,
+      // so it is inside the section too; guarded never throws.
+      t_in_section = true;
+      guarded(c, begin, end);
+      t_in_section = false;
     } else {
       futures.push_back(
           submit([&guarded, c, begin, end] { guarded(c, begin, end); }));

@@ -3,12 +3,14 @@
 // parallel (paper Alg. 1, line 5: "for k in C do in parallel") and, through
 // kernels::KernelContext, to shard individual tensor kernels.
 //
-// Nesting policy: parallel_for detects when it is invoked from a pool worker
-// thread (any pool) and runs the loop inline on the caller instead of
-// enqueueing.  This makes nested parallelism — e.g. a federated round that
-// fans clients out across the pool while each client's kernels also want the
-// pool — degrade to serial per-client compute rather than deadlocking on a
-// full task queue or oversubscribing the machine.
+// parallel_for is the one parallel loop, with one nesting rule: a thread
+// that runs a chunk beside other chunks — a pool worker, or the caller on
+// its own chunk — is inside a parallel section, and any section entered
+// there runs inline.  A federated round that fans clients out across the
+// pool therefore runs every client's kernels serially on the thread that
+// trains it, instead of deadlocking on a full task queue or sharding onto
+// workers busy with other clients.  A one-chunk section marks nothing, so a
+// lone client still shards its kernels over the pool.
 
 #include <condition_variable>
 #include <cstddef>
@@ -31,9 +33,10 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// True when the calling thread is a worker of any ThreadPool.  Used to
-  /// degrade nested parallel sections to inline execution.
-  static bool on_worker_thread();
+  /// True on a worker of any ThreadPool, and on a caller while it works its
+  /// own chunk of a multi-chunk parallel_for: a parallel section entered
+  /// here runs inline.
+  static bool in_parallel_section();
 
   /// Enqueue a task; returns a future for its completion.
   template <typename F>
@@ -52,8 +55,7 @@ class ThreadPool {
 
   /// Run fn(i) for i in [0, n) across the pool and wait for all to finish.
   /// Indices are batched into at most size() contiguous chunks (one task per
-  /// chunk, not one per index).  Safe to call from a worker thread: runs
-  /// inline instead of deadlocking.  An exception thrown by fn is captured,
+  /// chunk, not one per index).  An exception thrown by fn is captured,
   /// every other chunk still runs to completion (joined before returning),
   /// and the exception of the lowest-index failing chunk is rethrown on the
   /// caller — deterministic at any thread count.
@@ -61,8 +63,9 @@ class ThreadPool {
 
   /// Chunked overload: partitions [0, n) into at most size() contiguous
   /// ranges of at least `grain` indices each and runs fn(begin, end) across
-  /// the pool.  The caller thread executes the last chunk itself.  Safe to
-  /// call from a worker thread (runs fn(0, n) inline).
+  /// the pool; the caller works the last chunk itself.  Runs fn(0, n)
+  /// inline when that makes one chunk or when called inside a parallel
+  /// section.
   void parallel_for(
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "comm/collective.hpp"
@@ -730,6 +731,70 @@ TEST_P(ChunkedMessage, ParallelEncodeDecodeBitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, ChunkedMessage,
                          ::testing::Values("", "rle0"));
+
+TEST(Message, QuantizedChunksAppendInOrderStraightIntoTheImage) {
+  // A codec appends its chunks in order straight into the image: after the
+  // header and length table come exactly each chunk's own compress()
+  // output, the NaN chunk's raw fallback included, then the CRC; the image
+  // decodes bit for bit to what each chunk decompresses to.
+  ChunkGuard guard;
+  set_wire_chunk_bytes(4096);  // 1024 floats per chunk
+  constexpr std::size_t kChunk = 1024;
+  Rng rng(61);
+  std::vector<float> payload(5 * kChunk + 300);  // six chunks, a short last
+  for (auto& x : payload) x = rng.gaussian(0.0f, 0.1f);
+  payload[2 * kChunk + 17] = std::numeric_limits<float>::quiet_NaN();
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(payload.data());
+  for (const char* name : {"q8", "q4"}) {
+    SCOPED_TRACE(name);
+    const Codec* codec = codec_by_name(name);
+    Message m;
+    m.type = MessageType::kClientUpdate;
+    m.round = 5;
+    m.sender = 2;
+    m.codec = name;
+    m.payload_view = payload;
+    m.metadata["tokens"] = 64.0;
+    WireScratch image;
+    m.encode_into(image);
+
+    Message header;
+    WireView view;
+    Message::validate_wire(image.wire, header, view);
+    ASSERT_EQ(view.n_chunks(), 6u);
+    std::vector<std::uint8_t> want(
+        image.wire.begin(),
+        image.wire.begin() + static_cast<std::ptrdiff_t>(image.payload_offset));
+    for (std::size_t c = 0; c < view.n_chunks(); ++c) {
+      const auto chunk =
+          codec->compress({raw + view.raw_off(c), view.raw_len(c)});
+      EXPECT_EQ(chunk[0], c == 2 ? 1 : 0) << "chunk " << c;  // mode byte
+      EXPECT_EQ(view.lens[c], chunk.size()) << "chunk " << c;
+      want.insert(want.end(), chunk.begin(), chunk.end());
+    }
+    const std::uint32_t crc =
+        crc32({want.data() + image.payload_offset,
+               want.size() - image.payload_offset});
+    const auto* cp = reinterpret_cast<const std::uint8_t*>(&crc);
+    want.insert(want.end(), cp, cp + sizeof(crc));
+    EXPECT_EQ(image.wire, want);
+
+    std::vector<float> expect(payload.size());
+    auto* expect8 = reinterpret_cast<std::uint8_t*>(expect.data());
+    for (std::size_t c = 0; c < view.n_chunks(); ++c) {
+      codec->decompress_into(view.chunk(c),
+                             {expect8 + view.raw_off(c), view.raw_len(c)});
+    }
+    Message out;
+    Message::decode_into(image.wire, out);
+    ASSERT_EQ(out.payload.size(), payload.size());
+    EXPECT_EQ(0, std::memcmp(out.payload.data(), expect.data(),
+                             expect.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(out.payload.data() + 2 * kChunk,
+                             payload.data() + 2 * kChunk,
+                             kChunk * sizeof(float)));
+  }
+}
 
 TEST(Message, PayloadViewEncodesIdenticallyToOwnedPayload) {
   const auto data = sparse_floats(5000, 41);

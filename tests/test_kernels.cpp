@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
+#include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -539,19 +543,70 @@ TEST_F(ParallelKernels, NestedCallFromPoolWorkerDegradesToSerial) {
   std::vector<float> want(kM * kN);
   matmul(ser_, want.data(), a.data(), b.data(), kM, kK, kN);
 
-  // submit() always lands on a worker thread (parallel_for would run some
-  // chunks inline on this caller thread, where degradation must NOT kick in).
+  // submit() always lands on a worker thread.
   std::vector<std::vector<float>> got(4, std::vector<float>(kM * kN));
   std::vector<std::future<void>> futs;
   for (std::size_t i = 0; i < got.size(); ++i) {
     futs.push_back(pool_.submit([&, i] {
-      EXPECT_TRUE(ThreadPool::on_worker_thread());
+      EXPECT_TRUE(ThreadPool::in_parallel_section());
       EXPECT_EQ(par_.effective_threads(), 1);
       matmul(par_, got[i].data(), a.data(), b.data(), kM, kK, kN);
     }));
   }
   for (auto& f : futs) f.get();
   for (const auto& g : got) EXPECT_EQ(g, want);
+}
+
+TEST_F(ParallelKernels, CallersOwnChunkIsNestedButALoneChunkIsNot) {
+  // The caller works the last chunk beside the workers' chunks, so a
+  // section entered there runs inline and a pooled context sees one
+  // thread; a one-chunk section marks nothing, so a lone client (an async
+  // single-client wave) still shards its kernels over the pool.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> nested_elsewhere{0};
+  std::atomic<int> caller_threads{0};
+  std::atomic<int> caller_chunks{0};
+  pool_.parallel_for(4, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) return;
+    caller_chunks.fetch_add(1);
+    pool_.parallel_for(64, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) nested_elsewhere.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    });
+    caller_threads.store(par_.effective_threads());
+  });
+  EXPECT_EQ(nested_elsewhere.load(), 0);
+  EXPECT_EQ(caller_threads.load(), 1);
+  EXPECT_EQ(caller_chunks.load(), 1);
+
+  int lone_threads = 0;
+  pool_.parallel_for(1, [&](std::size_t) {
+    EXPECT_FALSE(ThreadPool::in_parallel_section());
+    lone_threads = par_.effective_threads();
+  });
+  EXPECT_EQ(lone_threads, 4);
+  EXPECT_FALSE(ThreadPool::in_parallel_section());
+}
+
+TEST_F(ParallelKernels, ThrowingShardIsRethrownAfterEverySiblingFinished) {
+  // The caller works the last shard and throws at once while its siblings
+  // still run against this frame, so the rethrow must wait for them all.
+  constexpr std::size_t kN = 4;
+  ASSERT_EQ(par_.shard_count(kN, 1), 4);
+  std::atomic<int> finished{0};
+  const KernelContext::ShardFn shard = [&](std::size_t begin,
+                                           std::size_t end) {
+    if (end == kN) throw std::runtime_error("last shard");
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    finished.fetch_add(static_cast<int>(end - begin));
+  };
+  EXPECT_THROW(par_.parallel_shards(kN, 1, shard), std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+  // Should the rethrow come early, let the siblings finish before
+  // `finished` and `shard` go out of scope.
+  for (int i = 0; i < 200 && finished.load() < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 TEST(AlibiSlopes, GeometricSequence) {

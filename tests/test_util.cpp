@@ -209,24 +209,25 @@ TEST(ThreadPool, ChunkedParallelForCoversAllIndicesOnce) {
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(4);
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  EXPECT_FALSE(ThreadPool::in_parallel_section());
   // The caller thread executes one chunk itself, so bodies run both on
-  // workers and on the caller; nested calls from workers must run inline
+  // workers and on the caller; nested calls from either must run inline
   // instead of deadlocking on the shared queue.
   std::atomic<int> count{0};
-  std::atomic<int> on_worker{0};
+  std::atomic<int> in_section{0};
   pool.parallel_for(8, [&](std::size_t) {
-    if (ThreadPool::on_worker_thread()) on_worker.fetch_add(1);
+    if (ThreadPool::in_parallel_section()) in_section.fetch_add(1);
     pool.parallel_for(16, [&](std::size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 8 * 16);
+  EXPECT_EQ(in_section.load(), 8);
   // submit() always lands on a worker thread.
   auto f = pool.submit([&] {
-    EXPECT_TRUE(ThreadPool::on_worker_thread());
+    EXPECT_TRUE(ThreadPool::in_parallel_section());
     pool.parallel_for(16, [&](std::size_t) { count.fetch_add(1); });
   });
   f.get();
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  EXPECT_FALSE(ThreadPool::in_parallel_section());
   EXPECT_EQ(count.load(), 9 * 16);
 }
 

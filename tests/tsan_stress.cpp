@@ -1,9 +1,10 @@
 // Standalone ThreadSanitizer stress for the threaded kernel layer.  Built
 // with -fsanitize=thread (no gtest: the sanitizer only instruments what it
 // compiles) and run as a tier-1 ctest test.  Exercises the racy-by-design
-// surfaces: nested parallel_for, chunked parallel_for, and every parallel
-// kernel — including the per-shard partial-accumulator reductions — and
-// cross-checks results against the serial context.
+// surfaces: nested parallel_for (a worker's chunk and the caller's own),
+// chunked parallel_for, every parallel kernel, concurrent wire encodes and
+// decodes, and the async engine — and cross-checks results against the
+// serial context.
 //
 // Exit code 0 = clean; TSan itself aborts with a report on any data race.
 
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/collective.hpp"
@@ -78,6 +80,28 @@ bool nested_parallel_for(ThreadPool& pool) {
   });
   if (covered.load() != 1000) {
     std::fprintf(stderr, "FAIL chunked parallel_for coverage\n");
+    return false;
+  }
+  // The caller's own chunk is inside the section too: a section it enters
+  // runs inline on the caller, and its kernels run serial beside the
+  // workers' kernels.
+  const k::KernelContext par(&pool, 4, /*grain=*/1);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto a = randvec(19 * 23), b = randvec(23 * 17);
+  std::vector<std::vector<float>> out(4, std::vector<float>(19 * 17));
+  std::atomic<int> off_caller{0};
+  for (int rep = 0; rep < 10; ++rep) {
+    pool.parallel_for(4, [&](std::size_t i) {
+      k::matmul(par, out[i].data(), a.data(), b.data(), 19, 23, 17);
+      if (std::this_thread::get_id() != caller) return;
+      pool.parallel_for(16, [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+      });
+      if (par.effective_threads() != 1) off_caller.fetch_add(1);
+    });
+  }
+  if (off_caller.load() != 0) {
+    std::fprintf(stderr, "FAIL caller's chunk left its nested section\n");
     return false;
   }
   return true;
@@ -244,6 +268,43 @@ bool comm_race_free(ThreadPool& pool) {
       std::fprintf(stderr, "FAIL shared-image corruption not detected\n");
       return false;
     }
+  }
+
+  // q8 updates encoded concurrently, each appended chunk by chunk into its
+  // sender's own image, while the four links decode one shared q8 image
+  // on the pool.
+  photon::Message shared;
+  shared.codec = "q8";
+  shared.payload_view = payload;
+  photon::WireScratch shared_image;
+  shared.encode_into(shared_image, &pool);
+  const std::vector<float> shared_decoded =
+      photon::Message::decode(shared_image.wire).payload;
+  std::vector<std::vector<float>> updates(links.size());
+  std::vector<std::vector<std::uint8_t>> want(links.size());
+  std::vector<photon::WireScratch> images(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    updates[i] = randvec(payload.size());
+    photon::Message up;
+    up.codec = "q8";
+    up.payload_view = updates[i];
+    want[i] = up.encode();
+    links[i].set_thread_pool(&pool);
+  }
+  for (int rep = 0; rep < 5; ++rep) {
+    pool.parallel_for(links.size(), [&](std::size_t i) {
+      photon::Message up;
+      up.codec = "q8";
+      up.payload_view = updates[i];
+      up.encode_into(images[i], &pool);
+      if (images[i].wire != want[i]) ok.store(false);
+      links[i].transmit(shared, shared_image, rx[i]);
+      if (rx[i].payload != shared_decoded) ok.store(false);
+    });
+  }
+  if (!ok.load()) {
+    std::fprintf(stderr, "FAIL concurrent q8 encode beside shared decode\n");
+    return false;
   }
   return true;
 }
