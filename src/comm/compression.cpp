@@ -2,6 +2,7 @@
 
 #include "comm/quantization.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -19,24 +20,28 @@ constexpr std::uint8_t kOpLiteral = 0x01;
 
 void Rle0Codec::compress_into(std::span<const std::uint8_t> input,
                               std::vector<std::uint8_t>& out) const {
-  std::size_t i = 0;
-  while (i < input.size()) {
-    if (input[i] == 0) {
-      std::size_t run = 1;
-      while (i + run < input.size() && input[i + run] == 0 && run < 255) ++run;
-      out.push_back(kOpZeros);
-      out.push_back(static_cast<std::uint8_t>(run));
-      i += run;
-    } else {
-      std::size_t run = 1;
-      while (i + run < input.size() && input[i + run] != 0 && run < 255) ++run;
-      out.push_back(kOpLiteral);
-      out.push_back(static_cast<std::uint8_t>(run));
-      out.insert(out.end(), input.begin() + static_cast<std::ptrdiff_t>(i),
-                 input.begin() + static_cast<std::ptrdiff_t>(i + run));
-      i += run;
+  // Ops are staged in a stack block and appended ~4 KiB at a time.
+  constexpr std::size_t kBlock = 4096;
+  std::uint8_t block[kBlock + 2 + 255];
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < input.size();) {
+    const bool zeros = input[i] == 0;
+    const std::size_t max_run = std::min<std::size_t>(255, input.size() - i);
+    std::size_t run = 1;
+    while (run < max_run && (input[i + run] == 0) == zeros) ++run;
+    block[b++] = zeros ? kOpZeros : kOpLiteral;
+    block[b++] = static_cast<std::uint8_t>(run);
+    if (!zeros) {
+      std::memcpy(block + b, input.data() + i, run);
+      b += run;
+    }
+    i += run;
+    if (b >= kBlock) {
+      out.insert(out.end(), block, block + b);
+      b = 0;
     }
   }
+  out.insert(out.end(), block, block + b);
 }
 
 void Rle0Codec::decompress_into(std::span<const std::uint8_t> input,

@@ -19,13 +19,33 @@ std::size_t g_chunk_bytes = kDefaultChunkBytes;
 struct CrcFold {
   std::uint32_t crc = 0;
   bool empty = true;
-
   void add(std::uint32_t chunk_crc, std::uint64_t len) {
     if (len == 0) return;
     crc = empty ? chunk_crc : crc32_combine(crc, chunk_crc, len);
     empty = false;
   }
 };
+
+/// CRC-checks every chunk of `v`: crc_of(c), which may decode chunk c on
+/// the way, runs per chunk on `pool` when one is given.  Throws
+/// std::runtime_error unless the CRCs fold to `expected`.
+void check_chunks(const WireView& v, std::uint32_t expected, ThreadPool* pool,
+                  const std::function<std::uint32_t(std::size_t)>& crc_of) {
+  std::vector<std::uint32_t> crcs(v.n_chunks());
+  const auto run = [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) crcs[c] = crc_of(c);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(crcs.size(), 1, run);
+  } else {
+    run(0, crcs.size());
+  }
+  CrcFold fold;
+  for (std::size_t c = 0; c < crcs.size(); ++c) fold.add(crcs[c], v.lens[c]);
+  if (fold.crc != expected) {
+    throw std::runtime_error("Message::decode: CRC mismatch");
+  }
+}
 
 const Codec* require_codec(const std::string& name, const char* who) {
   const Codec* codec_ptr = codec_by_name(name);
@@ -138,15 +158,13 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
   auto buf = w.take();
   const std::size_t data_off = buf.size();
   scratch.payload_offset = data_off;
-  // Size the image once, CRC included: no chunk of the identity, q8 or q4
-  // codec outgrows its raw bytes plus a mode byte, so only an rle0 payload
-  // that does not shrink can grow it.
+  // Size the image once, CRC included: no identity, q8 or q4 chunk outgrows
+  // its raw bytes plus a mode byte; only rle0 that does not shrink can.
   buf.reserve(data_off + plan.raw_bytes + n_chunks + sizeof(std::uint32_t));
   CrcFold fold;
   if (identity) {
-    // Compressed bytes == raw bytes, so every chunk's wire offset is known
-    // up front: fused copy+CRC each chunk straight into place, one pass
-    // over the payload instead of a memcpy followed by a CRC pass.
+    // Compressed bytes == raw bytes, so every chunk's offset is known up
+    // front: fused copy+CRC each chunk straight into place, on the pool.
     buf.resize(data_off + plan.raw_bytes);
     std::vector<std::uint32_t> crcs(n_chunks);
     const auto copy = [&](std::size_t c0, std::size_t c1) {
@@ -165,10 +183,9 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
       fold.add(crcs[c], plan.raw_len(c));
     }
   } else {
-    // A chunk's compressed length is known only once it is written, so the
-    // codec appends the chunks in order straight into the image, and each
-    // one's length is patched into the table and its CRC folded in while
-    // its bytes are hot.
+    // A chunk's compressed length is known only once it is written: append
+    // the chunks in order, patching each length into the table and folding
+    // its CRC in while its bytes are hot.
     for (std::size_t c = 0; c < n_chunks; ++c) {
       const std::size_t start = buf.size();
       codec_ptr->compress_into({raw + plan.raw_off(c), plan.raw_len(c)}, buf);
@@ -197,34 +214,18 @@ void Message::decode_into(std::span<const std::uint8_t> wire, Message& out,
   out.payload.resize(v.elems);
   auto* raw_out = reinterpret_cast<std::uint8_t*>(out.payload.data());
   const Codec* codec_ptr = codec_by_name(v.codec);
-  std::vector<std::uint32_t> crcs(v.n_chunks());
   const bool identity = codec_ptr->is_identity();
-  // ThreadPool::parallel_for traps per-chunk exceptions (malformed codec
-  // input), joins every chunk and rethrows the lowest-index one.
-  const auto decode = [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      const auto comp = wire.subspan(v.offs[c], v.lens[c]);
-      if (identity && comp.size() == v.raw_len(c)) {
-        // Fused copy+CRC; a size mismatch falls through to decompress_into,
-        // which raises the usual corrupt-chunk error.
-        crcs[c] = crc32_copy(raw_out + v.raw_off(c), comp);
-      } else {
-        crcs[c] = crc32(comp);
-        codec_ptr->decompress_into(comp,
-                                   {raw_out + v.raw_off(c), v.raw_len(c)});
-      }
+  check_chunks(v, expected_crc, pool, [&](std::size_t c) {
+    const auto comp = wire.subspan(v.offs[c], v.lens[c]);
+    std::uint8_t* out_c = raw_out + v.raw_off(c);
+    if (identity && comp.size() == v.raw_len(c)) {
+      // Fused copy+CRC; a size mismatch falls through to decompress_into,
+      // which raises the usual corrupt-chunk error.
+      return crc32_copy(out_c, comp);
     }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(v.n_chunks(), 1, decode);
-  } else {
-    decode(0, v.n_chunks());
-  }
-  CrcFold fold;
-  for (std::size_t c = 0; c < crcs.size(); ++c) fold.add(crcs[c], v.lens[c]);
-  if (fold.crc != expected_crc) {
-    throw std::runtime_error("Message::decode: CRC mismatch");
-  }
+    codec_ptr->decompress_into(comp, {out_c, v.raw_len(c)});
+    return crc32(comp);
+  });
 }
 
 Message Message::decode(std::span<const std::uint8_t> wire) {
@@ -238,22 +239,9 @@ void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
   const std::uint32_t expected_crc = parse_frame(wire, out, view);
   // The wire CRC is folded over the *compressed* chunk bytes, so integrity
   // is fully checked here without touching the codec.
-  std::vector<std::uint32_t> crcs(view.n_chunks());
-  const auto check = [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      crcs[c] = crc32(wire.subspan(view.offs[c], view.lens[c]));
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(view.n_chunks(), 1, check);
-  } else {
-    check(0, view.n_chunks());
-  }
-  CrcFold fold;
-  for (std::size_t c = 0; c < crcs.size(); ++c) fold.add(crcs[c], view.lens[c]);
-  if (fold.crc != expected_crc) {
-    throw std::runtime_error("Message::decode: CRC mismatch");
-  }
+  check_chunks(view, expected_crc, pool, [&](std::size_t c) {
+    return crc32(wire.subspan(view.offs[c], view.lens[c]));
+  });
   out.payload.clear();
   out.payload_view = {};
   view.bytes = wire;

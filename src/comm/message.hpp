@@ -24,15 +24,12 @@
 // order with crc32_combine, which reproduces the whole-buffer CRC exactly.
 // Chunk boundaries depend only on the payload size and the configured
 // chunk size — never on thread count — so the wire bytes are bit-identical
-// between serial and parallel encodes.  Work whose chunk offsets are known
-// before a byte is written (the identity encode, every decode and CRC
-// check) runs per chunk on a ThreadPool when one is given; a codec's
-// chunks are compressed in order straight into the image.
+// between serial and parallel encodes.
 //
 // Zero-copy: a message can borrow its payload (`payload_view`) instead of
 // owning it, so one broadcast buffer serves every client without per-client
-// copies, and encode/decode work against caller-held buffers (`WireScratch`)
-// that are reused across rounds.
+// copies, and encode/decode work against caller-held scratch buffers
+// (`WireScratch`) that are reused across rounds.
 
 #include <algorithm>
 #include <cstdint>

@@ -38,8 +38,8 @@ bool aligned_floats(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % alignof(float) == 0;
 }
 
-/// Whether the codec quantizes `chunk` at all: it must hold whole, aligned
-/// floats.  Any other chunk rides the wire raw (mode 1).
+/// Whether the codec quantizes `chunk`: only whole, aligned floats; any
+/// other chunk rides the wire raw (mode 1).
 bool float_chunk(std::span<const std::uint8_t> chunk) {
   return !chunk.empty() && chunk.size() % sizeof(float) == 0 &&
          aligned_floats(chunk.data());
@@ -234,9 +234,8 @@ void residual_of(const float* x, float* res, std::size_t n, int bits) {
   for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
     const std::size_t off = plan.raw_off(c);
     const std::size_t len = plan.raw_len(c);
-    // Mirror the codec: a chunk it cannot read as floats, or one holding a
-    // non-finite value, goes out raw and leaves no residual.  The scale
-    // pass keeps each block's max_abs for the code pass.
+    // Mirror the codec: a chunk it sends raw (not float_chunk, or not
+    // finite) leaves no residual; the scale pass keeps each block's max_abs.
     bool quantized = float_chunk({bytes + off, len});
     const float* xc = x + off / sizeof(float);
     float* rc = res + off / sizeof(float);

@@ -389,10 +389,8 @@ void narrow_mean(const double* acc, float* out, std::size_t n,
   for (std::size_t e = 0; e < n; ++e) out[e] = static_cast<float>(acc[e] * inv);
 }
 
-/// The global_pool().parallel_for grain of a fan-out over clients or
-/// chunks: one index per task, or, with `parallel` off, the whole range as
-/// one chunk the caller works in index order, a section that marks nothing
-/// so each client's kernels still shard over the pool.
+/// The parallel_for grain of a fan-out over clients or chunks: one index
+/// per task, or one chunk the caller works in order, whose kernels shard.
 std::size_t fan_grain(bool parallel) {
   return parallel ? 1 : std::numeric_limits<std::size_t>::max();
 }

@@ -6,10 +6,8 @@
 // loops over it via parallel_shards().  Key properties:
 //
 //   * Deterministic sharding: shard boundaries depend only on
-//     (n, grain, threads) — never on runtime scheduling — so kernels that
-//     reduce per-shard partial accumulators (linear_backward dweight/dbias,
-//     layernorm_backward dgamma/dbeta, l2_norm) produce bit-identical
-//     results run-to-run at a fixed thread count.
+//     (n, grain, threads) — never on runtime scheduling — so every kernel
+//     is bit-identical run-to-run at a fixed thread count.
 //   * Serial fallback: threads == 1, a null pool, or n too small for the
 //     grain all collapse to plain inline execution with zero overhead.
 //   * Nesting safety: inside a parallel section (a pool worker, or the

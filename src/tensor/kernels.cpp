@@ -201,19 +201,17 @@ void layernorm_backward(const KernelContext& ctx, float* dinp, float* dgamma,
 void gelu_forward(const KernelContext& ctx, float* out, const float* inp,
                   std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.gelu_fwd(out + i0, inp + i0, i1 - i0);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.gelu_fwd(out + i0, inp + i0, i1 - i0);
+  });
 }
 
 void gelu_backward(const KernelContext& ctx, float* dinp, const float* inp,
                    const float* dout, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.gelu_bwd(dinp + i0, inp + i0, dout + i0, i1 - i0);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.gelu_bwd(dinp + i0, inp + i0, dout + i0, i1 - i0);
+  });
 }
 
 void bias_gelu_forward(const KernelContext& ctx, float* out, const float* inp,
@@ -242,20 +240,18 @@ void bias_gelu_backward(const KernelContext& ctx, float* dinp,
 void residual_forward(const KernelContext& ctx, float* out, const float* a,
                       const float* b, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.add(out + i0, a + i0, b + i0, i1 - i0);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.add(out + i0, a + i0, b + i0, i1 - i0);
+  });
 }
 
 void residual_backward(const KernelContext& ctx, float* da, float* db,
                        const float* dout, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.acc(da + i0, dout + i0, i1 - i0);
-                        ops.acc(db + i0, dout + i0, i1 - i0);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.acc(da + i0, dout + i0, i1 - i0);
+    ops.acc(db + i0, dout + i0, i1 - i0);
+  });
 }
 
 void alibi_slopes(float* slopes, int nh) {
@@ -446,28 +442,25 @@ void softmax_xent_backward(const KernelContext& ctx, float* dlogits,
 void scale_inplace(const KernelContext& ctx, float* x, float s,
                    std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.scale(x + i0, i1 - i0, s);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.scale(x + i0, i1 - i0, s);
+  });
 }
 
 void axpy(const KernelContext& ctx, float* y, float a, const float* x,
           std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.axpy(y + i0, x + i0, i1 - i0, a);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.axpy(y + i0, x + i0, i1 - i0, a);
+  });
 }
 
 void sub(const KernelContext& ctx, float* out, const float* a, const float* b,
          std::size_t n) {
   const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(),
-                      [&](std::size_t i0, std::size_t i1) {
-                        ops.sub(out + i0, a + i0, b + i0, i1 - i0);
-                      });
+  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
+    ops.sub(out + i0, a + i0, b + i0, i1 - i0);
+  });
 }
 
 double l2_norm(const KernelContext& ctx, const float* x, std::size_t n) {

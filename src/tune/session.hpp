@@ -4,10 +4,9 @@
 //
 // At each round boundary (a quiescent point) the session reads the round's
 // events from the tracer, feeds them to the RoundAutotuner, and pushes the
-// resulting decision before the next round starts.  The tuner also moves
-// two process-wide knobs, the kernel grain and the wire chunk size; the
-// session puts back the values it found when it ends, so nothing run after
-// it inherits them.  Reading copies: a
+// resulting decision before the next round starts.  The session puts the
+// two process-wide knobs the tuner moves (kernel grain, wire chunk size)
+// back to the values it found when it ends.  Reading copies: a
 // caller's tracer keeps every span for the caller.  If the aggregator has
 // no tracer, the session installs a private one so tuning works without
 // the caller opting into observability, and drains only that one, after

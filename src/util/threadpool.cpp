@@ -5,9 +5,8 @@
 namespace photon {
 
 namespace {
-// Set for the lifetime of every worker thread, and on a caller while it
-// works its own chunk of a multi-chunk section: a section entered on a
-// thread that has it set runs inline.
+// Set on every worker thread, and on a caller while it works its own chunk
+// of a multi-chunk section: a section entered where it is set runs inline.
 thread_local bool t_in_section = false;
 }  // namespace
 

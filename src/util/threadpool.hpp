@@ -6,11 +6,9 @@
 // parallel_for is the one parallel loop, with one nesting rule: a thread
 // that runs a chunk beside other chunks — a pool worker, or the caller on
 // its own chunk — is inside a parallel section, and any section entered
-// there runs inline.  A federated round that fans clients out across the
-// pool therefore runs every client's kernels serially on the thread that
-// trains it, instead of deadlocking on a full task queue or sharding onto
-// workers busy with other clients.  A one-chunk section marks nothing, so a
-// lone client still shards its kernels over the pool.
+// there runs inline, so each client of a round's fan-out runs its kernels
+// serially instead of queueing them behind busy workers.  A one-chunk
+// section marks nothing: a lone client still shards over the pool.
 
 #include <condition_variable>
 #include <cstddef>

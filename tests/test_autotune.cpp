@@ -161,6 +161,9 @@ TEST(Autotune, SessionEndRestoresTheProcessKnobsItFound) {
   // apply() moves the kernel grain and the wire chunk size for the whole
   // process; whatever runs after a session must start from the values the
   // session found, not the ones its tuner left.
+  if (!obs::Tracer::compiled_in()) {
+    GTEST_SKIP() << "PHOTON_TRACE=OFF: the tuner holds its initial knobs";
+  }
   GlobalKnobReset knobs;
   knobs.reset();
   const std::size_t grain = kernels::default_context().grain();
