@@ -1,15 +1,9 @@
 #include "tune/session.hpp"
 
-#include "comm/message.hpp"
-#include "tensor/kernel_context.hpp"
-
 namespace photon::tune {
 
 TunedSession::TunedSession(Aggregator& agg, TunerConfig config)
-    : agg_(agg),
-      tuner_(std::move(config)),
-      found_grain_(kernels::default_context().grain()),
-      found_chunk_bytes_(wire_chunk_bytes()) {
+    : agg_(agg), tuner_(std::move(config)) {
   tracer_ = agg_.tracer();
   if (tracer_ == nullptr) {
     // No observability opted in: install a private tracer so the tuner has
@@ -24,8 +18,6 @@ TunedSession::TunedSession(Aggregator& agg, TunerConfig config)
 TunedSession::~TunedSession() {
   agg_.set_state_extension(nullptr);
   if (owned_tracer_ != nullptr) agg_.set_tracer(nullptr);
-  kernels::set_default_grain(found_grain_);
-  set_wire_chunk_bytes(found_chunk_bytes_);
 }
 
 RoundRecord TunedSession::step() {

@@ -4,9 +4,7 @@
 //
 // At each round boundary (a quiescent point) the session reads the round's
 // events from the tracer, feeds them to the RoundAutotuner, and pushes the
-// resulting decision before the next round starts.  The session puts the
-// two process-wide knobs the tuner moves (kernel grain, wire chunk size)
-// back to the values it found when it ends.  Reading copies: a
+// resulting decision before the next round starts.  Reading copies: a
 // caller's tracer keeps every span for the caller.  If the aggregator has
 // no tracer, the session installs a private one so tuning works without
 // the caller opting into observability, and drains only that one, after
@@ -48,8 +46,6 @@ class TunedSession {
   RoundAutotuner tuner_;
   std::unique_ptr<obs::Tracer> owned_tracer_;
   obs::Tracer* tracer_ = nullptr;
-  std::size_t found_grain_;
-  std::size_t found_chunk_bytes_;
 };
 
 }  // namespace photon::tune

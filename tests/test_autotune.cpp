@@ -157,31 +157,6 @@ TEST(Autotune, DecisionsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Autotune, SessionEndRestoresTheProcessKnobsItFound) {
-  // apply() moves the kernel grain and the wire chunk size for the whole
-  // process; whatever runs after a session must start from the values the
-  // session found, not the ones its tuner left.
-  if (!obs::Tracer::compiled_in()) {
-    GTEST_SKIP() << "PHOTON_TRACE=OFF: the tuner holds its initial knobs";
-  }
-  GlobalKnobReset knobs;
-  knobs.reset();
-  const std::size_t grain = kernels::default_context().grain();
-  const std::size_t chunk = wire_chunk_bytes();
-  {
-    auto agg = build_aggregator(base_config());
-    TunedSession session(*agg, tuner_config());
-    for (int r = 0; r < 4; ++r) session.step();
-    const TunerDecision& d = session.tuner().current();
-    // The tuner must have moved a knob, or the check below proves nothing.
-    ASSERT_TRUE(d.kernel_grain != grain || d.wire_chunk_bytes != chunk);
-    EXPECT_EQ(kernels::default_context().grain(), d.kernel_grain);
-    EXPECT_EQ(wire_chunk_bytes(), d.wire_chunk_bytes);
-  }
-  EXPECT_EQ(kernels::default_context().grain(), grain);
-  EXPECT_EQ(wire_chunk_bytes(), chunk);
-}
-
 TEST(Autotune, CrashRestoreContinuesExactDecisionTimeline) {
   // Kill a tuned run after round 3 (checkpoint every round), rebuild from
   // disk, and finish: decision history, digests, tuner state bytes, and
