@@ -158,8 +158,12 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
   auto buf = w.take();
   const std::size_t data_off = buf.size();
   scratch.payload_offset = data_off;
-  // Size the image once, CRC included: no identity, q8 or q4 chunk outgrows
-  // its raw bytes plus a mode byte; only rle0 that does not shrink can.
+  // Size the image once, CRC included, at its all-raw size.  That bounds
+  // the whole identity, q8 or q4 image, though not each chunk: a q8/q4
+  // chunk of under 3 floats outgrows its raw bytes plus mode byte by up to
+  // 5 bytes, which any full chunk of 20 bytes or more pays back.  Only a
+  // payload of such short chunks alone, or rle0 that does not shrink, can
+  // grow the image.
   buf.reserve(data_off + plan.raw_bytes + n_chunks + sizeof(std::uint32_t));
   CrcFold fold;
   if (identity) {

@@ -389,12 +389,6 @@ void narrow_mean(const double* acc, float* out, std::size_t n,
   for (std::size_t e = 0; e < n; ++e) out[e] = static_cast<float>(acc[e] * inv);
 }
 
-/// The parallel_for grain of a fan-out over clients or chunks: one index
-/// per task, or one chunk the caller works in order, whose kernels shard.
-std::size_t fan_grain(bool parallel) {
-  return parallel ? 1 : std::numeric_limits<std::size_t>::max();
-}
-
 }  // namespace
 
 // Streamed dequantize-and-accumulate (DESIGN.md §11): walk the retained
@@ -416,7 +410,8 @@ std::vector<std::uint64_t> Aggregator::fold_streamed(
       throw std::runtime_error("Aggregator: update size mismatch");
     }
   }
-  std::vector<std::uint64_t> chunk_ns(head.n_chunks(), 0);
+  const std::size_t n_chunks = head.n_chunks();
+  std::vector<std::uint64_t> chunk_ns(n_chunks, 0);
   const auto fold_chunks = [&](std::size_t c0, std::size_t c1) {
     for (std::size_t c = c0; c < c1; ++c) {
       const obs::RealTimer chunk_timer = trace_.timer();
@@ -436,8 +431,10 @@ std::vector<std::uint64_t> Aggregator::fold_streamed(
       chunk_ns[c] = chunk_timer.ns();
     }
   };
-  global_pool().parallel_for(head.n_chunks(),
-                             fan_grain(config_.parallel_clients), fold_chunks);
+  // Without parallel_clients the grain is the whole range: one chunk, worked
+  // in order on the caller (so are the client fan-outs below).
+  global_pool().parallel_for(n_chunks, config_.parallel_clients ? 1 : n_chunks,
+                             fold_chunks);
   return chunk_ns;
 }
 
@@ -677,7 +674,7 @@ RoundRecord Aggregator::run_round_sync() {
     }
 
     global_pool().parallel_for(
-        cohort.size(), fan_grain(config_.parallel_clients),
+        cohort.size(), config_.parallel_clients ? 1 : cohort.size(),
         [&](std::size_t i0, std::size_t i1) {
           for (std::size_t i = i0; i < i1; ++i) {
             if (slots_[i].outcome != kOk) continue;  // dropped at key exchange
@@ -1111,7 +1108,7 @@ RoundRecord Aggregator::run_round_async() {
       // Fault decisions key on the dispatch sequence number within this
       // drain, the async analogue of the sync engine's cohort attempt.
       global_pool().parallel_for(
-          wave_slots.size(), fan_grain(config_.parallel_clients),
+          wave_slots.size(), config_.parallel_clients ? 1 : wave_slots.size(),
           [&](std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i) {
               dispatch(slots_[wave_slots[i]], broadcast, wave_seq[i], 0.0);

@@ -57,7 +57,7 @@ void ThreadPool::parallel_for(
   if (n == 0) return;
   grain = std::max<std::size_t>(1, grain);
   const std::size_t chunks =
-      std::min(workers_.size(), n / grain + (n % grain != 0 ? 1 : 0));
+      std::min(workers_.size(), (n + grain - 1) / grain);
   if (chunks <= 1 || t_in_section) {
     fn(0, n);
     return;
