@@ -514,37 +514,44 @@ void Aggregator::save_checkpoint(const RoundRecord& record) {
     return;
   }
   const obs::RealTimer ckpt_timer = trace_.timer();
-  Checkpoint ckpt;
+  // The save reads the engine's own buffers; only the link totals, the
+  // ServerOpt bytes and the tuner bytes are formed for it.
+  CheckpointView ckpt;
   ckpt.round = round_;
   ckpt.params = global_params_;
   ckpt.sim_now = sim_now_;
   ckpt.client_trained_rounds = client_rounds_;
   ckpt.membership = membership_;
-  for (const SimLink& link : links_) ckpt.link_stats.push_back(link.stats());
-  BinaryWriter w;
-  server_opt_->save_state(w);
-  ckpt.server_opt_state = w.take();
+  std::vector<LinkStats> link_stats;
+  link_stats.reserve(links_.size());
+  for (const SimLink& link : links_) link_stats.push_back(link.stats());
+  ckpt.link_stats = link_stats;
+  BinaryWriter server_opt_state;
+  server_opt_->save_state(server_opt_state);
+  ckpt.server_opt_state = server_opt_state.bytes();
   // Error-feedback residuals are part of the deterministic client state:
   // recovery must hand each client the exact residual it carried, or the
   // post-restore timeline diverges from an uninterrupted run.
   ckpt.client_ef_residuals.reserve(clients_.size());
   for (const auto& c : clients_) {
-    ckpt.client_ef_residuals.push_back(c->ef_residual());
+    ckpt.client_ef_residuals.emplace_back(c->ef_residual());
   }
   if (config_.async.enabled) {
     // The drain boundary is the async save point: the accumulator is empty
     // here, so the buffer's durable form is the pending in-flight updates
     // plus the admission counters.
-    ckpt.async_state = capture_async_state();
+    ckpt.async_state = async_state_view();
   }
   if (accountant_ != nullptr || config_.secure_aggregation) {
     ckpt.privacy_state = capture_privacy_state();
   }
+  std::vector<std::uint8_t> tuner_state;
   if (state_ext_ != nullptr) {
     state_ext_->on_checkpoint(record);
-    ckpt.tuner_state = state_ext_->capture_state();
+    tuner_state = state_ext_->capture_state();
+    ckpt.tuner_state = tuner_state;
   }
-  checkpoints_.save(std::move(ckpt));
+  checkpoints_.save(ckpt);
   checkpoints_.journal_commit(round_);
   trace_.record(obs::SpanKind::kCheckpoint, obs::kAggregatorActor, -1,
                 sim_now_, sim_now_, ckpt_timer.ns());
@@ -1300,8 +1307,8 @@ RoundRecord Aggregator::run_round_async() {
   return close_round(record, start, accepted);
 }
 
-AsyncAggregatorState Aggregator::capture_async_state() const {
-  AsyncAggregatorState s;
+AsyncStateView Aggregator::async_state_view() const {
+  AsyncStateView s;
   s.defer_counts = defer_counts_;
   s.next_eligible = next_eligible_;
   std::vector<const InFlight*> pending;
@@ -1316,7 +1323,7 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
             });
   s.in_flight.reserve(pending.size());
   for (const InFlight* slot : pending) {
-    AsyncInFlightSnapshot u;
+    AsyncInFlightView& u = s.in_flight.emplace_back();
     u.client = slot->client;
     u.arrive_time = slot->arrive_time;
     u.dispatch_version = slot->dispatch_version;
@@ -1326,7 +1333,6 @@ AsyncAggregatorState Aggregator::capture_async_state() const {
     // The update as its client sent it, which restore parses the way its
     // arrival did.
     if (slot->outcome == kOk) u.wire = slot->sent.wire;
-    s.in_flight.push_back(std::move(u));
   }
   return s;
 }

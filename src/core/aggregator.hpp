@@ -397,7 +397,9 @@ class Aggregator {
   /// index.
   RoundRecord close_round(RoundRecord& record, const RoundStart& start,
                           std::int32_t detail);
-  AsyncAggregatorState capture_async_state() const;
+  /// The async engine's state at a drain boundary, borrowing its counters
+  /// and each pending slot's `sent.wire`, for a checkpoint save.
+  AsyncStateView async_state_view() const;
   /// Throws std::runtime_error unless every pending snapshot can be replayed
   /// safely into this engine; checked before restore mutates anything.
   void validate_async_state(const AsyncAggregatorState& state) const;

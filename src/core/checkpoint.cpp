@@ -1,16 +1,18 @@
 #include "core/checkpoint.hpp"
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "util/serialization.hpp"
 
@@ -33,31 +35,210 @@ constexpr const char* kJournalFile = "round.journal";
   throw std::runtime_error("decode_checkpoint: " + what);
 }
 
-/// Appends one section: its tag, its body's length, then the body `fill`
-/// writes into `w`.
-template <typename Fill>
-void write_section(BinaryWriter& w, std::uint32_t tag, Fill&& fill) {
-  w.write(tag);
-  const std::size_t len_at = w.size();
-  w.write(std::uint64_t{0});  // patched once the body is written
-  fill();
-  w.write_at(len_at, static_cast<std::uint64_t>(w.size() - len_at -
-                                                sizeof(std::uint64_t)));
+/// A sink that only counts: a section's length comes from running its fill
+/// into one of these, so the length prefix and the body cannot disagree.
+class ByteCounter {
+ public:
+  template <typename T>
+  void write(const T&) {
+    n_ += sizeof(T);
+  }
+  template <typename T>
+  void write_span(std::span<const T> data) {
+    n_ += sizeof(std::uint64_t) + data.size_bytes();
+  }
+  std::uint64_t size() const { return n_; }
+
+ private:
+  std::uint64_t n_ = 0;
+};
+
+[[noreturn]] void io_failure(const std::filesystem::path& path) {
+  const int err = errno;
+  throw std::runtime_error("CheckpointStore: I/O error on " + path.string() +
+                           ": " + std::strerror(err) + " (errno " +
+                           std::to_string(err) + ")");
 }
 
-void write_async_state(BinaryWriter& w, const AsyncAggregatorState& s) {
-  w.write_vector(s.defer_counts);
-  w.write_vector(s.next_eligible);
+/// A file descriptor, closed on scope exit; close() reports its failure.
+class Fd {
+ public:
+  Fd(const std::filesystem::path& path, int flags)
+      : fd_(::open(path.c_str(), flags | O_CLOEXEC, 0644)) {}
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  int get() const { return fd_; }
+  bool close() { return ::close(std::exchange(fd_, -1)) == 0; }
+
+ private:
+  int fd_;
+};
+
+/// Writes a file through a buffer: small pieces gather in it, spans of at
+/// least kCheckpointWriteBuffer bytes go straight to write(2), and a running
+/// CRC32 covers every byte taken (crc32 per piece handed to the kernel,
+/// folded with crc32_combine).  Every failure throws std::runtime_error
+/// naming the file and errno.
+class FileSink {
+ public:
+  /// Opens `path` for writing, creating it; `flags` adds O_TRUNC or
+  /// O_APPEND.
+  FileSink(const std::filesystem::path& path, int flags)
+      : path_(path), fd_(path, O_WRONLY | O_CREAT | flags) {
+    if (fd_.get() < 0) io_failure(path_);
+    buf_.reserve(kCheckpointWriteBuffer);
+  }
+
+  template <typename T>
+  void write(const T& value) {
+    write_raw({reinterpret_cast<const std::uint8_t*>(&value), sizeof(T)});
+  }
+  template <typename T>
+  void write_span(std::span<const T> data) {
+    write(static_cast<std::uint64_t>(data.size()));
+    write_raw({reinterpret_cast<const std::uint8_t*>(data.data()),
+               data.size_bytes()});
+  }
+  void write_raw(std::span<const std::uint8_t> bytes) {
+    if (bytes.size() >= kCheckpointWriteBuffer) {
+      flush();
+      send(bytes);
+      return;
+    }
+    if (bytes.size() > kCheckpointWriteBuffer - buf_.size()) flush();
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+
+  /// CRC32 of every byte taken so far.
+  std::uint32_t crc() {
+    flush();
+    return crc_;
+  }
+
+  /// Sends what is buffered, fsyncs when `sync`, and closes the file; a
+  /// failing close() fails the write too.
+  void commit(bool sync) {
+    flush();
+    if ((sync && ::fsync(fd_.get()) != 0) || !fd_.close()) io_failure(path_);
+  }
+
+ private:
+  void flush() {
+    send(buf_);
+    buf_.clear();
+  }
+
+  void send(std::span<const std::uint8_t> bytes) {
+    if (bytes.empty()) return;
+    crc_ = crc32_combine(crc_, crc32(bytes), bytes.size());
+    while (!bytes.empty()) {
+      const ssize_t n = ::write(fd_.get(), bytes.data(), bytes.size());
+      if (n > 0) {
+        bytes = bytes.subspan(static_cast<std::size_t>(n));
+      } else if (n == 0 || errno != EINTR) {
+        if (n == 0) errno = EIO;  // no progress: fail, never spin
+        io_failure(path_);
+      }
+    }
+  }
+
+  const std::filesystem::path path_;
+  Fd fd_;
+  std::vector<std::uint8_t> buf_;  // never grows past kCheckpointWriteBuffer
+  std::uint32_t crc_ = 0;
+};
+
+/// The CRC32 of every byte a sink has taken, for the image's trailer.
+std::uint32_t crc_of(const BinaryWriter& w) { return crc32(w.bytes()); }
+
+std::uint32_t crc_of(FileSink& f) { return f.crc(); }
+
+/// Appends one section: its tag, its body's length, then the body `fill`
+/// writes.  `fill` runs twice, first into a ByteCounter for the length.
+template <typename Sink, typename Fill>
+void write_section(Sink& out, std::uint32_t tag, const Fill& fill) {
+  ByteCounter body;
+  fill(body);
+  out.write(tag);
+  out.write(body.size());
+  fill(out);
+}
+
+template <typename Sink>
+void write_link_stats(Sink& w, const LinkStats& l) {
+  w.write(l.messages);
+  w.write(l.payload_bytes);
+  w.write(l.wire_bytes);
+  w.write(l.transfer_seconds);
+  w.write(l.retries);
+  w.write(l.send_failures);
+  w.write(l.corrupt_chunks);
+  w.write(l.aborted_messages);
+  w.write(l.deadline_misses);
+  w.write(l.backoff_seconds);
+}
+
+template <typename Sink>
+void write_async_state(Sink& w, const AsyncStateView& s) {
+  w.write_span(s.defer_counts);
+  w.write_span(s.next_eligible);
   w.write(static_cast<std::uint64_t>(s.in_flight.size()));
-  for (const AsyncInFlightSnapshot& u : s.in_flight) {
+  for (const AsyncInFlightView& u : s.in_flight) {
     w.write(u.client);
     w.write(u.arrive_time);
     w.write(u.dispatch_version);
     w.write(u.wave_id);
     w.write(u.failure_kind);
     w.write(u.train_sim_seconds);
-    w.write_vector(u.wire);
+    w.write_span(u.wire);
   }
+}
+
+/// The one definition of the checkpoint layout (see encode_checkpoint),
+/// run into any sink with BinaryWriter's write and write_span whose
+/// crc_of(sink) is the CRC32 of every byte it has taken.
+template <typename Sink>
+void write_image(Sink& out, const CheckpointView& v) {
+  out.write(kCkptMagic);
+  write_section(out, kMeta, [&](auto& s) {
+    s.write(v.round);
+    s.write(v.sim_now);
+    s.write_span(v.client_trained_rounds);
+    s.write_span(v.membership);
+    s.write(static_cast<std::uint64_t>(v.link_stats.size()));
+    for (const LinkStats& l : v.link_stats) write_link_stats(s, l);
+    s.write_span(v.server_opt_state);
+  });
+  write_section(out, kParams, [&](auto& s) { s.write_span(v.params); });
+  if (!v.client_ef_residuals.empty()) {
+    write_section(out, kResiduals, [&](auto& s) {
+      s.write(static_cast<std::uint64_t>(v.client_ef_residuals.size()));
+      for (const std::span<const float> residual : v.client_ef_residuals) {
+        s.write_span(residual);
+      }
+    });
+  }
+  if (v.async_state) {
+    write_section(out, kAsync,
+                  [&](auto& s) { write_async_state(s, *v.async_state); });
+  }
+  if (!v.tuner_state.empty()) {
+    write_section(out, kTuner, [&](auto& s) { s.write_span(v.tuner_state); });
+  }
+  if (v.privacy_state) {
+    write_section(out, kPrivacy, [&](auto& s) {
+      const PrivacyCheckpointState& p = *v.privacy_state;
+      s.write(p.accounted_rounds);
+      s.write(p.noise_multiplier);
+      s.write(p.delta);
+      s.write(p.wave_counter);
+      s.write(p.shares_reconstructed_total);
+    });
+  }
+  out.write(crc_of(out));
 }
 
 AsyncAggregatorState read_async_state(BinaryReader& r) {
@@ -80,19 +261,6 @@ AsyncAggregatorState read_async_state(BinaryReader& r) {
   return s;
 }
 
-void write_link_stats(BinaryWriter& w, const LinkStats& l) {
-  w.write(l.messages);
-  w.write(l.payload_bytes);
-  w.write(l.wire_bytes);
-  w.write(l.transfer_seconds);
-  w.write(l.retries);
-  w.write(l.send_failures);
-  w.write(l.corrupt_chunks);
-  w.write(l.aborted_messages);
-  w.write(l.deadline_misses);
-  w.write(l.backoff_seconds);
-}
-
 LinkStats read_link_stats(BinaryReader& r) {
   LinkStats l;
   l.messages = r.read<std::uint64_t>();
@@ -108,26 +276,6 @@ LinkStats read_link_stats(BinaryReader& r) {
   return l;
 }
 
-[[noreturn]] void io_failure(const std::filesystem::path& path) {
-  throw std::runtime_error("CheckpointStore: I/O error on " + path.string() +
-                           ": " + std::strerror(errno));
-}
-
-using FilePtr =
-    std::unique_ptr<std::FILE, decltype([](std::FILE* f) { std::fclose(f); })>;
-
-/// Write `bytes` to `path` opened with fopen `mode`, then fsync it when
-/// `sync`; throws std::runtime_error on any failure.
-void write_file(const std::filesystem::path& path, const char* mode,
-                std::span<const std::uint8_t> bytes, bool sync) {
-  const FilePtr f(std::fopen(path.c_str(), mode));
-  if (!f ||
-      std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size() ||
-      std::fflush(f.get()) != 0 || (sync && ::fsync(::fileno(f.get())) != 0)) {
-    io_failure(path);
-  }
-}
-
 /// fsync directory `dir`, making a rename inside it durable.
 void sync_dir(const std::filesystem::path& dir) {
   const std::unique_ptr<DIR, int (*)(DIR*)> d(::opendir(dir.c_str()),
@@ -135,46 +283,69 @@ void sync_dir(const std::filesystem::path& dir) {
   if (!d || ::fsync(::dirfd(d.get())) != 0) io_failure(dir);
 }
 
+/// Overwrites `to` with the state `v` views, reusing `to`'s buffers.
+void assign(Checkpoint& to, const CheckpointView& v) {
+  const auto copy = [](auto& dst, auto src) {
+    dst.assign(src.begin(), src.end());
+  };
+  to.round = v.round;
+  copy(to.params, v.params);
+  to.sim_now = v.sim_now;
+  copy(to.client_trained_rounds, v.client_trained_rounds);
+  copy(to.membership, v.membership);
+  copy(to.link_stats, v.link_stats);
+  copy(to.server_opt_state, v.server_opt_state);
+  to.client_ef_residuals.resize(v.client_ef_residuals.size());
+  for (std::size_t c = 0; c < v.client_ef_residuals.size(); ++c) {
+    copy(to.client_ef_residuals[c], v.client_ef_residuals[c]);
+  }
+  if (v.async_state) {
+    AsyncAggregatorState& a =
+        to.async_state ? *to.async_state : to.async_state.emplace();
+    copy(a.defer_counts, v.async_state->defer_counts);
+    copy(a.next_eligible, v.async_state->next_eligible);
+    a.in_flight.resize(v.async_state->in_flight.size());
+    for (std::size_t i = 0; i < a.in_flight.size(); ++i) {
+      const AsyncInFlightView& u = v.async_state->in_flight[i];
+      static_cast<AsyncInFlightRecord&>(a.in_flight[i]) = u;
+      copy(a.in_flight[i].wire, u.wire);
+    }
+  } else {
+    to.async_state.reset();
+  }
+  copy(to.tuner_state, v.tuner_state);
+  to.privacy_state = v.privacy_state;
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt) {
-  BinaryWriter w;
-  w.write(kCkptMagic);
-  write_section(w, kMeta, [&] {
-    w.write(ckpt.round);
-    w.write(ckpt.sim_now);
-    w.write_vector(ckpt.client_trained_rounds);
-    w.write_vector(ckpt.membership);
-    w.write(static_cast<std::uint64_t>(ckpt.link_stats.size()));
-    for (const LinkStats& l : ckpt.link_stats) write_link_stats(w, l);
-    w.write_vector(ckpt.server_opt_state);
-  });
-  write_section(w, kParams, [&] { w.write_vector(ckpt.params); });
-  if (!ckpt.client_ef_residuals.empty()) {
-    write_section(w, kResiduals, [&] {
-      w.write(static_cast<std::uint64_t>(ckpt.client_ef_residuals.size()));
-      for (const auto& residual : ckpt.client_ef_residuals) {
-        w.write_vector(residual);
-      }
-    });
-  }
+CheckpointView::CheckpointView(const Checkpoint& ckpt)
+    : round(ckpt.round),
+      params(ckpt.params),
+      sim_now(ckpt.sim_now),
+      client_trained_rounds(ckpt.client_trained_rounds),
+      membership(ckpt.membership),
+      link_stats(ckpt.link_stats),
+      server_opt_state(ckpt.server_opt_state),
+      client_ef_residuals(ckpt.client_ef_residuals.begin(),
+                          ckpt.client_ef_residuals.end()),
+      tuner_state(ckpt.tuner_state),
+      privacy_state(ckpt.privacy_state) {
   if (ckpt.async_state) {
-    write_section(w, kAsync, [&] { write_async_state(w, *ckpt.async_state); });
+    AsyncStateView& a = async_state.emplace();
+    a.defer_counts = ckpt.async_state->defer_counts;
+    a.next_eligible = ckpt.async_state->next_eligible;
+    for (const AsyncInFlightSnapshot& u : ckpt.async_state->in_flight) {
+      AsyncInFlightView& v = a.in_flight.emplace_back();
+      static_cast<AsyncInFlightRecord&>(v) = u;
+      v.wire = u.wire;
+    }
   }
-  if (!ckpt.tuner_state.empty()) {
-    write_section(w, kTuner, [&] { w.write_vector(ckpt.tuner_state); });
-  }
-  if (ckpt.privacy_state) {
-    write_section(w, kPrivacy, [&] {
-      const PrivacyCheckpointState& p = *ckpt.privacy_state;
-      w.write(p.accounted_rounds);
-      w.write(p.noise_multiplier);
-      w.write(p.delta);
-      w.write(p.wave_counter);
-      w.write(p.shares_reconstructed_total);
-    });
-  }
-  w.write(crc32(w.bytes()));
+}
+
+std::vector<std::uint8_t> encode_checkpoint(const CheckpointView& ckpt) {
+  BinaryWriter w;
+  write_image(w, ckpt);
   return w.take();
 }
 
@@ -244,18 +415,25 @@ CheckpointStore::CheckpointStore(std::filesystem::path dir)
   }
 }
 
-void CheckpointStore::save(Checkpoint ckpt) {
+void CheckpointStore::save(const CheckpointView& ckpt) {
   if (dir_.empty()) {
-    memory_ = std::move(ckpt);
+    assign(memory_ ? *memory_ : memory_.emplace(), ckpt);
     return;
   }
   // tmp -> fsync -> rename -> fsync(dir).  latest() skips the .tmp that a
-  // crash mid-write leaves behind.
+  // crash mid-write leaves behind; a write that fails removes its own.
   const auto path = dir_ / ("ckpt_" + std::to_string(ckpt.round) + ".bin");
   auto tmp = path;
   tmp += ".tmp";
-  write_file(tmp, "wb", encode_checkpoint(ckpt), true);
-  std::filesystem::rename(tmp, path);
+  try {
+    FileSink file(tmp, O_TRUNC);
+    write_image(file, ckpt);
+    file.commit(true);
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    throw;
+  }
   sync_dir(dir_);
 }
 
@@ -291,11 +469,11 @@ void CheckpointStore::journal_append(char tag, std::uint32_t round) {
   journal_.push_back(entry);
   if (!dir_.empty()) {
     entry += '\n';
+    FileSink file(dir_ / kJournalFile, O_APPEND);
+    file.write_raw({reinterpret_cast<const std::uint8_t*>(entry.data()),
+                    entry.size()});
     // A commit vouches for a durable checkpoint, so it must be durable too.
-    write_file(dir_ / kJournalFile, "ab",
-               {reinterpret_cast<const std::uint8_t*>(entry.data()),
-                entry.size()},
-               tag == 'C');
+    file.commit(tag == 'C');
   }
 }
 
@@ -335,11 +513,24 @@ void CheckpointStore::replay_journal() {
 std::optional<Checkpoint> CheckpointStore::read_from_disk(
     std::uint32_t round) const {
   const auto path = dir_ / ("ckpt_" + std::to_string(round) + ".bin");
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                        std::istreambuf_iterator<char>());
-  return decode_checkpoint(bytes);
+  const Fd file(path, O_RDONLY);
+  if (file.get() < 0) return std::nullopt;
+  struct stat st {};
+  if (::fstat(file.get(), &st) != 0) io_failure(path);
+  const auto size = static_cast<std::size_t>(st.st_size);
+  const auto bytes = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(file.get(), bytes.get() + got, size - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;  // shorter than its size said: decode rejects the truncation
+    } else if (errno != EINTR) {
+      io_failure(path);
+    }
+  }
+  return decode_checkpoint({bytes.get(), got});
 }
 
 }  // namespace photon

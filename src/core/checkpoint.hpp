@@ -18,9 +18,10 @@
 
 namespace photon {
 
-/// One in-flight async update pending at a drain boundary.  Restore replays
-/// it through the exact path the uninterrupted run would have used.
-struct AsyncInFlightSnapshot {
+/// One in-flight async update pending at a drain boundary, less its wire
+/// image.  Restore replays it through the exact path the uninterrupted run
+/// would have used.
+struct AsyncInFlightRecord {
   int client = -1;
   double arrive_time = 0.0;          // absolute sim time the update lands
   std::uint32_t dispatch_version = 0;  // server model version it trained on
@@ -33,6 +34,9 @@ struct AsyncInFlightSnapshot {
   /// their arrive_time, so they must survive recovery too.
   std::uint8_t failure_kind = 0;
   double train_sim_seconds = 0.0;
+};
+
+struct AsyncInFlightSnapshot : AsyncInFlightRecord {
   /// The update's PHO2 wire image exactly as its client sent it (empty for
   /// failed slots), in whatever codec that was.  Its metadata holds the
   /// client's metrics, "tokens" and "train_loss" among them.
@@ -101,10 +105,50 @@ struct Checkpoint {
   std::optional<PrivacyCheckpointState> privacy_state;
 };
 
+/// An async in-flight update as a save reads it: the wire image borrowed
+/// from the slot that holds it.
+struct AsyncInFlightView : AsyncInFlightRecord {
+  std::span<const std::uint8_t> wire;
+};
+
+/// AsyncAggregatorState as a save reads it, from the engine's own buffers.
+struct AsyncStateView {
+  std::span<const std::uint32_t> defer_counts;
+  std::span<const double> next_eligible;
+  std::vector<AsyncInFlightView> in_flight;
+};
+
+/// What one save writes, borrowed from the state that holds it: the fields
+/// of Checkpoint, with every buffer a span over its owner's, so a disk save
+/// copies nothing before the file.  Valid while that state is unchanged.
+/// A Checkpoint converts to the view of itself.
+struct CheckpointView {
+  CheckpointView() = default;
+  CheckpointView(const Checkpoint& ckpt);  // implicit, like std::string_view
+
+  std::uint32_t round = 0;
+  std::span<const float> params;
+  double sim_now = 0.0;
+  std::span<const std::uint32_t> client_trained_rounds;
+  std::span<const MembershipState> membership;
+  std::span<const LinkStats> link_stats;
+  std::span<const std::uint8_t> server_opt_state;
+  /// One span per client, or none for no residuals section.
+  std::vector<std::span<const float>> client_ef_residuals;
+  std::optional<AsyncStateView> async_state;
+  std::span<const std::uint8_t> tuner_state;
+  std::optional<PrivacyCheckpointState> privacy_state;
+};
+
+/// The disk store's write buffer: smaller pieces of a checkpoint gather
+/// here, and spans at least this long go to write(2) without a copy.
+inline constexpr std::size_t kCheckpointWriteBuffer = std::size_t{64} << 10;
+
 /// The checkpoint image: the magic "PCK3", then one section per part that
 /// is present, each (u32 tag, u64 body length, body), then the CRC32 of
 /// every byte before it.  The metadata and params sections are mandatory.
-std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& ckpt);
+/// A disk save writes these same bytes to its file.
+std::vector<std::uint8_t> encode_checkpoint(const CheckpointView& ckpt);
 /// Inverse of encode_checkpoint.  Throws std::runtime_error on a bad magic
 /// or CRC, on a truncated, repeated, unknown or missing mandatory section
 /// or one whose body its decoder does not consume exactly, and on a
@@ -119,9 +163,13 @@ class CheckpointStore {
   /// (replayed on construction for crash recovery).
   explicit CheckpointStore(std::filesystem::path dir = {});
 
-  /// Keep `ckpt`.  On disk a reader sees the old ckpt_<round>.bin or the
-  /// new one, never a torn one, and the new one survives power loss.
-  void save(Checkpoint ckpt);
+  /// Keep the state `ckpt` views.  On disk its image streams from those
+  /// buffers into the file; a reader sees the old ckpt_<round>.bin or the
+  /// new one, never a torn one, and the new one survives power loss.  A
+  /// failed write throws std::runtime_error naming the file and errno and
+  /// leaves no temporary and no new file.  A memory-only store copies the
+  /// view into the one Checkpoint it keeps, reusing its buffers.
+  void save(const CheckpointView& ckpt);
 
   /// Most recent checkpoint: the latest save in memory, or the
   /// highest-round ckpt_*.bin on disk.
@@ -162,7 +210,7 @@ class CheckpointStore {
 
   std::filesystem::path dir_;
   /// Memory-only stores: the latest save, as an object rather than its
-  /// encoded image (freeing an image per save inflates RSS; DESIGN.md §8).
+  /// encoded image, overwritten in place by each save (DESIGN.md §8).
   std::optional<Checkpoint> memory_;
   std::vector<std::string> journal_;
   std::int64_t last_begun_ = -1;

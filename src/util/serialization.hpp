@@ -62,17 +62,6 @@ class BinaryWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
-  /// Overwrite sizeof(T) already-written bytes at `offset`, e.g. a length
-  /// field reserved before the body it measures was written.
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  void write_at(std::size_t offset, const T& value) {
-    if (offset > buf_.size() || sizeof(T) > buf_.size() - offset) {
-      throw std::out_of_range("BinaryWriter::write_at past the end");
-    }
-    std::memcpy(buf_.data() + offset, &value, sizeof(T));
-  }
-
  private:
   std::vector<std::uint8_t> buf_;
 };

@@ -1,21 +1,33 @@
-// core/: sampler, server optimizers, post-processing, metrics, checkpoints.
+// core/: sampler, server optimizers, post-processing, metrics, checkpoints
+// (their image, the disk store, and saves that fail or are killed).
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <span>
+#include <utility>
 
 #include "comm/message.hpp"
+#include "core/aggregator.hpp"
 #include "core/checkpoint.hpp"
+#include "core/client.hpp"
 #include "core/metrics.hpp"
 #include "core/postprocess.hpp"
 #include "core/sampler.hpp"
 #include "core/server_opt.hpp"
+#include "data/corpus.hpp"
+#include "data/stream.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
 
@@ -513,6 +525,307 @@ TEST(CheckpointImage, MembershipByteNamingNoStateThrows) {
   c.membership[1] = MembershipState::kAbsent;
   EXPECT_EQ(decode_checkpoint(encode_checkpoint(c)).membership, c.membership);
 }
+
+// --------------------------------------------------------- streamed saves --
+std::vector<std::uint8_t> file_bytes(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+std::filesystem::path ckpt_file(const std::filesystem::path& dir,
+                                std::uint32_t round) {
+  return dir / ("ckpt_" + std::to_string(round) + ".bin");
+}
+
+/// Params longer than the disk store's write buffer, so a save hands them
+/// to write(2) directly while the fields around them go through the buffer.
+std::vector<float> params_past_the_buffer() {
+  std::vector<float> p(2 * kCheckpointWriteBuffer / sizeof(float) + 3);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p[i] = static_cast<float>(i) * 0.25f - 7.0f;
+  }
+  return p;
+}
+
+TEST(CheckpointStore, StreamedFileIsTheEncodedImage) {
+  // The disk store streams each section from the state's own buffers; its
+  // file must be encode_checkpoint's image byte for byte, with every
+  // section present and with only the mandatory two.
+  const Checkpoint full = [] {
+    Checkpoint c = full_checkpoint();
+    c.params = params_past_the_buffer();
+    return c;
+  }();
+  const Checkpoint bare = params_checkpoint(6, params_past_the_buffer());
+  const auto dir = fresh_dir("photon_ckpt_streamed");
+  CheckpointStore disk(dir);
+  CheckpointStore memory;
+  // The memory store overwrites the one Checkpoint it keeps, so a save
+  // with fewer parts must leave none of the previous save's behind.
+  for (const Checkpoint* c : {&full, &bare, &full}) {
+    SCOPED_TRACE(c->round);
+    const std::vector<std::uint8_t> image = encode_checkpoint(*c);
+    disk.save(*c);
+    EXPECT_TRUE(file_bytes(ckpt_file(dir, c->round)) == image);
+    memory.save(*c);
+    EXPECT_TRUE(encode_checkpoint(*memory.latest()) == image);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- failed and torn saves --
+/// Two clients on the q8 wire (so checkpoints carry residuals) under
+/// Nesterov (so META carries momentum), checkpointing every round into
+/// `dir`, or into memory when `dir` is empty.
+std::unique_ptr<Aggregator> q8_federation(const std::filesystem::path& dir) {
+  ModelConfig model;
+  model.n_layers = 1;
+  model.d_model = 16;
+  model.n_heads = 2;
+  model.vocab_size = 64;
+  model.seq_len = 16;
+  model.expansion_ratio = 2;
+  ClientTrainConfig ctc;
+  ctc.model = model;
+  ctc.local_batch = 1;
+  ctc.link_codec = "q8";
+  ctc.schedule.max_lr = 5e-3f;
+  ctc.schedule.warmup_steps = 2;
+  ctc.schedule.total_steps = 1000;
+  CorpusConfig cc;
+  cc.vocab_size = 64;
+  const auto corpus = std::make_shared<MarkovSource>(cc, c4_style());
+  std::vector<std::unique_ptr<LLMClient>> clients;
+  for (int i = 0; i < 2; ++i) {
+    clients.push_back(std::make_unique<LLMClient>(
+        i, ctc, std::make_unique<CorpusStreamSource>(corpus, 100 + i), 7));
+  }
+  AggregatorConfig ac;
+  ac.privacy.ignore_env = true;
+  ac.local_steps = 1;
+  ac.parallel_clients = false;
+  ac.checkpoint_dir = dir;
+  ac.seed = 33;
+  return std::make_unique<Aggregator>(
+      model, ac, make_server_opt("nesterov", 0.5f, 0.9f), std::move(clients),
+      55);
+}
+
+/// Caps the size this process may grow a file to (RLIMIT_FSIZE's soft
+/// limit).  A write that would pass it is cut at the cap, and the next one
+/// raises SIGXFSZ, or fails with EFBIG while SIGXFSZ is ignored.
+void cap_file_size(rlim_t bytes) {
+  rlimit limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &limit), 0);
+  limit.rlim_cur = std::min(bytes, limit.rlim_max);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+}
+
+/// Ignores SIGXFSZ while in scope, and restores the file-size limit and
+/// the signal's action on exit.
+class IgnoreFileSizeSignal {
+ public:
+  IgnoreFileSizeSignal() {
+    ::getrlimit(RLIMIT_FSIZE, &limit_);
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    ::sigaction(SIGXFSZ, &ignore, &action_);
+  }
+  IgnoreFileSizeSignal(const IgnoreFileSizeSignal&) = delete;
+  IgnoreFileSizeSignal& operator=(const IgnoreFileSizeSignal&) = delete;
+  ~IgnoreFileSizeSignal() {
+    ::setrlimit(RLIMIT_FSIZE, &limit_);
+    ::sigaction(SIGXFSZ, &action_, nullptr);
+  }
+  void lift_cap() const { ::setrlimit(RLIMIT_FSIZE, &limit_); }
+
+ private:
+  rlimit limit_{};
+  struct sigaction action_ {};
+};
+
+/// Caps the file size once the next checkpoint save begins: on_checkpoint
+/// runs after the round's journal `begin` and right before the store
+/// writes.  It captures no state, so the image has no tuner section.
+class CapFileSizeInNextSave final : public RoundStateExtension {
+ public:
+  explicit CapFileSizeInNextSave(rlim_t bytes) : bytes_(bytes) {}
+  void on_checkpoint(const RoundRecord&) override { cap_file_size(bytes_); }
+  std::vector<std::uint8_t> capture_state() const override { return {}; }
+  void restore_state(std::span<const std::uint8_t>) override {}
+
+ private:
+  rlim_t bytes_;
+};
+
+/// [begin, end) of each section of `image`, then of its CRC trailer.
+std::vector<std::pair<std::size_t, std::size_t>> section_ranges(
+    const std::vector<std::uint8_t>& image) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  std::size_t at = sizeof(std::uint32_t);  // past the magic
+  for (const Section& s : split_sections(image)) {
+    out.emplace_back(at, at + s.size());
+    at += s.size();
+  }
+  out.emplace_back(at, image.size());
+  return out;
+}
+
+/// A seeded offset strictly inside [begin, end).
+std::size_t cut_inside(std::pair<std::size_t, std::size_t> range, Rng& rng) {
+  return range.first + 1 + rng.next_below(range.second - range.first - 1);
+}
+
+std::string message_of_failed(const std::function<void()>& save) {
+  try {
+    save();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(no exception)";
+}
+
+TEST(CheckpointStore, FailedWritesThrowTypedAndKeepThePreviousCommit) {
+  // Write failures injected through the OS: RLIMIT_FSIZE cuts the file at
+  // seeded offsets inside every section and inside the CRC (EFBIG), and a
+  // tmp path pointing at /dev/full fills up (ENOSPC).  Each failed save
+  // throws naming the file and errno, removes its .tmp, publishes nothing
+  // and commits nothing, so round 1 stays what latest() and a restore
+  // find.  (EIO cannot be injected this way.)
+  const auto dir = fresh_dir("photon_ckpt_write_failures");
+  const IgnoreFileSizeSignal no_sigxfsz;
+  auto agg = q8_federation(dir);
+  agg->run_round();
+  agg->run_round();
+  const std::vector<float> committed(agg->global_params().begin(),
+                                     agg->global_params().end());
+  const auto expect_failed_cleanly = [&](const std::string& message,
+                                         std::uint32_t round, int err) {
+    auto tmp = ckpt_file(dir, round);
+    tmp += ".tmp";
+    EXPECT_NE(message.find(tmp.string()), std::string::npos) << message;
+    EXPECT_NE(message.find(std::strerror(err)), std::string::npos) << message;
+    EXPECT_NE(message.find("errno " + std::to_string(err)), std::string::npos)
+        << message;
+    EXPECT_FALSE(std::filesystem::exists(std::filesystem::symlink_status(tmp)));
+    EXPECT_FALSE(std::filesystem::exists(ckpt_file(dir, round)));
+    EXPECT_EQ(agg->checkpoints().latest()->round, 1u);
+  };
+
+  Rng rng(29);
+  for (const bool big : {false, true}) {
+    Checkpoint full = full_checkpoint();
+    if (big) full.params = params_past_the_buffer();
+    const std::vector<std::uint8_t> image = encode_checkpoint(full);
+    const auto ranges = section_ranges(image);
+    ASSERT_EQ(ranges.size(), 7u);  // six sections, then the CRC
+    for (const auto& range : ranges) {
+      const std::size_t cut = cut_inside(range, rng);
+      SCOPED_TRACE("cut at byte " + std::to_string(cut) + " of " +
+                   std::to_string(image.size()));
+      cap_file_size(cut);
+      const std::string message =
+          message_of_failed([&] { agg->checkpoints().save(full); });
+      no_sigxfsz.lift_cap();
+      expect_failed_cleanly(message, full.round, EFBIG);
+    }
+  }
+
+  // Round 2's own save lands on /dev/full: the round throws before its
+  // journal commit.
+  auto tmp = ckpt_file(dir, 2);
+  tmp += ".tmp";
+  std::filesystem::create_symlink("/dev/full", tmp);
+  expect_failed_cleanly(message_of_failed([&] { agg->run_round(); }), 2,
+                        ENOSPC);
+  EXPECT_EQ(agg->checkpoints().journal_last_begun(), 2);
+  EXPECT_EQ(agg->checkpoints().journal_last_committed(), 1);
+
+  // A restarted server retries round 2, and its save is cut 1000 bytes in.
+  agg = q8_federation(dir);
+  ASSERT_TRUE(agg->restore_latest_checkpoint());
+  CapFileSizeInNextSave cap(1000);
+  agg->set_state_extension(&cap);
+  const std::string message = message_of_failed([&] { agg->run_round(); });
+  no_sigxfsz.lift_cap();
+  expect_failed_cleanly(message, 2, EFBIG);
+
+  // Round 1's commit survives both, bit for bit.
+  const auto fresh = q8_federation(dir);
+  EXPECT_EQ(fresh->checkpoints().journal_last_committed(), 1);
+  ASSERT_TRUE(fresh->restore_latest_checkpoint());
+  EXPECT_EQ(fresh->round(), 2u);
+  EXPECT_EQ(0, std::memcmp(committed.data(), fresh->global_params().data(),
+                           committed.size() * sizeof(float)));
+  std::filesystem::remove_all(dir);
+}
+
+/// Which section of round 2's save the kernel cuts a child in.
+class KilledMidSaveDeathTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(KilledMidSaveDeathTest, RestoresThePreviousCommitBitForBit) {
+  // A torn write made by a real kill: the child runs a disk-checkpointed
+  // federation to round 1's commit, then the kernel kills it with SIGXFSZ
+  // at a seeded byte inside one section of round 2's save.  A fresh server
+  // on the same directory must restore round 1 exactly as an uncrashed
+  // twin holds it.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";  // the pool has threads
+  const std::string tag = GetParam();
+  const auto twin = q8_federation({});
+  twin->run_round();
+  twin->run_round();
+  const std::vector<float> committed(twin->global_params().begin(),
+                                     twin->global_params().end());
+  twin->run_round();
+  const std::vector<std::uint8_t> image =
+      encode_checkpoint(*twin->checkpoints().latest());
+  std::pair<std::size_t, std::size_t> range{};
+  std::size_t at = sizeof(std::uint32_t);  // past the magic
+  for (const Section& s : split_sections(image)) {
+    if (std::string(s.begin(), s.begin() + 4) == tag) {
+      range = {at, at + s.size()};
+    }
+    at += s.size();
+  }
+  ASSERT_GT(range.second, range.first + 1) << tag;
+  std::uint32_t seed = 0;
+  std::memcpy(&seed, tag.data(), sizeof(seed));
+  Rng rng(seed);
+  const std::size_t cut = cut_inside(range, rng);
+
+  const auto dir = fresh_dir(("photon_ckpt_killed_" + tag).c_str());
+  const auto killed_in_round_2_save = [&] {
+    auto agg = q8_federation(dir);
+    agg->run_round();
+    agg->run_round();
+    const rlimit no_core{0, 0};
+    ::setrlimit(RLIMIT_CORE, &no_core);
+    ::signal(SIGXFSZ, SIG_DFL);
+    CapFileSizeInNextSave cap(cut);
+    agg->set_state_extension(&cap);
+    agg->run_round();
+  };
+  EXPECT_EXIT(killed_in_round_2_save(), testing::KilledBySignal(SIGXFSZ), "");
+  auto tmp = ckpt_file(dir, 2);
+  tmp += ".tmp";
+  ASSERT_TRUE(std::filesystem::exists(tmp));
+  EXPECT_EQ(std::filesystem::file_size(tmp), cut);  // killed at that byte
+  EXPECT_FALSE(std::filesystem::exists(ckpt_file(dir, 2)));
+  const auto fresh = q8_federation(dir);
+  EXPECT_EQ(fresh->checkpoints().journal_last_begun(), 2);
+  EXPECT_EQ(fresh->checkpoints().journal_last_committed(), 1);
+  ASSERT_TRUE(fresh->restore_latest_checkpoint());
+  EXPECT_EQ(fresh->round(), 2u);
+  EXPECT_EQ(0, std::memcmp(committed.data(), fresh->global_params().data(),
+                           committed.size() * sizeof(float)));
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sections, KilledMidSaveDeathTest,
+                         testing::Values("META", "PARM", "EFRS"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(ServerOpt, StateSaveLoadRestoresMomentumExactly) {
   // A restored stateful optimizer must continue bit-identically: serialize
