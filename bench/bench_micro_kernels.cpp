@@ -221,10 +221,12 @@ double run_kernels() {
 // ------------------------------------------------------- wire kernels --
 
 /// The q8 wire path at bench_e2e's wire_q8 shape (658,944 params, 256-float
-/// blocks, 256 KiB chunks), at one thread: the client's error-feedback
-/// residual, one chunk's encode, the server's fold of that chunk into its
-/// fp64 sum, and the fused copy+CRC of the fp32 broadcast.  GB/s counts
-/// the fp32 bytes each call covers.
+/// blocks, 256 KiB chunks), at one thread: the client's update walk (form
+/// the delta, add and rewrite the error-feedback residual, encode every
+/// chunk, sum the residual's norm), residual_of on its own, one chunk's
+/// encode, the server's fold of that chunk into its fp64 sum, and the
+/// fused copy+CRC of the fp32 broadcast.  GB/s counts the fp32 bytes of
+/// the update each call covers.
 void run_wire_kernels() {
   constexpr std::size_t kN = 658944;
   const std::size_t chunk = wire_chunk_bytes() / sizeof(float);
@@ -243,6 +245,21 @@ void run_wire_kernels() {
   };
   const std::string whole = "n=" + std::to_string(kN);
   const std::string one = "n=" + std::to_string(chunk);
+  // The walk forms received - params + residual in place on every call, so
+  // the update drifts by -params per call; it stays finite, and the walk
+  // does the same work on any finite input.
+  std::vector<float> received = x;
+  const auto params = gaussian(rng, kN, 0.02f);
+  const ChunkPlan plan = ChunkPlan::of(kN * sizeof(float));
+  std::vector<std::uint8_t> image;
+  run("q8_update_walk", whole, kN, [&] {
+    image.clear();
+    wire_quant::UpdateWalk walk(received.data(), params.data(), res.data(),
+                                kN, 8);
+    for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
+      walk.write_chunk(c, image);
+    }
+  });
   run("residual_of_q8", whole, kN,
       [&] { wire_quant::residual_of(x.data(), res.data(), kN, 8); });
   run("q8_chunk_encode", one, chunk, [&] {

@@ -81,9 +81,10 @@ class CorruptedCopy {
 }  // namespace
 
 void encode_for_transmit(const Message& message, WireScratch& image,
-                         const LinkTraceContext& trace, ThreadPool* pool) {
+                         const LinkTraceContext& trace, ThreadPool* pool,
+                         const ChunkWriter& write_chunk) {
   const obs::RealTimer timer = trace.trace.timer();
-  message.encode_into(image, pool);
+  message.encode_into(image, pool, write_chunk);
   trace.trace.record(obs::SpanKind::kEncode, trace.actor, 0, trace.sim_base,
                      trace.sim_base, timer.ns());
 }

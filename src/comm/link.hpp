@@ -102,12 +102,14 @@ struct LinkTraceContext {
 };
 
 /// A sender's one encode of `message` into the buffer it owns, on `pool`
-/// (nullptr = inline), traced as a detail-0 kEncode instant at
+/// (nullptr = inline), with its codec chunks from `write_chunk` when given
+/// (Message::encode_into), traced as a detail-0 kEncode instant at
 /// trace.sim_base on trace.actor carrying the encode's real time.  Every
 /// image a SimLink sends is made here.
 void encode_for_transmit(const Message& message, WireScratch& image,
                          const LinkTraceContext& trace,
-                         ThreadPool* pool = nullptr);
+                         ThreadPool* pool = nullptr,
+                         const ChunkWriter& write_chunk = {});
 
 class SimLink {
  public:

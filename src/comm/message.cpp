@@ -138,10 +138,18 @@ void write_header(BinaryWriter& w, const Message& m, const ChunkPlan& plan) {
 }  // namespace
 
 std::size_t wire_chunk_bytes() { return g_chunk_bytes; }
-void set_wire_chunk_bytes(std::size_t bytes) { g_chunk_bytes = bytes; }
+void set_wire_chunk_bytes(std::size_t bytes) {
+  if (bytes % sizeof(float) != 0) {
+    throw std::invalid_argument("set_wire_chunk_bytes: " +
+                                std::to_string(bytes) +
+                                " is not a whole number of floats");
+  }
+  g_chunk_bytes = bytes;
+}
 
-std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
-                                                   ThreadPool* pool) const {
+std::span<const std::uint8_t> Message::encode_into(
+    WireScratch& scratch, ThreadPool* pool,
+    const ChunkWriter& write_chunk) const {
   const Codec* codec_ptr = require_codec(codec, "Message");
   const auto pv = view();
   const auto* raw = reinterpret_cast<const std::uint8_t*>(pv.data());
@@ -192,7 +200,12 @@ std::span<const std::uint8_t> Message::encode_into(WireScratch& scratch,
     // its CRC in while its bytes are hot.
     for (std::size_t c = 0; c < n_chunks; ++c) {
       const std::size_t start = buf.size();
-      codec_ptr->compress_into({raw + plan.raw_off(c), plan.raw_len(c)}, buf);
+      if (write_chunk) {
+        write_chunk(c, buf);
+      } else {
+        codec_ptr->compress_into({raw + plan.raw_off(c), plan.raw_len(c)},
+                                 buf);
+      }
       const std::uint64_t len = buf.size() - start;
       std::memcpy(buf.data() + table_off + c * sizeof(len), &len, sizeof(len));
       fold.add(crc32({buf.data() + start, len}), len);
@@ -249,6 +262,24 @@ void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
   out.payload.clear();
   out.payload_view = {};
   view.bytes = wire;
+}
+
+void Message::set_metadata(std::span<std::uint8_t> wire,
+                           const std::string& key, double value) {
+  BinaryReader r(wire);
+  Message header;
+  read_prefix(r, header);
+  const auto n_meta = r.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < n_meta; ++i) {
+    const bool found = r.read_string() == key;
+    const std::size_t at = wire.size() - r.remaining();
+    r.read<double>();
+    if (found) {
+      std::memcpy(wire.data() + at, &value, sizeof(value));
+      return;
+    }
+  }
+  throw std::runtime_error("Message::set_metadata: no key " + key);
 }
 
 std::string Message::peek_codec(std::span<const std::uint8_t> wire) {

@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -67,9 +68,16 @@ struct WireScratch {
 
 /// Raw payload bytes per wire chunk (default 256 KiB; 0 = one chunk for
 /// the whole payload).  Settable for tests and benches; changing it changes
-/// the wire bytes of compressed messages, so set it once at startup.
+/// the wire bytes of compressed messages, so set it once at startup.  A
+/// chunk holds whole floats: set_wire_chunk_bytes throws
+/// std::invalid_argument for a size that is not a multiple of 4.
 std::size_t wire_chunk_bytes();
 void set_wire_chunk_bytes(std::size_t bytes);
+
+/// Appends chunk c of a payload, as its codec encodes it, to the image
+/// `out` (see Message::encode_into).
+using ChunkWriter =
+    std::function<void(std::size_t c, std::vector<std::uint8_t>& out)>;
 
 /// The PHO2 chunking of a payload's raw bytes, read by the encoder, the
 /// decoder, WireView and the client's error-feedback residual alike.
@@ -141,10 +149,22 @@ struct Message {
   /// Chunked encode into reused scratch.wire, sized once.  The identity
   /// encode's per-chunk copy+CRC runs on `pool` when given (nullptr =
   /// inline); a codec appends its chunks in order, patching the length
-  /// table and folding the CRC as each lands.  Returns a view of
-  /// scratch.wire.  Bytes are identical for any pool / thread count.
-  std::span<const std::uint8_t> encode_into(WireScratch& scratch,
-                                            ThreadPool* pool = nullptr) const;
+  /// table and folding the CRC as each lands.  A codec's chunks come from
+  /// `write_chunk` when one is given (a sender that forms its payload and
+  /// encodes it in one walk, wire_quant::UpdateWalk), else from the
+  /// codec's compress_into.  Returns a view of scratch.wire.  Bytes are
+  /// identical for any pool / thread count.
+  std::span<const std::uint8_t> encode_into(
+      WireScratch& scratch, ThreadPool* pool = nullptr,
+      const ChunkWriter& write_chunk = {}) const;
+
+  /// Overwrite metadata value `key` in the header of the image `wire`, in
+  /// place.  The header precedes the CRC-protected chunks and its layout
+  /// does not depend on the values, so a sender can write in a value its
+  /// own encode computed.  Throws std::runtime_error if the image has no
+  /// such key.
+  static void set_metadata(std::span<std::uint8_t> wire,
+                           const std::string& key, double value);
 
   /// Parse wire bytes; throws std::runtime_error on CRC mismatch or
   /// truncation.

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "comm/message.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
 
 namespace photon {
@@ -74,52 +76,77 @@ std::size_t encoded_bytes(std::size_t n_floats, int bits) {
   return kScalesOff + 4 * n_blocks(n_floats) + code_bytes_for(n_floats, bits);
 }
 
-bool encode_chunk(const float* x, std::size_t n, int bits,
-                  std::vector<std::uint8_t>& out) {
-  if (n > 0xFFFFFFFFull) return false;
+namespace {
+
+/// UpdateWalk's chunk walk (see quantization.hpp).  X is float when the
+/// chunk is formed in place and const float when it is only read; params
+/// and res_in must then be nullptr.
+template <typename X>
+bool walk_chunk(X* x, const float* params, const float* res_in,
+                float* res_out, std::size_t n, int bits,
+                std::vector<std::uint8_t>& out) {
+  const auto& ops = simd::ops();
+  const int limit = code_limit(bits);
   const std::size_t nb = n_blocks(n);
   const std::size_t start = out.size();
-  out.resize(start + encoded_bytes(n, bits));
-  std::uint8_t* p = out.data() + start;
-  p[kModeOff] = 0;
-  const std::uint32_t n32 = static_cast<std::uint32_t>(n);
-  std::memcpy(p + kCountOff, &n32, sizeof(n32));
-
-  const int limit = code_limit(bits);
-  const auto& ops = simd::ops();
-
-  // Pass 1: block scales.  Bail to raw passthrough if the data is not
-  // finite — dequantizing 0 * inf would manufacture NaNs.
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::size_t off = b * kBlockFloats;
-    const std::size_t len = std::min(kBlockFloats, n - off);
-    const float max_abs = ops.max_abs(x + off, len);
-    if (!std::isfinite(max_abs)) return false;
-    const float scale = max_abs > 0.0f ? max_abs : 1.0f;
-    std::memcpy(p + kScalesOff + 4 * b, &scale, sizeof(scale));
+  bool quantized = n <= 0xFFFFFFFFull;
+  std::uint8_t* p = nullptr;
+  std::uint8_t* codes_out = nullptr;
+  if (quantized) {
+    out.resize(start + encoded_bytes(n, bits));
+    p = out.data() + start;
+    p[kModeOff] = 0;
+    const std::uint32_t n32 = static_cast<std::uint32_t>(n);
+    std::memcpy(p + kCountOff, &n32, sizeof(n32));
+    codes_out = p + kScalesOff + 4 * nb;
   }
-
-  // Pass 2: codes.
-  std::uint8_t* codes_out = p + kScalesOff + 4 * nb;
   alignas(64) std::int8_t tmp[kBlockFloats];
   for (std::size_t b = 0; b < nb; ++b) {
     const std::size_t off = b * kBlockFloats;
     const std::size_t len = std::min(kBlockFloats, n - off);
-    float scale;
-    std::memcpy(&scale, p + kScalesOff + 4 * b, sizeof(scale));
-    const float inv = static_cast<float>(limit) / scale;
-    if (bits == 4) {
-      // |x*inv| <= 7 by construction, so the i8 kernel's ±127 clamp never
-      // fires and the codes fit a signed nibble.
-      ops.quant_i8(tmp, x + off, len, inv);
-      pack_nibbles(tmp, len, codes_out);
-    } else {
-      ops.quant_i8(reinterpret_cast<std::int8_t*>(codes_out), x + off, len,
-                   inv);
+    X* xb = x + off;
+    if constexpr (!std::is_const_v<X>) {
+      if (params != nullptr) ops.sub(xb, xb, params + off, len);
+      if (res_in != nullptr) ops.acc(xb, res_in + off, len);
     }
+    if (!quantized) continue;  // the chunk goes raw: only form the rest
+    // A non-finite block sends the chunk raw: dequantizing 0 * inf would
+    // manufacture NaNs.
+    const float max_abs = ops.max_abs(xb, len);
+    if (!std::isfinite(max_abs)) {
+      quantized = false;
+      continue;
+    }
+    const float scale = max_abs > 0.0f ? max_abs : 1.0f;
+    std::memcpy(p + kScalesOff + 4 * b, &scale, sizeof(scale));
+    const float inv = static_cast<float>(limit) / scale;
+    // q4: |x*inv| <= 7 by construction, so the i8 kernel's ±127 clamp never
+    // fires and the codes fit a signed nibble.
+    std::int8_t* codes =
+        bits == 4 ? tmp : reinterpret_cast<std::int8_t*>(codes_out);
+    if (res_out != nullptr) {
+      ops.quant_i8_ef(codes, res_out + off, xb, len, inv,
+                      scale / static_cast<float>(limit));
+    } else {
+      ops.quant_i8(codes, xb, len, inv);
+    }
+    if (bits == 4) pack_nibbles(tmp, len, codes_out);
     codes_out += block_code_bytes(len, bits);
   }
-  return true;
+  if (quantized) return true;
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(x);
+  out.resize(start);
+  out.push_back(1);
+  out.insert(out.end(), raw, raw + n * sizeof(float));
+  if (res_out != nullptr) std::memset(res_out, 0, n * sizeof(float));
+  return false;
+}
+
+}  // namespace
+
+bool encode_chunk(const float* x, std::size_t n, int bits,
+                  std::vector<std::uint8_t>& out) {
+  return walk_chunk(x, nullptr, nullptr, nullptr, n, bits, out);
 }
 
 std::size_t decoded_bytes(std::span<const std::uint8_t> in) {
@@ -224,39 +251,41 @@ void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
 }
 
 void residual_of(const float* x, float* res, std::size_t n, int bits) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(x);
   const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
-  const int limit = code_limit(bits);
-  const auto& ops = simd::ops();
-  alignas(64) std::int8_t codes[kBlockFloats];
-  std::vector<float> max_abs(n_blocks(plan.chunk_bytes / sizeof(float)));
-
+  std::vector<std::uint8_t> image;
   for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
-    const std::size_t off = plan.raw_off(c);
-    const std::size_t len = plan.raw_len(c);
-    // Mirror the codec: a chunk it sends raw (not float_chunk, or not
-    // finite) leaves no residual; the scale pass keeps each block's max_abs.
-    bool quantized = float_chunk({bytes + off, len});
-    const float* xc = x + off / sizeof(float);
-    float* rc = res + off / sizeof(float);
-    const std::size_t nf = len / sizeof(float);
-    for (std::size_t b = 0; b * kBlockFloats < nf && quantized; ++b) {
-      const std::size_t boff = b * kBlockFloats;
-      max_abs[b] = ops.max_abs(xc + boff, std::min(kBlockFloats, nf - boff));
-      quantized = std::isfinite(max_abs[b]);
-    }
-    if (!quantized) {
-      std::memset(reinterpret_cast<std::uint8_t*>(res) + off, 0, len);
-      continue;
-    }
-    for (std::size_t b = 0; b * kBlockFloats < nf; ++b) {
-      const std::size_t boff = b * kBlockFloats;
-      const float scale = max_abs[b] > 0.0f ? max_abs[b] : 1.0f;
-      const float inv = static_cast<float>(limit) / scale;
-      const float factor = scale / static_cast<float>(limit);
-      ops.quant_i8_ef(codes, rc + boff, xc + boff,
-                      std::min(kBlockFloats, nf - boff), inv, factor);
-    }
+    const std::size_t off = plan.raw_off(c) / sizeof(float);
+    image.clear();
+    walk_chunk(x + off, nullptr, nullptr, res + off,
+               plan.raw_len(c) / sizeof(float), bits, image);
+  }
+}
+
+UpdateWalk::UpdateWalk(float* received, const float* params, float* residual,
+                       std::size_t n, int bits)
+    : x_(received),
+      params_(params),
+      res_(residual),
+      n_(n),
+      bits_(bits),
+      plan_(ChunkPlan::of(n * sizeof(float))) {}
+
+void UpdateWalk::write_chunk(std::size_t c, std::vector<std::uint8_t>& out) {
+  const std::size_t off = plan_.raw_off(c) / sizeof(float);
+  const std::size_t len = plan_.raw_len(c) / sizeof(float);
+  walk_chunk(x_ + off, params_ == nullptr ? nullptr : params_ + off,
+             res_ == nullptr ? nullptr : res_ + off,
+             res_ == nullptr ? nullptr : res_ + off, len, bits_, out);
+  if (res_ == nullptr) return;
+  // Every norm block the walk has now finished, while it is still hot; a
+  // block that straddles chunks waits for the chunk that completes it.
+  const auto& ops = simd::ops();
+  const std::size_t done = off + len;
+  while (normed_ < done &&
+         (normed_ + kernels::kNormBlock <= done || done == n_)) {
+    const std::size_t blk = std::min(kernels::kNormBlock, n_ - normed_);
+    sumsq_ += ops.sumsq_pd(res_ + normed_, blk);
+    normed_ += blk;
   }
 }
 
@@ -273,15 +302,12 @@ QuantCodec::QuantCodec(int bits) : bits_(bits) {
 
 void QuantCodec::compress_into(std::span<const std::uint8_t> input,
                                std::vector<std::uint8_t>& out) const {
-  const std::size_t start = out.size();
-  if (wire_quant::float_chunk(input) &&
-      wire_quant::encode_chunk(reinterpret_cast<const float*>(input.data()),
-                               input.size() / sizeof(float), bits_, out)) {
+  if (wire_quant::float_chunk(input)) {
+    wire_quant::encode_chunk(reinterpret_cast<const float*>(input.data()),
+                             input.size() / sizeof(float), bits_, out);
     return;
   }
-  // Raw passthrough: not interpretable as finite floats.  Drop what a
-  // failed encode appended first.
-  out.resize(start);
+  // Raw passthrough: not interpretable as floats.
   out.push_back(1);
   out.insert(out.end(), input.begin(), input.end());
 }

@@ -9,11 +9,13 @@
 // enabled_wire_codecs() and held to the ≥1 GB/s encode floor by
 // bench_round_path.
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "comm/compression.hpp"
+#include "comm/message.hpp"
 
 namespace photon {
 
@@ -45,10 +47,11 @@ constexpr int code_limit(int bits) { return bits == 4 ? 7 : 127; }
 /// Exact mode-0 compressed size for a chunk of n floats.
 std::size_t encoded_bytes(std::size_t n_floats, int bits);
 
-/// Append one chunk of floats in the mode-0 layout to `out` (exactly
-/// encoded_bytes(n, bits) bytes).  Returns false — leaving a partial append
-/// the caller truncates — if any block scale is non-finite or n exceeds the
-/// u32 header field; the caller then falls back to mode-1 raw passthrough.
+/// Append one chunk of n floats to `out` in the mode-0 layout (exactly
+/// encoded_bytes(n, bits) bytes), or, when a block is not finite or n
+/// exceeds the u32 header field, as a mode-1 raw chunk.  Returns whether
+/// the chunk went out quantized.  This is UpdateWalk's chunk walk with
+/// nothing to form and no residual: x is only read.
 bool encode_chunk(const float* x, std::size_t n, int bits,
                   std::vector<std::uint8_t>& out);
 
@@ -70,16 +73,54 @@ void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
 std::size_t decoded_bytes(std::span<const std::uint8_t> in);
 
 /// Overwrite `res` with the blockwise reconstruction error the q8/q4 codec
-/// will leave on `x` (res = x - dequant(quant(x))), reading the PHO2
-/// ChunkPlan at wire_chunk_bytes() and replicating the per-block scales
-/// exactly; a chunk the codec sends raw leaves a zero residual.  This is
-/// the client-side half of error feedback: carrying `res` into the next
-/// round's pseudo-gradient makes quantization loss transient instead of
-/// cumulative.  One max_abs pass per block sets both the chunk's
-/// finiteness fallback and the block scale, then the fused quant_i8_ef
-/// kernel writes the residual; deterministic across SIMD variants and
-/// thread counts.
+/// will leave on `x` (res = x - dequant(quant(x))), walking the PHO2
+/// ChunkPlan at wire_chunk_bytes() with the update walk (its codes go to a
+/// scratch image); a chunk the codec sends raw leaves a zero residual.
+/// This is the client-side half of error feedback: carrying `res` into the
+/// next round's pseudo-gradient makes quantization loss transient instead
+/// of cumulative.  Deterministic across SIMD variants and thread counts.
 void residual_of(const float* x, float* res, std::size_t n, int bits);
+
+/// A client's lossy update encode (Alg. 1 L28, DESIGN.md §11), and the
+/// one writer of the q8/q4 chunk layout.  write_chunk walks one PHO2 chunk
+/// of the payload (ChunkPlan order, as Message::encode_into's chunk
+/// writer) in a single pass, 256-float block by block, each block in L1
+/// while the walk
+///   1. forms the update in place: received -= params (unless params is
+///      nullptr), then received += residual (unless residual is nullptr),
+///      the arithmetic of sub followed by acc;
+///   2. takes the block's max-abs and appends its scale and codes;
+///   3. overwrites the residual with received - dequant(quant(received)).
+/// A non-finite block anywhere in a chunk sends that chunk raw (mode 1):
+/// the rest of the chunk is still formed, the codes appended so far give
+/// way to the formed bytes, and the chunk's residual is zeroed.  So
+/// `received` ends as the update sent, `residual` as the loss it leaves,
+/// and the chunks as the q8/q4 codec's output for that update.  With
+/// params == nullptr the delta is already formed (clip and DP noise ran
+/// on it first).
+class UpdateWalk {
+ public:
+  UpdateWalk(float* received, const float* params, float* residual,
+             std::size_t n, int bits);
+
+  /// Appends chunk c's codec output to `out`.  Chunks come in order.
+  void write_chunk(std::size_t c, std::vector<std::uint8_t>& out);
+
+  /// The new residual's L2 norm with kernels::l2_norm's bits: each
+  /// kNormBlock block's sumsq_pd, taken once the walk has written that
+  /// block, added in block order.  Read it after the last chunk.
+  double residual_norm() const { return std::sqrt(sumsq_); }
+
+ private:
+  float* x_;
+  const float* params_;
+  float* res_;
+  std::size_t n_;
+  int bits_;
+  ChunkPlan plan_;
+  std::size_t normed_ = 0;  // residual floats summed into sumsq_ so far
+  double sumsq_ = 0.0;
+};
 
 }  // namespace wire_quant
 

@@ -302,29 +302,30 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
     mark(obs::SpanKind::kStragglerCut, bcast_end, slot.arrive_time, 0);
     return;
   }
+  const double train_end = bcast_end + train_sim;
   client.set_trace({trace_, bcast_end,
-                    train_sim / static_cast<double>(config_.local_steps)});
+                    train_sim / static_cast<double>(config_.local_steps),
+                    train_end});
   const auto t_train = std::chrono::steady_clock::now();
   const obs::RealTimer train_timer = trace_.timer();
   client.run_round(slot.header.payload, round_, config_.local_steps,
-                   schedule_step_base(), slot.update);
+                   schedule_step_base(), slot.update, slot.sent);
   slot.trained = true;
   slot.train_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     t_train)
           .count();
-  const double train_end = bcast_end + train_sim;
   mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
-  // The update borrows the delta the client wrote over the received
-  // broadcast; the fp32 return decodes back into it (see SimLink::transmit).
-  // A streamed update's wire CRC covers the *compressed* chunk bytes, so
-  // the return transfer is validated without decompressing: the view
-  // borrows slot.sent and the server dequantizes-and-accumulates it chunk
-  // by chunk.  Either way header now holds the update as it arrived.
+  // The client returns with its update encoded into slot.sent; the update
+  // borrows the delta it wrote over the received broadcast, and the fp32
+  // return decodes back into it (see SimLink::transmit).  A streamed
+  // update's wire CRC covers the *compressed* chunk bytes, so the return
+  // transfer is validated without decompressing: the view borrows
+  // slot.sent and the server dequantizes-and-accumulates it chunk by
+  // chunk.  Either way header now holds the update as it arrived.
   const Message& up = slot.update;
   const obs::RealTimer up_timer = trace_.timer();
   const LinkTraceContext up_trace{trace_, id, train_end};
-  encode_for_transmit(up, slot.sent, up_trace, &global_pool());
   try {
     if (streams(up.codec)) {
       link.transmit_wire(up, slot.sent, slot.header, slot.wire, up_trace);
@@ -526,7 +527,7 @@ void Aggregator::save_checkpoint(const RoundRecord& record) {
   link_stats.reserve(links_.size());
   for (const SimLink& link : links_) link_stats.push_back(link.stats());
   ckpt.link_stats = link_stats;
-  BinaryWriter server_opt_state;
+  BinaryWriter server_opt_state(std::move(server_opt_bytes_));
   server_opt_->save_state(server_opt_state);
   ckpt.server_opt_state = server_opt_state.bytes();
   // Error-feedback residuals are part of the deterministic client state:
@@ -552,6 +553,7 @@ void Aggregator::save_checkpoint(const RoundRecord& record) {
     ckpt.tuner_state = tuner_state;
   }
   checkpoints_.save(ckpt);
+  server_opt_bytes_ = server_opt_state.take();
   checkpoints_.journal_commit(round_);
   trace_.record(obs::SpanKind::kCheckpoint, obs::kAggregatorActor, -1,
                 sim_now_, sim_now_, ckpt_timer.ns());

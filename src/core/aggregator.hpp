@@ -449,6 +449,9 @@ class Aggregator {
   /// The current round's or drain's broadcast wire image, shared read-only
   /// by every client link (capacity reused across rounds).
   WireScratch broadcast_wire_;
+  /// The ServerOpt's state bytes of the last checkpoint save; the next save
+  /// writes over them, reusing the capacity.
+  std::vector<std::uint8_t> server_opt_bytes_;
 
   // --- elastic async engine state (DESIGN.md §12) -----------------------
   MembershipPlan membership_plan_;

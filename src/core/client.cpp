@@ -5,11 +5,12 @@
 #include <stdexcept>
 
 #include "comm/compression.hpp"
+#include "comm/link.hpp"
 #include "comm/quantization.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/simd.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace photon {
 
@@ -156,7 +157,7 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
 
 void LLMClient::run_round(std::span<float> received, std::uint32_t round,
                           int local_steps, std::int64_t schedule_step_base,
-                          Message& update) {
+                          Message& update, WireScratch& image) {
   const auto n = static_cast<std::size_t>(config_.model.num_params());
   if (received.size() != n) {
     throw std::invalid_argument("LLMClient::run_round: param size mismatch");
@@ -205,32 +206,6 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
     }
   }
 
-  // delta_k = theta_global - theta_k (Alg. 1 L7), in one vectorized pass
-  // over the received parameters, which nothing reads again.
-  kernels::sub(kernels::default_context(), received.data(), received.data(),
-               model.params().data(), n);
-
-  // Post-processing (Alg. 1 L28): clip, then DP noise; the wire codec is
-  // applied when the update is encoded.  The (round, client) context keys
-  // the stateless DP noise stream.
-  PostProcessReport report;
-  if (clip_) clip_->apply(received, report);
-  if (noise_) noise_->apply(received, report, {round, id_});
-
-  // Error feedback for lossy wire codecs (DESIGN.md §11): fold the previous
-  // round's quantization residual into this update before it hits the wire,
-  // then record the residual the codec will leave this round.  The fused
-  // quant_i8_ef kernel replicates the codec's chunk/block scales exactly, so
-  // residual_of computes precisely delta_sent - dequant(quant(delta_sent)).
-  const int qbits = codec_by_name(config_.link_codec)->quant_bits();
-  if (qbits != 0 && config_.quant_error_feedback) {
-    if (ef_residual_.size() != n) ef_residual_.assign(n, 0.0f);
-    simd::ops().acc(received.data(), ef_residual_.data(), n);
-    wire_quant::residual_of(received.data(), ef_residual_.data(), n, qbits);
-    update.metadata["ef_residual_norm"] =
-        kernels::l2_norm(kernels::default_context(), ef_residual_.data(), n);
-  }
-
   // The update as it goes on the wire (Alg. 1 L7).  "tokens" is a double,
   // exact below 2^53.
   update.type = MessageType::kClientUpdate;
@@ -242,6 +217,50 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
   update.metadata["grad_norm"] = last_grad_norm_;
   update.metadata["tokens"] = static_cast<double>(tokens);
   update.metadata["local_steps"] = static_cast<double>(local_steps);
+
+  // delta_k = theta_global - theta_k (Alg. 1 L7), written over the
+  // received parameters, which nothing reads again.  Post-processing
+  // (Alg. 1 L28) is clip, then DP noise, then the wire codec; the
+  // (round, client) context keys the stateless DP noise stream.  Without
+  // clip or noise a q8/q4 codec's walk forms the delta itself, block by
+  // block, as it encodes it.
+  const int qbits = codec_by_name(config_.link_codec)->quant_bits();
+  const float* params = model.params().data();
+  if (qbits == 0 || clip_ || noise_) {
+    kernels::sub(kernels::default_context(), received.data(), received.data(),
+                 params, n);
+    params = nullptr;
+    PostProcessReport report;
+    if (clip_) clip_->apply(received, report);
+    if (noise_) noise_->apply(received, report, {round, id_});
+  }
+  const LinkTraceContext encode_trace{trace_.trace, id_, trace_.sim_end};
+  if (qbits == 0) {
+    encode_for_transmit(update, image, encode_trace, &global_pool());
+  } else {
+    // Error feedback for lossy wire codecs (DESIGN.md §11): the walk folds
+    // the previous round's quantization residual into the update before it
+    // hits the wire and leaves the residual this round's codes lose, bit
+    // for bit what the server will decode.
+    const bool ef = config_.quant_error_feedback;
+    if (ef) {
+      if (ef_residual_.size() != n) ef_residual_.assign(n, 0.0f);
+      // A placeholder of the same size: the value is known once the walk
+      // has written the last residual block.
+      update.metadata["ef_residual_norm"] = 0.0;
+    }
+    wire_quant::UpdateWalk walk(received.data(), params,
+                                ef ? ef_residual_.data() : nullptr, n, qbits);
+    encode_for_transmit(update, image, encode_trace, &global_pool(),
+                        [&walk](std::size_t c, std::vector<std::uint8_t>& out) {
+                          walk.write_chunk(c, out);
+                        });
+    if (ef) {
+      update.metadata["ef_residual_norm"] = walk.residual_norm();
+      Message::set_metadata(image.wire, "ef_residual_norm",
+                            walk.residual_norm());
+    }
+  }
   PHOTON_LOG_DEBUG("llm-client", "client %d round %u loss %.4f", id_, round,
                    mean_loss);
 }

@@ -10,7 +10,8 @@
 // round it: receives global parameters, trains `local_steps` with its
 // hardware batch size under the stretched cosine schedule, optionally runs
 // a nested sub-federation across its nodes (L19-25), post-processes the
-// update (L28), and forms its update message: the pseudo-gradient
+// update (L28), and forms and encodes its update message: the
+// pseudo-gradient
 //   delta_k = theta_global - theta_k
 // written over the received parameters in place, plus its metrics.  The
 // server learns nothing about the round except through that message
@@ -36,16 +37,18 @@
 
 namespace photon {
 
-/// Sim-time coordinates for the local_step spans a client emits while
-/// training.  The round engine installs it immediately before run_round:
-/// `sim_begin` is the absolute sim timestamp local training starts at and
-/// `sim_per_step` the deterministic simulated duration of one local step,
-/// so step k spans [begin + k*per_step, begin + (k+1)*per_step] regardless
-/// of which worker thread runs the client.
+/// Sim-time coordinates for the spans a client emits in a round.  The
+/// round engine installs it immediately before run_round: `sim_begin` is
+/// the absolute sim timestamp local training starts at and `sim_per_step`
+/// the deterministic simulated duration of one local step, so step k spans
+/// [begin + k*per_step, begin + (k+1)*per_step] regardless of which worker
+/// thread runs the client; `sim_end`, where local training ends, is where
+/// the update's encode instant lands.
 struct ClientTraceContext {
   obs::RoundTrace trace;  // off by default
   double sim_begin = 0.0;
   double sim_per_step = 0.0;
+  double sim_end = 0.0;
 };
 
 struct ClientTrainConfig {
@@ -94,18 +97,21 @@ class LLMClient {
 
   /// Execute one federated round (Alg. 1 L13-28): train from `received`,
   /// the global parameters as received, then overwrite it in place with
-  /// the post-processed delta theta_global - theta_k, and form the update
-  /// message in `update` (Alg. 1 L7): type, round, sender, this client's
-  /// wire codec, a payload that borrows `received`, and the round's
-  /// metrics as metadata, "tokens" and "train_loss" among them.
-  /// `schedule_step_base` is the cumulative sequential local-step count,
-  /// synchronizing the cosine schedule across rounds (Table 5: "S_C
-  /// synchronized across sequential steps").  `update`'s metadata storage
-  /// is recycled across rounds (the Aggregator keeps one update message
-  /// per dispatch slot alive for the whole run).
+  /// the post-processed delta theta_global - theta_k as it is sent, form
+  /// the update message in `update` (Alg. 1 L7): type, round, sender, this
+  /// client's wire codec, a payload that borrows `received`, and the
+  /// round's metrics as metadata, "tokens" and "train_loss" among them,
+  /// and encode it into `image`, the sender's buffer (encode_for_transmit).
+  /// Under a q8/q4 codec one walk forms, error-feeds and encodes the
+  /// update (wire_quant::UpdateWalk).  `schedule_step_base` is the
+  /// cumulative sequential local-step count, synchronizing the cosine
+  /// schedule across rounds (Table 5: "S_C synchronized across sequential
+  /// steps").  `update`'s metadata storage and `image` are recycled across
+  /// rounds (the Aggregator keeps one of each per dispatch slot alive for
+  /// the whole run).
   void run_round(std::span<float> received, std::uint32_t round,
                  int local_steps, std::int64_t schedule_step_base,
-                 Message& update);
+                 Message& update, WireScratch& image);
 
   /// Crash recovery: advance the data stream past `rounds` already-trained
   /// rounds of `local_steps` each, drawing tokens in exactly the pattern

@@ -23,6 +23,9 @@ void AdamW::step_impl(const kernels::KernelContext& ctx,
   if (params.size() != m_.size() || grads.size() != m_.size()) {
     throw std::invalid_argument("AdamW::step: size mismatch");
   }
+  // The first step after construction or reset() takes the moments as
+  // zero without reading them (reset() leaves them stale).
+  const bool zero_moments = t_ == 0;
   ++t_;
   const float b1 = config_.beta1;
   const float b2 = config_.beta2;
@@ -38,7 +41,8 @@ void AdamW::step_impl(const kernels::KernelContext& ctx,
   ctx.parallel_shards(params.size(), ctx.grain_rows(kStepRowCost),
                       [&](std::size_t i0, std::size_t i1) {
                         ops.adamw(p + i0, m + i0, v + i0, g + i0, i1 - i0,
-                                  gscale, lr, b1, b2, bc1, bc2, eps, wd);
+                                  gscale, lr, b1, b2, bc1, bc2, eps, wd,
+                                  zero_moments);
                       });
 }
 
@@ -62,10 +66,12 @@ double AdamW::step_clipped(const kernels::KernelContext& ctx,
   return norm;
 }
 
-void AdamW::reset() {
+void AdamW::reset() { t_ = 0; }
+
+void AdamW::clear_stale_moments() {
+  if (t_ != 0) return;
   std::memset(m_.data(), 0, m_.size() * sizeof(float));
   std::memset(v_.data(), 0, v_.size() * sizeof(float));
-  t_ = 0;
 }
 
 double clip_grad_norm(const kernels::KernelContext& ctx,

@@ -44,16 +44,27 @@ class AdamW {
                       float lr, double max_norm);
 
   /// Drop all momenta and the step counter (Photon's stateless-per-round
-  /// local optimization; avoids communicating 2x extra state).
+  /// local optimization; avoids communicating 2x extra state).  Only the
+  /// counter is written: the next step takes the moments as zero without
+  /// reading them, so the step equals one on zeroed moments bit for bit.
   void reset();
 
   std::size_t step_count() const { return t_; }
-  std::span<const float> exp_avg() const { return m_; }
-  std::span<const float> exp_avg_sq() const { return v_; }
+  /// The moments, all zeros before the first step after construction or a
+  /// reset (a read then clears the buffers reset() left stale).
+  std::span<const float> exp_avg() {
+    clear_stale_moments();
+    return m_;
+  }
+  std::span<const float> exp_avg_sq() {
+    clear_stale_moments();
+    return v_;
+  }
 
  private:
   void step_impl(const kernels::KernelContext& ctx, std::span<float> params,
                  std::span<const float> grads, float lr, float gscale);
+  void clear_stale_moments();
 
   AdamWConfig config_;
   std::vector<float> m_;

@@ -19,11 +19,6 @@ namespace {
 // hot in cache while every row of the shard streams over them.
 constexpr int kKBlock = 64;
 
-// l2_norm reduces over fixed-size blocks folded in block order, so the
-// summation grouping never depends on the shard layout (thread count).
-// One block is one unit of shardable work (== default grain).
-constexpr std::size_t kNormBlock = 32768;
-
 // Per-kernel FLOPs counters (set_kernel_metrics).  Null handles no-op, so
 // the un-wired cost is one branch per kernel call.
 struct {

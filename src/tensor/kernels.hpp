@@ -151,8 +151,12 @@ void axpy(const KernelContext& ctx, float* y, float a, const float* x,
 /// out = a - b elementwise (pseudo-gradient deltas on the round path).
 void sub(const KernelContext& ctx, float* out, const float* a, const float* b,
          std::size_t n);
-/// Fixed 32768-element blocks reduced in block order: bit-identical at any
-/// thread count (blocks, not shards, define the summation grouping).
+/// l2_norm's summation block: each block's sumsq_pd is one partial, and
+/// the partials add in block order from 0.0 before the square root.
+inline constexpr std::size_t kNormBlock = 32768;
+
+/// Fixed kNormBlock-element blocks reduced in block order: bit-identical at
+/// any thread count (blocks, not shards, define the summation grouping).
 double l2_norm(const KernelContext& ctx, const float* x, std::size_t n);
 
 }  // namespace photon::kernels

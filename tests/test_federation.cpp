@@ -55,9 +55,11 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
   return std::make_unique<CorpusStreamSource>(corpus, seed);
 }
 
-/// A client round's update message and the delta its payload borrows.
+/// A client round's update message, the delta its payload borrows and
+/// the image the client encoded it into.
 struct TrainedRound : Message {
   std::vector<float> delta;
+  WireScratch image;
 };
 
 std::vector<float> init_params(const ModelConfig& model, std::uint64_t seed) {
@@ -72,7 +74,8 @@ TrainedRound train_round(LLMClient& client, std::span<const float> params,
                          std::int64_t schedule_step_base) {
   TrainedRound out;
   out.delta.assign(params.begin(), params.end());
-  client.run_round(out.delta, round, local_steps, schedule_step_base, out);
+  client.run_round(out.delta, round, local_steps, schedule_step_base, out,
+                   out.image);
   return out;
 }
 

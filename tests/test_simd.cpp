@@ -257,9 +257,9 @@ TEST(SimdVariants, OpsBitIdenticalToScalar) {
         }
         auto p_ref = x, p = x, m_ref = m0, m = m0, vv_ref = v0, vv = v0;
         ref.adamw(p_ref.data(), m_ref.data(), vv_ref.data(), y.data(), n,
-                  0.5f, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f);
+                  0.5f, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, false);
         ops.adamw(p.data(), m.data(), vv.data(), y.data(), n, 0.5f, 1e-3f,
-                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f);
+                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, false);
         EXPECT_TRUE(bytes_equal(p_ref, p) && bytes_equal(m_ref, m) &&
                     bytes_equal(vv_ref, vv))
             << "adamw";
@@ -667,6 +667,149 @@ TEST(WireKernels, NaNAtAnyLaneSendsTheChunkRaw) {
                      kN * sizeof(float)});
       EXPECT_TRUE(bytes_equal(back, x)) << name;
     }
+  }
+}
+
+// The update walk (wire_quant::UpdateWalk) on every variant against the
+// kernels it fuses, run one after another on the scalar table: sub, acc,
+// then per 256-float block max_abs and quant_i8_ef, at every 16-lane tail
+// width and across block edges.  The walk writes the chunk's mode-0 layout,
+// so the codes are read back from it.
+TEST(WireKernels, UpdateWalkMatchesTheComposedKernelsAtEveryTail) {
+  constexpr std::size_t kB = wire_quant::kBlockFloats;
+  std::vector<std::size_t> lengths{255, 256, 257, 511, 513, 4099};
+  for (std::size_t tail = 1; tail < 16; ++tail) {
+    lengths.push_back(tail);
+    lengths.push_back(kB + 32 + tail);
+  }
+  const simd::Ops& ref = simd::ops(simd::Variant::kScalar);
+  const simd::Variant before = simd::active_variant();
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto received = gaussian_vec(n, 700 + n, 0.05f);
+    const auto params = gaussian_vec(n, 800 + n, 0.05f);
+    const auto residual = gaussian_vec(n, 900 + n, 1e-3f);
+    // The composition: delta, error feedback, then each block's scale,
+    // codes and residual.
+    auto x_ref = received;
+    auto res_ref = residual;
+    ref.sub(x_ref.data(), x_ref.data(), params.data(), n);
+    ref.acc(x_ref.data(), res_ref.data(), n);
+    std::vector<float> scales;
+    std::vector<std::int8_t> codes_ref(n);
+    for (std::size_t off = 0; off < n; off += kB) {
+      const std::size_t len = std::min(kB, n - off);
+      const float m = ref.max_abs(x_ref.data() + off, len);
+      scales.push_back(m > 0.0f ? m : 1.0f);
+      ref.quant_i8_ef(codes_ref.data() + off, res_ref.data() + off,
+                      x_ref.data() + off, len, 127.0f / scales.back(),
+                      scales.back() / 127.0f);
+    }
+    for (auto v : supported_variants()) {
+      SCOPED_TRACE(simd::variant_name(v));
+      simd::set_active_variant(v);
+      auto x = received;
+      auto res = residual;
+      std::vector<std::uint8_t> chunk;
+      wire_quant::UpdateWalk walk(x.data(), params.data(), res.data(), n, 8);
+      walk.write_chunk(0, chunk);
+      ASSERT_EQ(chunk.size(), wire_quant::encoded_bytes(n, 8));
+      EXPECT_EQ(chunk[0], 0);
+      EXPECT_EQ(0, std::memcmp(chunk.data() + 5, scales.data(),
+                               scales.size() * sizeof(float)))
+          << "scales";
+      EXPECT_EQ(0, std::memcmp(chunk.data() + 5 + 4 * scales.size(),
+                               codes_ref.data(), n))
+          << "codes";
+      EXPECT_TRUE(bytes_equal(x_ref, x)) << "received";
+      EXPECT_TRUE(bytes_equal(res_ref, res)) << "residual";
+      const double norm = walk.residual_norm();
+      const double norm_ref = std::sqrt(ref.sumsq_pd(res_ref.data(), n));
+      EXPECT_TRUE(same_bits(norm_ref, norm)) << "residual norm";
+    }
+    simd::set_active_variant(before);
+  }
+}
+
+// AdamW's first step after a reset reads no moment: each enters as +0.  On
+// every variant and tail width, the zero_moments step over stale moments
+// (NaN, so any read would show) must equal the step over memset-zero
+// moments bit for bit, in p, m and v.  The grads include -0 and values
+// whose gc or (1-b1)*gc is -0, where b1*0 + (1-b1)*gc must still give +0.
+TEST(AdamWKernel, ZeroMomentStepEqualsStepOnZeroedMoments) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::size_t> lengths{4099};
+  for (std::size_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto p0 = gaussian_vec(n, 1100 + n);
+    auto g = gaussian_vec(n, 1200 + n);
+    for (std::size_t i = 0; i < n; i += 3) {
+      g[i] = (i / 3) % 3 == 0 ? -0.0f : -denorm * static_cast<float>(i % 2 + 1);
+    }
+    for (const float gscale : {1.0f, 0.5f}) {
+      for (auto v : supported_variants()) {
+        SCOPED_TRACE(simd::variant_name(v));
+        const auto& ops = simd::ops(v);
+        auto p_ref = p0, m_ref = std::vector<float>(n, 0.0f),
+             v_ref = std::vector<float>(n, 0.0f);
+        ops.adamw(p_ref.data(), m_ref.data(), v_ref.data(), g.data(), n,
+                  gscale, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f,
+                  false);
+        auto p = p0, m = std::vector<float>(n, nan),
+             vv = std::vector<float>(n, nan);
+        ops.adamw(p.data(), m.data(), vv.data(), g.data(), n, gscale, 1e-3f,
+                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, true);
+        EXPECT_TRUE(bytes_equal(p_ref, p)) << "p";
+        EXPECT_TRUE(bytes_equal(m_ref, m)) << "m";
+        EXPECT_TRUE(bytes_equal(v_ref, vv)) << "v";
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_FALSE(std::signbit(m[i]) && m[i] == 0.0f) << "-0 m at " << i;
+        }
+      }
+    }
+  }
+}
+
+// The same contract through AdamW itself: a step after reset(), which
+// leaves the moments stale, equals the step an optimizer makes on
+// memset-zero moments, on every variant; the moments read as zeros after
+// the reset.
+TEST(AdamWKernel, StepAfterResetEqualsStepOnZeroedMoments) {
+  constexpr std::size_t kN = 4099;
+  const auto p0 = gaussian_vec(kN, 1300);
+  auto g = gaussian_vec(kN, 1400);
+  for (std::size_t i = 0; i < kN; i += 5) g[i] = -0.0f;
+  const auto g_first = gaussian_vec(kN, 1500);
+  for (auto v : supported_variants()) {
+    SCOPED_TRACE(simd::variant_name(v));
+    k::KernelContext ctx(nullptr, 1, 64);
+    ctx.set_simd(&simd::ops(v));
+    AdamW opt(kN);
+    std::vector<float> p = p0;
+    opt.step_clipped(ctx, p, g_first, 1e-3f, 1.0);
+    opt.reset();
+    p = p0;
+    opt.step_clipped(ctx, p, g, 1e-3f, 1.0);
+
+    // Memset-zero moments through the reading path, with the step's own
+    // bias corrections and clip scale.
+    const double norm = k::l2_norm(ctx, g.data(), kN);
+    const float gscale =
+        norm > 1.0 ? static_cast<float>(1.0 / norm) : 1.0f;
+    std::vector<float> p_ref = p0, m_ref(kN, 0.0f), v_ref(kN, 0.0f);
+    simd::ops(v).adamw(p_ref.data(), m_ref.data(), v_ref.data(), g.data(),
+                       kN, gscale, 1e-3f, 0.9f, 0.95f,
+                       1.0f - std::pow(0.9f, 1.0f),
+                       1.0f - std::pow(0.95f, 1.0f), 1e-8f, 0.0f, false);
+    EXPECT_TRUE(bytes_equal(p_ref, p)) << "params";
+    const auto m = opt.exp_avg();
+    const auto vv = opt.exp_avg_sq();
+    EXPECT_EQ(0, std::memcmp(m_ref.data(), m.data(), kN * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(v_ref.data(), vv.data(), kN * sizeof(float)));
+    opt.reset();
+    for (const float x : opt.exp_avg()) ASSERT_EQ(0.0f, x);
   }
 }
 

@@ -36,6 +36,7 @@
 #include "data/stream.hpp"
 #include "nn/model.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -220,6 +221,265 @@ TEST(WireQuant, NonFiniteInAChunksLastBlockZeroesTheWholeChunk) {
                                chunk),
               0.0);
   }
+}
+
+// ----------------------------------------------------------- the update walk --
+
+// The two passes the update walk replaced, kept as its reference: the codec's
+// scale pass then code pass per chunk (encode_chunk before the walk), and
+// residual_of's mirror of them.  Both run on the active SIMD table.
+void ref_pack_nibbles(const std::int8_t* codes, std::size_t n,
+                      std::uint8_t* out) {
+  for (std::size_t k = 0; k < n; k += 2) {
+    const std::uint8_t hi =
+        k + 1 < n ? static_cast<std::uint8_t>(codes[k + 1]) & 0x0F : 0;
+    out[k / 2] = static_cast<std::uint8_t>(
+        (static_cast<std::uint8_t>(codes[k]) & 0x0F) | (hi << 4));
+  }
+}
+
+void ref_encode_chunk(const float* x, std::size_t n, int bits,
+                      std::vector<std::uint8_t>& out) {
+  constexpr std::size_t kB = wire_quant::kBlockFloats;
+  const auto& ops = simd::ops();
+  const std::size_t start = out.size();
+  const std::size_t nb = (n + kB - 1) / kB;
+  std::vector<float> scales(nb);
+  bool finite = true;
+  for (std::size_t b = 0; b < nb && finite; ++b) {
+    const float m = ops.max_abs(x + b * kB, std::min(kB, n - b * kB));
+    finite = std::isfinite(m);
+    scales[b] = m > 0.0f ? m : 1.0f;
+  }
+  if (!finite) {
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(x);
+    out.push_back(1);
+    out.insert(out.end(), raw, raw + n * sizeof(float));
+    return;
+  }
+  out.push_back(0);
+  const auto n32 = static_cast<std::uint32_t>(n);
+  const auto* np = reinterpret_cast<const std::uint8_t*>(&n32);
+  out.insert(out.end(), np, np + sizeof(n32));
+  const auto* sp = reinterpret_cast<const std::uint8_t*>(scales.data());
+  out.insert(out.end(), sp, sp + nb * sizeof(float));
+  const float limit = static_cast<float>(wire_quant::code_limit(bits));
+  std::int8_t codes[kB];
+  std::uint8_t packed[kB / 2];
+  for (std::size_t b = 0; b < nb; ++b) {
+    const std::size_t len = std::min(kB, n - b * kB);
+    ops.quant_i8(codes, x + b * kB, len, limit / scales[b]);
+    if (bits == 4) {
+      ref_pack_nibbles(codes, len, packed);
+      out.insert(out.end(), packed, packed + (len + 1) / 2);
+    } else {
+      const auto* cp = reinterpret_cast<const std::uint8_t*>(codes);
+      out.insert(out.end(), cp, cp + len);
+    }
+  }
+  EXPECT_EQ(out.size() - start, wire_quant::encoded_bytes(n, bits));
+}
+
+void ref_residual_of(const float* x, float* res, std::size_t n, int bits) {
+  constexpr std::size_t kB = wire_quant::kBlockFloats;
+  const auto& ops = simd::ops();
+  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
+  const float limit = static_cast<float>(wire_quant::code_limit(bits));
+  std::int8_t codes[kB];
+  for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
+    const float* xc = x + plan.raw_off(c) / sizeof(float);
+    float* rc = res + plan.raw_off(c) / sizeof(float);
+    const std::size_t nf = plan.raw_len(c) / sizeof(float);
+    std::vector<float> max_abs;
+    bool finite = true;
+    for (std::size_t b = 0; b * kB < nf && finite; ++b) {
+      max_abs.push_back(ops.max_abs(xc + b * kB, std::min(kB, nf - b * kB)));
+      finite = std::isfinite(max_abs.back());
+    }
+    if (!finite) {
+      std::memset(rc, 0, nf * sizeof(float));
+      continue;
+    }
+    for (std::size_t b = 0; b * kB < nf; ++b) {
+      const float scale = max_abs[b] > 0.0f ? max_abs[b] : 1.0f;
+      ops.quant_i8_ef(codes, rc + b * kB, xc + b * kB,
+                      std::min(kB, nf - b * kB), limit / scale,
+                      scale / limit);
+    }
+  }
+}
+
+/// One client update's four outputs: the image sent, `received` (the
+/// update as sent), the residual it leaves and that residual's norm.
+struct UpdateOut {
+  std::vector<std::uint8_t> image;
+  std::vector<float> received;
+  std::vector<float> residual;
+  double norm = 0.0;
+};
+
+Message update_message(const char* codec, std::span<const float> payload,
+                       bool ef, double norm) {
+  Message m;
+  m.type = MessageType::kClientUpdate;
+  m.round = 3;
+  m.sender = 1;
+  m.codec = codec;
+  m.payload_view = payload;
+  m.metadata["train_loss"] = 2.5;
+  m.metadata["tokens"] = 4096.0;
+  if (ef) m.metadata["ef_residual_norm"] = norm;
+  return m;
+}
+
+/// The composition the walk replaced: sub (when params is given), acc
+/// (under EF), residual_of, l2_norm, then the codec's encode of the result.
+UpdateOut composed_update(const char* codec, std::vector<float> received,
+                          const std::vector<float>* params,
+                          std::vector<float> residual, bool ef) {
+  const int bits = codec_by_name(codec)->quant_bits();
+  const auto& ops = simd::ops();
+  const std::size_t n = received.size();
+  UpdateOut out;
+  if (params != nullptr) {
+    ops.sub(received.data(), received.data(), params->data(), n);
+  }
+  if (ef) {
+    ops.acc(received.data(), residual.data(), n);
+    ref_residual_of(received.data(), residual.data(), n, bits);
+    out.norm = kernels::l2_norm(kernels::default_context(), residual.data(),
+                                n);
+  }
+  const Message m = update_message(codec, received, ef, out.norm);
+  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
+  WireScratch image;
+  m.encode_into(image, nullptr,
+                [&](std::size_t c, std::vector<std::uint8_t>& wire) {
+                  ref_encode_chunk(
+                      received.data() + plan.raw_off(c) / sizeof(float),
+                      plan.raw_len(c) / sizeof(float), bits, wire);
+                });
+  out.image = std::move(image.wire);
+  out.received = std::move(received);
+  out.residual = std::move(residual);
+  return out;
+}
+
+/// The same update through the one walk, as LLMClient::run_round sends it.
+UpdateOut walked_update(const char* codec, std::vector<float> received,
+                        const std::vector<float>* params,
+                        std::vector<float> residual, bool ef) {
+  const int bits = codec_by_name(codec)->quant_bits();
+  const std::size_t n = received.size();
+  UpdateOut out;
+  const Message m = update_message(codec, received, ef, 0.0);
+  wire_quant::UpdateWalk walk(received.data(),
+                              params != nullptr ? params->data() : nullptr,
+                              ef ? residual.data() : nullptr, n, bits);
+  WireScratch image;
+  m.encode_into(image, nullptr,
+                [&](std::size_t c, std::vector<std::uint8_t>& wire) {
+                  walk.write_chunk(c, wire);
+                });
+  if (ef) {
+    out.norm = walk.residual_norm();
+    Message::set_metadata(image.wire, "ef_residual_norm", out.norm);
+  }
+  out.image = std::move(image.wire);
+  out.received = std::move(received);
+  out.residual = std::move(residual);
+  return out;
+}
+
+std::vector<simd::Variant> supported_variants() {
+  std::vector<simd::Variant> v;
+  for (auto cand : {simd::Variant::kScalar, simd::Variant::kAvx2,
+                    simd::Variant::kAvx512}) {
+    if (simd::supported(cand)) v.push_back(cand);
+  }
+  return v;
+}
+
+TEST(UpdateWalk, EqualsSubAccResidualOfEncodeOnEveryVariant) {
+  // Four outputs must match the composition byte for byte: the image, the
+  // residual, `received` and the norm's bits.  Lengths are not multiples
+  // of 16 or 256.  At 40 KiB chunks a norm block ends mid-chunk, at 64 KiB
+  // it spans two chunks, at the default a chunk holds two, and at 0 the
+  // payload is one chunk.  A non-finite value in the first chunk, in its
+  // last block only or in its first, must send that whole chunk raw.
+  const std::size_t saved_chunk = wire_chunk_bytes();
+  const simd::Variant saved_variant = simd::active_variant();
+  for (const simd::Variant v : supported_variants()) {
+    simd::set_active_variant(v);
+    for (const std::size_t chunk_bytes :
+         {std::size_t{0}, std::size_t{40 * 1024}, std::size_t{64 * 1024},
+          saved_chunk}) {
+      set_wire_chunk_bytes(chunk_bytes);
+      const ChunkPlan plan = ChunkPlan::of(70001 * sizeof(float));
+      for (const std::size_t n : {std::size_t{1000}, std::size_t{70001}}) {
+        const auto global = gaussian_floats(n, 0x6100 + n, 0.05f);
+        const auto params = gaussian_floats(n, 0x6200 + n, 0.05f);
+        auto residual = gaussian_floats(n, 0x6300 + n, 1e-3f);
+        residual[n / 3] = -0.0f;
+        // 0: finite; 1: inf inside the first chunk's last block only;
+        // 2: inf in its first block, so the walk must still form the
+        // blocks after it.
+        for (const int poison : {0, 1, 2}) {
+          auto received = global;
+          const std::size_t first =
+              std::min(n, plan.raw_len(0) / sizeof(float));
+          const std::size_t last_block =
+              (first - 1) / wire_quant::kBlockFloats * wire_quant::kBlockFloats;
+          if (poison == 1) {
+            received[last_block + (first - last_block) / 2] =
+                std::numeric_limits<float>::infinity();
+          } else if (poison == 2) {
+            received[7] = -std::numeric_limits<float>::infinity();
+          }
+          for (const char* codec : {"q8", "q4"}) {
+            for (const bool ef : {true, false}) {
+              for (const bool with_params : {true, false}) {
+                SCOPED_TRACE(testing::Message()
+                             << simd::variant_name(v) << " chunk "
+                             << chunk_bytes << " n " << n << " " << codec
+                             << (ef ? " ef" : "") << (with_params ? " sub" : "")
+                             << " poison " << poison);
+                const std::vector<float>* p = with_params ? &params : nullptr;
+                const UpdateOut want =
+                    composed_update(codec, received, p, residual, ef);
+                const UpdateOut got =
+                    walked_update(codec, received, p, residual, ef);
+                EXPECT_EQ(want.image, got.image);
+                EXPECT_EQ(0, std::memcmp(want.received.data(),
+                                         got.received.data(),
+                                         n * sizeof(float)));
+                EXPECT_EQ(0, std::memcmp(want.residual.data(),
+                                         got.residual.data(),
+                                         n * sizeof(float)));
+                EXPECT_EQ(0, std::memcmp(&want.norm, &got.norm,
+                                         sizeof(double)));
+                Message header;
+                WireView view;
+                Message::validate_wire(got.image, header, view);
+                EXPECT_EQ(view.chunk(0)[0], poison != 0 ? 1 : 0);
+                if (view.n_chunks() > 1) {
+                  EXPECT_EQ(view.chunk(1)[0], 0);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_wire_chunk_bytes(saved_chunk);
+  simd::set_active_variant(saved_variant);
+}
+
+TEST(UpdateWalk, ChunkSizeMustHoldWholeFloats) {
+  const std::size_t saved = wire_chunk_bytes();
+  EXPECT_THROW(set_wire_chunk_bytes(1022), std::invalid_argument);
+  EXPECT_EQ(wire_chunk_bytes(), saved);
 }
 
 TEST(WireQuant, AccumulateChunkEqualsDecodeThenFold) {

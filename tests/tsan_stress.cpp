@@ -3,8 +3,9 @@
 // compiles) and run as a tier-1 ctest test.  Exercises the racy-by-design
 // surfaces: nested parallel_for (a worker's chunk and the caller's own),
 // chunked parallel_for, every parallel kernel, concurrent wire encodes and
-// decodes, and the async engine — and cross-checks results against the
-// serial context.
+// decodes, a sync q8 federation whose clients encode their own updates,
+// and the async engine — and cross-checks results against the serial
+// context.
 //
 // Exit code 0 = clean; TSan itself aborts with a report on any data race.
 
@@ -391,6 +392,42 @@ bool fused_paths_race_free(ThreadPool& pool) {
   return true;
 }
 
+/// The federation twins' model: one small block over a 64-token vocab.
+photon::ModelConfig tiny_model() {
+  photon::ModelConfig model;
+  model.n_layers = 1;
+  model.d_model = 16;
+  model.n_heads = 2;
+  model.vocab_size = 64;
+  model.seq_len = 16;
+  model.expansion_ratio = 2;
+  return model;
+}
+
+/// `n` one-batch clients of tiny_model() on one corpus, client i reading
+/// stream `stream_base + i`, returning updates under `codec`.
+std::vector<std::unique_ptr<photon::LLMClient>> tiny_clients(
+    int n, std::uint64_t stream_base, const std::string& codec) {
+  photon::CorpusConfig cc;
+  cc.vocab_size = 64;
+  auto corpus = std::make_shared<photon::MarkovSource>(cc, photon::c4_style());
+  std::vector<std::unique_ptr<photon::LLMClient>> clients;
+  for (int i = 0; i < n; ++i) {
+    photon::ClientTrainConfig ctc;
+    ctc.model = tiny_model();
+    ctc.local_batch = 1;
+    ctc.schedule.max_lr = 5e-3f;
+    ctc.schedule.warmup_steps = 2;
+    ctc.schedule.total_steps = 1000;
+    ctc.link_codec = codec;
+    clients.push_back(std::make_unique<photon::LLMClient>(
+        i, ctc,
+        std::make_unique<photon::CorpusStreamSource>(corpus, stream_base + i),
+        7));
+  }
+  return clients;
+}
+
 // Elastic async federation under churn (DESIGN.md §12): the full engine —
 // parallel dispatch waves, streamed dequant-accumulate, admission deferral,
 // crash/straggle/drop faults, and join/leave churn — runs with TSan
@@ -400,31 +437,7 @@ bool fused_paths_race_free(ThreadPool& pool) {
 // Shamir share reconstruction for crashed members, and the fixed-point
 // decode all execute under the pool with TSan watching.
 bool async_churn_race_free(bool secure) {
-  photon::ModelConfig model;
-  model.n_layers = 1;
-  model.d_model = 16;
-  model.n_heads = 2;
-  model.vocab_size = 64;
-  model.seq_len = 16;
-  model.expansion_ratio = 2;
-
   auto build = [&](bool parallel) {
-    photon::CorpusConfig cc;
-    cc.vocab_size = 64;
-    auto corpus =
-        std::make_shared<photon::MarkovSource>(cc, photon::c4_style());
-    std::vector<std::unique_ptr<photon::LLMClient>> clients;
-    for (int i = 0; i < 8; ++i) {
-      photon::ClientTrainConfig ctc;
-      ctc.model = model;
-      ctc.local_batch = 1;
-      ctc.schedule.max_lr = 5e-3f;
-      ctc.schedule.warmup_steps = 2;
-      ctc.schedule.total_steps = 1000;
-      clients.push_back(std::make_unique<photon::LLMClient>(
-          i, ctc,
-          std::make_unique<photon::CorpusStreamSource>(corpus, 100 + i), 7));
-    }
     photon::AggregatorConfig ac;
     ac.local_steps = 1;
     ac.parallel_clients = parallel;
@@ -434,8 +447,8 @@ bool async_churn_race_free(bool secure) {
     ac.secure_aggregation = secure;
     ac.seed = 33;
     return std::make_unique<photon::Aggregator>(
-        model, ac, photon::make_server_opt("fedavg", 0.5f, 0.9f),
-        std::move(clients), 55);
+        tiny_model(), ac, photon::make_server_opt("fedavg", 0.5f, 0.9f),
+        tiny_clients(8, 100, ""), 55);
   };
 
   photon::FaultPlan plan;
@@ -467,6 +480,46 @@ bool async_churn_race_free(bool secure) {
   return true;
 }
 
+// A sync q8 federation with error feedback: every client forms,
+// error-feeds and q8-encodes its own update in one walk on a fan-out
+// thread, and the server dequantizes-and-accumulates the images.  The
+// parallel twin must match a serial one bit for bit in the global params
+// and in every client's residual after each round.
+bool sync_q8_race_free() {
+  constexpr int kClients = 4;
+  auto build = [&](bool parallel) {
+    photon::AggregatorConfig ac;
+    ac.local_steps = 1;
+    ac.parallel_clients = parallel;
+    ac.seed = 34;
+    return std::make_unique<photon::Aggregator>(
+        tiny_model(), ac, photon::make_server_opt("fedavg", 0.5f, 0.9f),
+        tiny_clients(kClients, 200, "q8"), 56);
+  };
+
+  auto serial = build(false);
+  auto parallel = build(true);
+  for (int r = 0; r < 3; ++r) {
+    serial->run_round();
+    parallel->run_round();
+    bool same = std::memcmp(serial->global_params().data(),
+                            parallel->global_params().data(),
+                            serial->global_params().size() * sizeof(float)) ==
+                0;
+    for (int c = 0; c < kClients; ++c) {
+      const auto& a = serial->client(c).ef_residual();
+      const auto& b = parallel->client(c).ef_residual();
+      same = same && !a.empty() && a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+    }
+    if (!same) {
+      std::fprintf(stderr, "FAIL sync q8 twin divergence at round %d\n", r);
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -483,6 +536,7 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < 5; ++rep) ok = comm_race_free(pool) && ok;
   for (int rep = 0; rep < 5; ++rep) ok = collectives_race_free(pool) && ok;
   for (int rep = 0; rep < 5; ++rep) ok = fused_paths_race_free(pool) && ok;
+  ok = sync_q8_race_free() && ok;
   for (int rep = 0; rep < churn_reps; ++rep) {
     ok = async_churn_race_free(/*secure=*/false) && ok;
     ok = async_churn_race_free(/*secure=*/true) && ok;
