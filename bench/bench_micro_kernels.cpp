@@ -245,17 +245,19 @@ void run_wire_kernels() {
   };
   const std::string whole = "n=" + std::to_string(kN);
   const std::string one = "n=" + std::to_string(chunk);
-  // The walk forms received - params + residual in place on every call, so
-  // the update drifts by -params per call; it stays finite, and the walk
-  // does the same work on any finite input.
-  std::vector<float> received = x;
-  const auto params = gaussian(rng, kN, 0.02f);
+  // The walk forms global - trained + residual in place over `trained` on
+  // every call, reading `global` as a broadcast image's bytes, so the
+  // update alternates between calls; it stays finite, and the walk does
+  // the same work on any finite input.
+  std::vector<float> trained = x;
+  const auto global = gaussian(rng, kN, 0.02f);
   const ChunkPlan plan = ChunkPlan::of(kN * sizeof(float));
   std::vector<std::uint8_t> image;
   run("q8_update_walk", whole, kN, [&] {
     image.clear();
-    wire_quant::UpdateWalk walk(received.data(), params.data(), res.data(),
-                                kN, 8);
+    wire_quant::UpdateWalk walk(
+        trained.data(), reinterpret_cast<const std::uint8_t*>(global.data()),
+        res.data(), kN, 8);
     for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
       walk.write_chunk(c, image);
     }

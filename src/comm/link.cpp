@@ -91,9 +91,22 @@ void encode_for_transmit(const Message& message, WireScratch& image,
 
 void SimLink::transmit(const Message& message, const WireScratch& image,
                        Message& out, const LinkTraceContext& trace) {
+  out.payload.resize(message.view().size());
+  transmit(message, image, out, out.payload, trace);
+}
+
+void SimLink::transmit(const Message& message, const WireScratch& image,
+                       Message& header, std::span<float> payload,
+                       const LinkTraceContext& trace) {
+  if (payload.size() != message.view().size()) {
+    throw std::invalid_argument("SimLink::transmit: the payload holds " +
+                                std::to_string(message.view().size()) +
+                                " floats, the receive buffer " +
+                                std::to_string(payload.size()));
+  }
   transmit_impl(message, image, trace,
                 [&](std::span<const std::uint8_t> wire) {
-                  Message::decode_into(wire, out, pool_);
+                  Message::decode_into(wire, header, payload, pool_);
                 });
 }
 

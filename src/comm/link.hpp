@@ -132,9 +132,9 @@ class SimLink {
   /// the pool set via set_thread_pool.
   ///
   /// `message`'s payload may borrow `out.payload`, which each attempt's
-  /// decode overwrites: after its first line, which counts the payload's
-  /// size, the link reads only the message's type, round and sender, and
-  /// a fault hook must read no more than its header fields.
+  /// decode overwrites: once it has taken the payload's size, the link
+  /// reads only the message's type, round and sender, and a fault hook
+  /// must read no more than its header fields.
   ///
   /// Fault tolerance: each attempt consults the fault hook (if any); a
   /// transient send failure or a CRC-rejected (corrupted) reception is
@@ -147,6 +147,19 @@ class SimLink {
   /// never in the image itself.  Spans go where `trace` says.
   void transmit(const Message& message, const WireScratch& image,
                 Message& out, const LinkTraceContext& trace = {});
+
+  /// transmit() into a caller's buffer: each attempt decodes the header
+  /// into `header` and the payload into `payload` (Message::decode_into's
+  /// span overload), so a receiver can train straight from the floats it
+  /// received.  `payload` must hold exactly message.view().size() floats
+  /// (std::invalid_argument before any attempt otherwise).  A corrupted
+  /// attempt may leave flipped floats in `payload`; the retry that
+  /// delivers overwrites every one of them, and an abandoned message
+  /// leaves `payload` undefined.  The overload above resizes out.payload
+  /// and receives through this one.
+  void transmit(const Message& message, const WireScratch& image,
+                Message& header, std::span<float> payload,
+                const LinkTraceContext& trace = {});
 
   /// Validate-only transmit for the streamed aggregation path: identical
   /// retry/backoff/fault/stats/trace semantics to transmit(), but the

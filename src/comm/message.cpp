@@ -119,6 +119,28 @@ std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
   return r.read<std::uint32_t>();
 }
 
+/// The payload decode behind both decode_into overloads: every chunk of
+/// the frame parse_frame read into `v` is copied or decompressed into
+/// `out` (exactly v.elems floats) and CRC-checked against `expected_crc`.
+void decode_payload(std::span<const std::uint8_t> wire, const WireView& v,
+                    std::uint32_t expected_crc, std::span<float> out,
+                    ThreadPool* pool) {
+  auto* raw_out = reinterpret_cast<std::uint8_t*>(out.data());
+  const Codec* codec_ptr = codec_by_name(v.codec);
+  const bool identity = codec_ptr->is_identity();
+  check_chunks(v, expected_crc, pool, [&](std::size_t c) {
+    const auto comp = wire.subspan(v.offs[c], v.lens[c]);
+    std::uint8_t* out_c = raw_out + v.raw_off(c);
+    if (identity && comp.size() == v.raw_len(c)) {
+      // Fused copy+CRC; a size mismatch falls through to decompress_into,
+      // which raises the usual corrupt-chunk error.
+      return crc32_copy(out_c, comp);
+    }
+    codec_ptr->decompress_into(comp, {out_c, v.raw_len(c)});
+    return crc32(comp);
+  });
+}
+
 void write_header(BinaryWriter& w, const Message& m, const ChunkPlan& plan) {
   w.write(kMagic);
   w.write(static_cast<std::uint8_t>(m.type));
@@ -229,20 +251,19 @@ void Message::decode_into(std::span<const std::uint8_t> wire, Message& out,
   const std::uint32_t expected_crc = parse_frame(wire, out, v);
   out.payload_view = {};
   out.payload.resize(v.elems);
-  auto* raw_out = reinterpret_cast<std::uint8_t*>(out.payload.data());
-  const Codec* codec_ptr = codec_by_name(v.codec);
-  const bool identity = codec_ptr->is_identity();
-  check_chunks(v, expected_crc, pool, [&](std::size_t c) {
-    const auto comp = wire.subspan(v.offs[c], v.lens[c]);
-    std::uint8_t* out_c = raw_out + v.raw_off(c);
-    if (identity && comp.size() == v.raw_len(c)) {
-      // Fused copy+CRC; a size mismatch falls through to decompress_into,
-      // which raises the usual corrupt-chunk error.
-      return crc32_copy(out_c, comp);
-    }
-    codec_ptr->decompress_into(comp, {out_c, v.raw_len(c)});
-    return crc32(comp);
-  });
+  decode_payload(wire, v, expected_crc, out.payload, pool);
+}
+
+void Message::decode_into(std::span<const std::uint8_t> wire,
+                          Message& header, std::span<float> payload,
+                          ThreadPool* pool) {
+  WireView v;
+  const std::uint32_t expected_crc = parse_frame(wire, header, v);
+  header.payload_view = {};
+  if (v.elems != payload.size()) {
+    throw std::runtime_error("Message::decode: payload size mismatch");
+  }
+  decode_payload(wire, v, expected_crc, payload, pool);
 }
 
 Message Message::decode(std::span<const std::uint8_t> wire) {

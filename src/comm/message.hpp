@@ -64,6 +64,14 @@ struct WireScratch {
   /// (header and metadata bytes before it are validated structurally, not
   /// by checksum).
   std::size_t payload_offset = 0;
+
+  /// The concatenated chunk bytes, from payload_offset up to the CRC
+  /// field.  In an identity-coded image they are the payload's floats as
+  /// raw little-endian bytes, at whatever alignment the header leaves.
+  std::span<const std::uint8_t> chunks() const {
+    return std::span<const std::uint8_t>(wire).subspan(
+        payload_offset, wire.size() - payload_offset - sizeof(std::uint32_t));
+  }
 };
 
 /// Raw payload bytes per wire chunk (default 256 KiB; 0 = one chunk for
@@ -173,6 +181,18 @@ struct Message {
   /// Decode into `out`, reusing its payload capacity; per-chunk CRC and
   /// codec work runs on `pool` when given.
   static void decode_into(std::span<const std::uint8_t> wire, Message& out,
+                          ThreadPool* pool = nullptr);
+
+  /// Decode into a caller's buffer: the header fields and metadata go into
+  /// `header` (its payload_view cleared, its payload left as it is), the
+  /// payload into `payload`, which must hold exactly the image's float
+  /// count.  The same decode as above: each chunk's copy or decompress
+  /// runs with its CRC on `pool`, so a corrupted image has written some
+  /// of `payload` by the time it throws.  Throws std::runtime_error where
+  /// the overload above would, and on a float count other than
+  /// payload.size().
+  static void decode_into(std::span<const std::uint8_t> wire,
+                          Message& header, std::span<float> payload,
                           ThreadPool* pool = nullptr);
 
   /// Validate `wire` without decompressing: parse the header into `out`

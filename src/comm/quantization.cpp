@@ -78,11 +78,20 @@ std::size_t encoded_bytes(std::size_t n_floats, int bits) {
 
 namespace {
 
+/// One block of form_delta: x = g - x for the len <= kBlockFloats floats
+/// g whose bytes start at `global`, copied first into an aligned block.
+void form_delta_block(const simd::Ops& ops, float* x,
+                      const std::uint8_t* global, std::size_t len) {
+  alignas(64) float g[kBlockFloats];
+  std::memcpy(g, global, len * sizeof(float));
+  ops.sub(x, g, x, len);
+}
+
 /// UpdateWalk's chunk walk (see quantization.hpp).  X is float when the
-/// chunk is formed in place and const float when it is only read; params
+/// chunk is formed in place and const float when it is only read; global
 /// and res_in must then be nullptr.
 template <typename X>
-bool walk_chunk(X* x, const float* params, const float* res_in,
+bool walk_chunk(X* x, const std::uint8_t* global, const float* res_in,
                 float* res_out, std::size_t n, int bits,
                 std::vector<std::uint8_t>& out) {
   const auto& ops = simd::ops();
@@ -106,7 +115,9 @@ bool walk_chunk(X* x, const float* params, const float* res_in,
     const std::size_t len = std::min(kBlockFloats, n - off);
     X* xb = x + off;
     if constexpr (!std::is_const_v<X>) {
-      if (params != nullptr) ops.sub(xb, xb, params + off, len);
+      if (global != nullptr) {
+        form_delta_block(ops, xb, global + off * sizeof(float), len);
+      }
       if (res_in != nullptr) ops.acc(xb, res_in + off, len);
     }
     if (!quantized) continue;  // the chunk goes raw: only form the rest
@@ -143,6 +154,14 @@ bool walk_chunk(X* x, const float* params, const float* res_in,
 }
 
 }  // namespace
+
+void form_delta(float* x, const std::uint8_t* global, std::size_t n) {
+  const auto& ops = simd::ops();
+  for (std::size_t off = 0; off < n; off += kBlockFloats) {
+    form_delta_block(ops, x + off, global + off * sizeof(float),
+                     std::min(kBlockFloats, n - off));
+  }
+}
 
 bool encode_chunk(const float* x, std::size_t n, int bits,
                   std::vector<std::uint8_t>& out) {
@@ -261,10 +280,10 @@ void residual_of(const float* x, float* res, std::size_t n, int bits) {
   }
 }
 
-UpdateWalk::UpdateWalk(float* received, const float* params, float* residual,
+UpdateWalk::UpdateWalk(float* x, const std::uint8_t* global, float* residual,
                        std::size_t n, int bits)
-    : x_(received),
-      params_(params),
+    : x_(x),
+      global_(global),
       res_(residual),
       n_(n),
       bits_(bits),
@@ -273,7 +292,8 @@ UpdateWalk::UpdateWalk(float* received, const float* params, float* residual,
 void UpdateWalk::write_chunk(std::size_t c, std::vector<std::uint8_t>& out) {
   const std::size_t off = plan_.raw_off(c) / sizeof(float);
   const std::size_t len = plan_.raw_len(c) / sizeof(float);
-  walk_chunk(x_ + off, params_ == nullptr ? nullptr : params_ + off,
+  walk_chunk(x_ + off,
+             global_ == nullptr ? nullptr : global_ + off * sizeof(float),
              res_ == nullptr ? nullptr : res_ + off,
              res_ == nullptr ? nullptr : res_ + off, len, bits_, out);
   if (res_ == nullptr) return;

@@ -81,26 +81,35 @@ std::size_t decoded_bytes(std::span<const std::uint8_t> in);
 /// of cumulative.  Deterministic across SIMD variants and thread counts.
 void residual_of(const float* x, float* res, std::size_t n, int bits);
 
+/// x[i] = g[i] - x[i] over n floats, where g is the global model as its
+/// broadcast image carries it: `global` points at g's raw little-endian
+/// bytes, at any alignment.  This forms a client's update delta
+/// theta_global - theta_k over its trained params.  `global` is read in
+/// aligned kBlockFloats blocks through memcpy, never through a misaligned
+/// float*, and each block is the arithmetic of simd::Ops::sub.
+void form_delta(float* x, const std::uint8_t* global, std::size_t n);
+
 /// A client's lossy update encode (Alg. 1 L28, DESIGN.md §11), and the
 /// one writer of the q8/q4 chunk layout.  write_chunk walks one PHO2 chunk
 /// of the payload (ChunkPlan order, as Message::encode_into's chunk
 /// writer) in a single pass, 256-float block by block, each block in L1
 /// while the walk
-///   1. forms the update in place: received -= params (unless params is
-///      nullptr), then received += residual (unless residual is nullptr),
-///      the arithmetic of sub followed by acc;
+///   1. forms the update in place over the trained params `x`:
+///      x = global - x as form_delta does (unless global is nullptr),
+///      then x += residual (unless residual is nullptr), the arithmetic of
+///      sub followed by acc;
 ///   2. takes the block's max-abs and appends its scale and codes;
-///   3. overwrites the residual with received - dequant(quant(received)).
+///   3. overwrites the residual with x - dequant(quant(x)).
 /// A non-finite block anywhere in a chunk sends that chunk raw (mode 1):
 /// the rest of the chunk is still formed, the codes appended so far give
-/// way to the formed bytes, and the chunk's residual is zeroed.  So
-/// `received` ends as the update sent, `residual` as the loss it leaves,
-/// and the chunks as the q8/q4 codec's output for that update.  With
-/// params == nullptr the delta is already formed (clip and DP noise ran
-/// on it first).
+/// way to the formed bytes, and the chunk's residual is zeroed.  So `x`
+/// ends as the update sent, `residual` as the loss it leaves, and the
+/// chunks as the q8/q4 codec's output for that update.  With global ==
+/// nullptr the delta is already formed in `x` (clip and DP noise ran on
+/// it first).
 class UpdateWalk {
  public:
-  UpdateWalk(float* received, const float* params, float* residual,
+  UpdateWalk(float* x, const std::uint8_t* global, float* residual,
              std::size_t n, int bits);
 
   /// Appends chunk c's codec output to `out`.  Chunks come in order.
@@ -113,7 +122,7 @@ class UpdateWalk {
 
  private:
   float* x_;
-  const float* params_;
+  const std::uint8_t* global_;
   float* res_;
   std::size_t n_;
   int bits_;

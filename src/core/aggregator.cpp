@@ -274,9 +274,13 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
                            config_.sim_throughput_bps;
   slot.train_sim_seconds = train_sim;
 
+  // The client trains on its thread's shell, and the broadcast decodes
+  // straight into the shell's params (DESIGN.md §7).
+  const ShellLease shell(client.config().model);
   const obs::RealTimer bcast_timer = trace_.timer();
   try {
-    link.transmit(broadcast, broadcast_wire_, slot.header, {trace_, id, t});
+    link.transmit(broadcast, broadcast_wire_, slot.header, shell.params(),
+                  {trace_, id, t});
   } catch (const TransmitError&) {
     slot.outcome = kLinkFailed;
     settle(0.0);
@@ -308,8 +312,9 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
                     train_end});
   const auto t_train = std::chrono::steady_clock::now();
   const obs::RealTimer train_timer = trace_.timer();
-  client.run_round(slot.header.payload, round_, config_.local_steps,
-                   schedule_step_base(), slot.update, slot.sent);
+  client.run_round(shell, broadcast_wire_.chunks(), round_,
+                   config_.local_steps, schedule_step_base(), slot.update,
+                   slot.sent);
   slot.trained = true;
   slot.train_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -317,12 +322,13 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
           .count();
   mark(obs::SpanKind::kLocalTrain, bcast_end, train_end, train_timer.ns());
   // The client returns with its update encoded into slot.sent; the update
-  // borrows the delta it wrote over the received broadcast, and the fp32
-  // return decodes back into it (see SimLink::transmit).  A streamed
-  // update's wire CRC covers the *compressed* chunk bytes, so the return
-  // transfer is validated without decompressing: the view borrows
+  // borrows the delta it wrote over the shell's params, and the fp32
+  // return decodes into header.payload, the slot's float buffer.  A
+  // streamed update's wire CRC covers the *compressed* chunk bytes, so the
+  // return transfer is validated without decompressing: the view borrows
   // slot.sent and the server dequantizes-and-accumulates it chunk by
-  // chunk.  Either way header now holds the update as it arrived.
+  // chunk, and the slot holds no float buffer.  Either way header now
+  // holds the update as it arrived.
   const Message& up = slot.update;
   const obs::RealTimer up_timer = trace_.timer();
   const LinkTraceContext up_trace{trace_, id, train_end};

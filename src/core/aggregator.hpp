@@ -302,11 +302,15 @@ class Aggregator {
   /// async engine's slots are its admission pool (busy while in flight).
   /// Slots are reused across the whole run (their message/wire/update
   /// buffers keep capacity), so resident memory is bounded by the slot
-  /// count regardless of population.  A slot holds one float buffer,
-  /// `header.payload`: the decoded broadcast, which the client overwrites
-  /// with its delta, which the update message borrows and the fp32 return
-  /// decodes back into.  It holds one image of the update, `sent.wire`:
-  /// a streamed view borrows it and an async checkpoint stores it.
+  /// count regardless of population.  The broadcast does not land in the
+  /// slot: it decodes into the training thread's shell, whose params the
+  /// client overwrites with its delta and the update message borrows
+  /// while dispatch runs.  A slot holds one image of the update,
+  /// `sent.wire`: a streamed view borrows it and an async checkpoint
+  /// stores it.  Only a slot whose update is decoded (fp32, or any codec
+  /// under secure aggregation) holds a float buffer, `header.payload`, the
+  /// server's decode target; a streamed slot holds none, unless a mixed
+  /// cohort decodes it.
   struct InFlight {
     bool busy = false;                   // async: holds an admission slot
     int client = -1;
@@ -320,8 +324,10 @@ class Aggregator {
     bool streamed = false;               // update read through `wire`
     double train_sim_seconds = 0.0;
     double train_wall_seconds = 0.0;     // measured wall time in training
-    Message header;   // broadcast in, update out (metadata = metrics)
-    Message update;   // the client's update message, as run_round formed it
+    Message header;   // broadcast header in, update out (metadata = metrics)
+    Message update;   // the client's update message, as run_round formed
+                      // it; its payload view is read only inside dispatch,
+                      // while the thread's shell it borrows is leased
     WireScratch sent;  // the update's encoded image, every attempt's bytes
     WireView wire;     // a streamed update's chunks, borrowing sent.wire
   };
@@ -357,10 +363,12 @@ class Aggregator {
   void arm(InFlight& slot, int client, double t) const;
   /// Broadcast + local training + update return for the client armed in
   /// `slot` (Alg. 1 L5-7).  `broadcast` is encode_broadcast()'s message;
-  /// its image in broadcast_wire_ is only read.  `attempt` salts the fault
-  /// hook (the sync cohort attempt, the async dispatch sequence);
-  /// `deadline` > 0 cuts stragglers (sync rounds).  Parallel-safe: only
-  /// this slot, this client, and this client's link are touched.
+  /// its image in broadcast_wire_ is only read: the link receives it into
+  /// the calling thread's shell, and the client reads the global model
+  /// from it to form its delta.  `attempt` salts the fault hook (the sync
+  /// cohort attempt, the async dispatch sequence); `deadline` > 0 cuts
+  /// stragglers (sync rounds).  Parallel-safe: only this slot, this
+  /// client, this client's link and the thread's shell are written.
   void dispatch(InFlight& slot, const Message& broadcast, std::uint32_t attempt,
                 double deadline);
   /// Whether an update sent with `codec` is kept as its validated wire
@@ -447,7 +455,8 @@ class Aggregator {
   /// each secagg wave's mean.
   std::vector<float> pseudo_grad_;
   /// The current round's or drain's broadcast wire image, shared read-only
-  /// by every client link (capacity reused across rounds).
+  /// by every client link and every training client, and unchanged while
+  /// clients train inside dispatch (capacity reused across rounds).
   WireScratch broadcast_wire_;
   /// The ServerOpt's state bytes of the last checkpoint save; the next save
   /// writes over them, reusing the capacity.

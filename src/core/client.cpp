@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "comm/compression.hpp"
@@ -16,45 +17,19 @@ namespace photon {
 
 namespace {
 
-/// A thread's training scratch: a shape-only model replica and a stateless
-/// AdamW, keyed by the model config they were built for.  Every client round
-/// loads the broadcast into the params and resets the optimizer, the step
-/// zeroes the grads and the forward pass overwrites the activation tape, so
-/// nothing a round leaves behind reaches the next one.
-struct Shell {
-  explicit Shell(const ModelConfig& model_config)
-      : model(model_config), opt(model.num_params()) {}
-  GptModel model;
-  AdamW opt;
-};
-
 // One shell per thread that runs clients, freed at thread exit.
-thread_local std::unique_ptr<Shell> t_shell;
-
-/// Borrows the calling thread's shell for one round and returns it on every
-/// exit path.  A shell built for another model is replaced.  A nested borrow
-/// on the same thread finds the slot empty and builds its own shell, so two
-/// borrowers never share one.
-class ShellLease {
- public:
-  explicit ShellLease(const ModelConfig& model)
-      : shell_(std::move(t_shell)) {
-    if (shell_ == nullptr || shell_->model.config() != model) {
-      shell_.reset();  // free the old shell before building its successor
-      shell_ = std::make_unique<Shell>(model);
-    }
-  }
-  ~ShellLease() { t_shell = std::move(shell_); }
-  ShellLease(const ShellLease&) = delete;
-  ShellLease& operator=(const ShellLease&) = delete;
-
-  Shell* operator->() const { return shell_.get(); }
-
- private:
-  std::unique_ptr<Shell> shell_;
-};
+thread_local std::unique_ptr<ClientShell> t_shell;
 
 }  // namespace
+
+ShellLease::ShellLease(const ModelConfig& model) : shell_(std::move(t_shell)) {
+  if (shell_ == nullptr || shell_->model.config() != model) {
+    shell_.reset();  // free the old shell before building its successor
+    shell_ = std::make_unique<ClientShell>(model);
+  }
+}
+
+ShellLease::~ShellLease() { t_shell = std::move(shell_); }
 
 LLMClient::LLMClient(int id, ClientTrainConfig config,
                      std::unique_ptr<DataSource> data, std::uint64_t seed)
@@ -155,12 +130,16 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
   }
 }
 
-void LLMClient::run_round(std::span<float> received, std::uint32_t round,
-                          int local_steps, std::int64_t schedule_step_base,
-                          Message& update, WireScratch& image) {
+void LLMClient::run_round(const ShellLease& shell,
+                          std::span<const std::uint8_t> global,
+                          std::uint32_t round, int local_steps,
+                          std::int64_t schedule_step_base, Message& update,
+                          WireScratch& image) {
   const auto n = static_cast<std::size_t>(config_.model.num_params());
-  if (received.size() != n) {
-    throw std::invalid_argument("LLMClient::run_round: param size mismatch");
+  if (global.size() != n * sizeof(float) ||
+      shell->model.config() != config_.model) {
+    throw std::invalid_argument(
+        "LLMClient::run_round: shell or global model of another size");
   }
   if (local_steps <= 0) {
     throw std::invalid_argument("LLMClient::run_round: local_steps <= 0");
@@ -168,17 +147,16 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
 
   update.metadata.clear();
 
-  const ShellLease shell(config_.model);
   GptModel& model = shell->model;
   AdamW& opt = opt_ ? *opt_ : shell->opt;
+  const std::span<float> params = model.params();
 
   double mean_loss = 0.0;
   std::uint64_t tokens = 0;
 
   if (config_.sub_nodes == 1) {
     // Fast interconnect path (Alg. 1 L16-18): one logical replica at the
-    // autotuned device batch.
-    model.load_params(received);
+    // autotuned device batch, trained from the params as received.
     if (config_.stateless_optimizer) opt.reset();
     auto [loss, toks] = train_replica(model, opt, local_steps,
                                       schedule_step_base);
@@ -187,20 +165,18 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
   } else {
     // Nested sub-federation (Alg. 1 L19-25): train `sub_nodes` replicas in
     // turn, each on the next batches of this client's stream, and average
-    // their parameters.  Every node loads `received` before the delta
-    // below overwrites it.
+    // their parameters.  The first node trains from the params as
+    // received; each later one reloads the global model from `global`.
     std::vector<double> param_sum(n, 0.0);
     for (int node = 0; node < config_.sub_nodes; ++node) {
-      model.load_params(received);
+      if (node > 0) std::memcpy(params.data(), global.data(), global.size());
       opt.reset();  // each node replica starts fresh
       auto [loss, toks] = train_replica(model, opt, local_steps,
                                         schedule_step_base);
       mean_loss += loss / config_.sub_nodes;
       tokens += toks;
-      const auto params = model.params();
       for (std::size_t i = 0; i < n; ++i) param_sum[i] += params[i];
     }
-    auto params = model.params();
     for (std::size_t i = 0; i < n; ++i) {
       params[i] = static_cast<float>(param_sum[i] / config_.sub_nodes);
     }
@@ -212,27 +188,26 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
   update.round = round;
   update.sender = static_cast<std::uint32_t>(id_);
   update.codec = config_.link_codec;
-  update.payload_view = received;
+  update.payload_view = params;
   update.metadata["train_loss"] = mean_loss;
   update.metadata["grad_norm"] = last_grad_norm_;
   update.metadata["tokens"] = static_cast<double>(tokens);
   update.metadata["local_steps"] = static_cast<double>(local_steps);
 
-  // delta_k = theta_global - theta_k (Alg. 1 L7), written over the
-  // received parameters, which nothing reads again.  Post-processing
-  // (Alg. 1 L28) is clip, then DP noise, then the wire codec; the
-  // (round, client) context keys the stateless DP noise stream.  Without
-  // clip or noise a q8/q4 codec's walk forms the delta itself, block by
-  // block, as it encodes it.
+  // delta_k = theta_global - theta_k (Alg. 1 L7), written over the trained
+  // parameters, which nothing reads again, with theta_global read from the
+  // broadcast image.  Post-processing (Alg. 1 L28) is clip, then DP noise,
+  // then the wire codec; the (round, client) context keys the stateless DP
+  // noise stream.  Without clip or noise a q8/q4 codec's walk forms the
+  // delta itself, block by block, as it encodes it.
   const int qbits = codec_by_name(config_.link_codec)->quant_bits();
-  const float* params = model.params().data();
+  const std::uint8_t* walk_global = global.data();
   if (qbits == 0 || clip_ || noise_) {
-    kernels::sub(kernels::default_context(), received.data(), received.data(),
-                 params, n);
-    params = nullptr;
+    wire_quant::form_delta(params.data(), walk_global, n);
+    walk_global = nullptr;
     PostProcessReport report;
-    if (clip_) clip_->apply(received, report);
-    if (noise_) noise_->apply(received, report, {round, id_});
+    if (clip_) clip_->apply(params, report);
+    if (noise_) noise_->apply(params, report, {round, id_});
   }
   const LinkTraceContext encode_trace{trace_.trace, id_, trace_.sim_end};
   if (qbits == 0) {
@@ -249,7 +224,7 @@ void LLMClient::run_round(std::span<float> received, std::uint32_t round,
       // has written the last residual block.
       update.metadata["ef_residual_norm"] = 0.0;
     }
-    wire_quant::UpdateWalk walk(received.data(), params,
+    wire_quant::UpdateWalk walk(params.data(), walk_global,
                                 ef ? ef_residual_.data() : nullptr, n, qbits);
     encode_for_transmit(update, image, encode_trace, &global_pool(),
                         [&walk](std::size_t c, std::vector<std::uint8_t>& out) {

@@ -5,17 +5,18 @@
 // its error-feedback residual and, only when it keeps optimizer state
 // across rounds (DiLoCo), its own AdamW.  The model replica is per-thread
 // scratch: every round starts from the broadcast global model, so a
-// replica's own init is never used, and a client borrows the calling
-// thread's shape-only model (plus a stateless AdamW) for the round.  Per
-// round it: receives global parameters, trains `local_steps` with its
+// replica's own init is never used, and a round runs on the calling
+// thread's shell, a shape-only model plus a stateless AdamW, leased before
+// the broadcast is received so that the receive decodes straight into the
+// shell's params.  Per round the client trains `local_steps` with its
 // hardware batch size under the stretched cosine schedule, optionally runs
 // a nested sub-federation across its nodes (L19-25), post-processes the
 // update (L28), and forms and encodes its update message: the
 // pseudo-gradient
 //   delta_k = theta_global - theta_k
-// written over the received parameters in place, plus its metrics.  The
-// server learns nothing about the round except through that message
-// (L7, L10).  It keeps no local
+// written over the trained parameters in place, theta_global read from the
+// broadcast image, plus its metrics.  The server learns nothing about the
+// round except through that message (L7, L10).  It keeps no local
 // checkpoint (L27): no client restarts in this reproduction, a crashed
 // client drops out of its round (DESIGN.md §2, §8).
 
@@ -86,6 +87,39 @@ struct ClientTrainConfig {
   bool ephemeral = false;
 };
 
+/// A thread's training scratch: a shape-only model replica and a stateless
+/// AdamW, built for one model config.  Every client round receives the
+/// broadcast into the params and resets the optimizer, the step zeroes the
+/// grads and the forward pass overwrites the activation tape, so nothing a
+/// round leaves behind reaches the next one.
+struct ClientShell {
+  explicit ClientShell(const ModelConfig& model_config)
+      : model(model_config), opt(model.num_params()) {}
+  GptModel model;
+  AdamW opt;
+};
+
+/// Borrows the calling thread's shell for one client round and returns it
+/// on every exit path.  One shell per thread that runs clients, freed at
+/// thread exit.  A shell built for another model is replaced.  A nested
+/// lease on the same thread finds the slot empty and builds its own shell,
+/// so two leases never share one.
+class ShellLease {
+ public:
+  explicit ShellLease(const ModelConfig& model);
+  ~ShellLease();
+  ShellLease(const ShellLease&) = delete;
+  ShellLease& operator=(const ShellLease&) = delete;
+
+  ClientShell* operator->() const { return shell_.get(); }
+  /// The params: where the broadcast is received, trained, and overwritten
+  /// with the update.
+  std::span<float> params() const { return shell_->model.params(); }
+
+ private:
+  std::unique_ptr<ClientShell> shell_;
+};
+
 class LLMClient {
  public:
   LLMClient(int id, ClientTrainConfig config,
@@ -95,23 +129,30 @@ class LLMClient {
   const ClientTrainConfig& config() const { return config_; }
   DataSource& data_source() { return *data_; }
 
-  /// Execute one federated round (Alg. 1 L13-28): train from `received`,
-  /// the global parameters as received, then overwrite it in place with
-  /// the post-processed delta theta_global - theta_k as it is sent, form
-  /// the update message in `update` (Alg. 1 L7): type, round, sender, this
-  /// client's wire codec, a payload that borrows `received`, and the
-  /// round's metrics as metadata, "tokens" and "train_loss" among them,
-  /// and encode it into `image`, the sender's buffer (encode_for_transmit).
-  /// Under a q8/q4 codec one walk forms, error-feeds and encodes the
-  /// update (wire_quant::UpdateWalk).  `schedule_step_base` is the
+  /// Execute one federated round (Alg. 1 L13-28) on `shell`, a lease of
+  /// the calling thread's shell for this client's model, whose params hold
+  /// the global parameters as received.  `global` holds the same
+  /// parameters as the broadcast image carries them (WireScratch::chunks
+  /// of the identity-coded image): raw little-endian floats at any
+  /// alignment, only read, and unchanged until the call returns.  The
+  /// round trains the params, then overwrites them in place with the
+  /// post-processed delta theta_global - theta_k as it is sent, forms the
+  /// update message in `update` (Alg. 1 L7): type, round, sender, this
+  /// client's wire codec, a payload that borrows the shell's params, and
+  /// the round's metrics as metadata, "tokens" and "train_loss" among
+  /// them, and encodes it into `image`, the sender's buffer
+  /// (encode_for_transmit).  The payload view is good until the lease
+  /// ends.  Under a q8/q4 codec one walk forms, error-feeds and encodes
+  /// the update (wire_quant::UpdateWalk).  `schedule_step_base` is the
   /// cumulative sequential local-step count, synchronizing the cosine
   /// schedule across rounds (Table 5: "S_C synchronized across sequential
   /// steps").  `update`'s metadata storage and `image` are recycled across
   /// rounds (the Aggregator keeps one of each per dispatch slot alive for
   /// the whole run).
-  void run_round(std::span<float> received, std::uint32_t round,
-                 int local_steps, std::int64_t schedule_step_base,
-                 Message& update, WireScratch& image);
+  void run_round(const ShellLease& shell, std::span<const std::uint8_t> global,
+                 std::uint32_t round, int local_steps,
+                 std::int64_t schedule_step_base, Message& update,
+                 WireScratch& image);
 
   /// Crash recovery: advance the data stream past `rounds` already-trained
   /// rounds of `local_steps` each, drawing tokens in exactly the pattern

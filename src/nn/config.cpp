@@ -28,7 +28,6 @@ double ModelConfig::flops_per_token() const {
 }
 
 // Paper Table 4.
-ModelConfig ModelConfig::paper_75m() { return {3, 896, 16, 50368, 1024, 4}; }
 ModelConfig ModelConfig::paper_125m() { return {12, 768, 12, 50368, 2048, 4}; }
 ModelConfig ModelConfig::paper_350m() { return {24, 1024, 16, 50368, 2048, 4}; }
 ModelConfig ModelConfig::paper_1_3b() { return {24, 2048, 16, 50368, 2048, 4}; }

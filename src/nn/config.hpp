@@ -29,7 +29,6 @@ struct ModelConfig {
   double flops_per_token() const;
 
   // ----- Paper Table 4 architectures (for analytic system modeling) -----
-  static ModelConfig paper_75m();
   static ModelConfig paper_125m();
   static ModelConfig paper_350m();
   static ModelConfig paper_1_3b();

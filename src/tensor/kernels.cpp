@@ -450,14 +450,6 @@ void axpy(const KernelContext& ctx, float* y, float a, const float* x,
   });
 }
 
-void sub(const KernelContext& ctx, float* out, const float* a, const float* b,
-         std::size_t n) {
-  const simd::Ops& ops = ctx.simd();
-  ctx.parallel_shards(n, ctx.grain(), [&](std::size_t i0, std::size_t i1) {
-    ops.sub(out + i0, a + i0, b + i0, i1 - i0);
-  });
-}
-
 double l2_norm(const KernelContext& ctx, const float* x, std::size_t n) {
   const simd::Ops& ops = ctx.simd();
   const std::size_t nb = (n + kNormBlock - 1) / kNormBlock;

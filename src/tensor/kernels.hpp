@@ -148,9 +148,6 @@ void scale_inplace(const KernelContext& ctx, float* x, float s, std::size_t n);
 /// y += a*x.
 void axpy(const KernelContext& ctx, float* y, float a, const float* x,
           std::size_t n);
-/// out = a - b elementwise (pseudo-gradient deltas on the round path).
-void sub(const KernelContext& ctx, float* out, const float* a, const float* b,
-         std::size_t n);
 /// l2_norm's summation block: each block's sumsq_pd is one partial, and
 /// the partials add in block order from 0.0 before the square root.
 inline constexpr std::size_t kNormBlock = 32768;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "comm/link.hpp"
 #include "comm/message.hpp"
 #include "core/aggregator.hpp"
 #include "sim/faults.hpp"
@@ -55,10 +57,12 @@ std::unique_ptr<DataSource> tiny_stream(std::uint64_t seed) {
   return std::make_unique<CorpusStreamSource>(corpus, seed);
 }
 
-/// A client round's update message, the delta its payload borrows and
-/// the image the client encoded it into.
+/// A client round's update message, the delta it formed over the shell's
+/// params (copied out before the lease ends), whether the update's payload
+/// borrowed those params, and the image the client encoded it into.
 struct TrainedRound : Message {
   std::vector<float> delta;
+  bool borrowed_shell = false;
   WireScratch image;
 };
 
@@ -67,15 +71,39 @@ std::vector<float> init_params(const ModelConfig& model, std::uint64_t seed) {
   return {m.params().begin(), m.params().end()};
 }
 
-/// One client round from a copy of `params`, which run_round overwrites
-/// with the delta.
+/// The broadcast of `params` for `round`, encoded as the aggregator sends
+/// it.  Its one metadata key is padded by `pad` characters, which moves
+/// the image's floats by as many bytes.
+Message broadcast_of(std::span<const float> params, std::uint32_t round,
+                     int local_steps, std::size_t pad, WireScratch& sent) {
+  Message broadcast;
+  broadcast.type = MessageType::kModelBroadcast;
+  broadcast.round = round;
+  broadcast.payload_view = params;
+  broadcast.metadata["local_steps" + std::string(pad, '_')] = local_steps;
+  broadcast.encode_into(sent);
+  return broadcast;
+}
+
+/// One client round from `params`, sent as a broadcast image and received
+/// into the thread's shell, whose params run_round overwrites with the
+/// delta.
 TrainedRound train_round(LLMClient& client, std::span<const float> params,
                          std::uint32_t round, int local_steps,
-                         std::int64_t schedule_step_base) {
+                         std::int64_t schedule_step_base,
+                         std::size_t pad = 0) {
+  WireScratch sent;
+  const Message broadcast =
+      broadcast_of(params, round, local_steps, pad, sent);
   TrainedRound out;
-  out.delta.assign(params.begin(), params.end());
-  client.run_round(out.delta, round, local_steps, schedule_step_base, out,
-                   out.image);
+  const ShellLease shell(client.config().model);
+  Message header;
+  SimLink("broadcast", 1.0).transmit(broadcast, sent, header, shell.params());
+  client.run_round(shell, sent.chunks(), round, local_steps,
+                   schedule_step_base, out, out.image);
+  out.borrowed_shell = out.view().data() == shell.params().data();
+  out.delta.assign(out.view().begin(), out.view().end());
+  out.payload_view = {};
   return out;
 }
 
@@ -110,8 +138,10 @@ std::vector<float> minus(std::span<const float> global,
 }
 
 bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  // memcmp must not see the null data() of an empty vector.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 // ------------------------------------------------------------- LLM client --
@@ -126,13 +156,58 @@ TEST(LLMClient, DeltaIsGlobalMinusLocal) {
   const auto stream = tiny_stream(1);
   const std::vector<float> local = train_by_hand(cfg, *stream, before, 4);
   EXPECT_TRUE(same_bytes(up.delta, minus(before, local)));
-  // The client forms the update message, its payload borrowing the delta.
+  // The client forms the update message, its payload borrowing the
+  // shell's params, which hold the delta.
   EXPECT_EQ(up.type, MessageType::kClientUpdate);
   EXPECT_EQ(up.sender, 0u);
   EXPECT_EQ(up.codec, client.config().link_codec);
-  EXPECT_EQ(up.view().data(), up.delta.data());
+  EXPECT_TRUE(up.borrowed_shell);
   EXPECT_GT(up.metadata.at("tokens"), 0.0);
   EXPECT_GT(up.metadata.at("train_loss"), 0.0);
+}
+
+TEST(LLMClient, MisalignedBroadcastImageGivesTheSameUpdate) {
+  // The client reads the global model from the broadcast image, whose
+  // floats start wherever its header ends.  Padding the metadata key by
+  // 0-3 characters puts them at every offset mod 4; the update image, the
+  // EF residual and its norm must not move by a bit.  Under UBSan a load
+  // through a misaligned float* fails this test.
+  const std::vector<float> global = init_params(tiny_model(), 41);
+  for (const char* codec : {"", "q8"}) {
+    SCOPED_TRACE(std::string("codec '") + codec + "'");
+    auto cfg = tiny_client_config();
+    cfg.link_codec = codec;
+    std::vector<std::size_t> residues;
+    std::vector<std::vector<std::uint8_t>> images;
+    std::vector<std::vector<float>> residuals;
+    std::vector<double> norms;
+    for (std::size_t pad = 0; pad < 4; ++pad) {
+      WireScratch sent;
+      (void)broadcast_of(global, 1, 3, pad, sent);
+      residues.push_back(sent.payload_offset % sizeof(float));
+      // Two rounds, so the second folds a nonzero residual.
+      LLMClient client(0, cfg, tiny_stream(9), 13);
+      (void)train_round(client, global, 0, 3, 0, pad);
+      const TrainedRound up = train_round(client, global, 1, 3, 3, pad);
+      images.push_back(up.image.wire);
+      residuals.push_back(client.ef_residual());
+      norms.push_back(up.metadata.count("ef_residual_norm") != 0
+                          ? up.metadata.at("ef_residual_norm")
+                          : 0.0);
+    }
+    std::sort(residues.begin(), residues.end());
+    EXPECT_EQ(residues, (std::vector<std::size_t>{0, 1, 2, 3}));
+    for (std::size_t pad = 1; pad < 4; ++pad) {
+      EXPECT_EQ(images[0], images[pad]) << "pad " << pad;
+      EXPECT_TRUE(same_bytes(residuals[0], residuals[pad])) << "pad " << pad;
+      EXPECT_EQ(0, std::memcmp(&norms[0], &norms[pad], sizeof(double)))
+          << "pad " << pad;
+    }
+    if (std::string(codec) == "q8") {
+      EXPECT_FALSE(residuals[0].empty());
+      EXPECT_GT(norms[0], 0.0);
+    }
+  }
 }
 
 TEST(LLMClient, TrainingActuallyMovesParameters) {
@@ -336,7 +411,7 @@ TEST(ReplicaShell, ThrowingRoundLeavesTheNextRoundTwinIdentical) {
   LLMClient client(0, c.cfg, tiny_stream(c.data_seed), 31);
   (void)train_round(client, c.params, 0, 3, 0);
 
-  // Rejected before the shell is borrowed.
+  // Rejected by the receive, before any training.
   const std::vector<float> short_params(c.params.begin(), c.params.end() - 1);
   EXPECT_THROW((void)train_round(client, short_params, 1, 3, 3),
                std::invalid_argument);
@@ -614,12 +689,13 @@ TEST(Aggregator, CheckpointCadenceIsConfigurable) {
 
 std::unique_ptr<Aggregator> build_fault_aggregator(
     AggregatorConfig ac, const std::string& opt = "fedavg",
-    int population = 3) {
+    int population = 3, const std::string& link_codec = "") {
   std::vector<std::unique_ptr<LLMClient>> clients;
   for (int i = 0; i < population; ++i) {
+    auto cfg = tiny_client_config();
+    cfg.link_codec = link_codec;
     clients.push_back(std::make_unique<LLMClient>(
-        i, tiny_client_config(),
-        tiny_stream(100 + static_cast<std::uint64_t>(i)), 7));
+        i, cfg, tiny_stream(100 + static_cast<std::uint64_t>(i)), 7));
   }
   ac.seed = 33;
   return std::make_unique<Aggregator>(tiny_model(), ac,
@@ -760,6 +836,50 @@ TEST(FaultEngine, RetriedCorruptionLeavesParamsBitIdentical) {
   EXPECT_EQ(0, std::memcmp(clean->global_params().data(),
                            faulty->global_params().data(),
                            clean->global_params().size() * sizeof(float)));
+}
+
+TEST(FaultEngine, CorruptedBroadcastAttemptsLeaveEveryCodecBitIdentical) {
+  // The broadcast decodes straight into the training thread's shell, so a
+  // corrupted attempt has written flipped floats there when its CRC fails.
+  // The retry that delivers must overwrite every one: with clients trained
+  // in parallel and error feedback on, the global params and every
+  // client's EF residual stay bit-identical to a clean twin's.
+  for (const char* codec : {"", "q8", "q4"}) {
+    SCOPED_TRACE(std::string("codec '") + codec + "'");
+    AggregatorConfig ac;
+    ac.local_steps = 2;
+    ac.parallel_clients = true;
+    auto clean = build_fault_aggregator(ac, "fedavg", 3, codec);
+    auto faulty = build_fault_aggregator(ac, "fedavg", 3, codec);
+    for (int id = 0; id < faulty->population(); ++id) {
+      faulty->link(id).set_fault_hook([id](const Message& m, int attempt) {
+        LinkFault f;
+        if (m.type == MessageType::kModelBroadcast && attempt == 1) {
+          f.corrupt = hash_combine(m.round, static_cast<std::uint64_t>(id)) | 1;
+        }
+        return f;
+      });
+    }
+    std::uint64_t corrupt_chunks = 0;
+    for (int r = 0; r < 3; ++r) {
+      clean->run_round();
+      const RoundRecord rec = faulty->run_round();
+      corrupt_chunks += rec.corrupt_chunks;
+      EXPECT_TRUE(rec.dropped_clients.empty());
+    }
+    EXPECT_GT(corrupt_chunks, 0u);
+    EXPECT_EQ(0, std::memcmp(clean->global_params().data(),
+                             faulty->global_params().data(),
+                             clean->global_params().size() * sizeof(float)));
+    for (int id = 0; id < clean->population(); ++id) {
+      const std::vector<float>& want = clean->client(id).ef_residual();
+      EXPECT_TRUE(same_bytes(want, faulty->client(id).ef_residual()))
+          << "client " << id;
+      if (std::string(codec) != "") {
+        EXPECT_FALSE(want.empty());
+      }
+    }
+  }
 }
 
 TEST(FaultEngine, CrashRecoveryIsBitExactWithStatefulServerOpt) {

@@ -708,10 +708,12 @@ TEST(WireKernels, UpdateWalkMatchesTheComposedKernelsAtEveryTail) {
     for (auto v : supported_variants()) {
       SCOPED_TRACE(simd::variant_name(v));
       simd::set_active_variant(v);
-      auto x = received;
+      auto x = params;
       auto res = residual;
       std::vector<std::uint8_t> chunk;
-      wire_quant::UpdateWalk walk(x.data(), params.data(), res.data(), n, 8);
+      wire_quant::UpdateWalk walk(
+          x.data(), reinterpret_cast<const std::uint8_t*>(received.data()),
+          res.data(), n, 8);
       walk.write_chunk(0, chunk);
       ASSERT_EQ(chunk.size(), wire_quant::encoded_bytes(n, 8));
       EXPECT_EQ(chunk[0], 0);

@@ -365,17 +365,22 @@ UpdateOut composed_update(const char* codec, std::vector<float> received,
   return out;
 }
 
-/// The same update through the one walk, as LLMClient::run_round sends it.
+/// The same update through the one walk, as LLMClient::run_round sends it:
+/// with params, the walk forms received - params over a copy of params,
+/// reading `received` as the bytes of a broadcast image.
 UpdateOut walked_update(const char* codec, std::vector<float> received,
                         const std::vector<float>* params,
                         std::vector<float> residual, bool ef) {
   const int bits = codec_by_name(codec)->quant_bits();
   const std::size_t n = received.size();
   UpdateOut out;
-  const Message m = update_message(codec, received, ef, 0.0);
-  wire_quant::UpdateWalk walk(received.data(),
-                              params != nullptr ? params->data() : nullptr,
-                              ef ? residual.data() : nullptr, n, bits);
+  std::vector<float> x = params != nullptr ? *params : received;
+  const Message m = update_message(codec, x, ef, 0.0);
+  wire_quant::UpdateWalk walk(
+      x.data(),
+      params != nullptr ? reinterpret_cast<const std::uint8_t*>(received.data())
+                        : nullptr,
+      ef ? residual.data() : nullptr, n, bits);
   WireScratch image;
   m.encode_into(image, nullptr,
                 [&](std::size_t c, std::vector<std::uint8_t>& wire) {
@@ -386,7 +391,7 @@ UpdateOut walked_update(const char* codec, std::vector<float> received,
     Message::set_metadata(image.wire, "ef_residual_norm", out.norm);
   }
   out.image = std::move(image.wire);
-  out.received = std::move(received);
+  out.received = std::move(x);
   out.residual = std::move(residual);
   return out;
 }

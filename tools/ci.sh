@@ -25,7 +25,10 @@
 #
 # Every ctest invocation carries a hard --timeout so a hang under injected
 # faults (the failure mode the fault engine exists to prevent) fails the
-# pipeline instead of wedging it.
+# pipeline instead of wedging it, and writes its full output to
+# <tree>/ci-logs/<lane>.log (a "/" in the lane name becomes "-").  The env
+# lanes rerun the one tier-1 tree, whose Testing/Temporary/LastTest.log
+# keeps only the last lane's run, so each lane writes a log of its own.
 #
 # A failed lane does not stop the script: every lane runs, one verdict line
 # per lane is printed at the end, and the exit status is 1 if any failed.
@@ -78,10 +81,18 @@ build_tree() {
     cmake --build "$build_dir" -j "$JOBS"
 }
 
+# ctest_log BUILD_DIR LABEL: the lane's ctest log path, its directory made.
+ctest_log() {
+  mkdir -p "$1/ci-logs" && echo "$1/ci-logs/${2//\//-}.log"
+}
+
+# ctest_tree BUILD_DIR LABEL [CTEST ARGS...]
 ctest_tree() {
   local build_dir="$1"; shift
+  local log
+  log="$(ctest_log "$build_dir" "$1")" || return 1; shift
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" \
-        --timeout "$PER_TEST_TIMEOUT" "$@"
+        --timeout "$PER_TEST_TIMEOUT" --output-log "$log" "$@"
 }
 
 run_suite() {
@@ -89,7 +100,7 @@ run_suite() {
   local label="$1"; shift
   build_tree "$build_dir" "$label" "$@" &&
     echo "==> [$label] ctest (per-test timeout ${PER_TEST_TIMEOUT}s)" &&
-    ctest_tree "$build_dir"
+    ctest_tree "$build_dir" "$label"
 }
 
 # The env lanes rerun the tier-1 tree; they fail rather than test stale
@@ -101,7 +112,7 @@ tier1_lane() {
              -DCMAKE_COMPILE_WARNING_AS_ERROR=ON &&
     TIER1_BUILT=1 &&
     echo "==> [tier-1] ctest (per-test timeout ${PER_TEST_TIMEOUT}s)" &&
-    ctest_tree "$ROOT/build"
+    ctest_tree "$ROOT/build" "tier-1"
 }
 
 # env_lane LABEL VAR=VALUE...: tier-1 again under the given environment.
@@ -113,7 +124,8 @@ env_lane() {
     return 1
   fi
   env "$@" ctest --test-dir "$ROOT/build" --output-on-failure \
-      -j "$JOBS" --timeout "$PER_TEST_TIMEOUT"
+      -j "$JOBS" --timeout "$PER_TEST_TIMEOUT" \
+      --output-log "$(ctest_log "$ROOT/build" "$label")"
 }
 
 # Tier-1: the gate every PR must keep green.
@@ -169,7 +181,8 @@ bench_e2e_lane() {
     cmake --build "$ROOT/build-e2e" -j "$JOBS" --target bench_e2e &&
     echo "==> [bench_e2e] ctest -R bench_e2e_smoke" &&
     ctest --test-dir "$ROOT/build-e2e" --output-on-failure \
-          -R '^bench_e2e_smoke$' --timeout "$PER_TEST_TIMEOUT"
+          -R '^bench_e2e_smoke$' --timeout "$PER_TEST_TIMEOUT" \
+          --output-log "$(ctest_log "$ROOT/build-e2e" "bench_e2e")"
 }
 lane "bench_e2e" bench_e2e_lane
 
@@ -203,7 +216,8 @@ if [[ "$FAST" -eq 0 ]]; then
                -DCMAKE_BUILD_TYPE=Release -DPHOTON_TRACE=OFF \
                -DCMAKE_COMPILE_WARNING_AS_ERROR=ON &&
       echo "==> [tier-1/notrace] ctest (per-test timeout ${PER_TEST_TIMEOUT}s)" &&
-      ctest_tree "$ROOT/build-notrace" -E '^bench_round_path_smoke$'
+      ctest_tree "$ROOT/build-notrace" "tier-1/notrace" \
+                 -E '^bench_round_path_smoke$'
   }
   lane "tier-1/notrace" notrace_lane
 
@@ -289,7 +303,8 @@ if [[ "$PERF_GATE" -eq 1 ]]; then
   lane "perf-gate" perf_gate_lane
 fi
 
-echo "==> ci.sh: lane verdicts"
+echo "==> ci.sh: lane verdicts (each lane's ctest output:" \
+     "<tree>/ci-logs/<lane>.log; the tier-1 and env lanes' tree is build/)"
 printf '    %s\n' "${VERDICTS[@]}"
 if [[ "$FAILED" -ne 0 ]]; then
   echo "==> ci.sh: FAILED" >&2
