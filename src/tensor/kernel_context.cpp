@@ -54,8 +54,8 @@ void KernelContext::parallel_shards(std::size_t n, std::size_t min_grain,
   });
 }
 
-KernelContext& default_context() {
-  static KernelContext ctx = [] {
+const KernelContext& default_context() {
+  static const KernelContext ctx = [] {
     int threads =
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
     if (const char* env = std::getenv("PHOTON_NUM_THREADS")) {
@@ -70,12 +70,6 @@ KernelContext& default_context() {
                          grain);
   }();
   return ctx;
-}
-
-void set_default_grain(std::size_t grain) {
-  const int threads = default_context().threads();
-  default_context() = KernelContext(threads > 1 ? &global_pool() : nullptr,
-                                    threads, grain);
 }
 
 }  // namespace photon::kernels

@@ -84,15 +84,9 @@ class KernelContext {
   const simd::Ops* simd_ = nullptr;
 };
 
-/// Mutable library-default context (env-configured on first use): the one
-/// callers pass to kernels and optimizer steps when they own no context.
-KernelContext& default_context();
-
-/// Reconfigure the default context's grain — minimum scalar ops per shard
-/// (threads preserved).  The autotuner's thread-grain knob: safe to move
-/// between rounds because shard boundaries only affect work partitioning,
-/// never reduction results (the per-shard fold order is fixed).  Call at a
-/// quiescent point, not while kernels are running.
-void set_default_grain(std::size_t grain);
+/// The library-default context, configured once from the environment on
+/// first use: the one callers pass to kernels and optimizer steps when they
+/// own no context.
+const KernelContext& default_context();
 
 }  // namespace photon::kernels

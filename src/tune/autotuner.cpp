@@ -12,12 +12,10 @@ namespace photon::tune {
 
 namespace {
 
-constexpr std::uint32_t kStateMagic = 0x314E5554;  // 'TUN1'
+constexpr std::uint32_t kStateMagic = 0x324E5554;  // 'TUN2'
 
 // --- knob bounds ------------------------------------------------------------
 constexpr int kMaxInFlightCap = 256;
-constexpr std::size_t kMinGrain = 4096;
-constexpr std::size_t kMaxGrain = std::size_t{1} << 20;
 /// Chunk bounds stay multiples of 1 KiB (256 floats) so the quantizer's
 /// 256-float block grid is unchanged by chunk moves — retuning the chunk
 /// size changes wire framing and parallelism, never dequantized values.
@@ -73,7 +71,6 @@ void TunerDecision::serialize(BinaryWriter& w) const {
   w.write(clients_per_round);
   w.write(buffer_goal);
   w.write(max_in_flight);
-  w.write(static_cast<std::uint64_t>(kernel_grain));
   w.write(static_cast<std::uint64_t>(wire_chunk_bytes));
   w.write(digest_hash);
 }
@@ -92,7 +89,6 @@ TunerDecision TunerDecision::deserialize(BinaryReader& r) {
   d.clients_per_round = r.read<int>();
   d.buffer_goal = r.read<int>();
   d.max_in_flight = r.read<int>();
-  d.kernel_grain = static_cast<std::size_t>(r.read<std::uint64_t>());
   d.wire_chunk_bytes = static_cast<std::size_t>(r.read<std::uint64_t>());
   d.digest_hash = r.read<std::uint64_t>();
   return d;
@@ -124,7 +120,6 @@ void RoundAutotuner::bind_initial(Aggregator& agg) {
   d.codec = population_ > 0 ? agg.client(0).config().link_codec : "";
   d.buffer_goal = agg.async_buffer_goal();
   d.max_in_flight = agg.async_max_in_flight();
-  d.kernel_grain = kernels::default_context().grain();
   d.wire_chunk_bytes = wire_chunk_bytes();
   d.digest_hash = 0;
 
@@ -246,20 +241,14 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
     }
   }
 
-  // --- kernel grain / wire chunk: power-of-2 hill-climb ------------------
-  const auto params = static_cast<std::size_t>(std::max<std::int64_t>(
-      model_params_, 1));
-  const auto threads = static_cast<std::size_t>(std::max(config_.threads, 1));
-  if (d.binding == BindingResource::kClientCompute) {
-    // Target: ~4 shards per thread so the pool can load-balance without
-    // drowning in dispatch overhead.
-    const std::size_t target = params / (4 * threads);
-    next.kernel_grain =
-        step_toward(prev.kernel_grain, target, kMinGrain, kMaxGrain);
-  }
+  // --- wire chunk: power-of-2 hill-climb --------------------------------
   if (d.binding == BindingResource::kWireBandwidth) {
     // Target: ~2 chunks per thread of fp32 payload, so encode/decode of a
     // single tensor saturates the pool.
+    const auto params = static_cast<std::size_t>(
+        std::max<std::int64_t>(model_params_, 1));
+    const auto threads =
+        static_cast<std::size_t>(std::max(config_.threads, 1));
     const std::size_t target = 4 * params / (2 * threads);
     next.wire_chunk_bytes = step_toward(prev.wire_chunk_bytes, target,
                                         kMinChunkBytes, kMaxChunkBytes);
@@ -280,7 +269,6 @@ void RoundAutotuner::apply(Aggregator& agg) const {
   } else {
     agg.set_clients_per_round(d.clients_per_round);
   }
-  kernels::set_default_grain(d.kernel_grain);
   set_wire_chunk_bytes(d.wire_chunk_bytes);
 }
 
@@ -292,7 +280,6 @@ std::uint32_t RoundAutotuner::last_decision_change() const {
     if (a.codec != b.codec || a.topology != b.topology ||
         a.clients_per_round != b.clients_per_round ||
         a.buffer_goal != b.buffer_goal || a.max_in_flight != b.max_in_flight ||
-        a.kernel_grain != b.kernel_grain ||
         a.wire_chunk_bytes != b.wire_chunk_bytes) {
       return a.round;
     }

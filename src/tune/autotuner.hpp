@@ -15,8 +15,8 @@
 //                     tail is flat and the collective has headroom
 //   * async limits    max_in_flight up under admission-defer pressure,
 //                     down when staleness runs hot
-//   * kernel grain    power-of-2 hill-climb toward a shards-per-thread
-//   * wire chunk      target, within safe bounds
+//   * wire chunk      power-of-2 hill-climb toward a chunks-per-thread
+//                     target, within safe bounds
 //
 // Every decision is a pure function of (seed, round, prior-trace digests):
 // no wall clock, no RNG draws, no hardware probes.  Serial and parallel
@@ -42,9 +42,9 @@ struct TunerConfig {
   /// path stays byte-identical to an untuned run.
   bool enabled = true;
   std::uint64_t seed = 0x7E0E5ULL;
-  /// Deterministic parallelism hint for the grain/chunk targets.  An
-  /// explicit value keeps decisions machine-independent; 0 = the kernel
-  /// default context's thread count.
+  /// Deterministic parallelism hint for the wire-chunk target, and for
+  /// nothing else.  An explicit value keeps decisions machine-independent;
+  /// 0 = the kernel default context's thread count.
   int threads = 0;
   /// Sync cohort bounds; max_cohort is clamped to the population.
   int min_cohort = 2;
@@ -61,7 +61,6 @@ struct TunerDecision {
   int clients_per_round = 0;
   int buffer_goal = 0;               ///< async; 0 = config-derived
   int max_in_flight = 0;
-  std::size_t kernel_grain = 32768;
   std::size_t wire_chunk_bytes = 256 * 1024;
   std::uint64_t digest_hash = 0;     ///< hash of the digest that drove it
 
@@ -97,9 +96,8 @@ class RoundAutotuner final : public RoundStateExtension {
   /// seed, config — including checkpoint cadence — and the trace.)
   void on_checkpoint(const RoundRecord& record) override;
 
-  /// Push the current decision's knobs into the aggregator and the two
-  /// process-wide knobs (kernel grain, wire chunk size).  Safe to call at
-  /// round boundaries only.
+  /// Push the current decision's knobs into the aggregator and the
+  /// process-wide wire chunk size.  Safe to call at round boundaries only.
   void apply(Aggregator& agg) const;
 
   const TunerDecision& current() const { return history_.back(); }

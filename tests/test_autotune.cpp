@@ -95,16 +95,12 @@ TunerConfig tuner_config() {
   return tc;
 }
 
-/// apply() mutates two process-wide knobs; every arm of a twin test must
-/// start from the same values or the tuner's initial decision (seeded from
-/// the live configuration) diverges.
+/// apply() mutates the process-wide wire chunk size; every arm of a twin
+/// test must start from the same value or the tuner's initial decision
+/// (seeded from the live configuration) diverges.
 struct GlobalKnobReset {
-  std::size_t grain = kernels::default_context().grain();
   std::size_t chunk = wire_chunk_bytes();
-  void reset() const {
-    kernels::set_default_grain(grain);
-    set_wire_chunk_bytes(chunk);
-  }
+  void reset() const { set_wire_chunk_bytes(chunk); }
   ~GlobalKnobReset() { reset(); }
 };
 

@@ -216,15 +216,12 @@ void hash_engine(Fnv1a& h, const Aggregator& agg) {
   for (const RoundRecord& r : agg.history().records()) hash_record(h, r);
 }
 
-/// The tuner retunes two process-wide knobs; every configuration starts
-/// from the same values so no digest depends on the ones run before it.
+/// The tuner retunes the process-wide wire chunk size; every configuration
+/// starts from the same value so no digest depends on the ones run before
+/// it.
 struct GlobalKnobs {
-  std::size_t grain = kernels::default_context().grain();
   std::size_t chunk = wire_chunk_bytes();
-  void reset() const {
-    kernels::set_default_grain(grain);
-    set_wire_chunk_bytes(chunk);
-  }
+  void reset() const { set_wire_chunk_bytes(chunk); }
   ~GlobalKnobs() { reset(); }
 };
 
@@ -523,8 +520,8 @@ std::vector<GoldenCase> golden_cases() {
                      return run_plain("async_crash_restore", f, 6, 3);
                    }});
   cases.push_back({"tuned_sync",
-                   {0x4e9a095e8cea2d1aULL, 0,
-                    0x88adcdd9c8b88b40ULL},
+                   {0x6f9e6c8333a99a57ULL, 0,
+                    0x8f062dd2b4eba0bdULL},
                    [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.bandwidth_mbps = 1.25;
@@ -535,8 +532,8 @@ std::vector<GoldenCase> golden_cases() {
                      return run_tuned("tuned_sync", f, 6);
                    }});
   cases.push_back({"tuned_async",
-                   {0xf919df0240047c42ULL, 0,
-                    0x74889ba48ba198e4ULL},
+                   {0x7f37c9471b1c3e67ULL, 0,
+                    0xa7b7977b645714ffULL},
                    [] {
                      Federation f = async_base();
                      f.ac.bandwidth_mbps = 1.25;
