@@ -229,7 +229,7 @@ double run_kernels() {
 /// the update each call covers.
 void run_wire_kernels() {
   constexpr std::size_t kN = 658944;
-  const std::size_t chunk = wire_chunk_bytes() / sizeof(float);
+  const std::size_t chunk = kDefaultWireChunkBytes / sizeof(float);
   Rng rng(17);
   const auto x = gaussian(rng, kN, 0.02f);
   std::vector<float> res(kN);
@@ -251,7 +251,8 @@ void run_wire_kernels() {
   // the same work on any finite input.
   std::vector<float> trained = x;
   const auto global = gaussian(rng, kN, 0.02f);
-  const ChunkPlan plan = ChunkPlan::of(kN * sizeof(float));
+  const ChunkPlan plan =
+      ChunkPlan::of(kN * sizeof(float), kDefaultWireChunkBytes);
   std::vector<std::uint8_t> image;
   run("q8_update_walk", whole, kN, [&] {
     image.clear();

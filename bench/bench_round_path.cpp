@@ -248,14 +248,14 @@ void new_round(const std::vector<float>& params, int k,
   for (int c = 0; c < k; ++c) {
     auto& rx = st.rx[static_cast<std::size_t>(c)];
     auto& image = st.images[static_cast<std::size_t>(c)];
-    broadcast.encode_into(image, &global_pool());
+    broadcast.encode_into(image, kDefaultWireChunkBytes, &global_pool());
     st.links[static_cast<std::size_t>(c)].transmit(broadcast, image, rx);
 
     Message up;
     up.type = MessageType::kClientUpdate;
     up.codec = codec;
     up.payload_view = rx.payload;  // client's delta, borrowed
-    up.encode_into(image, &global_pool());
+    up.encode_into(image, kDefaultWireChunkBytes, &global_pool());
     st.links[static_cast<std::size_t>(c)].transmit(up, image, rx);
   }
   std::vector<std::span<float>> spans;
@@ -289,14 +289,14 @@ void streamed_round(const std::vector<float>& params, int k,
   for (int c = 0; c < k; ++c) {
     auto& rx = st.rx[static_cast<std::size_t>(c)];
     auto& image = st.images[static_cast<std::size_t>(c)];
-    broadcast.encode_into(image, &global_pool());
+    broadcast.encode_into(image, kDefaultWireChunkBytes, &global_pool());
     st.links[static_cast<std::size_t>(c)].transmit(broadcast, image, rx);
 
     Message up;
     up.type = MessageType::kClientUpdate;
     up.codec = codec;
     up.payload_view = params;  // client's delta, borrowed (same size)
-    up.encode_into(image, &global_pool());
+    up.encode_into(image, kDefaultWireChunkBytes, &global_pool());
     st.links[static_cast<std::size_t>(c)].transmit_wire(
         up, image, rx, st.wires[static_cast<std::size_t>(c)]);
   }
@@ -417,7 +417,9 @@ CommResult run_comm_case(const CommCase& c) {
   m.payload_view = params;
   WireScratch scratch;
   const double enc = bench::median_seconds_per_call(
-      {[&] { m.encode_into(scratch, &global_pool()); }})[0];
+      {[&] {
+        m.encode_into(scratch, kDefaultWireChunkBytes, &global_pool());
+      }})[0];
   Message out;
   const double dec = bench::median_seconds_per_call(
       {[&] { Message::decode_into(scratch.wire, out, &global_pool()); }})[0];

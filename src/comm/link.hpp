@@ -101,14 +101,15 @@ struct LinkTraceContext {
   double sim_base = 0.0;
 };
 
-/// A sender's one encode of `message` into the buffer it owns, on `pool`
-/// (nullptr = inline), with its codec chunks from `write_chunk` when given
-/// (Message::encode_into), traced as a detail-0 kEncode instant at
-/// trace.sim_base on trace.actor carrying the encode's real time.  Every
-/// image a SimLink sends is made here.
+/// A sender's one encode of `message` into the buffer it owns, at
+/// `chunk_bytes` raw bytes per chunk, on `pool` (nullptr = inline), with
+/// its codec chunks from `write_chunk` when given (Message::encode_into),
+/// traced as a detail-0 kEncode instant at trace.sim_base on trace.actor
+/// carrying the encode's real time.  Every image a SimLink sends is made
+/// here.
 void encode_for_transmit(const Message& message, WireScratch& image,
                          const LinkTraceContext& trace,
-                         ThreadPool* pool = nullptr,
+                         std::size_t chunk_bytes, ThreadPool* pool = nullptr,
                          const ChunkWriter& write_chunk = {});
 
 class SimLink {

@@ -10,9 +10,6 @@ namespace photon {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x324F4850;  // "PHO2"
-constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
-
-std::size_t g_chunk_bytes = kDefaultChunkBytes;
 
 /// Folds per-chunk CRCs, in chunk order, into the CRC of the chunks laid
 /// end to end (crc32_combine); an empty chunk adds nothing.
@@ -70,8 +67,9 @@ void read_prefix(BinaryReader& r, Message& out) {
 /// The one PHO2 frame parser: the header goes into `out` (metadata
 /// replaced, payload untouched), the chunk table into `view` (offsets into
 /// `wire`, `bytes` untouched).  Returns the CRC the chunk bytes must fold
-/// to.  Throws std::runtime_error on a bad magic, an unknown codec, or a
-/// chunk table that does not fit the payload size or the wire.
+/// to.  Throws std::runtime_error on a bad magic, an unknown codec, a chunk
+/// size that splits a float, or a chunk table that does not fit the payload
+/// size or the wire.
 std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
                           WireView& view) {
   BinaryReader r(wire);
@@ -93,7 +91,13 @@ std::uint32_t parse_frame(std::span<const std::uint8_t> wire, Message& out,
     throw std::runtime_error("Message::decode: implausible payload size");
   }
   const std::size_t raw_bytes = static_cast<std::size_t>(elems) * sizeof(float);
-  const ChunkPlan plan = ChunkPlan::of(raw_bytes, chunk_bytes);
+  // An empty payload is no chunk at any size (its encode writes 1); any
+  // other chunk must hold whole floats, or a fold by raw_len / 4 skips some.
+  if (raw_bytes != 0 && !ChunkPlan::whole_floats(chunk_bytes)) {
+    throw std::runtime_error("Message::decode: chunk size splits a float");
+  }
+  const ChunkPlan plan =
+      ChunkPlan::of(raw_bytes, raw_bytes == 0 ? 0 : chunk_bytes);
   if (plan.n_chunks() != n_chunks ||
       (raw_bytes != 0 && plan.chunk_bytes != chunk_bytes)) {
     throw std::runtime_error("Message::decode: bad chunk table");
@@ -159,23 +163,13 @@ void write_header(BinaryWriter& w, const Message& m, const ChunkPlan& plan) {
 
 }  // namespace
 
-std::size_t wire_chunk_bytes() { return g_chunk_bytes; }
-void set_wire_chunk_bytes(std::size_t bytes) {
-  if (bytes % sizeof(float) != 0) {
-    throw std::invalid_argument("set_wire_chunk_bytes: " +
-                                std::to_string(bytes) +
-                                " is not a whole number of floats");
-  }
-  g_chunk_bytes = bytes;
-}
-
 std::span<const std::uint8_t> Message::encode_into(
-    WireScratch& scratch, ThreadPool* pool,
+    WireScratch& scratch, std::size_t chunk_bytes, ThreadPool* pool,
     const ChunkWriter& write_chunk) const {
   const Codec* codec_ptr = require_codec(codec, "Message");
   const auto pv = view();
   const auto* raw = reinterpret_cast<const std::uint8_t*>(pv.data());
-  const ChunkPlan plan = ChunkPlan::of(pv.size() * sizeof(float));
+  const ChunkPlan plan = ChunkPlan::of(pv.size() * sizeof(float), chunk_bytes);
   const std::size_t n_chunks = plan.n_chunks();
   const bool identity = codec_ptr->is_identity();
 
@@ -239,9 +233,9 @@ std::span<const std::uint8_t> Message::encode_into(
   return scratch.wire;
 }
 
-std::vector<std::uint8_t> Message::encode() const {
+std::vector<std::uint8_t> Message::encode(std::size_t chunk_bytes) const {
   WireScratch scratch;
-  encode_into(scratch, nullptr);
+  encode_into(scratch, chunk_bytes);
   return std::move(scratch.wire);
 }
 

@@ -22,9 +22,9 @@
 // The payload is split into fixed-size raw chunks (ChunkPlan); the codec
 // and the CRC run per chunk and the per-chunk CRCs are folded in chunk
 // order with crc32_combine, which reproduces the whole-buffer CRC exactly.
-// Chunk boundaries depend only on the payload size and the configured
-// chunk size — never on thread count — so the wire bytes are bit-identical
-// between serial and parallel encodes.
+// Chunk boundaries depend only on the payload size and the chunk size its
+// sender passed to the encode — never on thread count — so the wire bytes
+// are bit-identical between serial and parallel encodes.
 //
 // Zero-copy: a message can borrow its payload (`payload_view`) instead of
 // owning it, so one broadcast buffer serves every client without per-client
@@ -36,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,13 +75,9 @@ struct WireScratch {
   }
 };
 
-/// Raw payload bytes per wire chunk (default 256 KiB; 0 = one chunk for
-/// the whole payload).  Settable for tests and benches; changing it changes
-/// the wire bytes of compressed messages, so set it once at startup.  A
-/// chunk holds whole floats: set_wire_chunk_bytes throws
-/// std::invalid_argument for a size that is not a multiple of 4.
-std::size_t wire_chunk_bytes();
-void set_wire_chunk_bytes(std::size_t bytes);
+/// Raw payload bytes per wire chunk of an encode that names no size, and an
+/// aggregator's initial chunk size (Aggregator::set_wire_chunk_bytes).
+inline constexpr std::size_t kDefaultWireChunkBytes = 256 * 1024;
 
 /// Appends chunk c of a payload, as its codec encodes it, to the image
 /// `out` (see Message::encode_into).
@@ -93,10 +90,19 @@ struct ChunkPlan {
   std::size_t raw_bytes = 0;    // payload bytes
   std::size_t chunk_bytes = 0;  // raw bytes per chunk (the last may be short)
 
-  /// The plan for `raw_bytes` at `chunk_bytes` per chunk; 0, or a size past
-  /// the payload, makes the whole payload one chunk.
-  static ChunkPlan of(std::size_t raw_bytes,
-                      std::size_t chunk_bytes = wire_chunk_bytes()) {
+  /// Whether chunks of `chunk_bytes` hold whole floats, as every chunk of a
+  /// float payload must: a multiple of 4, 0 (one chunk) included.
+  static bool whole_floats(std::size_t chunk_bytes) {
+    return chunk_bytes % sizeof(float) == 0;
+  }
+
+  /// The plan for a payload of `raw_bytes` (whole floats) at `chunk_bytes`
+  /// per chunk; 0, or a size past the payload, makes the whole payload one
+  /// chunk.  Throws std::invalid_argument unless whole_floats(chunk_bytes).
+  static ChunkPlan of(std::size_t raw_bytes, std::size_t chunk_bytes) {
+    if (!whole_floats(chunk_bytes)) {
+      throw std::invalid_argument("ChunkPlan: chunk size splits a float");
+    }
     return {raw_bytes, chunk_bytes == 0 || chunk_bytes > raw_bytes
                            ? std::max<std::size_t>(raw_bytes, 1)
                            : chunk_bytes};
@@ -151,20 +157,22 @@ struct Message {
                                 : payload_view;
   }
 
-  /// Serialize to wire bytes (header + optionally compressed payload + CRC).
-  std::vector<std::uint8_t> encode() const;
+  /// Serialize to wire bytes: encode_into, into a buffer of its own.
+  std::vector<std::uint8_t> encode(
+      std::size_t chunk_bytes = kDefaultWireChunkBytes) const;
 
-  /// Chunked encode into reused scratch.wire, sized once.  The identity
-  /// encode's per-chunk copy+CRC runs on `pool` when given (nullptr =
-  /// inline); a codec appends its chunks in order, patching the length
-  /// table and folding the CRC as each lands.  A codec's chunks come from
-  /// `write_chunk` when one is given (a sender that forms its payload and
-  /// encodes it in one walk, wire_quant::UpdateWalk), else from the
-  /// codec's compress_into.  Returns a view of scratch.wire.  Bytes are
-  /// identical for any pool / thread count.
+  /// Chunked encode into reused scratch.wire, sized once, in the ChunkPlan
+  /// at `chunk_bytes` (ChunkPlan::of).  The identity encode's per-chunk
+  /// copy+CRC runs on `pool` when given (nullptr = inline); a codec appends
+  /// its chunks in order, patching the length table and folding the CRC as
+  /// each lands.  A codec's chunks come from `write_chunk` when one is given
+  /// (a sender that forms its payload and encodes it in one walk of the same
+  /// plan, wire_quant::UpdateWalk), else from the codec's compress_into.
+  /// Returns a view of scratch.wire.  Bytes are identical for any pool /
+  /// thread count.
   std::span<const std::uint8_t> encode_into(
-      WireScratch& scratch, ThreadPool* pool = nullptr,
-      const ChunkWriter& write_chunk = {}) const;
+      WireScratch& scratch, std::size_t chunk_bytes = kDefaultWireChunkBytes,
+      ThreadPool* pool = nullptr, const ChunkWriter& write_chunk = {}) const;
 
   /// Overwrite metadata value `key` in the header of the image `wire`, in
   /// place.  The header precedes the CRC-protected chunks and its layout
@@ -174,8 +182,8 @@ struct Message {
   static void set_metadata(std::span<std::uint8_t> wire,
                            const std::string& key, double value);
 
-  /// Parse wire bytes; throws std::runtime_error on CRC mismatch or
-  /// truncation.
+  /// Parse wire bytes; throws std::runtime_error on CRC mismatch,
+  /// truncation, or a chunk size that splits a float.
   static Message decode(std::span<const std::uint8_t> wire);
 
   /// Decode into `out`, reusing its payload capacity; per-chunk CRC and

@@ -269,8 +269,9 @@ void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
                  });
 }
 
-void residual_of(const float* x, float* res, std::size_t n, int bits) {
-  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
+void residual_of(const float* x, float* res, std::size_t n, int bits,
+                 std::size_t chunk_bytes) {
+  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float), chunk_bytes);
   std::vector<std::uint8_t> image;
   for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
     const std::size_t off = plan.raw_off(c) / sizeof(float);
@@ -281,13 +282,13 @@ void residual_of(const float* x, float* res, std::size_t n, int bits) {
 }
 
 UpdateWalk::UpdateWalk(float* x, const std::uint8_t* global, float* residual,
-                       std::size_t n, int bits)
+                       std::size_t n, int bits, std::size_t chunk_bytes)
     : x_(x),
       global_(global),
       res_(residual),
       n_(n),
       bits_(bits),
-      plan_(ChunkPlan::of(n * sizeof(float))) {}
+      plan_(ChunkPlan::of(n * sizeof(float), chunk_bytes)) {}
 
 void UpdateWalk::write_chunk(std::size_t c, std::vector<std::uint8_t>& out) {
   const std::size_t off = plan_.raw_off(c) / sizeof(float);

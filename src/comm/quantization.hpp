@@ -73,13 +73,15 @@ void accumulate_chunk(std::span<const std::uint8_t> in, std::size_t n_floats,
 std::size_t decoded_bytes(std::span<const std::uint8_t> in);
 
 /// Overwrite `res` with the blockwise reconstruction error the q8/q4 codec
-/// will leave on `x` (res = x - dequant(quant(x))), walking the PHO2
-/// ChunkPlan at wire_chunk_bytes() with the update walk (its codes go to a
-/// scratch image); a chunk the codec sends raw leaves a zero residual.
-/// This is the client-side half of error feedback: carrying `res` into the
-/// next round's pseudo-gradient makes quantization loss transient instead
-/// of cumulative.  Deterministic across SIMD variants and thread counts.
-void residual_of(const float* x, float* res, std::size_t n, int bits);
+/// will leave on `x` (res = x - dequant(quant(x))) in an image of
+/// `chunk_bytes` raw bytes per chunk, walking that ChunkPlan with the update
+/// walk (its codes go to a scratch image); a chunk the codec sends raw
+/// leaves a zero residual.  This is the client-side half of error feedback:
+/// carrying `res` into the next round's pseudo-gradient makes quantization
+/// loss transient instead of cumulative.  Deterministic across SIMD
+/// variants and thread counts.
+void residual_of(const float* x, float* res, std::size_t n, int bits,
+                 std::size_t chunk_bytes = kDefaultWireChunkBytes);
 
 /// x[i] = g[i] - x[i] over n floats, where g is the global model as its
 /// broadcast image carries it: `global` points at g's raw little-endian
@@ -91,9 +93,9 @@ void form_delta(float* x, const std::uint8_t* global, std::size_t n);
 
 /// A client's lossy update encode (Alg. 1 L28, DESIGN.md §11), and the
 /// one writer of the q8/q4 chunk layout.  write_chunk walks one PHO2 chunk
-/// of the payload (ChunkPlan order, as Message::encode_into's chunk
-/// writer) in a single pass, 256-float block by block, each block in L1
-/// while the walk
+/// of the payload in the ChunkPlan at `chunk_bytes` per chunk (the plan of
+/// the Message::encode_into at that size whose chunk writer it is) in a
+/// single pass, 256-float block by block, each block in L1 while the walk
 ///   1. forms the update in place over the trained params `x`:
 ///      x = global - x as form_delta does (unless global is nullptr),
 ///      then x += residual (unless residual is nullptr), the arithmetic of
@@ -110,7 +112,8 @@ void form_delta(float* x, const std::uint8_t* global, std::size_t n);
 class UpdateWalk {
  public:
   UpdateWalk(float* x, const std::uint8_t* global, float* residual,
-             std::size_t n, int bits);
+             std::size_t n, int bits,
+             std::size_t chunk_bytes = kDefaultWireChunkBytes);
 
   /// Appends chunk c's codec output to `out`.  Chunks come in order.
   void write_chunk(std::size_t c, std::vector<std::uint8_t>& out);

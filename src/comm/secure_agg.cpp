@@ -212,7 +212,7 @@ void push_u64(std::vector<float>& payload, std::uint64_t v) {
 
 KeyExchangeResult SecAggSession::run_key_exchange(
     std::span<SimLink* const> links, double sim_base,
-    const obs::RoundTrace& trace) {
+    const obs::RoundTrace& trace, std::size_t chunk_bytes) {
   const int n = cohort_size();
   KeyExchangeResult result;
   result.member_seconds.assign(static_cast<std::size_t>(n), 0.0);
@@ -229,7 +229,7 @@ KeyExchangeResult SecAggSession::run_key_exchange(
     push_u64(roster.payload, publics_[static_cast<std::size_t>(i)]);
   }
   encode_for_transmit(roster, roster_wire_,
-                      {trace, obs::kAggregatorActor, sim_base});
+                      {trace, obs::kAggregatorActor, sim_base}, chunk_bytes);
 
   // Member -> server: its Shamir shares for every peer, each member's
   // encoded in turn into one buffer.
@@ -262,7 +262,7 @@ KeyExchangeResult SecAggSession::run_key_exchange(
             std::bit_cast<float>(static_cast<std::uint32_t>(s.x)));
         push_u64(shares.payload, s.y);
       }
-      encode_for_transmit(shares, shares_wire, ctx);
+      encode_for_transmit(shares, shares_wire, ctx, chunk_bytes);
       link->transmit(shares, shares_wire, rx, ctx);
     } catch (const TransmitError&) {
       result.failed.push_back(i);

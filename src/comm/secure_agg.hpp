@@ -123,11 +123,13 @@ class SecAggSession {
   /// `links` may be null (compute-only, zero sim time) and `links` itself
   /// may be empty (all compute-only).  Members whose transmits exhaust
   /// their retry budget are reported in `failed`; the caller treats them as
-  /// dropouts.  The messages carry `trace.round()`, and each member's link
-  /// records its spans into `trace` from `sim_base`.
-  KeyExchangeResult run_key_exchange(std::span<SimLink* const> links,
-                                     double sim_base,
-                                     const obs::RoundTrace& trace);
+  /// dropouts.  The messages carry `trace.round()`, are encoded at
+  /// `chunk_bytes` raw bytes per chunk, and each member's link records its
+  /// spans into `trace` from `sim_base`.
+  KeyExchangeResult run_key_exchange(
+      std::span<SimLink* const> links, double sim_base,
+      const obs::RoundTrace& trace,
+      std::size_t chunk_bytes = kDefaultWireChunkBytes);
 
   /// Fixed-point-encode member `idx`'s update and add its pairwise masks:
   ///   acc[e] += encode(update[e]) + sum_j sign(idx,j) * prg(seed_ij, e)

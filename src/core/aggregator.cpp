@@ -159,6 +159,11 @@ void Aggregator::set_wire_codec(const std::string& codec) {
   for (auto& c : clients_) c->set_link_codec(codec);
 }
 
+void Aggregator::set_wire_chunk_bytes(std::size_t bytes) {
+  (void)ChunkPlan::of(0, bytes);  // throws for a size that splits a float
+  wire_chunk_bytes_ = bytes;
+}
+
 void Aggregator::set_async_limits(int buffer_goal, int max_in_flight) {
   if (buffer_goal < 0 || max_in_flight < 0) {
     throw std::invalid_argument(
@@ -215,7 +220,7 @@ Message Aggregator::encode_broadcast() {
   broadcast.metadata["local_steps"] = config_.local_steps;
   encode_for_transmit(broadcast, broadcast_wire_,
                       {trace_, obs::kAggregatorActor, sim_now_},
-                      &global_pool());
+                      wire_chunk_bytes_, &global_pool());
   return broadcast;
 }
 
@@ -313,8 +318,8 @@ void Aggregator::dispatch(InFlight& slot, const Message& broadcast,
   const auto t_train = std::chrono::steady_clock::now();
   const obs::RealTimer train_timer = trace_.timer();
   client.run_round(shell, broadcast_wire_.chunks(), round_,
-                   config_.local_steps, schedule_step_base(), slot.update,
-                   slot.sent);
+                   config_.local_steps, schedule_step_base(),
+                   wire_chunk_bytes_, slot.update, slot.sent);
   slot.trained = true;
   slot.train_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -675,7 +680,7 @@ RoundRecord Aggregator::run_round_sync() {
       for (std::size_t i = 0; i < cohort.size(); ++i) {
         ke_links[i] = &links_[static_cast<std::size_t>(cohort[i])];
       }
-      ke = secagg->run_key_exchange(ke_links, t0, trace_);
+      ke = secagg->run_key_exchange(ke_links, t0, trace_, wire_chunk_bytes_);
       record.sim_privacy_seconds += ke.sim_seconds;
     }
     const double t_start = t0 + ke.sim_seconds;

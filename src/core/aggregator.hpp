@@ -249,6 +249,11 @@ class Aggregator {
   /// Throws on an unknown codec name; error-feedback residuals are kept
   /// across switches (deterministic in both the live and restored timeline).
   void set_wire_codec(const std::string& codec);
+  /// Raw bytes per wire chunk of every message a round sends (0 = one chunk
+  /// each; kDefaultWireChunkBytes until set).  Throws std::invalid_argument,
+  /// keeping the size it had, for a size that splits a float.
+  void set_wire_chunk_bytes(std::size_t bytes);
+  std::size_t wire_chunk_bytes() const { return wire_chunk_bytes_; }
   /// Async engine limits (0 keeps the config default derivation).  The
   /// in-flight slot pool only ever grows, so pending updates keep their
   /// slots when the cap is lowered; the admission cap applies immediately.
@@ -430,6 +435,7 @@ class Aggregator {
   double sim_now_ = 0.0;
   ClientFaultHook fault_hook_;
   RoundStateExtension* state_ext_ = nullptr;
+  std::size_t wire_chunk_bytes_ = kDefaultWireChunkBytes;
   /// The current round's trace handle, built by begin_round(); every span
   /// of the round (links, clients and secagg included) records through it.
   obs::RoundTrace trace_;

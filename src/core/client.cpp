@@ -133,7 +133,8 @@ void LLMClient::fast_forward(std::uint32_t rounds, int local_steps) {
 void LLMClient::run_round(const ShellLease& shell,
                           std::span<const std::uint8_t> global,
                           std::uint32_t round, int local_steps,
-                          std::int64_t schedule_step_base, Message& update,
+                          std::int64_t schedule_step_base,
+                          std::size_t chunk_bytes, Message& update,
                           WireScratch& image) {
   const auto n = static_cast<std::size_t>(config_.model.num_params());
   if (global.size() != n * sizeof(float) ||
@@ -211,7 +212,8 @@ void LLMClient::run_round(const ShellLease& shell,
   }
   const LinkTraceContext encode_trace{trace_.trace, id_, trace_.sim_end};
   if (qbits == 0) {
-    encode_for_transmit(update, image, encode_trace, &global_pool());
+    encode_for_transmit(update, image, encode_trace, chunk_bytes,
+                        &global_pool());
   } else {
     // Error feedback for lossy wire codecs (DESIGN.md §11): the walk folds
     // the previous round's quantization residual into the update before it
@@ -225,8 +227,10 @@ void LLMClient::run_round(const ShellLease& shell,
       update.metadata["ef_residual_norm"] = 0.0;
     }
     wire_quant::UpdateWalk walk(params.data(), walk_global,
-                                ef ? ef_residual_.data() : nullptr, n, qbits);
-    encode_for_transmit(update, image, encode_trace, &global_pool(),
+                                ef ? ef_residual_.data() : nullptr, n, qbits,
+                                chunk_bytes);
+    encode_for_transmit(update, image, encode_trace, chunk_bytes,
+                        &global_pool(),
                         [&walk](std::size_t c, std::vector<std::uint8_t>& out) {
                           walk.write_chunk(c, out);
                         });

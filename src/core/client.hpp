@@ -140,10 +140,11 @@ class LLMClient {
   /// update message in `update` (Alg. 1 L7): type, round, sender, this
   /// client's wire codec, a payload that borrows the shell's params, and
   /// the round's metrics as metadata, "tokens" and "train_loss" among
-  /// them, and encodes it into `image`, the sender's buffer
-  /// (encode_for_transmit).  The payload view is good until the lease
-  /// ends.  Under a q8/q4 codec one walk forms, error-feeds and encodes
-  /// the update (wire_quant::UpdateWalk).  `schedule_step_base` is the
+  /// them, and encodes it into `image`, the sender's buffer, at
+  /// `chunk_bytes` raw bytes per chunk (encode_for_transmit).  The payload
+  /// view is good until the lease ends.  Under a q8/q4 codec one walk
+  /// forms, error-feeds and encodes the update (wire_quant::UpdateWalk)
+  /// over the same chunks.  `schedule_step_base` is the
   /// cumulative sequential local-step count, synchronizing the cosine
   /// schedule across rounds (Table 5: "S_C synchronized across sequential
   /// steps").  `update`'s metadata storage and `image` are recycled across
@@ -151,8 +152,8 @@ class LLMClient {
   /// the whole run).
   void run_round(const ShellLease& shell, std::span<const std::uint8_t> global,
                  std::uint32_t round, int local_steps,
-                 std::int64_t schedule_step_base, Message& update,
-                 WireScratch& image);
+                 std::int64_t schedule_step_base, std::size_t chunk_bytes,
+                 Message& update, WireScratch& image);
 
   /// Crash recovery: advance the data stream past `rounds` already-trained
   /// rounds of `local_steps` each, drawing tokens in exactly the pattern

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "comm/cost_model.hpp"
-#include "comm/message.hpp"
 #include "tensor/kernel_context.hpp"
 
 namespace photon::tune {
@@ -120,7 +119,7 @@ void RoundAutotuner::bind_initial(Aggregator& agg) {
   d.codec = population_ > 0 ? agg.client(0).config().link_codec : "";
   d.buffer_goal = agg.async_buffer_goal();
   d.max_in_flight = agg.async_max_in_flight();
-  d.wire_chunk_bytes = wire_chunk_bytes();
+  d.wire_chunk_bytes = agg.wire_chunk_bytes();
   d.digest_hash = 0;
 
   history_.assign(1, d);
@@ -241,7 +240,7 @@ TunerDecision RoundAutotuner::decide(const TraceDigest& d,
     }
   }
 
-  // --- wire chunk: power-of-2 hill-climb --------------------------------
+  // --- wire chunk: power-of-2 hill-climb ---------------------------------
   if (d.binding == BindingResource::kWireBandwidth) {
     // Target: ~2 chunks per thread of fp32 payload, so encode/decode of a
     // single tensor saturates the pool.
@@ -269,7 +268,7 @@ void RoundAutotuner::apply(Aggregator& agg) const {
   } else {
     agg.set_clients_per_round(d.clients_per_round);
   }
-  set_wire_chunk_bytes(d.wire_chunk_bytes);
+  agg.set_wire_chunk_bytes(d.wire_chunk_bytes);
 }
 
 std::uint32_t RoundAutotuner::last_decision_change() const {

@@ -61,7 +61,7 @@ struct TunerDecision {
   int clients_per_round = 0;
   int buffer_goal = 0;               ///< async; 0 = config-derived
   int max_in_flight = 0;
-  std::size_t wire_chunk_bytes = 256 * 1024;
+  std::size_t wire_chunk_bytes = kDefaultWireChunkBytes;
   std::uint64_t digest_hash = 0;     ///< hash of the digest that drove it
 
   bool operator==(const TunerDecision&) const = default;
@@ -96,8 +96,8 @@ class RoundAutotuner final : public RoundStateExtension {
   /// seed, config — including checkpoint cadence — and the trace.)
   void on_checkpoint(const RoundRecord& record) override;
 
-  /// Push the current decision's knobs into the aggregator and the
-  /// process-wide wire chunk size.  Safe to call at round boundaries only.
+  /// Push the current decision's knobs into the aggregator.  Safe to call
+  /// at round boundaries only.
   void apply(Aggregator& agg) const;
 
   const TunerDecision& current() const { return history_.back(); }

@@ -22,7 +22,6 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
-#include "tensor/kernel_context.hpp"
 #include "tune/autotuner.hpp"
 #include "tune/session.hpp"
 #include "tune/trace_digest.hpp"
@@ -41,10 +40,11 @@ ModelConfig tune_test_model() {
   return c;
 }
 
-std::unique_ptr<Aggregator> build_aggregator(AggregatorConfig ac,
-                                             int population = 6) {
+std::unique_ptr<Aggregator> build_aggregator(
+    AggregatorConfig ac, int population = 6,
+    const ModelConfig& model = tune_test_model()) {
   ClientTrainConfig ctc;
-  ctc.model = tune_test_model();
+  ctc.model = model;
   ctc.local_batch = 2;
   ctc.schedule.max_lr = 5e-3f;
   ctc.schedule.warmup_steps = 2;
@@ -61,7 +61,7 @@ std::unique_ptr<Aggregator> build_aggregator(AggregatorConfig ac,
         7));
   }
   ac.seed = 33;
-  return std::make_unique<Aggregator>(tune_test_model(), ac,
+  return std::make_unique<Aggregator>(model, ac,
                                       make_server_opt("nesterov", 0.5f, 0.9f),
                                       std::move(clients), 55);
 }
@@ -95,15 +95,6 @@ TunerConfig tuner_config() {
   return tc;
 }
 
-/// apply() mutates the process-wide wire chunk size; every arm of a twin
-/// test must start from the same value or the tuner's initial decision
-/// (seeded from the live configuration) diverges.
-struct GlobalKnobReset {
-  std::size_t chunk = wire_chunk_bytes();
-  void reset() const { set_wire_chunk_bytes(chunk); }
-  ~GlobalKnobReset() { reset(); }
-};
-
 void expect_same_tuner(const RoundAutotuner& a, const RoundAutotuner& b) {
   ASSERT_EQ(a.history().size(), b.history().size());
   for (std::size_t i = 0; i < a.history().size(); ++i) {
@@ -124,10 +115,8 @@ void expect_same_tuner(const RoundAutotuner& a, const RoundAutotuner& b) {
 TEST(Autotune, DecisionsIdenticalAcrossThreadCounts) {
   // A faulted, deadline-cut federation run serially and in parallel must
   // produce bit-identical decision histories, digests, and global params.
-  GlobalKnobReset knobs;
   const FaultInjector injector(tail_plan());
   auto run_twin = [&](bool parallel) {
-    knobs.reset();
     AggregatorConfig ac = base_config();
     ac.parallel_clients = parallel;
     ac.round_deadline_s = 2.0;
@@ -157,13 +146,11 @@ TEST(Autotune, CrashRestoreContinuesExactDecisionTimeline) {
   // Kill a tuned run after round 3 (checkpoint every round), rebuild from
   // disk, and finish: decision history, digests, tuner state bytes, and
   // global params must all match the uninterrupted twin.
-  GlobalKnobReset knobs;
   const auto base =
       std::filesystem::temp_directory_path() / "photon_autotune_recovery";
   std::filesystem::remove_all(base);
   const FaultInjector injector(tail_plan());
   auto make = [&](const char* leaf) {
-    knobs.reset();
     AggregatorConfig ac = base_config();
     ac.parallel_clients = false;
     ac.checkpoint_every = 1;
@@ -204,21 +191,18 @@ TEST(Autotune, DisabledTunerKeepsRoundPathByteIdentical) {
   // per-round telemetry, and the spans a caller's tracer holds match an
   // aggregator with no tuner at all.  checkpoint_every = 1 also runs the
   // tuner's on_checkpoint read every round.
-  GlobalKnobReset knobs;
   for (const int checkpoint_every : {0, 1}) {
     SCOPED_TRACE(checkpoint_every);
     AggregatorConfig ac = base_config();
     ac.parallel_clients = false;
     ac.checkpoint_every = checkpoint_every;
 
-    knobs.reset();
     obs::Tracer plain_tracer;
     ac.tracer = &plain_tracer;
     auto plain = build_aggregator(ac);
     std::vector<RoundRecord> plain_records;
     for (int r = 0; r < 4; ++r) plain_records.push_back(plain->run_round());
 
-    knobs.reset();
     obs::Tracer tuned_tracer;
     ac.tracer = &tuned_tracer;
     auto tuned = build_aggregator(ac);
@@ -254,11 +238,9 @@ TEST(Autotune, CallerTracerKeepsEveryTunedRound) {
   // beside an enabled tuner still holds every round: checkpointed rounds
   // (read in on_checkpoint) and the rest (read at the round boundary).
   if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "PHOTON_TRACE=OFF";
-  GlobalKnobReset knobs;
   constexpr int kRounds = 5;
   for (const bool async : {false, true}) {
     SCOPED_TRACE(async ? "async" : "sync");
-    knobs.reset();
     obs::Tracer tracer;
     AggregatorConfig ac = base_config();
     ac.checkpoint_every = 2;
@@ -286,9 +268,7 @@ TEST(Autotune, CallerTracerKeepsEveryTunedRound) {
 TEST(Autotune, AsyncKnobsDeterministicAcrossThreadCounts) {
   // Async mode with a deliberately tight admission cap: the tuner must see
   // defer pressure and raise max_in_flight identically in both twins.
-  GlobalKnobReset knobs;
   auto run_twin = [&](bool parallel) {
-    knobs.reset();
     AggregatorConfig ac = base_config();
     ac.parallel_clients = parallel;
     ac.async.enabled = true;
@@ -322,6 +302,36 @@ TEST(Autotune, KnobSettersValidateTheirArguments) {
   agg->set_topology(Topology::kRingAllReduce);
   EXPECT_EQ(agg->config().topology, Topology::kRingAllReduce);
   agg->set_wire_codec("q8");  // known codec: accepted
+  EXPECT_THROW(agg->set_wire_chunk_bytes(1022), std::invalid_argument);
+  EXPECT_EQ(agg->wire_chunk_bytes(), kDefaultWireChunkBytes);
+}
+
+TEST(Autotune, TunedSessionLeavesNothingBehind) {
+  // An untuned federation run before and after a WAN-bound tuned session
+  // matches bit for bit and byte for byte: the session's knobs stay on its
+  // aggregator.  The payload spans several 64 KiB chunks.
+  if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "PHOTON_TRACE=OFF";
+  AggregatorConfig ac = base_config();
+  ac.parallel_clients = false;
+  const auto untuned = [&] {
+    auto agg = build_aggregator(ac, 6, ModelConfig::micro());
+    std::vector<std::uint64_t> comm_bytes;
+    for (int r = 0; r < 3; ++r) {
+      comm_bytes.push_back(agg->run_round().comm_bytes);
+    }
+    const auto p = agg->global_params();
+    return std::pair{std::vector<float>(p.begin(), p.end()), comm_bytes};
+  };
+  const auto before = untuned();
+  ASSERT_GT(before.first.size() * sizeof(float), 2 * std::size_t{64 * 1024});
+  auto agg = build_aggregator(ac, 6, ModelConfig::micro());
+  TunedSession session(*agg, tuner_config());
+  for (int r = 0; r < 4; ++r) session.step();
+  EXPECT_NE(session.tuner().current().wire_chunk_bytes, kDefaultWireChunkBytes);
+  const auto after = untuned();
+  EXPECT_EQ(0, std::memcmp(after.first.data(), before.first.data(),
+                           before.first.size() * sizeof(float)));
+  EXPECT_EQ(after.second, before.second);
 }
 
 TEST(Autotune, TunerStateRejectsForeignBytes) {
@@ -329,6 +339,7 @@ TEST(Autotune, TunerStateRejectsForeignBytes) {
   auto agg = build_aggregator(base_config());
   tuner.bind_initial(*agg);
   const auto good = tuner.capture_state();
+  EXPECT_EQ(0, std::memcmp(good.data(), "TUN2", 4));
   std::vector<std::uint8_t> bad = good;
   bad[0] ^= 0xFF;  // break the magic
   EXPECT_THROW(tuner.restore_state(bad), std::runtime_error);
@@ -355,13 +366,18 @@ TEST(Autotune, TunerStateRejectsForeignBytes) {
   std::vector<std::uint8_t> topology = good;
   topology[codec_at + 8 + codec_len] = 3;
   EXPECT_THROW(tuner.restore_state(topology), std::runtime_error);
+  // 'TUN1' put a kernel grain ahead of each decision's chunk size; read as
+  // TUN2 it would parse, so only its magic refuses it.
+  std::vector<std::uint8_t> tun1 = good;
+  tun1[3] = '1';
+  tun1.insert(tun1.begin() + codec_at + 8 + codec_len + 1 + 3 * 4, 8, 0x40);
+  EXPECT_THROW(tuner.restore_state(tun1), std::runtime_error);
   agg->set_state_extension(nullptr);
 }
 
 TEST(Autotune, ForeignTunerStateIsRefusedBeforeRestoringAnything) {
   // A checkpoint whose tuner section another tuner wrote (another seed) is
   // refused with the engine untouched: round, clock and params stay.
-  GlobalKnobReset knobs;
   const auto base =
       std::filesystem::temp_directory_path() / "photon_autotune_foreign";
   std::filesystem::remove_all(base);
@@ -374,7 +390,6 @@ TEST(Autotune, ForeignTunerStateIsRefusedBeforeRestoringAnything) {
     TunedSession session(*agg, tuner_config());
     for (int r = 0; r < 2; ++r) session.step();
   }
-  knobs.reset();
   auto fresh = build_aggregator(ac);
   TunerConfig other = tuner_config();
   other.seed ^= 1;
@@ -398,9 +413,7 @@ TEST(Autotune, JsonlParseBackOverFaultedAsyncChurnTraces) {
   // and both the event stream and the digests computed from it survive
   // unchanged.  Fuzzed over several fault seeds.
   if (!obs::Tracer::compiled_in()) GTEST_SKIP() << "PHOTON_TRACE=OFF";
-  GlobalKnobReset knobs;
   for (std::uint64_t fuzz_seed : {0x11ULL, 0x22ULL, 0x33ULL}) {
-    knobs.reset();
     FaultPlan plan = tail_plan();
     plan.seed = fuzz_seed;
     plan.crash_prob = 0.1;

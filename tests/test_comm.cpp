@@ -560,12 +560,6 @@ TEST(WallTimeModel, RoundTimeComposesLocalPlusComm) {
 
 // ------------------------------------------- chunked wire / parallel path --
 
-/// Restores the process-wide chunk size after a test that changes it.
-struct ChunkGuard {
-  std::size_t saved = wire_chunk_bytes();
-  ~ChunkGuard() { set_wire_chunk_bytes(saved); }
-};
-
 TEST(Crc32Combine, FoldedChunkCrcsMatchWholeBufferCrc) {
   const auto data = random_bytes(65537, 9, 0.4);
   const std::span<const std::uint8_t> all(data);
@@ -675,7 +669,6 @@ std::vector<float> sparse_floats(std::size_t n, std::uint64_t seed) {
 class ChunkedMessage : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChunkedMessage, ChunkedAndWholeBufferEncodesRoundTripIdentically) {
-  ChunkGuard guard;
   Message m;
   m.type = MessageType::kClientUpdate;
   m.round = 3;
@@ -683,10 +676,8 @@ TEST_P(ChunkedMessage, ChunkedAndWholeBufferEncodesRoundTripIdentically) {
   m.payload = sparse_floats(50000, 17);
   m.metadata["x"] = 1.5;
 
-  set_wire_chunk_bytes(0);  // whole buffer, one chunk
-  const auto whole = m.encode();
-  set_wire_chunk_bytes(4096);  // ~49 chunks
-  const auto chunked = m.encode();
+  const auto whole = m.encode(0);  // whole buffer, one chunk
+  const auto chunked = m.encode(4096);  // ~49 chunks
 
   EXPECT_EQ(Message::decode(whole).payload, m.payload);
   EXPECT_EQ(Message::decode(chunked).payload, m.payload);
@@ -703,8 +694,7 @@ TEST_P(ChunkedMessage, ChunkedAndWholeBufferEncodesRoundTripIdentically) {
 }
 
 TEST_P(ChunkedMessage, ParallelEncodeDecodeBitIdenticalToSerial) {
-  ChunkGuard guard;
-  set_wire_chunk_bytes(2048);
+  constexpr std::size_t kChunkBytes = 2048;
   ThreadPool pool(4);
 
   Message m;
@@ -712,8 +702,8 @@ TEST_P(ChunkedMessage, ParallelEncodeDecodeBitIdenticalToSerial) {
   m.payload = sparse_floats(30000, 23);
 
   WireScratch serial_scratch, parallel_scratch;
-  const auto serial = m.encode_into(serial_scratch, nullptr);
-  const auto parallel = m.encode_into(parallel_scratch, &pool);
+  const auto serial = m.encode_into(serial_scratch, kChunkBytes, nullptr);
+  const auto parallel = m.encode_into(parallel_scratch, kChunkBytes, &pool);
   ASSERT_EQ(serial.size(), parallel.size());
   EXPECT_EQ(std::memcmp(serial.data(), parallel.data(), serial.size()), 0);
 
@@ -724,7 +714,7 @@ TEST_P(ChunkedMessage, ParallelEncodeDecodeBitIdenticalToSerial) {
   // Scratch reuse: a second encode of a different payload through the same
   // scratch must still be exact.
   m.payload = sparse_floats(10000, 29);
-  const auto again = m.encode_into(parallel_scratch, &pool);
+  const auto again = m.encode_into(parallel_scratch, kChunkBytes, &pool);
   Message::decode_into(again, out, nullptr);
   EXPECT_EQ(out.payload, m.payload);
 }
@@ -737,8 +727,6 @@ TEST(Message, QuantizedChunksAppendInOrderStraightIntoTheImage) {
   // header and length table come exactly each chunk's own compress()
   // output, the NaN chunk's raw fallback included, then the CRC; the image
   // decodes bit for bit to what each chunk decompresses to.
-  ChunkGuard guard;
-  set_wire_chunk_bytes(4096);  // 1024 floats per chunk
   constexpr std::size_t kChunk = 1024;
   Rng rng(61);
   std::vector<float> payload(5 * kChunk + 300);  // six chunks, a short last
@@ -756,7 +744,7 @@ TEST(Message, QuantizedChunksAppendInOrderStraightIntoTheImage) {
     m.payload_view = payload;
     m.metadata["tokens"] = 64.0;
     WireScratch image;
-    m.encode_into(image);
+    m.encode_into(image, 4096);  // 1024 floats per chunk
 
     Message header;
     WireView view;

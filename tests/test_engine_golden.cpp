@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "baselines/centralized.hpp"
-#include "comm/message.hpp"
 #include "core/aggregator.hpp"
 #include "core/client.hpp"
 #include "core/runner.hpp"
@@ -43,7 +42,6 @@
 #include "data/stream.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
-#include "tensor/kernel_context.hpp"
 #include "tune/session.hpp"
 
 namespace photon {
@@ -103,7 +101,6 @@ struct Federation {
 };
 
 std::unique_ptr<Aggregator> build(const Federation& f) {
-  if (f.chunk_bytes != 0) set_wire_chunk_bytes(f.chunk_bytes);
   CorpusConfig cc;
   cc.vocab_size = 64;
   auto corpus = std::make_shared<MarkovSource>(cc, c4_style());
@@ -133,6 +130,7 @@ std::unique_ptr<Aggregator> build(const Federation& f) {
   auto agg = std::make_unique<Aggregator>(
       golden_model(), ac, make_server_opt(f.server_opt, 0.5f, 0.9f),
       std::move(clients), 55);
+  if (f.chunk_bytes != 0) agg->set_wire_chunk_bytes(f.chunk_bytes);
   return agg;
 }
 
@@ -215,15 +213,6 @@ void hash_engine(Fnv1a& h, const Aggregator& agg) {
   h.vec(agg.client_trained_rounds());
   for (const RoundRecord& r : agg.history().records()) hash_record(h, r);
 }
-
-/// The tuner retunes the process-wide wire chunk size; every configuration
-/// starts from the same value so no digest depends on the ones run before
-/// it.
-struct GlobalKnobs {
-  std::size_t chunk = wire_chunk_bytes();
-  void reset() const { set_wire_chunk_bytes(chunk); }
-  ~GlobalKnobs() { reset(); }
-};
 
 std::filesystem::path fresh_dir(const std::string& name) {
   const auto dir =
@@ -557,9 +546,7 @@ TEST(EngineGolden, DigestsMatchRecordedConstants) {
   if (!obs::Tracer::compiled_in()) {
     GTEST_SKIP() << "digests include trace events; PHOTON_TRACE=OFF build";
   }
-  GlobalKnobs knobs;
   for (const GoldenCase& c : golden_cases()) {
-    knobs.reset();
     const Digests got = c.run();
     EXPECT_EQ(got.engine, c.want.engine)
         << c.name << ": engine digest 0x" << std::hex << got.engine << "ULL";

@@ -100,7 +100,7 @@ TrainedRound train_round(LLMClient& client, std::span<const float> params,
   Message header;
   SimLink("broadcast", 1.0).transmit(broadcast, sent, header, shell.params());
   client.run_round(shell, sent.chunks(), round, local_steps,
-                   schedule_step_base, out, out.image);
+                   schedule_step_base, kDefaultWireChunkBytes, out, out.image);
   out.borrowed_shell = out.view().data() == shell.params().data();
   out.delta.assign(out.view().begin(), out.view().end());
   out.payload_view = {};
@@ -644,14 +644,12 @@ TEST(Aggregator, ParallelAndSequentialClientsAgreeBitExactly) {
 }
 
 TEST(Aggregator, ChunkedAndWholeBufferEncodesGiveIdenticalParams) {
-  const std::size_t saved = wire_chunk_bytes();
-  set_wire_chunk_bytes(1024);  // force many chunks per broadcast
   auto chunked = build_aggregator(3, 0, 2);
+  chunked->set_wire_chunk_bytes(1024);  // force many chunks per broadcast
   chunked->run_round();
-  set_wire_chunk_bytes(0);  // whole-buffer single chunk
   auto whole = build_aggregator(3, 0, 2);
+  whole->set_wire_chunk_bytes(0);  // whole-buffer single chunk
   whole->run_round();
-  set_wire_chunk_bytes(saved);
   EXPECT_EQ(0, std::memcmp(chunked->global_params().data(),
                            whole->global_params().data(),
                            whole->global_params().size() * sizeof(float)));

@@ -194,7 +194,7 @@ TEST(WireQuant, NonFiniteInAChunksLastBlockZeroesTheWholeChunk) {
   // The scale pass stops at a chunk's first non-finite block.  One that
   // only the chunk's last block holds must still send the whole chunk raw
   // (zero residual), while the chunks around it keep their residuals.
-  const std::size_t chunk = wire_chunk_bytes() / sizeof(float);
+  const std::size_t chunk = kDefaultWireChunkBytes / sizeof(float);
   const std::size_t n = 2 * chunk + 1000;  // two full chunks and a tail
   auto x = gaussian_floats(n, 0xF1, 0.02f);
   x[chunk - 1] = std::numeric_limits<float>::infinity();
@@ -280,10 +280,11 @@ void ref_encode_chunk(const float* x, std::size_t n, int bits,
   EXPECT_EQ(out.size() - start, wire_quant::encoded_bytes(n, bits));
 }
 
-void ref_residual_of(const float* x, float* res, std::size_t n, int bits) {
+void ref_residual_of(const float* x, float* res, std::size_t n, int bits,
+                     std::size_t chunk_bytes) {
   constexpr std::size_t kB = wire_quant::kBlockFloats;
   const auto& ops = simd::ops();
-  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
+  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float), chunk_bytes);
   const float limit = static_cast<float>(wire_quant::code_limit(bits));
   std::int8_t codes[kB];
   for (std::size_t c = 0; c < plan.n_chunks(); ++c) {
@@ -336,7 +337,8 @@ Message update_message(const char* codec, std::span<const float> payload,
 /// (under EF), residual_of, l2_norm, then the codec's encode of the result.
 UpdateOut composed_update(const char* codec, std::vector<float> received,
                           const std::vector<float>* params,
-                          std::vector<float> residual, bool ef) {
+                          std::vector<float> residual, bool ef,
+                          std::size_t chunk_bytes) {
   const int bits = codec_by_name(codec)->quant_bits();
   const auto& ops = simd::ops();
   const std::size_t n = received.size();
@@ -346,14 +348,14 @@ UpdateOut composed_update(const char* codec, std::vector<float> received,
   }
   if (ef) {
     ops.acc(received.data(), residual.data(), n);
-    ref_residual_of(received.data(), residual.data(), n, bits);
+    ref_residual_of(received.data(), residual.data(), n, bits, chunk_bytes);
     out.norm = kernels::l2_norm(kernels::default_context(), residual.data(),
                                 n);
   }
   const Message m = update_message(codec, received, ef, out.norm);
-  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float));
+  const ChunkPlan plan = ChunkPlan::of(n * sizeof(float), chunk_bytes);
   WireScratch image;
-  m.encode_into(image, nullptr,
+  m.encode_into(image, chunk_bytes, nullptr,
                 [&](std::size_t c, std::vector<std::uint8_t>& wire) {
                   ref_encode_chunk(
                       received.data() + plan.raw_off(c) / sizeof(float),
@@ -370,7 +372,8 @@ UpdateOut composed_update(const char* codec, std::vector<float> received,
 /// reading `received` as the bytes of a broadcast image.
 UpdateOut walked_update(const char* codec, std::vector<float> received,
                         const std::vector<float>* params,
-                        std::vector<float> residual, bool ef) {
+                        std::vector<float> residual, bool ef,
+                        std::size_t chunk_bytes) {
   const int bits = codec_by_name(codec)->quant_bits();
   const std::size_t n = received.size();
   UpdateOut out;
@@ -380,9 +383,9 @@ UpdateOut walked_update(const char* codec, std::vector<float> received,
       x.data(),
       params != nullptr ? reinterpret_cast<const std::uint8_t*>(received.data())
                         : nullptr,
-      ef ? residual.data() : nullptr, n, bits);
+      ef ? residual.data() : nullptr, n, bits, chunk_bytes);
   WireScratch image;
-  m.encode_into(image, nullptr,
+  m.encode_into(image, chunk_bytes, nullptr,
                 [&](std::size_t c, std::vector<std::uint8_t>& wire) {
                   walk.write_chunk(c, wire);
                 });
@@ -412,15 +415,13 @@ TEST(UpdateWalk, EqualsSubAccResidualOfEncodeOnEveryVariant) {
   // it spans two chunks, at the default a chunk holds two, and at 0 the
   // payload is one chunk.  A non-finite value in the first chunk, in its
   // last block only or in its first, must send that whole chunk raw.
-  const std::size_t saved_chunk = wire_chunk_bytes();
   const simd::Variant saved_variant = simd::active_variant();
   for (const simd::Variant v : supported_variants()) {
     simd::set_active_variant(v);
     for (const std::size_t chunk_bytes :
          {std::size_t{0}, std::size_t{40 * 1024}, std::size_t{64 * 1024},
-          saved_chunk}) {
-      set_wire_chunk_bytes(chunk_bytes);
-      const ChunkPlan plan = ChunkPlan::of(70001 * sizeof(float));
+          kDefaultWireChunkBytes}) {
+      const ChunkPlan plan = ChunkPlan::of(70001 * sizeof(float), chunk_bytes);
       for (const std::size_t n : {std::size_t{1000}, std::size_t{70001}}) {
         const auto global = gaussian_floats(n, 0x6100 + n, 0.05f);
         const auto params = gaussian_floats(n, 0x6200 + n, 0.05f);
@@ -450,10 +451,10 @@ TEST(UpdateWalk, EqualsSubAccResidualOfEncodeOnEveryVariant) {
                              << (ef ? " ef" : "") << (with_params ? " sub" : "")
                              << " poison " << poison);
                 const std::vector<float>* p = with_params ? &params : nullptr;
-                const UpdateOut want =
-                    composed_update(codec, received, p, residual, ef);
-                const UpdateOut got =
-                    walked_update(codec, received, p, residual, ef);
+                const UpdateOut want = composed_update(
+                    codec, received, p, residual, ef, chunk_bytes);
+                const UpdateOut got = walked_update(codec, received, p,
+                                                    residual, ef, chunk_bytes);
                 EXPECT_EQ(want.image, got.image);
                 EXPECT_EQ(0, std::memcmp(want.received.data(),
                                          got.received.data(),
@@ -477,14 +478,37 @@ TEST(UpdateWalk, EqualsSubAccResidualOfEncodeOnEveryVariant) {
       }
     }
   }
-  set_wire_chunk_bytes(saved_chunk);
   simd::set_active_variant(saved_variant);
 }
 
 TEST(UpdateWalk, ChunkSizeMustHoldWholeFloats) {
-  const std::size_t saved = wire_chunk_bytes();
-  EXPECT_THROW(set_wire_chunk_bytes(1022), std::invalid_argument);
-  EXPECT_EQ(wire_chunk_bytes(), saved);
+  // Every sender takes its plan from ChunkPlan::of, which refuses a chunk
+  // size that splits a float, and both decoders refuse one in a header: an
+  // image encoded at 1020 and patched to 1022 keeps its 4 chunks and CRCs,
+  // and a fold of raw_len / 4 floats per chunk would skip floats 510, 999.
+  auto x = gaussian_floats(1000, 7, 0.05f);
+  std::vector<float> res(x.size());
+  EXPECT_THROW(wire_quant::UpdateWalk(x.data(), nullptr, res.data(), x.size(),
+                                      8, 1022),
+               std::invalid_argument);
+  EXPECT_THROW(wire_quant::residual_of(x.data(), res.data(), x.size(), 8, 1022),
+               std::invalid_argument);
+  for (const char* codec : {"q8", ""}) {
+    const Message m = update_message(codec, x, false, 0.0);
+    WireScratch image;
+    EXPECT_THROW(m.encode_into(image, 1022), std::invalid_argument);
+    m.encode_into(image, 1020);
+    // chunk_raw_bytes (u64) precedes n_chunks (u32) and 4 lengths (u64).
+    std::uint8_t* field = image.wire.data() + image.payload_offset - 44;
+    ASSERT_EQ(field[0] + 256 * field[1], 1020);
+    field[0] += 2;  // 1022
+    Message out;
+    WireView view;
+    EXPECT_THROW(Message::validate_wire(image.wire, out, view),
+                 std::runtime_error) << codec;
+    EXPECT_THROW(Message::decode_into(image.wire, out), std::runtime_error)
+        << codec;
+  }
 }
 
 TEST(WireQuant, AccumulateChunkEqualsDecodeThenFold) {

@@ -197,15 +197,15 @@ bool kernels_race_free(ThreadPool& pool) {
 // the same bytes as the serial path; concurrent SimLink transmits (the
 // parallel client fan-out) must each round-trip exactly.
 bool comm_race_free(ThreadPool& pool) {
-  photon::set_wire_chunk_bytes(1024);  // many chunks -> many pool tasks
+  constexpr std::size_t kChunkBytes = 1024;  // many chunks -> many pool tasks
   const auto payload = randvec(20000);
 
   photon::Message m;
   m.codec = "rle0";
   m.payload = payload;
   photon::WireScratch ser_scratch, par_scratch;
-  const auto ser = m.encode_into(ser_scratch, nullptr);
-  const auto par = m.encode_into(par_scratch, &pool);
+  const auto ser = m.encode_into(ser_scratch, kChunkBytes, nullptr);
+  const auto par = m.encode_into(par_scratch, kChunkBytes, &pool);
   if (ser.size() != par.size() ||
       std::memcmp(ser.data(), par.data(), ser.size()) != 0) {
     std::fprintf(stderr, "FAIL parallel encode bytes differ\n");
@@ -231,7 +231,7 @@ bool comm_race_free(ThreadPool& pool) {
   broadcast.payload_view = payload;  // one shared buffer, all links
   for (int rep = 0; rep < 5; ++rep) {
     pool.parallel_for(links.size(), [&](std::size_t i) {
-      broadcast.encode_into(own[i]);
+      broadcast.encode_into(own[i], kChunkBytes);
       links[i].transmit(broadcast, own[i], rx[i]);
       if (rx[i].payload != payload) ok.store(false);
     });
@@ -245,7 +245,7 @@ bool comm_race_free(ThreadPool& pool) {
   // a corrupting fault hook: each corrupted attempt flips its bit in its
   // own private copy, so the shared image is only ever read.
   photon::WireScratch image;
-  broadcast.encode_into(image, &pool);
+  broadcast.encode_into(image, kChunkBytes, &pool);
   const std::vector<std::uint8_t> pristine = image.wire;
   for (std::size_t i = 0; i < links.size(); ++i) {
     links[i].set_fault_hook([i](const photon::Message&, int attempt) {
@@ -278,7 +278,7 @@ bool comm_race_free(ThreadPool& pool) {
   shared.codec = "q8";
   shared.payload_view = payload;
   photon::WireScratch shared_image;
-  shared.encode_into(shared_image, &pool);
+  shared.encode_into(shared_image, kChunkBytes, &pool);
   const std::vector<float> shared_decoded =
       photon::Message::decode(shared_image.wire).payload;
   std::vector<std::vector<float>> updates(links.size());
@@ -289,7 +289,7 @@ bool comm_race_free(ThreadPool& pool) {
     photon::Message up;
     up.codec = "q8";
     up.payload_view = updates[i];
-    want[i] = up.encode();
+    want[i] = up.encode(kChunkBytes);
     links[i].set_thread_pool(&pool);
   }
   for (int rep = 0; rep < 5; ++rep) {
@@ -297,7 +297,7 @@ bool comm_race_free(ThreadPool& pool) {
       photon::Message up;
       up.codec = "q8";
       up.payload_view = updates[i];
-      up.encode_into(images[i], &pool);
+      up.encode_into(images[i], kChunkBytes, &pool);
       if (images[i].wire != want[i]) ok.store(false);
       links[i].transmit(shared, shared_image, rx[i]);
       if (rx[i].payload != shared_decoded) ok.store(false);
@@ -446,9 +446,11 @@ bool async_churn_race_free(bool secure) {
     ac.async.max_in_flight = 5;
     ac.secure_aggregation = secure;
     ac.seed = 33;
-    return std::make_unique<photon::Aggregator>(
+    auto agg = std::make_unique<photon::Aggregator>(
         tiny_model(), ac, photon::make_server_opt("fedavg", 0.5f, 0.9f),
         tiny_clients(8, 100, ""), 55);
+    agg->set_wire_chunk_bytes(1024);  // many chunks per image
+    return agg;
   };
 
   photon::FaultPlan plan;
@@ -492,9 +494,11 @@ bool sync_q8_race_free() {
     ac.local_steps = 1;
     ac.parallel_clients = parallel;
     ac.seed = 34;
-    return std::make_unique<photon::Aggregator>(
+    auto agg = std::make_unique<photon::Aggregator>(
         tiny_model(), ac, photon::make_server_opt("fedavg", 0.5f, 0.9f),
         tiny_clients(kClients, 200, "q8"), 56);
+    agg->set_wire_chunk_bytes(1024);  // many chunks per image
+    return agg;
   };
 
   auto serial = build(false);
