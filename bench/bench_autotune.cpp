@@ -21,9 +21,10 @@
 //   * one async cell: tuned admission limits stay within 5% of the static
 //     async configuration (and the decision timeline is deterministic).
 //
-// The kernel-grain / wire-chunk knobs are also exercised (their decisions
-// land in the JSON), but they shape real time, not simulated time, so the
-// deterministic metric is insensitive to them by construction.
+// The tuner also turns the wire chunk size, which each arm's aggregator
+// owns, so every arm starts from the default.  Its decisions do not land in
+// the JSON; they reach the metric only through the framing bytes each chunk
+// adds to an image (DESIGN.md §13).
 //
 //   bench_autotune [--smoke] [--rounds=N] [--json=PATH]
 //                  (shared flags: bench_common.hpp BenchArgs)

@@ -169,6 +169,12 @@ lane "tier-1/combined" env_lane "tier-1/combined" \
 # bench_round_path_smoke, run on the calling thread alone.
 lane "tier-1/serial" env_lane "tier-1/serial" PHOTON_NUM_THREADS=1
 
+# Non-default kernel grain (DESIGN.md §6): with PHOTON_KERNEL_GRAIN=4096, the
+# grain the autotuner once set, the kernels split into more shards, and no
+# output may depend on the shard count, so the suite and its golden digests
+# must pass unchanged.  No other lane runs the engine at a non-default grain.
+lane "tier-1/grain" env_lane "tier-1/grain" PHOTON_KERNEL_GRAIN=4096
+
 # The end-to-end benchmark (bench_e2e/README.md) compiles against src/ but
 # sits outside the default build, so a src/ change that breaks it would
 # otherwise fail only in the benchmark pipeline.  Build it the way
