@@ -208,8 +208,8 @@ struct Message {
   /// `view` at `wire`.  The view borrows `wire`: it is good only while
   /// those bytes stay alive and unchanged.  view.bytes is set only once
   /// the CRC check passes, so a view never points at bytes that failed it.
-  /// Throws std::runtime_error exactly where decode_into would — same
-  /// corruption detection, none of the dequantization cost.
+  /// Throws std::runtime_error wherever decode_into's frame parse or CRC
+  /// check would; it runs no codec, so none of the dequantization cost.
   static void validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool = nullptr);
 
