@@ -215,6 +215,22 @@ double run_kernels() {
           opt.step_clipped(ctx, params, grads, 1e-4f, 1.0);
         });
   }
+  {  // a stateless client's one-step round at wire_q8's shape: the
+     // zero-moment step after a reset, storing m and v, and the last step,
+     // which stores only p
+    const std::size_t n = 658944;
+    Rng r3(29);
+    const auto grads = gaussian(r3, n, 0.02f);
+    auto params = gaussian(r3, n);
+    AdamW opt(n);
+    for (const bool last : {false, true}) {
+      run(last ? "adamw_last_step" : "adamw_zero_moment_step", "n=658944",
+          16.0 * static_cast<double>(n), [&](const k::KernelContext& ctx) {
+            opt.reset();
+            opt.step_clipped(ctx, params, grads, 1e-4f, 1.0, last);
+          });
+    }
+  }
   return peak;
 }
 

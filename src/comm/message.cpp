@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "comm/compression.hpp"
+#include "comm/quantization.hpp"
 #include "util/threadpool.hpp"
 
 namespace photon {
@@ -274,6 +275,21 @@ void Message::validate_wire(std::span<const std::uint8_t> wire, Message& out,
   check_chunks(view, expected_crc, pool, [&](std::size_t c) {
     return crc32(wire.subspan(view.offs[c], view.lens[c]));
   });
+  // The CRC does not cover the header's chunk size.  Where a codec states
+  // a chunk's raw size without decoding it (an identity chunk's length, a
+  // q8/q4 chunk's float count), hold it to the plan as decode_into does.
+  const Codec* codec = codec_by_name(view.codec);
+  const bool identity = codec->is_identity();
+  if (identity || codec->quant_bits() != 0) {
+    for (std::size_t c = 0; c < view.n_chunks(); ++c) {
+      const auto chunk = wire.subspan(view.offs[c], view.lens[c]);
+      const std::size_t raw =
+          identity ? chunk.size() : wire_quant::decoded_bytes(chunk);
+      if (raw != view.raw_len(c)) {
+        throw std::runtime_error("Message::decode: chunk size mismatch");
+      }
+    }
+  }
   out.payload.clear();
   out.payload_view = {};
   view.bytes = wire;

@@ -207,9 +207,15 @@ struct Message {
   /// (payload left empty), CRC-check every chunk on `pool`, and point
   /// `view` at `wire`.  The view borrows `wire`: it is good only while
   /// those bytes stay alive and unchanged.  view.bytes is set only once
-  /// the CRC check passes, so a view never points at bytes that failed it.
+  /// the checks pass, so a view never points at bytes that failed them.
   /// Throws std::runtime_error wherever decode_into's frame parse or CRC
   /// check would; it runs no codec, so none of the dequantization cost.
+  /// Once the CRC check passes it also holds each chunk's raw size, where
+  /// the codec states it without decoding (an identity chunk's length, a
+  /// q8/q4 chunk's float count), to the header's chunk size, and throws
+  /// std::runtime_error where they differ, as decode_into would.  An rle0
+  /// chunk states no size until decoded, so a header chunk size that
+  /// disagrees with rle0 chunks passes here and fails only its decode.
   static void validate_wire(std::span<const std::uint8_t> wire, Message& out,
                             WireView& view, ThreadPool* pool = nullptr);
 

@@ -88,6 +88,10 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
   double loss_sum = 0.0;
   std::uint64_t tokens = 0;
   double grad_norm_sum = 0.0;
+  // The next call on `opt` after this replica is reset() wherever the
+  // optimizer is stateless or each sub-federation node restarts it, so the
+  // last step's moments are never read: it stores only the params.
+  const bool reset_next = config_.stateless_optimizer || config_.sub_nodes > 1;
   for (int step = 0; step < local_steps; ++step) {
     const obs::RealTimer step_timer = trace_.trace.timer();
     const Batch b = data_->next_batch(batch, seq);
@@ -98,7 +102,8 @@ std::pair<double, std::uint64_t> LLMClient::train_replica(
     // zero_grad() clears them before the next step reads them.
     const double norm = opt.step_clipped(
         kernels::default_context(), model.params(), model.grads(),
-        schedule_.lr_at(step_base + step), config_.max_grad_norm);
+        schedule_.lr_at(step_base + step), config_.max_grad_norm,
+        /*last_step=*/reset_next && step + 1 == local_steps);
     loss_sum += loss;
     grad_norm_sum += norm;
     tokens += static_cast<std::uint64_t>(batch) * seq;

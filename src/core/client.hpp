@@ -91,7 +91,9 @@ struct ClientTrainConfig {
 /// AdamW, built for one model config.  Every client round receives the
 /// broadcast into the params and resets the optimizer, the step zeroes the
 /// grads and the forward pass overwrites the activation tape, so nothing a
-/// round leaves behind reaches the next one.
+/// round leaves behind reaches the next one.  The AdamW holds moment
+/// buffers only once a step stores them: a round's last step stores none,
+/// so with one local step per round it never allocates them.
 struct ClientShell {
   explicit ClientShell(const ModelConfig& model_config)
       : model(model_config), opt(model.num_params()) {}

@@ -27,6 +27,9 @@ struct AdamWConfig {
 
 class AdamW {
  public:
+  /// Allocates nothing: the moment buffers come with the first step that
+  /// stores them, so an optimizer that only ever takes last steps holds
+  /// none.
   AdamW(std::size_t num_params, AdamWConfig config = {});
 
   /// One update: params -= lr * (corrected m / (sqrt(corrected v) + eps)
@@ -39,9 +42,15 @@ class AdamW {
   /// (gc = g * scale), so clipping costs no extra pass and `grads` is left
   /// unmodified.  Bit-identical to clip_grad_norm() followed by step().
   /// Returns the pre-clip norm.
+  ///
+  /// With `last_step` the step stores only the params: it computes m and v
+  /// in the same op sequence and drops them, so the params equal the full
+  /// step's bit for bit.  Take it only where the next call is reset():
+  /// until then the moments are gone, and exp_avg(), exp_avg_sq() and any
+  /// further step throw std::logic_error.
   double step_clipped(const kernels::KernelContext& ctx,
                       std::span<float> params, std::span<const float> grads,
-                      float lr, double max_norm);
+                      float lr, double max_norm, bool last_step = false);
 
   /// Drop all momenta and the step counter (Photon's stateless-per-round
   /// local optimization; avoids communicating 2x extra state).  Only the
@@ -51,25 +60,30 @@ class AdamW {
 
   std::size_t step_count() const { return t_; }
   /// The moments, all zeros before the first step after construction or a
-  /// reset (a read then clears the buffers reset() left stale).
+  /// reset (a read then zeroes what reset() left stale, allocating the
+  /// buffers if no step stored them).  Throws std::logic_error after a
+  /// last step, until reset().
   std::span<const float> exp_avg() {
-    clear_stale_moments();
+    read_moments();
     return m_;
   }
   std::span<const float> exp_avg_sq() {
-    clear_stale_moments();
+    read_moments();
     return v_;
   }
 
  private:
   void step_impl(const kernels::KernelContext& ctx, std::span<float> params,
-                 std::span<const float> grads, float lr, float gscale);
-  void clear_stale_moments();
+                 std::span<const float> grads, float lr, float gscale,
+                 bool last_step);
+  void read_moments();
 
   AdamWConfig config_;
-  std::vector<float> m_;
+  std::size_t n_;
+  std::vector<float> m_;  // empty until a step stores the moments
   std::vector<float> v_;
   std::size_t t_ = 0;
+  bool spent_ = false;  // a last step dropped the moments; reset() first
 };
 
 /// Scale gradients so their global L2 norm is at most `max_norm`.

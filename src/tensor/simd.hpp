@@ -149,13 +149,18 @@ struct Ops {
   // Fused AdamW step over pre-clipped grads g*gscale:
   //   gc = g*gscale; m = b1*m + (1-b1)*gc; v = b2*v + ((1-b2)*gc)*gc;
   //   p -= lr*((m/bc1)/(sqrt(v/bc2)+eps) + wd*p)
-  // With zero_moments, m and v are written but not read: each old moment
+  // With zero_moments the old m and v are not read: each old moment
   // enters as +0 in the same op sequence (b1*0 + (1-b1)*gc), so a -0
   // product still becomes +0 and the step equals one on memset-zero
   // moments bit for bit.  AdamW's first step after a reset uses it.
+  // Without store_moments the new m and v are computed in the same op
+  // sequence but not stored: only p is written, bit for bit the p of the
+  // storing step.  A last step before a reset uses it.  Only a step with
+  // zero_moments and without store_moments may pass null m and v.
   void (*adamw)(float* p, float* m, float* v, const float* g, std::size_t n,
                 float gscale, float lr, float beta1, float beta2, float bc1,
-                float bc2, float eps, float wd, bool zero_moments);
+                float bc2, float eps, float wd, bool zero_moments,
+                bool store_moments);
   // buf = mu*buf + g; p -= lr*buf
   void (*momentum)(float* p, float* buf, const float* g, std::size_t n,
                    float lr, float mu);

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -235,6 +236,28 @@ TEST(LLMClient, StatelessRoundsAreReproducibleFromSameParams) {
   const TrainedRound ua = train_round(a, params, 0, 4, 0);
   const TrainedRound ub = train_round(b, params, 0, 4, 0);
   EXPECT_EQ(ua.delta, ub.delta);
+}
+
+TEST(LLMClient, StatelessRoundEndsWithALastStep) {
+  // A stateless client's last local step, and each sub-federation node's,
+  // stores only the params: after the round the thread's shell holds no
+  // moments, so exp_avg() throws until the next round's reset().  The
+  // round's other steps stored theirs, or the step after would have
+  // thrown as well.
+  const std::vector<float> global = init_params(tiny_model(), 29);
+  for (const int nodes : {1, 2}) {
+    SCOPED_TRACE("sub_nodes=" + std::to_string(nodes));
+    auto cfg = tiny_client_config();
+    cfg.sub_nodes = nodes;
+    ASSERT_TRUE(cfg.stateless_optimizer);
+    LLMClient client(0, cfg, tiny_stream(8), 31);
+    (void)train_round(client, global, 0, 4, 0);
+    const ShellLease shell(cfg.model);  // the shell that round returned
+    EXPECT_EQ(shell->opt.step_count(), 4u);
+    EXPECT_THROW((void)shell->opt.exp_avg(), std::logic_error);
+    shell->opt.reset();
+    for (const float x : shell->opt.exp_avg()) ASSERT_EQ(0.0f, x);
+  }
 }
 
 TEST(LLMClient, StatefulOptimizerChangesSecondRound) {

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/server_opt.hpp"
 #include "nn/optimizer.hpp"
@@ -50,6 +54,48 @@ TEST(AdamW, StatelessRestartMatchesFreshOptimizer) {
   a.step(kernels::default_context(), pa, std::vector<float>{0.7f}, 0.01f);
   b.step(kernels::default_context(), pb, std::vector<float>{0.7f}, 0.01f);
   EXPECT_FLOAT_EQ(pa[0], pb[0]);
+}
+
+TEST(AdamW, LastStepDropsTheMomentsUntilReset) {
+  // A last step moves the params as a full step does but keeps no moments:
+  // exp_avg(), exp_avg_sq() and another step throw until reset(), after
+  // which the moments read as zeros and the next step is a fresh
+  // optimizer's.  Checked as the first step (t = 1) and the second.
+  const auto& ctx = kernels::default_context();
+  const std::vector<float> p0{1.0f, -2.0f, 0.5f, 3.0f, -0.0f};
+  const std::vector<float> g0{0.3f, -0.1f, 0.0f, 2.0f, -1.5f};
+  const std::vector<float> g1{-0.2f, 0.4f, -0.0f, 1.0f, 0.25f};
+  for (const int before : {0, 1}) {
+    SCOPED_TRACE("steps before: " + std::to_string(before));
+    AdamW full(p0.size()), last(p0.size());
+    std::vector<float> pf = p0, pl = p0;
+    for (int s = 0; s < before; ++s) {
+      full.step_clipped(ctx, pf, g0, 0.1f, 1.0);
+      last.step_clipped(ctx, pl, g0, 0.1f, 1.0);
+    }
+    EXPECT_EQ(full.step_clipped(ctx, pf, g1, 0.1f, 1.0),
+              last.step_clipped(ctx, pl, g1, 0.1f, 1.0, /*last_step=*/true));
+    EXPECT_EQ(0, std::memcmp(pf.data(), pl.data(), pf.size() * sizeof(float)));
+    EXPECT_EQ(last.step_count(), full.step_count());
+    EXPECT_THROW((void)last.exp_avg(), std::logic_error);
+    EXPECT_THROW((void)last.exp_avg_sq(), std::logic_error);
+    EXPECT_THROW(last.step_clipped(ctx, pl, g1, 0.1f, 1.0), std::logic_error);
+    EXPECT_THROW(last.step(ctx, pl, g1, 0.1f), std::logic_error);
+
+    last.reset();
+    for (const float x : last.exp_avg()) EXPECT_EQ(0.0f, x);
+    for (const float x : last.exp_avg_sq()) EXPECT_EQ(0.0f, x);
+    AdamW fresh(p0.size());
+    std::vector<float> pr = p0, pn = p0;
+    last.step_clipped(ctx, pr, g1, 0.1f, 1.0);
+    fresh.step_clipped(ctx, pn, g1, 0.1f, 1.0);
+    EXPECT_EQ(0, std::memcmp(pr.data(), pn.data(), pr.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(last.exp_avg().data(), fresh.exp_avg().data(),
+                             pr.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(last.exp_avg_sq().data(),
+                             fresh.exp_avg_sq().data(),
+                             pr.size() * sizeof(float)));
+  }
 }
 
 TEST(AdamW, SizeMismatchThrows) {

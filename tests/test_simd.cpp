@@ -257,9 +257,10 @@ TEST(SimdVariants, OpsBitIdenticalToScalar) {
         }
         auto p_ref = x, p = x, m_ref = m0, m = m0, vv_ref = v0, vv = v0;
         ref.adamw(p_ref.data(), m_ref.data(), vv_ref.data(), y.data(), n,
-                  0.5f, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, false);
+                  0.5f, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, false,
+                  true);
         ops.adamw(p.data(), m.data(), vv.data(), y.data(), n, 0.5f, 1e-3f,
-                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, false);
+                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, false, true);
         EXPECT_TRUE(bytes_equal(p_ref, p) && bytes_equal(m_ref, m) &&
                     bytes_equal(vv_ref, vv))
             << "adamw";
@@ -758,11 +759,11 @@ TEST(AdamWKernel, ZeroMomentStepEqualsStepOnZeroedMoments) {
              v_ref = std::vector<float>(n, 0.0f);
         ops.adamw(p_ref.data(), m_ref.data(), v_ref.data(), g.data(), n,
                   gscale, 1e-3f, 0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f,
-                  false);
+                  false, true);
         auto p = p0, m = std::vector<float>(n, nan),
              vv = std::vector<float>(n, nan);
         ops.adamw(p.data(), m.data(), vv.data(), g.data(), n, gscale, 1e-3f,
-                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, true);
+                  0.9f, 0.95f, 0.1f, 0.05f, 1e-8f, 0.01f, true, true);
         EXPECT_TRUE(bytes_equal(p_ref, p)) << "p";
         EXPECT_TRUE(bytes_equal(m_ref, m)) << "m";
         EXPECT_TRUE(bytes_equal(v_ref, vv)) << "v";
@@ -804,7 +805,8 @@ TEST(AdamWKernel, StepAfterResetEqualsStepOnZeroedMoments) {
     simd::ops(v).adamw(p_ref.data(), m_ref.data(), v_ref.data(), g.data(),
                        kN, gscale, 1e-3f, 0.9f, 0.95f,
                        1.0f - std::pow(0.9f, 1.0f),
-                       1.0f - std::pow(0.95f, 1.0f), 1e-8f, 0.0f, false);
+                       1.0f - std::pow(0.95f, 1.0f), 1e-8f, 0.0f, false,
+                       true);
     EXPECT_TRUE(bytes_equal(p_ref, p)) << "params";
     const auto m = opt.exp_avg();
     const auto vv = opt.exp_avg_sq();
@@ -812,6 +814,62 @@ TEST(AdamWKernel, StepAfterResetEqualsStepOnZeroedMoments) {
     EXPECT_EQ(0, std::memcmp(v_ref.data(), vv.data(), kN * sizeof(float)));
     opt.reset();
     for (const float x : opt.exp_avg()) ASSERT_EQ(0.0f, x);
+  }
+}
+
+// A last step stores only p: the new m and v stay in registers.  On every
+// variant and tail width its p must equal the storing step's bit for bit,
+// at t = 1 (zero moments, null m and v) and at t > 1 (moments read), with
+// the grads of ZeroMomentStepEqualsStepOnZeroedMoments.  Moment buffers
+// keep their exact bits: NaN at t = 1, where nothing may read them, and
+// the read moments at t > 1.
+TEST(AdamWKernel, LastStepStoresOnlyTheFullStepsParams) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::size_t> lengths{4099};
+  for (std::size_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto p0 = gaussian_vec(n, 1600 + n);
+    auto g = gaussian_vec(n, 1700 + n);
+    for (std::size_t i = 0; i < n; i += 3) {
+      g[i] = (i / 3) % 3 == 0 ? -0.0f : -denorm * static_cast<float>(i % 2 + 1);
+    }
+    const auto m0 = gaussian_vec(n, 1800 + n, 0.1f);
+    auto v0 = gaussian_vec(n, 1900 + n, 0.1f);
+    for (float& x : v0) x *= x;
+    const std::vector<float> nans(n, nan);
+    for (const float gscale : {1.0f, 0.5f}) {
+      for (auto v : supported_variants()) {
+        SCOPED_TRACE(simd::variant_name(v));
+        const auto& ops = simd::ops(v);
+        for (const bool first : {true, false}) {
+          SCOPED_TRACE(first ? "t=1" : "t=2");
+          const float bc1 = first ? 0.1f : 0.19f;
+          const float bc2 = first ? 0.05f : 0.0975f;
+          auto p_ref = p0;
+          auto m_ref = first ? std::vector<float>(n, 0.0f) : m0;
+          auto v_ref = first ? std::vector<float>(n, 0.0f) : v0;
+          ops.adamw(p_ref.data(), m_ref.data(), v_ref.data(), g.data(), n,
+                    gscale, 1e-3f, 0.9f, 0.95f, bc1, bc2, 1e-8f, 0.01f,
+                    first, true);
+          auto p = p0;
+          auto m = first ? nans : m0;
+          auto vv = first ? nans : v0;
+          ops.adamw(p.data(), m.data(), vv.data(), g.data(), n, gscale, 1e-3f,
+                    0.9f, 0.95f, bc1, bc2, 1e-8f, 0.01f, first, false);
+          EXPECT_TRUE(bytes_equal(p_ref, p)) << "p";
+          EXPECT_TRUE(bytes_equal(first ? nans : m0, m)) << "m";
+          EXPECT_TRUE(bytes_equal(first ? nans : v0, vv)) << "v";
+          if (first) {
+            p = p0;
+            ops.adamw(p.data(), nullptr, nullptr, g.data(), n, gscale, 1e-3f,
+                      0.9f, 0.95f, bc1, bc2, 1e-8f, 0.01f, true, false);
+            EXPECT_TRUE(bytes_equal(p_ref, p)) << "p, null moments";
+          }
+        }
+      }
+    }
   }
 }
 

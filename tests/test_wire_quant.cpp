@@ -511,6 +511,30 @@ TEST(UpdateWalk, ChunkSizeMustHoldWholeFloats) {
   }
 }
 
+TEST(UpdateWalk, HeaderChunkSizeMustMatchTheChunks) {
+  // The CRC does not cover the header: an image of 1000 floats encoded at
+  // 1020-byte chunks and patched to 1016 in one bit keeps its 4 chunks and
+  // CRCs.  Each q8 chunk states its float count and each identity chunk
+  // its length, so both decoders refuse it before the streamed fold could
+  // throw mid-round.
+  const auto x = gaussian_floats(1000, 8, 0.05f);
+  for (const char* codec : {"q8", ""}) {
+    const Message m = update_message(codec, x, false, 0.0);
+    WireScratch image;
+    m.encode_into(image, 1020);
+    std::uint8_t* field = image.wire.data() + image.payload_offset - 44;
+    ASSERT_EQ(field[0] + 256 * field[1], 1020);
+    field[0] ^= 4;  // 1016
+    Message out;
+    WireView view;
+    EXPECT_THROW(Message::validate_wire(image.wire, out, view),
+                 std::runtime_error) << codec;
+    EXPECT_TRUE(view.bytes.empty()) << codec;
+    EXPECT_THROW(Message::decode_into(image.wire, out), std::runtime_error)
+        << codec;
+  }
+}
+
 TEST(WireQuant, AccumulateChunkEqualsDecodeThenFold) {
   // accumulate_chunk folds a chunk's codes straight into the fp64 sum; it
   // must equal decompress_into followed by acc += w * double(x), bit for

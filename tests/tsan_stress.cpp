@@ -345,7 +345,8 @@ bool collectives_race_free(ThreadPool& pool) {
 
 // Fused hot-path kernels added with the SIMD layer: bias+GELU and the
 // clip+AdamW step shard elementwise over the pool and must match the serial
-// context bit-for-bit (the clip's global norm is a sharded reduction).
+// context bit-for-bit (the clip's global norm is a sharded reduction).  The
+// third AdamW step is a last step, which stores only the params.
 bool fused_paths_race_free(ThreadPool& pool) {
   const k::KernelContext par(&pool, 4, /*grain=*/1);
   const k::KernelContext ser;
@@ -378,8 +379,11 @@ bool fused_paths_race_free(ThreadPool& pool) {
   auto p_ser = p_par;
   photon::AdamW opt_par(n), opt_ser(n);
   for (int step = 0; step < 3; ++step) {
-    const double np = opt_par.step_clipped(par, p_par, grads, 1e-3f, 0.25);
-    const double ns = opt_ser.step_clipped(ser, p_ser, grads, 1e-3f, 0.25);
+    const bool last = step == 2;
+    const double np =
+        opt_par.step_clipped(par, p_par, grads, 1e-3f, 0.25, last);
+    const double ns =
+        opt_ser.step_clipped(ser, p_ser, grads, 1e-3f, 0.25, last);
     if (np != ns) {
       std::fprintf(stderr, "FAIL step_clipped norm %g vs %g\n", np, ns);
       return false;
