@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "util/logging.hpp"
 #include "util/serialization.hpp"
 
 namespace photon {
@@ -30,6 +33,29 @@ constexpr std::uint32_t kTuner = 0x454E5554;      // "TUNE"
 constexpr std::uint32_t kPrivacy = 0x56495250;    // "PRIV"
 
 constexpr const char* kJournalFile = "round.journal";
+
+/// Where a disk save publishes round `round`: <dir>/ckpt_<round>.bin.
+std::filesystem::path checkpoint_path(const std::filesystem::path& dir,
+                                      std::uint32_t round) {
+  return dir / ("ckpt_" + std::to_string(round) + ".bin");
+}
+
+/// The round in a file name "ckpt_<round><suffix>"; nullopt for any other
+/// name.
+std::optional<std::uint32_t> round_in(std::string_view name,
+                                      std::string_view suffix) {
+  constexpr std::string_view kPrefix = "ckpt_";
+  if (name.size() <= kPrefix.size() + suffix.size() ||
+      !name.starts_with(kPrefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  const char* first = name.data() + kPrefix.size();
+  const char* last = name.data() + name.size() - suffix.size();
+  std::uint32_t round = 0;
+  const auto [end, err] = std::from_chars(first, last, round);
+  if (err != std::errc{} || end != last) return std::nullopt;
+  return round;
+}
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw std::runtime_error("decode_checkpoint: " + what);
@@ -283,6 +309,33 @@ void sync_dir(const std::filesystem::path& dir) {
   if (!d || ::fsync(::dirfd(d.get())) != 0) io_failure(dir);
 }
 
+/// Unlinks every ckpt_<q>.bin and ckpt_<q>.bin.tmp in `dir` with q < round.
+/// The commit of `round` is durable by then, so a failure must not fail the
+/// round: it leaves the file for the next commit's scan and logs a warning.
+/// A file already gone is no failure.
+void remove_older(const std::filesystem::path& dir, std::uint32_t round) {
+  std::vector<std::filesystem::path> older;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    std::optional<std::uint32_t> q = round_in(name, ".bin");
+    if (!q) q = round_in(name, ".bin.tmp");
+    if (q && *q < round) older.push_back(it->path());
+  }
+  if (ec) {
+    PHOTON_LOG_WARN("checkpoint", "cannot list %s: %s", dir.c_str(),
+                    ec.message().c_str());
+  }
+  for (const std::filesystem::path& path : older) {
+    if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
+      const int err = errno;
+      PHOTON_LOG_WARN("checkpoint", "cannot remove %s: %s (errno %d)",
+                      path.c_str(), std::strerror(err), err);
+    }
+  }
+}
+
 /// Overwrites `to` with the state `v` views, reusing `to`'s buffers.
 void assign(Checkpoint& to, const CheckpointView& v) {
   const auto copy = [](auto& dst, auto src) {
@@ -422,7 +475,7 @@ void CheckpointStore::save(const CheckpointView& ckpt) {
   }
   // tmp -> fsync -> rename -> fsync(dir).  latest() skips the .tmp that a
   // crash mid-write leaves behind; a write that fails removes its own.
-  const auto path = dir_ / ("ckpt_" + std::to_string(ckpt.round) + ".bin");
+  const auto path = checkpoint_path(dir_, ckpt.round);
   auto tmp = path;
   tmp += ".tmp";
   try {
@@ -439,20 +492,13 @@ void CheckpointStore::save(const CheckpointView& ckpt) {
 
 std::optional<Checkpoint> CheckpointStore::latest() const {
   if (dir_.empty() || !std::filesystem::exists(dir_)) return memory_;
-  std::int64_t best = -1;
+  std::optional<std::uint32_t> best;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt_", 0) != 0 || entry.path().extension() != ".bin") {
-      continue;
-    }
-    try {
-      best = std::max<std::int64_t>(best, std::stoll(name.substr(5)));
-    } catch (const std::exception&) {
-      continue;  // not one of ours
-    }
+    const auto round = round_in(entry.path().filename().string(), ".bin");
+    if (round && (!best || *round > *best)) best = round;
   }
-  if (best < 0) return std::nullopt;
-  return read_from_disk(static_cast<std::uint32_t>(best));
+  if (!best) return std::nullopt;
+  return read_from_disk(*best);
 }
 
 std::optional<Checkpoint> CheckpointStore::at_round(std::uint32_t round) const {
@@ -485,6 +531,9 @@ void CheckpointStore::journal_begin(std::uint32_t round) {
 void CheckpointStore::journal_commit(std::uint32_t round) {
   journal_append('C', round);
   last_committed_ = std::max<std::int64_t>(last_committed_, round);
+  // With `C round` durable, no older file is a restore point.  Deleting
+  // them lets the next save's write(2) reuse their page-cache pages.
+  if (!dir_.empty()) remove_older(dir_, round);
 }
 
 void CheckpointStore::journal_recovered(std::uint32_t round) {
@@ -512,7 +561,7 @@ void CheckpointStore::replay_journal() {
 
 std::optional<Checkpoint> CheckpointStore::read_from_disk(
     std::uint32_t round) const {
-  const auto path = dir_ / ("ckpt_" + std::to_string(round) + ".bin");
+  const auto path = checkpoint_path(dir_, round);
   const Fd file(path, O_RDONLY);
   if (file.get() < 0) return std::nullopt;
   struct stat st {};

@@ -155,27 +155,38 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointView& ckpt);
 /// membership byte that names no MembershipState.
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> image);
 
+/// Keeps one restore point.  `dir` empty = memory-only store (tests,
+/// sweeps) holding the latest save.  Otherwise checkpoints live only on
+/// disk, as <dir>/ckpt_<round>.bin, beside the round journal
+/// <dir>/round.journal (replayed on construction for crash recovery).
+/// Each journal commit of round r unlinks every ckpt_<q>.bin and
+/// ckpt_<q>.bin.tmp with q < r, so the directory holds the journal, the
+/// last committed checkpoint and at most one newer save not yet committed,
+/// and the next save's write(2) reuses the pages of the deleted file
+/// (DESIGN.md §8).  Other files in `dir` are left alone.
 class CheckpointStore {
  public:
-  /// `dir` empty = memory-only store (tests, sweeps) holding the latest
-  /// save; otherwise checkpoints live only on disk, as
-  /// <dir>/ckpt_<round>.bin, and the round journal as <dir>/round.journal
-  /// (replayed on construction for crash recovery).
   explicit CheckpointStore(std::filesystem::path dir = {});
 
   /// Keep the state `ckpt` views.  On disk its image streams from those
   /// buffers into the file; a reader sees the old ckpt_<round>.bin or the
   /// new one, never a torn one, and the new one survives power loss.  A
   /// failed write throws std::runtime_error naming the file and errno and
-  /// leaves no temporary and no new file.  A memory-only store copies the
-  /// view into the one Checkpoint it keeps, reusing its buffers.
+  /// leaves no temporary and no new file.  A save deletes nothing: older
+  /// files stay until a journal commit of this round or a later one.  A
+  /// memory-only store copies the view into the one Checkpoint it keeps,
+  /// reusing its buffers.
   void save(const CheckpointView& ckpt);
 
   /// Most recent checkpoint: the latest save in memory, or the
-  /// highest-round ckpt_*.bin on disk.
+  /// highest-round ckpt_<round>.bin on disk.  On disk that may be a save
+  /// newer than the last commit, left by a crash before its commit;
+  /// Aggregator::restore_latest_checkpoint prefers the journal's commit.
   std::optional<Checkpoint> latest() const;
 
-  /// Checkpoint for an exact round.
+  /// Checkpoint for an exact round.  On disk only the last commit and at
+  /// most one newer save remain, so an older round reads nullopt once a
+  /// later round has committed.
   std::optional<Checkpoint> at_round(std::uint32_t round) const;
 
   const std::filesystem::path& dir() const { return dir_; }
@@ -183,7 +194,8 @@ class CheckpointStore {
   // --- write-ahead round journal ---------------------------------------
   // Protocol per round r: `begin r` is appended BEFORE the ServerOpt
   // apply; `commit r` AFTER the round's checkpoint is durable, and is
-  // fsynced itself.
+  // fsynced itself.  Only then are the files of older rounds unlinked; a
+  // failed unlink is logged, never thrown, and the next commit retries it.
   // On recovery the last committed round is the restore point: a round
   // with a dangling `begin` may have mutated the in-memory model but never
   // produced a durable checkpoint, so re-running it from the last commit

@@ -573,11 +573,116 @@ TEST(CheckpointStore, StreamedFileIsTheEncodedImage) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------------------ one restore point on disk --
+/// The names in `dir`, sorted.
+std::vector<std::string> names_in(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// `got` holds `want`'s params bit for bit, and encodes to its image.
+void expect_loaded(const std::optional<Checkpoint>& got,
+                   const Checkpoint& want) {
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->params.size(), want.params.size());
+  EXPECT_EQ(0, std::memcmp(got->params.data(), want.params.data(),
+                           want.params.size() * sizeof(float)));
+  EXPECT_TRUE(encode_checkpoint(*got) == encode_checkpoint(want));
+}
+
+TEST(CheckpointStore, CommitRemovesEveryOlderCheckpointAndTemporary) {
+  // A commit of round r unlinks each ckpt_<q>.bin and ckpt_<q>.bin.tmp with
+  // q < r.  A newer save and files that only resemble checkpoints stay,
+  // and latest() reads none of the latter as a round.
+  const auto dir = fresh_dir("photon_ckpt_retention");
+  {
+    CheckpointStore planter(dir);  // saves without committing: deletes none
+    planter.save(params_checkpoint(1, {1.0f}));
+    planter.save(params_checkpoint(9, {9.0f}));
+  }
+  std::ofstream(dir / "ckpt_2.bin.tmp", std::ios::binary) << "torn";
+  std::ofstream(dir / "ckpt_1.bin.bak", std::ios::binary) << "not ours";
+  std::ofstream(dir / "ckpt_99x.bin", std::ios::binary) << "not ours";
+  std::ofstream(dir / "notes.txt") << "not ours";
+  const Checkpoint zero = params_checkpoint(0, {0.5f});
+  const Checkpoint four = params_checkpoint(4, params_past_the_buffer());
+  CheckpointStore store(dir);
+  for (const Checkpoint* c : {&zero, &four}) {
+    store.journal_begin(c->round);
+    store.save(*c);
+    store.journal_commit(c->round);
+  }
+  EXPECT_EQ(names_in(dir),
+            (std::vector<std::string>{"ckpt_1.bin.bak", "ckpt_4.bin",
+                                      "ckpt_9.bin", "ckpt_99x.bin",
+                                      "notes.txt", "round.journal"}));
+  expect_loaded(store.at_round(4), four);
+  expect_loaded(CheckpointStore(dir).at_round(4), four);
+  EXPECT_EQ(store.latest()->round, 9u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, UncommittedSaveLeavesTheLastCommitInPlace) {
+  // A crash between a save and its commit leaves both files: the journal's
+  // last commit still loads bit for bit, and only the commit of the newer
+  // round removes it.
+  const auto dir = fresh_dir("photon_ckpt_crash_window");
+  const Checkpoint four = params_checkpoint(4, params_past_the_buffer());
+  {
+    CheckpointStore store(dir);
+    store.journal_begin(4);
+    store.save(four);
+    store.journal_commit(4);
+    store.journal_begin(8);
+    store.save(params_checkpoint(8, {8.0f}));  // crash before `C 8`
+  }
+  CheckpointStore fresh(dir);
+  EXPECT_EQ(fresh.journal_last_committed(), 4);
+  EXPECT_EQ(names_in(dir), (std::vector<std::string>{
+                               "ckpt_4.bin", "ckpt_8.bin", "round.journal"}));
+  expect_loaded(fresh.at_round(4), four);
+  fresh.journal_commit(8);
+  EXPECT_EQ(names_in(dir),
+            (std::vector<std::string>{"ckpt_8.bin", "round.journal"}));
+  EXPECT_FALSE(fresh.at_round(4).has_value());
+  EXPECT_EQ(fresh.at_round(8)->params, (std::vector<float>{8.0f}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, FailedRemovalWarnsAndLeavesTheCommitStanding) {
+  // A commit is durable before anything is unlinked, so an unlink that
+  // fails (here EISDIR, on a directory with a checkpoint's name) only logs
+  // a warning and leaves that entry; the commit and its file stand.
+  const auto dir = fresh_dir("photon_ckpt_failed_removal");
+  std::filesystem::create_directories(dir / "ckpt_1.bin");
+  const Checkpoint four = params_checkpoint(4, {4.0f});
+  CheckpointStore store(dir);
+  store.journal_begin(4);
+  store.save(four);
+  testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(store.journal_commit(4));
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find((dir / "ckpt_1.bin").string()), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("errno " + std::to_string(EISDIR)), std::string::npos)
+      << log;
+  EXPECT_EQ(store.journal_last_committed(), 4);
+  EXPECT_EQ(names_in(dir), (std::vector<std::string>{
+                               "ckpt_1.bin", "ckpt_4.bin", "round.journal"}));
+  expect_loaded(CheckpointStore(dir).at_round(4), four);
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------- failed and torn saves --
 /// Two clients on the q8 wire (so checkpoints carry residuals) under
-/// Nesterov (so META carries momentum), checkpointing every round into
-/// `dir`, or into memory when `dir` is empty.
-std::unique_ptr<Aggregator> q8_federation(const std::filesystem::path& dir) {
+/// Nesterov (so META carries momentum), checkpointing every
+/// `checkpoint_every` rounds into `dir`, or into memory when `dir` is empty.
+std::unique_ptr<Aggregator> q8_federation(const std::filesystem::path& dir,
+                                          int checkpoint_every = 1) {
   ModelConfig model;
   model.n_layers = 1;
   model.d_model = 16;
@@ -605,6 +710,7 @@ std::unique_ptr<Aggregator> q8_federation(const std::filesystem::path& dir) {
   ac.local_steps = 1;
   ac.parallel_clients = false;
   ac.checkpoint_dir = dir;
+  ac.checkpoint_every = checkpoint_every;
   ac.seed = 33;
   return std::make_unique<Aggregator>(
       model, ac, make_server_opt("nesterov", 0.5f, 0.9f), std::move(clients),
@@ -826,6 +932,28 @@ INSTANTIATE_TEST_SUITE_P(Sections, KilledMidSaveDeathTest,
                          [](const testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+TEST(CheckpointStore, FederationKeepsOnlyItsLastCommit) {
+  // Saving every 2nd round, seven rounds (0-6) commit rounds 0, 2, 4 and 6;
+  // each commit removes the one before, and a fresh server restores round
+  // 6 exactly as the run left it.
+  const auto dir = fresh_dir("photon_ckpt_federation_retention");
+  std::vector<float> last;
+  {
+    const auto agg = q8_federation(dir, /*checkpoint_every=*/2);
+    for (int r = 0; r < 7; ++r) agg->run_round();
+    EXPECT_EQ(agg->checkpoints().journal_last_committed(), 6);
+    last.assign(agg->global_params().begin(), agg->global_params().end());
+  }
+  EXPECT_EQ(names_in(dir),
+            (std::vector<std::string>{"ckpt_6.bin", "round.journal"}));
+  const auto fresh = q8_federation(dir, 2);
+  ASSERT_TRUE(fresh->restore_latest_checkpoint());
+  EXPECT_EQ(fresh->round(), 7u);
+  EXPECT_EQ(0, std::memcmp(last.data(), fresh->global_params().data(),
+                           last.size() * sizeof(float)));
+  std::filesystem::remove_all(dir);
+}
 
 TEST(ServerOpt, StateSaveLoadRestoresMomentumExactly) {
   // A restored stateful optimizer must continue bit-identically: serialize

@@ -10,9 +10,10 @@
 // The constants pin the engines' outputs across refactors: a change to how
 // rounds dispatch, aggregate, trace or checkpoint that moves a single bit
 // (an arrival time summed in a different order, say) changes a digest.  A
-// new span kind moves only the trace digests and a change to the checkpoint
-// file format only the checkpoint digests, so the engine digests still
-// prove the engines' outputs unchanged.
+// new span kind moves only the trace digests, and a change to the checkpoint
+// file format or to which files the store keeps only the checkpoint
+// digests, so the engine digests still prove the engines' outputs
+// unchanged.
 // Every codec is pinned ("rle0", never the env-overridable "") and every
 // config sets privacy.ignore_env, so the PHOTON_WIRE_CODEC and PHOTON_SECAGG
 // CI lanes run the same federations as the default lane.  The runner has no
@@ -383,14 +384,14 @@ std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   cases.push_back({"sync_rar_fp32_disk",
                    {0x02ba12f98198d1b5ULL, 0xcda290a5a9211b8eULL,
-                    0x1ebefdbd578f095eULL},
+                    0x8898ff7d379bdf46ULL},
                    [] {
                      return run_plain("sync_rar_fp32_disk",
                                       sync_base(Topology::kRingAllReduce), 4);
                    }});
   cases.push_back({"sync_ps_faults_deadline_skip",
                    {0xa81b76ab4bb17effULL, 0x72d10881171735a3ULL,
-                    0xa26df95593dd966bULL},
+                    0x46b7e0c6d7363df2ULL},
                    [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.faults = chaos(0.2, 0.3, 0.05, 0.05);
@@ -403,7 +404,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"sync_ar_quorum_skip",
                    {0xe1156a25114bfb40ULL, 0x72e21504d786932bULL,
-                    0xd05f37f16fb895caULL},
+                    0x41718ba7213ca499ULL},
                    [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.faults = chaos(0.3, 0.0, 0.0, 0.0);
@@ -415,7 +416,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"sync_q8_streamed_ar",
                    {0x4f632c228e9ac9feULL, 0x8f498edf4d872481ULL,
-                    0xce287c5bd62c5e10ULL},
+                    0x4ad06789286eb71aULL},
                    [] {
                      Federation f = sync_base(Topology::kAllReduce);
                      f.codec = [](int) { return "q8"; };
@@ -424,7 +425,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"sync_mixed_q4_fp32_rar",
                    {0x07bcbc5b7c8c4481ULL, 0x8b2046bc4b64d4a3ULL,
-                    0x4ca2859b58ce84a8ULL},
+                    0x145e3328df454d3bULL},
                    [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int i) { return i % 2 == 0 ? "q4" : "rle0"; };
@@ -433,7 +434,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"sync_secagg_dp_faults",
                    {0xcd86b866b31a8900ULL, 0xe03df5c08ede155fULL,
-                    0xe9682eecc89c20a6ULL},
+                    0x1c3892ae2289c267ULL},
                    [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.secure_aggregation = true;
@@ -448,7 +449,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"sync_crash_restore",
                    {0x5ee07c1ed17c5061ULL, 0xc702f1193c5b6f4eULL,
-                    0x6028ec3bfeada4d7ULL},
+                    0x7cc12d0b143cea70ULL},
                    [] {
                      Federation f = sync_base(Topology::kRingAllReduce);
                      f.codec = [](int) { return "q8"; };
@@ -458,7 +459,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_fp32_churn_faults",
                    {0x6c1b44edb99db1d4ULL, 0x255079f17181913aULL,
-                    0xad8fecccf859a393ULL},
+                    0x853fb61528ac77e7ULL},
                    [] {
                      Federation f = async_base();
                      f.faults = chaos(0.1, 0.2, 0.05, 0.05);
@@ -470,7 +471,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_q8_ephemeral_constant",
                    {0xf45e94bf276ec320ULL, 0xae8b74b6a2fe2e75ULL,
-                    0x5693f72d47ec0d18ULL},
+                    0x3c321d1433a1bd56ULL},
                    [] {
                      Federation f = async_base();
                      f.server_opt = "fedavg";
@@ -485,7 +486,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_secagg_dp_leaves",
                    {0x09d9c9a42e285c74ULL, 0x2de230f216ce6696ULL,
-                    0x1117bcdf30cbc91dULL},
+                    0x5afba33bae44ea7aULL},
                    [] {
                      Federation f = async_base();
                      f.ac.secure_aggregation = true;
@@ -497,7 +498,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"async_crash_restore",
                    {0x7491c7996e715c25ULL, 0x213941116a3b3d7cULL,
-                    0xdf6cce7ca02564daULL},
+                    0xbd19a3febac9e41bULL},
                    [] {
                      Federation f = async_base();
                      f.codec = [](int i) { return i % 3 == 0 ? "rle0" : "q8"; };
@@ -510,7 +511,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"tuned_sync",
                    {0x6f9e6c8333a99a57ULL, 0,
-                    0x8f062dd2b4eba0bdULL},
+                    0x4baf56ca6ff02206ULL},
                    [] {
                      Federation f = sync_base(Topology::kParameterServer);
                      f.ac.bandwidth_mbps = 1.25;
@@ -522,7 +523,7 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"tuned_async",
                    {0x7f37c9471b1c3e67ULL, 0,
-                    0xa7b7977b645714ffULL},
+                    0x093dbaec00f87aa9ULL},
                    [] {
                      Federation f = async_base();
                      f.ac.bandwidth_mbps = 1.25;
